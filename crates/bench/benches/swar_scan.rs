@@ -72,34 +72,38 @@ fn swar_scan(c: &mut Criterion) {
     });
 
     // End-to-end: the same compiled program through the byte-serial
-    // reference driver vs the record-at-a-time block driver.
-    let expr = query_to_exprs(&Query::qs0(), 1).unwrap();
-    let mut engine = Engine::compile(&expr);
-    assert!(engine.block_scan_ready());
-    let mut out = Vec::new();
-    group.bench_function("engine_qs0/byte", |b| {
-        b.iter(|| {
-            out.clear();
-            rfjson_core::backend::run_verdict_driver(
-                &mut engine,
-                black_box(&stream),
-                rfjson_core::IngestLimits::UNLIMITED,
-                &mut out,
-            );
-            black_box(out.len())
+    // reference driver vs the record-at-a-time block driver — with b=1
+    // (byte hit table) and b=2 (pooled block-hit automaton) substring
+    // units, which the block path steps at the same cost.
+    for (b, name) in [(1, "engine_qs0"), (2, "engine_qs0_b2")] {
+        let expr = query_to_exprs(&Query::qs0(), b).unwrap();
+        let mut engine = Engine::compile(&expr);
+        assert!(engine.block_scan_ready());
+        let mut out = Vec::new();
+        group.bench_function(format!("{name}/byte"), |b| {
+            b.iter(|| {
+                out.clear();
+                rfjson_core::backend::run_verdict_driver(
+                    &mut engine,
+                    black_box(&stream),
+                    rfjson_core::IngestLimits::UNLIMITED,
+                    &mut out,
+                );
+                black_box(out.len())
+            });
         });
-    });
-    group.bench_function("engine_qs0/block", |b| {
-        b.iter(|| {
-            out.clear();
-            engine.filter_stream_verdicts_into(
-                black_box(&stream),
-                rfjson_core::IngestLimits::UNLIMITED,
-                &mut out,
-            );
-            black_box(out.len())
+        group.bench_function(format!("{name}/block"), |b| {
+            b.iter(|| {
+                out.clear();
+                engine.filter_stream_verdicts_into(
+                    black_box(&stream),
+                    rfjson_core::IngestLimits::UNLIMITED,
+                    &mut out,
+                );
+                black_box(out.len())
+            });
         });
-    });
+    }
     group.finish();
 }
 

@@ -1,0 +1,509 @@
+//! The shared kernel of the B ≥ 2 approximate substring units: one
+//! **block-hit automaton** for all of them plus **packed lane counters**.
+//!
+//! A unit `sB(needle)` fires after `N − B + 1` consecutive stream windows
+//! that each equal *some* B-byte block of the needle. Stepping each unit
+//! on its own costs a window compare against every block per unit and
+//! byte. Here the blocks of every unit — whatever their lengths — are
+//! pooled into one Mealy automaton over compressed byte classes, in the
+//! way Mitra et al. compile the common pieces of all profiles into one
+//! shared automaton:
+//!
+//! * a **state** is the longest suffix of the stream that is a proper
+//!   prefix of some block (Aho–Corasick with the terminal nodes folded
+//!   into their failure targets); for B = 2 that is just the class of
+//!   the previous byte;
+//! * a **transition** `(state, class)` yields the next state and a **hit
+//!   mask**: `0xFF` in lane *i* iff the last `B_i` bytes are a block of
+//!   unit *i* (eight lanes per `u64` bank, banks side by side).
+//!
+//! The run counters then live one byte per lane and advance with the same
+//! arithmetic as the B = 1 units ([`lane_step`]): hit lanes count up and
+//! saturate at 127, miss lanes reset, and a borrow-free compare yields the
+//! lanes at or past their target. The zero-initialised hardware window is
+//! the start state: needles are NUL-free, so no block matches before B
+//! real bytes arrived, and a NUL in the stream is just a byte of no block.
+//!
+//! The byte-serial form ([`BlockAutomaton::step_serial`]) walks the same
+//! tables with one `u32` counter per unit, so both paths of an engine
+//! share one state and a block seam needs no window reconstruction.
+//! [`SubstringMatcher`] stays the reference the property tests compare
+//! against (`tests/block_automaton_equiv.rs`).
+
+use crate::primitive::{FireFilter, SubstringMatcher};
+
+/// `0x01` in every lane.
+const LANE_LO: u64 = 0x0101_0101_0101_0101;
+/// `0x80` in every lane.
+const LANE_HI: u64 = 0x8080_8080_8080_8080;
+
+/// Lanes per `u64` bank.
+pub const LANES: usize = 8;
+/// Most banks the packed block path carries (64 units).
+pub const MAX_BANKS: usize = 8;
+/// Largest run target the packed counters compare exactly: they saturate
+/// at 127, so `counter ≥ target` keeps its serial meaning up to 126.
+pub const MAX_PACKED_TARGET: u32 = 126;
+/// Cap on `states × classes × banks`, the hit-table size in words
+/// (512 KiB). Pools beyond it keep the reference matchers.
+pub const MAX_TABLE_WORDS: usize = 1 << 16;
+
+/// One cycle of a bank of packed run counters: lanes of `c` whose hit
+/// byte in `h` is `0xFF` count up (saturating at 127), lanes whose hit
+/// byte is `0x00` reset. Returns the new counters and `0x80` in every
+/// lane whose counter reached its byte of `targets` (targets ≤ 127 keep
+/// the per-lane subtraction borrow-free).
+#[inline]
+#[must_use]
+pub fn lane_step(c: u64, h: u64, targets: u64) -> (u64, u64) {
+    let mut c = (c & h) + (LANE_LO & h);
+    c -= (c & LANE_HI) >> 7;
+    (c, ((c | LANE_HI) - targets) & LANE_HI)
+}
+
+/// The lane indices of the `0x80` fire bits [`lane_step`] returned, in
+/// ascending order.
+#[inline]
+pub fn fired_lanes(mut fires: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (fires != 0).then(|| {
+            let lane = fires.trailing_zeros() as usize / 8;
+            fires &= fires - 1;
+            lane
+        })
+    })
+}
+
+/// Packs run targets one byte per lane, eight per bank. Unused lanes
+/// hold 127, which their never-hit counters cannot reach; targets above
+/// [`MAX_PACKED_TARGET`] do not fit and must keep the program off the
+/// packed path.
+#[must_use]
+pub fn pack_targets(targets: &[u32]) -> Vec<u64> {
+    let mut packed = vec![LANE_HI - LANE_LO; targets.len().div_ceil(LANES)];
+    for (i, &t) in targets.iter().enumerate() {
+        let shift = 8 * (i % LANES);
+        packed[i / LANES] &= !(0xff << shift);
+        packed[i / LANES] |= u64::from(t.min(127)) << shift;
+    }
+    packed
+}
+
+/// Saturates scalar run counters into one byte per lane. Counters only
+/// grow within a run, so clamping at 127 preserves every comparison
+/// against a target ≤ [`MAX_PACKED_TARGET`].
+///
+/// # Panics
+///
+/// Panics on more than `MAX_BANKS × LANES` counters.
+#[must_use]
+pub fn pack_counters(counters: &[u32]) -> [u64; MAX_BANKS] {
+    let mut packed = [0u64; MAX_BANKS];
+    for (i, &c) in counters.iter().enumerate() {
+        packed[i / LANES] |= u64::from(c.min(127)) << (8 * (i % LANES));
+    }
+    packed
+}
+
+/// Inverse of [`pack_counters`], from the banks in use.
+pub fn unpack_counters(packed: &[u64], counters: &mut [u32]) {
+    for (i, c) in counters.iter_mut().enumerate() {
+        *c = ((packed[i / LANES] >> (8 * (i % LANES))) & 0xff) as u32;
+    }
+}
+
+/// One pooled unit of a [`BlockAutomatonView`]: the source of lane *i*.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BlockUnitView {
+    /// The unit's search string.
+    pub needle: Vec<u8>,
+    /// Its block length B.
+    pub block_len: usize,
+}
+
+/// The tables of a [`BlockAutomaton`], readable by the static verifier
+/// (`rfjson-verify`, codes `B0xx`) beside
+/// [`ProgramView`](crate::engine::ProgramView). A transition is indexed
+/// `row + class`, where a row is a state number premultiplied by
+/// `num_classes`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BlockAutomatonView {
+    /// Byte → class; class 0 is every byte of no block.
+    pub classes: [u8; 256],
+    /// Number of byte classes (row length).
+    pub num_classes: usize,
+    /// `u64` hit words per transition (`units.len().div_ceil(8)`).
+    pub banks: usize,
+    /// Next row per transition (`states × num_classes` entries).
+    pub next: Vec<u16>,
+    /// Hit mask per transition, `banks` words each.
+    pub hits: Vec<u64>,
+    /// Run target `N − B + 1` per unit.
+    pub targets: Vec<u32>,
+    /// The same targets packed one byte per lane ([`pack_targets`]).
+    pub targets_packed: Vec<u64>,
+    /// The pooled units, in lane order.
+    pub units: Vec<BlockUnitView>,
+}
+
+/// The pooled block-hit automaton of a set of substring units — see the
+/// [module docs](self).
+///
+/// # Example
+///
+/// ```
+/// use rfjson_core::blockhit::BlockAutomaton;
+/// use rfjson_core::primitive::SubstringMatcher;
+///
+/// let unit = SubstringMatcher::new(b"tolls_amount", 2)?;
+/// let automaton = BlockAutomaton::build([&unit]).expect("a few hundred table words");
+/// let (mut row, mut counters) = (0u16, [0u32]);
+/// let mut fired = false;
+/// for &byte in br#"{"tolls_amount":5.00}"# {
+///     automaton.step_serial(&mut row, &mut counters, byte, |_unit| fired = true);
+/// }
+/// assert!(fired);
+/// # Ok::<(), rfjson_core::primitive::SubstringError>(())
+/// ```
+#[derive(Debug, Clone)]
+pub struct BlockAutomaton {
+    t: BlockAutomatonView,
+}
+
+impl BlockAutomaton {
+    /// Pools the blocks of `units` (lane *i* = the *i*-th unit) into one
+    /// automaton. Returns `None` when the hit table would exceed
+    /// [`MAX_TABLE_WORDS`].
+    pub fn build<'a>(
+        units: impl IntoIterator<Item = &'a SubstringMatcher>,
+    ) -> Option<BlockAutomaton> {
+        let units: Vec<&SubstringMatcher> = units.into_iter().collect();
+        let banks = units.len().div_ceil(LANES);
+
+        // Every needle byte gets a class of its own, in byte order.
+        let mut classes = [0u8; 256];
+        for unit in &units {
+            for &x in unit.needle() {
+                classes[x as usize] = 1;
+            }
+        }
+        let mut ncls = 1usize;
+        for class in classes.iter_mut().filter(|c| **c != 0) {
+            *class = ncls as u8; // ≤ 255: needles are NUL-free
+            ncls += 1;
+        }
+
+        // Trie of all blocks; `out` holds, per node, the lanes of the
+        // units with a block ending exactly there.
+        let mut kids: Vec<Vec<(u8, u32)>> = vec![Vec::new()];
+        let mut out = vec![0u64; banks];
+        for (lane, unit) in units.iter().enumerate() {
+            for block in unit.blocks() {
+                let mut n = 0usize;
+                for &x in block {
+                    let class = classes[x as usize];
+                    n = match kids[n].iter().find(|k| k.0 == class) {
+                        Some(&(_, kid)) => kid as usize,
+                        None => {
+                            // A table row has a column for each edge of
+                            // its state, so more nodes than table words
+                            // cannot fit.
+                            if kids.len() > MAX_TABLE_WORDS {
+                                return None;
+                            }
+                            let kid = kids.len();
+                            kids[n].push((class, kid as u32));
+                            kids.push(Vec::new());
+                            out.extend(std::iter::repeat_n(0, banks));
+                            kid
+                        }
+                    };
+                }
+                out[n * banks + lane / LANES] |= 0xff << (8 * (lane % LANES));
+            }
+        }
+        let kid = |n: usize, class: u8| kids[n].iter().find(|k| k.0 == class).map(|k| k.1);
+
+        // Breadth-first failure links; a node inherits the blocks that
+        // are proper suffixes of its string.
+        let mut order = vec![0u32];
+        let mut fail = vec![0u32; kids.len()];
+        let mut i = 0;
+        while i < order.len() {
+            let p = order[i] as usize;
+            i += 1;
+            for &(class, k) in &kids[p] {
+                let mut f = p;
+                fail[k as usize] = loop {
+                    if f == 0 {
+                        break 0;
+                    }
+                    f = fail[f] as usize;
+                    if let Some(x) = kid(f, class) {
+                        break x;
+                    }
+                };
+                for bank in 0..banks {
+                    out[k as usize * banks + bank] |= out[fail[k as usize] as usize * banks + bank];
+                }
+                order.push(k);
+            }
+        }
+
+        // States are the nodes with children (proper prefixes); a leaf
+        // steps exactly like its failure target and folds into it.
+        let mut state_of = vec![u32::MAX; kids.len()];
+        let mut eff = vec![0u32; kids.len()];
+        let mut states: Vec<u32> = Vec::new();
+        for &n in &order {
+            if n == 0 || !kids[n as usize].is_empty() {
+                state_of[n as usize] = states.len() as u32;
+                eff[n as usize] = n;
+                states.push(n);
+            } else {
+                eff[n as usize] = eff[fail[n as usize] as usize];
+            }
+        }
+        let entries = states.len() * ncls;
+        if entries * banks.max(1) > MAX_TABLE_WORDS {
+            return None;
+        }
+
+        // Dense rows in breadth-first order: a missing edge takes the
+        // (shallower, already filled) failure state's transition.
+        let mut goto = vec![0u32; entries];
+        for (s, &n) in states.iter().enumerate() {
+            let fallback = state_of[eff[fail[n as usize] as usize] as usize] as usize;
+            for class in 0..ncls {
+                goto[s * ncls + class] = match kid(n as usize, class as u8) {
+                    Some(k) => k,
+                    None if n == 0 => 0,
+                    None => goto[fallback * ncls + class],
+                };
+            }
+        }
+        let next = goto
+            .iter()
+            .map(|&t| (state_of[eff[t as usize] as usize] as usize * ncls) as u16)
+            .collect();
+        let hits = goto
+            .iter()
+            .flat_map(|&t| &out[t as usize * banks..(t as usize + 1) * banks])
+            .copied()
+            .collect();
+        let targets: Vec<u32> = units.iter().map(|u| u.target()).collect();
+        Some(BlockAutomaton {
+            t: BlockAutomatonView {
+                classes,
+                num_classes: ncls,
+                banks,
+                next,
+                hits,
+                targets_packed: pack_targets(&targets),
+                targets,
+                units: units
+                    .iter()
+                    .map(|u| BlockUnitView {
+                        needle: u.needle().to_vec(),
+                        block_len: u.block_length(),
+                    })
+                    .collect(),
+            },
+        })
+    }
+
+    /// The tables, for static verification.
+    #[must_use]
+    pub fn view(&self) -> &BlockAutomatonView {
+        &self.t
+    }
+
+    /// Advances `row` (0 = record start) by one byte and returns the
+    /// transition's hit mask, one word per bank.
+    #[inline]
+    pub fn step(&self, row: &mut u16, byte: u8) -> &[u64] {
+        let idx = *row as usize + self.t.classes[byte as usize] as usize;
+        *row = self.t.next[idx];
+        &self.t.hits[idx * self.t.banks..][..self.t.banks]
+    }
+
+    /// The byte-serial form: advances `row` and the per-unit run
+    /// `counters` by one byte and calls `fire(unit)` for every unit at or
+    /// past its target — cycle for cycle what
+    /// [`SubstringMatcher::on_byte`](FireFilter::on_byte) returns.
+    #[inline]
+    pub fn step_serial(
+        &self,
+        row: &mut u16,
+        counters: &mut [u32],
+        byte: u8,
+        mut fire: impl FnMut(usize),
+    ) {
+        let hits = self.step(row, byte);
+        for (i, (c, &target)) in counters.iter_mut().zip(&self.t.targets).enumerate() {
+            let hit = hits[i / LANES] >> (8 * (i % LANES)) & 1 != 0;
+            *c = if hit { c.saturating_add(1) } else { 0 };
+            if *c >= target {
+                fire(i);
+            }
+        }
+    }
+}
+
+/// The B ≥ 2 substring units of one program (or fused pool) with their
+/// per-stream state: the pooled automaton and its row and run counters,
+/// or — when the table would be too large — the reference matchers
+/// stepped directly.
+#[derive(Debug, Clone)]
+pub(crate) struct BlockUnits {
+    matchers: Vec<SubstringMatcher>,
+    /// Boxed: most programs have no B ≥ 2 unit, and the tables' inline
+    /// class map and headers would push `Engine` past 1 KiB — which
+    /// measurably slows the set-up of fresh sharded lanes.
+    automaton: Option<Box<BlockAutomaton>>,
+    pub(crate) row: u16,
+    pub(crate) counters: Vec<u32>,
+}
+
+impl BlockUnits {
+    pub(crate) fn new(matchers: Vec<SubstringMatcher>) -> BlockUnits {
+        let automaton = if matchers.is_empty() {
+            None
+        } else {
+            BlockAutomaton::build(&matchers).map(Box::new)
+        };
+        BlockUnits {
+            counters: vec![0; matchers.len()],
+            matchers,
+            automaton,
+            row: 0,
+        }
+    }
+
+    /// The units' descriptors (needle, block length, target), in lane
+    /// order.
+    pub(crate) fn units(&self) -> &[SubstringMatcher] {
+        &self.matchers
+    }
+
+    /// `None` without units, and for a pool past [`MAX_TABLE_WORDS`].
+    pub(crate) fn automaton(&self) -> Option<&BlockAutomaton> {
+        self.automaton.as_deref()
+    }
+
+    /// One byte-serial cycle; `fire(unit)` for every firing unit.
+    #[inline]
+    pub(crate) fn on_byte(&mut self, byte: u8, mut fire: impl FnMut(usize)) {
+        if let Some(a) = &self.automaton {
+            a.step_serial(&mut self.row, &mut self.counters, byte, fire);
+        } else {
+            for (i, m) in self.matchers.iter_mut().enumerate() {
+                if m.on_byte(byte) {
+                    fire(i);
+                }
+            }
+        }
+    }
+
+    pub(crate) fn reset(&mut self) {
+        self.row = 0;
+        self.counters.fill(0);
+        if self.automaton.is_none() {
+            for m in &mut self.matchers {
+                m.reset();
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn unit(needle: &[u8], b: usize) -> SubstringMatcher {
+        SubstringMatcher::new(needle, b).unwrap()
+    }
+
+    /// Fires of every unit through the serial form, against the matchers.
+    fn assert_equiv(units: &[SubstringMatcher], stream: &[u8]) {
+        let a = BlockAutomaton::build(units).expect("fits");
+        let mut reference = units.to_vec();
+        let (mut row, mut counters) = (0u16, vec![0u32; units.len()]);
+        for (pos, &byte) in stream.iter().enumerate() {
+            let mut got = vec![false; units.len()];
+            a.step_serial(&mut row, &mut counters, byte, |i| got[i] = true);
+            let want: Vec<bool> = reference.iter_mut().map(|m| m.on_byte(byte)).collect();
+            assert_eq!(got, want, "byte {pos} of {stream:?}");
+        }
+    }
+
+    #[test]
+    fn b2_state_is_the_previous_byte_class() {
+        let a = BlockAutomaton::build([&unit(b"tolls_amount", 2)]).unwrap();
+        let v = a.view();
+        // Root plus one state per distinct first byte of a bigram.
+        let firsts: std::collections::BTreeSet<u8> =
+            b"tolls_amount"[..11].iter().copied().collect();
+        assert_eq!(v.next.len(), (1 + firsts.len()) * v.num_classes);
+        assert_eq!(v.targets, vec![11]);
+        assert_eq!(v.targets_packed, vec![0x7f7f_7f7f_7f7f_7f0b]);
+    }
+
+    #[test]
+    fn mixed_lengths_share_one_automaton() {
+        let units = [
+            unit(b"abcab", 2),
+            unit(b"bcabc", 3),
+            unit(b"abcab", 2),
+            unit(b"favourites_count", 9),
+            unit(b"aaaa", 2),
+        ];
+        for stream in [
+            &b"abcabcabcab xabcab\0abc favourites_count aaaaaaa"[..],
+            b"\0\0ab\0bcabc",
+            b"favourites_favourites_count",
+        ] {
+            assert_equiv(&units, stream);
+        }
+    }
+
+    #[test]
+    fn lane_step_saturates_and_resets() {
+        let targets = pack_targets(&[3, 126])[0];
+        let hit = 0xffff;
+        let mut c = 0u64;
+        for n in 1..=300u32 {
+            let (nc, f) = lane_step(c, hit, targets);
+            c = nc;
+            assert_eq!(f & 0x80 != 0, n >= 3);
+            assert_eq!(f & 0x8000 != 0, n >= 126);
+            assert_eq!(f >> 16, 0, "unused lanes never fire");
+        }
+        assert_eq!(c, 0x7f7f, "saturated at 127");
+        assert_eq!(lane_step(c, 0xff, targets), (0x7f, 0x80), "lane 1 reset");
+    }
+
+    #[test]
+    fn counters_round_trip_through_lanes() {
+        let counters = [0, 1, 126, 127, 500, 7, 8, 9, 10];
+        let packed = pack_counters(&counters);
+        let mut back = [0u32; 9];
+        unpack_counters(&packed, &mut back);
+        assert_eq!(back, [0, 1, 126, 127, 127, 7, 8, 9, 10]);
+    }
+
+    #[test]
+    fn oversized_pool_keeps_reference_matchers() {
+        let needle: Vec<u8> = (0..600u32).map(|i| b'a' + (i * i % 23) as u8).collect();
+        let big = unit(&needle, 300);
+        assert!(BlockAutomaton::build([&big]).is_none());
+        let mut units = BlockUnits::new(vec![big.clone()]);
+        assert!(units.automaton().is_none());
+        let mut reference = big;
+        for &byte in needle.iter().chain(b"xx") {
+            let mut fired = false;
+            units.on_byte(byte, |_| fired = true);
+            assert_eq!(fired, reference.on_byte(byte));
+        }
+    }
+}

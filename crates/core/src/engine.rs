@@ -32,10 +32,11 @@
 //! hardware shift register (the differential tests include window
 //! expressions).
 
+use crate::blockhit::{self, fired_lanes, lane_step, BlockAutomatonView, BlockUnits};
 use crate::evaluator::StreamTracker;
 use crate::expr::{Expr, StringTechnique, StructScope};
 use crate::prefilter::Prefilter;
-use crate::primitive::{DfaStringMatcher, FireFilter, SubstringMatcher, WindowMatcher};
+use crate::primitive::{DfaStringMatcher, SubstringMatcher, WindowMatcher};
 use rfjson_jsonstream::swar;
 use rfjson_redfa::range::is_number_byte;
 use rfjson_redfa::DENSE_ACCEPT_BIT;
@@ -113,7 +114,7 @@ pub struct ProgramView {
     pub number_dfas: Vec<DfaUnitView>,
     /// Latch-bit indices of single-byte substring units.
     pub sub1_nodes: Vec<u32>,
-    /// Latch-bit indices of packed substring units (2 ≤ B ≤ 8).
+    /// Latch-bit indices of short-block substring units (2 ≤ B ≤ 8).
     pub subp_nodes: Vec<u32>,
     /// Latch-bit indices of wide substring units (B > 8).
     pub wide_nodes: Vec<u32>,
@@ -474,13 +475,130 @@ impl Op {
     }
 }
 
-/// A rare substring matcher with a block length beyond the packed-`u64`
-/// window (B > 8); the reference primitive is stepped directly (concrete
-/// type, no dispatch) in the same flat loop.
+/// A substring unit with B ≥ 2 as the builder emits it: the reference
+/// primitive (needle, blocks, target) and the latch bit it fires. The
+/// engines pool these into one [`BlockUnits`].
 #[derive(Debug, Clone)]
-pub(crate) struct WideSub {
+pub(crate) struct SubUnit {
     pub(crate) matcher: SubstringMatcher,
     pub(crate) node: u32,
+}
+
+/// Which path [`Engine::on_block`] (or
+/// [`MultiEngine::on_block`](crate::multi::MultiEngine::on_block)) takes
+/// for a compiled program, and if it is the slow one, why.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScanPath {
+    /// The SWAR word loop with packed unit counters.
+    Block,
+    /// The byte-serial loop, for the reason given.
+    ByteSerial(FallbackReason),
+}
+
+/// Why a compiled program stays on the byte-serial path. The first rule
+/// that applies is reported.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FallbackReason {
+    /// A program (of some lane) has more nodes than one 64-bit latch word.
+    TooManyNodes {
+        /// Node count of the widest program.
+        nodes: usize,
+    },
+    /// More B = 1 substring units than packed lanes.
+    TooManySub1Units {
+        /// Units in the program or pool.
+        units: usize,
+        /// Lanes available (8 for an [`Engine`], 64 for a fused pool).
+        max: usize,
+    },
+    /// More B ≥ 2 substring units than packed lanes.
+    TooManyBlockUnits {
+        /// Units in the program or pool.
+        units: usize,
+        /// Lanes available (8 for an [`Engine`], 64 for a fused pool).
+        max: usize,
+    },
+    /// A substring unit's run target `N − B + 1` exceeds the 126 the
+    /// saturating lane counters compare exactly.
+    RunTargetTooLong {
+        /// The offending target.
+        target: u32,
+    },
+    /// The pooled block-hit table of the B ≥ 2 units would exceed
+    /// [`blockhit::MAX_TABLE_WORDS`]; the reference matchers run instead.
+    BlockTableTooLarge,
+}
+
+impl std::fmt::Display for ScanPath {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ScanPath::Block => f.write_str("block"),
+            ScanPath::ByteSerial(reason) => write!(f, "byte-serial ({reason})"),
+        }
+    }
+}
+
+impl std::fmt::Display for FallbackReason {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FallbackReason::TooManyNodes { nodes } => {
+                write!(f, "{nodes} program nodes, one latch word holds 64")
+            }
+            FallbackReason::TooManySub1Units { units, max } => {
+                write!(f, "{units} B=1 substring units, {max} packed lanes")
+            }
+            FallbackReason::TooManyBlockUnits { units, max } => {
+                write!(f, "{units} B>=2 substring units, {max} packed lanes")
+            }
+            FallbackReason::RunTargetTooLong { target } => write!(
+                f,
+                "run target {target} exceeds {}",
+                blockhit::MAX_PACKED_TARGET
+            ),
+            FallbackReason::BlockTableTooLarge => write!(
+                f,
+                "block-hit table exceeds {} words",
+                blockhit::MAX_TABLE_WORDS
+            ),
+        }
+    }
+}
+
+/// The eligibility rules of the block path, shared by both engines:
+/// `max_lanes` packed lanes per unit kind (one bank of 8 for an
+/// [`Engine`], 8 banks for a fused pool).
+pub(crate) fn scan_path(
+    max_nodes: usize,
+    sub1_targets: &[u32],
+    subn: &BlockUnits,
+    max_lanes: usize,
+) -> ScanPath {
+    let units = subn.units();
+    let long = sub1_targets
+        .iter()
+        .copied()
+        .chain(units.iter().map(SubstringMatcher::target))
+        .find(|&t| t > blockhit::MAX_PACKED_TARGET);
+    let reason = if max_nodes > 64 {
+        FallbackReason::TooManyNodes { nodes: max_nodes }
+    } else if sub1_targets.len() > max_lanes {
+        FallbackReason::TooManySub1Units {
+            units: sub1_targets.len(),
+            max: max_lanes,
+        }
+    } else if units.len() > max_lanes {
+        FallbackReason::TooManyBlockUnits {
+            units: units.len(),
+            max: max_lanes,
+        }
+    } else if let Some(target) = long {
+        FallbackReason::RunTargetTooLong { target }
+    } else if !units.is_empty() && subn.automaton().is_none() {
+        FallbackReason::BlockTableTooLarge
+    } else {
+        return ScanPath::Block;
+    };
+    ScanPath::ByteSerial(reason)
 }
 
 /// The record-level literal prefilter plus its adaptive bookkeeping:
@@ -732,31 +850,23 @@ pub struct Engine {
     sub1_target: Vec<u32>,
     sub1_node: Vec<u32>,
 
-    // ---- packed substring units (2 ≤ B ≤ 8) ----
-    subp_win_mask: Vec<u64>,
-    subp_blocks_off: Vec<u32>,
-    subp_blocks_len: Vec<u32>,
-    subp_blocks: Vec<u64>,
-    subp_target: Vec<u32>,
-    subp_node: Vec<u32>,
-
-    wide_subs: Vec<WideSub>,
+    // ---- block substring units (B ≥ 2) ----
+    /// The pooled block-hit automaton with its per-stream row and run
+    /// counters, shared by the serial and the block path.
+    subn: BlockUnits,
+    subn_node: Vec<u32>,
 
     // ---- block-scan fast path (immutable after compile) ----
-    /// Whether [`Engine::on_block`] may take the SWAR word loop: one latch
-    /// word, no wide substring units, ≤ 8 single-byte substring units, and
-    /// run targets that fit the packed saturating counters.
-    block_ready: bool,
+    /// Whether [`Engine::on_block`] may take the SWAR word loop, or why
+    /// not ([`scan_path`] with one bank of lanes).
+    path: ScanPath,
     /// 256-entry packed hit table for the B = 1 substring units: entry
     /// `b` holds `0xFF` in lane `i` iff byte `b` is in unit `i`'s
-    /// membership set. Empty unless `block_ready` with sub1 units.
+    /// membership set. Empty unless on the block path with sub1 units.
     sub1_hits: Vec<u64>,
     /// Per-lane run targets of the sub1 units, packed one byte per lane
     /// (unused lanes hold 127, unreachable by the saturating counters).
     sub1_targets_packed: u64,
-    /// 256-bit last-byte bitmap per packed substring unit — a cheap gate
-    /// in front of the linear block-list search.
-    subp_gate: Vec<u64>,
     /// Record-level literal prefilter (necessary-condition checks),
     /// with its live/checked/rejected bookkeeping.
     prefilter: Option<PrefilterState>,
@@ -775,8 +885,6 @@ pub struct Engine {
     num_state: Vec<u16>,
     num_in_token: Vec<bool>,
     sub1_counter: Vec<u32>,
-    subp_win: Vec<u64>,
-    subp_counter: Vec<u32>,
     tracker: StreamTracker,
 }
 
@@ -832,13 +940,7 @@ pub(crate) struct Builder {
     pub(crate) sub1_bitmap: Vec<u64>,
     pub(crate) sub1_target: Vec<u32>,
     pub(crate) sub1_node: Vec<u32>,
-    pub(crate) subp_win_mask: Vec<u64>,
-    pub(crate) subp_blocks_off: Vec<u32>,
-    pub(crate) subp_blocks_len: Vec<u32>,
-    pub(crate) subp_blocks: Vec<u64>,
-    pub(crate) subp_target: Vec<u32>,
-    pub(crate) subp_node: Vec<u32>,
-    pub(crate) wide_subs: Vec<WideSub>,
+    pub(crate) subn: Vec<SubUnit>,
 }
 
 impl Builder {
@@ -896,26 +998,8 @@ impl Builder {
                             self.sub1_bitmap.extend(bitmap);
                             self.sub1_target.push(m.target());
                             self.sub1_node.push(node);
-                        } else if b <= 8 {
-                            let off = self.subp_blocks.len() as u32;
-                            for blk in m.blocks() {
-                                let mut packed = 0u64;
-                                for &x in blk {
-                                    packed = (packed << 8) | u64::from(x);
-                                }
-                                self.subp_blocks.push(packed);
-                            }
-                            self.subp_win_mask.push(if b == 8 {
-                                u64::MAX
-                            } else {
-                                (1u64 << (8 * b)) - 1
-                            });
-                            self.subp_blocks_off.push(off);
-                            self.subp_blocks_len.push(m.blocks().len() as u32);
-                            self.subp_target.push(m.target());
-                            self.subp_node.push(node);
                         } else {
-                            self.wide_subs.push(WideSub { matcher: m, node });
+                            self.subn.push(SubUnit { matcher: m, node });
                         }
                         node
                     }
@@ -999,41 +1083,23 @@ impl Engine {
         let root = b.visit(expr);
         debug_assert_eq!(b.next_node as usize, num_nodes);
 
-        // Block-scan eligibility and derived tables. The packed sub1
-        // counters saturate at 127, so targets must stay below that for
-        // "counter ≥ target" to keep its exact serial meaning.
-        let nsub1 = b.sub1_node.len();
-        let block_ready = words == 1
-            && b.wide_subs.is_empty()
-            && nsub1 <= 8
-            && b.sub1_target.iter().all(|&t| t <= 126);
+        // Block-scan eligibility and derived tables.
+        let (matchers, subn_node): (Vec<_>, Vec<_>) =
+            b.subn.into_iter().map(|u| (u.matcher, u.node)).unzip();
+        let subn = BlockUnits::new(matchers);
+        let path = scan_path(num_nodes, &b.sub1_target, &subn, blockhit::LANES);
         let mut sub1_hits = Vec::new();
         let mut sub1_targets_packed = 0u64;
-        let mut subp_gate = Vec::new();
-        if block_ready {
-            if nsub1 > 0 {
-                sub1_hits = vec![0u64; 256];
-                for (i, bitmap) in b.sub1_bitmap.chunks_exact(4).enumerate() {
-                    for (byte, hit) in sub1_hits.iter_mut().enumerate() {
-                        if bitmap[byte >> 6] & (1u64 << (byte & 63)) != 0 {
-                            *hit |= 0xffu64 << (8 * i);
-                        }
+        if path == ScanPath::Block && !b.sub1_node.is_empty() {
+            sub1_hits = vec![0u64; 256];
+            for (i, bitmap) in b.sub1_bitmap.chunks_exact(4).enumerate() {
+                for (byte, hit) in sub1_hits.iter_mut().enumerate() {
+                    if bitmap[byte >> 6] & (1u64 << (byte & 63)) != 0 {
+                        *hit |= 0xffu64 << (8 * i);
                     }
                 }
             }
-            for lane in 0..8usize {
-                let t = b.sub1_target.get(lane).copied().unwrap_or(127);
-                sub1_targets_packed |= u64::from(t) << (8 * lane);
-            }
-            subp_gate = vec![0u64; b.subp_node.len() * 4];
-            for i in 0..b.subp_node.len() {
-                let off = b.subp_blocks_off[i] as usize;
-                let len = b.subp_blocks_len[i] as usize;
-                for &blk in &b.subp_blocks[off..off + len] {
-                    let last = (blk & 0xff) as usize;
-                    subp_gate[i * 4 + (last >> 6)] |= 1u64 << (last & 63);
-                }
-            }
+            sub1_targets_packed = blockhit::pack_targets(&b.sub1_target)[0];
         }
         let prefilter = Prefilter::build(expr).map(|filter| PrefilterState {
             filter,
@@ -1063,19 +1129,11 @@ impl Engine {
             sub1_bitmap: b.sub1_bitmap,
             sub1_target: b.sub1_target,
             sub1_node: b.sub1_node,
-            subp_win: vec![0; b.subp_win_mask.len()],
-            subp_counter: vec![0; b.subp_win_mask.len()],
-            subp_win_mask: b.subp_win_mask,
-            subp_blocks_off: b.subp_blocks_off,
-            subp_blocks_len: b.subp_blocks_len,
-            subp_blocks: b.subp_blocks,
-            subp_target: b.subp_target,
-            subp_node: b.subp_node,
-            wide_subs: b.wide_subs,
-            block_ready,
+            subn,
+            subn_node,
+            path,
             sub1_hits,
             sub1_targets_packed,
-            subp_gate,
             prefilter,
             stats: EngineStats::default(),
             fresh: true,
@@ -1130,9 +1188,25 @@ impl Engine {
             string_dfas: unit_views(&self.sdfa_off, &self.sdfa_start, &self.sdfa_node),
             number_dfas: unit_views(&self.num_off, &self.num_start, &self.num_node),
             sub1_nodes: self.sub1_node.clone(),
-            subp_nodes: self.subp_node.clone(),
-            wide_nodes: self.wide_subs.iter().map(|w| w.node).collect(),
+            subp_nodes: self.subn_nodes(|b| b <= 8),
+            wide_nodes: self.subn_nodes(|b| b > 8),
         }
+    }
+
+    /// Latch bits of the B ≥ 2 units whose block length satisfies `keep`.
+    fn subn_nodes(&self, keep: impl Fn(usize) -> bool) -> Vec<u32> {
+        let nodes = self.subn.units().iter().zip(&self.subn_node);
+        nodes
+            .filter(|(unit, _)| keep(unit.block_length()))
+            .map(|(_, &n)| n)
+            .collect()
+    }
+
+    /// The pooled block-hit automaton of the B ≥ 2 substring units, for
+    /// static verification: lane *i* is the *i*-th such unit in compile
+    /// order. `None` without such units or past the table cap.
+    pub fn block_automaton_view(&self) -> Option<&BlockAutomatonView> {
+        self.subn.automaton().map(blockhit::BlockAutomaton::view)
     }
 
     /// Number of nodes in the flat program (primitives + combinators).
@@ -1224,27 +1298,9 @@ impl Engine {
                 Self::set_bit(&mut self.latch, self.sub1_node[i]);
             }
         }
-        for i in 0..self.subp_win.len() {
-            let w = ((self.subp_win[i] << 8) | u64::from(byte)) & self.subp_win_mask[i];
-            self.subp_win[i] = w;
-            let off = self.subp_blocks_off[i] as usize;
-            let len = self.subp_blocks_len[i] as usize;
-            let hit = self.subp_blocks[off..off + len].contains(&w);
-            let c = if hit {
-                self.subp_counter[i].saturating_add(1)
-            } else {
-                0
-            };
-            self.subp_counter[i] = c;
-            if c >= self.subp_target[i] {
-                Self::set_bit(&mut self.latch, self.subp_node[i]);
-            }
-        }
-        for ws in &mut self.wide_subs {
-            if ws.matcher.on_byte(byte) {
-                Self::set_bit(&mut self.latch, ws.node);
-            }
-        }
+        let (latch, nodes) = (&mut self.latch, &self.subn_node);
+        self.subn
+            .on_byte(byte, |unit| Self::set_bit(latch, nodes[unit]));
     }
 
     /// Node program: post-order, so children are final before their
@@ -1295,21 +1351,22 @@ impl Engine {
         self.num_state.copy_from_slice(&self.num_start);
         self.num_in_token.fill(false);
         self.sub1_counter.fill(0);
-        self.subp_win.fill(0);
-        self.subp_counter.fill(0);
-        for ws in &mut self.wide_subs {
-            ws.matcher.reset();
-        }
+        self.subn.reset();
         self.tracker.reset();
         self.fresh = true;
     }
 
-    /// Whether the compiled program qualifies for the SWAR block-scan
-    /// loop (one latch word, no wide substring units, packable sub1 run
-    /// targets). Ineligible programs still work through [`Engine::on_block`]
-    /// via the byte-serial fallback.
+    /// Which path [`Engine::on_block`] takes: the SWAR block-scan loop,
+    /// or the byte-serial fallback and the rule that forces it (more than
+    /// 64 nodes, more than 8 substring units of one kind, a run target
+    /// above 126, an oversized block-hit table).
+    pub fn scan_path(&self) -> ScanPath {
+        self.path
+    }
+
+    /// `scan_path() == ScanPath::Block`.
     pub fn block_scan_ready(&self) -> bool {
-        self.block_ready
+        self.path == ScanPath::Block
     }
 
     /// Records checked and rejected by the literal prefilter since
@@ -1348,11 +1405,12 @@ impl Engine {
     ///   a rejected record provably cannot latch the root, and any
     ///   trailing separator byte fed serially reproduces the same `false`
     ///   decision from the untouched state).
-    /// * Eligible programs ([`Engine::block_scan_ready`]) run the SWAR
-    ///   word loop: per-word classification and string-mask resolution,
-    ///   packed sub1 counters, gated packed-substring and number-DFA
-    ///   stepping, and the node program only on bytes where a fire signal
-    ///   or an unmasked close/comma makes it observable.
+    /// * Eligible programs ([`Engine::scan_path`]) run the SWAR word
+    ///   loop: per-word classification and string-mask resolution, packed
+    ///   run counters for all substring units (B = 1 from a byte hit
+    ///   table, B ≥ 2 from the pooled block-hit automaton), token-gated
+    ///   number-DFA stepping, and the node program only on bytes where a
+    ///   fire signal or an unmasked close/comma makes it observable.
     pub fn on_block(&mut self, block: &[u8]) -> bool {
         let was_fresh = std::mem::replace(&mut self.fresh, false);
         if was_fresh {
@@ -1376,7 +1434,7 @@ impl Engine {
                 }
             }
         }
-        if self.block_ready {
+        if self.path == ScanPath::Block {
             // The word loop consumes the aligned portion; the sub-word
             // tail goes through `on_byte`, which counts itself.
             self.stats.bytes_block += (block.len() & !(swar::WORD_BYTES - 1)) as u64;
@@ -1394,28 +1452,18 @@ impl Engine {
     /// the byte-serial tail runs, so interleaving `on_block` and `on_byte`
     /// calls stays decision-identical to the pure byte loop.
     fn on_block_swar(&mut self, block: &[u8]) {
-        const LANE_LO: u64 = 0x0101_0101_0101_0101;
-        const LANE_HI: u64 = 0x8080_8080_8080_8080;
         let (mut in_string, mut pending_escape, mut depth) = self.tracker.state();
         let mut l = self.latch[0];
         let nsub1 = self.sub1_node.len();
-        // Saturate the sub1 run counters into one byte per lane. Targets
-        // are ≤ 126 and counters only grow within a run, so clamping at
-        // 127 preserves every `counter ≥ target` comparison.
-        let mut c1 = 0u64;
-        for i in 0..nsub1 {
-            c1 |= u64::from(self.sub1_counter[i].min(127)) << (8 * i);
-        }
+        // Run counters of both unit kinds, one saturating byte per lane.
+        let mut c1 = blockhit::pack_counters(&self.sub1_counter)[0];
+        let mut cn = blockhit::pack_counters(&self.subn.counters)[0];
+        let mut row = self.subn.row;
+        let subn = self.subn.automaton();
+        let subn_targets = subn.map_or(0, |a| a.view().targets_packed[0]);
         // All number units share one token trajectory (`is_number_byte`
         // does not depend on the unit), so a single flag suffices.
         let mut in_token = self.num_in_token.first().is_some_and(|&t| t);
-        // The packed windows are the same shift register under nested
-        // masks; OR-ing them reconstructs the widest (full) window.
-        let mut win64 = 0u64;
-        for w in &self.subp_win {
-            win64 |= w;
-        }
-        let nsubp = self.subp_node.len();
         let has_ctx = self.has_ctx;
 
         let mut chunks = block.chunks_exact(swar::WORD_BYTES);
@@ -1445,42 +1493,23 @@ impl Engine {
             for (j, &byte) in chunk.iter().enumerate() {
                 let mut fires = 0u64;
                 if nsub1 != 0 {
+                    // Hit lanes count up, miss lanes reset — the packed
+                    // form of the serial run counter.
                     let h = self.sub1_hits[byte as usize];
-                    // Hit lanes count up (saturating at 127), miss lanes
-                    // reset — the packed form of the serial run counter.
-                    let mut c = (c1 & h) + (LANE_LO & h);
-                    c -= (c & LANE_HI) >> 7;
+                    let (c, f) = lane_step(c1, h, self.sub1_targets_packed);
                     c1 = c;
-                    // Lane fires iff counter ≥ target; targets ≤ 127 keep
-                    // the per-lane subtraction borrow-free.
-                    let mut f = ((c | LANE_HI) - self.sub1_targets_packed) & LANE_HI;
-                    while f != 0 {
-                        let lane = f.trailing_zeros() as usize / 8;
-                        f &= f - 1;
+                    for lane in fired_lanes(f) {
                         fires |= 1u64 << self.sub1_node[lane];
                     }
                 }
-                if nsubp != 0 {
-                    win64 = (win64 << 8) | u64::from(byte);
-                    for i in 0..nsubp {
-                        let gate = self.subp_gate[i * 4 + (byte >> 6) as usize]
-                            & (1u64 << (byte & 63))
-                            != 0;
-                        let hit = gate && {
-                            let w = win64 & self.subp_win_mask[i];
-                            let off = self.subp_blocks_off[i] as usize;
-                            let len = self.subp_blocks_len[i] as usize;
-                            self.subp_blocks[off..off + len].contains(&w)
-                        };
-                        let c = if hit {
-                            self.subp_counter[i].saturating_add(1)
-                        } else {
-                            0
-                        };
-                        self.subp_counter[i] = c;
-                        if c >= self.subp_target[i] {
-                            fires |= 1u64 << self.subp_node[i];
-                        }
+                if let Some(a) = subn {
+                    // One table walk for every B ≥ 2 unit, then the same
+                    // lane arithmetic.
+                    let h = a.step(&mut row, byte)[0];
+                    let (c, f) = lane_step(cn, h, subn_targets);
+                    cn = c;
+                    for lane in fired_lanes(f) {
+                        fires |= 1u64 << self.subn_node[lane];
                     }
                 }
                 if is_number_byte(byte) {
@@ -1551,12 +1580,9 @@ impl Engine {
         // Sync packed state back out, then run the sub-word tail through
         // the byte-serial path from the synced state.
         self.latch[0] = l;
-        for i in 0..nsub1 {
-            self.sub1_counter[i] = ((c1 >> (8 * i)) & 0xff) as u32;
-        }
-        for i in 0..nsubp {
-            self.subp_win[i] = win64 & self.subp_win_mask[i];
-        }
+        blockhit::unpack_counters(&[c1], &mut self.sub1_counter);
+        blockhit::unpack_counters(&[cn], &mut self.subn.counters);
+        self.subn.row = row;
         self.num_in_token.fill(in_token);
         self.tracker.restore(in_string, pending_escape, depth);
         for &byte in chunks.remainder() {
@@ -1729,13 +1755,47 @@ mod tests {
 
     #[test]
     fn block_scan_eligibility() {
-        assert!(Engine::compile(&ctx_temp()).block_scan_ready());
-        // Wide substring units (B > 8) fall back to the byte loop.
+        assert_eq!(Engine::compile(&ctx_temp()).scan_path(), ScanPath::Block);
+        // Any block length rides the pooled automaton.
         let wide = Expr::substring(b"favourites_count", 9).unwrap();
-        assert!(!Engine::compile(&wide).block_scan_ready());
-        // Multi-word latch bitsets fall back too.
+        assert!(Engine::compile(&wide).block_scan_ready());
+        // Multi-word latch bitsets fall back, and say so.
         let leaves: Vec<Expr> = (0..70).map(|i| Expr::int_range(i, i + 1)).collect();
-        assert!(!Engine::compile(&Expr::Or(leaves)).block_scan_ready());
+        let wide_program = Engine::compile(&Expr::Or(leaves));
+        assert_eq!(
+            wide_program.scan_path(),
+            ScanPath::ByteSerial(FallbackReason::TooManyNodes { nodes: 71 })
+        );
+        assert!(!wide_program.block_scan_ready());
+        // So do more substring units of one kind than one bank of lanes,
+        let sub = |needle: &[u8], b| Expr::substring(needle, b).unwrap();
+        let nine = |b| {
+            Expr::Or(
+                (0..9)
+                    .map(|i| sub(format!("key{i}").as_bytes(), b))
+                    .collect(),
+            )
+        };
+        assert_eq!(
+            Engine::compile(&nine(1)).scan_path(),
+            ScanPath::ByteSerial(FallbackReason::TooManySub1Units { units: 9, max: 8 })
+        );
+        assert_eq!(
+            Engine::compile(&nine(2)).scan_path(),
+            ScanPath::ByteSerial(FallbackReason::TooManyBlockUnits { units: 9, max: 8 })
+        );
+        // run targets past the saturating lane counters,
+        let long = [b'k'; 130];
+        assert_eq!(
+            Engine::compile(&sub(&long, 2)).scan_path(),
+            ScanPath::ByteSerial(FallbackReason::RunTargetTooLong { target: 129 })
+        );
+        // and block pools past the table cap.
+        let needle: Vec<u8> = (0..400u32).map(|i| b'a' + (i * i % 23) as u8).collect();
+        assert_eq!(
+            Engine::compile(&sub(&needle, 300)).scan_path(),
+            ScanPath::ByteSerial(FallbackReason::BlockTableTooLarge)
+        );
     }
 
     #[test]

@@ -26,6 +26,8 @@
 //! * [`engine`] — the flattened table-driven batch execution engine:
 //!   same semantics as [`evaluator`] (held equal by differential tests),
 //!   several times faster; the path to use for bulk software filtering.
+//! * [`blockhit`] — the kernel both engines step their B ≥ 2 substring
+//!   units with: one pooled block-hit automaton plus packed lane counters.
 //! * [`multi`] — the fused multi-query engine: one shared scan answers a
 //!   whole batch of queries through a deduplicated matcher-unit pool,
 //!   behind the [`MultiBackend`](multi::MultiBackend) surface.
@@ -72,6 +74,7 @@
 
 pub mod arch;
 pub mod backend;
+pub mod blockhit;
 pub mod cosim;
 pub mod cost;
 pub mod design;
@@ -88,7 +91,7 @@ pub mod query;
 
 pub use backend::{CompileError, FilterBackend, IngestLimits, SkipReason, Verdict};
 pub use cosim::CosimBackend;
-pub use engine::{Engine, PrefilterStatus, ProgramView};
+pub use engine::{Engine, FallbackReason, PrefilterStatus, ProgramView, ScanPath};
 pub use evaluator::CompiledFilter;
 pub use expr::{Expr, StructScope};
 pub use multi::{BatchVerdicts, MultiBackend, MultiEngine, MultiLanes, ShareStats, UnitCounts};

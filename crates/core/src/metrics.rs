@@ -52,11 +52,12 @@ pub(crate) struct MultiMetrics {
     pub bytes_block: &'static Counter,
     /// `multi.bytes.byte_serial`: bytes through the fused serial path.
     pub bytes_byte_serial: &'static Counter,
-    /// `multi.gate_skips.sub1`: words where the pooled single-byte
+    /// `multi.gate_skips.sub1`: block-path bytes where the pooled single-byte
     /// substring bank was skipped by the 256-bit any-unit gate.
     pub gate_skips_sub1: &'static Counter,
-    /// `multi.gate_skips.subp`: bytes where the pooled packed-substring
-    /// scan was skipped by its any-unit gate.
+    /// `multi.gate_skips.subp`: block-path bytes whose pooled block-hit
+    /// mask was zero — no B ≥ 2 substring unit saw one of its blocks end
+    /// there, so every run counter of that pool reset.
     pub gate_skips_subp: &'static Counter,
 }
 

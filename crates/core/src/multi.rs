@@ -49,13 +49,14 @@
 //! ```
 
 use crate::backend::{CompileError, FilterBackend};
+use crate::blockhit::{self, fired_lanes, lane_step, BlockAutomatonView, BlockUnits};
 use crate::engine::{
-    count_nodes, run_program_multi, run_program_word, Builder, ByteEvent, DfaUnitView, Op,
-    ProgramView,
+    count_nodes, run_program_multi, run_program_word, scan_path, Builder, ByteEvent, DfaUnitView,
+    Op, ProgramView, ScanPath,
 };
 use crate::evaluator::StreamTracker;
 use crate::expr::Expr;
-use crate::primitive::{FireFilter, SubstringMatcher};
+use crate::primitive::SubstringMatcher;
 use rfjson_jsonstream::frame::{
     is_blank_line, trim_cr, IngestLimits, LimitedAction, LimitedFramer, SkipReason, Verdict,
 };
@@ -77,7 +78,7 @@ pub struct UnitCounts {
     pub number_dfas: usize,
     /// Single-byte substring units (B = 1).
     pub sub1: usize,
-    /// Packed substring units (2 ≤ B ≤ 8).
+    /// Short-block substring units (2 ≤ B ≤ 8).
     pub subp: usize,
     /// Wide substring units (B > 8).
     pub wide: usize,
@@ -124,35 +125,10 @@ struct Sub {
 /// decision-preserving by construction.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum UnitKey {
-    StrDfa {
-        table: Vec<u16>,
-        start: u16,
-    },
-    NumDfa {
-        table: Vec<u16>,
-        start: u16,
-    },
-    Sub1 {
-        bitmap: [u64; 4],
-        target: u32,
-    },
-    Subp {
-        mask: u64,
-        blocks: Vec<u64>,
-        target: u32,
-    },
-    Wide {
-        needle: Vec<u8>,
-        block: usize,
-    },
-}
-
-/// A pooled wide substring unit (B > 8): the reference matcher stepped
-/// directly, with its subscriber list.
-#[derive(Debug, Clone)]
-struct WideUnit {
-    matcher: SubstringMatcher,
-    subs: Vec<Sub>,
+    StrDfa { table: Vec<u16>, start: u16 },
+    NumDfa { table: Vec<u16>, start: u16 },
+    Sub1 { bitmap: [u64; 4], target: u32 },
+    SubN { blocks: Vec<Vec<u8>>, target: u32 },
 }
 
 /// One query's flat program plus its private latch state.
@@ -169,8 +145,7 @@ struct Lane {
     sdfa_units: Vec<(u32, u32)>,
     num_units: Vec<(u32, u32)>,
     sub1_units: Vec<(u32, u32)>,
-    subp_units: Vec<(u32, u32)>,
-    wide_units: Vec<(u32, u32)>,
+    subn_units: Vec<(u32, u32)>,
     // ---- mutable per-stream state ----
     latch: Vec<u64>,
     prev: Vec<u64>,
@@ -239,16 +214,13 @@ pub struct MultiEngine {
     sub1_bitmap: Vec<u64>,
     sub1_target: Vec<u32>,
     sub1_subs: Vec<Vec<Sub>>,
-    subp_win_mask: Vec<u64>,
-    subp_blocks_off: Vec<u32>,
-    subp_blocks_len: Vec<u32>,
-    subp_blocks: Vec<u64>,
-    subp_target: Vec<u32>,
-    subp_subs: Vec<Vec<Sub>>,
-    wide_units: Vec<WideUnit>,
+    /// The pooled B ≥ 2 substring units: one block-hit automaton with
+    /// its per-stream row and run counters.
+    subn: BlockUnits,
+    subn_subs: Vec<Vec<Sub>>,
 
     // ---- block-scan fast path (immutable after compile) ----
-    block_ready: bool,
+    path: ScanPath,
     /// Banked 256-entry packed hit tables for the sub1 pool: bank `k`
     /// packs units `8k..8k+8`, entry `b` holds `0xFF` in lane `i` iff
     /// byte `b` is in unit `8k+i`'s membership set.
@@ -259,11 +231,6 @@ pub struct MultiEngine {
     /// it resets **all** run counters at once, skipping the bank loop —
     /// a cross-query gate no serial engine can have.
     sub1_any: [u64; 4],
-    /// 256-bit last-byte gate per packed substring unit.
-    subp_gate: Vec<u64>,
-    /// 256-bit union of all packed-substring last-byte gates (same
-    /// skip-the-pool trick as [`MultiEngine::sub1_any`]).
-    subp_any: [u64; 4],
 
     // ---- mutable per-stream state ----
     /// Telemetry accumulated in plain locals on the hot path and flushed
@@ -275,8 +242,6 @@ pub struct MultiEngine {
     /// the whole pool.
     num_in_token: bool,
     sub1_counter: Vec<u32>,
-    subp_win: Vec<u64>,
-    subp_counter: Vec<u32>,
     /// Scratch: per-lane fire words accumulated inside the SWAR loop
     /// (lanes are single-word there by eligibility).
     lane_fires: Vec<u64>,
@@ -294,9 +259,10 @@ struct MultiStats {
     /// Bytes through the fused serial path (fallback batches, tails,
     /// separators).
     bytes_byte_serial: u64,
-    /// Words where the pooled sub1 bank loop was gate-skipped.
+    /// Bytes where the pooled sub1 bank loop was gate-skipped.
     sub1_gate_skips: u64,
-    /// Bytes where the pooled packed-substring scan was gate-skipped.
+    /// Bytes whose pooled block-hit mask was zero (no B ≥ 2 unit saw one
+    /// of its blocks end there).
     subp_gate_skips: u64,
 }
 
@@ -353,34 +319,26 @@ impl MultiEngine {
             sub1_bitmap: Vec::new(),
             sub1_target: Vec::new(),
             sub1_subs: Vec::new(),
-            subp_win_mask: Vec::new(),
-            subp_blocks_off: Vec::new(),
-            subp_blocks_len: Vec::new(),
-            subp_blocks: Vec::new(),
-            subp_target: Vec::new(),
-            subp_subs: Vec::new(),
-            wide_units: Vec::new(),
-            block_ready: false,
+            subn: BlockUnits::new(Vec::new()),
+            subn_subs: Vec::new(),
+            path: ScanPath::Block,
             sub1_hits: Vec::new(),
             sub1_targets_packed: Vec::new(),
             sub1_any: [0; 4],
-            subp_gate: Vec::new(),
-            subp_any: [0; 4],
             stats: MultiStats::default(),
             sdfa_state: Vec::new(),
             num_state: Vec::new(),
             num_in_token: false,
             sub1_counter: Vec::new(),
-            subp_win: Vec::new(),
-            subp_counter: Vec::new(),
             lane_fires: Vec::new(),
             tracker: StreamTracker::new(),
         };
         let mut keys: HashMap<UnitKey, u32> = HashMap::new();
+        let mut subn = Vec::new();
         for (q, expr) in exprs.iter().enumerate() {
-            me.add_lane(q as u32, expr, &mut keys);
+            me.add_lane(q as u32, expr, &mut keys, &mut subn);
         }
-        me.finish_compile();
+        me.finish_compile(subn);
         #[cfg(debug_assertions)]
         for (q, view) in me.lane_views().iter().enumerate() {
             let faults = view.check();
@@ -394,8 +352,15 @@ impl MultiEngine {
     }
 
     /// Runs the deterministic builder for one query and merges its units
-    /// into the pool, deduplicating by [`UnitKey`].
-    fn add_lane(&mut self, q: u32, expr: &Expr, keys: &mut HashMap<UnitKey, u32>) {
+    /// into the pool, deduplicating by [`UnitKey`]; `subn` collects the
+    /// pooled B ≥ 2 substring units.
+    fn add_lane(
+        &mut self,
+        q: u32,
+        expr: &Expr,
+        keys: &mut HashMap<UnitKey, u32>,
+        subn: &mut Vec<SubstringMatcher>,
+    ) {
         let num_nodes = count_nodes(expr);
         let words = num_nodes.div_ceil(64);
         let mut b = Builder {
@@ -424,8 +389,7 @@ impl MultiEngine {
             sdfa_units: Vec::new(),
             num_units: Vec::new(),
             sub1_units: Vec::new(),
-            subp_units: Vec::new(),
-            wide_units: Vec::new(),
+            subn_units: Vec::new(),
             latch: vec![0; words],
             prev: vec![0; words],
             flag_level: vec![0; b.next_ctx as usize],
@@ -502,56 +466,26 @@ impl MultiEngine {
             lane.sub1_units.push((idx, node));
             counts.sub1 += 1;
         }
-        for (i, &node) in b.subp_node.iter().enumerate() {
-            let off = b.subp_blocks_off[i] as usize;
-            let len = b.subp_blocks_len[i] as usize;
-            let blocks = b.subp_blocks[off..off + len].to_vec();
-            let key = UnitKey::Subp {
-                mask: b.subp_win_mask[i],
-                blocks: blocks.clone(),
-                target: b.subp_target[i],
+        for unit in b.subn {
+            let key = UnitKey::SubN {
+                blocks: unit.matcher.blocks().to_vec(),
+                target: unit.matcher.target(),
             };
-            let idx = match keys.get(&key) {
-                Some(&idx) => idx,
-                None => {
-                    let idx = self.subp_target.len() as u32;
-                    self.subp_win_mask.push(b.subp_win_mask[i]);
-                    self.subp_blocks_off.push(self.subp_blocks.len() as u32);
-                    self.subp_blocks_len.push(len as u32);
-                    self.subp_blocks.extend_from_slice(&blocks);
-                    self.subp_target.push(b.subp_target[i]);
-                    self.subp_subs.push(Vec::new());
-                    keys.insert(key, idx);
-                    idx
-                }
-            };
-            self.subp_subs[idx as usize].push(Sub { lane: q, node });
-            lane.subp_units.push((idx, node));
-            counts.subp += 1;
-        }
-        for ws in &b.wide_subs {
-            let key = UnitKey::Wide {
-                needle: ws.matcher.needle().to_vec(),
-                block: ws.matcher.block_length(),
-            };
-            let idx = match keys.get(&key) {
-                Some(&idx) => idx,
-                None => {
-                    let idx = self.wide_units.len() as u32;
-                    self.wide_units.push(WideUnit {
-                        matcher: ws.matcher.clone(),
-                        subs: Vec::new(),
-                    });
-                    keys.insert(key, idx);
-                    idx
-                }
-            };
-            self.wide_units[idx as usize].subs.push(Sub {
-                lane: q,
-                node: ws.node,
+            if unit.matcher.block_length() <= 8 {
+                counts.subp += 1;
+            } else {
+                counts.wide += 1;
+            }
+            let idx = *keys.entry(key).or_insert_with(|| {
+                subn.push(unit.matcher);
+                self.subn_subs.push(Vec::new());
+                subn.len() as u32 - 1
             });
-            lane.wide_units.push((idx, ws.node));
-            counts.wide += 1;
+            self.subn_subs[idx as usize].push(Sub {
+                lane: q,
+                node: unit.node,
+            });
+            lane.subn_units.push((idx, unit.node));
         }
 
         self.share.per_query.push(counts);
@@ -559,33 +493,37 @@ impl MultiEngine {
     }
 
     /// Finalizes pool state and derives the block-scan tables.
-    fn finish_compile(&mut self) {
+    fn finish_compile(&mut self, subn: Vec<SubstringMatcher>) {
         self.sdfa_state = self.sdfa_start.clone();
         self.num_state = self.num_start.clone();
         self.sub1_counter = vec![0; self.sub1_target.len()];
-        self.subp_win = vec![0; self.subp_win_mask.len()];
-        self.subp_counter = vec![0; self.subp_win_mask.len()];
+        self.subn = BlockUnits::new(subn);
         self.lane_fires = vec![0; self.lanes.len()];
+        let units = self.subn.units();
+        let subp = units.iter().filter(|u| u.block_length() <= 8).count();
         self.share.pool = UnitCounts {
             string_dfas: self.sdfa_off.len(),
             number_dfas: self.num_off.len(),
             sub1: self.sub1_target.len(),
-            subp: self.subp_target.len(),
-            wide: self.wide_units.len(),
+            subp,
+            wide: units.len() - subp,
         };
 
         // Block-scan eligibility mirrors the single-query engine, with
-        // the sub1 counters generalized to banks of 8 packed lanes: up
-        // to 64 pooled sub1 units keep the word-at-a-time path.
-        let nsub1 = self.sub1_target.len();
-        self.block_ready = self.lanes.iter().all(|l| l.words == 1)
-            && self.wide_units.is_empty()
-            && nsub1 <= 64
-            && self.sub1_target.iter().all(|&t| t <= 126);
-        if !self.block_ready {
+        // the run counters generalized to banks of 8 packed lanes: up to
+        // 64 pooled substring units of either kind keep the
+        // word-at-a-time path.
+        let max_nodes = self.lanes.iter().map(|l| l.root as usize + 1).max();
+        self.path = scan_path(
+            max_nodes.unwrap_or(0),
+            &self.sub1_target,
+            &self.subn,
+            blockhit::MAX_BANKS * blockhit::LANES,
+        );
+        if self.path != ScanPath::Block {
             return;
         }
-        let banks = nsub1.div_ceil(8);
+        let banks = self.sub1_target.len().div_ceil(8);
         self.sub1_hits = vec![0u64; banks * 256];
         for (i, bitmap) in self.sub1_bitmap.chunks_exact(4).enumerate() {
             let (bank, slot) = (i / 8, i % 8);
@@ -594,34 +532,11 @@ impl MultiEngine {
                     self.sub1_hits[bank * 256 + byte] |= 0xffu64 << (8 * slot);
                 }
             }
-        }
-        self.sub1_targets_packed = vec![0u64; banks];
-        for (bank, packed) in self.sub1_targets_packed.iter_mut().enumerate() {
-            for slot in 0..8usize {
-                let t = self
-                    .sub1_target
-                    .get(bank * 8 + slot)
-                    .copied()
-                    .unwrap_or(127);
-                *packed |= u64::from(t) << (8 * slot);
-            }
-        }
-        for (i, bitmap) in self.sub1_bitmap.chunks_exact(4).enumerate() {
-            let _ = i;
             for (w, &b) in self.sub1_any.iter_mut().zip(bitmap) {
                 *w |= b;
             }
         }
-        self.subp_gate = vec![0u64; self.subp_target.len() * 4];
-        for i in 0..self.subp_target.len() {
-            let off = self.subp_blocks_off[i] as usize;
-            let len = self.subp_blocks_len[i] as usize;
-            for &blk in &self.subp_blocks[off..off + len] {
-                let last = (blk & 0xff) as usize;
-                self.subp_gate[i * 4 + (last >> 6)] |= 1u64 << (last & 63);
-                self.subp_any[last >> 6] |= 1u64 << (last & 63);
-            }
-        }
+        self.sub1_targets_packed = blockhit::pack_targets(&self.sub1_target);
     }
 
     /// The batch's source expressions, in lane order.
@@ -639,12 +554,24 @@ impl MultiEngine {
         &self.share
     }
 
-    /// Whether [`MultiEngine::on_block`] may take the SWAR word loop
-    /// (every lane single-word, no wide units, ≤ 64 pooled sub1 units
-    /// with packable targets). Ineligible batches still work through the
-    /// byte-serial fallback.
+    /// Which path [`MultiEngine::on_block`] takes: the fused SWAR word
+    /// loop, or the byte-serial fallback and the rule that forces it (a
+    /// lane of more than 64 nodes, more than 64 pooled substring units of
+    /// one kind, a run target above 126, an oversized block-hit table).
+    pub fn scan_path(&self) -> ScanPath {
+        self.path
+    }
+
+    /// `scan_path() == ScanPath::Block`.
     pub fn block_scan_ready(&self) -> bool {
-        self.block_ready
+        self.path == ScanPath::Block
+    }
+
+    /// The pooled block-hit automaton of the B ≥ 2 substring units, for
+    /// static verification: lane *i* is pool unit *i*. `None` without
+    /// such units or past the table cap.
+    pub fn block_automaton_view(&self) -> Option<&BlockAutomatonView> {
+        self.subn.automaton().map(blockhit::BlockAutomaton::view)
     }
 
     /// Per-lane program snapshots for static verification. Each view's
@@ -652,6 +579,14 @@ impl MultiEngine {
     /// verifier's stored-table-vs-fresh-derivation check proves that
     /// deduplication never merged two different automata.
     pub fn lane_views(&self) -> Vec<ProgramView> {
+        let pool = self.subn.units();
+        let subn_nodes = |lane: &Lane, keep: fn(usize) -> bool| -> Vec<u32> {
+            let units = lane.subn_units.iter();
+            units
+                .filter(|&&(idx, _)| keep(pool[idx as usize].block_length()))
+                .map(|&(_, n)| n)
+                .collect()
+        };
         self.lanes
             .iter()
             .map(|lane| ProgramView {
@@ -681,8 +616,8 @@ impl MultiEngine {
                     })
                     .collect(),
                 sub1_nodes: lane.sub1_units.iter().map(|&(_, n)| n).collect(),
-                subp_nodes: lane.subp_units.iter().map(|&(_, n)| n).collect(),
-                wide_nodes: lane.wide_units.iter().map(|&(_, n)| n).collect(),
+                subp_nodes: subn_nodes(lane, |b| b <= 8),
+                wide_nodes: subn_nodes(lane, |b| b > 8),
             })
             .collect()
     }
@@ -755,38 +690,15 @@ impl MultiEngine {
                 fire(&mut self.lanes, &self.sub1_subs[i]);
             }
         }
-        for i in 0..self.subp_win.len() {
-            let w = ((self.subp_win[i] << 8) | u64::from(byte)) & self.subp_win_mask[i];
-            self.subp_win[i] = w;
-            let off = self.subp_blocks_off[i] as usize;
-            let len = self.subp_blocks_len[i] as usize;
-            let hit = self.subp_blocks[off..off + len].contains(&w);
-            let c = if hit {
-                self.subp_counter[i].saturating_add(1)
-            } else {
-                0
-            };
-            self.subp_counter[i] = c;
-            if c >= self.subp_target[i] {
-                fire(&mut self.lanes, &self.subp_subs[i]);
-            }
-        }
-        for i in 0..self.wide_units.len() {
-            if self.wide_units[i].matcher.on_byte(byte) {
-                for s in 0..self.wide_units[i].subs.len() {
-                    let sub = self.wide_units[i].subs[s];
-                    let latch = &mut self.lanes[sub.lane as usize].latch;
-                    latch[sub.node as usize / 64] |= 1u64 << (sub.node % 64);
-                }
-            }
-        }
+        let (lanes, subs) = (&mut self.lanes, &self.subn_subs);
+        self.subn.on_byte(byte, |unit| fire(lanes, &subs[unit]));
     }
 
     /// Advances a whole slice of record content through every lane at
     /// once — exactly what a byte loop over [`MultiEngine::on_byte`]
     /// would do, with the SWAR word loop when the batch is eligible.
     pub fn on_block(&mut self, block: &[u8]) {
-        if self.block_ready {
+        if self.path == ScanPath::Block {
             // The word loop consumes the aligned portion; the sub-word
             // tail goes through `on_byte`, which counts itself.
             self.stats.bytes_block += (block.len() & !(swar::WORD_BYTES - 1)) as u64;
@@ -799,36 +711,26 @@ impl MultiEngine {
     }
 
     /// The SWAR word loop: one classification and string-mask resolution
-    /// per 8-byte word shared by every lane, banked packed sub1
-    /// counters, gated packed-substring and number-DFA stepping, and
+    /// per 8-byte word shared by every lane, banked packed run counters
+    /// for both substring pools (B = 1 from byte hit tables, B ≥ 2 from
+    /// the block-hit automaton), token-gated number-DFA stepping, and
     /// per-lane programs run only on bytes where that lane observes a
     /// fire or (for context lanes) an unmasked close/comma.
     fn on_block_swar(&mut self, block: &[u8]) {
-        const LANE_LO: u64 = 0x0101_0101_0101_0101;
-        const LANE_HI: u64 = 0x8080_8080_8080_8080;
         let (mut in_string, mut pending_escape, mut depth) = self.tracker.state();
         let nsub1 = self.sub1_target.len();
         let banks = nsub1.div_ceil(8);
-        // Saturate the sub1 run counters into one byte per packed lane
+        // Run counters of both pools, one saturating byte per packed lane
         // (targets ≤ 126 keep every `counter ≥ target` comparison exact).
-        let mut c1 = [0u64; 8];
-        for i in 0..nsub1 {
-            c1[i / 8] |= u64::from(self.sub1_counter[i].min(127)) << (8 * (i % 8));
-        }
+        let mut c1 = blockhit::pack_counters(&self.sub1_counter);
+        let mut cn = blockhit::pack_counters(&self.subn.counters);
+        let mut row = self.subn.row;
+        let subn = self.subn.automaton();
         let mut in_token = self.num_in_token;
-        // The packed windows are one shift register under nested masks.
-        let mut win64 = 0u64;
-        for w in &self.subp_win {
-            win64 |= w;
-        }
-        let nsubp = self.subp_target.len();
         let any_ctx = self.any_ctx;
         let sub1_any = self.sub1_any;
-        let subp_any = self.subp_any;
-        let mut subp_live = self.subp_counter.iter().any(|&c| c != 0);
-        // Gate-skip tallies (one local add per skipped byte, folded into
-        // `stats` at sync-out): how often the cross-query any-unit gates
-        // actually save the pooled scans.
+        // Gate tallies (one local add per byte, folded into `stats` at
+        // sync-out): how often a byte is indifferent to a whole pool.
         let mut sub1_skips = 0u64;
         let mut subp_skips = 0u64;
 
@@ -863,13 +765,9 @@ impl MultiEngine {
                 if sub1_any[gate_word] & gate_bit != 0 {
                     for (bank, c1b) in c1.iter_mut().enumerate().take(banks) {
                         let h = self.sub1_hits[bank * 256 + byte as usize];
-                        let mut c = (*c1b & h) + (LANE_LO & h);
-                        c -= (c & LANE_HI) >> 7;
+                        let (c, f) = lane_step(*c1b, h, self.sub1_targets_packed[bank]);
                         *c1b = c;
-                        let mut f = ((c | LANE_HI) - self.sub1_targets_packed[bank]) & LANE_HI;
-                        while f != 0 {
-                            let slot = f.trailing_zeros() as usize / 8;
-                            f &= f - 1;
+                        for slot in fired_lanes(f) {
                             for sub in &self.sub1_subs[bank * 8 + slot] {
                                 self.lane_fires[sub.lane as usize] |= 1u64 << sub.node;
                             }
@@ -882,43 +780,23 @@ impl MultiEngine {
                         *bank = 0;
                     }
                 }
-                if nsubp != 0 {
-                    win64 = (win64 << 8) | u64::from(byte);
-                    // Same trick for the packed units: a byte that is no
-                    // unit's last needle byte misses every gate, so all
-                    // counters reset and the per-unit scan is skipped.
-                    if subp_any[gate_word] & gate_bit != 0 {
-                        for i in 0..nsubp {
-                            let gate = self.subp_gate[i * 4 + gate_word] & gate_bit != 0;
-                            let hit = gate && {
-                                let w = win64 & self.subp_win_mask[i];
-                                let off = self.subp_blocks_off[i] as usize;
-                                let len = self.subp_blocks_len[i] as usize;
-                                self.subp_blocks[off..off + len].contains(&w)
-                            };
-                            let c = if hit {
-                                self.subp_counter[i].saturating_add(1)
-                            } else {
-                                0
-                            };
-                            self.subp_counter[i] = c;
-                            if c >= self.subp_target[i] {
-                                for sub in &self.subp_subs[i] {
-                                    self.lane_fires[sub.lane as usize] |= 1u64 << sub.node;
-                                }
-                                fired = true;
+                if let Some(a) = subn {
+                    // One table walk for the whole B ≥ 2 pool; a zero hit
+                    // mask resets every lane without firing any.
+                    let mut any = 0u64;
+                    let banked = a.step(&mut row, byte).iter().zip(&a.view().targets_packed);
+                    for (bank, (&h, &targets)) in banked.enumerate() {
+                        any |= h;
+                        let (c, f) = lane_step(cn[bank], h, targets);
+                        cn[bank] = c;
+                        for slot in fired_lanes(f) {
+                            for sub in &self.subn_subs[bank * 8 + slot] {
+                                self.lane_fires[sub.lane as usize] |= 1u64 << sub.node;
                             }
-                        }
-                        subp_live = true;
-                    } else {
-                        subp_skips += 1;
-                        if subp_live {
-                            for c in &mut self.subp_counter {
-                                *c = 0;
-                            }
-                            subp_live = false;
+                            fired = true;
                         }
                     }
+                    subp_skips += u64::from(any == 0);
                 }
                 if is_number_byte(byte) {
                     for i in 0..self.num_state.len() {
@@ -999,12 +877,9 @@ impl MultiEngine {
 
         // Sync packed state back out, then run the sub-word tail through
         // the byte-serial path from the synced state.
-        for i in 0..nsub1 {
-            self.sub1_counter[i] = ((c1[i / 8] >> (8 * (i % 8))) & 0xff) as u32;
-        }
-        for i in 0..nsubp {
-            self.subp_win[i] = win64 & self.subp_win_mask[i];
-        }
+        blockhit::unpack_counters(&c1, &mut self.sub1_counter);
+        blockhit::unpack_counters(&cn, &mut self.subn.counters);
+        self.subn.row = row;
         self.num_in_token = in_token;
         self.stats.sub1_gate_skips += sub1_skips;
         self.stats.subp_gate_skips += subp_skips;
@@ -1034,11 +909,7 @@ impl MultiEngine {
         self.num_state.copy_from_slice(&self.num_start);
         self.num_in_token = false;
         self.sub1_counter.fill(0);
-        self.subp_win.fill(0);
-        self.subp_counter.fill(0);
-        for wu in &mut self.wide_units {
-            wu.matcher.reset();
-        }
+        self.subn.reset();
         self.lane_fires.fill(0);
         self.tracker.reset();
     }

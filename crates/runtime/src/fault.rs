@@ -310,6 +310,9 @@ mod tests {
 
     #[test]
     fn transparent_when_disarmed() {
+        // Plans are process-global: keep the other tests from arming one
+        // while this lane snapshots the slot.
+        let _disarmed = ARM_SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
         let stream: &[u8] = b"{\"a\":3}\n{\"a\":9}\n";
         let mut faulty = FaultyBackend::<Engine>::compile(&expr());
         let mut clean = Engine::compile(&expr());

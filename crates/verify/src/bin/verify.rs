@@ -1,5 +1,5 @@
-//! Lints the built-in RiotBench queries through all three static
-//! verification passes.
+//! Lints the built-in RiotBench queries through the static verification
+//! passes, and reports which scan path each compiled query takes.
 //!
 //! ```text
 //! verify [--verbose] [--telemetry] [--b LIST] [QUERY...]
@@ -13,10 +13,15 @@
 //! * `--telemetry` — after the passes, print the `verify.*` telemetry
 //!   snapshot (lint counts) as JSON.
 //!
+//! Every verdict line ends with the path `on_block` takes for that
+//! compiled query — `[path: block]`, or `[path: byte-serial (reason)]`
+//! with the eligibility rule that forces the fallback.
+//!
 //! After the per-query passes, every expressible (query, b) expression
 //! of the selection is fused into one batch and linted through the
 //! `M0xx` multi-program pass (lane invariants against the shared unit
-//! pool, independent dedup-census recomputation).
+//! pool, independent dedup-census recomputation) and the `B0xx` pass
+//! over the pooled block-hit automaton.
 //!
 //! Exits with status 1 if any error-severity diagnostic is reported, or
 //! 2 on usage errors.
@@ -24,6 +29,7 @@
 #![forbid(unsafe_code)]
 
 use rfjson_core::query::query_to_exprs;
+use rfjson_core::{Engine, MultiEngine};
 use rfjson_riotbench::Query;
 use rfjson_verify::{multi::verify_batch, verify_query, Severity};
 use std::process::ExitCode;
@@ -81,28 +87,28 @@ fn main() -> ExitCode {
     let mut batch = Vec::new();
     for query in &queries {
         for &b in &blocks {
-            if let Ok(expr) = query_to_exprs(query, b) {
-                batch.push(expr);
-            }
-            match verify_query(query, b) {
-                Ok(report) => {
-                    rfjson_telemetry::counter("verify.queries.linted").incr();
-                    let verdict = if report.has_errors() {
-                        failed = true;
-                        "FAIL"
-                    } else {
-                        "ok"
-                    };
-                    println!("{:4} {}", verdict, report.summary());
-                    for d in report.at_least(min_shown) {
-                        println!("       {d}");
-                    }
-                }
+            let expr = match query_to_exprs(query, b) {
+                Ok(expr) => expr,
                 Err(e) => {
                     // A block length inapplicable to this query (e.g. a
                     // needle shorter than B) is a skip, not a failure.
                     println!("skip {} (b={b}): {e}", query.name);
+                    continue;
                 }
+            };
+            let path = Engine::compile(&expr).scan_path();
+            batch.push(expr);
+            let report = verify_query(query, b).expect("the expression was just derived");
+            rfjson_telemetry::counter("verify.queries.linted").incr();
+            let verdict = if report.has_errors() {
+                failed = true;
+                "FAIL"
+            } else {
+                "ok"
+            };
+            println!("{:4} {} [path: {path}]", verdict, report.summary());
+            for d in report.at_least(min_shown) {
+                println!("       {d}");
             }
         }
     }
@@ -113,6 +119,7 @@ fn main() -> ExitCode {
         let name = format!("fused batch ({} queries)", batch.len());
         match verify_batch(&batch, &name) {
             Ok(report) => {
+                let path = MultiEngine::compile_batch(&batch).scan_path();
                 rfjson_telemetry::counter("verify.batches.linted").incr();
                 let verdict = if report.has_errors() {
                     failed = true;
@@ -120,7 +127,7 @@ fn main() -> ExitCode {
                 } else {
                     "ok"
                 };
-                println!("{:4} {}", verdict, report.summary());
+                println!("{:4} {} [path: {path}]", verdict, report.summary());
                 for d in report.at_least(min_shown) {
                     println!("       {d}");
                 }

@@ -8,7 +8,7 @@
 //! shared diagnostics model, so a miscompiled filter is caught by a lint
 //! run instead of a wrong accept/reject decision on customer data.
 //!
-//! ## The three passes
+//! ## The passes
 //!
 //! * [`dfa`] — automaton sanity (codes `D0xx`): transition targets in
 //!   range, unreachable/dead states, accept-sink detection, and full
@@ -21,6 +21,10 @@
 //!   single-use property, AND/OR/CTX latch-clear coverage,
 //!   bitset-width/register-count consistency, and a cross-layer check
 //!   that the engine's stored dense tables equal freshly derived ones.
+//! * [`blockhit`] — the pooled block-hit automaton of the B ≥ 2
+//!   substring units (codes `B0xx`): tables in range, every block of
+//!   every unit hits its lane from every state, no transition sets a
+//!   lane without such a block, run targets equal `N − B + 1`.
 //! * [`netlist`] — circuit-level checks (codes `N0xx`): combinational
 //!   cycles via topological sort, multi-driven output nets, unconnected
 //!   flip-flops, dangling inputs, dead gates, plus fanout and gate-count
@@ -55,6 +59,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod blockhit;
 pub mod dfa;
 pub mod multi;
 pub mod netlist;
@@ -96,6 +101,8 @@ pub enum Layer {
     Dfa,
     /// The engine's flat post-order node program.
     Program,
+    /// The pooled block-hit automaton of the B ≥ 2 substring units.
+    BlockAutomaton,
     /// The elaborated gate-level netlist.
     Netlist,
 }
@@ -105,6 +112,7 @@ impl fmt::Display for Layer {
         match self {
             Layer::Dfa => write!(f, "dfa"),
             Layer::Program => write!(f, "program"),
+            Layer::BlockAutomaton => write!(f, "blockhit"),
             Layer::Netlist => write!(f, "netlist"),
         }
     }
@@ -117,8 +125,9 @@ pub struct Diagnostic {
     pub severity: Severity,
     /// Which artifact layer it concerns.
     pub layer: Layer,
-    /// Stable short code (`D011`, `P010`, `N003`, …) — see the module
-    /// docs of [`dfa`], [`program`] and [`netlist`] for the catalogue.
+    /// Stable short code (`D011`, `P010`, `B003`, `N003`, …) — see the
+    /// module docs of [`dfa`], [`program`], [`blockhit`] and [`netlist`]
+    /// for the catalogue.
     pub code: &'static str,
     /// Human-readable description of the finding.
     pub message: String,
@@ -279,15 +288,18 @@ fn dfa_pass(expr: &Expr, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Runs all three verification passes over one composed filter
+/// Runs all single-query verification passes over one composed filter
 /// expression: the DFA pass on every automaton-backed primitive, the
-/// program pass on the compiled [`Engine`], and the netlist pass on the
-/// elaborated circuit.
+/// program and block-automaton passes on the compiled [`Engine`], and
+/// the netlist pass on the elaborated circuit.
 pub fn verify_expr(expr: &Expr, name: &str) -> Report {
     let mut report = Report::new(name);
     dfa_pass(expr, &mut report.diagnostics);
     let engine = Engine::compile(expr);
     report.diagnostics.extend(program::verify_engine(&engine));
+    report
+        .diagnostics
+        .extend(blockhit::verify_engine_blocks(&engine));
     let n = elaborate_filter(expr, name);
     report.diagnostics.extend(netlist::verify_netlist(&n));
     report

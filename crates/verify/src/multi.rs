@@ -27,6 +27,9 @@
 //! | M001 | error    | a lane's flat program violates a structural invariant |
 //! | M002 | error    | a lane's census or pool-stored table disagrees with its expression |
 //! | M003 | error    | pool dedup census disagrees with independent recomputation |
+//!
+//! The pooled block-hit automaton of the batch's B ≥ 2 substring units
+//! goes through the `B0xx` pass of [`crate::blockhit`] in the same run.
 
 use crate::program::{check_unit, collect_expected, ExpectedUnits};
 use crate::{Diagnostic, Layer, Report};
@@ -40,27 +43,10 @@ use std::collections::HashSet;
 /// recomputed from the source primitive, bypassing the compiled plan.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum FreshKey {
-    StrDfa {
-        table: Vec<u16>,
-        start: u16,
-    },
-    NumDfa {
-        table: Vec<u16>,
-        start: u16,
-    },
-    Sub1 {
-        bitmap: [u64; 4],
-        target: u32,
-    },
-    Subp {
-        mask: u64,
-        blocks: Vec<u64>,
-        target: u32,
-    },
-    Wide {
-        needle: Vec<u8>,
-        block: usize,
-    },
+    StrDfa { table: Vec<u16>, start: u16 },
+    NumDfa { table: Vec<u16>, start: u16 },
+    Sub1 { bitmap: [u64; 4], target: u32 },
+    SubN { blocks: Vec<Vec<u8>>, target: u32 },
 }
 
 /// Collects the dedup keys of every primitive unit of `expr`, exactly
@@ -89,25 +75,10 @@ fn collect_keys(expr: &Expr, out: &mut Vec<FreshKey>) {
                         bitmap,
                         target: m.target(),
                     });
-                } else if b <= 8 {
-                    let blocks = m
-                        .blocks()
-                        .iter()
-                        .map(|blk| blk.iter().fold(0u64, |p, &x| (p << 8) | u64::from(x)))
-                        .collect();
-                    out.push(FreshKey::Subp {
-                        mask: if b == 8 {
-                            u64::MAX
-                        } else {
-                            (1u64 << (8 * b)) - 1
-                        },
-                        blocks,
-                        target: m.target(),
-                    });
                 } else {
-                    out.push(FreshKey::Wide {
-                        needle: spec.needle.clone(),
-                        block: b,
+                    out.push(FreshKey::SubN {
+                        blocks: m.blocks().to_vec(),
+                        target: m.target(),
                     });
                 }
             }
@@ -136,8 +107,8 @@ fn dedup_census(keys: &[FreshKey]) -> UnitCounts {
             FreshKey::StrDfa { .. } => counts.string_dfas += 1,
             FreshKey::NumDfa { .. } => counts.number_dfas += 1,
             FreshKey::Sub1 { .. } => counts.sub1 += 1,
-            FreshKey::Subp { .. } => counts.subp += 1,
-            FreshKey::Wide { .. } => counts.wide += 1,
+            FreshKey::SubN { blocks, .. } if blocks[0].len() <= 8 => counts.subp += 1,
+            FreshKey::SubN { .. } => counts.wide += 1,
         }
     }
     counts
@@ -145,8 +116,9 @@ fn dedup_census(keys: &[FreshKey]) -> UnitCounts {
 
 /// Verifies a compiled fused batch: per-lane structural invariants
 /// (M001), per-lane census + pool-table agreement with each lane's
-/// source expression (M002), and the pool dedup census against an
-/// independent recomputation from the source expressions (M003).
+/// source expression (M002), the pool dedup census against an
+/// independent recomputation from the source expressions (M003), and the
+/// pooled block-hit automaton ([`crate::blockhit`], B0xx).
 pub fn verify_multi_engine(fused: &MultiEngine) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let stats = fused.share_stats();
@@ -253,6 +225,7 @@ pub fn verify_multi_engine(fused: &MultiEngine) -> Vec<Diagnostic> {
             ),
         ));
     }
+    out.extend(crate::blockhit::verify_multi_blocks(fused));
     out
 }
 

@@ -1,0 +1,217 @@
+//! The pooled block-hit automaton and its packed lane counters against
+//! the reference primitive: for any set of `sB(needle)` units, the
+//! per-byte hit lanes and fire signals of [`BlockAutomaton`] must equal
+//! what one [`SubstringMatcher`] per unit computes — in the byte-serial
+//! form, in the packed form, across the seams between the two, and past
+//! the point where the packed counters saturate.
+
+use proptest::prelude::*;
+use rfjson_core::blockhit::{
+    lane_step, pack_counters, unpack_counters, BlockAutomaton, LANES, MAX_BANKS,
+};
+use rfjson_core::primitive::{FireFilter, SubstringMatcher};
+use rfjson_core::{CompiledFilter, Engine, Expr, MultiEngine};
+
+/// Whether the last `B` bytes of `seen` — over the zero-initialised
+/// window of a fresh record — are a block of `unit`.
+fn window_hits(unit: &SubstringMatcher, seen: &[u8]) -> bool {
+    let b = unit.block_length();
+    let mut window = vec![0u8; b.saturating_sub(seen.len())];
+    window.extend_from_slice(&seen[seen.len().saturating_sub(b)..]);
+    unit.needle().windows(b).any(|block| block == window)
+}
+
+/// The unit indices whose lane is set in a banked word vector (`0x80`
+/// fire bits or `0xFF` hit bytes alike).
+fn lanes_of(words: &[u64], units: usize) -> Vec<usize> {
+    (0..units)
+        .filter(|&i| words[i / LANES] >> (8 * (i % LANES)) & 0x80 != 0)
+        .collect()
+}
+
+/// Feeds `stream` through the automaton of `units` from the record
+/// start, byte-serial and packed side by side (`packed_from` switches the
+/// packed form on and off: the counters cross to the other form at every
+/// change), and checks hit lanes and fires of every byte against the
+/// reference matchers.
+fn assert_equiv(units: &[SubstringMatcher], stream: &[u8], packed: impl Fn(usize) -> bool) {
+    let a = BlockAutomaton::build(units).expect("test pools are small");
+    let mut reference = units.to_vec();
+    let mut row = 0u16;
+    let mut scalar = vec![0u32; units.len()];
+    let mut lanes = [0u64; MAX_BANKS];
+    let mut was_packed = false;
+    for (pos, &byte) in stream.iter().enumerate() {
+        let want_hits: Vec<usize> = (0..units.len())
+            .filter(|&i| window_hits(&units[i], &stream[..=pos]))
+            .collect();
+        let want_fires: Vec<usize> = (0..units.len())
+            .filter(|&i| reference[i].on_byte(byte))
+            .collect();
+
+        let mut got_fires = Vec::new();
+        if packed(pos) {
+            if !was_packed {
+                lanes = pack_counters(&scalar);
+            }
+            let hits = a.step(&mut row, byte).to_vec();
+            assert_eq!(lanes_of(&hits, units.len()), want_hits, "hits at {pos}");
+            let mut fires = vec![0u64; hits.len()];
+            for (bank, (&h, &targets)) in hits.iter().zip(&a.view().targets_packed).enumerate() {
+                let (c, f) = lane_step(lanes[bank], h, targets);
+                lanes[bank] = c;
+                fires[bank] = f;
+            }
+            got_fires = lanes_of(&fires, units.len());
+        } else {
+            if was_packed {
+                unpack_counters(&lanes, &mut scalar);
+            }
+            a.step_serial(&mut row, &mut scalar, byte, |i| got_fires.push(i));
+        }
+        was_packed = packed(pos);
+        assert_eq!(got_fires, want_fires, "fires at byte {pos} of {stream:?}");
+    }
+}
+
+fn unit(needle: &[u8], b: usize) -> SubstringMatcher {
+    SubstringMatcher::new(needle, b).unwrap()
+}
+
+#[test]
+fn saturated_run_fires_across_the_seam_and_resets_on_the_first_miss() {
+    // `aa` is the only block of s2("aaaa"); 310 hitting bytes push the
+    // packed counter far past its 127 ceiling.
+    let units = [unit(b"aaaa", 2), unit(b"aab", 2)];
+    let mut stream = b"xa".to_vec();
+    stream.extend_from_slice(&[b'a'; 310]);
+    stream.extend_from_slice(b"xaaxaaaa");
+    // Packed up to mid-run, scalar for a stretch, packed again.
+    assert_equiv(&units, &stream, |pos| !(157..=200).contains(&pos));
+    assert_equiv(&units, &stream, |pos| pos >= 157);
+    // The fire pattern itself, spelled out: from the third `aa` window
+    // of the run to its end, nothing on `xaax`, again on the last `a`.
+    let mut m = unit(b"aaaa", 2);
+    let fires = m.fire_positions(&stream);
+    assert_eq!(fires.first(), Some(&4));
+    assert_eq!(fires[fires.len() - 2..], [311, stream.len() - 1]);
+}
+
+/// Engine and fused engine over `record`, cut into `on_byte` /
+/// `on_block` / `on_byte` / `on_block` pieces at every position: the
+/// latched accept after each piece equals the byte-serial model's at that
+/// byte. (The first piece is serial and not empty: a fresh engine's
+/// `on_block` takes its argument for a whole record and may prefilter it.)
+fn assert_seams(exprs: &[Expr], record: &[u8]) {
+    let mut want = vec![Vec::new(); exprs.len()];
+    for (q, expr) in exprs.iter().enumerate() {
+        let mut model = CompiledFilter::compile(expr);
+        model.reset();
+        want[q] = record.iter().map(|&b| model.on_byte(b)).collect();
+    }
+    let mut engines: Vec<Engine> = exprs.iter().map(Engine::compile).collect();
+    let mut fused = MultiEngine::compile_batch(exprs);
+    for cut in 1..=record.len() {
+        let mid = cut + (record.len() - cut) / 2;
+        let serial_end = (mid + 3).min(record.len());
+        let pieces = [
+            (0, cut, false),
+            (cut, mid, true),
+            (mid, serial_end, false),
+            (serial_end, record.len(), true),
+        ];
+        fused.reset();
+        for engine in &mut engines {
+            engine.reset();
+        }
+        for (from, to, blockwise) in pieces {
+            if from == to {
+                continue;
+            }
+            let piece = &record[from..to];
+            let mut accepts = [0u64];
+            if blockwise {
+                fused.on_block(piece);
+            } else {
+                for &b in piece {
+                    fused.on_byte(b);
+                }
+            }
+            fused.write_accepts(&mut accepts);
+            for (q, engine) in engines.iter_mut().enumerate() {
+                let got = if blockwise {
+                    engine.on_block(piece)
+                } else {
+                    piece.iter().fold(false, |_, &b| engine.on_byte(b))
+                };
+                let at = format!("`{}` after {from}..{to} (cut {cut})", exprs[q]);
+                assert_eq!(got, want[q][to - 1], "engine {at}");
+                assert_eq!(accepts[0] >> q & 1 == 1, want[q][to - 1], "fused {at}");
+            }
+        }
+    }
+}
+
+#[test]
+fn engines_agree_with_the_model_at_every_block_seam() {
+    let q = |needle: &[u8], b| Expr::substring(needle, b).unwrap();
+    let long_run = q(&[b'a'; 120], 2); // fires on the 119th `aa` window
+    let exprs = [
+        q(b"tolls_amount", 2),
+        q(b"total_amount", 3),
+        q(b"favourites_count", 9),
+        Expr::and([q(b"aaaa", 2), q(b"amount", 6)]),
+        long_run,
+        // The saturated run sits in an object that fails the range; the
+        // short runs of the next one must not fire.
+        Expr::context([q(b"aaaa", 2), Expr::int_range(1, 1)]),
+    ];
+    let mut saturating = b"[{\"".to_vec();
+    saturating.extend_from_slice(&[b'a'; 310]);
+    saturating.extend_from_slice(b"\":9},{\"aaxaa\":1},{\"k\":\"aaaa\",\"v\":1}]");
+    let records: [&[u8]; 3] = [
+        br#"{"tolls_amount":5.33,"total_amount":17.33,"favourites_count":12}"#,
+        b"tototal_amountolls_amount\0tolls_amounfavourites_favourites_count",
+        &saturating,
+    ];
+    for record in records {
+        assert_seams(&exprs, record);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Random NUL-free needles over a tiny alphabet (repeated letters,
+    /// overlapping and duplicate blocks, units sharing blocks, sometimes
+    /// more than one bank of them), every block length up to 12, random
+    /// soup with NUL bytes in it, and a random packed/scalar schedule.
+    #[test]
+    fn automaton_equals_reference_matchers(
+        specs in proptest::collection::vec(
+            (proptest::collection::vec(prop_oneof![
+                4 => Just(b'a'), 3 => Just(b'b'), 2 => Just(b'c'), 1 => Just(b'_'),
+            ], 1..16), 1usize..=12),
+            1..12,
+        ),
+        soup in proptest::collection::vec(prop_oneof![
+            4 => Just(b'a'), 3 => Just(b'b'), 2 => Just(b'c'), 1 => Just(b'_'),
+            1 => Just(0u8), 1 => Just(b'x'),
+        ], 0..160),
+        period in 1usize..40,
+    ) {
+        let mut units: Vec<SubstringMatcher> = specs
+            .iter()
+            .map(|(needle, b)| unit(needle, (*b).min(needle.len())))
+            .collect();
+        units.push(units[0].clone()); // a duplicate unit keeps its own lane
+        // The needles themselves make the soup hit.
+        let mut stream = soup.clone();
+        for (needle, _) in &specs {
+            stream.extend_from_slice(needle);
+        }
+        stream.extend_from_slice(&soup);
+        assert_equiv(&units, &stream, |pos| pos / period % 2 == 0);
+        assert_equiv(&units, &stream, |_| false);
+    }
+}

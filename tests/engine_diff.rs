@@ -5,7 +5,7 @@
 //! faster, never different.
 
 use proptest::prelude::*;
-use rfjson_core::engine::Engine;
+use rfjson_core::engine::{Engine, ScanPath};
 use rfjson_core::evaluator::CompiledFilter;
 use rfjson_core::expr::{Expr, StructScope};
 use rfjson_core::query::query_to_exprs;
@@ -73,6 +73,12 @@ fn expression_zoo() -> Vec<Expr> {
         Expr::substring(b"tolls_amount", 2).unwrap(),
         Expr::substring(b"dust", 4).unwrap(),
         Expr::substring(b"favourites_count", 9).unwrap(), // wide blocks (B > 8)
+        // Mixed block lengths in one program: one automaton, three lanes.
+        Expr::or([
+            Expr::substring(b"tolls_amount", 2).unwrap(),
+            Expr::substring(b"total_amount", 3).unwrap(),
+            Expr::substring(b"favourites_count", 9).unwrap(),
+        ]),
         Expr::window(b"light").unwrap(),
         Expr::dfa_string(b"humidity").unwrap(),
         Expr::int_range(12, 49),
@@ -107,6 +113,19 @@ fn expression_zoo() -> Vec<Expr> {
             Expr::float_range("0.5", "1.5").unwrap(),
         ]),
     ]
+}
+
+#[test]
+fn every_zoo_expression_takes_the_block_path() {
+    // Wide and mixed-B units included: `assert_blockwise` below really
+    // runs the SWAR loop for all of them, not the byte-serial fallback.
+    for expr in expression_zoo() {
+        assert_eq!(
+            Engine::compile(&expr).scan_path(),
+            ScanPath::Block,
+            "`{expr}`"
+        );
+    }
 }
 
 #[test]
@@ -193,7 +212,7 @@ proptest! {
         seed in 0u64..1_000_000,
         n in 1usize..8,
         which in 0usize..3,
-        expr_idx in 0usize..15,
+        expr_idx in 0usize..16,
     ) {
         let ds = match which {
             0 => smartcity::generate(seed, n),

@@ -5,9 +5,10 @@
 //! quarantine limits. Fusing is allowed to be faster, never different.
 
 use proptest::prelude::*;
+use rfjson_core::engine::{FallbackReason, ScanPath};
 use rfjson_core::multi::{MultiBackend, MultiEngine, MultiLanes};
 use rfjson_core::query::query_to_exprs;
-use rfjson_core::{Engine, Expr, FilterBackend, IngestLimits, StructScope};
+use rfjson_core::{CompiledFilter, Engine, Expr, FilterBackend, IngestLimits, StructScope};
 use rfjson_riotbench::{smartcity, taxi, twitter, Query};
 use rfjson_runtime::fault::{
     silence_injected_panics, FaultKind, FaultPlan, FaultyBackend, Trigger,
@@ -19,9 +20,11 @@ const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 8];
 /// Query batches covering every primitive technique, shared units across
 /// lanes, both structural scopes, and the paper's Table VIII queries.
 ///
-/// The first batch is SWAR-eligible (single-word lanes, no wide units);
-/// the second carries a wide-block substring so the fused byte-serial
-/// fallback is exercised too.
+/// All but the last batch run the fused SWAR loop — the wide-block
+/// (B = 9) one and the mixed-B one, whose twelve pooled B ≥ 2 units
+/// span two banks of lanes, included; the last carries a run target
+/// past the packed counters so the fused byte-serial fallback is
+/// exercised too ([`zoo_batches_take_the_expected_scan_path`]).
 fn batch_zoo() -> Vec<Vec<Expr>> {
     vec![
         vec![
@@ -54,7 +57,42 @@ fn batch_zoo() -> Vec<Vec<Expr>> {
             query_to_exprs(&Query::qs0(), 1).unwrap(),
             query_to_exprs(&Query::qs1(), 1).unwrap(),
         ],
+        // Mixed block lengths, more than eight B ≥ 2 units in one pool.
+        vec![
+            query_to_exprs(&Query::qt(), 2).unwrap(),
+            query_to_exprs(&Query::qt(), 3).unwrap(),
+            Expr::substring(b"tolls_amount", 2).unwrap(), // shared with QT b=2
+            Expr::substring(b"airquality_raw", 9).unwrap(),
+            Expr::substring(b"favourites_count", 9).unwrap(),
+        ],
+        vec![
+            Expr::substring(&[b'k'; 130], 2).unwrap(), // run target 129
+            Expr::substring(b"tolls_amount", 2).unwrap(),
+            Expr::substring(b"temperature", 1).unwrap(),
+        ],
     ]
+}
+
+#[test]
+fn zoo_batches_take_the_expected_scan_path() {
+    let zoo = batch_zoo();
+    let (fallback, block) = zoo.split_last().unwrap();
+    for exprs in block {
+        assert_eq!(
+            MultiEngine::compile_batch(exprs).scan_path(),
+            ScanPath::Block
+        );
+    }
+    let pool = MultiEngine::compile_batch(&zoo[3]).share_stats().pool;
+    assert_eq!(
+        (pool.subp, pool.wide),
+        (10, 2),
+        "QT's five keys twice, two wide"
+    );
+    assert_eq!(
+        MultiEngine::compile_batch(fallback).scan_path(),
+        ScanPath::ByteSerial(FallbackReason::RunTargetTooLong { target: 129 })
+    );
 }
 
 fn bit(out: &[u64], q: usize) -> bool {
@@ -135,11 +173,16 @@ fn assert_blockwise(exprs: &[Expr], record: &[u8]) {
 }
 
 /// Stream-level agreement: the fused serial driver, the [`MultiLanes`]
-/// reference, every independent engine's verdict vector, and the sharded
-/// runner at every shard count must all agree — skips included.
+/// references (engines, and the byte-serial model that shares no kernel
+/// with the fused pool), every independent engine's verdict vector, and
+/// the sharded runner at every shard count must all agree — skips
+/// included.
 fn assert_streamwise(exprs: &[Expr], stream: &[u8], limits: IngestLimits) {
     let fused = MultiEngine::compile_batch(exprs).filter_stream_verdicts(stream, limits);
     let lanes = MultiLanes::<Engine>::compile_batch(exprs).filter_stream_verdicts(stream, limits);
+    let model =
+        MultiLanes::<CompiledFilter>::compile_batch(exprs).filter_stream_verdicts(stream, limits);
+    assert_eq!(fused, model, "fused vs byte-serial model lanes");
     for (q, expr) in exprs.iter().enumerate() {
         assert_eq!(
             fused.query_verdicts(q),
@@ -297,7 +340,7 @@ proptest! {
         seed in 0u64..1_000_000,
         n in 1usize..24,
         which in 0usize..3,
-        batch_idx in 0usize..3,
+        batch_idx in 0usize..5,
         limited in any::<bool>(),
     ) {
         let ds = match which {

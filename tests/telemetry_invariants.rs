@@ -12,8 +12,8 @@
 //! one lock and measures deltas between registry snapshots.
 
 use rfjson_core::query::query_to_exprs;
-use rfjson_core::{Engine, FilterBackend, IngestLimits, MultiEngine};
-use rfjson_riotbench::{smartcity_corpus, Query};
+use rfjson_core::{Engine, Expr, FilterBackend, IngestLimits, MultiEngine};
+use rfjson_riotbench::{smartcity_corpus, taxi, twitter, Query};
 use rfjson_runtime::fault::{
     silence_injected_panics, FaultKind, FaultPlan, FaultyBackend, Trigger,
 };
@@ -172,6 +172,61 @@ fn bytes_are_conserved_on_serial_engine_streams() {
     assert_eq!(verdicts.num_records(), corpus.len());
     let scanned = d.counter("multi.bytes.block") + d.counter("multi.bytes.byte_serial");
     assert_eq!(scanned, stream.len() as u64, "fused byte paths");
+}
+
+#[test]
+fn block_path_covers_wide_and_mixed_block_units() {
+    if !rfjson_telemetry::ENABLED {
+        return;
+    }
+    let _guard = serialize();
+    // A wide (B = 9) unit rides the block path: all but the sub-word
+    // tails and separators of a stream land in `engine.bytes.block`.
+    let tweets = twitter::generate(7, 60).stream();
+    let mut wide = Engine::compile(&Expr::substring(b"favourites_count", 9).unwrap());
+    let (_, d) = window(|| wide.filter_stream(&tweets));
+    let scanned = d.counter("engine.bytes.block")
+        + d.counter("engine.bytes.byte_serial")
+        + d.counter("engine.bytes.prefilter_skipped");
+    assert_eq!(scanned, tweets.len() as u64);
+    assert!(d.counter("engine.bytes.block") * 10 > tweets.len() as u64 * 9);
+
+    // `multi.gate_skips.subp` is the count of block-path bytes at which
+    // no B ≥ 2 unit of the pool sees one of its blocks end — recounted
+    // here from the needles alone.
+    let units: [(&[u8], usize); 3] = [
+        (b"tolls_amount", 2),
+        (b"total_amount", 3),
+        (b"passenger_count", 9),
+    ];
+    let batch: Vec<Expr> = units
+        .iter()
+        .map(|(needle, b)| Expr::substring(needle, *b).unwrap())
+        .collect();
+    let rides = taxi::generate(8, 60).stream();
+    let mut indifferent = 0u64;
+    for record in rides.split(|&b| b == b'\n').filter(|r| !r.is_empty()) {
+        for end in 1..=record.len() & !7 {
+            let ends_block = |&(needle, b): &(&[u8], usize)| {
+                end >= b
+                    && needle
+                        .windows(b)
+                        .any(|block| block == &record[end - b..end])
+            };
+            indifferent += u64::from(!units.iter().any(ends_block));
+        }
+    }
+    let mut fused = MultiEngine::compile_batch(&batch);
+    let (_, d) = window(|| {
+        rfjson_core::MultiBackend::filter_stream_verdicts(
+            &mut fused,
+            &rides,
+            IngestLimits::UNLIMITED,
+        )
+    });
+    assert!(d.counters.contains_key("multi.gate_skips.subp"), "{d:?}");
+    assert_eq!(d.counter("multi.gate_skips.subp"), indifferent);
+    assert!(indifferent > 0 && indifferent < d.counter("multi.bytes.block"));
 }
 
 #[test]
