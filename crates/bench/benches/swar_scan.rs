@@ -1,12 +1,14 @@
 //! Criterion: the SWAR word-at-a-time kernels against their byte-serial
 //! counterparts — the newline hop, the per-word classifier + string-mask
-//! resolution, literal containment, and the end-to-end engine block scan
-//! ([`Engine::on_block`]) versus the per-byte loop on the same stream.
+//! resolution, literal containment, the record-level literal prefilter,
+//! and the end-to-end engine block scan ([`Engine::on_block`]) versus the
+//! per-byte loop on the same stream.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rfjson_core::engine::Engine;
+use rfjson_core::prefilter::Prefilter;
 use rfjson_core::query::query_to_exprs;
-use rfjson_core::FilterBackend;
+use rfjson_core::{Expr, FilterBackend};
 use rfjson_jsonstream::swar::{
     self, classify_word, load_word, string_mask_word, StringState, WORD_BYTES,
 };
@@ -70,6 +72,33 @@ fn swar_scan(c: &mut Criterion) {
     group.bench_function("contains/swar", |b| {
         b.iter(|| black_box(swar::contains(black_box(&stream), b"airquality_raw")));
     });
+
+    // The literal prefilter alone, record by record: rejecting from every
+    // N-th byte (`miss`: no needle byte run anywhere), rejecting after
+    // verifying a look-alike run in every record (`lookalike`: s2 over
+    // the letters of `airquality_raw`), and finding the literal at the
+    // far end of every record (`hit`: what an unselective stream pays
+    // during probation).
+    let corpus = smartcity_corpus(2000);
+    for (name, needle, b, rejects) in [
+        ("miss", &b"wind_speed"[..], 1, true),
+        ("lookalike", b"airquality_war", 2, true),
+        ("hit", b"airquality_raw", 1, false),
+    ] {
+        let prefilter = Prefilter::build(&Expr::substring(needle, b).unwrap()).unwrap();
+        let expected = if rejects { corpus.len() } else { 0 };
+        group.bench_function(format!("prefilter_reject/{name}"), |b| {
+            b.iter(|| {
+                let rejected = black_box(&corpus)
+                    .records()
+                    .iter()
+                    .filter(|record| prefilter.rejects(record))
+                    .count();
+                assert_eq!(rejected, expected);
+                rejected
+            });
+        });
+    }
 
     // End-to-end: the same compiled program through the byte-serial
     // reference driver vs the record-at-a-time block driver — with b=1

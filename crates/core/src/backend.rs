@@ -163,6 +163,15 @@ pub trait FilterBackend {
     /// identical to the byte loop — the differential suites drive every
     /// backend through [`filter_stream_into`](FilterBackend::filter_stream_into),
     /// which routes whole records through this method.
+    ///
+    /// **Precondition.** If the first call after
+    /// [`reset`](FilterBackend::reset) is `on_block`, that block must
+    /// carry the record from its first to its last content byte: an
+    /// implementation may judge it as a whole record (the engine's
+    /// literal prefilter does) and answer `false` for a prefix whose
+    /// match would complete in a later block. Once an
+    /// [`on_byte`](FilterBackend::on_byte) of the record came first,
+    /// blocks may cut it anywhere.
     fn on_block(&mut self, block: &[u8]) -> bool {
         let mut accept = false;
         for &b in block {

@@ -909,6 +909,8 @@ struct EngineStats {
     prefilter_rejected: u64,
     /// Probation-end self-disable events (at most one per compile).
     prefilter_disabled: u64,
+    /// Bytes the prefilter looked at to decide the records it examined.
+    prefilter_probed_bytes: u64,
 }
 
 impl EngineStats {
@@ -1398,10 +1400,17 @@ impl Engine {
     /// byte loop over [`Engine::on_byte`] would return (and `false` for an
     /// empty block, matching a loop that never ran).
     ///
+    /// **Precondition.** The first `on_block` after [`Engine::reset`] (or
+    /// compile), when no `on_byte` came before it, must carry the record
+    /// from its first to its last content byte: the literal prefilter
+    /// judges that block as the whole record and may answer `false` for a
+    /// prefix whose needle would arrive in a later block. Once any byte
+    /// of the record has been fed, blocks may cut it anywhere.
+    ///
     /// Two accelerations apply on top of the byte loop:
     ///
-    /// * When the block is a whole record from a fresh reset, the literal
-    ///   prefilter may prove `NoMatch` without scanning (state untouched —
+    /// * On that first whole-record block, the literal prefilter may
+    ///   prove `NoMatch` without scanning (state untouched —
     ///   a rejected record provably cannot latch the root, and any
     ///   trailing separator byte fed serially reproduces the same `false`
     ///   decision from the untouched state).
@@ -1418,7 +1427,8 @@ impl Engine {
             if let Some(pf) = self.prefilter.as_mut().filter(|pf| pf.live) {
                 pf.checked += 1;
                 self.stats.prefilter_checked += 1;
-                let rejected = pf.filter.rejects(block);
+                let (rejected, probed) = pf.filter.rejects_counting(block);
+                self.stats.prefilter_probed_bytes += probed;
                 if rejected {
                     pf.rejected += 1;
                     self.stats.prefilter_rejected += 1;
@@ -1631,6 +1641,7 @@ impl crate::backend::FilterBackend for Engine {
         m.prefilter_checked.add(s.prefilter_checked);
         m.prefilter_rejected.add(s.prefilter_rejected);
         m.prefilter_disabled.add(s.prefilter_disabled);
+        m.prefilter_probed_bytes.add(s.prefilter_probed_bytes);
     }
 }
 

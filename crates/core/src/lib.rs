@@ -28,6 +28,9 @@
 //!   several times faster; the path to use for bulk software filtering.
 //! * [`blockhit`] — the kernel both engines step their B ≥ 2 substring
 //!   units with: one pooled block-hit automaton plus packed lane counters.
+//! * [`prefilter`] — the engine's record-level literal prefilter: proves a
+//!   record `NoMatch` from every N-th byte when a required string unit
+//!   cannot fire anywhere in it.
 //! * [`multi`] — the fused multi-query engine: one shared scan answers a
 //!   whole batch of queries through a deduplicated matcher-unit pool,
 //!   behind the [`MultiBackend`](multi::MultiBackend) surface.
@@ -85,7 +88,7 @@ pub mod evaluator;
 pub mod expr;
 mod metrics;
 pub mod multi;
-mod prefilter;
+pub mod prefilter;
 pub mod primitive;
 pub mod query;
 

@@ -29,6 +29,11 @@ pub(crate) struct EngineMetrics {
     pub prefilter_rejected: &'static Counter,
     /// `engine.prefilter.disabled`: probation-end self-disable events.
     pub prefilter_disabled: &'static Counter,
+    /// `engine.prefilter.probed_bytes`: record bytes the prefilter looked
+    /// at to decide, once per required unit — probes and run widenings of
+    /// the substring units, whole records for the containment scans of
+    /// exact units.
+    pub prefilter_probed_bytes: &'static Counter,
 }
 
 pub(crate) fn engine_metrics() -> &'static EngineMetrics {
@@ -41,6 +46,7 @@ pub(crate) fn engine_metrics() -> &'static EngineMetrics {
         prefilter_checked: rfjson_telemetry::counter("engine.prefilter.checked"),
         prefilter_rejected: rfjson_telemetry::counter("engine.prefilter.rejected"),
         prefilter_disabled: rfjson_telemetry::counter("engine.prefilter.disabled"),
+        prefilter_probed_bytes: rfjson_telemetry::counter("engine.prefilter.probed_bytes"),
     })
 }
 

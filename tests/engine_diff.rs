@@ -5,7 +5,7 @@
 //! faster, never different.
 
 use proptest::prelude::*;
-use rfjson_core::engine::{Engine, ScanPath};
+use rfjson_core::engine::{Engine, PrefilterStatus, ScanPath};
 use rfjson_core::evaluator::CompiledFilter;
 use rfjson_core::expr::{Expr, StructScope};
 use rfjson_core::query::query_to_exprs;
@@ -199,6 +199,70 @@ fn engine_equals_model_on_stream_framing() {
                 String::from_utf8_lossy(stream)
             );
         }
+    }
+}
+
+/// The `on_block` contract: a fresh engine takes its first block for the
+/// whole record and may prefilter it. Under that precondition a **live**
+/// prefilter changes no decision; once a byte of the record went in
+/// serially, nothing is prefiltered and blocks may cut anywhere.
+#[test]
+fn fresh_whole_record_block_with_a_live_prefilter_equals_the_byte_loop() {
+    let records: [&[u8]; 4] = [
+        br#"{"medallion":"A1","fare_amount":11.50,"tip":2.00}"#, // absent
+        br#"{"medallion":"A1","total_amount":5.33}"#,            // look-alike
+        br#"{"tolls_amount":5.33,"total_amount":17.33}"#,        // present, in range
+        br#"{"total_amount":5.33,"tolls_amount":0.00}"#,         // present, out of range
+    ];
+    for b in [1, 2] {
+        let expr = Expr::context_scoped(
+            StructScope::Member,
+            [
+                Expr::substring(b"tolls_amount", b).unwrap(),
+                Expr::float_range("2.50", "18.00").unwrap(),
+            ],
+        );
+        let mut model = CompiledFilter::compile(&expr);
+        let want: Vec<bool> = records.iter().map(|r| model.accepts_record(r)).collect();
+        // s1 takes `total_amount` for the attribute, s2 does not.
+        let lookalike_fires = b == 1;
+        assert_eq!(want, [false, lookalike_fires, true, lookalike_fires]);
+
+        let mut engine = Engine::compile(&expr);
+        let rounds = Engine::PREFILTER_PROBATION as usize / records.len() + 2;
+        for round in 0..rounds {
+            for (record, &want) in records.iter().zip(&want) {
+                engine.reset();
+                let last = engine.on_block(record);
+                let got = engine.on_byte(b'\n') || last;
+                assert_eq!(got, want, "b={b} round {round} on {record:?}");
+            }
+        }
+        assert_eq!(engine.prefilter_status(), PrefilterStatus::Live);
+        let (checked, rejected) = engine.prefilter_stats();
+        assert_eq!(checked, (rounds * records.len()) as u64);
+        assert_eq!(
+            rejected,
+            (rounds * if lookalike_fires { 1 } else { 2 }) as u64
+        );
+
+        // `on_byte(first)` + `on_block(rest)`: same decisions, and the
+        // prefilter never looked.
+        for (record, &want) in records.iter().zip(&want) {
+            engine.reset();
+            engine.on_byte(record[0]);
+            let last = engine.on_block(&record[1..]);
+            assert_eq!(engine.on_byte(b'\n') || last, want, "b={b} on {record:?}");
+        }
+        assert_eq!(engine.prefilter_stats(), (checked, rejected));
+
+        // Why it is a precondition: a fresh first block that stops short
+        // of the needle is judged, and rejected, as if it were the record.
+        let late = br#"{"fare":3.00,"tolls_amount":5.33}"#;
+        assert!(model.accepts_record(late));
+        engine.reset();
+        assert!(!engine.on_block(&late[..13]));
+        assert_eq!(engine.prefilter_stats(), (checked + 1, rejected + 1));
     }
 }
 

@@ -11,6 +11,7 @@
 //! Telemetry counters are process-global, so every test serialises on
 //! one lock and measures deltas between registry snapshots.
 
+use rfjson_core::prefilter::Prefilter;
 use rfjson_core::query::query_to_exprs;
 use rfjson_core::{Engine, Expr, FilterBackend, IngestLimits, MultiEngine};
 use rfjson_riotbench::{smartcity_corpus, taxi, twitter, Query};
@@ -172,6 +173,49 @@ fn bytes_are_conserved_on_serial_engine_streams() {
     assert_eq!(verdicts.num_records(), corpus.len());
     let scanned = d.counter("multi.bytes.block") + d.counter("multi.bytes.byte_serial");
     assert_eq!(scanned, stream.len() as u64, "fused byte paths");
+}
+
+#[test]
+fn prefilter_probes_are_bounded_and_sublinear_on_a_miss_stream() {
+    if !rfjson_telemetry::ENABLED {
+        return;
+    }
+    let _guard = serialize();
+    let corpus = smartcity_corpus(150);
+    let stream = corpus.stream();
+    let content = (stream.len() - corpus.len()) as u64; // minus separators
+
+    // Law 1: the prefilter looks at each byte of a record it checks at
+    // most once per required unit. QS0's five attribute names occur in
+    // every record, so this is the expensive side: nothing is rejected
+    // and all five units are probed, widened and found.
+    let qs0 = query_to_exprs(&Query::qs0(), 1).expect("query converts");
+    let units = Prefilter::build(&qs0)
+        .expect("required units")
+        .required_units();
+    assert_eq!(units, 5);
+    let mut engine = Engine::compile(&qs0);
+    let (_, d) = window(|| engine.filter_stream(&stream));
+    assert_eq!(d.counter("engine.prefilter.checked"), corpus.len() as u64);
+    assert_eq!(d.counter("engine.prefilter.rejected"), 0);
+    let probed = d.counter("engine.prefilter.probed_bytes");
+    assert!(probed > 0 && probed <= units as u64 * content, "{probed}");
+
+    // Law 2, the sub-linear claim: SmartCity never reports `wind_speed`,
+    // every record is rejected, and rejecting them took reading well
+    // under half of the bytes the scan was spared.
+    let q_miss = Expr::context([
+        Expr::substring(b"wind_speed", 1).unwrap(),
+        Expr::float_range("0.0", "99.0").unwrap(),
+    ]);
+    let mut engine = Engine::compile(&q_miss);
+    let (decisions, d) = window(|| engine.filter_stream(&stream));
+    assert!(decisions.iter().all(|m| !m));
+    assert_eq!(d.counter("engine.prefilter.rejected"), corpus.len() as u64);
+    let skipped = d.counter("engine.bytes.prefilter_skipped");
+    assert_eq!(skipped, content);
+    let probed = d.counter("engine.prefilter.probed_bytes");
+    assert!(probed > 0 && probed < skipped / 2, "{probed} of {skipped}");
 }
 
 #[test]
