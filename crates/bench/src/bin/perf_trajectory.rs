@@ -31,7 +31,9 @@
 //! sizes where fan-out matters, and the `MQ-*` multi-query workloads run
 //! **all five RiotBench query expressions as one fused batch** against
 //! five independent serial engine passes — the scan-sharing measurement
-//! of the subscription-serving deployment model.
+//! of the subscription-serving deployment model. `MQ-MIX` runs them over
+//! the three sources interleaved record by record, where every record
+//! concerns one group of the batch and the others route it away.
 
 use rfjson_core::engine::Engine;
 use rfjson_core::evaluator::CompiledFilter;
@@ -492,6 +494,11 @@ fn main() {
     // The §IV-B "inflated JSON data" construction: the multi-MB stream
     // where sharding matters.
     let taxi_xl = taxi.inflated_to(xl_bytes);
+    // One resident batch serving three sources at once.
+    let sources = [&smartcity, &taxi, &twitter];
+    let interleaved =
+        (0..records).flat_map(|i| sources.iter().map(move |d| d.records()[i].clone()));
+    let mixed = Dataset::new("mixed", interleaved.collect());
 
     // The paper's Table VIII queries in their most accurate structural
     // form, plus a string-heavy Twitter workload (no Table VIII query
@@ -594,6 +601,7 @@ fn main() {
         ("MQ-QS0", &smartcity, iters),
         ("MQ-QT", &taxi, iters),
         ("MQ-QT-XL", &taxi_xl, xl_iters),
+        ("MQ-MIX", &mixed, iters),
     ];
     let mut multi_results = Vec::new();
     for (name, dataset, w_iters) in &multi_workloads {

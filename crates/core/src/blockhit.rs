@@ -39,7 +39,8 @@ const LANE_HI: u64 = 0x8080_8080_8080_8080;
 
 /// Lanes per `u64` bank.
 pub const LANES: usize = 8;
-/// Most banks the packed block path carries (64 units).
+/// Most banks [`pack_counters`] packs (64 units); an engine on the block
+/// path uses one.
 pub const MAX_BANKS: usize = 8;
 /// Largest run target the packed counters compare exactly: they saturate
 /// at 127, so `counter ≥ target` keeps its serial meaning up to 126.
@@ -350,7 +351,7 @@ impl BlockAutomaton {
     }
 }
 
-/// The B ≥ 2 substring units of one program (or fused pool) with their
+/// The B ≥ 2 substring units of one program with their
 /// per-stream state: the pooled automaton and its row and run counters,
 /// or — when the table would be too large — the reference matchers
 /// stepped directly.

@@ -31,6 +31,19 @@
 //! buffer early, so the table-driven walk is fire-identical to the
 //! hardware shift register (the differential tests include window
 //! expressions).
+//!
+//! # Groups
+//!
+//! An engine runs a **group** of expressions as one flat program: the
+//! members sit in disjoint node ranges of the same latch bitset, each with
+//! its own root bit, over one set of primitive units. A primitive that
+//! equals one already built — same needle and technique, same number
+//! bounds — is not built again: every unit carries a *fire mask* and the
+//! new node joins it. One prefilter speaks for the group and rejects a
+//! record only when every member's own prefilter does.
+//! [`Engine::compile`] is the group of one;
+//! [`MultiEngine`](crate::multi::MultiEngine) partitions a batch into
+//! groups and scatters their root bits.
 
 use crate::blockhit::{self, fired_lanes, lane_step, BlockAutomatonView, BlockUnits};
 use crate::evaluator::StreamTracker;
@@ -39,7 +52,7 @@ use crate::prefilter::Prefilter;
 use crate::primitive::{DfaStringMatcher, SubstringMatcher, WindowMatcher};
 use rfjson_jsonstream::swar;
 use rfjson_redfa::range::is_number_byte;
-use rfjson_redfa::DENSE_ACCEPT_BIT;
+use rfjson_redfa::{NumberBounds, DENSE_ACCEPT_BIT};
 
 /// State-index part of a dense state word.
 const STATE_MASK: u16 = !DENSE_ACCEPT_BIT;
@@ -228,24 +241,26 @@ impl std::fmt::Display for ProgramFault {
     }
 }
 
+/// The bits set in a multi-word mask, ascending.
+fn mask_bits(mask: &[u64]) -> Vec<u32> {
+    let mut bits = Vec::new();
+    for (w, word) in mask.iter().enumerate() {
+        let mut word = *word;
+        while word != 0 {
+            bits.push(w as u32 * 64 + word.trailing_zeros());
+            word &= word - 1;
+        }
+    }
+    bits
+}
+
 impl ProgramView {
     /// The bits set in the mask at `off` (empty if out of range).
     fn mask_bits(&self, off: u32) -> Vec<u32> {
         let lo = off as usize;
-        let hi = lo + self.words;
-        if hi > self.masks.len() {
-            return Vec::new();
-        }
-        let mut bits = Vec::new();
-        for (w, word) in self.masks[lo..hi].iter().enumerate() {
-            let mut word = *word;
-            while word != 0 {
-                let b = word.trailing_zeros();
-                bits.push(w as u32 * 64 + b);
-                word &= word - 1;
-            }
-        }
-        bits
+        self.masks
+            .get(lo..lo + self.words)
+            .map_or_else(Vec::new, mask_bits)
     }
 
     /// Latch-bit indices of all primitive units, in compile order of
@@ -421,8 +436,8 @@ impl ProgramView {
     }
 }
 
-#[derive(Debug, Clone)]
-pub(crate) enum OpKind {
+#[derive(Debug, Clone, Copy)]
+enum OpKind {
     And,
     Or,
     Ctx {
@@ -442,51 +457,18 @@ pub(crate) enum OpKind {
 /// no op: their fire bits are ORed into the latch bitset during the
 /// primitive sweep, before the program runs.
 #[derive(Debug, Clone)]
-pub(crate) struct Op {
+struct Op {
     /// Bit index of this node in the latch bitset.
-    pub(crate) node: u32,
+    node: u32,
     /// Mask offset of the direct-children mask.
-    pub(crate) mask_off: u32,
-    pub(crate) kind: OpKind,
+    mask_off: u32,
+    kind: OpKind,
 }
 
-impl Op {
-    /// The public verification-facing mirror of this op.
-    pub(crate) fn view(&self) -> OpView {
-        OpView {
-            node: self.node,
-            mask_off: self.mask_off,
-            kind: match &self.kind {
-                OpKind::And => OpKindView::And,
-                OpKind::Or => OpKindView::Or,
-                OpKind::Ctx {
-                    clear_off,
-                    ctx_id,
-                    ctx_lo,
-                    member,
-                } => OpKindView::Ctx {
-                    clear_off: *clear_off,
-                    ctx_id: *ctx_id,
-                    ctx_lo: *ctx_lo,
-                    member: *member,
-                },
-            },
-        }
-    }
-}
-
-/// A substring unit with B ≥ 2 as the builder emits it: the reference
-/// primitive (needle, blocks, target) and the latch bit it fires. The
-/// engines pool these into one [`BlockUnits`].
-#[derive(Debug, Clone)]
-pub(crate) struct SubUnit {
-    pub(crate) matcher: SubstringMatcher,
-    pub(crate) node: u32,
-}
-
-/// Which path [`Engine::on_block`] (or
-/// [`MultiEngine::on_block`](crate::multi::MultiEngine::on_block)) takes
-/// for a compiled program, and if it is the slow one, why.
+/// Which path [`Engine::on_block`] takes for a compiled program, and if
+/// it is the slow one, why. A
+/// [`MultiEngine`](crate::multi::MultiEngine) reports `Block` when every
+/// one of its groups does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScanPath {
     /// The SWAR word loop with packed unit counters.
@@ -499,23 +481,23 @@ pub enum ScanPath {
 /// that applies is reported.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FallbackReason {
-    /// A program (of some lane) has more nodes than one 64-bit latch word.
+    /// The program has more nodes than one 64-bit latch word.
     TooManyNodes {
-        /// Node count of the widest program.
+        /// Node count of the program.
         nodes: usize,
     },
     /// More B = 1 substring units than packed lanes.
     TooManySub1Units {
-        /// Units in the program or pool.
+        /// Distinct units in the program.
         units: usize,
-        /// Lanes available (8 for an [`Engine`], 64 for a fused pool).
+        /// Lanes available: one bank of [`blockhit::LANES`].
         max: usize,
     },
     /// More B ≥ 2 substring units than packed lanes.
     TooManyBlockUnits {
-        /// Units in the program or pool.
+        /// Distinct units in the program.
         units: usize,
-        /// Lanes available (8 for an [`Engine`], 64 for a fused pool).
+        /// Lanes available: one bank of [`blockhit::LANES`].
         max: usize,
     },
     /// A substring unit's run target `N − B + 1` exceeds the 126 the
@@ -564,23 +546,18 @@ impl std::fmt::Display for FallbackReason {
     }
 }
 
-/// The eligibility rules of the block path, shared by both engines:
-/// `max_lanes` packed lanes per unit kind (one bank of 8 for an
-/// [`Engine`], 8 banks for a fused pool).
-pub(crate) fn scan_path(
-    max_nodes: usize,
-    sub1_targets: &[u32],
-    subn: &BlockUnits,
-    max_lanes: usize,
-) -> ScanPath {
+/// The eligibility rules of the block path: one latch word, and one bank
+/// of packed lanes per substring unit kind.
+fn scan_path(num_nodes: usize, sub1_targets: &[u32], subn: &BlockUnits) -> ScanPath {
+    let max_lanes = blockhit::LANES;
     let units = subn.units();
     let long = sub1_targets
         .iter()
         .copied()
         .chain(units.iter().map(SubstringMatcher::target))
         .find(|&t| t > blockhit::MAX_PACKED_TARGET);
-    let reason = if max_nodes > 64 {
-        FallbackReason::TooManyNodes { nodes: max_nodes }
+    let reason = if num_nodes > 64 {
+        FallbackReason::TooManyNodes { nodes: num_nodes }
     } else if sub1_targets.len() > max_lanes {
         FallbackReason::TooManySub1Units {
             units: sub1_targets.len(),
@@ -606,7 +583,9 @@ pub(crate) fn scan_path(
 /// nothing, so unselective streams stop paying the scan.
 #[derive(Debug, Clone)]
 struct PrefilterState {
-    filter: Prefilter,
+    /// One per member: the group rejects a record only when all of them
+    /// do, i.e. when no member can match it.
+    filters: Vec<Prefilter>,
     live: bool,
     checked: u64,
     rejected: u64,
@@ -650,10 +629,10 @@ impl std::fmt::Display for PrefilterStatus {
 /// them: nesting depth plus whether the byte is an unmasked close or
 /// comma.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct ByteEvent {
-    pub(crate) depth: u32,
-    pub(crate) is_close: bool,
-    pub(crate) is_comma: bool,
+struct ByteEvent {
+    depth: u32,
+    is_close: bool,
+    is_comma: bool,
 }
 
 /// One cycle of the node program for the one-word case (≤ 64 nodes),
@@ -662,7 +641,7 @@ pub(crate) struct ByteEvent {
 /// `p` is the pre-cycle latch snapshot (context pending-before checks).
 /// Returns the updated latch word.
 #[inline]
-pub(crate) fn run_program_word(
+fn run_program_word(
     ops: &[Op],
     masks: &[u64],
     flag_level: &mut [u32],
@@ -722,10 +701,10 @@ pub(crate) fn run_program_word(
 }
 
 /// One cycle of the node program for multi-word latch bitsets (> 64
-/// nodes), shared by [`Engine`] and the fused multi-query lanes. `latch`
+/// nodes). `latch`
 /// already holds this cycle's primitive fires; `prev` is the pre-cycle
 /// snapshot the context pending-before checks read.
-pub(crate) fn run_program_multi(
+fn run_program_multi(
     ops: &[Op],
     masks: &[u64],
     words: usize,
@@ -794,6 +773,39 @@ pub(crate) fn run_program_multi(
     }
 }
 
+/// Per-kind primitive unit counts of a compiled program, or of what one
+/// expression demands.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct UnitCounts {
+    /// Exact-string / window DFA units.
+    pub string_dfas: usize,
+    /// Number-range DFA units.
+    pub number_dfas: usize,
+    /// Single-byte substring units (B = 1).
+    pub sub1: usize,
+    /// Short-block substring units (2 ≤ B ≤ 8).
+    pub subp: usize,
+    /// Wide substring units (B > 8).
+    pub wide: usize,
+}
+
+impl UnitCounts {
+    /// Total units across all kinds.
+    pub fn total(&self) -> usize {
+        self.string_dfas + self.number_dfas + self.sub1 + self.subp + self.wide
+    }
+}
+
+impl std::ops::AddAssign for UnitCounts {
+    fn add_assign(&mut self, other: UnitCounts) {
+        self.string_dfas += other.string_dfas;
+        self.number_dfas += other.number_dfas;
+        self.sub1 += other.sub1;
+        self.subp += other.subp;
+        self.wide += other.wide;
+    }
+}
+
 /// The flattened, allocation-free batch execution engine.
 ///
 /// Compile once, then stream any number of records through it; per-byte
@@ -815,13 +827,17 @@ pub(crate) fn run_program_multi(
 /// ```
 #[derive(Debug, Clone)]
 pub struct Engine {
-    expr: Expr,
+    /// The group's members, in node-range order.
+    exprs: Vec<Expr>,
 
     // ---- node program (immutable after compile) ----
     /// Bitset width in 64-bit words.
     words: usize,
-    /// Bit index of the root node (accept signal).
-    root: u32,
+    /// Root (accept) bit of each member. Member `i` owns the nodes from
+    /// one past member `i − 1`'s root up to its own.
+    roots: Vec<u32>,
+    /// Every root bit, `words` u64s: the group's accept signal.
+    root_mask: Vec<u64>,
     /// Whether any context op exists — without one, no node reads the
     /// structural facts and the whole scan (and the latch snapshot it
     /// feeds) is skipped.
@@ -835,12 +851,14 @@ pub struct Engine {
     tables: Vec<u16>,
     sdfa_off: Vec<u32>,
     sdfa_start: Vec<u16>,
-    sdfa_node: Vec<u32>,
+    /// Fire mask per unit, `words` u64s each: the latch bits of every
+    /// leaf the unit stands for. Likewise for the other unit kinds.
+    sdfa_fire: Vec<u64>,
 
     // ---- number-range units ----
     num_off: Vec<u32>,
     num_start: Vec<u16>,
-    num_node: Vec<u32>,
+    num_fire: Vec<u64>,
 
     // ---- single-byte substring units (B = 1): 256-bit membership set ----
     /// Four `u64` words per unit — bit `b` set iff byte `b` is one of the
@@ -848,17 +866,17 @@ pub struct Engine {
     /// collapsed into a bitmap).
     sub1_bitmap: Vec<u64>,
     sub1_target: Vec<u32>,
-    sub1_node: Vec<u32>,
+    sub1_fire: Vec<u64>,
 
     // ---- block substring units (B ≥ 2) ----
     /// The pooled block-hit automaton with its per-stream row and run
     /// counters, shared by the serial and the block path.
     subn: BlockUnits,
-    subn_node: Vec<u32>,
+    subn_fire: Vec<u64>,
 
     // ---- block-scan fast path (immutable after compile) ----
     /// Whether [`Engine::on_block`] may take the SWAR word loop, or why
-    /// not ([`scan_path`] with one bank of lanes).
+    /// not ([`scan_path`]).
     path: ScanPath,
     /// 256-entry packed hit table for the B = 1 substring units: entry
     /// `b` holds `0xFF` in lane `i` iff byte `b` is in unit `i`'s
@@ -875,46 +893,61 @@ pub struct Engine {
     /// Telemetry accumulated in plain locals on the hot path and flushed
     /// to the global registry once per stream (`flush_telemetry`).
     stats: EngineStats,
-    /// No bytes fed since the last reset: the next `on_block` call sees a
-    /// whole record from the start, which is what the prefilter requires.
-    fresh: bool,
+    phase: Phase,
     latch: Vec<u64>,
     prev: Vec<u64>,
     flag_level: Vec<u32>,
     sdfa_state: Vec<u16>,
     num_state: Vec<u16>,
-    num_in_token: Vec<bool>,
+    /// All number units share one token trajectory (`is_number_byte` does
+    /// not depend on the unit), so one flag covers them.
+    num_in_token: bool,
     sub1_counter: Vec<u32>,
     tracker: StreamTracker,
 }
 
+/// Where an engine stands in the current record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// No bytes fed since the last reset: the next `on_block` call sees a
+    /// whole record from the start, which is what the prefilter requires.
+    Fresh,
+    /// Bytes have been fed.
+    Scanning,
+    /// The prefilter turned the record away: no state has moved since the
+    /// last reset and none will until the next one.
+    Rejected,
+}
+
 /// Per-stream telemetry the engine accumulates in plain `u64` fields —
-/// no atomics, no registry lookups on the byte path. Drained into the
-/// global `engine.*` counters by `flush_telemetry`, which the stream
-/// drivers call once per stream.
+/// no atomics, no registry lookups on the byte path. Drained once per
+/// stream: into the global `engine.*` counters by `flush_telemetry`, or
+/// into `multi.*` by the [`MultiEngine`](crate::multi::MultiEngine) whose
+/// group this engine is.
 #[derive(Debug, Clone, Copy, Default)]
-struct EngineStats {
+pub(crate) struct EngineStats {
     /// Records entering `on_block` from a fresh reset.
-    records: u64,
+    pub(crate) records: u64,
     /// Bytes scanned by the SWAR word loop (word-aligned portion).
-    bytes_block: u64,
+    pub(crate) bytes_block: u64,
     /// Bytes through the serial `on_byte` path (fallback programs,
     /// sub-word tails, separators).
-    bytes_byte_serial: u64,
-    /// Bytes never scanned: the prefilter rejected the whole record.
-    bytes_prefilter_skipped: u64,
+    pub(crate) bytes_byte_serial: u64,
+    /// Bytes never scanned: the prefilter rejected the whole record
+    /// (its separator included).
+    pub(crate) bytes_prefilter_skipped: u64,
     /// Records the live prefilter examined.
-    prefilter_checked: u64,
+    pub(crate) prefilter_checked: u64,
     /// Records the prefilter proved `NoMatch` without scanning.
-    prefilter_rejected: u64,
+    pub(crate) prefilter_rejected: u64,
     /// Probation-end self-disable events (at most one per compile).
-    prefilter_disabled: u64,
+    pub(crate) prefilter_disabled: u64,
     /// Bytes the prefilter looked at to decide the records it examined.
-    prefilter_probed_bytes: u64,
+    pub(crate) prefilter_probed_bytes: u64,
 }
 
 impl EngineStats {
-    fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.records == 0
             && self.bytes_block == 0
             && self.bytes_byte_serial == 0
@@ -922,30 +955,46 @@ impl EngineStats {
     }
 }
 
-/// Builder state threaded through the post-order compile walk. Shared
-/// with the fused multi-query compiler ([`crate::multi`]), which runs
-/// one builder per lane and pools the deterministic unit output.
-#[derive(Default)]
-pub(crate) struct Builder {
-    pub(crate) words: usize,
-    pub(crate) next_node: u32,
-    pub(crate) next_ctx: u32,
-    pub(crate) ops: Vec<Op>,
-    pub(crate) masks: Vec<u64>,
-    pub(crate) tables: Vec<u16>,
-    pub(crate) sdfa_off: Vec<u32>,
-    pub(crate) sdfa_start: Vec<u16>,
-    pub(crate) sdfa_node: Vec<u32>,
-    pub(crate) num_off: Vec<u32>,
-    pub(crate) num_start: Vec<u16>,
-    pub(crate) num_node: Vec<u32>,
-    pub(crate) sub1_bitmap: Vec<u64>,
-    pub(crate) sub1_target: Vec<u32>,
-    pub(crate) sub1_node: Vec<u32>,
-    pub(crate) subn: Vec<SubUnit>,
+/// ORs `node` into the fire mask of unit `unit`, which is either one of
+/// the units `fires` already covers or the next one.
+fn subscribe(fires: &mut Vec<u64>, words: usize, unit: usize, node: u32) {
+    if fires.len() == unit * words {
+        fires.resize((unit + 1) * words, 0);
+    }
+    fires[unit * words + node as usize / 64] |= 1u64 << (node % 64);
 }
 
-impl Builder {
+/// Builder state threaded through the post-order compile walk of a
+/// group's members, one after the other: node and context numbering
+/// carries on from member to member, so each gets a node range of its
+/// own, and a primitive equal to a unit already built subscribes its node
+/// to that unit's fire mask instead of becoming a second one.
+#[derive(Default)]
+struct Builder<'e> {
+    words: usize,
+    next_node: u32,
+    next_ctx: u32,
+    ops: Vec<Op>,
+    masks: Vec<u64>,
+    tables: Vec<u16>,
+    /// What each DFA unit was built from — compared before building, so
+    /// a duplicate costs no automaton construction.
+    sdfa_needle: Vec<&'e [u8]>,
+    sdfa_off: Vec<u32>,
+    sdfa_start: Vec<u16>,
+    sdfa_fire: Vec<u64>,
+    num_bounds: Vec<&'e NumberBounds>,
+    num_off: Vec<u32>,
+    num_start: Vec<u16>,
+    num_fire: Vec<u64>,
+    sub1_bitmap: Vec<u64>,
+    sub1_target: Vec<u32>,
+    sub1_fire: Vec<u64>,
+    subn: Vec<SubstringMatcher>,
+    subn_fire: Vec<u64>,
+}
+
+impl<'e> Builder<'e> {
     fn alloc_node(&mut self) -> u32 {
         let n = self.next_node;
         self.next_node += 1;
@@ -967,10 +1016,11 @@ impl Builder {
         (off, dfa.dense_start())
     }
 
-    pub(crate) fn visit(&mut self, expr: &Expr) -> u32 {
+    fn visit(&mut self, expr: &'e Expr) -> u32 {
         match expr {
             Expr::Str(spec) => {
-                let node = match spec.technique {
+                let node = self.alloc_node();
+                match spec.technique {
                     StringTechnique::Dfa | StringTechnique::Window => {
                         if spec.technique == StringTechnique::Window {
                             // Validate through the reference primitive
@@ -979,41 +1029,62 @@ impl Builder {
                             // fire-identical to the shift register.
                             let _ = WindowMatcher::new(&spec.needle);
                         }
-                        let m = DfaStringMatcher::new(&spec.needle);
-                        let (off, start) = self.add_dense(m.dfa());
-                        let node = self.alloc_node();
-                        self.sdfa_off.push(off);
-                        self.sdfa_start.push(start);
-                        self.sdfa_node.push(node);
-                        node
+                        let seen = self.sdfa_needle.iter().position(|n| *n == spec.needle);
+                        let unit = seen.unwrap_or_else(|| {
+                            let m = DfaStringMatcher::new(&spec.needle);
+                            let (off, start) = self.add_dense(m.dfa());
+                            self.sdfa_needle.push(&spec.needle);
+                            self.sdfa_off.push(off);
+                            self.sdfa_start.push(start);
+                            self.sdfa_off.len() - 1
+                        });
+                        subscribe(&mut self.sdfa_fire, self.words, unit, node);
+                    }
+                    StringTechnique::Substring(1) => {
+                        let m = SubstringMatcher::new(&spec.needle, 1)
+                            .expect("expression was validated at compile time");
+                        let mut bitmap = [0u64; 4];
+                        for blk in m.blocks() {
+                            let x = blk[0];
+                            bitmap[(x >> 6) as usize] |= 1u64 << (x & 63);
+                        }
+                        let units = self.sub1_bitmap.chunks_exact(4).zip(&self.sub1_target);
+                        let seen = units
+                            .map(|(b, &t)| b == bitmap && t == m.target())
+                            .position(|same| same);
+                        let unit = seen.unwrap_or_else(|| {
+                            self.sub1_bitmap.extend(bitmap);
+                            self.sub1_target.push(m.target());
+                            self.sub1_target.len() - 1
+                        });
+                        subscribe(&mut self.sub1_fire, self.words, unit, node);
                     }
                     StringTechnique::Substring(b) => {
                         let m = SubstringMatcher::new(&spec.needle, b)
                             .expect("expression was validated at compile time");
-                        let node = self.alloc_node();
-                        if b == 1 {
-                            let mut bitmap = [0u64; 4];
-                            for blk in m.blocks() {
-                                let x = blk[0];
-                                bitmap[(x >> 6) as usize] |= 1u64 << (x & 63);
-                            }
-                            self.sub1_bitmap.extend(bitmap);
-                            self.sub1_target.push(m.target());
-                            self.sub1_node.push(node);
-                        } else {
-                            self.subn.push(SubUnit { matcher: m, node });
-                        }
-                        node
+                        let same = |u: &SubstringMatcher| {
+                            u.blocks() == m.blocks() && u.target() == m.target()
+                        };
+                        let unit = self.subn.iter().position(same).unwrap_or_else(|| {
+                            self.subn.push(m);
+                            self.subn.len() - 1
+                        });
+                        subscribe(&mut self.subn_fire, self.words, unit, node);
                     }
-                };
+                }
                 node
             }
             Expr::Num(bounds) => {
-                let (off, start) = self.add_dense(&bounds.to_dfa());
                 let node = self.alloc_node();
-                self.num_off.push(off);
-                self.num_start.push(start);
-                self.num_node.push(node);
+                let seen = self.num_bounds.iter().position(|b| *b == bounds);
+                let unit = seen.unwrap_or_else(|| {
+                    let (off, start) = self.add_dense(&bounds.to_dfa());
+                    self.num_bounds.push(bounds);
+                    self.num_off.push(off);
+                    self.num_start.push(start);
+                    self.num_off.len() - 1
+                });
+                subscribe(&mut self.num_fire, self.words, unit, node);
                 node
             }
             Expr::And(cs) | Expr::Or(cs) => {
@@ -1058,7 +1129,7 @@ impl Builder {
     }
 }
 
-pub(crate) fn count_nodes(expr: &Expr) -> usize {
+fn count_nodes(expr: &Expr) -> usize {
     match expr {
         Expr::Str(_) | Expr::Num(_) => 1,
         Expr::And(cs) | Expr::Or(cs) | Expr::Ctx(cs, _) => {
@@ -1076,23 +1147,33 @@ impl Engine {
     /// expressions through the smart constructors to avoid this.
     pub fn compile(expr: &Expr) -> Engine {
         expr.validate().expect("expression must be well-formed");
-        let num_nodes = count_nodes(expr);
+        Self::compile_group(&[expr])
+    }
+
+    /// Compiles a group of validated expressions into one flat program —
+    /// see the [module docs](self#groups). [`Engine::on_byte`] and
+    /// [`Engine::on_block`] then answer "has any member accepted", and
+    /// [`Engine::member_accepts`] tells them apart.
+    pub(crate) fn compile_group(exprs: &[&Expr]) -> Engine {
+        let num_nodes: usize = exprs.iter().map(|e| count_nodes(e)).sum();
         let words = num_nodes.div_ceil(64);
         let mut b = Builder {
             words,
             ..Builder::default()
         };
-        let root = b.visit(expr);
+        let roots: Vec<u32> = exprs.iter().map(|e| b.visit(e)).collect();
         debug_assert_eq!(b.next_node as usize, num_nodes);
+        let mut root_mask = vec![0u64; words];
+        for &root in &roots {
+            Self::set_bit(&mut root_mask, root);
+        }
 
         // Block-scan eligibility and derived tables.
-        let (matchers, subn_node): (Vec<_>, Vec<_>) =
-            b.subn.into_iter().map(|u| (u.matcher, u.node)).unzip();
-        let subn = BlockUnits::new(matchers);
-        let path = scan_path(num_nodes, &b.sub1_target, &subn, blockhit::LANES);
+        let subn = BlockUnits::new(b.subn);
+        let path = scan_path(num_nodes, &b.sub1_target, &subn);
         let mut sub1_hits = Vec::new();
         let mut sub1_targets_packed = 0u64;
-        if path == ScanPath::Block && !b.sub1_node.is_empty() {
+        if path == ScanPath::Block && !b.sub1_target.is_empty() {
             sub1_hits = vec![0u64; 256];
             for (i, bitmap) in b.sub1_bitmap.chunks_exact(4).enumerate() {
                 for (byte, hit) in sub1_hits.iter_mut().enumerate() {
@@ -1103,17 +1184,21 @@ impl Engine {
             }
             sub1_targets_packed = blockhit::pack_targets(&b.sub1_target)[0];
         }
-        let prefilter = Prefilter::build(expr).map(|filter| PrefilterState {
-            filter,
+        // A member without a prefilter can match any record, so the
+        // group then has none.
+        let filters: Option<Vec<Prefilter>> = exprs.iter().map(|e| Prefilter::build(e)).collect();
+        let prefilter = filters.map(|filters| PrefilterState {
+            filters,
             live: true,
             checked: 0,
             rejected: 0,
         });
 
         let engine = Engine {
-            expr: expr.clone(),
+            exprs: exprs.iter().map(|&e| e.clone()).collect(),
             words,
-            root,
+            roots,
+            root_mask,
             has_ctx: b.next_ctx > 0,
             ops: b.ops,
             masks: b.masks,
@@ -1121,37 +1206,37 @@ impl Engine {
             sdfa_state: b.sdfa_start.clone(),
             sdfa_off: b.sdfa_off,
             sdfa_start: b.sdfa_start,
-            sdfa_node: b.sdfa_node,
+            sdfa_fire: b.sdfa_fire,
             num_state: b.num_start.clone(),
-            num_in_token: vec![false; b.num_off.len()],
+            num_in_token: false,
             num_off: b.num_off,
             num_start: b.num_start,
-            num_node: b.num_node,
+            num_fire: b.num_fire,
             sub1_counter: vec![0; b.sub1_target.len()],
             sub1_bitmap: b.sub1_bitmap,
             sub1_target: b.sub1_target,
-            sub1_node: b.sub1_node,
+            sub1_fire: b.sub1_fire,
             subn,
-            subn_node,
+            subn_fire: b.subn_fire,
             path,
             sub1_hits,
             sub1_targets_packed,
             prefilter,
             stats: EngineStats::default(),
-            fresh: true,
+            phase: Phase::Fresh,
             latch: vec![0; words],
             prev: vec![0; words],
             flag_level: vec![0; b.next_ctx as usize],
             tracker: StreamTracker::new(),
         };
-        // Static self-verification: the flat program must be structurally
-        // well-formed before the unchecked hot loop ever runs it. The full
-        // diagnostic pass (including cross-artifact table checks) lives in
-        // `rfjson-verify`; this debug-only gate catches compiler bugs at
-        // the point of creation.
+        // Static self-verification: every member's flat program must be
+        // structurally well-formed before the unchecked hot loop ever
+        // runs it. The full diagnostic pass (including cross-artifact
+        // table checks) lives in `rfjson-verify`; this debug-only gate
+        // catches compiler bugs at the point of creation.
         #[cfg(debug_assertions)]
-        {
-            let faults = engine.program_view().check();
+        for (i, expr) in exprs.iter().enumerate() {
+            let faults = engine.member_view(i).check();
             debug_assert!(
                 faults.is_empty(),
                 "Engine::compile produced an ill-formed program for `{expr}`: {faults:?}"
@@ -1160,60 +1245,151 @@ impl Engine {
         engine
     }
 
-    /// The source expression.
+    /// The source expression (of a group: its first member's).
     pub fn expr(&self) -> &Expr {
-        &self.expr
+        &self.exprs[0]
+    }
+
+    /// The source expressions of the group's members, in member order.
+    pub fn exprs(&self) -> &[Expr] {
+        &self.exprs
     }
 
     /// Snapshots the flat node program for static verification — see
-    /// [`ProgramView`].
+    /// [`ProgramView`]. Of a group, this is member 0.
     pub fn program_view(&self) -> ProgramView {
-        let unit_views = |offs: &[u32], starts: &[u16], nodes: &[u32]| -> Vec<DfaUnitView> {
-            offs.iter()
-                .zip(starts)
-                .zip(nodes)
-                .map(|((&table_off, &start), &node)| DfaUnitView {
-                    table_off,
-                    start,
-                    node,
-                })
-                .collect()
+        self.member_view(0)
+    }
+
+    /// Snapshots member `i`'s part of the program as a single-root
+    /// [`ProgramView`] of its own: nodes, masks and context slots are
+    /// rebased to start at 0, the dense tables are the group's, and a
+    /// unit the member reads through several leaves is listed once per
+    /// leaf, in node order — exactly what compiling the member alone
+    /// lists, so the verifier's passes apply unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not a member index.
+    pub fn member_view(&self, i: usize) -> ProgramView {
+        let lo = if i == 0 { 0 } else { self.roots[i - 1] + 1 };
+        let root = self.roots[i];
+        let mine = |node: u32| (lo..=root).contains(&node);
+        let words = ((root + 1 - lo) as usize).div_ceil(64);
+        let mut masks = Vec::new();
+        let mut rebase = |off: u32| -> u32 {
+            let new_off = masks.len();
+            masks.resize(new_off + words, 0);
+            let mask = &self.masks[off as usize..off as usize + self.words];
+            for bit in mask_bits(mask).into_iter().filter(|&b| mine(b)) {
+                Self::set_bit(&mut masks[new_off..], bit - lo);
+            }
+            new_off as u32
+        };
+        let is_ctx = |op: &&Op| matches!(op.kind, OpKind::Ctx { .. });
+        let ctx_base = self
+            .ops
+            .iter()
+            .filter(|op| op.node < lo)
+            .filter(is_ctx)
+            .count() as u32;
+        let ops: Vec<OpView> = self
+            .ops
+            .iter()
+            .filter(|op| mine(op.node))
+            .map(|op| OpView {
+                node: op.node - lo,
+                mask_off: rebase(op.mask_off),
+                kind: match op.kind {
+                    OpKind::And => OpKindView::And,
+                    OpKind::Or => OpKindView::Or,
+                    OpKind::Ctx {
+                        clear_off,
+                        ctx_id,
+                        ctx_lo,
+                        member,
+                    } => OpKindView::Ctx {
+                        clear_off: rebase(clear_off),
+                        ctx_id: ctx_id - ctx_base,
+                        ctx_lo: ctx_lo - ctx_base,
+                        member,
+                    },
+                },
+            })
+            .collect();
+        // `(member node, unit)` of every leaf of the member that reads a
+        // unit of `fires`, in node order.
+        let leaves = |fires: &[u64]| -> Vec<(u32, usize)> {
+            let units = fires.chunks_exact(self.words).enumerate();
+            let mut leaves: Vec<(u32, usize)> = units
+                .flat_map(|(unit, fire)| mask_bits(fire).into_iter().map(move |n| (n, unit)))
+                .filter(|&(n, _)| mine(n))
+                .map(|(n, unit)| (n - lo, unit))
+                .collect();
+            leaves.sort_unstable();
+            leaves
+        };
+        let dfa_views = |offs: &[u32], starts: &[u16], fires: &[u64]| -> Vec<DfaUnitView> {
+            let view = |(node, unit): (u32, usize)| DfaUnitView {
+                table_off: offs[unit],
+                start: starts[unit],
+                node,
+            };
+            leaves(fires).into_iter().map(view).collect()
+        };
+        let subn_nodes = |keep: fn(usize) -> bool| -> Vec<u32> {
+            let kept = |&(_, unit): &(u32, usize)| keep(self.subn.units()[unit].block_length());
+            let leaves = leaves(&self.subn_fire).into_iter().filter(kept);
+            leaves.map(|(node, _)| node).collect()
         };
         ProgramView {
-            num_nodes: self.root + 1,
-            words: self.words,
-            root: self.root,
-            ops: self.ops.iter().map(Op::view).collect(),
-            masks: self.masks.clone(),
-            num_ctxs: self.flag_level.len() as u32,
+            num_nodes: root + 1 - lo,
+            words,
+            root: root - lo,
+            num_ctxs: self
+                .ops
+                .iter()
+                .filter(|op| mine(op.node))
+                .filter(is_ctx)
+                .count() as u32,
+            ops,
             tables: self.tables.clone(),
-            string_dfas: unit_views(&self.sdfa_off, &self.sdfa_start, &self.sdfa_node),
-            number_dfas: unit_views(&self.num_off, &self.num_start, &self.num_node),
-            sub1_nodes: self.sub1_node.clone(),
-            subp_nodes: self.subn_nodes(|b| b <= 8),
-            wide_nodes: self.subn_nodes(|b| b > 8),
+            string_dfas: dfa_views(&self.sdfa_off, &self.sdfa_start, &self.sdfa_fire),
+            number_dfas: dfa_views(&self.num_off, &self.num_start, &self.num_fire),
+            sub1_nodes: leaves(&self.sub1_fire)
+                .into_iter()
+                .map(|(n, _)| n)
+                .collect(),
+            subp_nodes: subn_nodes(|b| b <= 8),
+            wide_nodes: subn_nodes(|b| b > 8),
+            masks,
         }
     }
 
-    /// Latch bits of the B ≥ 2 units whose block length satisfies `keep`.
-    fn subn_nodes(&self, keep: impl Fn(usize) -> bool) -> Vec<u32> {
-        let nodes = self.subn.units().iter().zip(&self.subn_node);
-        nodes
-            .filter(|(unit, _)| keep(unit.block_length()))
-            .map(|(_, &n)| n)
-            .collect()
-    }
-
     /// The pooled block-hit automaton of the B ≥ 2 substring units, for
-    /// static verification: lane *i* is the *i*-th such unit in compile
-    /// order. `None` without such units or past the table cap.
+    /// static verification: lane *i* is the *i*-th distinct such unit in
+    /// compile order. `None` without such units or past the table cap.
     pub fn block_automaton_view(&self) -> Option<&BlockAutomatonView> {
         self.subn.automaton().map(blockhit::BlockAutomaton::view)
     }
 
     /// Number of nodes in the flat program (primitives + combinators).
     pub fn num_nodes(&self) -> usize {
-        self.root as usize + 1
+        self.roots.last().map_or(0, |&root| root as usize + 1)
+    }
+
+    /// The primitive units the program instantiates, after
+    /// deduplication.
+    pub fn unit_counts(&self) -> UnitCounts {
+        let units = self.subn.units();
+        let subp = units.iter().filter(|u| u.block_length() <= 8).count();
+        UnitCounts {
+            string_dfas: self.sdfa_off.len(),
+            number_dfas: self.num_off.len(),
+            sub1: self.sub1_target.len(),
+            subp,
+            wide: units.len() - subp,
+        }
     }
 
     /// Total size of the dense transition tables in bytes — the price of
@@ -1232,13 +1408,44 @@ impl Engine {
         v[i as usize / 64] |= 1u64 << (i % 64);
     }
 
+    /// ORs a unit's fire mask into the latch bitset.
+    #[inline]
+    fn fire(latch: &mut [u64], fires: &[u64], unit: usize) {
+        let words = latch.len();
+        for (l, f) in latch.iter_mut().zip(&fires[unit * words..]) {
+            *l |= f;
+        }
+    }
+
+    /// Whether member `i`'s root has latched — the per-member form of the
+    /// accept signal [`Engine::on_byte`] returns.
+    #[inline]
+    pub fn member_accepts(&self, i: usize) -> bool {
+        Self::bit(&self.latch, self.roots[i])
+    }
+
     /// Advances one cycle; returns the current (latched) record-accept
     /// signal. Bit-identical to
     /// [`CompiledFilter::on_byte`](crate::evaluator::CompiledFilter::on_byte).
+    ///
+    /// After the prefilter rejected the record ([`Engine::on_block`]) the
+    /// answer is `false` and no state moves until the next
+    /// [`Engine::reset`]: the root of a rejected record cannot latch, on
+    /// its separator or anywhere else.
     #[inline]
     pub fn on_byte(&mut self, byte: u8) -> bool {
+        if self.phase == Phase::Rejected {
+            self.stats.bytes_prefilter_skipped += 1;
+            return false;
+        }
+        self.step_byte(byte)
+    }
+
+    /// One byte-serial cycle of a record that is being scanned.
+    #[inline]
+    fn step_byte(&mut self, byte: u8) -> bool {
         self.stats.bytes_byte_serial += 1;
-        self.fresh = false;
+        self.phase = Phase::Scanning;
         let mut depth = 0u32;
         let mut is_close = false;
         let mut is_comma = false;
@@ -1258,7 +1465,7 @@ impl Engine {
         self.run_program(depth, is_close, is_comma)
     }
 
-    /// Primitive sweep — flat loops, no dispatch; fire bits are ORed into
+    /// Primitive sweep — flat loops, no dispatch; fire masks are ORed into
     /// the latch bitset.
     #[inline]
     fn step_primitives(&mut self, byte: u8) {
@@ -1268,25 +1475,26 @@ impl Engine {
                 [self.sdfa_off[i] as usize + (s & STATE_MASK) as usize * 256 + byte as usize];
             self.sdfa_state[i] = s;
             if s & DENSE_ACCEPT_BIT != 0 {
-                Self::set_bit(&mut self.latch, self.sdfa_node[i]);
+                Self::fire(&mut self.latch, &self.sdfa_fire, i);
             }
         }
-        let num_byte = is_number_byte(byte);
-        for i in 0..self.num_state.len() {
-            if num_byte {
+        if is_number_byte(byte) {
+            for i in 0..self.num_state.len() {
                 let s = self.num_state[i];
                 self.num_state[i] = self.tables
                     [self.num_off[i] as usize + (s & STATE_MASK) as usize * 256 + byte as usize];
-                self.num_in_token[i] = true;
-            } else if self.num_in_token[i] {
-                // Token boundary: the automaton is evaluated, then rearmed.
-                // (Outside tokens the state already sits at start.)
+            }
+            self.num_in_token = true;
+        } else if self.num_in_token {
+            // Token boundary: the automata are evaluated, then rearmed.
+            // (Outside tokens the states already sit at start.)
+            for i in 0..self.num_state.len() {
                 if self.num_state[i] & DENSE_ACCEPT_BIT != 0 {
-                    Self::set_bit(&mut self.latch, self.num_node[i]);
+                    Self::fire(&mut self.latch, &self.num_fire, i);
                 }
                 self.num_state[i] = self.num_start[i];
-                self.num_in_token[i] = false;
             }
+            self.num_in_token = false;
         }
         for i in 0..self.sub1_counter.len() {
             let hit = self.sub1_bitmap[i * 4 + (byte >> 6) as usize] & (1u64 << (byte & 63)) != 0;
@@ -1297,12 +1505,12 @@ impl Engine {
             };
             self.sub1_counter[i] = c;
             if c >= self.sub1_target[i] {
-                Self::set_bit(&mut self.latch, self.sub1_node[i]);
+                Self::fire(&mut self.latch, &self.sub1_fire, i);
             }
         }
-        let (latch, nodes) = (&mut self.latch, &self.subn_node);
+        let (latch, fires) = (&mut self.latch, &self.subn_fire);
         self.subn
-            .on_byte(byte, |unit| Self::set_bit(latch, nodes[unit]));
+            .on_byte(byte, |unit| Self::fire(latch, fires, unit));
     }
 
     /// Node program: post-order, so children are final before their
@@ -1310,9 +1518,14 @@ impl Engine {
     /// one-word case (≤ 64 nodes — every realistic filter) keeps the
     /// whole latch bitset in a register across the program
     /// ([`run_program_word`], shared with the block-scan fast path).
-    /// Returns the root (record-accept) latch.
+    /// Returns the accept signal: some root has latched.
     #[inline]
     fn run_program(&mut self, depth: u32, is_close: bool, is_comma: bool) -> bool {
+        let ev = ByteEvent {
+            depth,
+            is_close,
+            is_comma,
+        };
         if self.words == 1 {
             let l = run_program_word(
                 &self.ops,
@@ -1320,14 +1533,10 @@ impl Engine {
                 &mut self.flag_level,
                 self.latch[0],
                 self.prev[0],
-                ByteEvent {
-                    depth,
-                    is_close,
-                    is_comma,
-                },
+                ev,
             );
             self.latch[0] = l;
-            return l & (1u64 << self.root) != 0;
+            return l & self.root_mask[0] != 0;
         }
         run_program_multi(
             &self.ops,
@@ -1336,26 +1545,32 @@ impl Engine {
             &mut self.latch,
             &self.prev,
             &mut self.flag_level,
-            ByteEvent {
-                depth,
-                is_close,
-                is_comma,
-            },
+            ev,
         );
-        Self::bit(&self.latch, self.root)
+        self.accepts()
+    }
+
+    /// Some root bit is latched.
+    #[inline]
+    fn accepts(&self) -> bool {
+        let mut roots = self.latch.iter().zip(&self.root_mask);
+        roots.any(|(l, m)| l & m != 0)
     }
 
     /// Record-boundary reset: latches, primitive state, structural state.
+    /// After a record the prefilter rejected there is nothing to undo.
     pub fn reset(&mut self) {
+        if std::mem::replace(&mut self.phase, Phase::Fresh) == Phase::Rejected {
+            return;
+        }
         self.latch.fill(0);
         self.flag_level.fill(0);
         self.sdfa_state.copy_from_slice(&self.sdfa_start);
         self.num_state.copy_from_slice(&self.num_start);
-        self.num_in_token.fill(false);
+        self.num_in_token = false;
         self.sub1_counter.fill(0);
         self.subn.reset();
         self.tracker.reset();
-        self.fresh = true;
     }
 
     /// Which path [`Engine::on_block`] takes: the SWAR block-scan loop,
@@ -1410,10 +1625,10 @@ impl Engine {
     /// Two accelerations apply on top of the byte loop:
     ///
     /// * On that first whole-record block, the literal prefilter may
-    ///   prove `NoMatch` without scanning (state untouched —
-    ///   a rejected record provably cannot latch the root, and any
-    ///   trailing separator byte fed serially reproduces the same `false`
-    ///   decision from the untouched state).
+    ///   prove `NoMatch` without scanning. A rejected record provably
+    ///   cannot latch a root, so the engine stays at its reset state and
+    ///   answers `false` to whatever else is fed — the separator — until
+    ///   the next [`Engine::reset`], which then has nothing to undo.
     /// * Eligible programs ([`Engine::scan_path`]) run the SWAR word
     ///   loop: per-word classification and string-mask resolution, packed
     ///   run counters for all substring units (B = 1 from a byte hit
@@ -1421,40 +1636,44 @@ impl Engine {
     ///   number-DFA stepping, and the node program only on bytes where a
     ///   fire signal or an unmasked close/comma makes it observable.
     pub fn on_block(&mut self, block: &[u8]) -> bool {
-        let was_fresh = std::mem::replace(&mut self.fresh, false);
-        if was_fresh {
+        if self.phase == Phase::Fresh {
+            self.phase = Phase::Scanning;
             self.stats.records += 1;
             if let Some(pf) = self.prefilter.as_mut().filter(|pf| pf.live) {
                 pf.checked += 1;
                 self.stats.prefilter_checked += 1;
-                let (rejected, probed) = pf.filter.rejects_counting(block);
-                self.stats.prefilter_probed_bytes += probed;
+                let rejected = pf.filters.iter().all(|filter| {
+                    let (rejected, probed) = filter.rejects_counting(block);
+                    self.stats.prefilter_probed_bytes += probed;
+                    rejected
+                });
                 if rejected {
                     pf.rejected += 1;
                     self.stats.prefilter_rejected += 1;
+                    self.phase = Phase::Rejected;
                 }
                 if pf.checked == Self::PREFILTER_PROBATION && pf.rejected == 0 {
                     // The stream never benefits; stop paying the scan.
                     pf.live = false;
                     self.stats.prefilter_disabled += 1;
                 }
-                if rejected {
-                    self.stats.bytes_prefilter_skipped += block.len() as u64;
-                    return false;
-                }
             }
+        }
+        if self.phase == Phase::Rejected {
+            self.stats.bytes_prefilter_skipped += block.len() as u64;
+            return false;
         }
         if self.path == ScanPath::Block {
             // The word loop consumes the aligned portion; the sub-word
-            // tail goes through `on_byte`, which counts itself.
+            // tail goes through `step_byte`, which counts itself.
             self.stats.bytes_block += (block.len() & !(swar::WORD_BYTES - 1)) as u64;
             self.on_block_swar(block);
         } else {
             for &b in block {
-                self.on_byte(b);
+                self.step_byte(b);
             }
         }
-        Self::bit(&self.latch, self.root)
+        self.accepts()
     }
 
     /// The SWAR word loop behind [`Engine::on_block`]. Scalar per-unit
@@ -1464,16 +1683,14 @@ impl Engine {
     fn on_block_swar(&mut self, block: &[u8]) {
         let (mut in_string, mut pending_escape, mut depth) = self.tracker.state();
         let mut l = self.latch[0];
-        let nsub1 = self.sub1_node.len();
+        let nsub1 = self.sub1_target.len();
         // Run counters of both unit kinds, one saturating byte per lane.
         let mut c1 = blockhit::pack_counters(&self.sub1_counter)[0];
         let mut cn = blockhit::pack_counters(&self.subn.counters)[0];
         let mut row = self.subn.row;
         let subn = self.subn.automaton();
         let subn_targets = subn.map_or(0, |a| a.view().targets_packed[0]);
-        // All number units share one token trajectory (`is_number_byte`
-        // does not depend on the unit), so a single flag suffices.
-        let mut in_token = self.num_in_token.first().is_some_and(|&t| t);
+        let mut in_token = self.num_in_token;
         let has_ctx = self.has_ctx;
 
         let mut chunks = block.chunks_exact(swar::WORD_BYTES);
@@ -1509,7 +1726,7 @@ impl Engine {
                     let (c, f) = lane_step(c1, h, self.sub1_targets_packed);
                     c1 = c;
                     for lane in fired_lanes(f) {
-                        fires |= 1u64 << self.sub1_node[lane];
+                        fires |= self.sub1_fire[lane];
                     }
                 }
                 if let Some(a) = subn {
@@ -1519,7 +1736,7 @@ impl Engine {
                     let (c, f) = lane_step(cn, h, subn_targets);
                     cn = c;
                     for lane in fired_lanes(f) {
-                        fires |= 1u64 << self.subn_node[lane];
+                        fires |= self.subn_fire[lane];
                     }
                 }
                 if is_number_byte(byte) {
@@ -1533,7 +1750,7 @@ impl Engine {
                 } else if in_token {
                     for i in 0..self.num_state.len() {
                         if self.num_state[i] & DENSE_ACCEPT_BIT != 0 {
-                            fires |= 1u64 << self.num_node[i];
+                            fires |= self.num_fire[i];
                         }
                         self.num_state[i] = self.num_start[i];
                     }
@@ -1546,7 +1763,7 @@ impl Engine {
                         + byte as usize];
                     self.sdfa_state[i] = s;
                     if s & DENSE_ACCEPT_BIT != 0 {
-                        fires |= 1u64 << self.sdfa_node[i];
+                        fires |= self.sdfa_fire[i];
                     }
                 }
 
@@ -1593,11 +1810,16 @@ impl Engine {
         blockhit::unpack_counters(&[c1], &mut self.sub1_counter);
         blockhit::unpack_counters(&[cn], &mut self.subn.counters);
         self.subn.row = row;
-        self.num_in_token.fill(in_token);
+        self.num_in_token = in_token;
         self.tracker.restore(in_string, pending_escape, depth);
         for &byte in chunks.remainder() {
-            self.on_byte(byte);
+            self.step_byte(byte);
         }
+    }
+
+    /// Drains the per-stream tallies.
+    pub(crate) fn take_stats(&mut self) -> EngineStats {
+        std::mem::take(&mut self.stats)
     }
 }
 
@@ -1611,7 +1833,7 @@ impl crate::backend::FilterBackend for Engine {
     }
 
     fn expr(&self) -> &Expr {
-        &self.expr
+        Engine::expr(self)
     }
 
     #[inline]
@@ -1629,7 +1851,7 @@ impl crate::backend::FilterBackend for Engine {
     }
 
     fn flush_telemetry(&mut self) {
-        let s = std::mem::take(&mut self.stats);
+        let s = self.take_stats();
         if s.is_empty() {
             return;
         }

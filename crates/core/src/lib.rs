@@ -26,14 +26,16 @@
 //! * [`engine`] — the flattened table-driven batch execution engine:
 //!   same semantics as [`evaluator`] (held equal by differential tests),
 //!   several times faster; the path to use for bulk software filtering.
-//! * [`blockhit`] — the kernel both engines step their B ≥ 2 substring
+//! * [`blockhit`] — the kernel the engine steps its B ≥ 2 substring
 //!   units with: one pooled block-hit automaton plus packed lane counters.
 //! * [`prefilter`] — the engine's record-level literal prefilter: proves a
 //!   record `NoMatch` from every N-th byte when a required string unit
 //!   cannot fire anywhere in it.
-//! * [`multi`] — the fused multi-query engine: one shared scan answers a
-//!   whole batch of queries through a deduplicated matcher-unit pool,
-//!   behind the [`MultiBackend`](multi::MultiBackend) surface.
+//! * [`multi`] — the fused multi-query engine: a batch partitioned into
+//!   groups of queries that share needles, each group one [`engine`]
+//!   program over deduplicated matcher units, each record routed by its
+//!   group's prefilter; behind the [`MultiBackend`](multi::MultiBackend)
+//!   surface.
 //! * [`cosim`] — the elaborated netlist running in the cycle-accurate
 //!   RTL simulator, behind the same backend interface.
 //! * [`elaborate`] — elaboration of any composed filter into an

@@ -8,7 +8,7 @@
 //! struct is resolved once per process; after that a flush is a handful
 //! of relaxed atomic adds — and nothing at all under `telemetry-off`.
 
-use rfjson_telemetry::Counter;
+use rfjson_telemetry::{Counter, Gauge};
 use std::sync::OnceLock;
 
 /// `engine.*` counter handles (single-query [`Engine`](crate::Engine)).
@@ -50,21 +50,26 @@ pub(crate) fn engine_metrics() -> &'static EngineMetrics {
     })
 }
 
-/// `multi.*` counter handles (fused [`MultiEngine`](crate::multi::MultiEngine)).
+/// `multi.*` handles (fused [`MultiEngine`](crate::multi::MultiEngine)).
+/// The byte counters are the group engines' tallies summed, so a stream
+/// byte is counted once per group.
 pub(crate) struct MultiMetrics {
     /// `multi.records`: records scored by a fused batch scan.
     pub records: &'static Counter,
-    /// `multi.bytes.block`: bytes scanned by the fused SWAR word loop.
+    /// `multi.bytes.block`: bytes scanned by a group's SWAR word loop.
     pub bytes_block: &'static Counter,
-    /// `multi.bytes.byte_serial`: bytes through the fused serial path.
+    /// `multi.bytes.byte_serial`: bytes through a group's serial path.
     pub bytes_byte_serial: &'static Counter,
-    /// `multi.gate_skips.sub1`: block-path bytes where the pooled single-byte
-    /// substring bank was skipped by the 256-bit any-unit gate.
-    pub gate_skips_sub1: &'static Counter,
-    /// `multi.gate_skips.subp`: block-path bytes whose pooled block-hit
-    /// mask was zero — no B ≥ 2 substring unit saw one of its blocks end
-    /// there, so every run counter of that pool reset.
-    pub gate_skips_subp: &'static Counter,
+    /// `multi.bytes.prefilter_skipped`: bytes of records (separator
+    /// included) a group's prefilter rejected.
+    pub bytes_prefilter_skipped: &'static Counter,
+    /// `multi.group_scans`: (group, record) pairs the group scanned.
+    pub group_scans: &'static Counter,
+    /// `multi.group_rejects`: (group, record) pairs the group's prefilter
+    /// rejected.
+    pub group_rejects: &'static Counter,
+    /// `multi.groups`: groups of the batch that flushed last.
+    pub groups: &'static Gauge,
 }
 
 pub(crate) fn multi_metrics() -> &'static MultiMetrics {
@@ -73,7 +78,9 @@ pub(crate) fn multi_metrics() -> &'static MultiMetrics {
         records: rfjson_telemetry::counter("multi.records"),
         bytes_block: rfjson_telemetry::counter("multi.bytes.block"),
         bytes_byte_serial: rfjson_telemetry::counter("multi.bytes.byte_serial"),
-        gate_skips_sub1: rfjson_telemetry::counter("multi.gate_skips.sub1"),
-        gate_skips_subp: rfjson_telemetry::counter("multi.gate_skips.subp"),
+        bytes_prefilter_skipped: rfjson_telemetry::counter("multi.bytes.prefilter_skipped"),
+        group_scans: rfjson_telemetry::counter("multi.group_scans"),
+        group_rejects: rfjson_telemetry::counter("multi.group_rejects"),
+        groups: rfjson_telemetry::gauge("multi.groups"),
     })
 }

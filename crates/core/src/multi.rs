@@ -1,26 +1,42 @@
-//! Multi-query fused execution: scan the stream once, answer every query.
+//! Multi-query fused execution: answer a whole batch of queries from one
+//! pass over the stream.
 //!
 //! The paper's deployment model is many resident filter queries screening
 //! one raw JSON stream (§IV-B); Mitra et al. showed for XML that the win
-//! at scale comes from sharing the document scan across all concurrent
-//! profiles. [`MultiEngine`] is that sharing step for the software stack:
-//! a batch of expressions compiles into **one fused execution plan** that
-//! runs the expensive per-byte work — framing, byte classification,
-//! string masking, the SWAR block scan — exactly once per stream, and
-//! feeds a **deduplicated pool of matcher units** whose fire events drive
-//! per-query flat-program lanes.
+//! at scale comes from one datapath serving all concurrent profiles.
+//! [`MultiEngine`] is that step for the software stack, and it has no
+//! datapath of its own: it **partitions the batch into groups**, compiles
+//! each group into one [`Engine`] (one flat program, members in disjoint
+//! node ranges, primitive units deduplicated — see the
+//! [engine docs](crate::engine#groups)), fans every call out over the
+//! groups and scatters their root bits into the batch's verdict words.
 //!
-//! * **Unit pool** — identical primitive units appearing in several
-//!   queries (same key automaton, same number-range DFA, same substring
-//!   comparator bank) are instantiated once. Deduplication is a
-//!   common-subexpression census keyed on the deterministic builder
-//!   output the static verifier already exploits: two units share a pool
-//!   slot iff their dense tables / bitmaps / packed blocks are
-//!   bit-identical, so sharing can never change a decision.
-//! * **Lanes** — every query keeps its own post-order flat program,
-//!   latch bitset and context flag levels. A pool unit carries a
-//!   subscriber list; when it fires, it ORs the fire bit into each
-//!   subscribing lane's latches.
+//! * **Grouping.** Two queries that share a *required needle* — the
+//!   needle of a string unit every match of the query must fire, the
+//!   [prefilter](crate::prefilter)'s notion — tend to match the same
+//!   records, so the connected components of that relation are kept
+//!   together; queries without any required needle are always scanned and
+//!   form a component of their own. Within a component, queries are
+//!   packed first-fit, in batch order, into groups that provably stay on
+//!   the block path: at most 64 nodes, 8 distinct `B = 1` needles, 8
+//!   distinct `B ≥ 2` (needle, B) pairs, run targets within the packed
+//!   counters and a bounded block-hit table. All of that is read off the
+//!   expressions, so each group is compiled exactly once. A query that
+//!   cannot take the block path alone fits no group and becomes a
+//!   byte-serial group of one; its neighbours are unaffected.
+//! * **Routing.** Each group engine carries the group's prefilter, which
+//!   rejects a record only when *every* member's own prefilter does —
+//!   i.e. only when, for each member, some unit that member needs provably
+//!   cannot fire anywhere in the record, so no member's root can latch
+//!   and skipping the scan changes no verdict. A record of an interleaved
+//!   stream is therefore scanned by the groups it can concern and
+//!   dismissed by the others from every N-th byte, with the engine's
+//!   usual probation: a group whose prefilter never rejects stops asking.
+//! * **Sharing.** Inside a group, identical primitive units (same key
+//!   automaton, same number-range DFA, same substring comparator bank)
+//!   are instantiated once and the byte classification, string masking
+//!   and SWAR block scan run once. [`ShareStats`] reports units demanded
+//!   against units built, summed over the groups.
 //! * **Verdict bitsets** — per record, the drivers emit one `u64` word
 //!   per 64 queries ([`BatchVerdicts`]), the batched form of the paper's
 //!   one-match-bit-per-record DMA write-back.
@@ -49,55 +65,26 @@
 //! ```
 
 use crate::backend::{CompileError, FilterBackend};
-use crate::blockhit::{self, fired_lanes, lane_step, BlockAutomatonView, BlockUnits};
-use crate::engine::{
-    count_nodes, run_program_multi, run_program_word, scan_path, Builder, ByteEvent, DfaUnitView,
-    Op, ProgramView, ScanPath,
-};
-use crate::evaluator::StreamTracker;
-use crate::expr::Expr;
-use crate::primitive::SubstringMatcher;
+use crate::blockhit::{LANES, MAX_PACKED_TARGET, MAX_TABLE_WORDS};
+use crate::engine::{Engine, ProgramView, ScanPath};
+use crate::expr::{Expr, StringTechnique};
+use crate::prefilter::required_needles;
 use rfjson_jsonstream::frame::{
     is_blank_line, trim_cr, IngestLimits, LimitedAction, LimitedFramer, SkipReason, Verdict,
 };
 use rfjson_jsonstream::swar;
 use rfjson_jsonstream::telemetry::FramingTally;
-use rfjson_redfa::range::is_number_byte;
-use rfjson_redfa::DENSE_ACCEPT_BIT;
 use std::collections::HashMap;
 
-/// State-index part of a dense state word (mirror of the engine's).
-const STATE_MASK: u16 = !DENSE_ACCEPT_BIT;
-
-/// Per-kind primitive unit counts of a plan (or of one query).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct UnitCounts {
-    /// Exact-string / window DFA units.
-    pub string_dfas: usize,
-    /// Number-range DFA units.
-    pub number_dfas: usize,
-    /// Single-byte substring units (B = 1).
-    pub sub1: usize,
-    /// Short-block substring units (2 ≤ B ≤ 8).
-    pub subp: usize,
-    /// Wide substring units (B > 8).
-    pub wide: usize,
-}
-
-impl UnitCounts {
-    /// Total units across all kinds.
-    pub fn total(&self) -> usize {
-        self.string_dfas + self.number_dfas + self.sub1 + self.subp + self.wide
-    }
-}
+pub use crate::engine::UnitCounts;
 
 /// Unit-sharing census of a fused plan: what each query would have
-/// instantiated alone versus what the deduplicated pool actually holds.
+/// instantiated alone versus what the groups actually hold.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShareStats {
     /// Units each query's expression demands, in batch order.
     pub per_query: Vec<UnitCounts>,
-    /// Units the deduplicated pool instantiates.
+    /// Units the groups instantiate after deduplication, summed.
     pub pool: UnitCounts,
 }
 
@@ -113,166 +100,192 @@ impl ShareStats {
     }
 }
 
-/// One subscription: pool unit fires → OR a bit into `lane`'s latches.
-#[derive(Debug, Clone, Copy)]
-struct Sub {
-    lane: u32,
-    node: u32,
+/// What a set of queries asks of one engine, read off the expressions
+/// alone: enough to tell before anything is compiled whether the set
+/// stays on the block path.
+#[derive(Debug, Clone, Default)]
+struct Demand<'e> {
+    nodes: usize,
+    /// Distinct needles of the B = 1 units and distinct (needle, B) of the
+    /// B ≥ 2 units — no fewer than the units the engine builds, which
+    /// pools by executor.
+    sub1: Vec<&'e [u8]>,
+    subn: Vec<(&'e [u8], usize)>,
+    /// Some run target `N − B + 1` is past the packed counters.
+    long_target: bool,
 }
 
-/// Dedup census key — the deterministic builder output of one unit. Two
-/// units sharing a key are bit-identical executors, so pooling them is
-/// decision-preserving by construction.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum UnitKey {
-    StrDfa { table: Vec<u16>, start: u16 },
-    NumDfa { table: Vec<u16>, start: u16 },
-    Sub1 { bitmap: [u64; 4], target: u32 },
-    SubN { blocks: Vec<Vec<u8>>, target: u32 },
+fn push_new<T: PartialEq>(set: &mut Vec<T>, item: T) {
+    if !set.contains(&item) {
+        set.push(item);
+    }
 }
 
-/// One query's flat program plus its private latch state.
-#[derive(Debug, Clone)]
-struct Lane {
-    ops: Vec<Op>,
-    masks: Vec<u64>,
-    words: usize,
-    root: u32,
-    has_ctx: bool,
-    num_ctxs: u32,
-    /// `(pool index, latch node)` per unit kind, in compile order —
-    /// retained for [`MultiEngine::lane_views`].
-    sdfa_units: Vec<(u32, u32)>,
-    num_units: Vec<(u32, u32)>,
-    sub1_units: Vec<(u32, u32)>,
-    subn_units: Vec<(u32, u32)>,
-    // ---- mutable per-stream state ----
-    latch: Vec<u64>,
-    prev: Vec<u64>,
-    flag_level: Vec<u32>,
-}
-
-impl Lane {
-    #[inline]
-    fn run_program(&mut self, ev: ByteEvent) {
-        if self.words == 1 {
-            self.latch[0] = run_program_word(
-                &self.ops,
-                &self.masks,
-                &mut self.flag_level,
-                self.latch[0],
-                self.prev[0],
-                ev,
-            );
-        } else {
-            run_program_multi(
-                &self.ops,
-                &self.masks,
-                self.words,
-                &mut self.latch,
-                &self.prev,
-                &mut self.flag_level,
-                ev,
-            );
+impl<'e> Demand<'e> {
+    /// Adds what `expr` demands; `counts` tallies its primitive leaves.
+    fn add(&mut self, expr: &'e Expr, counts: &mut UnitCounts) {
+        self.nodes += 1;
+        match expr {
+            Expr::Str(spec) => match spec.technique {
+                StringTechnique::Dfa | StringTechnique::Window => counts.string_dfas += 1,
+                StringTechnique::Substring(b) => {
+                    let needle = &spec.needle[..];
+                    self.long_target |= needle.len() + 1 - b > MAX_PACKED_TARGET as usize;
+                    if b == 1 {
+                        counts.sub1 += 1;
+                        push_new(&mut self.sub1, needle);
+                    } else {
+                        if b <= 8 {
+                            counts.subp += 1;
+                        } else {
+                            counts.wide += 1;
+                        }
+                        push_new(&mut self.subn, (needle, b));
+                    }
+                }
+            },
+            Expr::Num(_) => counts.number_dfas += 1,
+            Expr::And(cs) | Expr::Or(cs) | Expr::Ctx(cs, _) => {
+                for c in cs {
+                    self.add(c, counts);
+                }
+            }
         }
     }
 
-    #[inline]
-    fn accepts(&self) -> bool {
-        self.latch[self.root as usize / 64] & (1u64 << (self.root % 64)) != 0
+    /// The demand of this set and `other` compiled together.
+    fn merged(&self, other: &Demand<'e>) -> Demand<'e> {
+        let mut all = self.clone();
+        all.nodes += other.nodes;
+        all.long_target |= other.long_target;
+        for &needle in &other.sub1 {
+            push_new(&mut all.sub1, needle);
+        }
+        for &unit in &other.subn {
+            push_new(&mut all.subn, unit);
+        }
+        all
+    }
+
+    /// Whether an engine compiled from this set is certain to take the
+    /// block path ([`ScanPath::Block`]). The block-hit table is bounded
+    /// from above: no more states than the blocks have bytes (plus the
+    /// start state), no more classes than distinct needle bytes (plus
+    /// class 0), one bank.
+    fn block_eligible(&self) -> bool {
+        let mut in_needle = [false; 256];
+        let mut states = 1;
+        for &(needle, b) in &self.subn {
+            states += (needle.len() + 1 - b) * b;
+            for &x in needle {
+                in_needle[x as usize] = true;
+            }
+        }
+        let classes = 1 + in_needle.iter().filter(|&&x| x).count();
+        self.nodes <= 64
+            && self.sub1.len() <= LANES
+            && self.subn.len() <= LANES
+            && !self.long_target
+            && states * classes <= MAX_TABLE_WORDS
     }
 }
 
-#[inline]
-fn fire(lanes: &mut [Lane], subs: &[Sub]) {
-    for sub in subs {
-        let latch = &mut lanes[sub.lane as usize].latch;
-        latch[sub.node as usize / 64] |= 1u64 << (sub.node % 64);
+/// Root of `q`'s component in a union-find forest, halving paths.
+fn find(parent: &mut [usize], mut q: usize) -> usize {
+    while parent[q] != q {
+        parent[q] = parent[parent[q]];
+        q = parent[q];
+    }
+    q
+}
+
+/// A group being filled by [`plan_groups`].
+struct Plan<'e> {
+    component: usize,
+    members: Vec<usize>,
+    demand: Demand<'e>,
+}
+
+/// Partitions a batch into groups (member indices, ascending) — the rule
+/// of the [module docs](self).
+fn plan_groups(exprs: &[Expr], per_query: &mut Vec<UnitCounts>) -> Vec<Vec<usize>> {
+    // Connected components of "shares a required needle", by union-find
+    // over the first query seen with each needle. Queries that require
+    // none meet on the empty needle, which no unit can have.
+    let mut parent: Vec<usize> = (0..exprs.len()).collect();
+    let mut first_with: HashMap<&[u8], usize> = HashMap::new();
+    for (q, expr) in exprs.iter().enumerate() {
+        let mut needles = required_needles(expr);
+        if needles.is_empty() {
+            needles.push(b"");
+        }
+        for needle in needles {
+            let other = *first_with.entry(needle).or_insert(q);
+            let (a, b) = (find(&mut parent, q), find(&mut parent, other));
+            parent[a.max(b)] = a.min(b);
+        }
+    }
+
+    let mut plans: Vec<Plan> = Vec::new();
+    for (q, expr) in exprs.iter().enumerate() {
+        let mut counts = UnitCounts::default();
+        let mut demand = Demand::default();
+        demand.add(expr, &mut counts);
+        per_query.push(counts);
+        let component = find(&mut parent, q);
+        // First fit. A query that is not block-eligible alone is not
+        // eligible merged with anything either, and ends up by itself.
+        let candidates = plans.iter_mut().filter(|plan| plan.component == component);
+        let fit = candidates
+            .map(|plan| (plan.demand.merged(&demand), plan))
+            .find(|(all, _)| all.block_eligible());
+        match fit {
+            Some((all, plan)) => {
+                plan.members.push(q);
+                plan.demand = all;
+            }
+            None => plans.push(Plan {
+                component,
+                members: vec![q],
+                demand,
+            }),
+        }
+    }
+    plans.into_iter().map(|plan| plan.members).collect()
+}
+
+/// One group of a [`MultiEngine`]: the queries compiled into one
+/// [`Engine`], and that engine.
+#[derive(Debug, Clone)]
+pub struct Group {
+    members: Vec<usize>,
+    engine: Engine,
+}
+
+impl Group {
+    /// Batch indices of the group's queries, ascending; member `i` of
+    /// [`Group::engine`] is query `members()[i]`.
+    pub fn members(&self) -> &[usize] {
+        &self.members
+    }
+
+    /// The group's engine: its [`Engine::scan_path`],
+    /// [`Engine::num_nodes`], [`Engine::unit_counts`],
+    /// [`Engine::prefilter_status`] and
+    /// [`Engine::block_automaton_view`] describe the group.
+    pub fn engine(&self) -> &Engine {
+        &self.engine
     }
 }
 
-/// The fused multi-query execution engine: one shared scan, a
-/// deduplicated unit pool, one flat-program lane per query. See the
-/// [module docs](self) for the execution model.
+/// The fused multi-query execution engine: the batch partitioned into
+/// groups, one [`Engine`] per group. See the [module docs](self) for the
+/// grouping rule and why routing by group prefilter is sound.
 #[derive(Debug, Clone)]
 pub struct MultiEngine {
     exprs: Vec<Expr>,
-    lanes: Vec<Lane>,
-    /// Any lane has a context op — gates the shared structural scan.
-    any_ctx: bool,
+    groups: Vec<Group>,
     share: ShareStats,
-
-    // ---- deduplicated unit pool (immutable after compile) ----
-    /// Concatenated dense tables of all pooled DFA units.
-    tables: Vec<u16>,
-    sdfa_off: Vec<u32>,
-    sdfa_start: Vec<u16>,
-    sdfa_subs: Vec<Vec<Sub>>,
-    num_off: Vec<u32>,
-    num_start: Vec<u16>,
-    num_subs: Vec<Vec<Sub>>,
-    sub1_bitmap: Vec<u64>,
-    sub1_target: Vec<u32>,
-    sub1_subs: Vec<Vec<Sub>>,
-    /// The pooled B ≥ 2 substring units: one block-hit automaton with
-    /// its per-stream row and run counters.
-    subn: BlockUnits,
-    subn_subs: Vec<Vec<Sub>>,
-
-    // ---- block-scan fast path (immutable after compile) ----
-    path: ScanPath,
-    /// Banked 256-entry packed hit tables for the sub1 pool: bank `k`
-    /// packs units `8k..8k+8`, entry `b` holds `0xFF` in lane `i` iff
-    /// byte `b` is in unit `8k+i`'s membership set.
-    sub1_hits: Vec<u64>,
-    /// Per-bank packed run targets (unused lanes hold 127).
-    sub1_targets_packed: Vec<u64>,
-    /// 256-bit union of every sub1 unit's membership set: a byte outside
-    /// it resets **all** run counters at once, skipping the bank loop —
-    /// a cross-query gate no serial engine can have.
-    sub1_any: [u64; 4],
-
-    // ---- mutable per-stream state ----
-    /// Telemetry accumulated in plain locals on the hot path and flushed
-    /// to the global registry once per stream (`flush_telemetry`).
-    stats: MultiStats,
-    sdfa_state: Vec<u16>,
-    num_state: Vec<u16>,
-    /// All number units share one token trajectory, so one flag covers
-    /// the whole pool.
-    num_in_token: bool,
-    sub1_counter: Vec<u32>,
-    /// Scratch: per-lane fire words accumulated inside the SWAR loop
-    /// (lanes are single-word there by eligibility).
-    lane_fires: Vec<u64>,
-    tracker: StreamTracker,
-}
-
-/// Per-stream telemetry the fused engine accumulates in plain `u64`
-/// fields — no atomics on the byte path. Drained into the global
-/// `multi.*` counters by `flush_telemetry`, which the batch stream
-/// drivers call once per stream.
-#[derive(Debug, Clone, Copy, Default)]
-struct MultiStats {
-    /// Bytes scanned by the fused SWAR word loop (aligned portion).
-    bytes_block: u64,
-    /// Bytes through the fused serial path (fallback batches, tails,
-    /// separators).
-    bytes_byte_serial: u64,
-    /// Bytes where the pooled sub1 bank loop was gate-skipped.
-    sub1_gate_skips: u64,
-    /// Bytes whose pooled block-hit mask was zero (no B ≥ 2 unit saw one
-    /// of its blocks end there).
-    subp_gate_skips: u64,
-}
-
-impl MultiStats {
-    fn is_empty(&self) -> bool {
-        self.bytes_block == 0
-            && self.bytes_byte_serial == 0
-            && self.sub1_gate_skips == 0
-            && self.subp_gate_skips == 0
-    }
 }
 
 impl MultiEngine {
@@ -304,614 +317,117 @@ impl MultiEngine {
         for expr in exprs {
             expr.validate()?;
         }
-        let mut me = MultiEngine {
-            exprs: exprs.to_vec(),
-            lanes: Vec::new(),
-            any_ctx: false,
-            share: ShareStats::default(),
-            tables: Vec::new(),
-            sdfa_off: Vec::new(),
-            sdfa_start: Vec::new(),
-            sdfa_subs: Vec::new(),
-            num_off: Vec::new(),
-            num_start: Vec::new(),
-            num_subs: Vec::new(),
-            sub1_bitmap: Vec::new(),
-            sub1_target: Vec::new(),
-            sub1_subs: Vec::new(),
-            subn: BlockUnits::new(Vec::new()),
-            subn_subs: Vec::new(),
-            path: ScanPath::Block,
-            sub1_hits: Vec::new(),
-            sub1_targets_packed: Vec::new(),
-            sub1_any: [0; 4],
-            stats: MultiStats::default(),
-            sdfa_state: Vec::new(),
-            num_state: Vec::new(),
-            num_in_token: false,
-            sub1_counter: Vec::new(),
-            lane_fires: Vec::new(),
-            tracker: StreamTracker::new(),
-        };
-        let mut keys: HashMap<UnitKey, u32> = HashMap::new();
-        let mut subn = Vec::new();
-        for (q, expr) in exprs.iter().enumerate() {
-            me.add_lane(q as u32, expr, &mut keys, &mut subn);
-        }
-        me.finish_compile(subn);
-        #[cfg(debug_assertions)]
-        for (q, view) in me.lane_views().iter().enumerate() {
-            let faults = view.check();
+        let mut share = ShareStats::default();
+        let mut groups = Vec::new();
+        for members in plan_groups(exprs, &mut share.per_query) {
+            let member_exprs: Vec<&Expr> = members.iter().map(|&q| &exprs[q]).collect();
+            let engine = Engine::compile_group(&member_exprs);
             debug_assert!(
-                faults.is_empty(),
-                "fused lane {q} is ill-formed for `{}`: {faults:?}",
-                me.exprs[q]
+                members.len() == 1 || engine.block_scan_ready(),
+                "a packed group left the block path: {}",
+                engine.scan_path()
             );
+            share.pool += engine.unit_counts();
+            groups.push(Group { members, engine });
         }
-        Ok(me)
+        Ok(MultiEngine {
+            exprs: exprs.to_vec(),
+            groups,
+            share,
+        })
     }
 
-    /// Runs the deterministic builder for one query and merges its units
-    /// into the pool, deduplicating by [`UnitKey`]; `subn` collects the
-    /// pooled B ≥ 2 substring units.
-    fn add_lane(
-        &mut self,
-        q: u32,
-        expr: &Expr,
-        keys: &mut HashMap<UnitKey, u32>,
-        subn: &mut Vec<SubstringMatcher>,
-    ) {
-        let num_nodes = count_nodes(expr);
-        let words = num_nodes.div_ceil(64);
-        let mut b = Builder {
-            words,
-            ..Builder::default()
-        };
-        let root = b.visit(expr);
-        debug_assert_eq!(b.next_node as usize, num_nodes);
-
-        // Dense tables of both DFA kinds interleave in `b.tables` in
-        // visit order; each unit's slice runs to the next-larger offset.
-        let mut offs: Vec<u32> = b.sdfa_off.iter().chain(&b.num_off).copied().collect();
-        offs.sort_unstable();
-        let slice_len = |off: u32| -> usize {
-            let next = offs.partition_point(|&o| o <= off);
-            offs.get(next).map_or(b.tables.len(), |&o| o as usize) - off as usize
-        };
-
-        let mut lane = Lane {
-            words,
-            root,
-            has_ctx: b.next_ctx > 0,
-            num_ctxs: b.next_ctx,
-            ops: b.ops,
-            masks: b.masks,
-            sdfa_units: Vec::new(),
-            num_units: Vec::new(),
-            sub1_units: Vec::new(),
-            subn_units: Vec::new(),
-            latch: vec![0; words],
-            prev: vec![0; words],
-            flag_level: vec![0; b.next_ctx as usize],
-        };
-        self.any_ctx |= lane.has_ctx;
-        let mut counts = UnitCounts::default();
-
-        for (i, &node) in b.sdfa_node.iter().enumerate() {
-            let off = b.sdfa_off[i] as usize;
-            let table = &b.tables[off..off + slice_len(b.sdfa_off[i])];
-            let key = UnitKey::StrDfa {
-                table: table.to_vec(),
-                start: b.sdfa_start[i],
-            };
-            let idx = match keys.get(&key) {
-                Some(&idx) => idx,
-                None => {
-                    let idx = self.sdfa_off.len() as u32;
-                    self.sdfa_off.push(self.tables.len() as u32);
-                    self.tables.extend_from_slice(table);
-                    self.sdfa_start.push(b.sdfa_start[i]);
-                    self.sdfa_subs.push(Vec::new());
-                    keys.insert(key, idx);
-                    idx
-                }
-            };
-            self.sdfa_subs[idx as usize].push(Sub { lane: q, node });
-            lane.sdfa_units.push((idx, node));
-            counts.string_dfas += 1;
-        }
-        for (i, &node) in b.num_node.iter().enumerate() {
-            let off = b.num_off[i] as usize;
-            let table = &b.tables[off..off + slice_len(b.num_off[i])];
-            let key = UnitKey::NumDfa {
-                table: table.to_vec(),
-                start: b.num_start[i],
-            };
-            let idx = match keys.get(&key) {
-                Some(&idx) => idx,
-                None => {
-                    let idx = self.num_off.len() as u32;
-                    self.num_off.push(self.tables.len() as u32);
-                    self.tables.extend_from_slice(table);
-                    self.num_start.push(b.num_start[i]);
-                    self.num_subs.push(Vec::new());
-                    keys.insert(key, idx);
-                    idx
-                }
-            };
-            self.num_subs[idx as usize].push(Sub { lane: q, node });
-            lane.num_units.push((idx, node));
-            counts.number_dfas += 1;
-        }
-        for (i, &node) in b.sub1_node.iter().enumerate() {
-            let bitmap: [u64; 4] = b.sub1_bitmap[i * 4..i * 4 + 4]
-                .try_into()
-                .expect("4 words per sub1 bitmap");
-            let key = UnitKey::Sub1 {
-                bitmap,
-                target: b.sub1_target[i],
-            };
-            let idx = match keys.get(&key) {
-                Some(&idx) => idx,
-                None => {
-                    let idx = self.sub1_target.len() as u32;
-                    self.sub1_bitmap.extend_from_slice(&bitmap);
-                    self.sub1_target.push(b.sub1_target[i]);
-                    self.sub1_subs.push(Vec::new());
-                    keys.insert(key, idx);
-                    idx
-                }
-            };
-            self.sub1_subs[idx as usize].push(Sub { lane: q, node });
-            lane.sub1_units.push((idx, node));
-            counts.sub1 += 1;
-        }
-        for unit in b.subn {
-            let key = UnitKey::SubN {
-                blocks: unit.matcher.blocks().to_vec(),
-                target: unit.matcher.target(),
-            };
-            if unit.matcher.block_length() <= 8 {
-                counts.subp += 1;
-            } else {
-                counts.wide += 1;
-            }
-            let idx = *keys.entry(key).or_insert_with(|| {
-                subn.push(unit.matcher);
-                self.subn_subs.push(Vec::new());
-                subn.len() as u32 - 1
-            });
-            self.subn_subs[idx as usize].push(Sub {
-                lane: q,
-                node: unit.node,
-            });
-            lane.subn_units.push((idx, unit.node));
-        }
-
-        self.share.per_query.push(counts);
-        self.lanes.push(lane);
-    }
-
-    /// Finalizes pool state and derives the block-scan tables.
-    fn finish_compile(&mut self, subn: Vec<SubstringMatcher>) {
-        self.sdfa_state = self.sdfa_start.clone();
-        self.num_state = self.num_start.clone();
-        self.sub1_counter = vec![0; self.sub1_target.len()];
-        self.subn = BlockUnits::new(subn);
-        self.lane_fires = vec![0; self.lanes.len()];
-        let units = self.subn.units();
-        let subp = units.iter().filter(|u| u.block_length() <= 8).count();
-        self.share.pool = UnitCounts {
-            string_dfas: self.sdfa_off.len(),
-            number_dfas: self.num_off.len(),
-            sub1: self.sub1_target.len(),
-            subp,
-            wide: units.len() - subp,
-        };
-
-        // Block-scan eligibility mirrors the single-query engine, with
-        // the run counters generalized to banks of 8 packed lanes: up to
-        // 64 pooled substring units of either kind keep the
-        // word-at-a-time path.
-        let max_nodes = self.lanes.iter().map(|l| l.root as usize + 1).max();
-        self.path = scan_path(
-            max_nodes.unwrap_or(0),
-            &self.sub1_target,
-            &self.subn,
-            blockhit::MAX_BANKS * blockhit::LANES,
-        );
-        if self.path != ScanPath::Block {
-            return;
-        }
-        let banks = self.sub1_target.len().div_ceil(8);
-        self.sub1_hits = vec![0u64; banks * 256];
-        for (i, bitmap) in self.sub1_bitmap.chunks_exact(4).enumerate() {
-            let (bank, slot) = (i / 8, i % 8);
-            for byte in 0..256usize {
-                if bitmap[byte >> 6] & (1u64 << (byte & 63)) != 0 {
-                    self.sub1_hits[bank * 256 + byte] |= 0xffu64 << (8 * slot);
-                }
-            }
-            for (w, &b) in self.sub1_any.iter_mut().zip(bitmap) {
-                *w |= b;
-            }
-        }
-        self.sub1_targets_packed = blockhit::pack_targets(&self.sub1_target);
-    }
-
-    /// The batch's source expressions, in lane order.
+    /// The batch's source expressions, in query order.
     pub fn exprs(&self) -> &[Expr] {
         &self.exprs
     }
 
     /// Number of queries in the batch.
     pub fn num_queries(&self) -> usize {
-        self.lanes.len()
+        self.exprs.len()
     }
 
-    /// The unit-sharing census: per-query demand vs. pooled instances.
+    /// The groups the batch was partitioned into, ordered by their first
+    /// member.
+    pub fn groups(&self) -> &[Group] {
+        &self.groups
+    }
+
+    /// The unit-sharing census: per-query demand vs. units built.
     pub fn share_stats(&self) -> &ShareStats {
         &self.share
     }
 
-    /// Which path [`MultiEngine::on_block`] takes: the fused SWAR word
-    /// loop, or the byte-serial fallback and the rule that forces it (a
-    /// lane of more than 64 nodes, more than 64 pooled substring units of
-    /// one kind, a run target above 126, an oversized block-hit table).
+    /// [`ScanPath::Block`] iff every group takes the block path;
+    /// otherwise the path of the first group that does not — only that
+    /// group's queries are scanned byte by byte ([`MultiEngine::groups`]
+    /// has the path of each).
     pub fn scan_path(&self) -> ScanPath {
-        self.path
+        let mut paths = self.groups.iter().map(|g| g.engine.scan_path());
+        paths
+            .find(|path| *path != ScanPath::Block)
+            .unwrap_or(ScanPath::Block)
     }
 
     /// `scan_path() == ScanPath::Block`.
     pub fn block_scan_ready(&self) -> bool {
-        self.path == ScanPath::Block
+        self.scan_path() == ScanPath::Block
     }
 
-    /// The pooled block-hit automaton of the B ≥ 2 substring units, for
-    /// static verification: lane *i* is pool unit *i*. `None` without
-    /// such units or past the table cap.
-    pub fn block_automaton_view(&self) -> Option<&BlockAutomatonView> {
-        self.subn.automaton().map(blockhit::BlockAutomaton::view)
-    }
-
-    /// Per-lane program snapshots for static verification. Each view's
-    /// DFA unit offsets point into the **shared** pool tables, so the
-    /// verifier's stored-table-vs-fresh-derivation check proves that
-    /// deduplication never merged two different automata.
+    /// One program snapshot per query, in batch order, for static
+    /// verification: each is the query's member of its group rebased to a
+    /// single-root program of its own ([`Engine::member_view`]). The DFA
+    /// unit offsets point into the **group's** tables, so the verifier's
+    /// stored-table-vs-fresh-derivation check proves that deduplication
+    /// never merged two different automata.
     pub fn lane_views(&self) -> Vec<ProgramView> {
-        let pool = self.subn.units();
-        let subn_nodes = |lane: &Lane, keep: fn(usize) -> bool| -> Vec<u32> {
-            let units = lane.subn_units.iter();
-            units
-                .filter(|&&(idx, _)| keep(pool[idx as usize].block_length()))
-                .map(|&(_, n)| n)
-                .collect()
-        };
-        self.lanes
-            .iter()
-            .map(|lane| ProgramView {
-                num_nodes: lane.root + 1,
-                words: lane.words,
-                root: lane.root,
-                ops: lane.ops.iter().map(Op::view).collect(),
-                masks: lane.masks.clone(),
-                num_ctxs: lane.num_ctxs,
-                tables: self.tables.clone(),
-                string_dfas: lane
-                    .sdfa_units
-                    .iter()
-                    .map(|&(idx, node)| DfaUnitView {
-                        table_off: self.sdfa_off[idx as usize],
-                        start: self.sdfa_start[idx as usize],
-                        node,
-                    })
-                    .collect(),
-                number_dfas: lane
-                    .num_units
-                    .iter()
-                    .map(|&(idx, node)| DfaUnitView {
-                        table_off: self.num_off[idx as usize],
-                        start: self.num_start[idx as usize],
-                        node,
-                    })
-                    .collect(),
-                sub1_nodes: lane.sub1_units.iter().map(|&(_, n)| n).collect(),
-                subp_nodes: subn_nodes(lane, |b| b <= 8),
-                wide_nodes: subn_nodes(lane, |b| b > 8),
-            })
-            .collect()
+        let mut views: Vec<Option<ProgramView>> = vec![None; self.exprs.len()];
+        for group in &self.groups {
+            for (i, &q) in group.members.iter().enumerate() {
+                views[q] = Some(group.engine.member_view(i));
+            }
+        }
+        let views = views.into_iter().flatten().collect::<Vec<_>>();
+        assert_eq!(views.len(), self.exprs.len(), "every query is in one group");
+        views
     }
 
-    /// Advances every lane one cycle over one shared scan of the byte.
+    /// Advances every group one cycle.
     pub fn on_byte(&mut self, byte: u8) {
-        self.stats.bytes_byte_serial += 1;
-        let mut ev = ByteEvent {
-            depth: 0,
-            is_close: false,
-            is_comma: false,
-        };
-        if self.any_ctx {
-            let info = self.tracker.on_byte(byte);
-            ev = ByteEvent {
-                depth: info.depth,
-                is_close: info.is_close,
-                is_comma: info.is_comma,
-            };
-            for lane in &mut self.lanes {
-                if lane.has_ctx {
-                    lane.prev.copy_from_slice(&lane.latch);
-                }
-            }
-        }
-        self.step_pool(byte);
-        for lane in &mut self.lanes {
-            lane.run_program(ev);
+        for group in &mut self.groups {
+            group.engine.on_byte(byte);
         }
     }
 
-    /// Pool sweep: steps every unit once and ORs its fire bit into each
-    /// subscriber lane's latches.
-    #[inline]
-    fn step_pool(&mut self, byte: u8) {
-        for i in 0..self.sdfa_state.len() {
-            let s = self.sdfa_state[i];
-            let s = self.tables
-                [self.sdfa_off[i] as usize + (s & STATE_MASK) as usize * 256 + byte as usize];
-            self.sdfa_state[i] = s;
-            if s & DENSE_ACCEPT_BIT != 0 {
-                fire(&mut self.lanes, &self.sdfa_subs[i]);
-            }
-        }
-        if is_number_byte(byte) {
-            for i in 0..self.num_state.len() {
-                let s = self.num_state[i];
-                self.num_state[i] = self.tables
-                    [self.num_off[i] as usize + (s & STATE_MASK) as usize * 256 + byte as usize];
-            }
-            self.num_in_token = !self.num_state.is_empty();
-        } else if self.num_in_token {
-            for i in 0..self.num_state.len() {
-                if self.num_state[i] & DENSE_ACCEPT_BIT != 0 {
-                    fire(&mut self.lanes, &self.num_subs[i]);
-                }
-                self.num_state[i] = self.num_start[i];
-            }
-            self.num_in_token = false;
-        }
-        for i in 0..self.sub1_counter.len() {
-            let hit = self.sub1_bitmap[i * 4 + (byte >> 6) as usize] & (1u64 << (byte & 63)) != 0;
-            let c = if hit {
-                self.sub1_counter[i].saturating_add(1)
-            } else {
-                0
-            };
-            self.sub1_counter[i] = c;
-            if c >= self.sub1_target[i] {
-                fire(&mut self.lanes, &self.sub1_subs[i]);
-            }
-        }
-        let (lanes, subs) = (&mut self.lanes, &self.subn_subs);
-        self.subn.on_byte(byte, |unit| fire(lanes, &subs[unit]));
-    }
-
-    /// Advances a whole slice of record content through every lane at
-    /// once — exactly what a byte loop over [`MultiEngine::on_byte`]
-    /// would do, with the SWAR word loop when the batch is eligible.
+    /// Advances a whole slice of record content through every group —
+    /// exactly what a byte loop over [`MultiEngine::on_byte`] would do.
+    /// The precondition of [`Engine::on_block`] carries over: the first
+    /// block after a reset, with no `on_byte` before it, is the whole
+    /// record, and each group either scans it or has its prefilter turn
+    /// it away.
     pub fn on_block(&mut self, block: &[u8]) {
-        if self.path == ScanPath::Block {
-            // The word loop consumes the aligned portion; the sub-word
-            // tail goes through `on_byte`, which counts itself.
-            self.stats.bytes_block += (block.len() & !(swar::WORD_BYTES - 1)) as u64;
-            self.on_block_swar(block);
-        } else {
-            for &b in block {
-                self.on_byte(b);
-            }
+        for group in &mut self.groups {
+            group.engine.on_block(block);
         }
     }
 
-    /// The SWAR word loop: one classification and string-mask resolution
-    /// per 8-byte word shared by every lane, banked packed run counters
-    /// for both substring pools (B = 1 from byte hit tables, B ≥ 2 from
-    /// the block-hit automaton), token-gated number-DFA stepping, and
-    /// per-lane programs run only on bytes where that lane observes a
-    /// fire or (for context lanes) an unmasked close/comma.
-    fn on_block_swar(&mut self, block: &[u8]) {
-        let (mut in_string, mut pending_escape, mut depth) = self.tracker.state();
-        let nsub1 = self.sub1_target.len();
-        let banks = nsub1.div_ceil(8);
-        // Run counters of both pools, one saturating byte per packed lane
-        // (targets ≤ 126 keep every `counter ≥ target` comparison exact).
-        let mut c1 = blockhit::pack_counters(&self.sub1_counter);
-        let mut cn = blockhit::pack_counters(&self.subn.counters);
-        let mut row = self.subn.row;
-        let subn = self.subn.automaton();
-        let mut in_token = self.num_in_token;
-        let any_ctx = self.any_ctx;
-        let sub1_any = self.sub1_any;
-        // Gate tallies (one local add per byte, folded into `stats` at
-        // sync-out): how often a byte is indifferent to a whole pool.
-        let mut sub1_skips = 0u64;
-        let mut subp_skips = 0u64;
-
-        let mut chunks = block.chunks_exact(swar::WORD_BYTES);
-        for chunk in chunks.by_ref() {
-            let word = swar::load_word(chunk.try_into().expect("8-byte chunk"));
-            let (wm, masked) = if any_ctx {
-                let wm = swar::classify_word(word);
-                let (masked, next) = swar::string_mask_word(
-                    wm.quotes,
-                    wm.backslashes,
-                    swar::StringState {
-                        in_string,
-                        pending_escape,
-                    },
-                );
-                in_string = next.in_string;
-                pending_escape = next.pending_escape;
-                (wm, masked)
-            } else {
-                (swar::WordMasks::default(), 0)
-            };
-            let structural = (wm.opens | wm.closes | wm.commas) & !masked;
-
-            for (j, &byte) in chunk.iter().enumerate() {
-                let mut fired = false;
-                let gate_word = (byte >> 6) as usize;
-                let gate_bit = 1u64 << (byte & 63);
-                // Any-unit gate: a byte in no sub1 membership set resets
-                // every packed counter at once (no fire is possible since
-                // all run targets are ≥ 1), skipping the bank loop.
-                if sub1_any[gate_word] & gate_bit != 0 {
-                    for (bank, c1b) in c1.iter_mut().enumerate().take(banks) {
-                        let h = self.sub1_hits[bank * 256 + byte as usize];
-                        let (c, f) = lane_step(*c1b, h, self.sub1_targets_packed[bank]);
-                        *c1b = c;
-                        for slot in fired_lanes(f) {
-                            for sub in &self.sub1_subs[bank * 8 + slot] {
-                                self.lane_fires[sub.lane as usize] |= 1u64 << sub.node;
-                            }
-                            fired = true;
-                        }
-                    }
-                } else {
-                    sub1_skips += u64::from(nsub1 != 0);
-                    for bank in c1.iter_mut().take(banks) {
-                        *bank = 0;
-                    }
-                }
-                if let Some(a) = subn {
-                    // One table walk for the whole B ≥ 2 pool; a zero hit
-                    // mask resets every lane without firing any.
-                    let mut any = 0u64;
-                    let banked = a.step(&mut row, byte).iter().zip(&a.view().targets_packed);
-                    for (bank, (&h, &targets)) in banked.enumerate() {
-                        any |= h;
-                        let (c, f) = lane_step(cn[bank], h, targets);
-                        cn[bank] = c;
-                        for slot in fired_lanes(f) {
-                            for sub in &self.subn_subs[bank * 8 + slot] {
-                                self.lane_fires[sub.lane as usize] |= 1u64 << sub.node;
-                            }
-                            fired = true;
-                        }
-                    }
-                    subp_skips += u64::from(any == 0);
-                }
-                if is_number_byte(byte) {
-                    for i in 0..self.num_state.len() {
-                        let s = self.num_state[i];
-                        self.num_state[i] = self.tables[self.num_off[i] as usize
-                            + (s & STATE_MASK) as usize * 256
-                            + byte as usize];
-                    }
-                    in_token = !self.num_state.is_empty();
-                } else if in_token {
-                    for i in 0..self.num_state.len() {
-                        if self.num_state[i] & DENSE_ACCEPT_BIT != 0 {
-                            for sub in &self.num_subs[i] {
-                                self.lane_fires[sub.lane as usize] |= 1u64 << sub.node;
-                            }
-                            fired = true;
-                        }
-                        self.num_state[i] = self.num_start[i];
-                    }
-                    in_token = false;
-                }
-                for i in 0..self.sdfa_state.len() {
-                    let s = self.sdfa_state[i];
-                    let s = self.tables[self.sdfa_off[i] as usize
-                        + (s & STATE_MASK) as usize * 256
-                        + byte as usize];
-                    self.sdfa_state[i] = s;
-                    if s & DENSE_ACCEPT_BIT != 0 {
-                        for sub in &self.sdfa_subs[i] {
-                            self.lane_fires[sub.lane as usize] |= 1u64 << sub.node;
-                        }
-                        fired = true;
-                    }
-                }
-
-                let bit = 1u8 << j;
-                let mut is_close = false;
-                let mut is_comma = false;
-                if structural & bit != 0 {
-                    if wm.opens & bit != 0 {
-                        depth += 1;
-                    } else if wm.closes & bit != 0 {
-                        is_close = true;
-                    } else {
-                        is_comma = true;
-                    }
-                }
-                // Per-lane event gate: the program is a provable no-op
-                // unless this lane saw a fire, or a structural event and
-                // the lane has context ops to observe it.
-                if fired || is_close || is_comma {
-                    let ev = ByteEvent {
-                        depth,
-                        is_close,
-                        is_comma,
-                    };
-                    for (i, lane) in self.lanes.iter_mut().enumerate() {
-                        let f = self.lane_fires[i];
-                        if f != 0 || ((is_close || is_comma) && lane.has_ctx) {
-                            let p = lane.latch[0];
-                            lane.latch[0] = run_program_word(
-                                &lane.ops,
-                                &lane.masks,
-                                &mut lane.flag_level,
-                                p | f,
-                                p,
-                                ev,
-                            );
-                        }
-                        self.lane_fires[i] = 0;
-                    }
-                }
-                if is_close {
-                    depth = depth.saturating_sub(1);
-                }
-            }
-        }
-
-        // Sync packed state back out, then run the sub-word tail through
-        // the byte-serial path from the synced state.
-        blockhit::unpack_counters(&c1, &mut self.sub1_counter);
-        blockhit::unpack_counters(&cn, &mut self.subn.counters);
-        self.subn.row = row;
-        self.num_in_token = in_token;
-        self.stats.sub1_gate_skips += sub1_skips;
-        self.stats.subp_gate_skips += subp_skips;
-        self.tracker.restore(in_string, pending_escape, depth);
-        for &byte in chunks.remainder() {
-            self.on_byte(byte);
-        }
-    }
-
-    /// ORs every currently-accepting lane's bit into `out` (one bit per
+    /// ORs every currently-accepting query's bit into `out` (one bit per
     /// query, `u64` word per 64 queries). Callers zero `out` first.
     pub fn write_accepts(&self, out: &mut [u64]) {
-        for (q, lane) in self.lanes.iter().enumerate() {
-            if lane.accepts() {
-                out[q / 64] |= 1u64 << (q % 64);
+        for group in &self.groups {
+            for (i, &q) in group.members.iter().enumerate() {
+                if group.engine.member_accepts(i) {
+                    out[q / 64] |= 1u64 << (q % 64);
+                }
             }
         }
     }
 
-    /// Record-boundary reset of every lane and the shared pool.
+    /// Record-boundary reset of every group.
     pub fn reset(&mut self) {
-        for lane in &mut self.lanes {
-            lane.latch.fill(0);
-            lane.flag_level.fill(0);
+        for group in &mut self.groups {
+            group.engine.reset();
         }
-        self.sdfa_state.copy_from_slice(&self.sdfa_start);
-        self.num_state.copy_from_slice(&self.num_start);
-        self.num_in_token = false;
-        self.sub1_counter.fill(0);
-        self.subn.reset();
-        self.lane_fires.fill(0);
-        self.tracker.reset();
     }
 }
 
@@ -946,16 +462,30 @@ impl MultiBackend for MultiEngine {
         MultiEngine::reset(self);
     }
 
+    /// Drains every group engine's per-stream tallies into the `multi.*`
+    /// counters: bytes by scan path summed over the groups, and per
+    /// (group, record) whether the group scanned the record or its
+    /// prefilter rejected it.
     fn flush_telemetry(&mut self) {
-        let s = std::mem::take(&mut self.stats);
-        if s.is_empty() {
+        let (mut block, mut serial, mut skipped, mut records, mut rejects) = (0, 0, 0, 0, 0);
+        for group in &mut self.groups {
+            let s = group.engine.take_stats();
+            block += s.bytes_block;
+            serial += s.bytes_byte_serial;
+            skipped += s.bytes_prefilter_skipped;
+            records += s.records;
+            rejects += s.prefilter_rejected;
+        }
+        if block + serial + skipped == 0 {
             return;
         }
         let m = crate::metrics::multi_metrics();
-        m.bytes_block.add(s.bytes_block);
-        m.bytes_byte_serial.add(s.bytes_byte_serial);
-        m.gate_skips_sub1.add(s.sub1_gate_skips);
-        m.gate_skips_subp.add(s.subp_gate_skips);
+        m.bytes_block.add(block);
+        m.bytes_byte_serial.add(serial);
+        m.bytes_prefilter_skipped.add(skipped);
+        m.group_scans.add(records - rejects);
+        m.group_rejects.add(rejects);
+        m.groups.set(self.groups.len() as f64);
     }
 }
 

@@ -193,14 +193,9 @@ impl Prefilter {
     /// which can only make the prefilter reject less. Units with the same
     /// check (same needle, and for substring units the same B) count once.
     pub fn build(expr: &Expr) -> Option<Prefilter> {
-        let mut specs: Vec<&StringSpec> = Vec::new();
-        collect_required(expr, &mut specs);
         let mut exacts: Vec<Vec<u8>> = Vec::new();
         let mut units: Vec<SubstringMatcher> = Vec::new();
-        for spec in specs {
-            if spec.needle.contains(&b'\n') {
-                continue; // could first fire on the record separator
-            }
+        for spec in required_specs(expr) {
             match spec.technique {
                 StringTechnique::Dfa | StringTechnique::Window => {
                     if !exacts.contains(&spec.needle) {
@@ -301,6 +296,22 @@ impl Prefilter {
         }
         (false, probed)
     }
+}
+
+/// The required string units a check can be built from: those whose
+/// needle has no `\n`, which could first fire on the record separator.
+fn required_specs(expr: &Expr) -> Vec<&StringSpec> {
+    let mut specs = Vec::new();
+    collect_required(expr, &mut specs);
+    specs.retain(|spec| !spec.needle.contains(&b'\n'));
+    specs
+}
+
+/// The needles of the units [`Prefilter::build`] checks for a validated
+/// expression; empty exactly when it builds no prefilter.
+pub(crate) fn required_needles(expr: &Expr) -> Vec<&[u8]> {
+    let specs = required_specs(expr).into_iter();
+    specs.map(|spec| &spec.needle[..]).collect()
 }
 
 /// Collects the string units every accepting record must fire: descend

@@ -19,9 +19,11 @@
 //!
 //! After the per-query passes, every expressible (query, b) expression
 //! of the selection is fused into one batch and linted through the
-//! `M0xx` multi-program pass (lane invariants against the shared unit
-//! pool, independent dedup-census recomputation) and the `B0xx` pass
-//! over the pooled block-hit automaton.
+//! `M0xx` multi-program pass (lane invariants against the group's shared
+//! units, independent dedup-census recomputation) and the `B0xx` pass
+//! over each group's block-hit automaton. The batch's verdict line is
+//! followed by one line per group the batch was partitioned into: its
+//! member queries, its own scan path, its node count and its units.
 //!
 //! Exits with status 1 if any error-severity diagnostic is reported, or
 //! 2 on usage errors.
@@ -119,7 +121,7 @@ fn main() -> ExitCode {
         let name = format!("fused batch ({} queries)", batch.len());
         match verify_batch(&batch, &name) {
             Ok(report) => {
-                let path = MultiEngine::compile_batch(&batch).scan_path();
+                let fused = MultiEngine::compile_batch(&batch);
                 rfjson_telemetry::counter("verify.batches.linted").incr();
                 let verdict = if report.has_errors() {
                     failed = true;
@@ -127,7 +129,18 @@ fn main() -> ExitCode {
                 } else {
                     "ok"
                 };
+                let path = fused.scan_path();
                 println!("{:4} {} [path: {path}]", verdict, report.summary());
+                for (g, group) in fused.groups().iter().enumerate() {
+                    let engine = group.engine();
+                    println!(
+                        "       group {g}: queries {:?}, {} nodes, {} units [path: {}]",
+                        group.members(),
+                        engine.num_nodes(),
+                        engine.unit_counts().total(),
+                        engine.scan_path()
+                    );
+                }
                 for d in report.at_least(min_shown) {
                     println!("       {d}");
                 }

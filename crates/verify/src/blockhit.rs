@@ -1,6 +1,6 @@
 //! Block-hit automaton verification pass (codes `B0xx`).
 //!
-//! Both engines step every B ≥ 2 substring unit from one pooled Mealy
+//! An engine steps all its B ≥ 2 substring units from one pooled Mealy
 //! automaton ([`rfjson_core::blockhit`]): a transition yields the next
 //! state and a hit mask with `0xFF` in lane *i* iff the last `B_i` stream
 //! bytes are a block of unit *i*. The hot loops index `next` and `hits`
@@ -268,19 +268,12 @@ fn verify_against(
 }
 
 /// Verifies a compiled engine's block-hit automaton against
-/// [`Engine::expr`]: lane *i* must be the *i*-th B ≥ 2 substring unit.
+/// [`Engine::exprs`]: the lanes must be the distinct executors its
+/// expressions demand, each exactly once, in first-demand order — an
+/// independent recomputation of the engine's dedup.
 pub fn verify_engine_blocks(engine: &Engine) -> Vec<Diagnostic> {
-    let mut expected = Vec::new();
-    collect_units(engine.expr(), &mut expected);
-    verify_against(engine.block_automaton_view(), engine.scan_path(), &expected)
-}
-
-/// Verifies a fused batch's pooled block-hit automaton: the pool must
-/// hold each distinct executor the lanes demand exactly once, in first
-/// demand order — an independent recomputation of the dedup.
-pub fn verify_multi_blocks(fused: &MultiEngine) -> Vec<Diagnostic> {
     let mut demanded = Vec::new();
-    for expr in fused.exprs() {
+    for expr in engine.exprs() {
         collect_units(expr, &mut demanded);
     }
     let mut seen = Vec::new();
@@ -292,7 +285,20 @@ pub fn verify_multi_blocks(fused: &MultiEngine) -> Vec<Diagnostic> {
         }
         fresh
     });
-    verify_against(fused.block_automaton_view(), fused.scan_path(), &demanded)
+    verify_against(engine.block_automaton_view(), engine.scan_path(), &demanded)
+}
+
+/// Verifies the block-hit automaton of every group of a fused batch
+/// against the group's own members.
+pub fn verify_multi_blocks(fused: &MultiEngine) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
+    for (g, group) in fused.groups().iter().enumerate() {
+        for mut d in verify_engine_blocks(group.engine()) {
+            d.location = format!("group {g}: {}", d.location);
+            out.push(d);
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -407,7 +413,14 @@ mod tests {
             Expr::and([q(b"tolls_amount", 2), q(b"tolls_amount", 3)]),
             q(b"favourites_count", 9),
         ]);
-        assert_eq!(fused.block_automaton_view().unwrap().units.len(), 3);
+        // The two queries on "tolls_amount" share a group and its s2 unit;
+        // the third stands alone.
+        let lanes = |g: usize| {
+            let view = fused.groups()[g].engine().block_automaton_view();
+            view.unwrap().units.len()
+        };
+        assert_eq!(fused.groups().len(), 2);
+        assert_eq!((lanes(0), lanes(1)), (2, 1));
         let diags = verify_multi_blocks(&fused);
         assert!(
             diags.iter().all(|d| d.severity < Severity::Warning),

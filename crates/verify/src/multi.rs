@@ -1,23 +1,26 @@
 //! Fused multi-program verification pass (codes `M0xx`).
 //!
-//! A [`MultiEngine`] compiles a whole query batch into per-query flat
-//! programs fed by a **deduplicated pool** of matcher units. That adds
-//! two failure modes a single-engine lint cannot see: a lane's program
-//! could be miswired against the shared pool, and the deduplication
-//! census could be wrong (two *different* automata merged, or identical
-//! ones duplicated). This pass re-proves both from the outside:
+//! A [`MultiEngine`] partitions a query batch into groups and compiles
+//! each group into one engine: the members' flat programs side by side
+//! over a **deduplicated set** of matcher units. That adds two failure
+//! modes a single-query lint cannot see: a member's program could be
+//! miswired against the shared units, and the deduplication census could
+//! be wrong (two *different* automata merged, or identical ones
+//! duplicated). This pass re-proves both from the outside:
 //!
-//! * every lane's program snapshot is checked with the same structural
+//! * every query's program snapshot (its member of the group, rebased
+//!   to a program of its own) is checked with the same structural
 //!   invariants as a single engine (post-order, latch-clear coverage,
-//!   …), and its pool-resident dense tables are compared against
-//!   automata freshly derived from that lane's source expression — a
+//!   …), and its group-resident dense tables are compared against
+//!   automata freshly derived from that query's source expression — a
 //!   merge of two different automata cannot survive this, because at
-//!   least one lane's stored table would disagree with its own fresh
+//!   least one query's stored table would disagree with its own fresh
 //!   derivation;
-//! * the pool census is compared against an **independent** dedup
-//!   census computed straight from the source expressions (bit-exact
-//!   unit keys re-derived from the primitives, never from the compiled
-//!   plan), and the per-query censuses must sum to the batch total.
+//! * the census of units built is compared against an **independent**
+//!   dedup census computed per group straight from the source
+//!   expressions (bit-exact unit keys re-derived from the primitives,
+//!   never from the compiled plan), and the per-query censuses must sum
+//!   to the batch total.
 //!
 //! ## Diagnostic catalogue
 //!
@@ -28,8 +31,8 @@
 //! | M002 | error    | a lane's census or pool-stored table disagrees with its expression |
 //! | M003 | error    | pool dedup census disagrees with independent recomputation |
 //!
-//! The pooled block-hit automaton of the batch's B ≥ 2 substring units
-//! goes through the `B0xx` pass of [`crate::blockhit`] in the same run.
+//! Each group's block-hit automaton (its B ≥ 2 substring units) goes
+//! through the `B0xx` pass of [`crate::blockhit`] in the same run.
 
 use crate::program::{check_unit, collect_expected, ExpectedUnits};
 use crate::{Diagnostic, Layer, Report};
@@ -115,10 +118,10 @@ fn dedup_census(keys: &[FreshKey]) -> UnitCounts {
 }
 
 /// Verifies a compiled fused batch: per-lane structural invariants
-/// (M001), per-lane census + pool-table agreement with each lane's
-/// source expression (M002), the pool dedup census against an
-/// independent recomputation from the source expressions (M003), and the
-/// pooled block-hit automaton ([`crate::blockhit`], B0xx).
+/// (M001), per-lane census + group-table agreement with each lane's
+/// source expression (M002), the groups' dedup census against an
+/// independent recomputation from the source expressions (M003), and
+/// each group's block-hit automaton ([`crate::blockhit`], B0xx).
 pub fn verify_multi_engine(fused: &MultiEngine) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let stats = fused.share_stats();
@@ -164,7 +167,7 @@ pub fn verify_multi_engine(fused: &MultiEngine) -> Vec<Diagnostic> {
                 ));
             }
         }
-        // The lane's DFA units live in the shared pool; each one must
+        // The lane's DFA units live in its group's tables; each one must
         // still equal the automaton freshly derived from *this* lane's
         // expression, which rules out any dedup merge of two different
         // automata.
@@ -183,14 +186,13 @@ pub fn verify_multi_engine(fused: &MultiEngine) -> Vec<Diagnostic> {
     }
 
     // Independent dedup census: recompute every unit key straight from
-    // the source expressions and compare distinct-key counts with the
-    // pool the compiler actually built.
-    let mut keys = Vec::new();
+    // the source expressions, group by group, and compare distinct-key
+    // counts with the units the compiler actually built.
     let mut per_query_total = 0usize;
     for (q, expr) in fused.exprs().iter().enumerate() {
-        let before = keys.len();
+        let mut keys = Vec::new();
         collect_keys(expr, &mut keys);
-        let demanded = keys.len() - before;
+        let demanded = keys.len();
         let counted = stats.per_query.get(q).map_or(0, UnitCounts::total);
         per_query_total += counted;
         if demanded != counted {
@@ -213,7 +215,14 @@ pub fn verify_multi_engine(fused: &MultiEngine) -> Vec<Diagnostic> {
             ),
         ));
     }
-    let independent = dedup_census(&keys);
+    let mut independent = UnitCounts::default();
+    for group in fused.groups() {
+        let mut keys = Vec::new();
+        for &q in group.members() {
+            collect_keys(&fused.exprs()[q], &mut keys);
+        }
+        independent += dedup_census(&keys);
+    }
     if independent != stats.pool {
         out.push(Diagnostic::error(
             Layer::Program,

@@ -266,6 +266,44 @@ fn fresh_whole_record_block_with_a_live_prefilter_equals_the_byte_loop() {
     }
 }
 
+/// A record the prefilter rejected costs nothing further: whatever is fed
+/// until the next reset — `\r`, the separator — is answered `false` from
+/// untouched state, the reset has nothing to undo, and the record after
+/// it is answered exactly as by a twin that never saw the rejected one.
+#[test]
+fn a_rejected_record_is_inert_until_the_next_reset() {
+    let absent = br#"{"medallion":"A1","fare_amount":11.50,"tip":2.00}"#;
+    let present = br#"{"tolls_amount":5.33,"total_amount":17.33}"#;
+    for b in [1, 2] {
+        let expr = Expr::context_scoped(
+            StructScope::Member,
+            [
+                Expr::substring(b"tolls_amount", b).unwrap(),
+                Expr::float_range("2.50", "18.00").unwrap(),
+            ],
+        );
+        let mut engine = Engine::compile(&expr);
+        let mut twin = Engine::compile(&expr);
+        for round in 1..=3 {
+            engine.reset();
+            assert!(!engine.on_block(absent));
+            assert_eq!(engine.prefilter_stats(), (2 * round - 1, round));
+            for separator in [b'\r', b'\n'] {
+                assert!(!engine.on_byte(separator), "b={b} round {round}");
+            }
+            engine.reset();
+            twin.reset();
+            let mut want = false;
+            for &byte in present.iter().chain(b"\n") {
+                want = twin.on_byte(byte);
+            }
+            assert!(want, "the record matches");
+            let last = engine.on_block(present);
+            assert_eq!(engine.on_byte(b'\n') || last, want, "b={b} round {round}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

@@ -5,11 +5,12 @@
 //! quarantine limits. Fusing is allowed to be faster, never different.
 
 use proptest::prelude::*;
-use rfjson_core::engine::{FallbackReason, ScanPath};
-use rfjson_core::multi::{MultiBackend, MultiEngine, MultiLanes};
+use rfjson_core::engine::{FallbackReason, PrefilterStatus, ScanPath};
+use rfjson_core::multi::{Group, MultiBackend, MultiEngine, MultiLanes};
+use rfjson_core::prefilter::Prefilter;
 use rfjson_core::query::query_to_exprs;
 use rfjson_core::{CompiledFilter, Engine, Expr, FilterBackend, IngestLimits, StructScope};
-use rfjson_riotbench::{smartcity, taxi, twitter, Query};
+use rfjson_riotbench::{smartcity, taxi, twitter, AttrKind, Query, RangePredicate, RecordShape};
 use rfjson_runtime::fault::{
     silence_injected_panics, FaultKind, FaultPlan, FaultyBackend, Trigger,
 };
@@ -20,11 +21,13 @@ const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 8];
 /// Query batches covering every primitive technique, shared units across
 /// lanes, both structural scopes, and the paper's Table VIII queries.
 ///
-/// All but the last batch run the fused SWAR loop — the wide-block
-/// (B = 9) one and the mixed-B one, whose twelve pooled B ≥ 2 units
-/// span two banks of lanes, included; the last carries a run target
-/// past the packed counters so the fused byte-serial fallback is
-/// exercised too ([`zoo_batches_take_the_expected_scan_path`]).
+/// All but the last batch stay on the block path in every group — the
+/// wide-block (B = 9) one and the mixed-B one, whose twelve distinct
+/// B ≥ 2 units do not fit one bank of lanes and split into groups,
+/// included; the last carries a run target past the packed counters, so
+/// that query's group of one exercises the byte-serial fallback beside
+/// two block-path neighbours
+/// ([`zoo_batches_take_the_expected_scan_path`]).
 fn batch_zoo() -> Vec<Vec<Expr>> {
     vec![
         vec![
@@ -73,6 +76,19 @@ fn batch_zoo() -> Vec<Vec<Expr>> {
     ]
 }
 
+/// Member indices of every group.
+fn group_members(fused: &MultiEngine) -> Vec<&[usize]> {
+    fused.groups().iter().map(Group::members).collect()
+}
+
+/// Member indices and scan path of every group.
+fn group_shape(fused: &MultiEngine) -> Vec<(Vec<usize>, ScanPath)> {
+    let groups = fused.groups().iter();
+    groups
+        .map(|g| (g.members().to_vec(), g.engine().scan_path()))
+        .collect()
+}
+
 #[test]
 fn zoo_batches_take_the_expected_scan_path() {
     let zoo = batch_zoo();
@@ -83,16 +99,65 @@ fn zoo_batches_take_the_expected_scan_path() {
             ScanPath::Block
         );
     }
-    let pool = MultiEngine::compile_batch(&zoo[3]).share_stats().pool;
+    // QT at b = 2 and b = 3 demand ten B ≥ 2 units on one needle set: the
+    // second does not fit the first's bank and starts a group, which the
+    // bare `tolls_amount` unit (shared with QT b=2) then still fits into
+    // the first of. The two wide units have needles of their own.
+    let mixed = MultiEngine::compile_batch(&zoo[3]);
+    assert_eq!(group_members(&mixed), [&[0, 2][..], &[1], &[3], &[4]]);
+    let pool = mixed.share_stats().pool;
     assert_eq!(
         (pool.subp, pool.wide),
         (10, 2),
         "QT's five keys twice, two wide"
     );
+    // Only the query that cannot take the block path falls back; its
+    // neighbours keep it, and the batch reports the fallback's reason.
+    let too_long = ScanPath::ByteSerial(FallbackReason::RunTargetTooLong { target: 129 });
+    let fused = MultiEngine::compile_batch(fallback);
     assert_eq!(
-        MultiEngine::compile_batch(fallback).scan_path(),
-        ScanPath::ByteSerial(FallbackReason::RunTargetTooLong { target: 129 })
+        group_shape(&fused),
+        [
+            (vec![0], too_long),
+            (vec![1], ScanPath::Block),
+            (vec![2], ScanPath::Block)
+        ]
     );
+    assert_eq!(fused.scan_path(), too_long);
+}
+
+/// Seventy distinct needles would have overflowed the old 64-unit pool
+/// and sent the whole batch byte-serial; as groups of at most eight units
+/// each they all stay on the block path.
+#[test]
+fn a_batch_of_seventy_needles_stays_on_the_block_path() {
+    let batch: Vec<Expr> = (0..14)
+        .map(|q| {
+            Expr::and((0..5).map(|k| {
+                let needle = format!("needle_{q:02}_{}", ["a", "b", "c", "d", "e"][k]);
+                Expr::substring(needle.as_bytes(), 1 + (q + k) % 3).unwrap()
+            }))
+        })
+        .collect();
+    let fused = MultiEngine::compile_batch(&batch);
+    assert_eq!(fused.share_stats().pool.total(), 70);
+    assert_eq!(fused.groups().len(), 14, "no two queries share a needle");
+    assert_eq!(fused.scan_path(), ScanPath::Block);
+    let mut stream = Vec::new();
+    for q in [3, 11, 0] {
+        let keys: Vec<String> = ["a", "b", "c", "d", "e"]
+            .iter()
+            .map(|k| format!("\"needle_{q:02}_{k}\":1"))
+            .collect();
+        stream.extend_from_slice(format!("{{{}}}\n", keys.join(",")).as_bytes());
+    }
+    assert_streamwise(&batch, &stream, IngestLimits::UNLIMITED);
+    let verdicts =
+        MultiEngine::compile_batch(&batch).filter_stream_verdicts(&stream, IngestLimits::UNLIMITED);
+    for (record, q) in [3, 11, 0].into_iter().enumerate() {
+        let hits: Vec<usize> = (0..14).filter(|&x| verdicts.matched(record, x)).collect();
+        assert_eq!(hits, [q]);
+    }
 }
 
 fn bit(out: &[u64], q: usize) -> bool {
@@ -272,6 +337,273 @@ fn quarantine_agrees_across_all_paths() {
     }
 }
 
+/// The five queries the benchmarks keep resident: two on SmartCity
+/// attributes, QT at b = 1 and b = 2, one on a Twitter attribute.
+fn resident_queries() -> Vec<Expr> {
+    vec![
+        query_to_exprs(&Query::qs0(), 1).unwrap(),
+        query_to_exprs(&Query::qs1(), 1).unwrap(),
+        query_to_exprs(&Query::qt(), 1).unwrap(),
+        query_to_exprs(&Query::qt(), 2).unwrap(),
+        Expr::context_scoped(
+            StructScope::Member,
+            [
+                Expr::substring(b"favourites_count", 2).unwrap(),
+                Expr::int_range(100, 50_000),
+            ],
+        ),
+    ]
+}
+
+/// SmartCity, Taxi and Twitter records interleaved one by one, so that
+/// consecutive records concern different groups.
+fn interleaved_records(seed: u64, n: usize) -> Vec<Vec<u8>> {
+    let sources = [
+        smartcity::generate(seed, n),
+        taxi::generate(seed + 1, n),
+        twitter::generate(seed + 2, n),
+    ];
+    let mut records = Vec::new();
+    for i in 0..n {
+        for source in &sources {
+            records.push(source.records()[i].clone());
+        }
+    }
+    records
+}
+
+fn stream_of(records: &[Vec<u8>]) -> Vec<u8> {
+    let mut stream = Vec::new();
+    for record in records {
+        stream.extend_from_slice(record);
+        stream.push(b'\n');
+    }
+    stream
+}
+
+/// Grouping goes by batch order; verdicts must not. Every permutation
+/// of the resident queries answers every query as the byte-serial model
+/// and as its own engine do.
+#[test]
+fn every_order_of_the_resident_queries_gives_the_same_verdicts() {
+    let queries = resident_queries();
+    let stream = stream_of(&interleaved_records(60, 12));
+    let limits = IngestLimits::UNLIMITED;
+    let model = MultiLanes::<CompiledFilter>::compile_batch(&queries)
+        .filter_stream_verdicts(&stream, limits);
+    for (q, expr) in queries.iter().enumerate() {
+        let single = Engine::compile(expr).filter_stream_verdicts(&stream, limits);
+        assert_eq!(model.query_verdicts(q), single, "`{expr}`");
+    }
+    let identity = MultiEngine::compile_batch(&queries);
+    assert_eq!(group_members(&identity), [&[0, 1][..], &[2, 3], &[4]]);
+
+    // Heap's algorithm over the query order.
+    let mut order: Vec<usize> = (0..queries.len()).collect();
+    let mut counters = vec![0; order.len()];
+    let mut permutations = 0;
+    let mut i = 0;
+    loop {
+        if i == 0 {
+            let batch: Vec<Expr> = order.iter().map(|&q| queries[q].clone()).collect();
+            let mut fused = MultiEngine::compile_batch(&batch);
+            assert_eq!(fused.groups().len(), 3, "order {order:?}");
+            let verdicts = fused.filter_stream_verdicts(&stream, limits);
+            for (slot, &q) in order.iter().enumerate() {
+                assert_eq!(
+                    verdicts.query_verdicts(slot),
+                    model.query_verdicts(q),
+                    "query {q} at slot {slot} of order {order:?}"
+                );
+            }
+            permutations += 1;
+            i = 1;
+        }
+        if i == order.len() {
+            break;
+        }
+        if counters[i] < i {
+            order.swap(if i % 2 == 0 { 0 } else { counters[i] }, i);
+            counters[i] += 1;
+            i = 0;
+        } else {
+            counters[i] = 0;
+            i += 1;
+        }
+    }
+    assert_eq!(permutations, 120);
+}
+
+/// A SmartCity query over QS0's five attributes with its own ranges.
+fn qs_shaped(i: usize) -> Expr {
+    let predicates = vec![
+        RangePredicate::new("temperature", &format!("{i}.5"), "40.1", AttrKind::Float),
+        RangePredicate::new("humidity", "10.7", &format!("9{i}.2"), AttrKind::Float),
+        RangePredicate::new("light", &format!("{i}00"), "26282", AttrKind::Int),
+        RangePredicate::new(
+            "dust",
+            "83.36",
+            &format!("{}188.21", i + 1),
+            AttrKind::Float,
+        ),
+        RangePredicate::new("airquality_raw", &format!("1{i}"), "363", AttrKind::Int),
+    ];
+    let query = Query {
+        name: format!("QS-{i}"),
+        predicates,
+        shape: RecordShape::SenML,
+        paper_selectivity: 0.0,
+    };
+    query_to_exprs(&query, 1).unwrap()
+}
+
+/// Groups split where the block path's capacity ends, and nothing else
+/// changes: by node count (six 16-node queries over the same five
+/// needles), and by distinct B ≥ 2 units (QT at b = 1, 2, 3).
+#[test]
+fn groups_split_at_block_path_capacity_and_agree() {
+    let six: Vec<Expr> = (0..6).map(qs_shaped).collect();
+    let fused = MultiEngine::compile_batch(&six);
+    let shape: Vec<(&[usize], usize, usize)> = fused
+        .groups()
+        .iter()
+        .map(|g| {
+            (
+                g.members(),
+                g.engine().num_nodes(),
+                g.engine().unit_counts().sub1,
+            )
+        })
+        .collect();
+    assert_eq!(shape, [(&[0, 1, 2, 3][..], 64, 5), (&[4, 5], 32, 5)]);
+    assert_eq!(fused.scan_path(), ScanPath::Block);
+    let stream = smartcity::generate(61, 60).stream();
+    assert_streamwise(&six, &stream, IngestLimits::UNLIMITED);
+
+    let qt: Vec<Expr> = [1, 2, 3]
+        .iter()
+        .map(|&b| query_to_exprs(&Query::qt(), b).unwrap())
+        .collect();
+    let fused = MultiEngine::compile_batch(&qt);
+    let block = ScanPath::Block;
+    assert_eq!(group_shape(&fused), [(vec![0, 1], block), (vec![2], block)]);
+    let stream = taxi::generate(62, 60).stream();
+    assert_streamwise(&qt, &stream, IngestLimits::UNLIMITED);
+}
+
+/// A member without a prefilter (an `Or` root, a pure number range) can
+/// match any record: such members are grouped together and always
+/// scanned, and the routed groups beside them still are routed.
+#[test]
+fn members_without_a_prefilter_are_always_scanned() {
+    let batch = vec![
+        query_to_exprs(&Query::qs0(), 1).unwrap(),
+        Expr::or([
+            Expr::substring(b"temperature", 1).unwrap(),
+            Expr::substring(b"tolls_amount", 2).unwrap(),
+        ]),
+        Expr::int_range(12, 49),
+        query_to_exprs(&Query::qt(), 1).unwrap(),
+    ];
+    let records = interleaved_records(63, 200);
+    let stream = stream_of(&records);
+    let mut fused = MultiEngine::compile_batch(&batch);
+    assert_eq!(group_members(&fused), [&[0][..], &[1, 2], &[3]]);
+    let verdicts = fused.filter_stream_verdicts(&stream, IngestLimits::UNLIMITED);
+    let status: Vec<(PrefilterStatus, u64)> = fused
+        .groups()
+        .iter()
+        .map(|g| {
+            (
+                g.engine().prefilter_status(),
+                g.engine().prefilter_stats().1,
+            )
+        })
+        .collect();
+    // Each routed group turns away the two thirds of the stream that are
+    // not its source's.
+    assert_eq!(
+        status,
+        [
+            (PrefilterStatus::Live, 400),
+            (PrefilterStatus::Absent, 0),
+            (PrefilterStatus::Live, 400)
+        ]
+    );
+    let model = MultiLanes::<CompiledFilter>::compile_batch(&batch)
+        .filter_stream_verdicts(&stream, IngestLimits::UNLIMITED);
+    assert_eq!(verdicts, model);
+    assert!(verdicts.count_matches(1) >= 400 && verdicts.count_matches(2) > 0);
+    assert_streamwise(&batch, &stream_of(&records[..90]), IngestLimits::UNLIMITED);
+}
+
+/// One member's own prefilter rejects a record its group-mate's passes:
+/// Taxi records with the `tolls_amount` member cut out still carry
+/// `total_amount`, inside which `s1("tolls_amount")` fires and
+/// `s2("tolls_amount")` cannot. The group scans such a record for QT
+/// b=1's sake and must still answer QT b=2 exactly.
+#[test]
+fn a_member_whose_own_prefilter_rejects_is_answered_exactly() {
+    let batch = vec![
+        query_to_exprs(&Query::qt(), 1).unwrap(),
+        query_to_exprs(&Query::qt(), 2).unwrap(),
+    ];
+    let own: Vec<Prefilter> = batch.iter().map(|e| Prefilter::build(e).unwrap()).collect();
+    let mut records = Vec::new();
+    let rides = taxi::generate(64, 250);
+    let sensors = smartcity::generate(65, 250);
+    for (ride, sensor) in rides.records().iter().zip(sensors.records()) {
+        let text = std::str::from_utf8(ride).unwrap();
+        let start = text.find("\"tolls_amount\":").unwrap();
+        let end = start + text[start..].find(',').unwrap() + 1;
+        let cut = [&ride[..start], &ride[end..]].concat();
+        assert!(!own[0].rejects(&cut) && own[1].rejects(&cut));
+        assert!(own.iter().all(|pf| pf.rejects(sensor) && !pf.rejects(ride)));
+        records.extend([cut, sensor.clone(), ride.clone()]);
+    }
+    let stream = stream_of(&records);
+    let mut fused = MultiEngine::compile_batch(&batch);
+    assert_eq!(fused.groups().len(), 1);
+    let verdicts = fused.filter_stream_verdicts(&stream, IngestLimits::UNLIMITED);
+    let engine = fused.groups()[0].engine();
+    assert_eq!(engine.prefilter_status(), PrefilterStatus::Live);
+    assert_eq!(engine.prefilter_stats(), (750, 250), "only the sensors");
+    let model = MultiLanes::<CompiledFilter>::compile_batch(&batch)
+        .filter_stream_verdicts(&stream, IngestLimits::UNLIMITED);
+    assert_eq!(verdicts, model);
+    for (q, expr) in batch.iter().enumerate() {
+        let single = Engine::compile(expr).filter_stream_verdicts(&stream, IngestLimits::UNLIMITED);
+        assert_eq!(verdicts.query_verdicts(q), single, "`{expr}`");
+    }
+    assert!(verdicts.count_matches(0) > verdicts.count_matches(1));
+    assert_streamwise(&batch, &stream_of(&records[..60]), IngestLimits::UNLIMITED);
+}
+
+/// Once a byte of the record went in serially nothing is routed: the
+/// groups' prefilters do not look, every group scans, and the answer is
+/// the byte loop's.
+#[test]
+fn on_byte_then_on_block_is_unrouted_and_equals_the_byte_loop() {
+    let queries = resident_queries();
+    let mut fused = MultiEngine::compile_batch(&queries);
+    let mut model = MultiLanes::<CompiledFilter>::compile_batch(&queries);
+    for record in interleaved_records(66, 8) {
+        fused.reset();
+        fused.on_byte(record[0]);
+        fused.on_block(&record[1..]);
+        let mut got = vec![0u64; 1];
+        fused.write_accepts(&mut got);
+        fused.on_byte(b'\n');
+        fused.write_accepts(&mut got);
+        let mut want = vec![0u64; 1];
+        model.accepts_record_into(&record, &mut want);
+        assert_eq!(got, want, "{:?}", String::from_utf8_lossy(&record));
+    }
+    for group in fused.groups() {
+        assert_eq!(group.engine().prefilter_stats(), (0, 0));
+    }
+}
+
 /// A healed multi-runner lane must stay byte-identical when **reused**:
 /// the first call faults a lane mid-stream, the heal recompiles it, and
 /// the second call over the same runner must run the healed lane clean
@@ -373,6 +705,59 @@ proptest! {
             for q in 0..exprs.len() {
                 prop_assert_eq!(sharded.query_verdicts(q), fused.query_verdicts(q));
             }
+        }
+    }
+
+    /// Arbitrary bytes salted with needles, quotes and separators: the
+    /// grouped engine never panics and answers as the byte-serial model
+    /// does — routed groups, an always-scanned group and a byte-serial
+    /// group of one side by side, with and without limits, sharded or not.
+    #[test]
+    fn grouped_engine_survives_byte_soup(
+        pieces in prop::collection::vec(
+            prop_oneof![
+                prop::collection::vec(any::<u8>(), 0..24),
+                Just(b"\"temperature\":21.5".to_vec()),
+                Just(b"tolls_amount".to_vec()),
+                Just(b"total_amount\":5.33,".to_vec()),
+                Just(b"favourites_count\":700".to_vec()),
+                Just(vec![b'k'; 131]),
+                Just(b"\n".to_vec()),
+                Just(b"\r\n".to_vec()),
+                Just(b"{\"e\":[{".to_vec()),
+                Just(b"}],\"\\\"".to_vec()),
+            ],
+            0..40,
+        ),
+        limited in any::<bool>(),
+    ) {
+        let mut batch = resident_queries();
+        batch.push(Expr::or([
+            Expr::substring(b"temperature", 1).unwrap(),
+            Expr::int_range(5, 21),
+        ]));
+        batch.push(Expr::substring(&[b'k'; 130], 2).unwrap());
+        let stream = pieces.concat();
+        let limits = if limited {
+            IngestLimits { max_record_bytes: Some(150), max_records: Some(9) }
+        } else {
+            IngestLimits::UNLIMITED
+        };
+        let mut fused = MultiEngine::compile_batch(&batch);
+        prop_assert_eq!(fused.groups().len(), 5);
+        let verdicts = fused.filter_stream_verdicts(&stream, limits);
+        let model = MultiLanes::<CompiledFilter>::compile_batch(&batch)
+            .filter_stream_verdicts(&stream, limits);
+        prop_assert_eq!(&verdicts, &model);
+        // The same engine again: nothing of the first stream lingers.
+        prop_assert_eq!(&fused.filter_stream_verdicts(&stream, limits), &model);
+        for shards in [2, 3] {
+            let mut runner: MultiShardedRunner<MultiEngine> =
+                MultiShardedRunner::with_shards(&batch, shards);
+            let sharded = runner
+                .filter_stream_verdicts(&stream, limits)
+                .expect("healthy lanes never double fault");
+            prop_assert_eq!(&sharded, &model);
         }
     }
 }

@@ -145,7 +145,8 @@ fn bytes_are_conserved_on_serial_engine_streams() {
     // RiotBench streams are pure `record\n` sequences (no CRs, no blank
     // lines), so every stream byte lands in exactly one scan-path
     // bucket: the SWAR word loop, the byte-serial path (sub-word tails
-    // and separators), or a prefilter-rejected record.
+    // and separators), or a prefilter-rejected record with its
+    // separator.
     let corpus = smartcity_corpus(150);
     let stream = corpus.stream();
     let expr = query_to_exprs(&Query::qs0(), 1).expect("query converts");
@@ -158,11 +159,19 @@ fn bytes_are_conserved_on_serial_engine_streams() {
         + d.counter("engine.bytes.prefilter_skipped");
     assert_eq!(scanned, stream.len() as u64, "single-query byte paths");
 
+    // A fused batch is a set of group engines, each of which either
+    // scans a record or has its prefilter reject it, separator included:
+    // the same three buckets, once per group. Here the two SmartCity
+    // queries share a group that scans everything and the Taxi query's
+    // group rejects everything.
     let batch = vec![
         expr,
         query_to_exprs(&Query::qs1(), 1).expect("query converts"),
+        query_to_exprs(&Query::qt(), 2).expect("query converts"),
     ];
     let mut fused = MultiEngine::compile_batch(&batch);
+    let groups = fused.groups().len() as u64;
+    assert_eq!(groups, 2);
     let (verdicts, d) = window(|| {
         rfjson_core::MultiBackend::filter_stream_verdicts(
             &mut fused,
@@ -171,8 +180,24 @@ fn bytes_are_conserved_on_serial_engine_streams() {
         )
     });
     assert_eq!(verdicts.num_records(), corpus.len());
-    let scanned = d.counter("multi.bytes.block") + d.counter("multi.bytes.byte_serial");
-    assert_eq!(scanned, stream.len() as u64, "fused byte paths");
+    let scanned = d.counter("multi.bytes.block")
+        + d.counter("multi.bytes.byte_serial")
+        + d.counter("multi.bytes.prefilter_skipped");
+    assert_eq!(scanned, groups * stream.len() as u64, "fused byte paths");
+    assert_eq!(
+        d.counter("multi.bytes.prefilter_skipped"),
+        stream.len() as u64,
+        "one group rejects every record"
+    );
+    // Every group disposes of every scored record one way or the other.
+    let records = d.counter("multi.records");
+    assert_eq!(records, corpus.len() as u64);
+    assert_eq!(d.counter("multi.group_rejects"), records);
+    assert_eq!(
+        d.counter("multi.group_scans") + d.counter("multi.group_rejects"),
+        groups * records
+    );
+    assert_eq!(d.gauge("multi.groups"), Some(2.0));
 }
 
 #[test]
@@ -212,8 +237,11 @@ fn prefilter_probes_are_bounded_and_sublinear_on_a_miss_stream() {
     let (decisions, d) = window(|| engine.filter_stream(&stream));
     assert!(decisions.iter().all(|m| !m));
     assert_eq!(d.counter("engine.prefilter.rejected"), corpus.len() as u64);
+    // A rejected record costs nothing further: its separator is skipped
+    // with it, so the whole stream is.
     let skipped = d.counter("engine.bytes.prefilter_skipped");
-    assert_eq!(skipped, content);
+    assert_eq!(skipped, stream.len() as u64);
+    assert_eq!(d.counter("engine.bytes.byte_serial"), 0);
     let probed = d.counter("engine.prefilter.probed_bytes");
     assert!(probed > 0 && probed < skipped / 2, "{probed} of {skipped}");
 }
@@ -235,32 +263,21 @@ fn block_path_covers_wide_and_mixed_block_units() {
     assert_eq!(scanned, tweets.len() as u64);
     assert!(d.counter("engine.bytes.block") * 10 > tweets.len() as u64 * 9);
 
-    // `multi.gate_skips.subp` is the count of block-path bytes at which
-    // no B ≥ 2 unit of the pool sees one of its blocks end — recounted
-    // here from the needles alone.
-    let units: [(&[u8], usize); 3] = [
-        (b"tolls_amount", 2),
+    // A batch of B ≥ 2 units of three block lengths, one group each (no
+    // shared needle): every group that scans a record does so on the
+    // block path, and the per-group books balance.
+    let batch: Vec<Expr> = [
+        (&b"tolls_amount"[..], 2),
         (b"total_amount", 3),
         (b"passenger_count", 9),
-    ];
-    let batch: Vec<Expr> = units
-        .iter()
-        .map(|(needle, b)| Expr::substring(needle, *b).unwrap())
-        .collect();
+    ]
+    .iter()
+    .map(|(needle, b)| Expr::substring(needle, *b).unwrap())
+    .collect();
     let rides = taxi::generate(8, 60).stream();
-    let mut indifferent = 0u64;
-    for record in rides.split(|&b| b == b'\n').filter(|r| !r.is_empty()) {
-        for end in 1..=record.len() & !7 {
-            let ends_block = |&(needle, b): &(&[u8], usize)| {
-                end >= b
-                    && needle
-                        .windows(b)
-                        .any(|block| block == &record[end - b..end])
-            };
-            indifferent += u64::from(!units.iter().any(ends_block));
-        }
-    }
     let mut fused = MultiEngine::compile_batch(&batch);
+    let groups = fused.groups().len() as u64;
+    assert_eq!(groups, 3);
     let (_, d) = window(|| {
         rfjson_core::MultiBackend::filter_stream_verdicts(
             &mut fused,
@@ -268,9 +285,18 @@ fn block_path_covers_wide_and_mixed_block_units() {
             IngestLimits::UNLIMITED,
         )
     });
-    assert!(d.counters.contains_key("multi.gate_skips.subp"), "{d:?}");
-    assert_eq!(d.counter("multi.gate_skips.subp"), indifferent);
-    assert!(indifferent > 0 && indifferent < d.counter("multi.bytes.block"));
+    let (block, serial, skipped) = (
+        d.counter("multi.bytes.block"),
+        d.counter("multi.bytes.byte_serial"),
+        d.counter("multi.bytes.prefilter_skipped"),
+    );
+    assert_eq!(block + serial + skipped, groups * rides.len() as u64);
+    assert!(block * 10 > (block + serial) * 9, "{block} of {serial}");
+    assert_eq!(
+        d.counter("multi.group_scans") + d.counter("multi.group_rejects"),
+        groups * d.counter("multi.records")
+    );
+    assert!(d.counter("multi.group_scans") > 0);
 }
 
 #[test]
