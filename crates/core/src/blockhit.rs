@@ -147,6 +147,16 @@ pub struct BlockAutomatonView {
     pub units: Vec<BlockUnitView>,
 }
 
+impl BlockAutomatonView {
+    /// Size in bytes of the tables a walk reads: class map, `next`, `hits`.
+    #[must_use]
+    pub fn table_bytes(&self) -> usize {
+        std::mem::size_of_val(&self.classes)
+            + std::mem::size_of_val(&self.next[..])
+            + std::mem::size_of_val(&self.hits[..])
+    }
+}
+
 /// The pooled block-hit automaton of a set of substring units — see the
 /// [module docs](self).
 ///

@@ -9,11 +9,14 @@
 //! semantics — bit-for-bit, byte-for-byte, held equal by differential
 //! property tests — from flattened, allocation-free state:
 //!
-//! * every DFA-backed primitive (exact string matchers and number-range
-//!   automata) becomes a **dense 256-wide row-major transition table**
-//!   ([`Dfa::dense_table`]) with the accept flag folded into the state
-//!   word, so one load per byte replaces two dependent loads plus an
-//!   accept lookup;
+//! * every exact string matcher becomes a **dense 256-wide row-major
+//!   transition table** ([`Dfa::dense_table`]) with the accept flag folded
+//!   into the state word, so one load per byte replaces two dependent
+//!   loads plus an accept lookup;
+//! * all number-range automata are pooled into **one product automaton**
+//!   over the fifteen number bytes ([`numpool`]): one lookup
+//!   per number byte however many ranges the program checks, and one fire
+//!   mask per row, read where a token ends;
 //! * window and substring matchers keep **struct-of-arrays** state (packed
 //!   `u64` windows, run counters) stepped in a flat loop instead of
 //!   `Box<Prim>` dispatch;
@@ -44,10 +47,25 @@
 //! [`Engine::compile`] is the group of one;
 //! [`MultiEngine`](crate::multi::MultiEngine) partitions a batch into
 //! groups and scatters their root bits.
+//!
+//! # The word kernel
+//!
+//! [`Engine::on_block`] runs eligible programs ([`Engine::scan_path`])
+//! eight bytes at a time, in three passes per word that share nothing but
+//! the word and an array of fire masks by byte position. The unit lanes
+//! (packed run counters of the substring units, the string DFAs) step
+//! over the word in a straight line; the number automaton visits the
+//! number bytes and token ends a mask points out; and the node program —
+//! the only pass that branches on what the data says — runs on the set
+//! bits of "unmasked structural byte or fire", in stream order. Those are
+//! the bytes on which the byte-serial loop's program can change anything,
+//! visited in its order, so both paths agree on every latch; the
+//! byte-serial path stays as the oracle and carries tails and seams.
 
 use crate::blockhit::{self, fired_lanes, lane_step, BlockAutomatonView, BlockUnits};
 use crate::evaluator::StreamTracker;
 use crate::expr::{Expr, StringTechnique, StructScope};
+use crate::numpool::{self, number_mask, NumberAutomaton, NumberAutomatonView};
 use crate::prefilter::Prefilter;
 use crate::primitive::{DfaStringMatcher, SubstringMatcher, WindowMatcher};
 use rfjson_jsonstream::swar;
@@ -89,7 +107,7 @@ pub struct OpView {
     pub kind: OpKindView,
 }
 
-/// One table-backed DFA unit (exact-string or number-range automaton).
+/// One table-backed DFA unit (an exact-string or window automaton).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DfaUnitView {
     /// Offset of this unit's dense table inside [`ProgramView::tables`].
@@ -119,17 +137,24 @@ pub struct ProgramView {
     pub masks: Vec<u64>,
     /// Number of context flag-level registers.
     pub num_ctxs: u32,
-    /// Concatenated dense DFA transition tables.
+    /// Concatenated dense transition tables of the string DFA units.
     pub tables: Vec<u16>,
     /// Exact-string DFA units, in compile (post-)order.
     pub string_dfas: Vec<DfaUnitView>,
-    /// Number-range DFA units, in compile order.
-    pub number_dfas: Vec<DfaUnitView>,
+    /// Latch-bit indices of the number-range leaves. A number unit has no
+    /// table of its own: it is one component of the pooled number
+    /// automaton ([`Engine::number_automaton_views`]), which fires these
+    /// bits from its rows.
+    pub number_dfas: Vec<u32>,
     /// Latch-bit indices of single-byte substring units.
     pub sub1_nodes: Vec<u32>,
-    /// Latch-bit indices of short-block substring units (2 ≤ B ≤ 8).
+    /// Latch-bit indices of the B ≥ 2 substring units whose blocks are at
+    /// most eight bytes long. A census category, not a mechanism: like
+    /// [`ProgramView::wide_nodes`] they are lanes of the one block-hit
+    /// automaton ([`Engine::block_automaton_view`]).
     pub subp_nodes: Vec<u32>,
-    /// Latch-bit indices of wide substring units (B > 8).
+    /// Latch-bit indices of the B ≥ 2 substring units with longer blocks:
+    /// the other census category of the same lanes.
     pub wide_nodes: Vec<u32>,
 }
 
@@ -269,8 +294,8 @@ impl ProgramView {
         let mut nodes: Vec<u32> = self
             .string_dfas
             .iter()
-            .chain(&self.number_dfas)
             .map(|u| u.node)
+            .chain(self.number_dfas.iter().copied())
             .chain(self.sub1_nodes.iter().copied())
             .chain(self.subp_nodes.iter().copied())
             .chain(self.wide_nodes.iter().copied())
@@ -777,15 +802,20 @@ fn run_program_multi(
 /// expression demands.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UnitCounts {
-    /// Exact-string / window DFA units.
+    /// Exact-string / window DFA units, a dense table each.
     pub string_dfas: usize,
-    /// Number-range DFA units.
+    /// Number-range units: components of the pooled number automaton
+    /// ([`numpool`]), with no table of their own.
     pub number_dfas: usize,
-    /// Single-byte substring units (B = 1).
+    /// Single-byte substring units (B = 1), a lane each of the byte hit
+    /// table.
     pub sub1: usize,
-    /// Short-block substring units (2 ≤ B ≤ 8).
+    /// B ≥ 2 substring units whose blocks are at most eight bytes long. A
+    /// census category, not a mechanism: like [`UnitCounts::wide`] they
+    /// are lanes of the one block-hit automaton ([`blockhit`]).
     pub subp: usize,
-    /// Wide substring units (B > 8).
+    /// B ≥ 2 substring units with longer blocks: the other census
+    /// category of the same lanes.
     pub wide: usize,
 }
 
@@ -856,9 +886,9 @@ pub struct Engine {
     sdfa_fire: Vec<u64>,
 
     // ---- number-range units ----
-    num_off: Vec<u32>,
-    num_start: Vec<u16>,
-    num_fire: Vec<u64>,
+    /// The pooled number automata, walked by both paths: one, unless the
+    /// product of the units would outgrow [`numpool::MAX_ROWS`].
+    numbers: Vec<NumberAutomaton>,
 
     // ---- single-byte substring units (B = 1): 256-bit membership set ----
     /// Four `u64` words per unit — bit `b` set iff byte `b` is one of the
@@ -898,7 +928,8 @@ pub struct Engine {
     prev: Vec<u64>,
     flag_level: Vec<u32>,
     sdfa_state: Vec<u16>,
-    num_state: Vec<u16>,
+    /// Current row of each number automaton (0 outside tokens).
+    num_row: Vec<u16>,
     /// All number units share one token trajectory (`is_number_byte` does
     /// not depend on the unit), so one flag covers them.
     num_in_token: bool,
@@ -984,8 +1015,6 @@ struct Builder<'e> {
     sdfa_start: Vec<u16>,
     sdfa_fire: Vec<u64>,
     num_bounds: Vec<&'e NumberBounds>,
-    num_off: Vec<u32>,
-    num_start: Vec<u16>,
     num_fire: Vec<u64>,
     sub1_bitmap: Vec<u64>,
     sub1_target: Vec<u32>,
@@ -1078,11 +1107,8 @@ impl<'e> Builder<'e> {
                 let node = self.alloc_node();
                 let seen = self.num_bounds.iter().position(|b| *b == bounds);
                 let unit = seen.unwrap_or_else(|| {
-                    let (off, start) = self.add_dense(&bounds.to_dfa());
                     self.num_bounds.push(bounds);
-                    self.num_off.push(off);
-                    self.num_start.push(start);
-                    self.num_off.len() - 1
+                    self.num_bounds.len() - 1
                 });
                 subscribe(&mut self.num_fire, self.words, unit, node);
                 node
@@ -1184,6 +1210,9 @@ impl Engine {
             }
             sub1_targets_packed = blockhit::pack_targets(&b.sub1_target)[0];
         }
+        let num_units = b.num_bounds.iter().copied();
+        let num_units = num_units.zip(b.num_fire.chunks_exact(words));
+        let numbers = NumberAutomaton::pool(num_units, words, numpool::MAX_ROWS);
         // A member without a prefilter can match any record, so the
         // group then has none.
         let filters: Option<Vec<Prefilter>> = exprs.iter().map(|e| Prefilter::build(e)).collect();
@@ -1207,11 +1236,9 @@ impl Engine {
             sdfa_off: b.sdfa_off,
             sdfa_start: b.sdfa_start,
             sdfa_fire: b.sdfa_fire,
-            num_state: b.num_start.clone(),
+            num_row: vec![0; numbers.len()],
             num_in_token: false,
-            num_off: b.num_off,
-            num_start: b.num_start,
-            num_fire: b.num_fire,
+            numbers,
             sub1_counter: vec![0; b.sub1_target.len()],
             sub1_bitmap: b.sub1_bitmap,
             sub1_target: b.sub1_target,
@@ -1329,14 +1356,21 @@ impl Engine {
             leaves.sort_unstable();
             leaves
         };
-        let dfa_views = |offs: &[u32], starts: &[u16], fires: &[u64]| -> Vec<DfaUnitView> {
-            let view = |(node, unit): (u32, usize)| DfaUnitView {
-                table_off: offs[unit],
-                start: starts[unit],
-                node,
-            };
-            leaves(fires).into_iter().map(view).collect()
+        let nodes = |fires: &[u64]| -> Vec<u32> {
+            let leaves = leaves(fires).into_iter();
+            leaves.map(|(node, _)| node).collect()
         };
+        let string_dfa = |(node, unit): (u32, usize)| DfaUnitView {
+            table_off: self.sdfa_off[unit],
+            start: self.sdfa_start[unit],
+            node,
+        };
+        let num_fire: Vec<u64> = self
+            .numbers
+            .iter()
+            .flat_map(|a| &a.view().units)
+            .flat_map(|unit| unit.fire.iter().copied())
+            .collect();
         let subn_nodes = |keep: fn(usize) -> bool| -> Vec<u32> {
             let kept = |&(_, unit): &(u32, usize)| keep(self.subn.units()[unit].block_length());
             let leaves = leaves(&self.subn_fire).into_iter().filter(kept);
@@ -1354,12 +1388,12 @@ impl Engine {
                 .count() as u32,
             ops,
             tables: self.tables.clone(),
-            string_dfas: dfa_views(&self.sdfa_off, &self.sdfa_start, &self.sdfa_fire),
-            number_dfas: dfa_views(&self.num_off, &self.num_start, &self.num_fire),
-            sub1_nodes: leaves(&self.sub1_fire)
+            string_dfas: leaves(&self.sdfa_fire)
                 .into_iter()
-                .map(|(n, _)| n)
+                .map(string_dfa)
                 .collect(),
+            number_dfas: nodes(&num_fire),
+            sub1_nodes: nodes(&self.sub1_fire),
             subp_nodes: subn_nodes(|b| b <= 8),
             wide_nodes: subn_nodes(|b| b > 8),
             masks,
@@ -1371,6 +1405,14 @@ impl Engine {
     /// compile order. `None` without such units or past the table cap.
     pub fn block_automaton_view(&self) -> Option<&BlockAutomatonView> {
         self.subn.automaton().map(blockhit::BlockAutomaton::view)
+    }
+
+    /// The pooled number automata of the number-range units, for static
+    /// verification: the distinct units in compile order, split over as
+    /// many automata as the row cap demands (one, short of hundreds of
+    /// unrelated ranges; none without number units).
+    pub fn number_automaton_views(&self) -> impl Iterator<Item = &NumberAutomatonView> {
+        self.numbers.iter().map(NumberAutomaton::view)
     }
 
     /// Number of nodes in the flat program (primitives + combinators).
@@ -1385,17 +1427,27 @@ impl Engine {
         let subp = units.iter().filter(|u| u.block_length() <= 8).count();
         UnitCounts {
             string_dfas: self.sdfa_off.len(),
-            number_dfas: self.num_off.len(),
+            number_dfas: self.number_automaton_views().map(|v| v.units.len()).sum(),
             sub1: self.sub1_target.len(),
             subp,
             wide: units.len() - subp,
         }
     }
 
-    /// Total size of the dense transition tables in bytes — the price of
-    /// the single-load fast path.
+    /// Total size in bytes of the tables the scan reads — its working
+    /// set beside the input: the dense tables of the string DFA units, the
+    /// byte hit table of the B = 1 units, the block-hit automaton and the
+    /// number automata.
     pub fn table_bytes(&self) -> usize {
-        self.tables.len() * std::mem::size_of::<u16>()
+        std::mem::size_of_val(&self.tables[..])
+            + std::mem::size_of_val(&self.sub1_hits[..])
+            + self
+                .block_automaton_view()
+                .map_or(0, BlockAutomatonView::table_bytes)
+            + self
+                .number_automaton_views()
+                .map(NumberAutomatonView::table_bytes)
+                .sum::<usize>()
     }
 
     #[inline]
@@ -1479,20 +1531,16 @@ impl Engine {
             }
         }
         if is_number_byte(byte) {
-            for i in 0..self.num_state.len() {
-                let s = self.num_state[i];
-                self.num_state[i] = self.tables
-                    [self.num_off[i] as usize + (s & STATE_MASK) as usize * 256 + byte as usize];
+            for (a, row) in self.numbers.iter().zip(&mut self.num_row) {
+                *row = a.step(*row, byte);
             }
             self.num_in_token = true;
         } else if self.num_in_token {
-            // Token boundary: the automata are evaluated, then rearmed.
-            // (Outside tokens the states already sit at start.)
-            for i in 0..self.num_state.len() {
-                if self.num_state[i] & DENSE_ACCEPT_BIT != 0 {
-                    Self::fire(&mut self.latch, &self.num_fire, i);
-                }
-                self.num_state[i] = self.num_start[i];
+            // Token boundary: the rows are evaluated, then rearmed.
+            // (Outside tokens they already sit at 0.)
+            for (a, row) in self.numbers.iter().zip(&mut self.num_row) {
+                Self::fire(&mut self.latch, a.fire(*row), 0);
+                *row = 0;
             }
             self.num_in_token = false;
         }
@@ -1566,7 +1614,7 @@ impl Engine {
         self.latch.fill(0);
         self.flag_level.fill(0);
         self.sdfa_state.copy_from_slice(&self.sdfa_start);
-        self.num_state.copy_from_slice(&self.num_start);
+        self.num_row.fill(0);
         self.num_in_token = false;
         self.sub1_counter.fill(0);
         self.subn.reset();
@@ -1632,9 +1680,10 @@ impl Engine {
     /// * Eligible programs ([`Engine::scan_path`]) run the SWAR word
     ///   loop: per-word classification and string-mask resolution, packed
     ///   run counters for all substring units (B = 1 from a byte hit
-    ///   table, B ≥ 2 from the pooled block-hit automaton), token-gated
-    ///   number-DFA stepping, and the node program only on bytes where a
-    ///   fire signal or an unmasked close/comma makes it observable.
+    ///   table, B ≥ 2 from the pooled block-hit automaton), the pooled
+    ///   number automaton over the number bytes a mask points out, and
+    ///   the node program only on bytes where a fire signal or an
+    ///   unmasked structural byte makes it observable.
     pub fn on_block(&mut self, block: &[u8]) -> bool {
         if self.phase == Phase::Fresh {
             self.phase = Phase::Scanning;
@@ -1676,15 +1725,33 @@ impl Engine {
         self.accepts()
     }
 
-    /// The SWAR word loop behind [`Engine::on_block`]. Scalar per-unit
-    /// state is synced into packed registers on entry and back out before
-    /// the byte-serial tail runs, so interleaving `on_block` and `on_byte`
-    /// calls stays decision-identical to the pure byte loop.
+    /// The SWAR word loop behind [`Engine::on_block`]: per word, three
+    /// passes that share the word and the per-position fire masks.
+    ///
+    /// * **Unit lanes.** Every unit kind steps over the eight bytes in a
+    ///   straight line and only ORs its fire flags together; which lane
+    ///   fired on which byte is worked out, from the counters the word was
+    ///   entered with, in the rare word where one did.
+    /// * **Numbers.** One walk of the pooled number automaton over the
+    ///   word's number bytes and token ends, found by mask; a word outside
+    ///   any token and without a number byte is skipped whole.
+    /// * **Node program.** Over the set bits of "unmasked structural byte
+    ///   or fire", in stream order. Those are the bytes on which the
+    ///   program can change a latch — And/Or latches are closed under no
+    ///   new input and the Ctx arm returns early without a fire or a
+    ///   pending child — and the order is the stream's, so latches, flag
+    ///   levels, depth and every decision equal the byte loop's.
+    ///
+    /// Scalar per-unit state is synced into packed registers on entry and
+    /// back out before the byte-serial tail runs, so interleaving
+    /// `on_block` and `on_byte` calls stays decision-identical to the pure
+    /// byte loop.
     fn on_block_swar(&mut self, block: &[u8]) {
         let (mut in_string, mut pending_escape, mut depth) = self.tracker.state();
         let mut l = self.latch[0];
-        let nsub1 = self.sub1_target.len();
         // Run counters of both unit kinds, one saturating byte per lane.
+        let sub1_hits: Option<&[u64; 256]> = self.sub1_hits.as_slice().try_into().ok();
+        let sub1_targets = self.sub1_targets_packed;
         let mut c1 = blockhit::pack_counters(&self.sub1_counter)[0];
         let mut cn = blockhit::pack_counters(&self.subn.counters)[0];
         let mut row = self.subn.row;
@@ -1692,14 +1759,103 @@ impl Engine {
         let subn_targets = subn.map_or(0, |a| a.view().targets_packed[0]);
         let mut in_token = self.num_in_token;
         let has_ctx = self.has_ctx;
+        // Fire masks of the current word by byte position, and the
+        // positions that have one; all zero between words.
+        let mut fire = [0u64; swar::WORD_BYTES];
 
         let mut chunks = block.chunks_exact(swar::WORD_BYTES);
         for chunk in chunks.by_ref() {
-            let word = swar::load_word(chunk.try_into().expect("8-byte chunk"));
+            let bytes: &[u8; swar::WORD_BYTES] = chunk.try_into().expect("8-byte chunk");
+            let word = swar::load_word(bytes);
+            let mut fired = 0u8;
+
+            // ---- unit lanes ----
+            if let Some(hits) = sub1_hits {
+                // Hit lanes count up, miss lanes reset — the packed form
+                // of the serial run counter.
+                let entry = c1;
+                let mut any = 0;
+                for &byte in bytes {
+                    let (c, f) = lane_step(c1, hits[byte as usize], sub1_targets);
+                    c1 = c;
+                    any |= f;
+                }
+                if any != 0 {
+                    let mut c = entry;
+                    for (j, &byte) in bytes.iter().enumerate() {
+                        let (next, f) = lane_step(c, hits[byte as usize], sub1_targets);
+                        c = next;
+                        for lane in fired_lanes(f) {
+                            fire[j] |= self.sub1_fire[lane];
+                            fired |= 1 << j;
+                        }
+                    }
+                }
+            }
+            if let Some(a) = subn {
+                // One table walk for every B ≥ 2 unit, then the same
+                // lane arithmetic.
+                let entry = (row, cn);
+                let mut any = 0;
+                for &byte in bytes {
+                    let (c, f) = lane_step(cn, a.step(&mut row, byte)[0], subn_targets);
+                    cn = c;
+                    any |= f;
+                }
+                if any != 0 {
+                    let (mut row, mut c) = entry;
+                    for (j, &byte) in bytes.iter().enumerate() {
+                        let (next, f) = lane_step(c, a.step(&mut row, byte)[0], subn_targets);
+                        c = next;
+                        for lane in fired_lanes(f) {
+                            fire[j] |= self.subn_fire[lane];
+                            fired |= 1 << j;
+                        }
+                    }
+                }
+            }
+            for i in 0..self.sdfa_state.len() {
+                let table = &self.tables[self.sdfa_off[i] as usize..];
+                let mut s = self.sdfa_state[i];
+                for (j, &byte) in bytes.iter().enumerate() {
+                    s = table[(s & STATE_MASK) as usize * 256 + byte as usize];
+                    if s & DENSE_ACCEPT_BIT != 0 {
+                        fire[j] |= self.sdfa_fire[i];
+                        fired |= 1 << j;
+                    }
+                }
+                self.sdfa_state[i] = s;
+            }
+
+            // ---- numbers ----
+            let numb = number_mask(word);
+            if (numb != 0 || in_token) && !self.numbers.is_empty() {
+                // A token ends on the first other byte after a number
+                // byte, the word before included.
+                let ends = !numb & (numb << 1 | u8::from(in_token));
+                for (a, num_row) in self.numbers.iter().zip(&mut self.num_row) {
+                    let mut r = *num_row;
+                    let mut todo = numb | ends;
+                    while todo != 0 {
+                        let j = todo.trailing_zeros() as usize;
+                        todo &= todo - 1;
+                        if ends >> j & 1 != 0 {
+                            let f = a.fire(r)[0];
+                            fire[j] |= f;
+                            fired |= u8::from(f != 0) << j;
+                        }
+                        r = a.step(r, bytes[j]);
+                    }
+                    *num_row = r;
+                }
+                in_token = numb >> 7 != 0;
+            }
+
+            // ---- node program, in event order ----
             // Context-free programs never read the structural facts; skip
             // the classifier exactly like the serial path skips the
             // tracker.
-            let (wm, masked) = if has_ctx {
+            let (wm, structural) = if has_ctx {
                 let wm = swar::classify_word(word);
                 let (masked, next) = swar::string_mask_word(
                     wm.quotes,
@@ -1711,96 +1867,42 @@ impl Engine {
                 );
                 in_string = next.in_string;
                 pending_escape = next.pending_escape;
-                (wm, masked)
+                (wm, (wm.opens | wm.closes | wm.commas) & !masked)
             } else {
                 (swar::WordMasks::default(), 0)
             };
-            let structural = (wm.opens | wm.closes | wm.commas) & !masked;
-
-            for (j, &byte) in chunk.iter().enumerate() {
-                let mut fires = 0u64;
-                if nsub1 != 0 {
-                    // Hit lanes count up, miss lanes reset — the packed
-                    // form of the serial run counter.
-                    let h = self.sub1_hits[byte as usize];
-                    let (c, f) = lane_step(c1, h, self.sub1_targets_packed);
-                    c1 = c;
-                    for lane in fired_lanes(f) {
-                        fires |= self.sub1_fire[lane];
-                    }
-                }
-                if let Some(a) = subn {
-                    // One table walk for every B ≥ 2 unit, then the same
-                    // lane arithmetic.
-                    let h = a.step(&mut row, byte)[0];
-                    let (c, f) = lane_step(cn, h, subn_targets);
-                    cn = c;
-                    for lane in fired_lanes(f) {
-                        fires |= self.subn_fire[lane];
-                    }
-                }
-                if is_number_byte(byte) {
-                    for i in 0..self.num_state.len() {
-                        let s = self.num_state[i];
-                        self.num_state[i] = self.tables[self.num_off[i] as usize
-                            + (s & STATE_MASK) as usize * 256
-                            + byte as usize];
-                    }
-                    in_token = true;
-                } else if in_token {
-                    for i in 0..self.num_state.len() {
-                        if self.num_state[i] & DENSE_ACCEPT_BIT != 0 {
-                            fires |= self.num_fire[i];
-                        }
-                        self.num_state[i] = self.num_start[i];
-                    }
-                    in_token = false;
-                }
-                for i in 0..self.sdfa_state.len() {
-                    let s = self.sdfa_state[i];
-                    let s = self.tables[self.sdfa_off[i] as usize
-                        + (s & STATE_MASK) as usize * 256
-                        + byte as usize];
-                    self.sdfa_state[i] = s;
-                    if s & DENSE_ACCEPT_BIT != 0 {
-                        fires |= self.sdfa_fire[i];
-                    }
-                }
-
+            let mut events = structural | fired;
+            while events != 0 {
+                let j = events.trailing_zeros() as usize;
+                events &= events - 1;
                 let bit = 1u8 << j;
-                let mut is_close = false;
-                let mut is_comma = false;
-                if structural & bit != 0 {
-                    if wm.opens & bit != 0 {
-                        depth += 1;
-                    } else if wm.closes & bit != 0 {
-                        is_close = true;
-                    } else {
-                        is_comma = true;
+                let is_close = structural & wm.closes & bit != 0;
+                let is_comma = structural & wm.commas & bit != 0;
+                if structural & wm.opens & bit != 0 {
+                    depth += 1;
+                    if fire[j] == 0 {
+                        continue;
                     }
                 }
-                // The node program is a provable no-op on bytes with no
-                // fire signal and no unmasked close/comma: And/Or latches
-                // are closed under no new inputs, and the Ctx arm's
-                // early-out covers the rest. Run it only when observable.
-                if fires != 0 || is_close || is_comma {
-                    let p = l;
-                    l = run_program_word(
-                        &self.ops,
-                        &self.masks,
-                        &mut self.flag_level,
-                        l | fires,
-                        p,
-                        ByteEvent {
-                            depth,
-                            is_close,
-                            is_comma,
-                        },
-                    );
-                }
+                let p = l;
+                l = run_program_word(
+                    &self.ops,
+                    &self.masks,
+                    &mut self.flag_level,
+                    l | fire[j],
+                    p,
+                    ByteEvent {
+                        depth,
+                        is_close,
+                        is_comma,
+                    },
+                );
                 if is_close {
                     depth = depth.saturating_sub(1);
                 }
+            }
+            if fired != 0 {
+                fire = [0; swar::WORD_BYTES];
             }
         }
 
@@ -2110,7 +2212,32 @@ mod tests {
     fn node_and_table_accounting() {
         let e = Engine::compile(&ctx_temp());
         assert_eq!(e.num_nodes(), 3, "two primitives + one context");
-        assert!(e.table_bytes() > 0, "number automaton is table-backed");
+        let numbers: usize = e
+            .number_automaton_views()
+            .map(NumberAutomatonView::table_bytes)
+            .sum();
+        assert!(numbers > 0, "number automaton is table-backed");
+        assert_eq!(
+            e.table_bytes(),
+            256 * 8 + numbers,
+            "plus the byte hit table"
+        );
+        // Every table the scan reads counts: a B = 1 unit alone,
+        let sub1 = Engine::compile(&Expr::substring(b"temperature", 1).unwrap());
+        assert_eq!(sub1.table_bytes(), 256 * 8);
+        // a block-hit automaton, a string DFA.
+        let sub2 = Engine::compile(&Expr::substring(b"tolls_amount", 2).unwrap());
+        let view = sub2.block_automaton_view().expect("a B = 2 unit");
+        assert_eq!(sub2.table_bytes(), view.table_bytes());
+        assert!(view.table_bytes() > 256 + view.hits.len() * 8);
+        let dfa = Engine::compile(&Expr::dfa_string(b"dust").unwrap());
+        assert_eq!(dfa.table_bytes(), 5 * 256 * 2);
+        // QS1's five ranges are one automaton of 66 rows, where their
+        // dense tables took 43 008 bytes.
+        let qs1 = crate::query::query_to_exprs(&rfjson_riotbench::Query::qs1(), 1).unwrap();
+        let qs1 = Engine::compile(&qs1);
+        assert_eq!(qs1.unit_counts().number_dfas, 5);
+        assert!(qs1.table_bytes() < 43_008 / 4, "{}", qs1.table_bytes());
     }
 
     #[test]

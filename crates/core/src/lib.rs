@@ -28,6 +28,9 @@
 //!   several times faster; the path to use for bulk software filtering.
 //! * [`blockhit`] — the kernel the engine steps its B ≥ 2 substring
 //!   units with: one pooled block-hit automaton plus packed lane counters.
+//! * [`numpool`] — the kernel it evaluates its number-range units with:
+//!   their product automaton over the fifteen number bytes, one lookup per
+//!   number byte however many ranges there are.
 //! * [`prefilter`] — the engine's record-level literal prefilter: proves a
 //!   record `NoMatch` from every N-th byte when a required string unit
 //!   cannot fire anywhere in it.
@@ -90,6 +93,7 @@ pub mod evaluator;
 pub mod expr;
 mod metrics;
 pub mod multi;
+pub mod numpool;
 pub mod prefilter;
 pub mod primitive;
 pub mod query;

@@ -1,0 +1,365 @@
+//! The shared kernel of the number-range units: one **pooled number
+//! automaton** for all of them.
+//!
+//! Every number unit `v(lo ≤ x ≤ hi)` reads the same bytes — the digits,
+//! signs, point and exponent letters of the current token — and is asked
+//! one question, at the token's end: does its range automaton accept.
+//! Stepping each unit's DFA on its own costs a dependent table walk per
+//! unit and number byte. Here the units of a program are pooled into
+//! their **product automaton** over the fifteen number bytes
+//! ([`NUMBER_BYTES`]), as [`blockhit`](crate::blockhit) pools the blocks
+//! of the B ≥ 2 substring units and as Mitra et al. compile the common
+//! pieces of all profiles into one datapath:
+//!
+//! * a **row** is one reachable tuple of unit states; rows are numbered
+//!   breadth-first from the start tuple, so row 0 is "no token byte seen";
+//! * a **transition** `row + column` yields the next row, premultiplied
+//!   by [`COLUMNS`]; the sixteenth column is the **token end**, taken by
+//!   every other byte, and leads back to row 0 from everywhere;
+//! * every row carries one **fire mask**: the OR of the latch bits of the
+//!   units that accept in it, read when a token ends there.
+//!
+//! Units reading the same digits agree on most of what they remember, so
+//! the product is smaller than the sum of its parts (66 rows for the 84
+//! states of QS1's five ranges), and a walk costs one lookup per number
+//! byte however many units there are. Both paths of an engine walk the
+//! same table, so a block seam hands over one row.
+//!
+//! A product can also grow: [`NumberAutomaton::pool`] adds the units in
+//! order and starts another automaton when the next unit would take the
+//! current one past its row cap, so a program holds a list of automata —
+//! of one element for every query in this repository.
+//! [`NumberBounds::to_dfa`] stays the reference the property tests compare
+//! against (`tests/number_automaton_equiv.rs`).
+
+use rfjson_jsonstream::swar;
+use rfjson_redfa::range::NUMBER_BYTES;
+use rfjson_redfa::{Dfa, NumberBounds};
+use std::collections::HashMap;
+
+/// Row length: the fifteen number bytes plus the token-end column.
+pub const COLUMNS: usize = 16;
+/// The column of every byte that is not a number byte.
+pub const END_COLUMN: usize = 15;
+/// Most rows of one automaton: premultiplied row numbers stay in a `u16`.
+pub const MAX_ROWS: usize = (u16::MAX as usize + 1) / COLUMNS;
+
+/// Byte → column: the byte's index in [`NUMBER_BYTES`], or [`END_COLUMN`].
+const COLUMN_OF: [u8; 256] = {
+    let mut columns = [END_COLUMN as u8; 256];
+    let mut i = 0;
+    while i < NUMBER_BYTES.len() {
+        columns[NUMBER_BYTES[i] as usize] = i as u8;
+        i += 1;
+    }
+    columns
+};
+
+const LO: u64 = 0x0101_0101_0101_0101;
+const HI: u64 = 0x8080_8080_8080_8080;
+
+/// `0x80` in every lane of `low7` (lanes ≤ `0x7f`) whose byte is at least
+/// `min` (1 ..= `0x80`).
+#[inline]
+fn at_least(low7: u64, min: u8) -> u64 {
+    low7 + u64::from(0x80 - min) * LO
+}
+
+/// One bit per byte of `word` that may appear inside a number token (bit
+/// `j` = byte `j`, as in [`swar::classify_word`]) — the word-at-a-time
+/// form of [`is_number_byte`](rfjson_redfa::range::is_number_byte).
+#[inline]
+#[must_use]
+pub fn number_mask(word: u64) -> u8 {
+    let low7 = word & !HI;
+    let digits = at_least(low7, b'0') & !at_least(low7, b'9' + 1);
+    // `+`, `-` and `.` are `0x2b..=0x2e` without the comma between them.
+    let signs = at_least(low7, b'+')
+        & !at_least(low7, b'.' + 1)
+        & at_least(low7 ^ (u64::from(b',') * LO), 1);
+    let exponent = !at_least((low7 | (0x20 * LO)) ^ (u64::from(b'e') * LO), 1);
+    swar::high_bits_to_mask((digits | signs | exponent) & !word & HI)
+}
+
+/// One pooled unit of a [`NumberAutomatonView`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NumberUnitView {
+    /// The range the unit checks.
+    pub bounds: NumberBounds,
+    /// The latch bits of every leaf the unit stands for,
+    /// [`NumberAutomatonView::words`] words.
+    pub fire: Vec<u64>,
+}
+
+/// The tables of a [`NumberAutomaton`], readable by the static verifier
+/// (`rfjson-verify`, codes `N02x`) beside
+/// [`BlockAutomatonView`](crate::blockhit::BlockAutomatonView).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NumberAutomatonView {
+    /// `u64` words per fire mask: the latch width of the program.
+    pub words: usize,
+    /// Next row per transition, premultiplied by [`COLUMNS`]
+    /// (`rows × COLUMNS` entries).
+    pub next: Vec<u16>,
+    /// Fire mask per row, `words` words each.
+    pub fires: Vec<u64>,
+    /// The pooled units, in compile order.
+    pub units: Vec<NumberUnitView>,
+}
+
+impl NumberAutomatonView {
+    /// Size in bytes of the tables a walk reads.
+    #[must_use]
+    pub fn table_bytes(&self) -> usize {
+        std::mem::size_of_val(&self.next[..]) + std::mem::size_of_val(&self.fires[..])
+    }
+}
+
+/// The pooled automaton of a set of number-range units — see the
+/// [module docs](self).
+///
+/// # Example
+///
+/// ```
+/// use rfjson_core::numpool::{NumberAutomaton, MAX_ROWS};
+/// use rfjson_redfa::NumberBounds;
+///
+/// // Two units, latch bits 0 and 1 of a one-word latch.
+/// let (low, high) = (NumberBounds::int_range(12, 49), NumberBounds::int_range(40, 99));
+/// let units = [(&low, &[0b01][..]), (&high, &[0b10][..])];
+/// let pool = NumberAutomaton::pool(units, 1, MAX_ROWS);
+/// let automaton = &pool[0];
+/// let mut row = 0;
+/// for &byte in b"42" {
+///     row = automaton.step(row, byte);
+/// }
+/// assert_eq!(automaton.fire(row), [0b11]);
+/// assert_eq!(automaton.step(row, b','), 0, "a token end rearms");
+/// ```
+#[derive(Debug, Clone)]
+pub struct NumberAutomaton {
+    t: NumberAutomatonView,
+}
+
+impl NumberAutomaton {
+    /// Pools `units` — bounds and fire mask of `words` words each — in
+    /// order, starting another automaton whenever the next unit would
+    /// take the current one past `max_rows` (an engine passes
+    /// [`MAX_ROWS`]). No units, no automaton.
+    ///
+    /// # Panics
+    ///
+    /// Panics if one unit alone needs more than [`MAX_ROWS`] rows (bounds
+    /// of a thousand digits).
+    #[must_use]
+    pub fn pool<'a>(
+        units: impl IntoIterator<Item = (&'a NumberBounds, &'a [u64])>,
+        words: usize,
+        max_rows: usize,
+    ) -> Vec<NumberAutomaton> {
+        let mut pool: Vec<NumberAutomaton> = Vec::new();
+        for (bounds, fire) in units {
+            let dfa = bounds.to_dfa();
+            let last = pool.last();
+            let grown = last.and_then(|a| a.with_unit(bounds, &dfa, fire, max_rows));
+            match grown {
+                Some(grown) => *pool.last_mut().expect("the automaton that grew") = grown,
+                None => pool.push(
+                    NumberAutomaton::empty(words)
+                        .with_unit(bounds, &dfa, fire, MAX_ROWS)
+                        .expect("a number unit's automaton fits the row space"),
+                ),
+            }
+        }
+        pool
+    }
+
+    /// The automaton of no units: one row that fires nothing.
+    fn empty(words: usize) -> NumberAutomaton {
+        NumberAutomaton {
+            t: NumberAutomatonView {
+                words,
+                next: vec![0; COLUMNS],
+                fires: vec![0; words],
+                units: Vec::new(),
+            },
+        }
+    }
+
+    /// The product of this automaton and one more unit, or `None` past
+    /// `max_rows` rows.
+    fn with_unit(
+        &self,
+        bounds: &NumberBounds,
+        dfa: &Dfa,
+        fire: &[u64],
+        max_rows: usize,
+    ) -> Option<NumberAutomaton> {
+        let words = self.t.words;
+        // A row of the product is a row of `self` paired with a state of
+        // `dfa`, numbered in breadth-first order of discovery.
+        let start = (0u16, dfa.start());
+        let mut pairs = vec![start];
+        let mut row_of = HashMap::from([(start, 0usize)]);
+        let mut next = Vec::new();
+        let mut at = 0;
+        while at < pairs.len() {
+            let (row, state) = pairs[at];
+            at += 1;
+            for (column, &byte) in NUMBER_BYTES.iter().enumerate() {
+                let pair = (self.t.next[row as usize + column], dfa.step(state, byte));
+                let target = *row_of.entry(pair).or_insert_with(|| {
+                    pairs.push(pair);
+                    pairs.len() - 1
+                });
+                if pairs.len() > max_rows {
+                    return None;
+                }
+                next.push((target * COLUMNS) as u16);
+            }
+            next.push(0); // token end
+        }
+        let mut fires = Vec::with_capacity(pairs.len() * words);
+        for &(row, state) in &pairs {
+            let mine = if dfa.is_accept(state) { u64::MAX } else { 0 };
+            let theirs = self.fire(row);
+            fires.extend(theirs.iter().zip(fire).map(|(t, f)| t | (f & mine)));
+        }
+        let unit = NumberUnitView {
+            bounds: bounds.clone(),
+            fire: fire.to_vec(),
+        };
+        Some(NumberAutomaton {
+            t: NumberAutomatonView {
+                words,
+                next,
+                fires,
+                units: self.t.units.iter().cloned().chain([unit]).collect(),
+            },
+        })
+    }
+
+    /// The tables, for static verification.
+    #[must_use]
+    pub fn view(&self) -> &NumberAutomatonView {
+        &self.t
+    }
+
+    /// The row after `byte`: the product step for a number byte, row 0
+    /// (token start) for any other.
+    #[inline]
+    #[must_use]
+    pub fn step(&self, row: u16, byte: u8) -> u16 {
+        self.t.next[row as usize + COLUMN_OF[byte as usize] as usize]
+    }
+
+    /// The latch bits a token ending in `row` fires.
+    #[inline]
+    #[must_use]
+    pub fn fire(&self, row: u16) -> &[u64] {
+        let words = self.t.words;
+        &self.t.fires[row as usize / COLUMNS * words..][..words]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rfjson_redfa::range::is_number_byte;
+
+    /// Unit `i` fires bit `i` of a one-word latch.
+    fn pool(bounds: &[NumberBounds], max_rows: usize) -> Vec<NumberAutomaton> {
+        let bits: Vec<u64> = (0..bounds.len()).map(|i| 1 << i).collect();
+        let units = bounds.iter().zip(bits.chunks(1));
+        NumberAutomaton::pool(units, 1, max_rows)
+    }
+
+    /// The fire mask at the end of `token`, through every automaton.
+    fn fired(pool: &[NumberAutomaton], token: &[u8]) -> u64 {
+        let walk = |a: &NumberAutomaton| {
+            let row = token.iter().fold(0, |row, &b| a.step(row, b));
+            a.fire(row)[0]
+        };
+        pool.iter().map(walk).fold(0, |all, f| all | f)
+    }
+
+    #[test]
+    fn number_mask_matches_the_byte_predicate() {
+        for b in 0u16..=255 {
+            let b = b as u8;
+            for lane in 0..8 {
+                let mut chunk = [b'x'; 8];
+                chunk[lane] = b;
+                let want = u8::from(is_number_byte(b)) << lane;
+                assert_eq!(number_mask(swar::load_word(&chunk)), want, "byte {b:#x}");
+                // Against a background of number bytes and high bytes too.
+                let mut chunk = [b'7', 0xff, b'e', 0x80, b'-', b',', b'.', b'E'];
+                chunk[lane] = b;
+                let want = chunk
+                    .iter()
+                    .enumerate()
+                    .map(|(j, &x)| u8::from(is_number_byte(x)) << j)
+                    .sum::<u8>();
+                assert_eq!(number_mask(swar::load_word(&chunk)), want, "byte {b:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn product_accepts_what_each_unit_accepts() {
+        let bounds = vec![
+            NumberBounds::int_range(12, 49),
+            NumberBounds::int_range(40, 99),
+            NumberBounds::int_range(-5, 5),
+        ];
+        let dfas: Vec<Dfa> = bounds.iter().map(NumberBounds::to_dfa).collect();
+        let pool = pool(&bounds, MAX_ROWS);
+        assert_eq!(pool.len(), 1);
+        let states: usize = dfas.iter().map(Dfa::num_states).sum();
+        let rows = pool[0].view().next.len() / COLUMNS;
+        assert!(rows < states, "{rows} rows for {states} unit states");
+        for token in [
+            &b"42"[..],
+            b"12",
+            b"-3",
+            b"100",
+            b"4e",
+            b"1e5",
+            b"+",
+            b"e",
+            b"",
+        ] {
+            let want = dfas
+                .iter()
+                .enumerate()
+                .map(|(i, d)| u64::from(d.accepts(token)) << i)
+                .sum::<u64>();
+            assert_eq!(fired(&pool, token), want, "{token:?}");
+        }
+    }
+
+    #[test]
+    fn row_cap_starts_another_automaton() {
+        let bounds: Vec<NumberBounds> = (0..6)
+            .map(|i| NumberBounds::int_range(i * 7, i * 7 + 30))
+            .collect();
+        let one = pool(&bounds, MAX_ROWS);
+        let split = pool(&bounds, 12);
+        assert_eq!(one.len(), 1);
+        assert!(split.len() > 1);
+        let pooled: usize = split.iter().map(|a| a.view().units.len()).sum();
+        assert_eq!(pooled, 6);
+        for n in 0..80 {
+            let token = n.to_string();
+            assert_eq!(
+                fired(&one, token.as_bytes()),
+                fired(&split, token.as_bytes())
+            );
+        }
+    }
+
+    #[test]
+    fn no_units_no_automaton() {
+        assert!(pool(&[], MAX_ROWS).is_empty());
+    }
+}

@@ -15,15 +15,18 @@
 //!
 //! Every verdict line ends with the path `on_block` takes for that
 //! compiled query — `[path: block]`, or `[path: byte-serial (reason)]`
-//! with the eligibility rule that forces the fallback.
+//! with the eligibility rule that forces the fallback — and with what
+//! pooling its number ranges came to: `[numbers: 6 units → 66 rows]`, the
+//! rows of one product automaton for all of them.
 //!
 //! After the per-query passes, every expressible (query, b) expression
 //! of the selection is fused into one batch and linted through the
 //! `M0xx` multi-program pass (lane invariants against the group's shared
-//! units, independent dedup-census recomputation) and the `B0xx` pass
-//! over each group's block-hit automaton. The batch's verdict line is
-//! followed by one line per group the batch was partitioned into: its
-//! member queries, its own scan path, its node count and its units.
+//! units, independent dedup-census recomputation), the `B0xx` pass over
+//! each group's block-hit automaton and the `N02x` pass over its number
+//! automata. The batch's verdict line is followed by one line per group
+//! the batch was partitioned into: its member queries, its own scan path,
+//! its node count, its units and its number pooling.
 //!
 //! Exits with status 1 if any error-severity diagnostic is reported, or
 //! 2 on usage errors.
@@ -39,6 +42,20 @@ use std::process::ExitCode;
 fn usage() -> ExitCode {
     eprintln!("usage: verify [--verbose] [--telemetry] [--b LIST] [QUERY...]");
     ExitCode::from(2)
+}
+
+/// `N units → R rows` of an engine's number automata (`R+R'` where the
+/// row cap split them), or `none`.
+fn number_pooling(engine: &Engine) -> String {
+    let units: usize = engine.number_automaton_views().map(|v| v.units.len()).sum();
+    if units == 0 {
+        return "none".to_string();
+    }
+    let rows = engine
+        .number_automaton_views()
+        .map(|v| v.fires.len() / v.words);
+    let rows: Vec<String> = rows.map(|r| r.to_string()).collect();
+    format!("{units} units → {} rows", rows.join("+"))
 }
 
 fn main() -> ExitCode {
@@ -98,7 +115,8 @@ fn main() -> ExitCode {
                     continue;
                 }
             };
-            let path = Engine::compile(&expr).scan_path();
+            let engine = Engine::compile(&expr);
+            let (path, numbers) = (engine.scan_path(), number_pooling(&engine));
             batch.push(expr);
             let report = verify_query(query, b).expect("the expression was just derived");
             rfjson_telemetry::counter("verify.queries.linted").incr();
@@ -108,7 +126,11 @@ fn main() -> ExitCode {
             } else {
                 "ok"
             };
-            println!("{:4} {} [path: {path}]", verdict, report.summary());
+            println!(
+                "{:4} {} [path: {path}] [numbers: {numbers}]",
+                verdict,
+                report.summary()
+            );
             for d in report.at_least(min_shown) {
                 println!("       {d}");
             }
@@ -134,11 +156,12 @@ fn main() -> ExitCode {
                 for (g, group) in fused.groups().iter().enumerate() {
                     let engine = group.engine();
                     println!(
-                        "       group {g}: queries {:?}, {} nodes, {} units [path: {}]",
+                        "       group {g}: queries {:?}, {} nodes, {} units [path: {}] [numbers: {}]",
                         group.members(),
                         engine.num_nodes(),
                         engine.unit_counts().total(),
-                        engine.scan_path()
+                        engine.scan_path(),
+                        number_pooling(engine)
                     );
                 }
                 for d in report.at_least(min_shown) {

@@ -100,7 +100,7 @@ pub fn verify_block_automaton(view: &BlockAutomatonView) -> Vec<Diagnostic> {
         format!(
             "{} units, {states} states, {ncls} classes, {} table bytes",
             view.units.len(),
-            view.next.len() * 2 + view.hits.len() * 8
+            view.table_bytes()
         ),
     ));
 

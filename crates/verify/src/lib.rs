@@ -20,12 +20,18 @@
 //!   post-order evaluation, operands defined before use, the tree
 //!   single-use property, AND/OR/CTX latch-clear coverage,
 //!   bitset-width/register-count consistency, and a cross-layer check
-//!   that the engine's stored dense tables equal freshly derived ones.
+//!   that the engine's stored dense string-DFA tables equal freshly
+//!   derived ones.
 //! * [`blockhit`] — the pooled block-hit automaton of the B ≥ 2
 //!   substring units (codes `B0xx`): tables in range, every block of
 //!   every unit hits its lane from every state, no transition sets a
 //!   lane without such a block, run targets equal `N − B + 1`.
-//! * [`netlist`] — circuit-level checks (codes `N0xx`): combinational
+//! * [`numpool`] — the pooled number automaton of the number-range units
+//!   (codes `N02x`): the table is the product of its units' freshly
+//!   derived automata, transition by transition; a token end rearms; a
+//!   row fires exactly its accepting units' leaves; the units are the
+//!   distinct bounds of the source expressions.
+//! * [`netlist`] — circuit-level checks (codes `N00x`): combinational
 //!   cycles via topological sort, multi-driven output nets, unconnected
 //!   flip-flops, dangling inputs, dead gates, plus fanout and gate-count
 //!   statistics.
@@ -36,7 +42,7 @@
 //!
 //! ## Entry points
 //!
-//! [`verify_expr`] runs the three single-query passes over one composed
+//! [`verify_expr`] runs the single-query passes over one composed
 //! filter expression; [`verify_query`] lints a RiotBench Table VIII
 //! query end to end; [`multi::verify_batch`] lints a fused query batch.
 //! The `verify` binary applies the query lint to every built-in query,
@@ -63,6 +69,7 @@ pub mod blockhit;
 pub mod dfa;
 pub mod multi;
 pub mod netlist;
+pub mod numpool;
 pub mod program;
 
 use rfjson_core::expr::{ExprError, StringTechnique};
@@ -103,6 +110,8 @@ pub enum Layer {
     Program,
     /// The pooled block-hit automaton of the B ≥ 2 substring units.
     BlockAutomaton,
+    /// The pooled product automaton of the number-range units.
+    NumberAutomaton,
     /// The elaborated gate-level netlist.
     Netlist,
 }
@@ -113,6 +122,7 @@ impl fmt::Display for Layer {
             Layer::Dfa => write!(f, "dfa"),
             Layer::Program => write!(f, "program"),
             Layer::BlockAutomaton => write!(f, "blockhit"),
+            Layer::NumberAutomaton => write!(f, "numpool"),
             Layer::Netlist => write!(f, "netlist"),
         }
     }
@@ -125,9 +135,9 @@ pub struct Diagnostic {
     pub severity: Severity,
     /// Which artifact layer it concerns.
     pub layer: Layer,
-    /// Stable short code (`D011`, `P010`, `B003`, `N003`, …) — see the
-    /// module docs of [`dfa`], [`program`], [`blockhit`] and [`netlist`]
-    /// for the catalogue.
+    /// Stable short code (`D011`, `P010`, `B003`, `N024`, `N003`, …) — see
+    /// the module docs of [`dfa`], [`program`], [`blockhit`], [`numpool`]
+    /// and [`netlist`] for the catalogue.
     pub code: &'static str,
     /// Human-readable description of the finding.
     pub message: String,
@@ -290,8 +300,8 @@ fn dfa_pass(expr: &Expr, out: &mut Vec<Diagnostic>) {
 
 /// Runs all single-query verification passes over one composed filter
 /// expression: the DFA pass on every automaton-backed primitive, the
-/// program and block-automaton passes on the compiled [`Engine`], and
-/// the netlist pass on the elaborated circuit.
+/// program, block-automaton and number-automaton passes on the compiled
+/// [`Engine`], and the netlist pass on the elaborated circuit.
 pub fn verify_expr(expr: &Expr, name: &str) -> Report {
     let mut report = Report::new(name);
     dfa_pass(expr, &mut report.diagnostics);
@@ -300,6 +310,9 @@ pub fn verify_expr(expr: &Expr, name: &str) -> Report {
     report
         .diagnostics
         .extend(blockhit::verify_engine_blocks(&engine));
+    report
+        .diagnostics
+        .extend(numpool::verify_engine_numbers(&engine));
     let n = elaborate_filter(expr, name);
     report.diagnostics.extend(netlist::verify_netlist(&n));
     report

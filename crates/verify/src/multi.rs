@@ -11,11 +11,11 @@
 //! * every query's program snapshot (its member of the group, rebased
 //!   to a program of its own) is checked with the same structural
 //!   invariants as a single engine (post-order, latch-clear coverage,
-//!   …), and its group-resident dense tables are compared against
-//!   automata freshly derived from that query's source expression — a
-//!   merge of two different automata cannot survive this, because at
-//!   least one query's stored table would disagree with its own fresh
-//!   derivation;
+//!   …), and its group-resident dense string-DFA tables are compared
+//!   against automata freshly derived from that query's source
+//!   expression — a merge of two different automata cannot survive this,
+//!   because at least one query's stored table would disagree with its
+//!   own fresh derivation;
 //! * the census of units built is compared against an **independent**
 //!   dedup census computed per group straight from the source
 //!   expressions (bit-exact unit keys re-derived from the primitives,
@@ -32,7 +32,9 @@
 //! | M003 | error    | pool dedup census disagrees with independent recomputation |
 //!
 //! Each group's block-hit automaton (its B ≥ 2 substring units) goes
-//! through the `B0xx` pass of [`crate::blockhit`] in the same run.
+//! through the `B0xx` pass of [`crate::blockhit`] in the same run, and
+//! its number automata (the members' number ranges, pooled) through the
+//! `N02x` pass of [`crate::numpool`].
 
 use crate::program::{check_unit, collect_expected, ExpectedUnits};
 use crate::{Diagnostic, Layer, Report};
@@ -120,8 +122,9 @@ fn dedup_census(keys: &[FreshKey]) -> UnitCounts {
 /// Verifies a compiled fused batch: per-lane structural invariants
 /// (M001), per-lane census + group-table agreement with each lane's
 /// source expression (M002), the groups' dedup census against an
-/// independent recomputation from the source expressions (M003), and
-/// each group's block-hit automaton ([`crate::blockhit`], B0xx).
+/// independent recomputation from the source expressions (M003), each
+/// group's block-hit automaton ([`crate::blockhit`], B0xx) and its number
+/// automata ([`crate::numpool`], N02x).
 pub fn verify_multi_engine(fused: &MultiEngine) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let stats = fused.share_stats();
@@ -152,7 +155,7 @@ pub fn verify_multi_engine(fused: &MultiEngine) -> Vec<Diagnostic> {
         collect_expected(expr, &mut exp);
         let censuses = [
             ("string-dfa", view.string_dfas.len(), exp.string_dfas.len()),
-            ("number-dfa", view.number_dfas.len(), exp.number_dfas.len()),
+            ("number-dfa", view.number_dfas.len(), exp.number_dfas),
             ("substring-b1", view.sub1_nodes.len(), exp.sub1),
             ("substring-packed", view.subp_nodes.len(), exp.subp),
             ("substring-wide", view.wide_nodes.len(), exp.wide),
@@ -167,16 +170,13 @@ pub fn verify_multi_engine(fused: &MultiEngine) -> Vec<Diagnostic> {
                 ));
             }
         }
-        // The lane's DFA units live in its group's tables; each one must
-        // still equal the automaton freshly derived from *this* lane's
-        // expression, which rules out any dedup merge of two different
-        // automata.
+        // The lane's string DFA units live in its group's tables; each
+        // one must still equal the automaton freshly derived from *this*
+        // lane's expression, which rules out any dedup merge of two
+        // different automata.
         let mut unit_diags = Vec::new();
         for (i, (unit, fresh)) in view.string_dfas.iter().zip(&exp.string_dfas).enumerate() {
             check_unit("string-dfa", i, unit, fresh, &view.tables, &mut unit_diags);
-        }
-        for (i, (unit, fresh)) in view.number_dfas.iter().zip(&exp.number_dfas).enumerate() {
-            check_unit("number-dfa", i, unit, fresh, &view.tables, &mut unit_diags);
         }
         for mut d in unit_diags {
             d.code = "M002";
@@ -235,6 +235,7 @@ pub fn verify_multi_engine(fused: &MultiEngine) -> Vec<Diagnostic> {
         ));
     }
     out.extend(crate::blockhit::verify_multi_blocks(fused));
+    out.extend(crate::numpool::verify_multi_numbers(fused));
     out
 }
 

@@ -7,8 +7,10 @@
 //! compiler itself can `debug_assert!` it) re-proves the structural
 //! invariants; this module maps those faults into the shared diagnostic
 //! model and adds the cross-layer checks only an outside observer can
-//! make — that the dense tables *stored inside the engine* are the same
-//! tables a fresh derivation from the source expression produces.
+//! make — that the dense string-DFA tables *stored inside the engine*
+//! are the same tables a fresh derivation from the source expression
+//! produces. (Number units have no table of their own; the `N02x` pass of
+//! [`crate::numpool`] proves their pooled automaton.)
 //!
 //! ## Diagnostic catalogue
 //!
@@ -69,7 +71,7 @@ pub fn verify_program(view: &ProgramView) -> Vec<Diagnostic> {
 #[derive(Default)]
 pub(crate) struct ExpectedUnits {
     pub(crate) string_dfas: Vec<Dfa>,
-    pub(crate) number_dfas: Vec<Dfa>,
+    pub(crate) number_dfas: usize,
     pub(crate) sub1: usize,
     pub(crate) subp: usize,
     pub(crate) wide: usize,
@@ -92,7 +94,7 @@ pub(crate) fn collect_expected(expr: &Expr, exp: &mut ExpectedUnits) {
                 }
             }
         },
-        Expr::Num(bounds) => exp.number_dfas.push(bounds.to_dfa()),
+        Expr::Num(_) => exp.number_dfas += 1,
         Expr::And(cs) | Expr::Or(cs) | Expr::Ctx(cs, _) => {
             for c in cs {
                 collect_expected(c, exp);
@@ -148,8 +150,8 @@ pub(crate) fn check_unit(
 }
 
 /// Verifies a compiled engine: structural program invariants plus the
-/// cross-layer agreement of its stored dense tables with automata
-/// freshly derived from [`Engine::expr`].
+/// cross-layer agreement of its stored dense string-DFA tables with
+/// automata freshly derived from [`Engine::expr`].
 pub fn verify_engine(engine: &Engine) -> Vec<Diagnostic> {
     let view = engine.program_view();
     let mut out = verify_program(&view);
@@ -159,7 +161,7 @@ pub fn verify_engine(engine: &Engine) -> Vec<Diagnostic> {
 
     let censuses = [
         ("string-dfa", view.string_dfas.len(), exp.string_dfas.len()),
-        ("number-dfa", view.number_dfas.len(), exp.number_dfas.len()),
+        ("number-dfa", view.number_dfas.len(), exp.number_dfas),
         ("substring-b1", view.sub1_nodes.len(), exp.sub1),
         ("substring-packed", view.subp_nodes.len(), exp.subp),
         ("substring-wide", view.wide_nodes.len(), exp.wide),
@@ -177,9 +179,6 @@ pub fn verify_engine(engine: &Engine) -> Vec<Diagnostic> {
 
     for (i, (unit, fresh)) in view.string_dfas.iter().zip(&exp.string_dfas).enumerate() {
         check_unit("string-dfa", i, unit, fresh, &view.tables, &mut out);
-    }
-    for (i, (unit, fresh)) in view.number_dfas.iter().zip(&exp.number_dfas).enumerate() {
-        check_unit("number-dfa", i, unit, fresh, &view.tables, &mut out);
     }
     out
 }

@@ -1,0 +1,207 @@
+//! The pooled number automaton against the reference automata: for any
+//! set of number-range units, the set of units accepting at every token
+//! end of a stream must equal what one [`NumberBounds::to_dfa`] per unit
+//! computes when stepped on its own — in the byte-serial walk, in the
+//! word walk over [`number_mask`] bits, across the seams between the two,
+//! and whether the units share one automaton or the row cap split them
+//! over several.
+
+use proptest::prelude::*;
+use rfjson_core::numpool::{number_mask, NumberAutomaton, COLUMNS, MAX_ROWS};
+use rfjson_redfa::range::{is_number_byte, NumberKind};
+use rfjson_redfa::{Dfa, NumberBounds};
+
+/// `(position, accepting units)` of every token end of `stream`, one bit
+/// per unit.
+type TokenEnds = Vec<(usize, u64)>;
+
+/// The pool of `bounds` under a row cap: unit `i` fires bit `i` of a
+/// one-word latch, duplicates included.
+fn pool(bounds: &[NumberBounds], max_rows: usize) -> Vec<NumberAutomaton> {
+    let bits: Vec<u64> = (0..bounds.len()).map(|i| 1 << i).collect();
+    NumberAutomaton::pool(bounds.iter().zip(bits.chunks(1)), 1, max_rows)
+}
+
+/// The reference: every unit's own automaton, stepped over the token
+/// bytes and asked at the first byte after them.
+fn reference_ends(bounds: &[NumberBounds], stream: &[u8]) -> TokenEnds {
+    let dfas: Vec<Dfa> = bounds.iter().map(NumberBounds::to_dfa).collect();
+    let mut states: Vec<u16> = dfas.iter().map(Dfa::start).collect();
+    let mut in_token = false;
+    let mut ends = Vec::new();
+    for (pos, &byte) in stream.iter().enumerate() {
+        if is_number_byte(byte) {
+            for (d, s) in dfas.iter().zip(&mut states) {
+                *s = d.step(*s, byte);
+            }
+            in_token = true;
+        } else if in_token {
+            let accepting = dfas.iter().zip(&states).enumerate();
+            let mask = accepting.map(|(i, (d, &s))| u64::from(d.is_accept(s)) << i);
+            ends.push((pos, mask.sum()));
+            states = dfas.iter().map(Dfa::start).collect();
+            in_token = false;
+        }
+    }
+    ends
+}
+
+/// The pool over `stream`, cut at `cuts` into pieces walked byte by byte
+/// and word by word in turn; rows and the in-token flag are all that
+/// crosses a seam.
+fn pooled_ends(pool: &[NumberAutomaton], stream: &[u8], cuts: &[usize]) -> TokenEnds {
+    let mut rows = vec![0u16; pool.len()];
+    let mut in_token = false;
+    let mut ends = Vec::new();
+    let fired = |rows: &[u16]| {
+        let masks = pool.iter().zip(rows).map(|(a, &row)| a.fire(row)[0]);
+        masks.fold(0, |all, f| all | f)
+    };
+    let mut bounds = vec![0];
+    bounds.extend(cuts.iter().map(|&c| c.min(stream.len())));
+    bounds.push(stream.len());
+    bounds.sort_unstable();
+    for (piece, window) in bounds.windows(2).enumerate() {
+        let (from, to) = (window[0], window[1]);
+        let words = if piece % 2 == 1 { (to - from) / 8 } else { 0 };
+        for w in 0..words {
+            let base = from + w * 8;
+            let bytes: &[u8; 8] = stream[base..base + 8].try_into().unwrap();
+            let numb = number_mask(u64::from_le_bytes(*bytes));
+            let token_ends = !numb & (numb << 1 | u8::from(in_token));
+            for (j, &byte) in bytes.iter().enumerate() {
+                if token_ends >> j & 1 != 0 {
+                    ends.push((base + j, fired(&rows)));
+                }
+                if (numb | token_ends) >> j & 1 != 0 {
+                    for (a, row) in pool.iter().zip(&mut rows) {
+                        *row = a.step(*row, byte);
+                    }
+                }
+            }
+            in_token = numb >> 7 != 0;
+        }
+        for (pos, &byte) in stream.iter().enumerate().take(to).skip(from + words * 8) {
+            if !is_number_byte(byte) && in_token {
+                ends.push((pos, fired(&rows)));
+            }
+            in_token = is_number_byte(byte);
+            for (a, row) in pool.iter().zip(&mut rows) {
+                *row = a.step(*row, byte);
+            }
+        }
+    }
+    ends
+}
+
+fn float_bounds(lo_cents: i64, span_cents: i64) -> NumberBounds {
+    let decimal = |cents: i64| {
+        let sign = if cents < 0 { "-" } else { "" };
+        let text = format!("{sign}{}.{:02}", cents.abs() / 100, cents.abs() % 100);
+        text.parse().expect("a decimal literal")
+    };
+    let (lo, hi) = (decimal(lo_cents), decimal(lo_cents + span_cents));
+    NumberBounds::new(lo, hi, NumberKind::Float).expect("lo ≤ hi")
+}
+
+#[test]
+fn seventy_unit_ranges_pool_into_fewer_rows_than_states() {
+    let bounds: Vec<NumberBounds> = (0..70).map(|i| NumberBounds::int_range(i, i + 1)).collect();
+    // Past one latch word: two words per fire mask.
+    let mut fires = vec![0u64; 2 * bounds.len()];
+    for i in 0..bounds.len() {
+        fires[2 * i + i / 64] = 1 << (i % 64);
+    }
+    let pool = NumberAutomaton::pool(bounds.iter().zip(fires.chunks(2)), 2, MAX_ROWS);
+    assert_eq!(pool.len(), 1);
+    let rows = pool[0].view().next.len() / COLUMNS;
+    let states: usize = bounds.iter().map(|b| b.to_dfa().num_states()).sum();
+    assert!(rows * 4 < states, "{rows} rows for {states} unit states");
+    // 69 is in 68..=69 and 69..=70: units 68 and 69, across the word seam.
+    let row = b"69".iter().fold(0, |row, &b| pool[0].step(row, b));
+    assert_eq!(pool[0].fire(row), [0, 0b11 << 4]);
+    let row = b"64".iter().fold(0, |row, &b| pool[0].step(row, b));
+    assert_eq!(pool[0].fire(row), [1 << 63, 1]);
+}
+
+#[test]
+fn token_ends_are_found_at_every_word_offset() {
+    let bounds = [
+        NumberBounds::int_range(12, 49),
+        float_bounds(70, 3440), // 0.70 ..= 35.10
+    ];
+    let pool = pool(&bounds, MAX_ROWS);
+    // A token over a word seam, one ending on a word's last byte, one at
+    // its first, sign- and exponent-only tokens, an unterminated tail.
+    let stream = b"xxxxxx21.4,xxx35,12345678,e,-,+.,1e5 E 3";
+    let want = reference_ends(&bounds, stream);
+    assert_eq!(
+        want,
+        [
+            (10, 0b10), // 21.4
+            (16, 0b11), // 35, fired by the next word's first byte
+            (25, 0),
+            (27, 0),
+            (29, 0),
+            (32, 0),
+            (36, 0b11), // the exponent acceptor is in every unit
+            (38, 0),
+        ]
+    );
+    for offset in 0..8 {
+        assert_eq!(
+            pooled_ends(&pool, stream, &[offset]),
+            want,
+            "offset {offset}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Random integer and float ranges with duplicates among them, 1–40
+    /// units, a soup of number bytes and separators, random seams between
+    /// the byte walk and the word walk — and the same again under a row
+    /// cap small enough to split any pool of two units.
+    #[test]
+    fn pool_equals_reference_automata(
+        specs in proptest::collection::vec(
+            (any::<bool>(), -3000i64..3000, 0i64..2500),
+            1..40,
+        ),
+        duplicate in 0usize..40,
+        soup in proptest::collection::vec(prop_oneof![
+            12 => b'0'..=b'9',
+            2 => Just(b'.'), 1 => Just(b'-'), 1 => Just(b'+'),
+            1 => Just(b'e'), 1 => Just(b'E'),
+            3 => Just(b','), 1 => Just(b' '), 1 => Just(b'"'), 1 => Just(b'}'),
+            1 => Just(b'x'), 1 => Just(0xffu8),
+        ], 0..200),
+        cuts in proptest::collection::vec(0usize..200, 0..6),
+    ) {
+        let mut bounds: Vec<NumberBounds> = specs
+            .iter()
+            .map(|&(float, lo, span)| if float {
+                float_bounds(lo, span)
+            } else {
+                NumberBounds::int_range(lo / 10, (lo + span) / 10)
+            })
+            .collect();
+        bounds.push(bounds[duplicate % bounds.len()].clone());
+        let want = reference_ends(&bounds, &soup);
+
+        let one = pool(&bounds, MAX_ROWS);
+        prop_assert_eq!(&pooled_ends(&one, &soup, &cuts), &want);
+        prop_assert_eq!(&pooled_ends(&one, &soup, &[]), &want);
+
+        let split = pool(&bounds, 5);
+        prop_assert_eq!(split.len(), bounds.len(), "a unit alone has more rows than the cap");
+        prop_assert_eq!(&pooled_ends(&split, &soup, &cuts), &want);
+
+        let halves = pool(&bounds, 40);
+        let pooled: usize = halves.iter().map(|a| a.view().units.len()).sum();
+        prop_assert_eq!(pooled, bounds.len());
+        prop_assert_eq!(&pooled_ends(&halves, &soup, &cuts), &want);
+    }
+}
