@@ -40,9 +40,12 @@ use crate::expr::{Expr, ExprError};
 use std::error::Error;
 use std::fmt;
 
+use rfjson_jsonstream::frame::{is_blank_line, trim_cr, RecordEnd};
 pub use rfjson_jsonstream::frame::{
     ChunkFramer, FrameAction, IngestLimits, LimitedAction, LimitedFramer, SkipReason, Verdict,
 };
+use rfjson_jsonstream::swar;
+use rfjson_jsonstream::telemetry::FramingTally;
 
 /// Why a backend could not be compiled from an expression — the fallible
 /// half of the construction API ([`FilterBackend::try_compile`]).
@@ -159,10 +162,13 @@ pub trait FilterBackend {
     ///
     /// The default implementation is the plain byte loop, so every
     /// backend gets the block API for free; backends with a faster bulk
-    /// path (the SWAR block-scan engine) override it. Decisions must be
-    /// identical to the byte loop — the differential suites drive every
-    /// backend through [`filter_stream_into`](FilterBackend::filter_stream_into),
-    /// which routes whole records through this method.
+    /// path (the SWAR word kernel of the engine) override it. Decisions
+    /// must be identical to the byte loop — the differential suites
+    /// drive every backend through [`run_verdict_driver_blocks`], which
+    /// routes whole records through this method. (The engine's own
+    /// stream path does not call it: it runs the same kernel over the
+    /// whole buffer, the record separator included, see
+    /// [`filter_stream_verdicts_into`](FilterBackend::filter_stream_verdicts_into).)
     ///
     /// **Precondition.** If the first call after
     /// [`reset`](FilterBackend::reset) is `on_block`, that block must
@@ -182,6 +188,16 @@ pub trait FilterBackend {
 
     /// Record-boundary reset.
     fn reset(&mut self);
+
+    /// Closes a trailing record the stream did not terminate: feeds the
+    /// `\n` separator the hardware would see and returns the accept
+    /// signal, exactly as `on_byte(b'\n')` — except that this byte is not
+    /// in the stream, so a backend that accounts stream bytes by scan
+    /// path does not count it. The stream drivers call it once at
+    /// end-of-stream; the default is `on_byte(b'\n')`.
+    fn close_trailing_record(&mut self) -> bool {
+        self.on_byte(b'\n')
+    }
 
     /// Flushes any internally accumulated telemetry into the global
     /// [`rfjson_telemetry`] registry.
@@ -242,6 +258,11 @@ pub trait FilterBackend {
     /// With [`IngestLimits::UNLIMITED`] the match/no-match verdicts are
     /// byte-identical to [`filter_stream_into`](FilterBackend::filter_stream_into)
     /// decisions; under limits, the non-skipped verdicts still are.
+    ///
+    /// The default is the record driver, [`run_verdict_driver_blocks`].
+    /// [`Engine`](crate::engine::Engine) overrides it with its stream
+    /// path — one kernel over the whole buffer, the separator as a kernel
+    /// event — wherever no record needs its bounds before it is scanned.
     fn filter_stream_verdicts_into(
         &mut self,
         stream: &[u8],
@@ -280,8 +301,6 @@ pub fn run_verdict_driver<B: FilterBackend + ?Sized>(
     limits: IngestLimits,
     out: &mut Vec<Verdict>,
 ) {
-    use rfjson_jsonstream::telemetry::FramingTally;
-
     backend.reset();
     let mut framer = LimitedFramer::new(limits);
     let mut tally = FramingTally::new();
@@ -332,7 +351,7 @@ pub fn run_verdict_driver<B: FilterBackend + ?Sized>(
             None => {
                 // Close the trailing record with the `\n` the hardware
                 // would see.
-                accept = backend.on_byte(b'\n') || accept;
+                accept = backend.close_trailing_record() || accept;
                 Verdict::from_decision(accept)
             }
         });
@@ -342,10 +361,94 @@ pub fn run_verdict_driver<B: FilterBackend + ?Sized>(
     backend.flush_telemetry();
 }
 
+/// The framing rules of [`LimitedFramer`] at slice level — one call per
+/// `\n`-delimited line instead of one per byte — with the stream's
+/// framing tally. Shared by the record drivers and the engine's stream
+/// path, so blank lines, CR trimming, the trailing record and the
+/// quarantine precedence are decided in one place.
+pub(crate) struct LineFramer {
+    limits: IngestLimits,
+    records: usize,
+    tally: FramingTally,
+}
+
+impl LineFramer {
+    pub(crate) fn new(limits: IngestLimits) -> LineFramer {
+        LineFramer {
+            limits,
+            records: 0,
+            tally: FramingTally::new(),
+        }
+    }
+
+    /// Frames one line, its `\n` excluded; `terminated` is `false` for
+    /// the text after the stream's last separator. `None` for a blank
+    /// line — no record, no verdict — and otherwise the record's end,
+    /// with the reason it is quarantined if it is.
+    #[inline]
+    pub(crate) fn frame(&mut self, line: &[u8], terminated: bool) -> Option<RecordEnd> {
+        if is_blank_line(line) {
+            // Only separator-terminated blanks count: the empty tail a
+            // `\n`-terminated stream leaves behind is not a line the
+            // byte-serial framer ever sees.
+            self.tally.blank_lines += u64::from(terminated);
+            return None;
+        }
+        let content = trim_cr(line).len();
+        self.tally.records += 1;
+        self.tally.cr_records += u64::from(content < line.len());
+        let skip = self.limits.skip_reason(self.records, content);
+        self.records += 1;
+        if let Some(reason) = &skip {
+            self.tally.quarantine(reason);
+        }
+        Some(RecordEnd { skip })
+    }
+
+    /// Frames every line of `stream`, hopping from separator to
+    /// separator with the SWAR newline search, and calls
+    /// `record(line, terminated, end)` for each non-blank one in order.
+    /// Blank lines feed nothing: the lane is already at its reset state.
+    pub(crate) fn records(
+        &mut self,
+        stream: &[u8],
+        mut record: impl FnMut(&[u8], bool, RecordEnd),
+    ) {
+        let mut rest = stream;
+        loop {
+            let (line, terminated) = match swar::find_byte(rest, b'\n') {
+                Some(nl) => {
+                    let line = &rest[..nl];
+                    rest = &rest[nl + 1..];
+                    (line, true)
+                }
+                None => (rest, false),
+            };
+            if let Some(end) = self.frame(line, terminated) {
+                record(line, terminated, end);
+            }
+            if !terminated {
+                return;
+            }
+        }
+    }
+
+    /// Adds the tally to the global `framing.*` counters.
+    pub(crate) fn flush(&mut self) {
+        self.tally.flush();
+    }
+}
+
 /// Record-at-a-time driver behind the provided batch methods: hops from
 /// separator to separator with the SWAR newline search and hands each
 /// record's content to [`FilterBackend::on_block`] in one call, instead
 /// of framing byte-by-byte.
+///
+/// Every backend but [`Engine`](crate::engine::Engine) runs it for every
+/// stream; the engine runs it only where its stream path cannot: while
+/// its literal prefilter is live (the prefilter judges a whole record
+/// before it is scanned), on a byte-serial [`ScanPath`](crate::ScanPath),
+/// and when some unit can see the separator.
 ///
 /// Decision-equivalent to [`run_verdict_driver`] for every backend:
 ///
@@ -357,7 +460,8 @@ pub fn run_verdict_driver<B: FilterBackend + ?Sized>(
 ///   skipping the per-content-byte returns changes nothing;
 /// * the **trailing** record ORs the last content byte's latched signal
 ///   (which [`FilterBackend::on_block`] returns) with the synthetic
-///   separator's, exactly like the byte-serial EOF close;
+///   separator's ([`FilterBackend::close_trailing_record`]), exactly like
+///   the byte-serial EOF close;
 /// * blank lines feed nothing and reset nothing — the lane is already at
 ///   its reset state, which is where the byte-serial driver's explicit
 ///   reset would put it;
@@ -370,64 +474,23 @@ pub fn run_verdict_driver_blocks<B: FilterBackend + ?Sized>(
     limits: IngestLimits,
     out: &mut Vec<Verdict>,
 ) {
-    use rfjson_jsonstream::frame::{is_blank_line, trim_cr};
-    use rfjson_jsonstream::swar;
-    use rfjson_jsonstream::telemetry::FramingTally;
-
     backend.reset();
-    let mut tally = FramingTally::new();
-    let mut records_seen = 0usize;
-    let mut rest = stream;
-    let mut trailing = false;
-    while !trailing {
-        let line = match swar::find_byte(rest, b'\n') {
-            Some(nl) => {
-                let line = &rest[..nl];
-                rest = &rest[nl + 1..];
-                line
-            }
-            None => {
-                trailing = true;
-                rest
-            }
-        };
-        if is_blank_line(line) {
-            // Only separator-terminated blanks count: the empty tail a
-            // `\n`-terminated stream leaves behind is not a line the
-            // byte-serial framer ever sees.
-            tally.blank_lines += u64::from(!trailing);
-            continue; // no verdict, lane already at reset state
-        }
-        let content = trim_cr(line).len();
-        tally.records += 1;
-        tally.cr_records += u64::from(content < line.len());
-        let index = records_seen;
-        records_seen += 1;
-        // Same quarantine rules and precedence as `LimitedFramer`.
-        let skip = match limits.max_records {
-            Some(m) if index >= m => Some(SkipReason::RecordLimit { limit: m }),
-            _ => match limits.max_record_bytes {
-                Some(m) if content > m => Some(SkipReason::TooLong {
-                    limit: m,
-                    actual: content,
-                }),
-                _ => None,
-            },
-        };
-        out.push(match skip {
-            Some(reason) => {
-                tally.quarantine(&reason);
-                Verdict::Skipped(reason)
-            }
+    let mut lines = LineFramer::new(limits);
+    lines.records(stream, |line, terminated, end| {
+        out.push(match end.skip {
+            Some(reason) => Verdict::Skipped(reason),
             None => {
                 let last = backend.on_block(line);
-                let sep = backend.on_byte(b'\n');
-                Verdict::from_decision(if trailing { sep || last } else { sep })
+                Verdict::from_decision(if terminated {
+                    backend.on_byte(b'\n')
+                } else {
+                    backend.close_trailing_record() || last
+                })
             }
         });
         backend.reset();
-    }
-    tally.flush();
+    });
+    lines.flush();
     backend.flush_telemetry();
 }
 

@@ -50,18 +50,39 @@
 //!
 //! # The word kernel
 //!
-//! [`Engine::on_block`] runs eligible programs ([`Engine::scan_path`])
-//! eight bytes at a time, in three passes per word that share nothing but
-//! the word and an array of fire masks by byte position. The unit lanes
-//! (packed run counters of the substring units, the string DFAs) step
-//! over the word in a straight line; the number automaton visits the
-//! number bytes and token ends a mask points out; and the node program —
-//! the only pass that branches on what the data says — runs on the set
-//! bits of "unmasked structural byte or fire", in stream order. Those are
-//! the bytes on which the byte-serial loop's program can change anything,
-//! visited in its order, so both paths agree on every latch; the
-//! byte-serial path stays as the oracle and carries tails and seams.
+//! Eligible programs ([`Engine::scan_path`]) run eight bytes at a time,
+//! in three passes per word that share nothing but the word and an array
+//! of fire masks by byte position. The unit lanes (packed run counters
+//! of the substring units, the string DFAs) step over the word in a
+//! straight line; the number automaton visits the number bytes and token
+//! ends a mask points out; and the node program — the only pass that
+//! branches on what the data says — runs on **events**, in stream order:
+//! a byte where some unit fired, and an unmasked close (or, if some
+//! context is member-scoped, comma) while some context has a pending
+//! child. An open, or a close that is no event, only moves `depth`. On
+//! every other byte the byte-serial loop's program is the identity —
+//! And/Or latches are closed under no new input, and a context with
+//! neither a fire nor a pending child returns early — so both paths agree
+//! on every latch; the byte-serial path stays as the oracle and carries
+//! tails and seams.
+//!
+//! The kernel comes in two forms, one loop generic over whether `\n`
+//! ends a record. [`Engine::on_block`] runs the form where it does not,
+//! over one record at a time. The engine's
+//! [`filter_stream_verdicts_into`](crate::backend::FilterBackend::filter_stream_verdicts_into)
+//! runs the other over the whole buffer, as the paper's lane never stops
+//! between records: every
+//! newline is an event, at which the kernel reads the verdict from the
+//! root bits after the separator's own fires, hands it to the framing
+//! rules (blank lines, CR, ingest limits), and clears the latches, the
+//! flag levels, the depth and — if the separator sat inside an
+//! unterminated string — the string state. The unit lanes need no reset:
+//! the compiler checks that `\n` returns every one of them to its reset
+//! state, and a stream whose records need their bounds first (a live
+//! prefilter) or a program off the block path takes the record driver,
+//! [`run_verdict_driver_blocks`].
 
+use crate::backend::{run_verdict_driver_blocks, IngestLimits, LineFramer, Verdict};
 use crate::blockhit::{self, fired_lanes, lane_step, BlockAutomatonView, BlockUnits};
 use crate::evaluator::StreamTracker;
 use crate::expr::{Expr, StringTechnique, StructScope};
@@ -872,6 +893,13 @@ pub struct Engine {
     /// structural facts and the whole scan (and the latch snapshot it
     /// feeds) is skipped.
     has_ctx: bool,
+    /// The OR of every context's child mask (first latch word): without a
+    /// bit of it latched, no context is pending and a close or comma
+    /// without a fire is no event of the word kernel.
+    ctx_children: u64,
+    /// `0xFF` if some context is member-scoped — the only kind a comma
+    /// can end — else 0: the word kernel's mask of commas that matter.
+    comma_events: u8,
     ops: Vec<Op>,
     /// All child/clear masks, `words` u64s per mask, indexed by offset.
     masks: Vec<u64>,
@@ -908,6 +936,10 @@ pub struct Engine {
     /// Whether [`Engine::on_block`] may take the SWAR word loop, or why
     /// not ([`scan_path`]).
     path: ScanPath,
+    /// Whether `\n` returns every unit to its reset state
+    /// ([`separator_resets_units`]), so the stream path may run the
+    /// kernel across record boundaries.
+    separator_resets: bool,
     /// 256-entry packed hit table for the B = 1 substring units: entry
     /// `b` holds `0xFF` in lane `i` iff byte `b` is in unit `i`'s
     /// membership set. Empty unless on the block path with sub1 units.
@@ -957,12 +989,15 @@ enum Phase {
 /// group this engine is.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct EngineStats {
-    /// Records entering `on_block` from a fresh reset.
+    /// Records entering `on_block` from a fresh reset, and records the
+    /// stream path scored.
     pub(crate) records: u64,
-    /// Bytes scanned by the SWAR word loop (word-aligned portion).
+    /// Bytes scanned by the word kernel: the word-aligned portion of each
+    /// block, and every byte of a stream on the stream path.
     pub(crate) bytes_block: u64,
-    /// Bytes through the serial `on_byte` path (fallback programs,
-    /// sub-word tails, separators).
+    /// Stream bytes through the serial `on_byte` path (fallback programs,
+    /// sub-word tails, separators on the record path). The separator
+    /// closing a trailing record is not a stream byte and not counted.
     pub(crate) bytes_byte_serial: u64,
     /// Bytes never scanned: the prefilter rejected the whole record
     /// (its separator included).
@@ -1197,6 +1232,13 @@ impl Engine {
         // Block-scan eligibility and derived tables.
         let subn = BlockUnits::new(b.subn);
         let path = scan_path(num_nodes, &b.sub1_target, &subn);
+        let (mut ctx_children, mut comma_events) = (0u64, 0u8);
+        for op in &b.ops {
+            if let OpKind::Ctx { member, .. } = op.kind {
+                ctx_children |= b.masks[op.mask_off as usize];
+                comma_events |= if member { u8::MAX } else { 0 };
+            }
+        }
         let mut sub1_hits = Vec::new();
         let mut sub1_targets_packed = 0u64;
         if path == ScanPath::Block && !b.sub1_target.is_empty() {
@@ -1223,12 +1265,14 @@ impl Engine {
             rejected: 0,
         });
 
-        let engine = Engine {
+        let mut engine = Engine {
             exprs: exprs.iter().map(|&e| e.clone()).collect(),
             words,
             roots,
             root_mask,
             has_ctx: b.next_ctx > 0,
+            ctx_children,
+            comma_events,
             ops: b.ops,
             masks: b.masks,
             tables: b.tables,
@@ -1246,6 +1290,7 @@ impl Engine {
             subn,
             subn_fire: b.subn_fire,
             path,
+            separator_resets: false,
             sub1_hits,
             sub1_targets_packed,
             prefilter,
@@ -1256,6 +1301,7 @@ impl Engine {
             flag_level: vec![0; b.next_ctx as usize],
             tracker: StreamTracker::new(),
         };
+        engine.separator_resets = engine.separator_resets_units();
         // Static self-verification: every member's flat program must be
         // structurally well-formed before the unchecked hot loop ever
         // runs it. The full diagnostic pass (including cross-artifact
@@ -1490,13 +1536,14 @@ impl Engine {
             self.stats.bytes_prefilter_skipped += 1;
             return false;
         }
+        self.stats.bytes_byte_serial += 1;
         self.step_byte(byte)
     }
 
-    /// One byte-serial cycle of a record that is being scanned.
+    /// One byte-serial cycle of a record that is being scanned; the
+    /// caller counts the byte.
     #[inline]
     fn step_byte(&mut self, byte: u8) -> bool {
-        self.stats.bytes_byte_serial += 1;
         self.phase = Phase::Scanning;
         let mut depth = 0u32;
         let mut is_close = false;
@@ -1634,6 +1681,32 @@ impl Engine {
         self.path == ScanPath::Block
     }
 
+    /// Whether `\n` returns every unit to its reset state, whatever state
+    /// it finds it in — what lets the stream path run the kernel across
+    /// record boundaries without resetting a lane: `\n` is in no B = 1
+    /// bitmap (the run counter drops to 0), is class 0 of the block-hit
+    /// automaton (row 0, no hit) and sends every string-DFA state to
+    /// start. Number rows return to 0 at every token end anyway. A unit
+    /// may still *fire* on the separator; the kernel runs the program on
+    /// that before it reads the verdict.
+    fn separator_resets_units(&self) -> bool {
+        const NL: usize = b'\n' as usize;
+        let sub1 = self
+            .sub1_bitmap
+            .chunks_exact(4)
+            .all(|m| m[0] >> NL & 1 == 0);
+        let block = self.subn.units().is_empty()
+            || (self.subn.automaton()).is_some_and(|a| a.view().classes[NL] == 0);
+        let ends = self.sdfa_off.iter().skip(1).map(|&off| off as usize);
+        let ends = ends.chain(std::iter::once(self.tables.len()));
+        let mut units = self.sdfa_off.iter().zip(ends).zip(&self.sdfa_start);
+        let string = units.all(|((&off, end), &start)| {
+            let mut rows = self.tables[off as usize..end].chunks_exact(256);
+            rows.all(|row| row[NL] == start)
+        });
+        sub1 && block && string
+    }
+
     /// Records checked and rejected by the literal prefilter since
     /// compile: `(checked, rejected)`.
     pub fn prefilter_stats(&self) -> (u64, u64) {
@@ -1677,13 +1750,10 @@ impl Engine {
     ///   cannot latch a root, so the engine stays at its reset state and
     ///   answers `false` to whatever else is fed — the separator — until
     ///   the next [`Engine::reset`], which then has nothing to undo.
-    /// * Eligible programs ([`Engine::scan_path`]) run the SWAR word
-    ///   loop: per-word classification and string-mask resolution, packed
-    ///   run counters for all substring units (B = 1 from a byte hit
-    ///   table, B ≥ 2 from the pooled block-hit automaton), the pooled
-    ///   number automaton over the number bytes a mask points out, and
-    ///   the node program only on bytes where a fire signal or an
-    ///   unmasked structural byte makes it observable.
+    /// * Eligible programs ([`Engine::scan_path`]) run the
+    ///   [word kernel](self#the-word-kernel) over the block's whole
+    ///   words, in the form where `\n` is a byte like any other; the
+    ///   sub-word tail goes through the byte loop.
     pub fn on_block(&mut self, block: &[u8]) -> bool {
         if self.phase == Phase::Fresh {
             self.phase = Phase::Scanning;
@@ -1712,21 +1782,64 @@ impl Engine {
             self.stats.bytes_prefilter_skipped += block.len() as u64;
             return false;
         }
-        if self.path == ScanPath::Block {
-            // The word loop consumes the aligned portion; the sub-word
-            // tail goes through `step_byte`, which counts itself.
-            self.stats.bytes_block += (block.len() & !(swar::WORD_BYTES - 1)) as u64;
-            self.on_block_swar(block);
+        let whole = if self.path == ScanPath::Block {
+            block.len() & !(swar::WORD_BYTES - 1)
         } else {
-            for &b in block {
-                self.step_byte(b);
-            }
+            0
+        };
+        if whole != 0 {
+            self.stats.bytes_block += whole as u64;
+            self.scan_words::<false>(&block[..whole], 0, |_, _| {});
+        }
+        self.stats.bytes_byte_serial += (block.len() - whole) as u64;
+        for &byte in &block[whole..] {
+            self.step_byte(byte);
         }
         self.accepts()
     }
 
-    /// The SWAR word loop behind [`Engine::on_block`]: per word, three
-    /// passes that share the word and the per-position fire masks.
+    /// The stream path behind the engine's
+    /// [`filter_stream_verdicts_into`](crate::backend::FilterBackend::filter_stream_verdicts_into):
+    /// the word kernel in the form where `\n` ends a record, over the
+    /// whole buffer, so every stream byte is scanned once and counted
+    /// once, as `block`. The sub-word tail rides one last word padded
+    /// with separators: the first pad closes a trailing record — the `\n`
+    /// the hardware would see — and the others are not lines of the
+    /// stream.
+    fn filter_stream_words(&mut self, stream: &[u8], limits: IngestLimits, out: &mut Vec<Verdict>) {
+        self.reset();
+        let mut lines = LineFramer::new(limits);
+        let (mut line_start, mut scored) = (0, 0);
+        let mut end_record = |nl: usize, accept: bool| {
+            if nl > stream.len() {
+                return;
+            }
+            let line = &stream[line_start..nl];
+            line_start = nl + 1;
+            if let Some(end) = lines.frame(line, nl < stream.len()) {
+                out.push(match end.skip {
+                    Some(reason) => Verdict::Skipped(reason),
+                    None => {
+                        scored += 1;
+                        Verdict::from_decision(accept)
+                    }
+                });
+            }
+        };
+        let whole = stream.len() & !(swar::WORD_BYTES - 1);
+        self.scan_words::<true>(&stream[..whole], 0, &mut end_record);
+        let mut last = [b'\n'; swar::WORD_BYTES];
+        last[..stream.len() - whole].copy_from_slice(&stream[whole..]);
+        self.scan_words::<true>(&last, whole, &mut end_record);
+        self.stats.records += scored;
+        self.stats.bytes_block += stream.len() as u64;
+        lines.flush();
+        crate::backend::FilterBackend::flush_telemetry(self);
+    }
+
+    /// The [word kernel](self#the-word-kernel) over the whole words of
+    /// `words`: per word, three passes that share the word and the
+    /// per-position fire masks.
     ///
     /// * **Unit lanes.** Every unit kind steps over the eight bytes in a
     ///   straight line and only ORs its fire flags together; which lane
@@ -1735,20 +1848,33 @@ impl Engine {
     /// * **Numbers.** One walk of the pooled number automaton over the
     ///   word's number bytes and token ends, found by mask; a word outside
     ///   any token and without a number byte is skipped whole.
-    /// * **Node program.** Over the set bits of "unmasked structural byte
-    ///   or fire", in stream order. Those are the bytes on which the
-    ///   program can change a latch — And/Or latches are closed under no
-    ///   new input and the Ctx arm returns early without a fire or a
-    ///   pending child — and the order is the stream's, so latches, flag
-    ///   levels, depth and every decision equal the byte loop's.
+    /// * **Node program.** On the word's events, in stream order: a fire,
+    ///   or an unmasked close or member-ending comma while a context has a
+    ///   pending child. Opens and closes move `depth` whether or not they
+    ///   are events. Everywhere else the program is the identity, so
+    ///   latches, flag levels, depth and every decision equal the byte
+    ///   loop's.
+    ///
+    /// With `RECORDS`, every `\n` is an event that ends a record: after
+    /// the program ran on the separator's own fires, `end_record(base +
+    /// position, accept)` takes the root bits' verdict, and the latches,
+    /// flag levels, depth and — if the separator sat inside a string —
+    /// the string state are cleared. The unit lanes are back at their
+    /// reset state by themselves ([`Engine::separator_resets_units`]).
     ///
     /// Scalar per-unit state is synced into packed registers on entry and
-    /// back out before the byte-serial tail runs, so interleaving
-    /// `on_block` and `on_byte` calls stays decision-identical to the pure
-    /// byte loop.
-    fn on_block_swar(&mut self, block: &[u8]) {
+    /// back out on exit, so interleaving kernel calls and `on_byte` stays
+    /// decision-identical to the pure byte loop.
+    fn scan_words<const RECORDS: bool>(
+        &mut self,
+        words: &[u8],
+        base: usize,
+        mut end_record: impl FnMut(usize, bool),
+    ) {
         let (mut in_string, mut pending_escape, mut depth) = self.tracker.state();
         let mut l = self.latch[0];
+        let root = self.root_mask[0];
+        let (ctx_children, comma_events) = (self.ctx_children, self.comma_events);
         // Run counters of both unit kinds, one saturating byte per lane.
         let sub1_hits: Option<&[u64; 256]> = self.sub1_hits.as_slice().try_into().ok();
         let sub1_targets = self.sub1_targets_packed;
@@ -1763,8 +1889,7 @@ impl Engine {
         // positions that have one; all zero between words.
         let mut fire = [0u64; swar::WORD_BYTES];
 
-        let mut chunks = block.chunks_exact(swar::WORD_BYTES);
-        for chunk in chunks.by_ref() {
+        for (w, chunk) in words.chunks_exact(swar::WORD_BYTES).enumerate() {
             let bytes: &[u8; swar::WORD_BYTES] = chunk.try_into().expect("8-byte chunk");
             let word = swar::load_word(bytes);
             let mut fired = 0u8;
@@ -1855,7 +1980,7 @@ impl Engine {
             // Context-free programs never read the structural facts; skip
             // the classifier exactly like the serial path skips the
             // tracker.
-            let (wm, structural) = if has_ctx {
+            let (wm, mut masked) = if has_ctx {
                 let wm = swar::classify_word(word);
                 let (masked, next) = swar::string_mask_word(
                     wm.quotes,
@@ -1867,11 +1992,23 @@ impl Engine {
                 );
                 in_string = next.in_string;
                 pending_escape = next.pending_escape;
-                (wm, (wm.opens | wm.closes | wm.commas) & !masked)
+                (wm, masked)
             } else {
-                (swar::WordMasks::default(), 0)
+                let newlines = if RECORDS {
+                    swar::eq_mask(word, b'\n')
+                } else {
+                    0
+                };
+                let wm = swar::WordMasks {
+                    newlines,
+                    ..swar::WordMasks::default()
+                };
+                (wm, 0)
             };
-            let mut events = structural | fired;
+            let newlines = if RECORDS { wm.newlines } else { 0 };
+            let marks = wm.opens | wm.closes | (wm.commas & comma_events);
+            let mut structural = marks & !masked;
+            let mut events = structural | fired | newlines;
             while events != 0 {
                 let j = events.trailing_zeros() as usize;
                 events &= events - 1;
@@ -1880,25 +2017,45 @@ impl Engine {
                 let is_comma = structural & wm.commas & bit != 0;
                 if structural & wm.opens & bit != 0 {
                     depth += 1;
-                    if fire[j] == 0 {
-                        continue;
-                    }
                 }
-                let p = l;
-                l = run_program_word(
-                    &self.ops,
-                    &self.masks,
-                    &mut self.flag_level,
-                    l | fire[j],
-                    p,
-                    ByteEvent {
-                        depth,
-                        is_close,
-                        is_comma,
-                    },
-                );
+                if fire[j] != 0 || (is_close || is_comma) && l & ctx_children != 0 {
+                    let p = l;
+                    l = run_program_word(
+                        &self.ops,
+                        &self.masks,
+                        &mut self.flag_level,
+                        l | fire[j],
+                        p,
+                        ByteEvent {
+                            depth,
+                            is_close,
+                            is_comma,
+                        },
+                    );
+                }
                 if is_close {
                     depth = depth.saturating_sub(1);
+                }
+                if RECORDS && newlines & bit != 0 {
+                    end_record(base + w * swar::WORD_BYTES + j, l & root != 0);
+                    l = 0;
+                    self.flag_level.fill(0);
+                    depth = 0;
+                    if masked & bit != 0 {
+                        // The separator sat inside an unterminated
+                        // string: mask the rest of the word afresh.
+                        let later = !(bit | (bit - 1));
+                        let (rest, next) = swar::string_mask_word(
+                            wm.quotes & later,
+                            wm.backslashes & later,
+                            swar::StringState::default(),
+                        );
+                        masked = (masked & !later) | rest;
+                        in_string = next.in_string;
+                        pending_escape = next.pending_escape;
+                        structural = marks & !masked;
+                        events = (structural | fired | newlines) & later;
+                    }
                 }
             }
             if fired != 0 {
@@ -1906,17 +2063,13 @@ impl Engine {
             }
         }
 
-        // Sync packed state back out, then run the sub-word tail through
-        // the byte-serial path from the synced state.
+        // Sync packed state back out.
         self.latch[0] = l;
         blockhit::unpack_counters(&[c1], &mut self.sub1_counter);
         blockhit::unpack_counters(&[cn], &mut self.subn.counters);
         self.subn.row = row;
         self.num_in_token = in_token;
         self.tracker.restore(in_string, pending_escape, depth);
-        for &byte in chunks.remainder() {
-            self.step_byte(byte);
-        }
     }
 
     /// Drains the per-stream tallies.
@@ -1950,6 +2103,32 @@ impl crate::backend::FilterBackend for Engine {
 
     fn reset(&mut self) {
         Engine::reset(self);
+    }
+
+    /// `on_byte(b'\n')` of a separator that is not a stream byte, so not
+    /// counted.
+    fn close_trailing_record(&mut self) -> bool {
+        self.phase != Phase::Rejected && self.step_byte(b'\n')
+    }
+
+    /// The stream path — the [word kernel](self#the-word-kernel) over the
+    /// whole buffer, the separator one more event — wherever no record
+    /// needs its bounds before it is scanned; the record driver
+    /// [`run_verdict_driver_blocks`] while the literal prefilter is live
+    /// (it judges each whole record first), for a program off the block
+    /// path, and where some unit could carry state across a separator.
+    fn filter_stream_verdicts_into(
+        &mut self,
+        stream: &[u8],
+        limits: IngestLimits,
+        out: &mut Vec<Verdict>,
+    ) {
+        let prefilter_live = self.prefilter.as_ref().is_some_and(|pf| pf.live);
+        if self.path == ScanPath::Block && self.separator_resets && !prefilter_live {
+            self.filter_stream_words(stream, limits, out);
+        } else {
+            run_verdict_driver_blocks(self, stream, limits, out);
+        }
     }
 
     fn flush_telemetry(&mut self) {
@@ -2172,6 +2351,27 @@ mod tests {
                 let got = block.on_byte(b'\n') || last;
                 assert_eq!(got, want, "expr `{expr}` on {record:?}");
             }
+        }
+    }
+
+    #[test]
+    fn only_units_the_separator_resets_run_across_it() {
+        let blind = [
+            ctx_temp(),
+            Expr::substring(b"tolls_amount", 2).unwrap(),
+            Expr::dfa_string(b"dust").unwrap(),
+            Expr::window(b"light").unwrap(),
+        ];
+        for expr in &blind {
+            assert!(Engine::compile(expr).separator_resets, "`{expr}`");
+        }
+        let sees = [
+            Expr::substring(b"a\nb", 1).unwrap(),
+            Expr::substring(b"ab\ncd", 2).unwrap(),
+            Expr::dfa_string(b"x\ny").unwrap(),
+        ];
+        for expr in &sees {
+            assert!(!Engine::compile(expr).separator_resets, "`{expr}`");
         }
     }
 

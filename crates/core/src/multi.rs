@@ -64,15 +64,12 @@
 //! # Ok::<(), rfjson_core::expr::ExprError>(())
 //! ```
 
-use crate::backend::{CompileError, FilterBackend};
+use crate::backend::{CompileError, FilterBackend, LineFramer};
 use crate::blockhit::{LANES, MAX_PACKED_TARGET, MAX_TABLE_WORDS};
 use crate::engine::{Engine, ProgramView, ScanPath};
 use crate::expr::{Expr, StringTechnique};
 use crate::prefilter::required_needles;
-use rfjson_jsonstream::frame::{
-    is_blank_line, trim_cr, IngestLimits, LimitedAction, LimitedFramer, SkipReason, Verdict,
-};
-use rfjson_jsonstream::swar;
+use rfjson_jsonstream::frame::{IngestLimits, LimitedAction, LimitedFramer, SkipReason, Verdict};
 use rfjson_jsonstream::telemetry::FramingTally;
 use std::collections::HashMap;
 
@@ -462,6 +459,12 @@ impl MultiBackend for MultiEngine {
         MultiEngine::reset(self);
     }
 
+    fn close_trailing_record(&mut self) {
+        for group in &mut self.groups {
+            group.engine.close_trailing_record();
+        }
+    }
+
     /// Drains every group engine's per-stream tallies into the `multi.*`
     /// counters: bytes by scan path summed over the groups, and per
     /// (group, record) whether the group scanned the record or its
@@ -666,6 +669,14 @@ pub trait MultiBackend {
     /// Record-boundary reset of every query.
     fn reset(&mut self);
 
+    /// Closes a trailing record the stream did not terminate — the batch
+    /// form of [`FilterBackend::close_trailing_record`]: `on_byte(b'\n')`
+    /// for a separator that is not a stream byte. The default is
+    /// `on_byte(b'\n')`.
+    fn close_trailing_record(&mut self) {
+        self.on_byte(b'\n');
+    }
+
     /// Flushes any internally accumulated telemetry into the global
     /// [`rfjson_telemetry`] registry — the batch-side twin of
     /// [`FilterBackend::flush_telemetry`]. Called by the stream drivers
@@ -773,7 +784,7 @@ pub fn run_batch_driver<M: MultiBackend + ?Sized>(
                 // the synthetic separator's, per the framing rules.
                 acc.fill(0);
                 backend.write_accepts(&mut acc);
-                backend.on_byte(b'\n');
+                backend.close_trailing_record();
                 backend.write_accepts(&mut acc);
                 out.push_scored(&acc);
                 scored += 1;
@@ -803,65 +814,29 @@ pub fn run_batch_driver_blocks<M: MultiBackend + ?Sized>(
     backend.reset();
     let words = out.words_per_record();
     let mut acc = vec![0u64; words];
-    let mut tally = FramingTally::new();
     let mut scored = 0u64;
-    let mut records_seen = 0usize;
-    let mut rest = stream;
-    let mut trailing = false;
-    while !trailing {
-        let line = match swar::find_byte(rest, b'\n') {
-            Some(nl) => {
-                let line = &rest[..nl];
-                rest = &rest[nl + 1..];
-                line
-            }
-            None => {
-                trailing = true;
-                rest
-            }
-        };
-        if is_blank_line(line) {
-            // Only separator-terminated blanks count — same rule as the
-            // single-query blocks driver.
-            tally.blank_lines += u64::from(!trailing);
-            continue; // no verdict, lanes already at reset state
-        }
-        let content = trim_cr(line).len();
-        tally.records += 1;
-        tally.cr_records += u64::from(content < line.len());
-        let index = records_seen;
-        records_seen += 1;
-        let skip = match limits.max_records {
-            Some(m) if index >= m => Some(SkipReason::RecordLimit { limit: m }),
-            _ => match limits.max_record_bytes {
-                Some(m) if content > m => Some(SkipReason::TooLong {
-                    limit: m,
-                    actual: content,
-                }),
-                _ => None,
-            },
-        };
-        match skip {
-            Some(reason) => {
-                tally.quarantine(&reason);
-                out.push_skipped(reason);
-            }
+    let mut lines = LineFramer::new(limits);
+    lines.records(stream, |line, terminated, end| {
+        match end.skip {
+            Some(reason) => out.push_skipped(reason),
             None => {
                 acc.fill(0);
                 backend.on_block(line);
-                if trailing {
+                if terminated {
+                    backend.on_byte(b'\n');
+                } else {
                     // EOF close ORs the last content byte's accepts in.
                     backend.write_accepts(&mut acc);
+                    backend.close_trailing_record();
                 }
-                backend.on_byte(b'\n');
                 backend.write_accepts(&mut acc);
                 out.push_scored(&acc);
                 scored += 1;
             }
         }
         backend.reset();
-    }
-    tally.flush();
+    });
+    lines.flush();
     crate::metrics::multi_metrics().records.add(scored);
     backend.flush_telemetry();
 }
@@ -933,6 +908,12 @@ impl<B: FilterBackend> MultiBackend for MultiLanes<B> {
             lane.reset();
         }
         self.accept.fill(false);
+    }
+
+    fn close_trailing_record(&mut self) {
+        for (lane, accept) in self.lanes.iter_mut().zip(&mut self.accept) {
+            *accept = lane.close_trailing_record();
+        }
     }
 
     fn flush_telemetry(&mut self) {

@@ -261,6 +261,24 @@ impl IngestLimits {
     pub fn is_unlimited(&self) -> bool {
         *self == IngestLimits::UNLIMITED
     }
+
+    /// Why the record at stream position `index` with `content` bytes
+    /// (framing CR excluded) is quarantined, if it is. Record-count
+    /// quarantine wins over length quarantine — see [`SkipReason`] for
+    /// why.
+    #[inline]
+    pub fn skip_reason(&self, index: usize, content: usize) -> Option<SkipReason> {
+        match self.max_records {
+            Some(m) if index >= m => Some(SkipReason::RecordLimit { limit: m }),
+            _ => match self.max_record_bytes {
+                Some(m) if content > m => Some(SkipReason::TooLong {
+                    limit: m,
+                    actual: content,
+                }),
+                _ => None,
+            },
+        }
+    }
 }
 
 /// Why a record was quarantined instead of filtered.
@@ -447,19 +465,9 @@ impl LimitedFramer {
         self.records_seen += 1;
         self.record_len = 0;
         self.last_was_cr = false;
-        // Record-count quarantine wins over length quarantine — see
-        // `SkipReason` for why.
-        let skip = match self.limits.max_records {
-            Some(m) if index >= m => Some(SkipReason::RecordLimit { limit: m }),
-            _ => match self.limits.max_record_bytes {
-                Some(m) if content > m => Some(SkipReason::TooLong {
-                    limit: m,
-                    actual: content,
-                }),
-                _ => None,
-            },
-        };
-        RecordEnd { skip }
+        RecordEnd {
+            skip: self.limits.skip_reason(index, content),
+        }
     }
 
     /// Consumes one byte and classifies it.

@@ -2,39 +2,62 @@
 //! invalid UTF-8, NUL bytes, empty and huge records — no panic may
 //! escape any public driver, and sharded decisions/verdicts must match
 //! the serial path of the same backend at shard counts {1, 2, 3, 8}.
+//!
+//! Two expressions: one whose fresh engines have a live prefilter and
+//! run the record driver, and one with an `Or` root — no prefilter — whose
+//! lanes run the engine's stream path, the word kernel over each shard
+//! with the record separator as a kernel event.
 
 use proptest::prelude::*;
 use rfjson_core::{CompiledFilter, Engine, Expr, FilterBackend};
 use rfjson_runtime::{IngestLimits, ShardedRunner};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-fn expr() -> Expr {
-    Expr::and([Expr::substring(b"temp", 1).unwrap(), Expr::int_range(0, 99)])
+fn exprs() -> [Expr; 2] {
+    let temp = Expr::substring(b"temp", 1).unwrap();
+    [
+        Expr::and([temp.clone(), Expr::int_range(0, 99)]),
+        Expr::or([
+            Expr::context([temp, Expr::int_range(0, 99)]),
+            Expr::int_range(1000, 2000),
+        ]),
+    ]
 }
 
 /// Sharded output must equal the serial reference, for decisions and
 /// for verdicts under limits, without any panic escaping.
 fn assert_resilient(stream: &[u8], limits: IngestLimits) {
-    let serial_decisions = Engine::compile(&expr()).filter_stream(stream);
-    let serial_verdicts = Engine::compile(&expr()).filter_stream_verdicts(stream, limits);
-    let model_verdicts = CompiledFilter::compile(&expr()).filter_stream_verdicts(stream, limits);
-    assert_eq!(serial_verdicts, model_verdicts, "serial paths agree first");
-    for shards in [1usize, 2, 3, 8] {
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut engine: ShardedRunner<Engine> =
-                ShardedRunner::try_with_shards(&expr(), shards).unwrap();
-            let mut model: ShardedRunner<CompiledFilter> =
-                ShardedRunner::try_with_shards(&expr(), shards).unwrap();
-            (
-                engine.try_filter_stream(stream).unwrap(),
-                engine.filter_stream_verdicts(stream, limits).unwrap(),
-                model.filter_stream_verdicts(stream, limits).unwrap(),
-            )
-        }));
-        let (decisions, verdicts, model) = outcome.expect("no panic may escape the runtime");
-        assert_eq!(decisions, serial_decisions, "decisions, shards={shards}");
-        assert_eq!(verdicts, serial_verdicts, "verdicts, shards={shards}");
-        assert_eq!(model, serial_verdicts, "model verdicts, shards={shards}");
+    for expr in exprs() {
+        let serial_decisions = Engine::compile(&expr).filter_stream(stream);
+        let serial_verdicts = Engine::compile(&expr).filter_stream_verdicts(stream, limits);
+        let model_verdicts = CompiledFilter::compile(&expr).filter_stream_verdicts(stream, limits);
+        assert_eq!(serial_verdicts, model_verdicts, "serial paths agree first");
+        for shards in [1usize, 2, 3, 8] {
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                let mut engine: ShardedRunner<Engine> =
+                    ShardedRunner::try_with_shards(&expr, shards).unwrap();
+                let mut model: ShardedRunner<CompiledFilter> =
+                    ShardedRunner::try_with_shards(&expr, shards).unwrap();
+                (
+                    engine.try_filter_stream(stream).unwrap(),
+                    engine.filter_stream_verdicts(stream, limits).unwrap(),
+                    model.filter_stream_verdicts(stream, limits).unwrap(),
+                )
+            }));
+            let (decisions, verdicts, model) = outcome.expect("no panic may escape the runtime");
+            assert_eq!(
+                decisions, serial_decisions,
+                "`{expr}` decisions, shards={shards}"
+            );
+            assert_eq!(
+                verdicts, serial_verdicts,
+                "`{expr}` verdicts, shards={shards}"
+            );
+            assert_eq!(
+                model, serial_verdicts,
+                "`{expr}` model verdicts, shards={shards}"
+            );
+        }
     }
 }
 

@@ -13,7 +13,7 @@
 
 use rfjson_core::prefilter::Prefilter;
 use rfjson_core::query::query_to_exprs;
-use rfjson_core::{Engine, Expr, FilterBackend, IngestLimits, MultiEngine};
+use rfjson_core::{Engine, Expr, FilterBackend, IngestLimits, MultiEngine, PrefilterStatus};
 use rfjson_riotbench::{smartcity_corpus, taxi, twitter, Query};
 use rfjson_runtime::fault::{
     silence_injected_panics, FaultKind, FaultPlan, FaultyBackend, Trigger,
@@ -43,6 +43,13 @@ fn runtime_reported(d: &Snapshot) -> u64 {
         + d.counter("runtime.unmatched")
         + d.counter("runtime.skipped.too_long")
         + d.counter("runtime.skipped.record_limit")
+}
+
+/// `engine.bytes.*` summed over one call.
+fn engine_bytes(d: &Snapshot) -> u64 {
+    d.counter("engine.bytes.block")
+        + d.counter("engine.bytes.byte_serial")
+        + d.counter("engine.bytes.prefilter_skipped")
 }
 
 #[test]
@@ -154,10 +161,11 @@ fn bytes_are_conserved_on_serial_engine_streams() {
     let mut engine = Engine::compile(&expr);
     let (decisions, d) = window(|| engine.filter_stream(&stream));
     assert_eq!(decisions.len(), corpus.len());
-    let scanned = d.counter("engine.bytes.block")
-        + d.counter("engine.bytes.byte_serial")
-        + d.counter("engine.bytes.prefilter_skipped");
-    assert_eq!(scanned, stream.len() as u64, "single-query byte paths");
+    assert_eq!(
+        engine_bytes(&d),
+        stream.len() as u64,
+        "single-query byte paths"
+    );
 
     // A fused batch is a set of group engines, each of which either
     // scans a record or has its prefilter reject it, separator included:
@@ -198,6 +206,92 @@ fn bytes_are_conserved_on_serial_engine_streams() {
         groups * records
     );
     assert_eq!(d.gauge("multi.groups"), Some(2.0));
+}
+
+#[test]
+fn the_stream_path_counts_every_byte_once_and_the_record_path_what_it_feeds() {
+    if !rfjson_telemetry::ENABLED {
+        return;
+    }
+    let _guard = serialize();
+    // A trailing record without its `\n`: the separator that closes it is
+    // the driver's, not a stream byte.
+    let trailing: &[u8] = br#"{"e":[{"v":"21.0","n":"temperature"}]}
+{"e":[{"v":"99.0","n":"temperature"}]}
+{"v":3,"n":"light"}"#;
+    assert_eq!(trailing.len(), 97);
+    // Blank and CR-only lines between records: 2 + 1 + 3 bytes with their
+    // separators.
+    let blanks: &[u8] = b"{\"v\":3}\n\r\n{\"v\":4}\r\n\n\r\r\n{\"v\":5}\n";
+    let blank_bytes = 6;
+    let temperature = Expr::context([
+        Expr::substring(b"temperature", 1).unwrap(),
+        Expr::float_range("0.7", "35.1").unwrap(),
+    ]);
+
+    // The stream path: an `Or` root has no prefilter. Every byte is
+    // scanned by the word kernel and counted once, blank lines and the
+    // sub-word tail included.
+    let or_root = Expr::or([temperature.clone(), Expr::int_range(3, 4)]);
+    for stream in [trailing, blanks] {
+        let mut engine = Engine::compile(&or_root);
+        let (decisions, d) = window(|| engine.filter_stream(stream));
+        assert_eq!(decisions.len(), 3);
+        assert_eq!(d.counter("engine.bytes.block"), stream.len() as u64);
+        assert_eq!(engine_bytes(&d), stream.len() as u64);
+        assert!(d.counter("engine.bytes.byte_serial") <= 8);
+        assert_eq!(d.counter("engine.records"), 3);
+    }
+
+    // The record path — a fresh engine's prefilter is live — counts the
+    // bytes it feeds: every record with its separator, but not the
+    // synthetic one closing a trailing record, nor blank lines, which
+    // it never feeds.
+    let mut engine = Engine::compile(&temperature);
+    let (_, d) = window(|| engine.filter_stream(trailing));
+    assert_eq!(engine_bytes(&d), trailing.len() as u64);
+    let (_, d) = window(|| engine.filter_stream(blanks));
+    assert_eq!(engine_bytes(&d), (blanks.len() - blank_bytes) as u64);
+
+    // A fused batch runs the record path in every group.
+    let batch = [temperature, Expr::int_range(3, 4)];
+    let mut fused = MultiEngine::compile_batch(&batch);
+    let groups = fused.groups().len() as u64;
+    let (_, d) = window(|| {
+        rfjson_core::MultiBackend::filter_stream_verdicts(
+            &mut fused,
+            trailing,
+            IngestLimits::UNLIMITED,
+        )
+    });
+    let scanned = d.counter("multi.bytes.block")
+        + d.counter("multi.bytes.byte_serial")
+        + d.counter("multi.bytes.prefilter_skipped");
+    assert_eq!(scanned, groups * trailing.len() as u64);
+}
+
+#[test]
+fn a_stream_path_call_is_block_scanned_but_for_at_most_one_word() {
+    if !rfjson_telemetry::ENABLED {
+        return;
+    }
+    let _guard = serialize();
+    // QS1's prefilter rejects nothing on SmartCity and disables itself
+    // after probation; from then on the engine runs the stream path.
+    let corpus = smartcity_corpus(150);
+    let stream = corpus.stream();
+    let expr = query_to_exprs(&Query::qs1(), 1).expect("query converts");
+    let mut engine = Engine::compile(&expr);
+    for _ in 0..4 {
+        engine.filter_stream(&stream);
+    }
+    assert_eq!(engine.prefilter_status(), PrefilterStatus::Disabled);
+    let (decisions, d) = window(|| engine.filter_stream(&stream));
+    assert_eq!(decisions.len(), corpus.len());
+    assert!(d.counter("engine.bytes.byte_serial") <= 8);
+    assert_eq!(engine_bytes(&d), stream.len() as u64);
+    assert_eq!(d.counter("engine.records"), corpus.len() as u64);
+    assert_eq!(d.counter("engine.prefilter.checked"), 0);
 }
 
 #[test]
@@ -257,10 +351,7 @@ fn block_path_covers_wide_and_mixed_block_units() {
     let tweets = twitter::generate(7, 60).stream();
     let mut wide = Engine::compile(&Expr::substring(b"favourites_count", 9).unwrap());
     let (_, d) = window(|| wide.filter_stream(&tweets));
-    let scanned = d.counter("engine.bytes.block")
-        + d.counter("engine.bytes.byte_serial")
-        + d.counter("engine.bytes.prefilter_skipped");
-    assert_eq!(scanned, tweets.len() as u64);
+    assert_eq!(engine_bytes(&d), tweets.len() as u64);
     assert!(d.counter("engine.bytes.block") * 10 > tweets.len() as u64 * 9);
 
     // A batch of B ≥ 2 units of three block lengths, one group each (no
