@@ -43,7 +43,7 @@ use rfjson_core::query::query_to_exprs;
 use rfjson_core::{FilterBackend, IngestLimits};
 use rfjson_jsonstream::frame::split_records;
 use rfjson_riotbench::{smartcity_corpus, taxi_corpus, twitter_corpus, Dataset, Query};
-use rfjson_runtime::{MultiShardedRunner, ShardedRunner};
+use rfjson_runtime::ShardedRunner;
 use rfjson_telemetry::Snapshot;
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -248,8 +248,7 @@ fn measure_multi(
     let stream = dataset.stream();
     let mut engines: Vec<Engine> = exprs.iter().map(Engine::compile).collect();
     let mut fused = MultiEngine::compile_batch(exprs);
-    let mut runner: MultiShardedRunner<MultiEngine> =
-        MultiShardedRunner::with_shards(exprs, shards);
+    let mut runner: ShardedRunner<MultiEngine> = ShardedRunner::with_shards(exprs, shards);
 
     // Cross-check: every fused per-query verdict vector must be
     // byte-identical to the single-query engine's, and the sharded fused

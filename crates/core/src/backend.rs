@@ -12,7 +12,10 @@
 //! one interface: compile from an [`Expr`], one latched accept signal
 //! per byte, a record-boundary reset, and batch stream filtering whose
 //! NDJSON framing rules come from **one** place
-//! ([`rfjson_jsonstream::frame`], re-exported here).
+//! ([`rfjson_jsonstream::frame`], re-exported here). Every backend is
+//! also a [`Lane`] of one column, the view it shares with a batch of
+//! queries: the record driver and its byte-serial oracle below are
+//! written once over that trait.
 //!
 //! # Choosing a backend
 //!
@@ -36,13 +39,14 @@
 //! # Ok::<(), rfjson_core::expr::ExprError>(())
 //! ```
 
+use crate::evaluator::CompiledFilter;
 use crate::expr::{Expr, ExprError};
 use std::error::Error;
 use std::fmt;
 
 use rfjson_jsonstream::frame::{is_blank_line, trim_cr, RecordEnd};
 pub use rfjson_jsonstream::frame::{
-    ChunkFramer, FrameAction, IngestLimits, LimitedAction, LimitedFramer, SkipReason, Verdict,
+    IngestLimits, LimitedAction, LimitedFramer, SkipReason, Verdict,
 };
 use rfjson_jsonstream::swar;
 use rfjson_jsonstream::telemetry::FramingTally;
@@ -107,9 +111,9 @@ impl From<ExprError> for CompileError {
 /// * [`reset`](FilterBackend::reset) returns the filter to its
 ///   record-boundary state (hardware: the synchronous `\n` reset);
 /// * the provided batch methods frame newline-delimited streams with
-///   the shared [`ChunkFramer`] rules, so every backend emits exactly
-///   one decision per (non-blank) record — the match-signal DMA
-///   write-back of the paper's system.
+///   the shared [`rfjson_jsonstream::frame`] rules, so every backend
+///   emits exactly one decision per (non-blank) record — the match-signal
+///   DMA write-back of the paper's system.
 ///
 /// The trait is object-safe: heterogeneous backends can sit behind
 /// `Box<dyn FilterBackend>` (only [`compile`](FilterBackend::compile)
@@ -282,29 +286,208 @@ pub trait FilterBackend {
     }
 }
 
+/// One lane of the paper's replicated filter: compiled from a source, it
+/// scans a self-contained NDJSON stream and writes back one verdict per
+/// record (§IV-B). A single query is the one-column case — every
+/// [`FilterBackend`] is a lane through the blanket impl below, one
+/// [`Verdict`] per record — and a batch of queries is a wider match word:
+/// [`MultiEngine`](crate::multi::MultiEngine) and
+/// [`MultiLanes`](crate::multi::MultiLanes) write one
+/// [`BatchVerdicts`](crate::multi::BatchVerdicts) row per record.
+///
+/// The record drivers ([`run_verdict_driver_blocks`] and the byte-serial
+/// [`run_verdict_driver`]) and the sharded runner of `rfjson-runtime` are
+/// written once over this trait. No method shares a name with one of
+/// [`FilterBackend`] or [`MultiBackend`](crate::multi::MultiBackend), so
+/// all three traits can be in scope together.
+pub trait Lane {
+    /// What the lane is compiled from: an [`Expr`], or a batch `[Expr]`.
+    type Source: ?Sized + ToOwned<Owned: Clone + fmt::Debug>;
+    /// Where the lane writes its verdicts.
+    type Verdicts: VerdictSink;
+    /// The byte-serial reference lane for the same source, which the
+    /// runtime retries a failed shard on.
+    type Reference: Lane<Source = Self::Source, Verdicts = Self::Verdicts>;
+
+    /// Compiles a lane from `source`.
+    ///
+    /// # Errors
+    ///
+    /// [`CompileError`] for an ill-formed source or a failed backend
+    /// construction step — never a panic.
+    fn compile_lane(source: &Self::Source) -> Result<Self, CompileError>
+    where
+        Self: Sized;
+
+    /// Checks that `source` is well-formed without compiling it.
+    ///
+    /// # Errors
+    ///
+    /// The [`CompileError`] [`compile_lane`](Lane::compile_lane) would
+    /// return for an ill-formed source.
+    fn check_source(source: &Self::Source) -> Result<(), CompileError>;
+
+    /// An empty verdict sink as wide as this lane's match word.
+    fn new_verdicts(&self) -> Self::Verdicts;
+
+    /// The lane's own quarantine-aware stream method: the record driver,
+    /// or whatever faster path the backend overrides it with.
+    fn scan_stream(&mut self, stream: &[u8], limits: IngestLimits, out: &mut Self::Verdicts);
+
+    /// Record-boundary reset.
+    fn start_record(&mut self);
+
+    /// Feeds one content byte; returns the latched accept signal of a
+    /// single query (a batch returns `false` and reads its accepts back in
+    /// [`end_record`](Lane::end_record)).
+    fn feed_byte(&mut self, byte: u8) -> bool;
+
+    /// Feeds a record's content in one call, under the precondition of
+    /// [`FilterBackend::on_block`]; returns as
+    /// [`feed_byte`](Lane::feed_byte) does for the last byte.
+    fn feed_block(&mut self, block: &[u8]) -> bool;
+
+    /// Ends a scored record and appends its verdict to `out`: the accepts
+    /// latched after the `\n` separator if `terminated`, else those after
+    /// closing the trailing record ORed with the ones its last content
+    /// byte latched (`last`, for a single query).
+    fn end_record(&mut self, terminated: bool, last: bool, out: &mut Self::Verdicts);
+
+    /// Ends a stream in which `scored` records were scored: flushes the
+    /// lane's telemetry.
+    fn end_stream(&mut self, scored: u64);
+}
+
+/// Where the stream drivers write one verdict per record — a
+/// `Vec<`[`Verdict`]`>` for a single query, a
+/// [`BatchVerdicts`](crate::multi::BatchVerdicts) row for a batch — with
+/// what the sharded runner needs to reassemble, restore and account them.
+pub trait VerdictSink {
+    /// Records written so far.
+    fn num_records(&self) -> usize;
+
+    /// Appends a quarantined record.
+    fn push_skipped(&mut self, reason: SkipReason);
+
+    /// Appends all of `other`'s records (shard reassembly).
+    fn extend_from(&mut self, other: &Self);
+
+    /// Keeps the first `records` records.
+    fn truncate_records(&mut self, records: usize);
+
+    /// Overwrites every record from `start` on as skipped with `reason` —
+    /// the global record budget, which wins over any per-record verdict.
+    fn quarantine_from(&mut self, start: usize, reason: SkipReason);
+
+    /// The outcome of `record`: its quarantine, else whether any query
+    /// matched it.
+    fn outcome(&self, record: usize) -> Verdict;
+}
+
+impl VerdictSink for Vec<Verdict> {
+    fn num_records(&self) -> usize {
+        self.len()
+    }
+
+    fn push_skipped(&mut self, reason: SkipReason) {
+        self.push(Verdict::Skipped(reason));
+    }
+
+    fn extend_from(&mut self, other: &Self) {
+        self.extend_from_slice(other);
+    }
+
+    fn truncate_records(&mut self, records: usize) {
+        self.truncate(records);
+    }
+
+    fn quarantine_from(&mut self, start: usize, reason: SkipReason) {
+        for v in self.iter_mut().skip(start) {
+            *v = Verdict::Skipped(reason);
+        }
+    }
+
+    fn outcome(&self, record: usize) -> Verdict {
+        self[record]
+    }
+}
+
+/// A single query is a lane of one column.
+impl<B: FilterBackend + ?Sized> Lane for B {
+    type Source = Expr;
+    type Verdicts = Vec<Verdict>;
+    type Reference = CompiledFilter;
+
+    fn compile_lane(expr: &Expr) -> Result<Self, CompileError>
+    where
+        Self: Sized,
+    {
+        B::try_compile(expr)
+    }
+
+    fn check_source(expr: &Expr) -> Result<(), CompileError> {
+        Ok(expr.validate()?)
+    }
+
+    fn new_verdicts(&self) -> Vec<Verdict> {
+        Vec::new()
+    }
+
+    fn scan_stream(&mut self, stream: &[u8], limits: IngestLimits, out: &mut Vec<Verdict>) {
+        self.filter_stream_verdicts_into(stream, limits, out);
+    }
+
+    #[inline]
+    fn start_record(&mut self) {
+        self.reset();
+    }
+
+    #[inline]
+    fn feed_byte(&mut self, byte: u8) -> bool {
+        self.on_byte(byte)
+    }
+
+    #[inline]
+    fn feed_block(&mut self, block: &[u8]) -> bool {
+        self.on_block(block)
+    }
+
+    #[inline]
+    fn end_record(&mut self, terminated: bool, last: bool, out: &mut Vec<Verdict>) {
+        out.push(Verdict::from_decision(if terminated {
+            self.on_byte(b'\n')
+        } else {
+            self.close_trailing_record() || last
+        }));
+    }
+
+    fn end_stream(&mut self, _scored: u64) {
+        self.flush_telemetry();
+    }
+}
+
 /// The byte-serial reference form of the quarantine-aware stream driver —
-/// every byte goes through [`LimitedFramer`] and [`FilterBackend::on_byte`]
-/// individually. The provided batch methods now default to the
+/// every byte goes through [`LimitedFramer`] and [`Lane::feed_byte`]
+/// individually. The provided batch methods default to the
 /// decision-equivalent [`run_verdict_driver_blocks`]; this form remains
 /// public as the framing oracle and for wrappers that need per-byte
 /// interception (e.g. fault-injection harnesses).
 ///
-/// Every content byte of a non-quarantined record reaches
-/// [`FilterBackend::on_byte`] in stream order, followed by the `\n`
-/// separator the hardware would see; bytes of records already destined
-/// for quarantine are skipped (their verdict no longer depends on the
-/// filter, and the record-boundary [`FilterBackend::reset`] restores the
-/// lane either way).
-pub fn run_verdict_driver<B: FilterBackend + ?Sized>(
-    backend: &mut B,
+/// Every content byte of a non-quarantined record reaches the lane in
+/// stream order, followed by the `\n` separator the hardware would see;
+/// bytes of records already destined for quarantine are skipped (their
+/// verdict no longer depends on the filter, and the record-boundary
+/// reset restores the lane either way).
+pub fn run_verdict_driver<L: Lane + ?Sized>(
+    lane: &mut L,
     stream: &[u8],
     limits: IngestLimits,
-    out: &mut Vec<Verdict>,
+    out: &mut L::Verdicts,
 ) {
-    backend.reset();
+    lane.start_record();
     let mut framer = LimitedFramer::new(limits);
     let mut tally = FramingTally::new();
-    let mut accept = false;
+    let (mut last, mut scored) = (false, 0);
     // Whether the last content byte (fed or quarantined) was a CR the
     // framer will trim — tracked for the `framing.cr_records` tally.
     let mut prev_cr = false;
@@ -313,52 +496,52 @@ pub fn run_verdict_driver<B: FilterBackend + ?Sized>(
             LimitedAction::Feed { quarantined } => {
                 prev_cr = b == b'\r';
                 if !quarantined {
-                    accept = backend.on_byte(b);
+                    last = lane.feed_byte(b);
                 }
             }
             LimitedAction::EndRecord(end) => {
                 tally.records += 1;
                 tally.cr_records += u64::from(prev_cr);
                 prev_cr = false;
-                out.push(match end.skip {
+                match end.skip {
                     Some(reason) => {
                         tally.quarantine(&reason);
-                        Verdict::Skipped(reason)
+                        out.push_skipped(reason);
                     }
                     None => {
                         // Feed the separator the hardware would see.
-                        accept = backend.on_byte(b);
-                        Verdict::from_decision(accept)
+                        lane.end_record(true, last, out);
+                        scored += 1;
                     }
-                });
-                backend.reset();
+                }
+                lane.start_record();
             }
             LimitedAction::EndBlank => {
                 tally.blank_lines += 1;
                 prev_cr = false;
-                backend.reset();
+                lane.start_record();
             }
         }
     }
     if let Some(end) = framer.finish() {
         tally.records += 1;
         tally.cr_records += u64::from(prev_cr);
-        out.push(match end.skip {
+        match end.skip {
             Some(reason) => {
                 tally.quarantine(&reason);
-                Verdict::Skipped(reason)
+                out.push_skipped(reason);
             }
             None => {
                 // Close the trailing record with the `\n` the hardware
                 // would see.
-                accept = backend.close_trailing_record() || accept;
-                Verdict::from_decision(accept)
+                lane.end_record(false, last, out);
+                scored += 1;
             }
-        });
-        backend.reset();
+        }
+        lane.start_record();
     }
     tally.flush();
-    backend.flush_telemetry();
+    lane.end_stream(scored);
 }
 
 /// The framing rules of [`LimitedFramer`] at slice level — one call per
@@ -441,57 +624,55 @@ impl LineFramer {
 
 /// Record-at-a-time driver behind the provided batch methods: hops from
 /// separator to separator with the SWAR newline search and hands each
-/// record's content to [`FilterBackend::on_block`] in one call, instead
-/// of framing byte-by-byte.
+/// record's content to [`Lane::feed_block`] in one call, instead of
+/// framing byte-by-byte.
 ///
-/// Every backend but [`Engine`](crate::engine::Engine) runs it for every
-/// stream; the engine runs it only where its stream path cannot: while
-/// its literal prefilter is live (the prefilter judges a whole record
-/// before it is scanned), on a byte-serial [`ScanPath`](crate::ScanPath),
-/// and when some unit can see the separator.
+/// Every single-query backend but [`Engine`](crate::engine::Engine), and
+/// every batch, runs it for every stream; the engine runs it only where
+/// its stream path cannot: while its literal prefilter is live (the
+/// prefilter judges a whole record before it is scanned), on a
+/// byte-serial [`ScanPath`](crate::ScanPath), and when some unit can see
+/// the separator.
 ///
-/// Decision-equivalent to [`run_verdict_driver`] for every backend:
+/// Decision-equivalent to [`run_verdict_driver`] for every lane:
 ///
 /// * the bytes reaching the filter for a scored record are identical —
 ///   the whole line (framing CR included, exactly what the byte-serial
 ///   driver feeds) followed by the `\n` separator;
-/// * a **non-trailing** record's decision is the separator's return value
-///   alone (the byte-serial driver overwrites `accept` on the `\n`), so
-///   skipping the per-content-byte returns changes nothing;
-/// * the **trailing** record ORs the last content byte's latched signal
-///   (which [`FilterBackend::on_block`] returns) with the synthetic
-///   separator's ([`FilterBackend::close_trailing_record`]), exactly like
-///   the byte-serial EOF close;
+/// * a **non-trailing** record's decision is the separator's latched
+///   accepts alone (the byte-serial driver too reads them after the
+///   `\n`), so skipping the per-content-byte returns changes nothing;
+/// * the **trailing** record ORs the last content byte's latched accepts
+///   (which [`Lane::feed_block`] returns, or a batch reads back) with the
+///   synthetic separator's, exactly like the byte-serial EOF close;
 /// * blank lines feed nothing and reset nothing — the lane is already at
 ///   its reset state, which is where the byte-serial driver's explicit
 ///   reset would put it;
 /// * quarantined records feed nothing; the byte-serial driver feeds some
 ///   prefix of them, but its per-record reset erases that state before
 ///   the next decision, so verdicts cannot differ.
-pub fn run_verdict_driver_blocks<B: FilterBackend + ?Sized>(
-    backend: &mut B,
+pub fn run_verdict_driver_blocks<L: Lane + ?Sized>(
+    lane: &mut L,
     stream: &[u8],
     limits: IngestLimits,
-    out: &mut Vec<Verdict>,
+    out: &mut L::Verdicts,
 ) {
-    backend.reset();
+    lane.start_record();
+    let mut scored = 0;
     let mut lines = LineFramer::new(limits);
     lines.records(stream, |line, terminated, end| {
-        out.push(match end.skip {
-            Some(reason) => Verdict::Skipped(reason),
+        match end.skip {
+            Some(reason) => out.push_skipped(reason),
             None => {
-                let last = backend.on_block(line);
-                Verdict::from_decision(if terminated {
-                    backend.on_byte(b'\n')
-                } else {
-                    backend.close_trailing_record() || last
-                })
+                let last = lane.feed_block(line);
+                lane.end_record(terminated, last, out);
+                scored += 1;
             }
-        });
-        backend.reset();
+        }
+        lane.start_record();
     });
     lines.flush();
-    backend.flush_telemetry();
+    lane.end_stream(scored);
 }
 
 #[cfg(test)]

@@ -20,7 +20,8 @@
 //!   in the same structural context.
 //! * [`backend`] — the execution seam: the [`FilterBackend`] trait every
 //!   execution path implements (compile from an expression, one byte per
-//!   cycle, shared NDJSON stream framing).
+//!   cycle, shared NDJSON stream framing), and the [`Lane`] trait that a
+//!   single query and a batch share, with the one record driver over it.
 //! * [`evaluator`] — the byte-serial software model, cycle-equivalent to
 //!   the hardware.
 //! * [`engine`] — the flattened table-driven batch execution engine:
@@ -98,7 +99,9 @@ pub mod prefilter;
 pub mod primitive;
 pub mod query;
 
-pub use backend::{CompileError, FilterBackend, IngestLimits, SkipReason, Verdict};
+pub use backend::{
+    CompileError, FilterBackend, IngestLimits, Lane, SkipReason, Verdict, VerdictSink,
+};
 pub use cosim::CosimBackend;
 pub use engine::{Engine, FallbackReason, PrefilterStatus, ProgramView, ScanPath};
 pub use evaluator::CompiledFilter;

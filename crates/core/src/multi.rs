@@ -42,9 +42,13 @@
 //!   one-match-bit-per-record DMA write-back.
 //!
 //! [`MultiBackend`] is the batch counterpart of
-//! [`FilterBackend`](crate::backend::FilterBackend): the same
-//! `LimitedFramer` framing and quarantine semantics, the same
-//! byte-serial oracle/block-driver pair, generalized to bitset verdicts.
+//! [`FilterBackend`](crate::backend::FilterBackend), and both are
+//! [`Lane`]s: a batch is a lane whose match word is one bit per query
+//! instead of one. There is one driver pair for both — the record driver
+//! [`run_verdict_driver_blocks`] and its byte-serial oracle
+//! [`run_verdict_driver`](crate::backend::run_verdict_driver) — so a
+//! batch has the single query's framing and quarantine rules by
+//! construction, and one sharded runner in `rfjson-runtime` serves both.
 //! The differential suite (`tests/multi_diff.rs`) holds every fused
 //! decision byte-identical to N independent single-query engines.
 //!
@@ -64,13 +68,13 @@
 //! # Ok::<(), rfjson_core::expr::ExprError>(())
 //! ```
 
-use crate::backend::{CompileError, FilterBackend, LineFramer};
+use crate::backend::{run_verdict_driver_blocks, CompileError, FilterBackend, Lane, VerdictSink};
 use crate::blockhit::{LANES, MAX_PACKED_TARGET, MAX_TABLE_WORDS};
 use crate::engine::{Engine, ProgramView, ScanPath};
+use crate::evaluator::CompiledFilter;
 use crate::expr::{Expr, StringTechnique};
 use crate::prefilter::required_needles;
-use rfjson_jsonstream::frame::{IngestLimits, LimitedAction, LimitedFramer, SkipReason, Verdict};
-use rfjson_jsonstream::telemetry::FramingTally;
+use rfjson_jsonstream::frame::{IngestLimits, SkipReason, Verdict};
 use std::collections::HashMap;
 
 pub use crate::engine::UnitCounts;
@@ -305,15 +309,7 @@ impl MultiEngine {
     /// [`CompileError::InvalidExpr`] if any expression fails
     /// [`Expr::validate`].
     pub fn try_compile_batch(exprs: &[Expr]) -> Result<MultiEngine, CompileError> {
-        if exprs.is_empty() {
-            return Err(CompileError::Backend {
-                backend: "multi-engine",
-                reason: "a batch needs at least one query".into(),
-            });
-        }
-        for expr in exprs {
-            expr.validate()?;
-        }
+        check_batch(exprs, "multi-engine")?;
         let mut share = ShareStats::default();
         let mut groups = Vec::new();
         for members in plan_groups(exprs, &mut share.per_query) {
@@ -538,10 +534,13 @@ impl BatchVerdicts {
         self.skips.push(None);
     }
 
-    /// Appends a quarantined record (no query bits).
-    pub fn push_skipped(&mut self, reason: SkipReason) {
-        self.bits.extend(std::iter::repeat_n(0, self.words));
-        self.skips.push(Some(reason));
+    /// Appends a scored record whose accept bits `write` ORs into a zeroed
+    /// row of [`BatchVerdicts::words_per_record`] words.
+    fn push_scored_with(&mut self, write: impl FnOnce(&mut [u64])) {
+        let start = self.bits.len();
+        self.bits.resize(start + self.words, 0);
+        write(&mut self.bits[start..]);
+        self.skips.push(None);
     }
 
     /// The quarantine reason of `record`, if it was skipped.
@@ -585,25 +584,48 @@ impl BatchVerdicts {
         self.bits.clear();
         self.skips.clear();
     }
+}
 
-    /// Appends all of `other`'s records (shard reassembly).
-    ///
+impl VerdictSink for BatchVerdicts {
+    fn num_records(&self) -> usize {
+        self.skips.len()
+    }
+
+    /// Appends a quarantined record (no query bits).
+    fn push_skipped(&mut self, reason: SkipReason) {
+        self.bits.extend(std::iter::repeat_n(0, self.words));
+        self.skips.push(Some(reason));
+    }
+
     /// # Panics
     ///
     /// Panics if the query counts differ.
-    pub fn append(&mut self, other: &BatchVerdicts) {
+    fn extend_from(&mut self, other: &BatchVerdicts) {
         assert_eq!(self.queries, other.queries, "batch width");
         self.bits.extend_from_slice(&other.bits);
         self.skips.extend_from_slice(&other.skips);
     }
 
-    /// Overwrites every record from `start` on as skipped with `reason` —
-    /// the global record-budget quarantine, which wins over any per-record
-    /// verdict exactly as in the serial precedence rules.
-    pub fn quarantine_from(&mut self, start: usize, reason: SkipReason) {
-        for r in start..self.num_records() {
+    fn truncate_records(&mut self, records: usize) {
+        self.bits.truncate(records * self.words);
+        self.skips.truncate(records);
+    }
+
+    fn quarantine_from(&mut self, start: usize, reason: SkipReason) {
+        for r in start..self.skips.len() {
             self.bits[r * self.words..(r + 1) * self.words].fill(0);
             self.skips[r] = Some(reason);
+        }
+    }
+
+    /// A record "matches" the batch when any query accepts it.
+    fn outcome(&self, record: usize) -> Verdict {
+        match self.skips[record] {
+            Some(reason) => Verdict::Skipped(reason),
+            None => {
+                let row = &self.bits[record * self.words..(record + 1) * self.words];
+                Verdict::from_decision(row.iter().any(|&word| word != 0))
+            }
         }
     }
 }
@@ -611,10 +633,9 @@ impl BatchVerdicts {
 /// A batch raw-filter execution path: the multi-query counterpart of
 /// [`FilterBackend`]. One shared per-byte advance updates every query;
 /// [`MultiBackend::write_accepts`] reads the latched per-query accept
-/// bits. The provided drivers share the `LimitedFramer` framing and
-/// quarantine semantics with the single-query stream drivers, emitting
-/// [`BatchVerdicts`] instead of a verdict vector.
-pub trait MultiBackend {
+/// bits. A batch is a [`Lane`] whose verdict rows are [`BatchVerdicts`],
+/// so its stream methods are the single-query record driver's.
+pub trait MultiBackend: Lane<Source = [Expr], Verdicts = BatchVerdicts> {
     /// Compiles a batch of expressions into this execution form.
     ///
     /// # Panics
@@ -695,8 +716,8 @@ pub trait MultiBackend {
     }
 
     /// Quarantine-aware batch stream filtering: one verdict-bitset row
-    /// per record (see [`run_batch_driver_blocks`] for the framing
-    /// contract, shared with the single-query drivers).
+    /// per record (see [`run_verdict_driver_blocks`] for the framing
+    /// contract, shared with the single-query stream methods).
     fn filter_stream_verdicts(&mut self, stream: &[u8], limits: IngestLimits) -> BatchVerdicts {
         let mut out = BatchVerdicts::new(self.num_queries());
         self.filter_stream_verdicts_into(stream, limits, &mut out);
@@ -712,134 +733,87 @@ pub trait MultiBackend {
         limits: IngestLimits,
         out: &mut BatchVerdicts,
     ) {
-        run_batch_driver_blocks(self, stream, limits, out);
+        run_verdict_driver_blocks(self, stream, limits, out);
     }
 }
 
-/// Byte-serial reference form of the batch stream driver — every byte
-/// goes through [`LimitedFramer`] and [`MultiBackend::on_byte`]
-/// individually. Kept as the framing oracle for the differential tests,
-/// exactly like the single-query [`run_verdict_driver`].
-///
-/// [`run_verdict_driver`]: crate::backend::run_verdict_driver
-pub fn run_batch_driver<M: MultiBackend + ?Sized>(
-    backend: &mut M,
-    stream: &[u8],
-    limits: IngestLimits,
-    out: &mut BatchVerdicts,
-) {
-    backend.reset();
-    let words = out.words_per_record();
-    let mut acc = vec![0u64; words];
-    let mut framer = LimitedFramer::new(limits);
-    let mut tally = FramingTally::new();
-    let mut scored = 0u64;
-    let mut prev_cr = false;
-    for &b in stream {
-        match framer.on_byte(b) {
-            LimitedAction::Feed { quarantined } => {
-                prev_cr = b == b'\r';
-                if !quarantined {
-                    backend.on_byte(b);
-                }
-            }
-            LimitedAction::EndRecord(end) => {
-                tally.records += 1;
-                tally.cr_records += u64::from(prev_cr);
-                prev_cr = false;
-                match end.skip {
-                    Some(reason) => {
-                        tally.quarantine(&reason);
-                        out.push_skipped(reason);
-                    }
-                    None => {
-                        // Feed the separator the hardware would see; the
-                        // latched accepts after it are the decisions.
-                        backend.on_byte(b);
-                        acc.fill(0);
-                        backend.write_accepts(&mut acc);
-                        out.push_scored(&acc);
-                        scored += 1;
-                    }
-                }
-                backend.reset();
-            }
-            LimitedAction::EndBlank => {
-                tally.blank_lines += 1;
-                prev_cr = false;
-                backend.reset();
-            }
-        }
+/// A batch compiles only if it is non-empty and every query is
+/// well-formed; `backend` names the refusing backend.
+fn check_batch(exprs: &[Expr], backend: &'static str) -> Result<(), CompileError> {
+    if exprs.is_empty() {
+        return Err(CompileError::Backend {
+            backend,
+            reason: "a batch needs at least one query".into(),
+        });
     }
-    if let Some(end) = framer.finish() {
-        tally.records += 1;
-        tally.cr_records += u64::from(prev_cr);
-        match end.skip {
-            Some(reason) => {
-                tally.quarantine(&reason);
-                out.push_skipped(reason);
-            }
-            None => {
-                // EOF close: the last content byte's latched accepts OR
-                // the synthetic separator's, per the framing rules.
-                acc.fill(0);
-                backend.write_accepts(&mut acc);
-                backend.close_trailing_record();
-                backend.write_accepts(&mut acc);
-                out.push_scored(&acc);
-                scored += 1;
-            }
-        }
-        backend.reset();
-    }
-    tally.flush();
-    crate::metrics::multi_metrics().records.add(scored);
-    backend.flush_telemetry();
+    Ok(exprs.iter().try_for_each(Expr::validate)?)
 }
 
-/// Record-at-a-time batch driver behind the provided stream methods:
-/// hops separator to separator with the SWAR newline search and hands
-/// each record to [`MultiBackend::on_block`] in one call. Framing, CR,
-/// blank-line, trailing-record and quarantine-precedence rules are those
-/// of the single-query [`run_verdict_driver_blocks`], and the
-/// decision-equivalence argument carries over record for record.
-///
-/// [`run_verdict_driver_blocks`]: crate::backend::run_verdict_driver_blocks
-pub fn run_batch_driver_blocks<M: MultiBackend + ?Sized>(
-    backend: &mut M,
-    stream: &[u8],
-    limits: IngestLimits,
-    out: &mut BatchVerdicts,
-) {
-    backend.reset();
-    let words = out.words_per_record();
-    let mut acc = vec![0u64; words];
-    let mut scored = 0u64;
-    let mut lines = LineFramer::new(limits);
-    lines.records(stream, |line, terminated, end| {
-        match end.skip {
-            Some(reason) => out.push_skipped(reason),
-            None => {
-                acc.fill(0);
-                backend.on_block(line);
-                if terminated {
-                    backend.on_byte(b'\n');
-                } else {
-                    // EOF close ORs the last content byte's accepts in.
-                    backend.write_accepts(&mut acc);
-                    backend.close_trailing_record();
-                }
-                backend.write_accepts(&mut acc);
-                out.push_scored(&acc);
-                scored += 1;
+/// The [`Lane`] view of a batch, the same for [`MultiEngine`] and
+/// [`MultiLanes`]: the drivers step it through its [`MultiBackend`]
+/// methods and read each record's verdict row back with
+/// [`MultiBackend::write_accepts`].
+macro_rules! batch_lane {
+    ($backend:literal, impl$(<$b:ident: $bound:ident>)? for $ty:ty) => {
+        impl$(<$b: $bound>)? Lane for $ty {
+            type Source = [Expr];
+            type Verdicts = BatchVerdicts;
+            type Reference = MultiLanes<CompiledFilter>;
+
+            fn compile_lane(exprs: &[Expr]) -> Result<Self, CompileError> {
+                <Self as MultiBackend>::try_compile_batch(exprs)
+            }
+
+            fn check_source(exprs: &[Expr]) -> Result<(), CompileError> {
+                check_batch(exprs, $backend)
+            }
+
+            fn new_verdicts(&self) -> BatchVerdicts {
+                BatchVerdicts::new(self.num_queries())
+            }
+
+            fn scan_stream(&mut self, stream: &[u8], limits: IngestLimits, out: &mut BatchVerdicts) {
+                self.filter_stream_verdicts_into(stream, limits, out);
+            }
+
+            fn start_record(&mut self) {
+                self.reset();
+            }
+
+            #[inline]
+            fn feed_byte(&mut self, byte: u8) -> bool {
+                self.on_byte(byte);
+                false
+            }
+
+            #[inline]
+            fn feed_block(&mut self, block: &[u8]) -> bool {
+                self.on_block(block);
+                false
+            }
+
+            fn end_record(&mut self, terminated: bool, _last: bool, out: &mut BatchVerdicts) {
+                out.push_scored_with(|row| {
+                    if terminated {
+                        self.on_byte(b'\n');
+                    } else {
+                        self.write_accepts(row);
+                        self.close_trailing_record();
+                    }
+                    self.write_accepts(row);
+                });
+            }
+
+            fn end_stream(&mut self, scored: u64) {
+                crate::metrics::multi_metrics().records.add(scored);
+                self.flush_telemetry();
             }
         }
-        backend.reset();
-    });
-    lines.flush();
-    crate::metrics::multi_metrics().records.add(scored);
-    backend.flush_telemetry();
+    };
 }
+
+batch_lane!("multi-engine", impl for MultiEngine);
+batch_lane!("multi-serial", impl<B: FilterBackend> for MultiLanes<B>);
 
 /// The serial reference [`MultiBackend`]: N independent single-query
 /// backends stepped in lockstep with **no** scan sharing or unit
@@ -855,12 +829,7 @@ pub struct MultiLanes<B> {
 
 impl<B: FilterBackend> MultiBackend for MultiLanes<B> {
     fn try_compile_batch(exprs: &[Expr]) -> Result<Self, CompileError> {
-        if exprs.is_empty() {
-            return Err(CompileError::Backend {
-                backend: "multi-serial",
-                reason: "a batch needs at least one query".into(),
-            });
-        }
+        check_batch(exprs, "multi-serial")?;
         let lanes = exprs
             .iter()
             .map(B::try_compile)
@@ -928,8 +897,8 @@ impl<B: FilterBackend> MultiBackend for MultiLanes<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::run_verdict_driver;
     use crate::engine::Engine;
-    use crate::evaluator::CompiledFilter;
     use crate::expr::StructScope;
 
     fn zoo() -> Vec<Expr> {
@@ -1030,7 +999,7 @@ mod tests {
             max_records: Some(4),
         };
         let mut via_bytes = BatchVerdicts::new(exprs.len());
-        run_batch_driver(&mut fused, &s, limits, &mut via_bytes);
+        run_verdict_driver(&mut fused, &s, limits, &mut via_bytes);
         let via_blocks = fused.filter_stream_verdicts(&s, limits);
         assert_eq!(via_bytes, via_blocks);
         assert!(via_blocks.skip(4).is_some(), "record budget applies");
@@ -1072,7 +1041,7 @@ mod tests {
         );
         assert_eq!(v.count_matches(69), 1);
         let mut w = BatchVerdicts::new(70);
-        w.append(&v);
+        w.extend_from(&v);
         assert_eq!(w, v);
         w.quarantine_from(0, SkipReason::RecordLimit { limit: 0 });
         assert!(!w.matched(0, 69));

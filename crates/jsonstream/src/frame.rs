@@ -17,10 +17,10 @@
 //!   ([`is_blank_line`]);
 //! * a trailing record without a final `\n` still counts.
 //!
-//! Three views of the same rules are provided: slice-level
-//! ([`split_records`]), chunk-streaming ([`FrameAssembler`]), and
-//! byte-serial ([`ChunkFramer`] — what the filter-backend stream drivers
-//! in `rfjson-core` consume). [`shard_ranges`] partitions a buffer at
+//! Two views of the same rules are provided: slice-level
+//! ([`split_records`]) and byte-serial ([`LimitedFramer`], which also
+//! meters [`IngestLimits`] — what the byte-serial oracle driver in
+//! `rfjson-core` consumes). [`shard_ranges`] partitions a buffer at
 //! record boundaries for the parallel runtime. Their equivalence is held
 //! by the cross-impl tests in the root crate (`tests/framing_equiv.rs`).
 
@@ -63,152 +63,6 @@ pub fn split_records(stream: &[u8]) -> impl Iterator<Item = &[u8]> {
         .split(|&b| b == b'\n')
         .filter(|line| !is_blank_line(line))
         .map(trim_cr)
-}
-
-/// What one byte means for record framing (returned by
-/// [`ChunkFramer::on_byte`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameAction {
-    /// The byte belongs to the current (possibly still blank) line.
-    Feed,
-    /// The byte is a separator ending a non-blank record: emit the
-    /// record/decision, then reset per-record state.
-    EndRecord,
-    /// The byte is a separator after a blank line: reset, emit nothing.
-    EndBlank,
-}
-
-/// Byte-serial framing state machine — the canonical encoding of the
-/// framing rules, driven one byte at a time alongside a filter.
-///
-/// The filter-backend stream drivers feed every byte to both the filter
-/// and the framer; the framer says when a decision is due. At
-/// end-of-stream, [`ChunkFramer::finish`] reports whether an unclosed
-/// trailing record remains (the driver then supplies the `\n` the
-/// hardware would see).
-///
-/// # Example
-///
-/// ```
-/// use rfjson_jsonstream::frame::{ChunkFramer, FrameAction};
-///
-/// let mut framer = ChunkFramer::new();
-/// let actions: Vec<FrameAction> =
-///     b"a\n\nb".iter().map(|&b| framer.on_byte(b)).collect();
-/// assert_eq!(
-///     actions,
-///     vec![
-///         FrameAction::Feed,
-///         FrameAction::EndRecord,
-///         FrameAction::EndBlank,
-///         FrameAction::Feed,
-///     ]
-/// );
-/// assert!(framer.finish(), "trailing `b` is an unclosed record");
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChunkFramer {
-    saw_content: bool,
-}
-
-impl ChunkFramer {
-    /// Fresh framer at a record boundary.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Consumes one byte and classifies it.
-    #[inline]
-    pub fn on_byte(&mut self, byte: u8) -> FrameAction {
-        if byte == b'\n' {
-            if core::mem::take(&mut self.saw_content) {
-                FrameAction::EndRecord
-            } else {
-                FrameAction::EndBlank
-            }
-        } else {
-            if byte != b'\r' {
-                self.saw_content = true;
-            }
-            FrameAction::Feed
-        }
-    }
-
-    /// End of stream: returns `true` (and resets) if a non-blank record
-    /// is still open — a trailing record without a separator.
-    #[inline]
-    pub fn finish(&mut self) -> bool {
-        core::mem::take(&mut self.saw_content)
-    }
-
-    /// Whether a non-blank record is currently open.
-    pub fn has_open_record(&self) -> bool {
-        self.saw_content
-    }
-
-    /// Back to a record boundary.
-    pub fn reset(&mut self) {
-        self.saw_content = false;
-    }
-}
-
-/// Streaming version of [`split_records`]: feed arbitrary chunks, get
-/// complete records out. Used by the system-architecture model, which
-/// receives DMA bursts rather than whole files.
-#[derive(Debug, Default, Clone)]
-pub struct FrameAssembler {
-    framer: ChunkFramer,
-    pending: Vec<u8>,
-}
-
-impl FrameAssembler {
-    /// New assembler with no pending bytes.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Consumes a chunk, invoking `sink` for every completed record.
-    ///
-    /// Hops from separator to separator with the SWAR newline search
-    /// ([`swar::find_byte`]) instead of framing byte-by-byte; the
-    /// byte-serial [`ChunkFramer`] state is kept in sync so the framing
-    /// semantics are unchanged (held by `tests/framing_equiv.rs`).
-    pub fn push_chunk(&mut self, chunk: &[u8], mut sink: impl FnMut(&[u8])) {
-        let mut rest = chunk;
-        while let Some(nl) = swar::find_byte(rest, b'\n') {
-            let (line_part, tail) = rest.split_at(nl);
-            self.pending.extend_from_slice(line_part);
-            // saw_content == "the pending line is not blank", restated
-            // at slice level: any non-CR byte makes the line a record.
-            if is_blank_line(&self.pending) {
-                self.pending.clear();
-            } else {
-                sink(trim_cr(&self.pending));
-                self.pending.clear();
-            }
-            self.framer.reset();
-            rest = &tail[1..];
-        }
-        self.pending.extend_from_slice(rest);
-        if !is_blank_line(&self.pending) {
-            // Keep the byte-serial framer state equivalent for
-            // `finish`/`has_open_record` observers.
-            self.framer.on_byte(b'x');
-        }
-    }
-
-    /// Flushes the trailing record (stream end without newline).
-    pub fn finish(&mut self, mut sink: impl FnMut(&[u8])) {
-        if self.framer.finish() {
-            sink(trim_cr(&self.pending));
-        }
-        self.pending.clear();
-    }
-
-    /// Bytes buffered awaiting a newline.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
 }
 
 /// Per-stream ingest limits for **record quarantine**.
@@ -395,9 +249,10 @@ pub enum LimitedAction {
     EndBlank,
 }
 
-/// [`ChunkFramer`] plus [`IngestLimits`] metering: the byte-serial
-/// framing state machine extended with a per-record content gauge and a
-/// record counter, so oversized or limit-violating records are
+/// The byte-serial framing state machine — the canonical encoding of the
+/// framing rules, driven one byte at a time alongside a filter — with
+/// [`IngestLimits`] metering: a per-record content gauge and a record
+/// counter, so oversized or limit-violating records are
 /// **skipped-and-reported** instead of silently poisoning a lane.
 ///
 /// The gauge measures record **content** length — the line with the
@@ -423,7 +278,9 @@ pub enum LimitedAction {
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct LimitedFramer {
-    framer: ChunkFramer,
+    /// A non-CR byte arrived since the last separator: the line is a
+    /// record, not a blank.
+    saw_content: bool,
     limits: IngestLimits,
     /// Stop-feeding threshold: one byte of slack over `max_record_bytes`
     /// because the byte that crosses the limit may yet turn out to be a
@@ -438,7 +295,7 @@ impl LimitedFramer {
     /// Fresh limit-aware framer at a record boundary.
     pub fn new(limits: IngestLimits) -> Self {
         LimitedFramer {
-            framer: ChunkFramer::new(),
+            saw_content: false,
             limits,
             feed_cutoff: limits
                 .max_record_bytes
@@ -473,42 +330,38 @@ impl LimitedFramer {
     /// Consumes one byte and classifies it.
     #[inline]
     pub fn on_byte(&mut self, byte: u8) -> LimitedAction {
-        match self.framer.on_byte(byte) {
-            FrameAction::Feed => {
-                self.record_len += 1;
-                self.last_was_cr = byte == b'\r';
-                LimitedAction::Feed {
-                    quarantined: self.record_len > self.feed_cutoff
-                        || self
-                            .limits
-                            .max_records
-                            .is_some_and(|m| self.records_seen >= m),
-                }
-            }
-            FrameAction::EndRecord => LimitedAction::EndRecord(self.record_end()),
-            FrameAction::EndBlank => {
-                self.record_len = 0;
-                self.last_was_cr = false;
-                LimitedAction::EndBlank
-            }
+        if byte == b'\n' {
+            return match self.finish() {
+                Some(end) => LimitedAction::EndRecord(end),
+                None => LimitedAction::EndBlank,
+            };
+        }
+        self.saw_content |= byte != b'\r';
+        self.record_len += 1;
+        self.last_was_cr = byte == b'\r';
+        LimitedAction::Feed {
+            quarantined: self.record_len > self.feed_cutoff
+                || self
+                    .limits
+                    .max_records
+                    .is_some_and(|m| self.records_seen >= m),
         }
     }
 
     /// End of stream: reports (and resets) the unclosed trailing record,
     /// metered against the same limits as every other record.
     pub fn finish(&mut self) -> Option<RecordEnd> {
-        if self.framer.finish() {
+        if core::mem::take(&mut self.saw_content) {
             Some(self.record_end())
         } else {
-            self.record_len = 0;
-            self.last_was_cr = false;
+            self.reset();
             None
         }
     }
 
     /// Back to a record boundary (the record counter keeps counting).
     pub fn reset(&mut self) {
-        self.framer.reset();
+        self.saw_content = false;
         self.record_len = 0;
         self.last_was_cr = false;
     }
@@ -604,60 +457,33 @@ mod tests {
         // the byte-serial stream drivers apply.
         let recs: Vec<&[u8]> = split_records(b"\r\n\r\r\na\r\n").collect();
         assert_eq!(recs, vec![&b"a"[..]]);
-        let mut asm = FrameAssembler::new();
-        let mut got = 0;
-        asm.push_chunk(b"\r\n\r\r\na\r\n", |_| got += 1);
-        asm.finish(|_| got += 1);
-        assert_eq!(got, 1);
+        assert_eq!(
+            run_limited(b"\r\n\r\r\na\r\n", IngestLimits::UNLIMITED).len(),
+            1
+        );
     }
 
     #[test]
     fn framer_actions_and_finish() {
-        let mut f = ChunkFramer::new();
-        assert_eq!(f.on_byte(b'\r'), FrameAction::Feed);
-        assert!(!f.has_open_record(), "CR alone opens no record");
-        assert_eq!(f.on_byte(b'\n'), FrameAction::EndBlank);
-        assert_eq!(f.on_byte(b'x'), FrameAction::Feed);
-        assert!(f.has_open_record());
-        assert_eq!(f.on_byte(b'\n'), FrameAction::EndRecord);
-        assert!(!f.finish(), "no trailing record after a separator");
+        let mut f = LimitedFramer::new(IngestLimits::UNLIMITED);
+        let feed = LimitedAction::Feed { quarantined: false };
+        let end = LimitedAction::EndRecord(RecordEnd { skip: None });
+        assert_eq!(f.on_byte(b'\r'), feed);
+        assert_eq!(
+            f.on_byte(b'\n'),
+            LimitedAction::EndBlank,
+            "CR alone opens no record"
+        );
+        assert_eq!(f.on_byte(b'x'), feed);
+        assert_eq!(f.on_byte(b'\n'), end);
+        assert_eq!(f.finish(), None, "no trailing record after a separator");
         f.on_byte(b'y');
-        assert!(f.finish(), "trailing record without separator");
-        assert!(!f.finish(), "finish resets");
-    }
-
-    #[test]
-    fn assembler_reassembles_across_chunks() {
-        let stream = b"{\"a\":1}\n{\"b\":2}\n{\"c\":3}";
-        for chunk_size in [1, 2, 3, 5, 7, 100] {
-            let mut asm = FrameAssembler::new();
-            let mut got: Vec<Vec<u8>> = Vec::new();
-            for chunk in stream.chunks(chunk_size) {
-                asm.push_chunk(chunk, |r| got.push(r.to_vec()));
-            }
-            asm.finish(|r| got.push(r.to_vec()));
-            assert_eq!(
-                got,
-                vec![
-                    br#"{"a":1}"#.to_vec(),
-                    br#"{"b":2}"#.to_vec(),
-                    br#"{"c":3}"#.to_vec()
-                ],
-                "chunk size {chunk_size}"
-            );
-        }
-    }
-
-    #[test]
-    fn assembler_pending_accounting() {
-        let mut asm = FrameAssembler::new();
-        asm.push_chunk(b"abc", |_| panic!("no record yet"));
-        assert_eq!(asm.pending_len(), 3);
-        let mut n = 0;
-        asm.push_chunk(b"\n", |_| n += 1);
-        assert_eq!(n, 1);
-        assert_eq!(asm.pending_len(), 0);
-        asm.finish(|_| panic!("nothing pending"));
+        assert_eq!(
+            f.finish(),
+            Some(RecordEnd { skip: None }),
+            "trailing record"
+        );
+        assert_eq!(f.finish(), None, "finish resets");
     }
 
     /// Every split decomposition must cover the stream exactly, cut only

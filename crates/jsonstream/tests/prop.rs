@@ -3,7 +3,7 @@
 //! streaming mask/nesting agreement with the parser.
 
 use proptest::prelude::*;
-use rfjson_jsonstream::frame::{split_records, FrameAssembler};
+use rfjson_jsonstream::frame::{shard_ranges, split_records};
 use rfjson_jsonstream::write::to_string;
 use rfjson_jsonstream::{parse, NestingTracker, Value};
 
@@ -90,13 +90,12 @@ proptest! {
         // Whole-buffer splitting:
         let split: Vec<Vec<u8>> = split_records(&stream).map(<[u8]>::to_vec).collect();
         prop_assert_eq!(split.len(), records.len());
-        // Chunked reassembly must agree:
-        let mut asm = FrameAssembler::new();
-        let mut got: Vec<Vec<u8>> = Vec::new();
-        for c in stream.chunks(chunk) {
-            asm.push_chunk(c, |r| got.push(r.to_vec()));
-        }
-        asm.finish(|r| got.push(r.to_vec()));
+        // The same records, reassembled from any number of record-aligned
+        // shards:
+        let got: Vec<Vec<u8>> = shard_ranges(&stream, chunk)
+            .into_iter()
+            .flat_map(|r| split_records(&stream[r]).map(<[u8]>::to_vec).collect::<Vec<_>>())
+            .collect();
         prop_assert_eq!(got, split);
     }
 

@@ -3,22 +3,22 @@
 //! The paper scales raw filtering by **replicating identical filter
 //! lanes**: each hardware lane consumes its slice of the byte stream and
 //! DMAs back one match bit per record (§IV-B). This crate is the
-//! software form of that scaling step, built directly on the
-//! [`FilterBackend`] seam of `rfjson-core`:
+//! software form of that scaling step, built directly on the [`Lane`]
+//! seam of `rfjson-core`:
 //!
 //! 1. the input buffer is split at **record boundaries** into per-thread
 //!    shards ([`rfjson_jsonstream::frame::shard_ranges`] — every cut
 //!    lands immediately after a `\n`, so each shard is a self-contained
 //!    NDJSON sub-stream);
-//! 2. one backend instance per shard runs on a scoped thread
-//!    (`std::thread::scope` — no `unsafe`, no extra dependencies);
-//! 3. the per-shard decision vectors are reassembled in input order.
+//! 2. one lane per shard runs on a scoped thread (`std::thread::scope`
+//!    — no `unsafe`, no extra dependencies);
+//! 3. the per-shard verdicts are reassembled in input order.
 //!
 //! Because the serial path resets the filter right after every `\n`,
-//! a freshly compiled backend at a shard start is in **exactly** the
-//! state the serial filter would be in at that offset — so the sharded
+//! a freshly compiled lane at a shard start is in **exactly** the state
+//! the serial filter would be in at that offset — so the sharded
 //! decisions are byte-for-byte identical to the serial ones, for any
-//! backend and any shard count. The differential tests in this crate
+//! lane and any shard count. The differential tests in this crate
 //! and in the root crate (`tests/parallel_diff.rs`) hold that equality
 //! at shard counts {1, 2, 3, 8} over generated corpora.
 //!
@@ -36,14 +36,13 @@
 //!
 //! This is the architectural seam future scaling work (async ingest,
 //! real hardware offload) plugs into: anything that implements
-//! [`FilterBackend`] is sharded for free — and since a sharded lane is
-//! just "something that filters a self-contained NDJSON sub-stream",
-//! the same machinery carries **fused multi-query plans**:
-//! [`MultiShardedRunner`] shards a whole
-//! [`MultiBackend`](rfjson_core::multi::MultiBackend) batch (one fused
-//! scan answering N queries per lane) with the identical
-//! panic-isolation/heal/retry ladder, reassembling per-record verdict
-//! *bitsets* ([`BatchVerdicts`]) instead of single decisions.
+//! [`Lane`] is sharded for free. Every [`FilterBackend`] is a lane of one
+//! column, and a fused multi-query batch
+//! ([`MultiEngine`](rfjson_core::MultiEngine), one scan answering N
+//! queries) is a lane whose match word is N bits wide:
+//! `ShardedRunner<MultiEngine>` runs the same fan-out, panic isolation,
+//! heal, retry and reassembly, and returns per-record verdict *bitsets*
+//! ([`BatchVerdicts`](rfjson_core::BatchVerdicts)).
 //!
 //! # Fault tolerance
 //!
@@ -59,7 +58,9 @@
 //!   serial fast path) runs under [`std::panic::catch_unwind`]. A
 //!   failed or wrong-length shard is quarantined: its lane is
 //!   recompiled, and the shard is **retried once, serially, on the
-//!   reference model backend** (`R`, default [`CompiledFilter`]). Only
+//!   reference model lane** (`R`, default [`Lane::Reference`]: the
+//!   [`CompiledFilter`](rfjson_core::CompiledFilter) model, or
+//!   [`MultiLanes`](rfjson_core::MultiLanes) of it for a batch). Only
 //!   if the retry also fails does the stream return
 //!   [`RuntimeError::ShardFailed`] with the shard index and the global
 //!   record range it covered — the process never aborts.
@@ -67,7 +68,7 @@
 //!   applies [`IngestLimits`]: oversized records and records beyond the
 //!   stream's record budget are [`Verdict::Skipped`] (reported, never
 //!   silently dropped), byte-identically to the serial quarantine path
-//!   at every shard count.
+//!   at every shard count, for a single query and for a batch.
 //!
 //! The degradation ladder is thus *engine lane → model retry →
 //! structured error*: the same shape a future async or hardware-offload
@@ -82,11 +83,10 @@ pub mod fault;
 
 mod metrics;
 
-use rfjson_core::backend::FilterBackend;
+use rfjson_core::backend::{FilterBackend, Lane, VerdictSink};
 use rfjson_core::expr::Expr;
-use rfjson_core::multi::{BatchVerdicts, MultiBackend, MultiLanes};
-use rfjson_core::CompiledFilter;
 use rfjson_jsonstream::frame::{shard_ranges, split_records};
+use std::borrow::Borrow;
 use std::error::Error;
 use std::fmt;
 use std::ops::Range;
@@ -167,51 +167,57 @@ impl Default for RunnerConfig {
 /// A raw filter replicated across threads over record-aligned shards of
 /// the input — the software analogue of the paper's parallel RF lanes.
 ///
-/// The runner is generic over the backend: `ShardedRunner<Engine>` for
+/// The runner is generic over the [`Lane`]: `ShardedRunner<Engine>` for
 /// bulk throughput, `ShardedRunner<CompiledFilter>` for the
-/// cosim-faithful model, or any future [`FilterBackend`]. Backend
-/// lanes are compiled lazily on first use and **cached across calls**,
-/// so a long-lived runner pays compilation once, not per stream.
+/// cosim-faithful model, `ShardedRunner<MultiEngine>` for a fused batch
+/// of queries, or any future [`FilterBackend`]. Lanes are compiled lazily
+/// on first use and **cached across calls**, so a long-lived runner pays
+/// compilation once, not per stream.
 ///
-/// The second type parameter `R` is the **retry backend**: when a shard
-/// lane panics or returns a malformed decision vector, the shard is
-/// re-run serially on a freshly compiled `R` (the reference
-/// [`CompiledFilter`] model by default) before the stream is declared
-/// failed. See the crate docs' *Fault tolerance* section.
+/// The second type parameter `R` is the **retry lane**: when a shard lane
+/// panics or returns a malformed verdict sequence, the shard is re-run
+/// serially on a freshly compiled `R` (the lane's byte-serial
+/// [`Lane::Reference`] by default) before the stream is declared failed.
+/// See the crate docs' *Fault tolerance* section.
 #[derive(Debug, Clone)]
-pub struct ShardedRunner<B: FilterBackend, R: FilterBackend = CompiledFilter> {
-    expr: Expr,
+pub struct ShardedRunner<L: Lane, R = <L as Lane>::Reference> {
+    source: <L::Source as ToOwned>::Owned,
     config: RunnerConfig,
-    /// Cached per-shard backend lanes, grown on demand (lane `i` serves
-    /// shard `i`; every lane is reset at the start of each stream by
-    /// the backend's own stream driver). A lane that panicked is
-    /// recompiled before its next use.
-    lanes: Vec<B>,
+    /// Cached per-shard lanes, grown on demand (lane `i` serves shard
+    /// `i`; every lane is reset at the start of each stream by its own
+    /// stream driver). A lane that panicked is recompiled before its
+    /// next use.
+    lanes: Vec<L>,
     /// Lazily compiled retry lane (dropped again if it ever panics).
     retry_lane: Option<R>,
 }
 
-impl<B: FilterBackend + Send, R: FilterBackend> ShardedRunner<B, R> {
+impl<L, R> ShardedRunner<L, R>
+where
+    L: Lane + Send,
+    L::Verdicts: Send,
+    R: Lane<Source = L::Source, Verdicts = L::Verdicts>,
+{
     /// Runner with the default configuration (one shard per available
     /// core, 64 KiB minimum shard size).
     ///
     /// # Panics
     ///
-    /// Panics if the expression fails validation (same contract as
-    /// [`FilterBackend::compile`]). For user-supplied expressions use
-    /// the non-panicking [`ShardedRunner::try_new`].
-    pub fn new(expr: &Expr) -> Self {
-        Self::with_config(expr, RunnerConfig::default())
+    /// Panics if the source fails validation (same contract as
+    /// [`FilterBackend::compile`]). For user-supplied sources use the
+    /// non-panicking [`ShardedRunner::try_new`].
+    pub fn new(source: &L::Source) -> Self {
+        Self::with_config(source, RunnerConfig::default())
     }
 
     /// Fallible form of [`ShardedRunner::new`].
     ///
     /// # Errors
     ///
-    /// [`CompileError::InvalidExpr`] if the expression fails
-    /// [`Expr::validate`].
-    pub fn try_new(expr: &Expr) -> Result<Self, CompileError> {
-        Self::try_with_config(expr, RunnerConfig::default())
+    /// [`CompileError::InvalidExpr`] if an expression fails
+    /// [`Expr::validate`]; [`CompileError::Backend`] for an empty batch.
+    pub fn try_new(source: &L::Source) -> Result<Self, CompileError> {
+        Self::try_with_config(source, RunnerConfig::default())
     }
 
     /// Runner with an explicit shard count (no minimum-size cap) —
@@ -219,11 +225,11 @@ impl<B: FilterBackend + Send, R: FilterBackend> ShardedRunner<B, R> {
     ///
     /// # Panics
     ///
-    /// Panics if the expression fails validation. For user-supplied
-    /// expressions use the non-panicking [`ShardedRunner::try_with_shards`].
-    pub fn with_shards(expr: &Expr, shards: usize) -> Self {
+    /// Panics if the source fails validation. For user-supplied sources
+    /// use the non-panicking [`ShardedRunner::try_with_shards`].
+    pub fn with_shards(source: &L::Source, shards: usize) -> Self {
         Self::with_config(
-            expr,
+            source,
             RunnerConfig {
                 shards: Some(shards),
                 min_shard_bytes: 1,
@@ -235,11 +241,10 @@ impl<B: FilterBackend + Send, R: FilterBackend> ShardedRunner<B, R> {
     ///
     /// # Errors
     ///
-    /// [`CompileError::InvalidExpr`] if the expression fails
-    /// [`Expr::validate`].
-    pub fn try_with_shards(expr: &Expr, shards: usize) -> Result<Self, CompileError> {
+    /// Same contract as [`ShardedRunner::try_new`].
+    pub fn try_with_shards(source: &L::Source, shards: usize) -> Result<Self, CompileError> {
         Self::try_with_config(
-            expr,
+            source,
             RunnerConfig {
                 shards: Some(shards),
                 min_shard_bytes: 1,
@@ -251,10 +256,10 @@ impl<B: FilterBackend + Send, R: FilterBackend> ShardedRunner<B, R> {
     ///
     /// # Panics
     ///
-    /// Panics if the expression fails validation. For user-supplied
-    /// expressions use the non-panicking [`ShardedRunner::try_with_config`].
-    pub fn with_config(expr: &Expr, config: RunnerConfig) -> Self {
-        Self::try_with_config(expr, config).expect("expression must be well-formed")
+    /// Panics if the source fails validation. For user-supplied sources
+    /// use the non-panicking [`ShardedRunner::try_with_config`].
+    pub fn with_config(source: &L::Source, config: RunnerConfig) -> Self {
+        Self::try_with_config(source, config).expect("source must be well-formed")
     }
 
     /// Fallible form of [`ShardedRunner::with_config`]: no public
@@ -262,21 +267,20 @@ impl<B: FilterBackend + Send, R: FilterBackend> ShardedRunner<B, R> {
     ///
     /// # Errors
     ///
-    /// [`CompileError::InvalidExpr`] if the expression fails
-    /// [`Expr::validate`].
-    pub fn try_with_config(expr: &Expr, config: RunnerConfig) -> Result<Self, CompileError> {
-        expr.validate()?;
+    /// Same contract as [`ShardedRunner::try_new`].
+    pub fn try_with_config(source: &L::Source, config: RunnerConfig) -> Result<Self, CompileError> {
+        L::check_source(source)?;
         Ok(ShardedRunner {
-            expr: expr.clone(),
+            source: source.to_owned(),
             config,
             lanes: Vec::new(),
             retry_lane: None,
         })
     }
 
-    /// The source expression.
-    pub fn expr(&self) -> &Expr {
-        &self.expr
+    /// What the lanes are compiled from: the expression, or the batch.
+    pub fn source(&self) -> &L::Source {
+        self.source.borrow()
     }
 
     /// The runner's configuration.
@@ -284,9 +288,18 @@ impl<B: FilterBackend + Send, R: FilterBackend> ShardedRunner<B, R> {
         self.config
     }
 
-    /// Effective shard count for a stream of `stream_len` bytes.
+    /// Effective shard count for a stream of `stream_len` bytes
+    /// (requested lanes capped by the minimum worthwhile shard size).
     pub fn shards_for(&self, stream_len: usize) -> usize {
-        effective_shards(self.config, stream_len)
+        let requested = self
+            .config
+            .shards
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+            })
+            .max(1);
+        let cap = (stream_len / self.config.min_shard_bytes.max(1)).max(1);
+        requested.min(cap)
     }
 
     /// The record-aligned ranges a call over `stream` would fan out to.
@@ -294,6 +307,185 @@ impl<B: FilterBackend + Send, R: FilterBackend> ShardedRunner<B, R> {
         shard_ranges(stream, self.shards_for(stream.len()))
     }
 
+    /// Quarantine-aware parallel stream filtering: one verdict (a
+    /// [`Verdict`], or a batch's row of bits) per record, in input order,
+    /// with [`IngestLimits`] applied exactly as the lane's serial stream
+    /// method applies them (the record-length limit per record, the
+    /// record budget globally across all shards).
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::ShardFailed`] on a shard double fault;
+    /// [`RuntimeError::Compile`] if a lane cannot be compiled.
+    pub fn filter_stream_verdicts(
+        &mut self,
+        stream: &[u8],
+        limits: IngestLimits,
+    ) -> Result<L::Verdicts, RuntimeError> {
+        self.ensure_lanes(1)?;
+        let mut out = self.lanes[0].new_verdicts();
+        self.filter_stream_verdicts_into(stream, limits, &mut out)?;
+        Ok(out)
+    }
+
+    /// Allocation-reusing form of
+    /// [`ShardedRunner::filter_stream_verdicts`]. On error, `out` is
+    /// restored to its length at entry (no partial output).
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`ShardedRunner::filter_stream_verdicts`].
+    pub fn filter_stream_verdicts_into(
+        &mut self,
+        stream: &[u8],
+        limits: IngestLimits,
+        out: &mut L::Verdicts,
+    ) -> Result<(), RuntimeError> {
+        let base = out.num_records();
+        let result = self.run_resilient(stream, limits, out);
+        if result.is_err() {
+            out.truncate_records(base);
+        }
+        result
+    }
+
+    /// The resilient driver behind every stream API: fan out, catch
+    /// faults, retry failed shards on the reference lane, reassemble.
+    fn run_resilient(
+        &mut self,
+        stream: &[u8],
+        limits: IngestLimits,
+        out: &mut L::Verdicts,
+    ) -> Result<(), RuntimeError> {
+        let ranges = self.plan(stream);
+        self.ensure_lanes(ranges.len().max(1))?;
+        // Record length is a per-record property the lanes apply
+        // locally; the record budget is a *stream* property applied
+        // globally after reassembly (a lane cannot know how many
+        // records precede its shard).
+        let lane_limits = IngestLimits {
+            max_record_bytes: limits.max_record_bytes,
+            max_records: None,
+        };
+        let base = out.num_records();
+        let run = |lane: &mut L, shard: &[u8]| run_lane(lane, shard, lane_limits);
+        let results = match &ranges[..] {
+            // Serial fast path: no threads for one (or zero) shards —
+            // but the same fault ladder.
+            [] => Vec::new(),
+            [only] => vec![run(&mut self.lanes[0], &stream[only.clone()])],
+            _ => fan_out(&mut self.lanes, stream, &ranges, run),
+        };
+        // Shards are spawned (and joined) in stream order, so plain
+        // concatenation reassembles the verdicts in input order; failed
+        // shards are retried serially on the reference lane.
+        let mut record_base = 0;
+        for (shard_idx, (result, range)) in results.into_iter().zip(&ranges).enumerate() {
+            let v = match result {
+                Ok(v) => v,
+                Err(Fault) => {
+                    self.heal_lane(shard_idx);
+                    self.retry_shard(shard_idx, record_base, &stream[range.clone()], lane_limits)?
+                }
+            };
+            // `run_lane` checked the count against the shard's framing.
+            let records = v.num_records();
+            metrics::metrics().shard_records.record(records as u64);
+            out.extend_from(&v);
+            record_base += records;
+        }
+        // Apply the global record budget: every verdict past the limit
+        // is overwritten, exactly as the serial quarantine path reports
+        // it (record-count quarantine wins over length quarantine).
+        if let Some(m) = limits.max_records {
+            out.quarantine_from(base.saturating_add(m), SkipReason::RecordLimit { limit: m });
+        }
+        let m = metrics::metrics();
+        m.streams.incr();
+        m.bytes.add(stream.len() as u64);
+        metrics::record_shard_plan(&ranges);
+        let (mut matched, mut unmatched, mut too_long, mut over_budget) = (0u64, 0u64, 0u64, 0u64);
+        for r in base..out.num_records() {
+            match out.outcome(r) {
+                Verdict::Match => matched += 1,
+                Verdict::NoMatch => unmatched += 1,
+                Verdict::Skipped(SkipReason::TooLong { .. }) => too_long += 1,
+                // Catch-all keeps records == matched + unmatched +
+                // skipped.* exact even if SkipReason grows a variant.
+                Verdict::Skipped(_) => over_budget += 1,
+            }
+        }
+        m.records.add(matched + unmatched + too_long + over_budget);
+        m.matched.add(matched);
+        m.unmatched.add(unmatched);
+        m.skipped_too_long.add(too_long);
+        m.skipped_record_limit.add(over_budget);
+        Ok(())
+    }
+
+    /// Compiles missing lanes.
+    fn ensure_lanes(&mut self, n: usize) -> Result<(), RuntimeError> {
+        while self.lanes.len() < n {
+            let lane = compile_lane::<L>(self.source.borrow())?;
+            self.lanes.push(lane);
+        }
+        Ok(())
+    }
+
+    /// Replaces a lane whose state is suspect after a caught fault. If
+    /// recompilation itself fails, the old lane is kept: every stream
+    /// driver resets its lanes at stream start, and a still-broken lane
+    /// simply fails (and is retried) again on its next use.
+    fn heal_lane(&mut self, i: usize) {
+        metrics::metrics().lane_heals.incr();
+        if let Ok(fresh) = compile_lane::<L>(self.source.borrow()) {
+            self.lanes[i] = fresh;
+        }
+    }
+
+    /// Second rung of the degradation ladder: re-runs one failed shard
+    /// serially on the reference lane `R`. A failure here is the
+    /// **double fault** that ends the ladder with a structured error.
+    fn retry_shard(
+        &mut self,
+        shard_idx: usize,
+        record_base: usize,
+        shard: &[u8],
+        limits: IngestLimits,
+    ) -> Result<L::Verdicts, RuntimeError> {
+        metrics::metrics().retries.incr();
+        let failed = || {
+            metrics::metrics().double_faults.incr();
+            RuntimeError::ShardFailed {
+                shard: shard_idx,
+                records: record_base..record_base + split_records(shard).count(),
+            }
+        };
+        if self.retry_lane.is_none() {
+            match compile_lane::<R>(self.source.borrow()) {
+                Ok(lane) => self.retry_lane = Some(lane),
+                Err(_) => return Err(failed()),
+            }
+        }
+        let lane = self.retry_lane.as_mut().expect("compiled above");
+        match run_lane(lane, shard, limits) {
+            Ok(v) => Ok(v),
+            Err(Fault) => {
+                // The retry lane's state is suspect too: drop it so the
+                // next failure starts from a fresh compile.
+                self.retry_lane = None;
+                Err(failed())
+            }
+        }
+    }
+}
+
+/// The boolean decision API of a single-query runner.
+impl<L, R> ShardedRunner<L, R>
+where
+    L: Lane<Verdicts = Vec<Verdict>> + Send,
+    R: Lane<Source = L::Source, Verdicts = Vec<Verdict>>,
+{
     /// Filters a newline-delimited stream, returning per-record accept
     /// decisions in input order — byte-for-byte identical to the serial
     /// [`FilterBackend::filter_stream`] of the same backend.
@@ -352,202 +544,6 @@ impl<B: FilterBackend + Send, R: FilterBackend> ShardedRunner<B, R> {
         out.extend(verdicts.iter().map(Verdict::matched));
         Ok(())
     }
-
-    /// Quarantine-aware parallel stream filtering: one [`Verdict`] per
-    /// record, in input order, with [`IngestLimits`] applied exactly as
-    /// the serial [`FilterBackend::filter_stream_verdicts`] path applies
-    /// them (the record-length limit per record, the record budget
-    /// globally across all shards).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ShardedRunner::try_filter_stream`].
-    pub fn filter_stream_verdicts(
-        &mut self,
-        stream: &[u8],
-        limits: IngestLimits,
-    ) -> Result<Vec<Verdict>, RuntimeError> {
-        let mut out = Vec::new();
-        self.filter_stream_verdicts_into(stream, limits, &mut out)?;
-        Ok(out)
-    }
-
-    /// Allocation-reusing form of
-    /// [`ShardedRunner::filter_stream_verdicts`]. On error, `out` is
-    /// restored to its length at entry (no partial output).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ShardedRunner::try_filter_stream`].
-    pub fn filter_stream_verdicts_into(
-        &mut self,
-        stream: &[u8],
-        limits: IngestLimits,
-        out: &mut Vec<Verdict>,
-    ) -> Result<(), RuntimeError> {
-        let base = out.len();
-        let result = self.run_resilient(stream, limits, out);
-        if result.is_err() {
-            out.truncate(base);
-        }
-        result
-    }
-
-    /// The resilient driver behind every stream API: fan out, catch
-    /// faults, retry failed shards on the reference backend, reassemble.
-    fn run_resilient(
-        &mut self,
-        stream: &[u8],
-        limits: IngestLimits,
-        out: &mut Vec<Verdict>,
-    ) -> Result<(), RuntimeError> {
-        let ranges = self.plan(stream);
-        self.ensure_lanes(ranges.len().max(1))?;
-        // Record length is a per-record property the lanes apply
-        // locally; the record budget is a *stream* property applied
-        // globally after reassembly (a lane cannot know how many
-        // records precede its shard).
-        let lane_limits = IngestLimits {
-            max_record_bytes: limits.max_record_bytes,
-            max_records: None,
-        };
-        let base = out.len();
-        if ranges.len() <= 1 {
-            // Serial fast path: no threads for one (or zero) shards —
-            // but the same fault ladder.
-            if let Some(r) = ranges.first() {
-                let shard = &stream[r.clone()];
-                let v = match run_lane(&mut self.lanes[0], shard, lane_limits) {
-                    Ok(v) => v,
-                    Err(Fault) => {
-                        self.heal_lane(0);
-                        let expected = split_records(shard).count();
-                        self.retry_shard(0, 0, shard, lane_limits, expected)?
-                    }
-                };
-                metrics::metrics().shard_records.record(v.len() as u64);
-                out.extend_from_slice(&v);
-            }
-        } else {
-            let results = fan_out(&mut self.lanes, stream, &ranges, |lane, shard| {
-                run_lane(lane, shard, lane_limits)
-            });
-            // Shards are spawned (and joined) in stream order, so plain
-            // concatenation reassembles the verdicts in input order;
-            // failed shards are retried serially on the reference lane.
-            let mut record_base = 0;
-            for (shard_idx, (result, range)) in results.into_iter().zip(&ranges).enumerate() {
-                let shard = &stream[range.clone()];
-                let expected = split_records(shard).count();
-                let v = match result {
-                    Ok(v) => v,
-                    Err(Fault) => {
-                        self.heal_lane(shard_idx);
-                        self.retry_shard(shard_idx, record_base, shard, lane_limits, expected)?
-                    }
-                };
-                metrics::metrics().shard_records.record(v.len() as u64);
-                out.extend_from_slice(&v);
-                record_base += expected;
-            }
-        }
-        // Apply the global record budget: every verdict past the limit
-        // is overwritten, exactly as the serial quarantine path reports
-        // it (record-count quarantine wins over length quarantine).
-        if let Some(m) = limits.max_records {
-            for v in out[base..].iter_mut().skip(m) {
-                *v = Verdict::Skipped(SkipReason::RecordLimit { limit: m });
-            }
-        }
-        let m = metrics::metrics();
-        m.streams.incr();
-        m.bytes.add(stream.len() as u64);
-        metrics::record_shard_plan(&ranges);
-        let (mut matched, mut unmatched, mut too_long, mut over_budget) = (0u64, 0u64, 0u64, 0u64);
-        for v in &out[base..] {
-            match v {
-                Verdict::Match => matched += 1,
-                Verdict::NoMatch => unmatched += 1,
-                Verdict::Skipped(SkipReason::TooLong { .. }) => too_long += 1,
-                // Catch-all keeps records == matched + unmatched +
-                // skipped.* exact even if SkipReason grows a variant.
-                Verdict::Skipped(_) => over_budget += 1,
-            }
-        }
-        m.records.add(matched + unmatched + too_long + over_budget);
-        m.matched.add(matched);
-        m.unmatched.add(unmatched);
-        m.skipped_too_long.add(too_long);
-        m.skipped_record_limit.add(over_budget);
-        Ok(())
-    }
-
-    /// Compiles missing lanes. A panic during lane compilation is
-    /// reported as a [`CompileError::Backend`], never propagated.
-    fn ensure_lanes(&mut self, n: usize) -> Result<(), RuntimeError> {
-        while self.lanes.len() < n {
-            let expr = &self.expr;
-            let lane =
-                catch_unwind(AssertUnwindSafe(|| B::try_compile(expr))).unwrap_or_else(|_| {
-                    Err(CompileError::Backend {
-                        backend: "shard lane",
-                        reason: "panicked during compilation".into(),
-                    })
-                })?;
-            self.lanes.push(lane);
-        }
-        Ok(())
-    }
-
-    /// Replaces a lane whose state is suspect after a caught fault. If
-    /// recompilation itself fails, the old lane is kept: every stream
-    /// driver resets its lanes at stream start, and a still-broken lane
-    /// simply fails (and is retried) again on its next use.
-    fn heal_lane(&mut self, i: usize) {
-        metrics::metrics().lane_heals.incr();
-        let expr = &self.expr;
-        if let Ok(Ok(fresh)) = catch_unwind(AssertUnwindSafe(|| B::try_compile(expr))) {
-            self.lanes[i] = fresh;
-        }
-    }
-
-    /// Second rung of the degradation ladder: re-runs one failed shard
-    /// serially on the reference backend `R`. A failure here is the
-    /// **double fault** that ends the ladder with a structured error.
-    fn retry_shard(
-        &mut self,
-        shard_idx: usize,
-        record_base: usize,
-        shard: &[u8],
-        limits: IngestLimits,
-        expected: usize,
-    ) -> Result<Vec<Verdict>, RuntimeError> {
-        metrics::metrics().retries.incr();
-        let failed = || {
-            metrics::metrics().double_faults.incr();
-            RuntimeError::ShardFailed {
-                shard: shard_idx,
-                records: record_base..record_base + expected,
-            }
-        };
-        if self.retry_lane.is_none() {
-            let expr = &self.expr;
-            match catch_unwind(AssertUnwindSafe(|| R::try_compile(expr))) {
-                Ok(Ok(lane)) => self.retry_lane = Some(lane),
-                _ => return Err(failed()),
-            }
-        }
-        let lane = self.retry_lane.as_mut().expect("compiled above");
-        match run_lane(lane, shard, limits) {
-            Ok(v) => Ok(v),
-            Err(Fault) => {
-                // The retry lane's state is suspect too: drop it so the
-                // next failure starts from a fresh compile.
-                self.retry_lane = None;
-                Err(failed())
-            }
-        }
-    }
 }
 
 /// Marker for a caught lane fault (panic or wrong-length output).
@@ -585,357 +581,32 @@ where
     })
 }
 
-/// Effective shard count for a stream of `stream_len` bytes under
-/// `config` (requested lanes capped by the minimum worthwhile shard
-/// size).
-fn effective_shards(config: RunnerConfig, stream_len: usize) -> usize {
-    let requested = config
-        .shards
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+/// Compiles a lane; a panic during compilation is reported as a
+/// [`CompileError::Backend`], never propagated.
+fn compile_lane<T: Lane>(source: &T::Source) -> Result<T, CompileError> {
+    catch_unwind(AssertUnwindSafe(|| T::compile_lane(source))).unwrap_or_else(|_| {
+        Err(CompileError::Backend {
+            backend: "shard lane",
+            reason: "panicked during compilation".into(),
         })
-        .max(1);
-    let cap = (stream_len / config.min_shard_bytes.max(1)).max(1);
-    requested.min(cap)
-}
-
-/// A **fused multi-query plan** replicated across threads over
-/// record-aligned shards — the multi-query form of [`ShardedRunner`],
-/// where every sharded lane carries one whole
-/// [`MultiBackend`](rfjson_core::multi::MultiBackend) batch (one shared
-/// scan answering all N queries for its slice of the stream) instead of
-/// a single filter.
-///
-/// The fault-tolerance ladder is identical: every lane runs under
-/// `catch_unwind`, a failed or wrong-length shard heals its lane and
-/// retries serially on the reference batch backend `R` (independent
-/// [`MultiLanes`] over the [`CompiledFilter`] model by default), and
-/// only a double fault surfaces as [`RuntimeError::ShardFailed`]. The
-/// global record budget is applied after reassembly via
-/// [`BatchVerdicts::quarantine_from`], byte-identically to the serial
-/// batch driver's precedence rules.
-#[derive(Debug, Clone)]
-pub struct MultiShardedRunner<M: MultiBackend + Send, R: MultiBackend = MultiLanes<CompiledFilter>>
-{
-    exprs: Vec<Expr>,
-    config: RunnerConfig,
-    /// Cached per-shard fused lanes, grown on demand and healed
-    /// (recompiled) after a caught fault, exactly as in
-    /// [`ShardedRunner`].
-    lanes: Vec<M>,
-    /// Lazily compiled serial retry batch (dropped again if it faults).
-    retry_lane: Option<R>,
-}
-
-impl<M: MultiBackend + Send, R: MultiBackend> MultiShardedRunner<M, R> {
-    /// Runner with the default configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty batch or an invalid expression — use
-    /// [`MultiShardedRunner::try_new`] for user-supplied batches.
-    pub fn new(exprs: &[Expr]) -> Self {
-        Self::with_config(exprs, RunnerConfig::default())
-    }
-
-    /// Fallible form of [`MultiShardedRunner::new`].
-    ///
-    /// # Errors
-    ///
-    /// [`CompileError::Backend`] for an empty batch;
-    /// [`CompileError::InvalidExpr`] for an ill-formed expression.
-    pub fn try_new(exprs: &[Expr]) -> Result<Self, CompileError> {
-        Self::try_with_config(exprs, RunnerConfig::default())
-    }
-
-    /// Runner with an explicit shard count (no minimum-size cap).
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`MultiShardedRunner::new`].
-    pub fn with_shards(exprs: &[Expr], shards: usize) -> Self {
-        Self::with_config(
-            exprs,
-            RunnerConfig {
-                shards: Some(shards),
-                min_shard_bytes: 1,
-            },
-        )
-    }
-
-    /// Fallible form of [`MultiShardedRunner::with_shards`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`MultiShardedRunner::try_new`].
-    pub fn try_with_shards(exprs: &[Expr], shards: usize) -> Result<Self, CompileError> {
-        Self::try_with_config(
-            exprs,
-            RunnerConfig {
-                shards: Some(shards),
-                min_shard_bytes: 1,
-            },
-        )
-    }
-
-    /// Runner with full configuration control.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`MultiShardedRunner::new`].
-    pub fn with_config(exprs: &[Expr], config: RunnerConfig) -> Self {
-        Self::try_with_config(exprs, config).expect("batch must be non-empty and well-formed")
-    }
-
-    /// Fallible form of [`MultiShardedRunner::with_config`]: no public
-    /// constructor of this runner panics on user input.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`MultiShardedRunner::try_new`].
-    pub fn try_with_config(exprs: &[Expr], config: RunnerConfig) -> Result<Self, CompileError> {
-        if exprs.is_empty() {
-            return Err(CompileError::Backend {
-                backend: "multi shard lane",
-                reason: "a batch needs at least one query".into(),
-            });
-        }
-        for expr in exprs {
-            expr.validate()?;
-        }
-        Ok(MultiShardedRunner {
-            exprs: exprs.to_vec(),
-            config,
-            lanes: Vec::new(),
-            retry_lane: None,
-        })
-    }
-
-    /// The batch's source expressions, in query order.
-    pub fn exprs(&self) -> &[Expr] {
-        &self.exprs
-    }
-
-    /// Number of queries in the batch.
-    pub fn num_queries(&self) -> usize {
-        self.exprs.len()
-    }
-
-    /// The runner's configuration.
-    pub fn config(&self) -> RunnerConfig {
-        self.config
-    }
-
-    /// Effective shard count for a stream of `stream_len` bytes.
-    pub fn shards_for(&self, stream_len: usize) -> usize {
-        effective_shards(self.config, stream_len)
-    }
-
-    /// The record-aligned ranges a call over `stream` would fan out to.
-    pub fn plan(&self, stream: &[u8]) -> Vec<Range<usize>> {
-        shard_ranges(stream, self.shards_for(stream.len()))
-    }
-
-    /// Filters a newline-delimited stream against the whole batch,
-    /// returning per-record verdict bitsets in input order —
-    /// byte-identical to the serial
-    /// [`MultiBackend::filter_stream_verdicts`] of the same backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics only on a shard double fault; use
-    /// [`MultiShardedRunner::filter_stream_verdicts`] to handle that as
-    /// a value.
-    pub fn filter_stream(&mut self, stream: &[u8]) -> BatchVerdicts {
-        self.filter_stream_verdicts(stream, IngestLimits::UNLIMITED)
-            .expect("shard double fault: primary lane and batch retry both failed")
-    }
-
-    /// Quarantine-aware parallel batch filtering: per-record verdict
-    /// bitsets with [`IngestLimits`] applied exactly as the serial batch
-    /// driver applies them (record-length per record on each lane, the
-    /// record budget globally after reassembly).
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::ShardFailed`] on a shard double fault;
-    /// [`RuntimeError::Compile`] if a lane cannot be compiled.
-    pub fn filter_stream_verdicts(
-        &mut self,
-        stream: &[u8],
-        limits: IngestLimits,
-    ) -> Result<BatchVerdicts, RuntimeError> {
-        let ranges = self.plan(stream);
-        self.ensure_lanes(ranges.len().max(1))?;
-        let lane_limits = IngestLimits {
-            max_record_bytes: limits.max_record_bytes,
-            max_records: None,
-        };
-        let mut out = BatchVerdicts::new(self.exprs.len());
-        if ranges.len() <= 1 {
-            if let Some(r) = ranges.first() {
-                let shard = &stream[r.clone()];
-                let v = match run_multi_lane(&mut self.lanes[0], shard, lane_limits) {
-                    Ok(v) => v,
-                    Err(Fault) => {
-                        self.heal_lane(0);
-                        let expected = split_records(shard).count();
-                        self.retry_shard(0, 0, shard, lane_limits, expected)?
-                    }
-                };
-                metrics::metrics()
-                    .shard_records
-                    .record(v.num_records() as u64);
-                out.append(&v);
-            }
-        } else {
-            let results = fan_out(&mut self.lanes, stream, &ranges, |lane, shard| {
-                run_multi_lane(lane, shard, lane_limits)
-            });
-            let mut record_base = 0;
-            for (shard_idx, (result, range)) in results.into_iter().zip(&ranges).enumerate() {
-                let shard = &stream[range.clone()];
-                let expected = split_records(shard).count();
-                let v = match result {
-                    Ok(v) => v,
-                    Err(Fault) => {
-                        self.heal_lane(shard_idx);
-                        self.retry_shard(shard_idx, record_base, shard, lane_limits, expected)?
-                    }
-                };
-                metrics::metrics()
-                    .shard_records
-                    .record(v.num_records() as u64);
-                out.append(&v);
-                record_base += expected;
-            }
-        }
-        // Global record budget after reassembly: the overwrite gives the
-        // record-count quarantine precedence over per-lane length
-        // quarantine, exactly as the serial driver orders its checks.
-        if let Some(m) = limits.max_records {
-            out.quarantine_from(m, SkipReason::RecordLimit { limit: m });
-        }
-        let m = metrics::metrics();
-        m.streams.incr();
-        m.bytes.add(stream.len() as u64);
-        metrics::record_shard_plan(&ranges);
-        let (mut matched, mut unmatched, mut too_long, mut over_budget) = (0u64, 0u64, 0u64, 0u64);
-        for r in 0..out.num_records() {
-            match out.skip(r) {
-                Some(SkipReason::TooLong { .. }) => too_long += 1,
-                // Catch-all keeps records == matched + unmatched +
-                // skipped.* exact even if SkipReason grows a variant.
-                Some(_) => over_budget += 1,
-                // A record "matches" the batch when any query accepts it.
-                None if (0..self.exprs.len()).any(|q| out.matched(r, q)) => matched += 1,
-                None => unmatched += 1,
-            }
-        }
-        m.records.add(matched + unmatched + too_long + over_budget);
-        m.matched.add(matched);
-        m.unmatched.add(unmatched);
-        m.skipped_too_long.add(too_long);
-        m.skipped_record_limit.add(over_budget);
-        Ok(out)
-    }
-
-    /// Compiles missing fused lanes; a panic during batch compilation is
-    /// reported as a [`CompileError::Backend`], never propagated.
-    fn ensure_lanes(&mut self, n: usize) -> Result<(), RuntimeError> {
-        while self.lanes.len() < n {
-            let exprs = &self.exprs;
-            let lane = catch_unwind(AssertUnwindSafe(|| M::try_compile_batch(exprs)))
-                .unwrap_or_else(|_| {
-                    Err(CompileError::Backend {
-                        backend: "multi shard lane",
-                        reason: "panicked during compilation".into(),
-                    })
-                })?;
-            self.lanes.push(lane);
-        }
-        Ok(())
-    }
-
-    /// Replaces a fused lane whose state is suspect after a caught
-    /// fault (same keep-on-recompile-failure policy as
-    /// [`ShardedRunner`]).
-    fn heal_lane(&mut self, i: usize) {
-        metrics::metrics().lane_heals.incr();
-        let exprs = &self.exprs;
-        if let Ok(Ok(fresh)) = catch_unwind(AssertUnwindSafe(|| M::try_compile_batch(exprs))) {
-            self.lanes[i] = fresh;
-        }
-    }
-
-    /// Serial retry of one failed shard on the reference batch backend
-    /// `R`; a failure here is the double fault.
-    fn retry_shard(
-        &mut self,
-        shard_idx: usize,
-        record_base: usize,
-        shard: &[u8],
-        limits: IngestLimits,
-        expected: usize,
-    ) -> Result<BatchVerdicts, RuntimeError> {
-        metrics::metrics().retries.incr();
-        let failed = || {
-            metrics::metrics().double_faults.incr();
-            RuntimeError::ShardFailed {
-                shard: shard_idx,
-                records: record_base..record_base + expected,
-            }
-        };
-        if self.retry_lane.is_none() {
-            let exprs = &self.exprs;
-            match catch_unwind(AssertUnwindSafe(|| R::try_compile_batch(exprs))) {
-                Ok(Ok(lane)) => self.retry_lane = Some(lane),
-                _ => return Err(failed()),
-            }
-        }
-        let lane = self.retry_lane.as_mut().expect("compiled above");
-        match run_multi_lane(lane, shard, limits) {
-            Ok(v) => Ok(v),
-            Err(Fault) => {
-                self.retry_lane = None;
-                Err(failed())
-            }
-        }
-    }
-}
-
-/// Runs one fused lane over one shard under [`catch_unwind`],
-/// validating the record count against the shard's framing — the batch
-/// form of [`run_lane`].
-fn run_multi_lane<M: MultiBackend>(
-    lane: &mut M,
-    shard: &[u8],
-    limits: IngestLimits,
-) -> Result<BatchVerdicts, Fault> {
-    let verdicts = catch_unwind(AssertUnwindSafe(|| {
-        lane.filter_stream_verdicts(shard, limits)
-    }))
-    .map_err(|_| Fault)?;
-    if verdicts.num_records() == split_records(shard).count() {
-        Ok(verdicts)
-    } else {
-        Err(Fault)
-    }
+    })
 }
 
 /// Runs one lane over one shard under [`catch_unwind`], validating the
 /// verdict count against the shard's record count — a panicking lane and
 /// a lane that returns the wrong number of verdicts are the same fault.
-fn run_lane<B: FilterBackend>(
-    lane: &mut B,
+fn run_lane<L: Lane>(
+    lane: &mut L,
     shard: &[u8],
     limits: IngestLimits,
-) -> Result<Vec<Verdict>, Fault> {
+) -> Result<L::Verdicts, Fault> {
     let verdicts = catch_unwind(AssertUnwindSafe(|| {
-        lane.filter_stream_verdicts(shard, limits)
+        let mut out = lane.new_verdicts();
+        lane.scan_stream(shard, limits, &mut out);
+        out
     }))
     .map_err(|_| Fault)?;
-    if verdicts.len() == split_records(shard).count() {
+    if verdicts.num_records() == split_records(shard).count() {
         Ok(verdicts)
     } else {
         Err(Fault)
@@ -1183,9 +854,10 @@ mod tests {
             let serial = MultiEngine::compile_batch(&exprs)
                 .filter_stream_verdicts(&stream, IngestLimits::UNLIMITED);
             for shards in [1, 2, 3, 8] {
-                let mut runner: MultiShardedRunner<MultiEngine> =
-                    MultiShardedRunner::with_shards(&exprs, shards);
-                assert_eq!(runner.filter_stream(&stream), serial, "shards={shards}");
+                let mut runner: ShardedRunner<MultiEngine> =
+                    ShardedRunner::with_shards(&exprs[..], shards);
+                let got = runner.filter_stream_verdicts(&stream, IngestLimits::UNLIMITED);
+                assert_eq!(got.unwrap(), serial, "shards={shards}");
             }
             for (q, expr) in exprs.iter().enumerate() {
                 let single =
@@ -1204,8 +876,8 @@ mod tests {
             };
             let serial = MultiEngine::compile_batch(&exprs).filter_stream_verdicts(&stream, limits);
             for shards in [1, 2, 3, 8] {
-                let mut runner: MultiShardedRunner<MultiEngine> =
-                    MultiShardedRunner::with_shards(&exprs, shards);
+                let mut runner: ShardedRunner<MultiEngine> =
+                    ShardedRunner::with_shards(&exprs[..], shards);
                 let got = runner.filter_stream_verdicts(&stream, limits).unwrap();
                 assert_eq!(got, serial, "shards={shards}");
             }
@@ -1214,7 +886,7 @@ mod tests {
         #[test]
         fn empty_batch_is_a_compile_error() {
             assert!(matches!(
-                MultiShardedRunner::<MultiEngine>::try_with_shards(&[], 2),
+                ShardedRunner::<MultiEngine>::try_with_shards(&[], 2),
                 Err(CompileError::Backend { .. })
             ));
         }

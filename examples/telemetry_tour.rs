@@ -13,7 +13,7 @@
 
 use rfjson_core::{Expr, IngestLimits};
 use rfjson_riotbench::{smartcity_corpus, Query};
-use rfjson_runtime::{MultiShardedRunner, ShardedRunner};
+use rfjson_runtime::ShardedRunner;
 use rfjson_telemetry::Snapshot;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -59,8 +59,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         expr.clone(),
         rfjson_core::query::query_to_exprs(&Query::qs1(), 1)?,
     ];
-    let mut multi: MultiShardedRunner<rfjson_core::MultiEngine> =
-        MultiShardedRunner::with_shards(&batch, 2);
+    let mut multi: ShardedRunner<rfjson_core::MultiEngine> =
+        ShardedRunner::with_shards(&batch[..], 2);
     let batch_verdicts = multi.filter_stream_verdicts(&stream, IngestLimits::UNLIMITED)?;
     let window = rfjson_telemetry::registry().snapshot().delta(&before);
 

@@ -8,7 +8,8 @@
 //! 2. a wrong-length shard output is detected and retried the same way;
 //! 3. a **double fault** (primary lane and retry lane both faulty)
 //!    returns [`RuntimeError::ShardFailed`] with the shard index and
-//!    global record range — the process never aborts;
+//!    global record range — the process never aborts — for a single
+//!    query and for a batch;
 //! 4. oversized records are quarantined with [`Verdict::Skipped`]
 //!    byte-identically to the serial quarantine path at shard counts
 //!    {1, 2, 3, 8};
@@ -16,7 +17,8 @@
 //!    user-supplied expressions or input bytes (catch_unwind negative
 //!    tests).
 
-use rfjson_core::{CompiledFilter, Engine, Expr, FilterBackend};
+use rfjson_core::{CompiledFilter, Engine, Expr, FilterBackend, MultiLanes};
+use rfjson_jsonstream::frame::split_records;
 use rfjson_runtime::fault::{
     silence_injected_panics, FaultKind, FaultPlan, FaultyBackend, Trigger,
 };
@@ -130,6 +132,55 @@ fn double_fault_returns_shard_failed_with_shard_and_record_range() {
         // fine on the very next call.
         let clean: &[u8] = b"{\"a\":3}\n{\"a\":9}\n";
         assert_eq!(runner.try_filter_stream(clean).unwrap(), vec![true, false]);
+    }
+}
+
+#[test]
+fn batch_double_fault_returns_shard_failed_with_the_global_record_range() {
+    silence_injected_panics();
+    let stream = poisoned_stream(10);
+    let poison_offset = stream.iter().position(|&b| b == POISON).unwrap();
+    let batch = [expr(), Expr::int_range(3, 6)];
+    let _armed = FaultPlan::new(Trigger::OnByteValue(POISON), FaultKind::Panic).arm();
+    for shards in [1, 2, 3, 8] {
+        let mut runner: ShardedRunner<
+            MultiLanes<FaultyBackend<Engine>>,
+            MultiLanes<FaultyBackend<CompiledFilter>>,
+        > = ShardedRunner::try_with_shards(&batch[..], shards).unwrap();
+        let plan = runner.plan(&stream);
+        let failed = plan
+            .iter()
+            .position(|r| r.contains(&poison_offset))
+            .expect("poison lands in some shard");
+        assert!(
+            shards == 1 || failed > 0,
+            "a clean shard precedes the poison"
+        );
+        let count = |r: &std::ops::Range<usize>| split_records(&stream[r.clone()]).count();
+        let base: usize = plan[..failed].iter().map(count).sum();
+        let records = base..base + count(&plan[failed]);
+
+        let mut out = runner
+            .filter_stream_verdicts(b"{\"a\":3}\n", IngestLimits::UNLIMITED)
+            .unwrap();
+        let entry = out.clone();
+        let before = rfjson_telemetry::registry().snapshot();
+        let err = runner
+            .filter_stream_verdicts_into(&stream, IngestLimits::UNLIMITED, &mut out)
+            .expect_err("double fault must surface");
+        let d = rfjson_telemetry::registry().snapshot().delta(&before);
+        assert_eq!(
+            err,
+            RuntimeError::ShardFailed {
+                shard: failed,
+                records
+            },
+            "shards={shards}"
+        );
+        if rfjson_telemetry::ENABLED {
+            assert_eq!(d.counter("runtime.double_faults"), 1, "shards={shards}");
+        }
+        assert_eq!(out, entry, "out restored on error (shards={shards})");
     }
 }
 

@@ -1,60 +1,45 @@
 //! Cross-impl framing equivalence: the NDJSON framing rules live once in
 //! `rfjson_jsonstream::frame`, and every consumer — the slice iterator,
-//! the chunk assembler, the byte-serial stream driver behind
-//! [`FilterBackend`], and the shard splitter — must agree on **which**
-//! records a stream contains, for any input.
+//! the byte-serial framer behind the oracle stream driver, the stream
+//! drivers behind [`FilterBackend`], and the shard splitter — must agree
+//! on **which** records a stream contains, for any input.
 
 use proptest::prelude::*;
 use rfjson_core::{CompiledFilter, Engine, Expr, FilterBackend};
-use rfjson_jsonstream::frame::{shard_ranges, split_records, ChunkFramer, FrameAction};
-use rfjson_jsonstream::FrameAssembler;
+use rfjson_jsonstream::frame::{
+    shard_ranges, split_records, trim_cr, IngestLimits, LimitedAction, LimitedFramer,
+};
 
-/// Record contents via the chunked assembler, at a given chunk size.
-fn assembler_records(stream: &[u8], chunk_size: usize) -> Vec<Vec<u8>> {
-    let mut asm = FrameAssembler::new();
-    let mut got = Vec::new();
-    for chunk in stream.chunks(chunk_size.max(1)) {
-        asm.push_chunk(chunk, |r| got.push(r.to_vec()));
-    }
-    asm.finish(|r| got.push(r.to_vec()));
-    got
-}
-
-/// Record count via the raw byte-serial framer (what the stream drivers
-/// inside `FilterBackend::filter_stream_into` consume).
-fn framer_record_count(stream: &[u8]) -> usize {
-    let mut framer = ChunkFramer::new();
-    let mut n = 0;
+/// Record contents via the byte-serial framer (what the oracle driver
+/// `run_verdict_driver` consumes), with no limits set.
+fn framer_records(stream: &[u8]) -> Vec<Vec<u8>> {
+    let mut framer = LimitedFramer::new(IngestLimits::UNLIMITED);
+    let (mut line, mut got) = (Vec::new(), Vec::new());
     for &b in stream {
-        if framer.on_byte(b) == FrameAction::EndRecord {
-            n += 1;
+        match framer.on_byte(b) {
+            LimitedAction::Feed { .. } => line.push(b),
+            LimitedAction::EndRecord(_) => got.push(trim_cr(&line).to_vec()),
+            LimitedAction::EndBlank => {}
+        }
+        if b == b'\n' {
+            line.clear();
         }
     }
-    if framer.finish() {
-        n += 1;
+    if framer.finish().is_some() {
+        got.push(trim_cr(&line).to_vec());
     }
-    n
+    got
 }
 
 /// Asserts that every framing view agrees on `stream`.
 fn assert_framing_agreement(stream: &[u8]) {
     let split: Vec<Vec<u8>> = split_records(stream).map(<[u8]>::to_vec).collect();
 
-    // Chunk assembler, across chunk sizes.
-    for chunk_size in [1, 2, 3, 7, 64, stream.len().max(1)] {
-        assert_eq!(
-            assembler_records(stream, chunk_size),
-            split,
-            "assembler(chunk={chunk_size}) vs split_records on {:?}",
-            String::from_utf8_lossy(stream)
-        );
-    }
-
     // Byte-serial framer.
     assert_eq!(
-        framer_record_count(stream),
-        split.len(),
-        "ChunkFramer vs split_records on {:?}",
+        framer_records(stream),
+        split,
+        "LimitedFramer vs split_records on {:?}",
         String::from_utf8_lossy(stream)
     );
 

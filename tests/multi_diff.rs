@@ -14,7 +14,7 @@ use rfjson_riotbench::{smartcity, taxi, twitter, AttrKind, Query, RangePredicate
 use rfjson_runtime::fault::{
     silence_injected_panics, FaultKind, FaultPlan, FaultyBackend, Trigger,
 };
-use rfjson_runtime::MultiShardedRunner;
+use rfjson_runtime::ShardedRunner;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 8];
 
@@ -262,8 +262,7 @@ fn assert_streamwise(exprs: &[Expr], stream: &[u8], limits: IngestLimits) {
         );
     }
     for shards in SHARD_COUNTS {
-        let mut runner: MultiShardedRunner<MultiEngine> =
-            MultiShardedRunner::with_shards(exprs, shards);
+        let mut runner: ShardedRunner<MultiEngine> = ShardedRunner::with_shards(exprs, shards);
         let sharded = runner
             .filter_stream_verdicts(stream, limits)
             .expect("healthy lanes never double fault");
@@ -636,8 +635,8 @@ fn healed_multi_lane_is_reused_cleanly_on_second_call() {
             let armed = FaultPlan::new(Trigger::OnByteValue(0x07), FaultKind::Panic)
                 .with_fuel(1)
                 .arm();
-            let mut runner: MultiShardedRunner<MultiLanes<FaultyBackend<Engine>>> =
-                MultiShardedRunner::try_with_shards(&exprs, shards).unwrap();
+            let mut runner: ShardedRunner<MultiLanes<FaultyBackend<Engine>>> =
+                ShardedRunner::try_with_shards(&exprs[..], shards).unwrap();
             let first = runner
                 .filter_stream_verdicts(&stream, IngestLimits::UNLIMITED)
                 .expect("single fault must be absorbed by the retry lane");
@@ -697,8 +696,8 @@ proptest! {
             prop_assert_eq!(&fused.query_verdicts(q), &single);
         }
         for shards in SHARD_COUNTS {
-            let mut runner: MultiShardedRunner<MultiEngine> =
-                MultiShardedRunner::with_shards(exprs, shards);
+            let mut runner: ShardedRunner<MultiEngine> =
+                ShardedRunner::with_shards(&exprs[..], shards);
             let sharded = runner
                 .filter_stream_verdicts(&stream, limits)
                 .expect("healthy lanes never double fault");
@@ -752,8 +751,8 @@ proptest! {
         // The same engine again: nothing of the first stream lingers.
         prop_assert_eq!(&fused.filter_stream_verdicts(&stream, limits), &model);
         for shards in [2, 3] {
-            let mut runner: MultiShardedRunner<MultiEngine> =
-                MultiShardedRunner::with_shards(&batch, shards);
+            let mut runner: ShardedRunner<MultiEngine> =
+                ShardedRunner::with_shards(&batch[..], shards);
             let sharded = runner
                 .filter_stream_verdicts(&stream, limits)
                 .expect("healthy lanes never double fault");

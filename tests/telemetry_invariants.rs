@@ -18,7 +18,7 @@ use rfjson_riotbench::{smartcity_corpus, taxi, twitter, Query};
 use rfjson_runtime::fault::{
     silence_injected_panics, FaultKind, FaultPlan, FaultyBackend, Trigger,
 };
-use rfjson_runtime::{MultiShardedRunner, ShardedRunner};
+use rfjson_runtime::ShardedRunner;
 use rfjson_telemetry::Snapshot;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -116,7 +116,7 @@ fn multi_records_are_conserved_across_shard_counts() {
     let corpus = smartcity_corpus(90);
     let stream = corpus.stream();
     let records = corpus.len() as u64;
-    let batch = vec![
+    let batch = [
         query_to_exprs(&Query::qs0(), 1).expect("query converts"),
         query_to_exprs(&Query::qs1(), 1).expect("query converts"),
     ];
@@ -126,8 +126,7 @@ fn multi_records_are_conserved_across_shard_counts() {
     };
 
     for shards in SHARD_COUNTS {
-        let mut runner: MultiShardedRunner<MultiEngine> =
-            MultiShardedRunner::with_shards(&batch, shards);
+        let mut runner: ShardedRunner<MultiEngine> = ShardedRunner::with_shards(&batch[..], shards);
         let (verdicts, d) = window(|| {
             runner
                 .filter_stream_verdicts(&stream, limits)
