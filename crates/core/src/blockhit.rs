@@ -17,12 +17,47 @@
 //!   mask**: `0xFF` in lane *i* iff the last `B_i` bytes are a block of
 //!   unit *i* (eight lanes per `u64` bank, banks side by side).
 //!
-//! The run counters then live one byte per lane and advance with the same
-//! arithmetic as the B = 1 units ([`lane_step`]): hit lanes count up and
-//! saturate at 127, miss lanes reset, and a borrow-free compare yields the
-//! lanes at or past their target. The zero-initialised hardware window is
-//! the start state: needles are NUL-free, so no block matches before B
-//! real bytes arrived, and a NUL in the stream is just a byte of no block.
+//! The zero-initialised hardware window is the start state: needles are
+//! NUL-free, so no block matches before B real bytes arrived, and a NUL in
+//! the stream is just a byte of no block.
+//!
+//! When every pooled block is at most two bytes long (`b = 2`, the
+//! paper's evaluated case) the automaton is **definite**
+//! ([`BlockAutomatonView::definite`]): the state after a byte is that
+//! byte's class or the start, whatever state came before, so
+//! every row's `next` equals row 0's and the row before byte *j* of a
+//! word is `next[class(b_{j−1})]`. [`BlockAutomaton::word_hits`] then
+//! reads a word's eight hit masks without walking the rows; pools with
+//! longer blocks keep the walk.
+//!
+//! # Run counters, a word at a time
+//!
+//! The run counters live one byte per lane, for these units and the
+//! B = 1 units alike: hit lanes count up and saturate at 127, miss lanes
+//! reset, and a unit fires while its counter is at or past its target.
+//! Stepped byte by byte that is one dependent update per stream byte.
+//! [`RunWord`] advances them a word at a time instead. From the word's
+//! eight hit masks `h₀..h₇` alone it computes
+//!
+//! * `m_j = h₀ & … & h_j`, the lanes that hit on every byte up to *j*;
+//! * `r_j = (r_{j−1} + 1) & h_j`, `r_{−1} = 0`: the run since the last
+//!   miss, counted from 0 inside the word;
+//! * `pop`, the hits per lane.
+//!
+//! A counter entering the word at `c_in` stands at `c_j = r_j + (c_in &
+//! m_j)` after byte *j*: the run inside the word, plus the entry count if
+//! that run reaches back to the word's start. With `c_in ≤ 127` and `r_j
+//! ≤ 8` that is at most 135, so it fits the lane unsaturated, and `c_j ≥
+//! T` for a target `T ≤ 127` is the borrow-free `(c | ((c | 0x80) − T)) &
+//! 0x80` — a lane past 127 fires through its own top bit. Only `c_out =
+//! sat127(r₇ + (c_in & m₇))` is carried to the next word, one saturation
+//! per word; saturating earlier changes no comparison against a target
+//! ≤ [`MAX_PACKED_TARGET`].
+//!
+//! Which byte fired is rarely needed, so a word is resolved position by
+//! position only when the bound `(c_in & h₀) + pop ≥ T` says some lane
+//! may fire. It is conservative: where `m_j` is set, `h₀` is too and
+//! `r_j ≤ pop`; where it is not, `c_j = r_j ≤ pop`.
 //!
 //! The byte-serial form ([`BlockAutomaton::step_serial`]) walks the same
 //! tables with one `u32` counter per unit, so both paths of an engine
@@ -49,20 +84,88 @@ pub const MAX_PACKED_TARGET: u32 = 126;
 /// (512 KiB). Pools beyond it keep the reference matchers.
 pub const MAX_TABLE_WORDS: usize = 1 << 16;
 
-/// One cycle of a bank of packed run counters: lanes of `c` whose hit
-/// byte in `h` is `0xFF` count up (saturating at 127), lanes whose hit
-/// byte is `0x00` reset. Returns the new counters and `0x80` in every
-/// lane whose counter reached its byte of `targets` (targets ≤ 127 keep
-/// the per-lane subtraction borrow-free).
+/// Bytes per word of [`RunWord`]: the word kernel's SWAR word.
+pub const WORD: usize = rfjson_jsonstream::swar::WORD_BYTES;
+
+/// `0x80` in every lane of `c` (each ≤ 135) at or past its byte of
+/// `targets` (each ≤ 127): a lane past 127 through its own top bit, the
+/// others by a subtraction that cannot borrow.
 #[inline]
-#[must_use]
-pub fn lane_step(c: u64, h: u64, targets: u64) -> (u64, u64) {
-    let mut c = (c & h) + (LANE_LO & h);
-    c -= (c & LANE_HI) >> 7;
-    (c, ((c | LANE_HI) - targets) & LANE_HI)
+fn reached(c: u64, targets: u64) -> u64 {
+    (c | ((c | LANE_HI) - targets)) & LANE_HI
 }
 
-/// The lane indices of the `0x80` fire bits [`lane_step`] returned, in
+/// One bank of packed run counters over one word, from the word's eight
+/// hit masks alone (`0xFF` in a lane that hit on that byte, `0x00` in one
+/// that missed) — the counter algebra of the [module docs](self#run-counters-a-word-at-a-time).
+/// Nothing here reads the counters the word is entered with: they meet
+/// only in [`RunWord::carry`], and in the bound and the fires.
+#[derive(Debug, Clone, Copy)]
+pub struct RunWord {
+    hits: [u64; WORD],
+    /// `m₇`: the lanes that hit on every byte.
+    all: u64,
+    /// `r₇`: the run at the last byte, counted from 0 inside the word.
+    tail: u64,
+    /// Hits per lane.
+    pop: u64,
+}
+
+impl RunWord {
+    /// Reduces the hit masks of bytes `0..8`.
+    #[inline]
+    #[must_use]
+    pub fn new(hits: [u64; WORD]) -> RunWord {
+        let (mut all, mut tail, mut pop) = (!0, 0, 0);
+        for h in hits {
+            all &= h;
+            tail = (tail + LANE_LO) & h;
+            pop += h & LANE_LO;
+        }
+        RunWord {
+            hits,
+            all,
+            tail,
+            pop,
+        }
+    }
+
+    /// The counters after the word, from the counters `c_in` before it:
+    /// `sat127(r₇ + (c_in & m₇))`.
+    #[inline]
+    #[must_use]
+    pub fn carry(&self, c_in: u64) -> u64 {
+        let c = self.tail + (c_in & self.all);
+        let over = c & LANE_HI;
+        (c | (over - (over >> 7))) & !LANE_HI
+    }
+
+    /// Whether some lane may reach its byte of `targets` inside the word:
+    /// `(c_in & h₀) + pop ≥ target`, never `false` where
+    /// [`RunWord::fires`] has a bit set.
+    #[inline]
+    #[must_use]
+    pub fn may_fire(&self, c_in: u64, targets: u64) -> bool {
+        reached((c_in & self.hits[0]) + self.pop, targets) != 0
+    }
+
+    /// Per byte position, `0x80` in every lane at or past its byte of
+    /// `targets` after that byte — exactly what stepping the counters
+    /// byte by byte compares, each position `c_j = r_j + (c_in & m_j)`
+    /// without the position before it.
+    #[must_use]
+    pub fn fires(&self, c_in: u64, targets: u64) -> [u64; WORD] {
+        let (mut m, mut r, mut fires) = (!0, 0, [0; WORD]);
+        for (f, &h) in fires.iter_mut().zip(&self.hits) {
+            m &= h;
+            r = (r + LANE_LO) & h;
+            *f = reached(r + (c_in & m), targets);
+        }
+        fires
+    }
+}
+
+/// The lane indices of `0x80` fire bits ([`RunWord::fires`]), in
 /// ascending order.
 #[inline]
 pub fn fired_lanes(mut fires: u64) -> impl Iterator<Item = usize> {
@@ -145,6 +248,10 @@ pub struct BlockAutomatonView {
     pub targets_packed: Vec<u64>,
     /// The pooled units, in lane order.
     pub units: Vec<BlockUnitView>,
+    /// Set exactly when every pooled block is at most two bytes long;
+    /// then every row's `next` equals row 0's, so the row before a byte
+    /// is `next[class]` of the byte before it, from whatever row.
+    pub definite: bool,
 }
 
 impl BlockAutomatonView {
@@ -319,6 +426,7 @@ impl BlockAutomaton {
                         block_len: u.block_length(),
                     })
                     .collect(),
+                definite: units.iter().all(|u| u.block_length() <= 2),
             },
         })
     }
@@ -336,6 +444,33 @@ impl BlockAutomaton {
         let idx = *row as usize + self.t.classes[byte as usize] as usize;
         *row = self.t.next[idx];
         &self.t.hits[idx * self.t.banks..][..self.t.banks]
+    }
+
+    /// The first bank's hit masks for the eight bytes of a word, advancing
+    /// `row` past them. On a [definite](BlockAutomatonView::definite)
+    /// automaton of one bank — an engine's — each byte's row is `next` of
+    /// the byte before it, so the lookups carry nothing from byte to byte;
+    /// otherwise they walk the rows.
+    #[allow(clippy::inline_always)] // in the word kernel's loop: measured, ~3 %
+    #[inline(always)]
+    #[must_use]
+    pub fn word_hits(&self, row: &mut u16, bytes: &[u8; WORD]) -> [u64; WORD] {
+        let t = &self.t;
+        let mut hits = [0; WORD];
+        if t.definite && t.banks == 1 {
+            let mut r = *row as usize;
+            for (h, &byte) in hits.iter_mut().zip(bytes) {
+                let class = t.classes[byte as usize] as usize;
+                *h = t.hits[r + class];
+                r = t.next[class] as usize;
+            }
+            *row = r as u16;
+        } else {
+            for (h, &byte) in hits.iter_mut().zip(bytes) {
+                *h = self.step(row, byte)[0];
+            }
+        }
+        hits
     }
 
     /// The byte-serial form: advances `row` and the per-unit run
@@ -458,6 +593,11 @@ mod tests {
         assert_eq!(v.next.len(), (1 + firsts.len()) * v.num_classes);
         assert_eq!(v.targets, vec![11]);
         assert_eq!(v.targets_packed, vec![0x7f7f_7f7f_7f7f_7f0b]);
+        assert!(v.definite);
+        assert!(v
+            .next
+            .chunks(v.num_classes)
+            .all(|row| row == &v.next[..v.num_classes]));
     }
 
     #[test]
@@ -479,19 +619,29 @@ mod tests {
     }
 
     #[test]
-    fn lane_step_saturates_and_resets() {
+    fn run_word_saturates_and_resets() {
         let targets = pack_targets(&[3, 126])[0];
-        let hit = 0xffff;
+        let all_hit = RunWord::new([0xffff; WORD]);
         let mut c = 0u64;
-        for n in 1..=300u32 {
-            let (nc, f) = lane_step(c, hit, targets);
-            c = nc;
-            assert_eq!(f & 0x80 != 0, n >= 3);
-            assert_eq!(f & 0x8000 != 0, n >= 126);
-            assert_eq!(f >> 16, 0, "unused lanes never fire");
+        for w in 0..38u32 {
+            let fires = all_hit.fires(c, targets);
+            assert_eq!(all_hit.may_fire(c, targets), fires != [0; WORD]);
+            for (j, f) in (1..).zip(fires) {
+                let n = w * 8 + j;
+                assert_eq!(f & 0x80 != 0, n >= 3);
+                assert_eq!(f & 0x8000 != 0, n >= 126);
+                assert_eq!(f >> 16, 0, "unused lanes never fire");
+            }
+            c = all_hit.carry(c);
         }
         assert_eq!(c, 0x7f7f, "saturated at 127");
-        assert_eq!(lane_step(c, 0xff, targets), (0x7f, 0x80), "lane 1 reset");
+        // Lane 1 misses on byte 5: it restarts from 0 there.
+        let mut hits = [0xffff; WORD];
+        hits[5] = 0xff;
+        let word = RunWord::new(hits);
+        assert_eq!(word.carry(c), 0x027f);
+        let lane1 = word.fires(c, targets).map(|f| f >> 8);
+        assert_eq!(lane1, [0x80, 0x80, 0x80, 0x80, 0x80, 0, 0, 0]);
     }
 
     #[test]

@@ -52,9 +52,13 @@
 //!
 //! Eligible programs ([`Engine::scan_path`]) run eight bytes at a time,
 //! in three passes per word that share nothing but the word and an array
-//! of fire masks by byte position. The unit lanes (packed run counters
-//! of the substring units, the string DFAs) step over the word in a
-//! straight line; the number automaton visits the number bytes and token
+//! of fire masks by byte position. The unit lanes step over the word in a
+//! straight line: the string DFAs byte by byte, and the packed run
+//! counters of the substring units once per word, from the word's eight
+//! hit masks ([`blockhit`'s counter algebra](crate::blockhit#run-counters-a-word-at-a-time)),
+//! so no byte waits for the counters of the byte before it; only a
+//! block-hit pool with blocks longer than two bytes still walks its rows
+//! byte by byte. The number automaton visits the number bytes and token
 //! ends a mask points out; and the node program — the only pass that
 //! branches on what the data says — runs on **events**, in stream order:
 //! a byte where some unit fired, and an unmasked close (or, if some
@@ -83,7 +87,7 @@
 //! [`run_verdict_driver_blocks`].
 
 use crate::backend::{run_verdict_driver_blocks, IngestLimits, LineFramer, Verdict};
-use crate::blockhit::{self, fired_lanes, lane_step, BlockAutomatonView, BlockUnits};
+use crate::blockhit::{self, fired_lanes, BlockAutomatonView, BlockUnits, RunWord};
 use crate::evaluator::StreamTracker;
 use crate::expr::{Expr, StringTechnique, StructScope};
 use crate::numpool::{self, number_mask, NumberAutomaton, NumberAutomatonView};
@@ -679,6 +683,33 @@ struct ByteEvent {
     depth: u32,
     is_close: bool,
     is_comma: bool,
+}
+
+/// One word of a bank of packed run counters `c` with their packed
+/// `targets`, from the word's hit masks by byte position ([`RunWord`]).
+/// Only where the bound says some lane may fire is the word resolved:
+/// each firing lane's latch bits from `unit_fire` go into `fire` at its
+/// position, and the position into `fired`.
+#[allow(clippy::inline_always)] // the word kernel's loop: measured, ~2 %
+#[inline(always)]
+fn step_lanes(
+    hits: [u64; swar::WORD_BYTES],
+    c: &mut u64,
+    targets: u64,
+    unit_fire: &[u64],
+    fire: &mut [u64; swar::WORD_BYTES],
+    fired: &mut u8,
+) {
+    let run = RunWord::new(hits);
+    if run.may_fire(*c, targets) {
+        for (j, f) in run.fires(*c, targets).into_iter().enumerate() {
+            for lane in fired_lanes(f) {
+                fire[j] |= unit_fire[lane];
+                *fired |= 1 << j;
+            }
+        }
+    }
+    *c = run.carry(*c);
 }
 
 /// One cycle of the node program for the one-word case (≤ 64 nodes),
@@ -1841,10 +1872,16 @@ impl Engine {
     /// `words`: per word, three passes that share the word and the
     /// per-position fire masks.
     ///
-    /// * **Unit lanes.** Every unit kind steps over the eight bytes in a
-    ///   straight line and only ORs its fire flags together; which lane
-    ///   fired on which byte is worked out, from the counters the word was
-    ///   entered with, in the rare word where one did.
+    /// * **Unit lanes.** Both substring unit kinds read the word's eight
+    ///   hit masks — `B = 1` from a byte table, `B ≥ 2` from the block-hit
+    ///   automaton, whose rows need no walk when every block is at most
+    ///   two bytes ([`BlockAutomaton::word_hits`](blockhit::BlockAutomaton::word_hits))
+    ///   — and advance their run counters once per word ([`RunWord`]):
+    ///   only `c_out = sat127(r₇ + (c_in & m₇))` is carried to the next
+    ///   word. Which lane fired on which byte is worked out, chain-free,
+    ///   only in the word where the bound `(c_in & h₀) + pop ≥ target`
+    ///   says one may. The string DFAs step over the eight bytes in a
+    ///   straight line.
     /// * **Numbers.** One walk of the pooled number automaton over the
     ///   word's number bytes and token ends, found by mask; a word outside
     ///   any token and without a number byte is skipped whole.
@@ -1895,49 +1932,35 @@ impl Engine {
             let mut fired = 0u8;
 
             // ---- unit lanes ----
-            if let Some(hits) = sub1_hits {
-                // Hit lanes count up, miss lanes reset — the packed form
-                // of the serial run counter.
-                let entry = c1;
-                let mut any = 0;
-                for &byte in bytes {
-                    let (c, f) = lane_step(c1, hits[byte as usize], sub1_targets);
-                    c1 = c;
-                    any |= f;
+            // Both unit kinds read the word's hit masks — B = 1 from a
+            // byte table, B ≥ 2 from the block-hit automaton — and step
+            // their counters once for the whole word.
+            if let Some(table) = sub1_hits {
+                let mut hits = [0; swar::WORD_BYTES];
+                for (h, &b) in hits.iter_mut().zip(bytes) {
+                    *h = table[b as usize];
                 }
-                if any != 0 {
-                    let mut c = entry;
-                    for (j, &byte) in bytes.iter().enumerate() {
-                        let (next, f) = lane_step(c, hits[byte as usize], sub1_targets);
-                        c = next;
-                        for lane in fired_lanes(f) {
-                            fire[j] |= self.sub1_fire[lane];
-                            fired |= 1 << j;
-                        }
-                    }
-                }
+                let unit_fire = &self.sub1_fire;
+                step_lanes(
+                    hits,
+                    &mut c1,
+                    sub1_targets,
+                    unit_fire,
+                    &mut fire,
+                    &mut fired,
+                );
             }
             if let Some(a) = subn {
-                // One table walk for every B ≥ 2 unit, then the same
-                // lane arithmetic.
-                let entry = (row, cn);
-                let mut any = 0;
-                for &byte in bytes {
-                    let (c, f) = lane_step(cn, a.step(&mut row, byte)[0], subn_targets);
-                    cn = c;
-                    any |= f;
-                }
-                if any != 0 {
-                    let (mut row, mut c) = entry;
-                    for (j, &byte) in bytes.iter().enumerate() {
-                        let (next, f) = lane_step(c, a.step(&mut row, byte)[0], subn_targets);
-                        c = next;
-                        for lane in fired_lanes(f) {
-                            fire[j] |= self.subn_fire[lane];
-                            fired |= 1 << j;
-                        }
-                    }
-                }
+                let hits = a.word_hits(&mut row, bytes);
+                let unit_fire = &self.subn_fire;
+                step_lanes(
+                    hits,
+                    &mut cn,
+                    subn_targets,
+                    unit_fire,
+                    &mut fire,
+                    &mut fired,
+                );
             }
             for i in 0..self.sdfa_state.len() {
                 let table = &self.tables[self.sdfa_off[i] as usize..];

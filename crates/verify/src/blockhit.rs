@@ -10,7 +10,10 @@
 //! whose mask has that unit's lane set) and **sound** (no transition sets
 //! a lane whose unit has no block ending there — checked on a witness
 //! stream per state, byte by byte, so a byte filed under the wrong class
-//! is caught too), and that the run targets are the units' `N − B + 1`.
+//! is caught too), that the run targets are the units' `N − B + 1`, and
+//! that an automaton flagged `definite` — the word kernel then reads the
+//! row before a byte without walking the rows — is one whose blocks are
+//! all at most two bytes long and whose rows all step like row 0.
 //! The engine-level entry points add the census against the source
 //! expressions.
 //!
@@ -25,6 +28,7 @@
 //! | B004 | error    | a transition sets a lane whose unit has no block ending there |
 //! | B005 | error    | run target (scalar or packed) is not the unit's `N − B + 1` |
 //! | B006 | warning  | state unreachable from the record start |
+//! | B007 | error    | `definite` not set exactly when every block is at most 2 bytes, or a definite row's `next` differs from row 0's |
 //! | B010 | error    | pooled units disagree with the source expressions |
 
 use crate::{Diagnostic, Layer};
@@ -48,7 +52,8 @@ fn lane_set(hits: &[u64], lane: usize) -> bool {
 
 /// Verifies the tables of one block-hit automaton against its own unit
 /// list: shapes (B001), `next` range (B002), completeness (B003),
-/// soundness (B004), targets (B005), reachability (B006).
+/// soundness (B004), targets (B005), reachability (B006), definite rows
+/// (B007).
 pub fn verify_block_automaton(view: &BlockAutomatonView) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let (ncls, banks) = (view.num_classes, view.banks);
@@ -91,6 +96,33 @@ pub fn verify_block_automaton(view: &BlockAutomatonView) -> Vec<Diagnostic> {
         return out; // the walks below index through `next`
     }
     let states = view.next.len() / ncls;
+
+    // Definite rows: the word kernel reads the row before a byte as row
+    // 0's transition on the byte before it, whatever row it was in.
+    let short_blocks = view.units.iter().all(|u| u.block_len <= 2);
+    if view.definite != short_blocks {
+        out.push(error(
+            "B007",
+            "tables",
+            format!(
+                "definite is {}, but {} pooled unit has B > 2",
+                view.definite,
+                if short_blocks { "no" } else { "some" }
+            ),
+        ));
+    }
+    if view.definite {
+        for (i, &n) in view.next.iter().enumerate().skip(ncls) {
+            let first = view.next[i % ncls];
+            if n != first {
+                out.push(error(
+                    "B007",
+                    &format!("transition {i}"),
+                    format!("next row {n} on a definite automaton, row 0 goes to {first}"),
+                ));
+            }
+        }
+    }
     let idx = |row: usize, byte: u8| row + view.classes[byte as usize] as usize;
     let hits = |i: usize| &view.hits[i * banks..(i + 1) * banks];
     out.push(Diagnostic::info(
@@ -389,6 +421,33 @@ mod tests {
         let mut view = sample().block_automaton_view().unwrap().clone();
         view.hits[0] |= 0x01; // neither a hit nor a miss for the lane arithmetic
         assert_eq!(codes(&view), vec!["B001"]);
+    }
+
+    #[test]
+    fn definite_flag_and_rows_are_flagged() {
+        // A pool with B = 3 and B = 9 blocks must walk its rows.
+        let mut view = sample().block_automaton_view().unwrap().clone();
+        assert!(!view.definite);
+        view.definite = true;
+        assert_eq!(codes(&view), vec!["B007"]);
+
+        let b2 = Engine::compile(&Expr::and([
+            Expr::substring(b"tolls_amount", 2).unwrap(),
+            Expr::substring(b"aaaa", 2).unwrap(),
+            Expr::int_range(1, 5),
+        ]));
+        let clean = b2.block_automaton_view().unwrap();
+        assert!(clean.definite);
+        assert!(codes(clean).is_empty(), "{:?}", codes(clean));
+        let mut view = clean.clone();
+        view.definite = false;
+        assert_eq!(codes(&view), vec!["B007"]);
+        // From row 1, `t` goes back to the start; row 0 remembers it.
+        let mut view = clean.clone();
+        let t = view.classes[b't' as usize] as usize;
+        assert_ne!(view.next[t], 0);
+        view.next[view.num_classes + t] = 0;
+        assert!(codes(&view).contains(&"B007"), "{:?}", codes(&view));
     }
 
     #[test]

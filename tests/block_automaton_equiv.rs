@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use rfjson_core::blockhit::{
-    lane_step, pack_counters, unpack_counters, BlockAutomaton, LANES, MAX_BANKS,
+    pack_counters, pack_targets, unpack_counters, BlockAutomaton, RunWord, LANES, MAX_BANKS, WORD,
 };
 use rfjson_core::primitive::{FireFilter, SubstringMatcher};
 use rfjson_core::{CompiledFilter, Engine, Expr, MultiEngine};
@@ -30,47 +30,90 @@ fn lanes_of(words: &[u64], units: usize) -> Vec<usize> {
 }
 
 /// Feeds `stream` through the automaton of `units` from the record
-/// start, byte-serial and packed side by side (`packed_from` switches the
-/// packed form on and off: the counters cross to the other form at every
-/// change), and checks hit lanes and fires of every byte against the
-/// reference matchers.
+/// start, byte-serial and packed side by side, and checks hit lanes and
+/// fires of every byte against the reference matchers. Where
+/// `packed(pos)` holds and a whole word remains, the word at `pos` goes
+/// through the per-word counter step ([`RunWord`]) of every bank; every
+/// other byte steps the scalar counters, so the counters cross to the
+/// other form at every seam between the two.
 fn assert_equiv(units: &[SubstringMatcher], stream: &[u8], packed: impl Fn(usize) -> bool) {
     let a = BlockAutomaton::build(units).expect("test pools are small");
+    let v = a.view();
     let mut reference = units.to_vec();
+    let want_hits: Vec<Vec<usize>> = (0..stream.len())
+        .map(|pos| {
+            let hit = |i: &usize| window_hits(&units[*i], &stream[..=pos]);
+            (0..units.len()).filter(hit).collect()
+        })
+        .collect();
+    let want_fires: Vec<Vec<usize>> = stream
+        .iter()
+        .map(|&byte| {
+            (0..units.len())
+                .filter(|&i| reference[i].on_byte(byte))
+                .collect()
+        })
+        .collect();
+
     let mut row = 0u16;
     let mut scalar = vec![0u32; units.len()];
     let mut lanes = [0u64; MAX_BANKS];
     let mut was_packed = false;
-    for (pos, &byte) in stream.iter().enumerate() {
-        let want_hits: Vec<usize> = (0..units.len())
-            .filter(|&i| window_hits(&units[i], &stream[..=pos]))
-            .collect();
-        let want_fires: Vec<usize> = (0..units.len())
-            .filter(|&i| reference[i].on_byte(byte))
-            .collect();
-
-        let mut got_fires = Vec::new();
-        if packed(pos) {
+    let mut pos = 0;
+    while pos < stream.len() {
+        if packed(pos) && pos + WORD <= stream.len() {
             if !was_packed {
                 lanes = pack_counters(&scalar);
             }
-            let hits = a.step(&mut row, byte).to_vec();
-            assert_eq!(lanes_of(&hits, units.len()), want_hits, "hits at {pos}");
-            let mut fires = vec![0u64; hits.len()];
-            for (bank, (&h, &targets)) in hits.iter().zip(&a.view().targets_packed).enumerate() {
-                let (c, f) = lane_step(lanes[bank], h, targets);
-                lanes[bank] = c;
-                fires[bank] = f;
+            let word: &[u8; WORD] = stream[pos..pos + WORD].try_into().unwrap();
+            let mut word_row = row;
+            let first_bank = a.word_hits(&mut word_row, word);
+            // Hit masks by bank and position.
+            let mut hits = vec![[0u64; WORD]; v.banks];
+            for (j, &byte) in word.iter().enumerate() {
+                for (bank, &h) in a.step(&mut row, byte).iter().enumerate() {
+                    hits[bank][j] = h;
+                }
             }
-            got_fires = lanes_of(&fires, units.len());
+            assert_eq!((hits[0], word_row), (first_bank, row), "word at {pos}");
+            let mut fires = vec![[0u64; WORD]; v.banks];
+            for (bank, hits) in hits.iter().enumerate() {
+                let (run, targets) = (RunWord::new(*hits), v.targets_packed[bank]);
+                fires[bank] = run.fires(lanes[bank], targets);
+                if fires[bank] != [0; WORD] {
+                    assert!(run.may_fire(lanes[bank], targets), "bound at {pos}");
+                }
+                lanes[bank] = run.carry(lanes[bank]);
+            }
+            for j in 0..WORD {
+                let at = |words: &[[u64; WORD]]| words.iter().map(|w| w[j]).collect::<Vec<_>>();
+                let at_pos = format!("byte {} of {stream:?}", pos + j);
+                assert_eq!(
+                    lanes_of(&at(&hits), units.len()),
+                    want_hits[pos + j],
+                    "hits at {at_pos}"
+                );
+                assert_eq!(
+                    lanes_of(&at(&fires), units.len()),
+                    want_fires[pos + j],
+                    "fires at {at_pos}"
+                );
+            }
+            was_packed = true;
+            pos += WORD;
         } else {
             if was_packed {
                 unpack_counters(&lanes, &mut scalar);
             }
-            a.step_serial(&mut row, &mut scalar, byte, |i| got_fires.push(i));
+            let mut got_fires = Vec::new();
+            a.step_serial(&mut row, &mut scalar, stream[pos], |i| got_fires.push(i));
+            assert_eq!(
+                got_fires, want_fires[pos],
+                "fires at byte {pos} of {stream:?}"
+            );
+            was_packed = false;
+            pos += 1;
         }
-        was_packed = packed(pos);
-        assert_eq!(got_fires, want_fires, "fires at byte {pos} of {stream:?}");
     }
 }
 
@@ -86,9 +129,14 @@ fn saturated_run_fires_across_the_seam_and_resets_on_the_first_miss() {
     let mut stream = b"xa".to_vec();
     stream.extend_from_slice(&[b'a'; 310]);
     stream.extend_from_slice(b"xaaxaaaa");
-    // Packed up to mid-run, scalar for a stretch, packed again.
-    assert_equiv(&units, &stream, |pos| !(157..=200).contains(&pos));
-    assert_equiv(&units, &stream, |pos| pos >= 157);
+    // Packed up to mid-run, scalar for a stretch, packed again, on every
+    // word alignment.
+    for align in 0..WORD {
+        assert_equiv(&units, &stream, |pos| {
+            pos >= align && !(157..=200).contains(&pos)
+        });
+        assert_equiv(&units, &stream, |pos| pos >= 157 + align);
+    }
     // The fire pattern itself, spelled out: from the third `aa` window
     // of the run to its end, nothing on `xaax`, again on the last `a`.
     let mut m = unit(b"aaaa", 2);
@@ -182,10 +230,59 @@ fn engines_agree_with_the_model_at_every_block_seam() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
+    /// The per-word counter step against the scalar saturating counter:
+    /// random hit patterns (dense and sparse words, and words where every
+    /// lane hits), counters entering at 0..=127 — often close enough to
+    /// 127 to saturate inside the word — targets 1..=126 and 127 in the
+    /// unused lanes. The counters leaving the word and every position's
+    /// fires must match, and the may-fire bound must hold wherever a lane
+    /// fires.
+    #[test]
+    fn run_word_equals_the_scalar_counter(
+        used in 1usize..=LANES,
+        hit_bits in prop_oneof![
+            3 => proptest::collection::vec(prop_oneof![
+                2 => any::<u8>(), 1 => Just(0xffu8), 1 => Just(0u8),
+            ], WORD),
+            1 => Just(vec![0xffu8; WORD]),
+        ],
+        c_in in proptest::collection::vec(prop_oneof![0u32..=127, 119u32..=127], LANES),
+        targets in proptest::collection::vec(1u32..=126, LANES),
+    ) {
+        // Bit `lane` of `hit_bits[j]`: whether that lane hits on byte j.
+        let hit_word = |bits: u8| {
+            let lanes = (0..LANES).filter(|lane| bits >> lane & 1 != 0);
+            lanes.fold(0u64, |w, lane| w | 0xff << (8 * lane))
+        };
+        let run = RunWord::new(std::array::from_fn(|j| hit_word(hit_bits[j])));
+        let packed_targets = pack_targets(&targets[..used])[0];
+        let packed_in = pack_counters(&c_in)[0];
+        let fires = run.fires(packed_in, packed_targets);
+
+        let mut want_fires = [0u64; WORD];
+        let mut c = [0u32; LANES];
+        for lane in 0..LANES {
+            let target = if lane < used { targets[lane] } else { 127 };
+            c[lane] = c_in[lane];
+            for (j, bits) in hit_bits.iter().enumerate() {
+                c[lane] = if bits >> lane & 1 != 0 { (c[lane] + 1).min(127) } else { 0 };
+                if c[lane] >= target {
+                    want_fires[j] |= 0x80 << (8 * lane);
+                }
+            }
+        }
+        prop_assert_eq!(run.carry(packed_in), pack_counters(&c)[0]);
+        prop_assert_eq!(fires, want_fires);
+        if fires != [0; WORD] {
+            prop_assert!(run.may_fire(packed_in, packed_targets));
+        }
+    }
+
     /// Random NUL-free needles over a tiny alphabet (repeated letters,
     /// overlapping and duplicate blocks, units sharing blocks, sometimes
     /// more than one bank of them), every block length up to 12, random
-    /// soup with NUL bytes in it, and a random packed/scalar schedule.
+    /// soup with NUL bytes in it, and a random packed/scalar schedule on
+    /// a random word alignment.
     #[test]
     fn automaton_equals_reference_matchers(
         specs in proptest::collection::vec(
@@ -199,6 +296,7 @@ proptest! {
             1 => Just(0u8), 1 => Just(b'x'),
         ], 0..160),
         period in 1usize..40,
+        align in 0..WORD,
     ) {
         let mut units: Vec<SubstringMatcher> = specs
             .iter()
@@ -211,7 +309,8 @@ proptest! {
             stream.extend_from_slice(needle);
         }
         stream.extend_from_slice(&soup);
-        assert_equiv(&units, &stream, |pos| pos / period % 2 == 0);
+        assert_equiv(&units, &stream, |pos| pos >= align && (pos - align) / period % 2 == 0);
+        assert_equiv(&units, &stream, |pos| pos >= align);
         assert_equiv(&units, &stream, |_| false);
     }
 }

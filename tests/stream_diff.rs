@@ -201,6 +201,67 @@ fn short_streams_and_framing_debris() {
     }
 }
 
+/// The run counters at their limits: a needle whose run target is 126,
+/// the largest the packed counters compare exactly, under runs of 120–300
+/// needle bytes — short of the target, on it, and far past the counters'
+/// 127 ceiling. Each run ends 0–7 bytes before its `\n` (a `7` and
+/// filler), and the next record starts with needle bytes again, so the
+/// text of a run goes on past the separator: the next record's counter
+/// must start at 0. Every pad 0–7 moves the runs and separators through
+/// every word offset. The needle holds a comma, so a member-scoped
+/// context clears its latches inside a run: only a fire in the run's last
+/// member counts, 126 to 300 bytes in.
+#[test]
+fn run_counters_saturate_and_restart_at_every_separator() {
+    let _guard = serialize();
+    let runs = [120, 125, 126, 127, 128, 133, 200, 254, 255, 256, 300];
+    for b in [1, 2] {
+        // Target N − B + 1 = 126; every window of the cyclic text is a
+        // block of the needle.
+        let text = |len: usize| {
+            b"ab,"
+                .iter()
+                .copied()
+                .cycle()
+                .take(len)
+                .collect::<Vec<u8>>()
+        };
+        let needle = text(125 + b);
+        let unit = Expr::substring(&needle, b).unwrap();
+        let mut records = Vec::new();
+        for (i, &run) in runs.iter().enumerate() {
+            for gap in 0..8 {
+                let phase = (i + gap) % 3;
+                let mut record = text(run + phase)[phase..].to_vec();
+                record.extend_from_slice(&b"7xxxxxx"[..gap]);
+                records.push(record);
+            }
+        }
+        let records: Vec<&[u8]> = records.iter().map(Vec::as_slice).collect();
+        // A run of L bytes is L − B + 1 windows.
+        let short = runs.iter().filter(|&&run| run < 125 + b).count() * 8;
+        let last_member =
+            Expr::context_scoped(StructScope::Member, [unit.clone(), Expr::int_range(7, 7)]);
+        let exprs = [
+            unit.clone(),
+            Expr::or([unit, Expr::int_range(40, 49)]),
+            last_member,
+        ];
+        for (k, expr) in exprs.iter().enumerate() {
+            let mut engine = stream_engine(expr);
+            for pad in 0..8 {
+                let stream = stream(&records, pad, false);
+                assert_stream(&mut engine, expr, &stream, IngestLimits::UNLIMITED);
+                if k < 2 {
+                    let got = engine.filter_stream_verdicts(&stream, IngestLimits::UNLIMITED);
+                    let matched = got.iter().filter(|v| v.matched()).count();
+                    assert_eq!(matched, records.len() - short, "`{expr}`, pad {pad}");
+                }
+            }
+        }
+    }
+}
+
 /// Where `\n` is part of a needle, a unit can carry state across the
 /// separator (or be left mid-run by it): the compile-time check fails and
 /// the engine takes the record driver, which resets every lane at every
