@@ -11,9 +11,11 @@
 //! | Tables V–VII + Fig. 3 (design space, Pareto fronts, scatter CSVs) | `tables5_6_7` |
 //! | Table VIII (query selectivities) | `table8` |
 //! | §IV-B system throughput | `system_throughput` |
+//! | §V ablations (omitted substrings, widened range bounds) | `ablation` |
 //!
 //! Criterion benches (`benches/`): primitive byte throughput, raw-filter
-//! vs full parse, and construction/mapping times.
+//! vs full parse, construction/mapping times, and the SWAR word kernels
+//! against their byte-serial counterparts (`swar_scan`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -17,9 +17,11 @@
 //!   over the fifteen number bytes ([`numpool`]): one lookup
 //!   per number byte however many ranges the program checks, and one fire
 //!   mask per row, read where a token ends;
-//! * window and substring matchers keep **struct-of-arrays** state (packed
-//!   `u64` windows, run counters) stepped in a flat loop instead of
-//!   `Box<Prim>` dispatch;
+//! * window matchers are dense string DFAs like the above (see the
+//!   full-window note below), and substring matchers are **run-counter
+//!   lanes** fed by a 256-entry byte-hit table (B = 1) or by the pooled
+//!   block-hit automaton ([`blockhit`], B ≥ 2), stepped in a flat loop
+//!   instead of `Box<Prim>` dispatch;
 //! * the AND/OR/CTX combinator tree becomes a **post-order flat program**
 //!   whose satisfaction latches live in `u64` bitsets and are evaluated
 //!   and cleared with bitwise mask operations;

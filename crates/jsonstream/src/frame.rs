@@ -17,12 +17,16 @@
 //!   ([`is_blank_line`]);
 //! * a trailing record without a final `\n` still counts.
 //!
-//! Two views of the same rules are provided: slice-level
-//! ([`split_records`]) and byte-serial ([`LimitedFramer`], which also
+//! Three views of the same rules exist: slice-level
+//! ([`split_records`]), byte-serial ([`LimitedFramer`], which also
 //! meters [`IngestLimits`] — what the byte-serial oracle driver in
-//! `rfjson-core` consumes). [`shard_ranges`] partitions a buffer at
-//! record boundaries for the parallel runtime. Their equivalence is held
-//! by the cross-impl tests in the root crate (`tests/framing_equiv.rs`).
+//! `rfjson-core` consumes), and line-step (`rfjson-core`'s
+//! `backend::LineFramer`, one call per line, behind the record drivers
+//! and the engine's stream path). Both metering views quarantine through
+//! the one rule, [`IngestLimits::skip_reason`]. [`shard_ranges`]
+//! partitions a buffer at record boundaries for the parallel runtime.
+//! Their equivalence is held by the cross-impl tests in the root crate
+//! (`tests/framing_equiv.rs`).
 
 use crate::swar;
 use core::fmt;

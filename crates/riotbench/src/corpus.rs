@@ -1,9 +1,9 @@
-//! Standard seeded corpora: the fixed workloads every benchmark, FPR
-//! table and perf-trajectory measurement runs against.
+//! Standard seeded corpora: the fixed workloads every FPR table,
+//! criterion bench and differential test runs against.
 //!
 //! Centralising the seeds here keeps numbers comparable across crates and
-//! across PRs — `BENCH_PR*.json` files are only meaningful if each one
-//! measured the same byte streams.
+//! across changes: two measurements only compare if both read the same
+//! byte streams.
 
 use crate::dataset::Dataset;
 use crate::{smartcity, taxi, twitter};

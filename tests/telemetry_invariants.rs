@@ -13,8 +13,10 @@
 
 use rfjson_core::prefilter::Prefilter;
 use rfjson_core::query::query_to_exprs;
-use rfjson_core::{Engine, Expr, FilterBackend, IngestLimits, MultiEngine, PrefilterStatus};
-use rfjson_riotbench::{smartcity_corpus, taxi, twitter, Query};
+use rfjson_core::{
+    Engine, Expr, FilterBackend, IngestLimits, MultiEngine, PrefilterStatus, ScanPath, StructScope,
+};
+use rfjson_riotbench::{smartcity_corpus, taxi, taxi_corpus, twitter, twitter_corpus, Query};
 use rfjson_runtime::fault::{
     silence_injected_panics, FaultKind, FaultPlan, FaultyBackend, Trigger,
 };
@@ -275,22 +277,51 @@ fn a_stream_path_call_is_block_scanned_but_for_at_most_one_word() {
         return;
     }
     let _guard = serialize();
-    // QS1's prefilter rejects nothing on SmartCity and disables itself
-    // after probation; from then on the engine runs the stream path.
-    let corpus = smartcity_corpus(150);
-    let stream = corpus.stream();
-    let expr = query_to_exprs(&Query::qs1(), 1).expect("query converts");
-    let mut engine = Engine::compile(&expr);
-    for _ in 0..4 {
-        engine.filter_stream(&stream);
+    // The resident queries on their own corpora. Each prefilter rejects
+    // nothing there and disables itself after probation; from then on the
+    // engine runs the stream path. The B = 2 queries (QT-B2, QTW) pool
+    // their units in a block-hit automaton whose blocks are at most two
+    // bytes, so it is definite and b = 2 runs the b = 1 word kernel.
+    let table = |q: Query, b| query_to_exprs(&q, b).expect("query converts");
+    let qtw = Expr::context_scoped(
+        StructScope::Member,
+        [
+            Expr::substring(b"favourites_count", 2).unwrap(),
+            Expr::int_range(100, 50_000),
+        ],
+    );
+    let smartcity = smartcity_corpus(150);
+    let taxi = taxi_corpus(150);
+    let twitter = twitter_corpus(150);
+    let cases = [
+        ("QS0", table(Query::qs0(), 1), &smartcity, false),
+        ("QS1", table(Query::qs1(), 1), &smartcity, false),
+        ("QT", table(Query::qt(), 1), &taxi, false),
+        ("QT-B2", table(Query::qt(), 2), &taxi, true),
+        ("QTW", qtw, &twitter, true),
+    ];
+    for (name, expr, corpus, pooled) in cases {
+        let stream = corpus.stream();
+        let mut engine = Engine::compile(&expr);
+        for _ in 0..4 {
+            engine.filter_stream(&stream);
+        }
+        assert_eq!(engine.scan_path(), ScanPath::Block, "{name}");
+        assert_eq!(
+            engine.prefilter_status(),
+            PrefilterStatus::Disabled,
+            "{name}"
+        );
+        let (decisions, d) = window(|| engine.filter_stream(&stream));
+        assert_eq!(decisions.len(), corpus.len(), "{name}");
+        assert!(d.counter("engine.bytes.byte_serial") <= 8, "{name}");
+        assert_eq!(engine_bytes(&d), stream.len() as u64, "{name}");
+        assert_eq!(d.counter("engine.records"), corpus.len() as u64, "{name}");
+        assert_eq!(d.counter("engine.prefilter.checked"), 0, "{name}");
+        let automaton = engine.block_automaton_view();
+        assert_eq!(automaton.is_some(), pooled, "{name}");
+        assert!(automaton.is_none_or(|a| a.definite), "{name}");
     }
-    assert_eq!(engine.prefilter_status(), PrefilterStatus::Disabled);
-    let (decisions, d) = window(|| engine.filter_stream(&stream));
-    assert_eq!(decisions.len(), corpus.len());
-    assert!(d.counter("engine.bytes.byte_serial") <= 8);
-    assert_eq!(engine_bytes(&d), stream.len() as u64);
-    assert_eq!(d.counter("engine.records"), corpus.len() as u64);
-    assert_eq!(d.counter("engine.prefilter.checked"), 0);
 }
 
 #[test]

@@ -4,8 +4,8 @@
 //!
 //! * the snapshot **format** (`rfjson-telemetry/v1`: schema line,
 //!   two-space indent, sorted names, inline histograms, no trailing
-//!   newline) that `perf_trajectory --telemetry` embeds and the verify
-//!   CLI prints — downstream parsers may rely on it;
+//!   newline) that the verify CLI prints under `--telemetry` —
+//!   downstream parsers may rely on it;
 //! * the engine/framing **counter values** for a deterministic corpus —
 //!   any accounting drift in the scan paths shows up as a diff here.
 //!
