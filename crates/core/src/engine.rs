@@ -61,16 +61,22 @@
 //! so no byte waits for the counters of the byte before it; only a
 //! block-hit pool with blocks longer than two bytes still walks its rows
 //! byte by byte. The number automaton visits the number bytes and token
-//! ends a mask points out; and the node program — the only pass that
-//! branches on what the data says — runs on **events**, in stream order:
-//! a byte where some unit fired, and an unmasked close (or, if some
-//! context is member-scoped, comma) while some context has a pending
-//! child. An open, or a close that is no event, only moves `depth`. On
-//! every other byte the byte-serial loop's program is the identity —
-//! And/Or latches are closed under no new input, and a context with
-//! neither a fire nor a pending child returns early — so both paths agree
-//! on every latch; the byte-serial path stays as the oracle and carries
-//! tails and seams.
+//! ends a mask points out ([`NumberAutomaton::walk_word`]); and the node
+//! program — the only pass that branches on what the data says — runs
+//! only at **program points**, in stream order: the unmasked structural
+//! bytes (open, close and, if some context is member-scoped, comma), the
+//! separators, and the end of the call. A fire on any other byte is ORed
+//! into an accumulator, which one run of the program applies at the
+//! current depth before the next point is handled (before an open's
+//! `depth += 1`); then the point's own event runs: a fire on the byte
+//! itself, or a close or comma while some context has a pending child.
+//! Between two points depth cannot change and no context can end, so
+//! the program is a monotone closure and one run over the union of the
+//! fires leaves the latches and flag levels the byte loop leaves after
+//! one run per fire; on a byte with no fire and no pending context the
+//! byte loop's program is the identity. So both paths agree on every
+//! latch at every point; the byte-serial path stays as the oracle and
+//! carries tails and seams.
 //!
 //! The kernel comes in two forms, one loop generic over whether `\n`
 //! ends a record. [`Engine::on_block`] runs the form where it does not,
@@ -92,7 +98,7 @@ use crate::backend::{run_verdict_driver_blocks, IngestLimits, LineFramer, Verdic
 use crate::blockhit::{self, fired_lanes, BlockAutomatonView, BlockUnits, RunWord};
 use crate::evaluator::StreamTracker;
 use crate::expr::{Expr, StringTechnique, StructScope};
-use crate::numpool::{self, number_mask, NumberAutomaton, NumberAutomatonView};
+use crate::numpool::{self, NumberAutomaton, NumberAutomatonView, WordTokens};
 use crate::prefilter::Prefilter;
 use crate::primitive::{DfaStringMatcher, SubstringMatcher, WindowMatcher};
 use rfjson_jsonstream::swar;
@@ -1884,15 +1890,22 @@ impl Engine {
     ///   only in the word where the bound `(c_in & h₀) + pop ≥ target`
     ///   says one may. The string DFAs step over the eight bytes in a
     ///   straight line.
-    /// * **Numbers.** One walk of the pooled number automaton over the
-    ///   word's number bytes and token ends, found by mask; a word outside
-    ///   any token and without a number byte is skipped whole.
-    /// * **Node program.** On the word's events, in stream order: a fire,
-    ///   or an unmasked close or member-ending comma while a context has a
-    ///   pending child. Opens and closes move `depth` whether or not they
-    ///   are events. Everywhere else the program is the identity, so
-    ///   latches, flag levels, depth and every decision equal the byte
-    ///   loop's.
+    /// * **Numbers.** One [`NumberAutomaton::walk_word`] of the pooled
+    ///   number automaton over the word's number bytes and token ends,
+    ///   found by mask, lone sign tokens skipped where they fire nothing;
+    ///   a word outside any token and without a number byte is skipped
+    ///   whole.
+    /// * **Node program.** At the word's program points, in stream order:
+    ///   unmasked opens, closes and member-ending commas, and separators.
+    ///   Fires on other bytes accumulate; before a point (before an
+    ///   open's `depth += 1`), and once more at the end of the call, one
+    ///   run with `is_close = is_comma = false` applies them. Then the
+    ///   point's own event: a fire on it, or a close or comma while a
+    ///   context has a pending child. Opens and closes move `depth`
+    ///   whether or not they are events. Depth is constant between
+    ///   points and no context ends there, so the program is a monotone
+    ///   closure and latches, flag levels, depth and every decision equal
+    ///   the byte loop's.
     ///
     /// With `RECORDS`, every `\n` is an event that ends a record: after
     /// the program ran on the separator's own fires, `end_record(base +
@@ -1927,6 +1940,17 @@ impl Engine {
         // Fire masks of the current word by byte position, and the
         // positions that have one; all zero between words.
         let mut fire = [0u64; swar::WORD_BYTES];
+        // Fires since the last program point, not yet run through the
+        // program, and the one run that applies them at `depth`.
+        let mut pending = 0u64;
+        let settle = |flag_level: &mut [u32], l: u64, pending: u64, depth: u32| {
+            let ev = ByteEvent {
+                depth,
+                is_close: false,
+                is_comma: false,
+            };
+            run_program_word(&self.ops, &self.masks, flag_level, l | pending, l, ev)
+        };
 
         for (w, chunk) in words.chunks_exact(swar::WORD_BYTES).enumerate() {
             let bytes: &[u8; swar::WORD_BYTES] = chunk.try_into().expect("8-byte chunk");
@@ -1978,27 +2002,12 @@ impl Engine {
             }
 
             // ---- numbers ----
-            let numb = number_mask(word);
-            if (numb != 0 || in_token) && !self.numbers.is_empty() {
-                // A token ends on the first other byte after a number
-                // byte, the word before included.
-                let ends = !numb & (numb << 1 | u8::from(in_token));
-                for (a, num_row) in self.numbers.iter().zip(&mut self.num_row) {
-                    let mut r = *num_row;
-                    let mut todo = numb | ends;
-                    while todo != 0 {
-                        let j = todo.trailing_zeros() as usize;
-                        todo &= todo - 1;
-                        if ends >> j & 1 != 0 {
-                            let f = a.fire(r)[0];
-                            fire[j] |= f;
-                            fired |= u8::from(f != 0) << j;
-                        }
-                        r = a.step(r, bytes[j]);
-                    }
-                    *num_row = r;
+            let tokens = WordTokens::new(word, in_token);
+            if !tokens.is_empty() && !self.numbers.is_empty() {
+                for (a, row) in self.numbers.iter().zip(&mut self.num_row) {
+                    fired |= a.walk_word(row, bytes, tokens, &mut fire);
                 }
-                in_token = numb >> 7 != 0;
+                in_token = tokens.open_at_end();
             }
 
             // ---- node program, in event order ----
@@ -2033,11 +2042,20 @@ impl Engine {
             let newlines = if RECORDS { wm.newlines } else { 0 };
             let marks = wm.opens | wm.closes | (wm.commas & comma_events);
             let mut structural = marks & !masked;
-            let mut events = structural | fired | newlines;
+            let mut points = structural | newlines;
+            let mut events = points | fired;
             while events != 0 {
                 let j = events.trailing_zeros() as usize;
                 events &= events - 1;
                 let bit = 1u8 << j;
+                if points & bit == 0 {
+                    pending |= fire[j];
+                    continue;
+                }
+                if pending != 0 {
+                    l = settle(&mut self.flag_level, l, pending, depth);
+                    pending = 0;
+                }
                 let is_close = structural & wm.closes & bit != 0;
                 let is_comma = structural & wm.commas & bit != 0;
                 if structural & wm.opens & bit != 0 {
@@ -2079,13 +2097,17 @@ impl Engine {
                         in_string = next.in_string;
                         pending_escape = next.pending_escape;
                         structural = marks & !masked;
-                        events = (structural | fired | newlines) & later;
+                        points = structural | newlines;
+                        events = (points | fired) & later;
                     }
                 }
             }
             if fired != 0 {
                 fire = [0; swar::WORD_BYTES];
             }
+        }
+        if pending != 0 {
+            l = settle(&mut self.flag_level, l, pending, depth);
         }
 
         // Sync packed state back out.

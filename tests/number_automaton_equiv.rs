@@ -2,12 +2,14 @@
 //! set of number-range units, the set of units accepting at every token
 //! end of a stream must equal what one [`NumberBounds::to_dfa`] per unit
 //! computes when stepped on its own — in the byte-serial walk, in the
-//! word walk over [`number_mask`] bits, across the seams between the two,
-//! and whether the units share one automaton or the row cap split them
-//! over several.
+//! word kernel's walk ([`NumberAutomaton::walk_word`]), across the seams
+//! between the two, and whether the units share one automaton or the row
+//! cap split them over several. The word walk reports only the token
+//! ends that fire something, since it skips lone tokens that fire
+//! nothing.
 
 use proptest::prelude::*;
-use rfjson_core::numpool::{number_mask, NumberAutomaton, COLUMNS, MAX_ROWS};
+use rfjson_core::numpool::{NumberAutomaton, WordTokens, COLUMNS, MAX_ROWS};
 use rfjson_redfa::range::{is_number_byte, NumberKind};
 use rfjson_redfa::{Dfa, NumberBounds};
 
@@ -46,17 +48,22 @@ fn reference_ends(bounds: &[NumberBounds], stream: &[u8]) -> TokenEnds {
     ends
 }
 
+/// The token ends of `stream` that fire something: what the word walk
+/// reports, since it skips lone tokens that provably fire nothing.
+fn firing_ends(bounds: &[NumberBounds], stream: &[u8]) -> TokenEnds {
+    let mut ends = reference_ends(bounds, stream);
+    ends.retain(|&(_, fired)| fired != 0);
+    ends
+}
+
 /// The pool over `stream`, cut at `cuts` into pieces walked byte by byte
-/// and word by word in turn; rows and the in-token flag are all that
-/// crosses a seam.
+/// and with [`NumberAutomaton::walk_word`] in turn — the walk the word
+/// kernel runs; rows and the in-token flag are all that crosses a seam.
+/// Reports the token ends that fire something.
 fn pooled_ends(pool: &[NumberAutomaton], stream: &[u8], cuts: &[usize]) -> TokenEnds {
     let mut rows = vec![0u16; pool.len()];
     let mut in_token = false;
     let mut ends = Vec::new();
-    let fired = |rows: &[u16]| {
-        let masks = pool.iter().zip(rows).map(|(a, &row)| a.fire(row)[0]);
-        masks.fold(0, |all, f| all | f)
-    };
     let mut bounds = vec![0];
     bounds.extend(cuts.iter().map(|&c| c.min(stream.len())));
     bounds.push(stream.len());
@@ -67,23 +74,27 @@ fn pooled_ends(pool: &[NumberAutomaton], stream: &[u8], cuts: &[usize]) -> Token
         for w in 0..words {
             let base = from + w * 8;
             let bytes: &[u8; 8] = stream[base..base + 8].try_into().unwrap();
-            let numb = number_mask(u64::from_le_bytes(*bytes));
-            let token_ends = !numb & (numb << 1 | u8::from(in_token));
-            for (j, &byte) in bytes.iter().enumerate() {
-                if token_ends >> j & 1 != 0 {
-                    ends.push((base + j, fired(&rows)));
-                }
-                if (numb | token_ends) >> j & 1 != 0 {
-                    for (a, row) in pool.iter().zip(&mut rows) {
-                        *row = a.step(*row, byte);
-                    }
+            let tokens = WordTokens::new(u64::from_le_bytes(*bytes), in_token);
+            let mut fire = [0u64; 8];
+            let mut fired = 0u8;
+            for (a, row) in pool.iter().zip(&mut rows) {
+                fired |= a.walk_word(row, bytes, tokens, &mut fire);
+            }
+            for (j, &f) in fire.iter().enumerate() {
+                assert_eq!(fired >> j & 1 != 0, f != 0, "fired bit {j} at {base}");
+                if f != 0 {
+                    ends.push((base + j, f));
                 }
             }
-            in_token = numb >> 7 != 0;
+            in_token = tokens.open_at_end();
         }
         for (pos, &byte) in stream.iter().enumerate().take(to).skip(from + words * 8) {
             if !is_number_byte(byte) && in_token {
-                ends.push((pos, fired(&rows)));
+                let masks = pool.iter().zip(&rows).map(|(a, &row)| a.fire(row)[0]);
+                let fired = masks.fold(0, |all, f| all | f);
+                if fired != 0 {
+                    ends.push((pos, fired));
+                }
             }
             in_token = is_number_byte(byte);
             for (a, row) in pool.iter().zip(&mut rows) {
@@ -148,12 +159,47 @@ fn token_ends_are_found_at_every_word_offset() {
             (38, 0),
         ]
     );
+    let firing = firing_ends(&bounds, stream);
     for offset in 0..8 {
         assert_eq!(
             pooled_ends(&pool, stream, &[offset]),
-            want,
+            firing,
             "offset {offset}"
         );
+    }
+}
+
+/// One byte of `+ - . e E` — and digit-free pairs such as `e-`, which are
+/// no lone tokens and are walked — at every word offset, between other
+/// bytes, after a digit (at offset 0 a token carried in from the word
+/// before) and before one. Next to a digit the byte belongs to a token
+/// that fires, so a skip in the wrong place changes what fires.
+#[test]
+fn lone_signs_are_skipped_and_nothing_else() {
+    let bounds = [NumberBounds::int_range(1, 9), float_bounds(-550, 1100)];
+    let pool = pool(&bounds, MAX_ROWS);
+    assert!(pool[0].view().quiet_lone_signs);
+    let middles: [&[u8]; 9] = [b"+", b"-", b".", b"e", b"E", b"e-", b"-e", b"+.", b".E"];
+    for middle in middles {
+        for (left, right) in [(b'x', b'x'), (b'7', b'x'), (b'x', b'5'), (b'"', b'3')] {
+            for offset in 0..8 {
+                // `middle` starts at byte `offset` of the second word.
+                let mut stream = vec![b'x'; 8 + offset - 1];
+                stream.push(left);
+                stream.extend_from_slice(middle);
+                stream.push(right);
+                stream.extend_from_slice(b",xxxxxxxxxxxxxxx");
+                let want = firing_ends(&bounds, &stream);
+                for cuts in [&[0][..], &[8 + offset], &[8 + offset + 1]] {
+                    assert_eq!(
+                        pooled_ends(&pool, &stream, cuts),
+                        want,
+                        "{:?}, cut at {cuts:?}",
+                        String::from_utf8_lossy(&stream)
+                    );
+                }
+            }
+        }
     }
 }
 
@@ -189,7 +235,7 @@ proptest! {
             })
             .collect();
         bounds.push(bounds[duplicate % bounds.len()].clone());
-        let want = reference_ends(&bounds, &soup);
+        let want = firing_ends(&bounds, &soup);
 
         let one = pool(&bounds, MAX_ROWS);
         prop_assert_eq!(&pooled_ends(&one, &soup, &cuts), &want);

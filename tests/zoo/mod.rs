@@ -112,5 +112,21 @@ pub fn adversarial_records() -> Vec<&'static [u8]> {
         br#"{"v":0.00000000000000021,"n":7}"#,
         b"[12,13,14,1,5,33.3,4]",
         br#"{"v":"35.1","n":"12"},{"v":"35.2","n":"x"}"#,
+        // Where the word kernel runs the program on fires gathered since
+        // the last structural byte. A fire before an open: the inner
+        // close must not end the outer instance. Number tokens ending on
+        // an open: their fire starts an instance at the inner depth,
+        // which the inner close ends. Several fires inside one string,
+        // an open, and the member's value before its comma. Fires with
+        // no structural byte after them. Tokens ending on a member-scoped
+        // comma, on a close, and on the separator.
+        br#"{"n":"temperature","x":{"a":"b"},"v":21.0}"#,
+        br#"{"v":21{"x":"y"},"n":"temperature"}"#,
+        br#"{"v":[21["x"],"n":"temperature"]}"#,
+        br#"{"k":"tolls_amount tolls_amount"[{"a":"b"}]5.33,"v":1}"#,
+        br#"{"e":[{"n":"temperature","v":"21.0 7 12 "#,
+        br#"{"total_amount":1,"tolls_amount":7.5}"#,
+        br#"{"tolls_amount":7.5,"fare_amount":9}"#,
+        br#"{"n":"temperature","v":21.0"#,
     ]
 }
