@@ -1892,9 +1892,8 @@ impl Engine {
     ///   straight line.
     /// * **Numbers.** One [`NumberAutomaton::walk_word`] of the pooled
     ///   number automaton over the word's number bytes and token ends,
-    ///   found by mask, lone sign tokens skipped where they fire nothing;
-    ///   a word outside any token and without a number byte is skipped
-    ///   whole.
+    ///   found by mask; a word outside any token and without a number
+    ///   byte is skipped whole.
     /// * **Node program.** At the word's program points, in stream order:
     ///   unmasked opens, closes and member-ending commas, and separators.
     ///   Fires on other bytes accumulate; before a point (before an

@@ -38,13 +38,6 @@
 //! [`NumberAutomaton::walk_word`], over the number bytes and token ends
 //! of [`WordTokens`]. A token end rearms to row 0 without reading the
 //! token-end column, so no lookup waits on the row of the token before.
-//! A **lone** token — one byte of `+ - . e E` between two other bytes
-//! of the same word — is skipped where the automaton fires nothing for
-//! any of the five: it starts from row 0 (outside a token every row
-//! sits there), steps once, fires nothing and rearms, so skipping it
-//! leaves every row and fire unchanged.
-//! [`NumberAutomatonView::quiet_lone_signs`] records that proof at build
-//! time, and the verifier re-derives it (`N028`).
 
 use rfjson_jsonstream::swar;
 use rfjson_redfa::range::NUMBER_BYTES;
@@ -79,51 +72,17 @@ fn at_least(low7: u64, min: u8) -> u64 {
     low7 + u64::from(0x80 - min) * LO
 }
 
-/// `0x80` in every lane of `word` that holds a decimal digit, and in
-/// every lane that holds one of `+ - . e E`.
-#[inline]
-fn number_lanes(word: u64) -> (u64, u64) {
-    let low7 = word & !HI;
-    let digits = at_least(low7, b'0') & !at_least(low7, b'9' + 1);
-    // `+`, `-` and `.` are `0x2b..=0x2e` without the comma between them.
-    let signs = at_least(low7, b'+')
-        & !at_least(low7, b'.' + 1)
-        & at_least(low7 ^ (u64::from(b',') * LO), 1);
-    let exponent = !at_least((low7 | (0x20 * LO)) ^ (u64::from(b'e') * LO), 1);
-    let ascii = !word & HI;
-    (digits & ascii, (signs | exponent) & ascii)
-}
-
-/// One bit per byte of `word` that may appear inside a number token (bit
-/// `j` = byte `j`, as in [`swar::classify_word`]) — the word-at-a-time
-/// form of [`is_number_byte`](rfjson_redfa::range::is_number_byte).
-#[inline]
-#[must_use]
-pub fn number_mask(word: u64) -> u8 {
-    let (digits, signs) = number_lanes(word);
-    swar::high_bits_to_mask(digits | signs)
-}
-
-/// One bit per decimal digit of `word`, laid out as [`number_mask`]'s.
-#[inline]
-#[must_use]
-pub fn digit_mask(word: u64) -> u8 {
-    swar::high_bits_to_mask(number_lanes(word).0)
-}
-
 /// The number bytes and token ends of one word, as
 /// [`NumberAutomaton::walk_word`] visits them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WordTokens {
-    /// Number bytes, bit `j` = byte `j`.
+    /// The bytes that may appear inside a number token, bit `j` = byte
+    /// `j` as in [`swar::classify_word`] — the word-at-a-time form of
+    /// [`is_number_byte`](rfjson_redfa::range::is_number_byte).
     numbers: u8,
     /// Token ends: the first other byte after a number byte, the word
     /// before included.
     ends: u8,
-    /// Lone tokens: a byte of `+ - . e E` whose neighbours in the word
-    /// are no number bytes — never byte 7, whose right neighbour is in
-    /// the next word, nor byte 0 while a token is open.
-    lone: u8,
 }
 
 impl WordTokens {
@@ -131,14 +90,17 @@ impl WordTokens {
     #[inline]
     #[must_use]
     pub fn new(word: u64, in_token: bool) -> WordTokens {
-        let (digits, signs) = number_lanes(word);
-        let numbers = swar::high_bits_to_mask(digits | signs);
-        let before = numbers << 1 | u8::from(in_token);
-        let after = numbers >> 1 | 0x80;
+        let low7 = word & !HI;
+        let digits = at_least(low7, b'0') & !at_least(low7, b'9' + 1);
+        // `+`, `-` and `.` are `0x2b..=0x2e` without the comma between them.
+        let signs = at_least(low7, b'+')
+            & !at_least(low7, b'.' + 1)
+            & at_least(low7 ^ (u64::from(b',') * LO), 1);
+        let exponent = !at_least((low7 | (0x20 * LO)) ^ (u64::from(b'e') * LO), 1);
+        let numbers = swar::high_bits_to_mask((digits | signs | exponent) & !word & HI);
         WordTokens {
             numbers,
-            ends: !numbers & before,
-            lone: swar::high_bits_to_mask(signs) & !before & !after,
+            ends: !numbers & (numbers << 1 | u8::from(in_token)),
         }
     }
 
@@ -155,16 +117,6 @@ impl WordTokens {
     pub fn open_at_end(&self) -> bool {
         self.numbers >> 7 != 0
     }
-}
-
-/// Whether every one-byte token of `+ - . e E` fires nothing in the
-/// automaton of `next` and `fires` — [`NumberAutomatonView::quiet_lone_signs`].
-fn lone_signs_fire_nothing(next: &[u16], fires: &[u64], words: usize) -> bool {
-    let mut signs = NUMBER_BYTES.iter().filter(|b| !b.is_ascii_digit());
-    signs.all(|&b| {
-        let row = next[COLUMN_OF[b as usize] as usize] as usize / COLUMNS;
-        fires[row * words..][..words].iter().all(|&f| f == 0)
-    })
 }
 
 /// One pooled unit of a [`NumberAutomatonView`].
@@ -191,11 +143,6 @@ pub struct NumberAutomatonView {
     pub fires: Vec<u64>,
     /// The pooled units, in compile order.
     pub units: Vec<NumberUnitView>,
-    /// Every one-byte token of `+ - . e E` fires nothing — the row one
-    /// step from row 0 has an all-zero fire mask for each of the five —
-    /// so [`NumberAutomaton::walk_word`] may skip lone tokens. Verifier
-    /// code `N028` re-derives it.
-    pub quiet_lone_signs: bool,
 }
 
 impl NumberAutomatonView {
@@ -273,7 +220,6 @@ impl NumberAutomaton {
                 next: vec![0; COLUMNS],
                 fires: vec![0; words],
                 units: Vec::new(),
-                quiet_lone_signs: true,
             },
         }
     }
@@ -324,7 +270,6 @@ impl NumberAutomaton {
         Some(NumberAutomaton {
             t: NumberAutomatonView {
                 words,
-                quiet_lone_signs: lone_signs_fire_nothing(&next, &fires, words),
                 next,
                 fires,
                 units: self.t.units.iter().cloned().chain([unit]).collect(),
@@ -357,9 +302,8 @@ impl NumberAutomaton {
     /// The [word walk](self#the-word-walk) over `bytes`, whose tokens are
     /// `tokens`, from `row` (0 unless a token is open): each number byte
     /// steps the row; each token end ORs the first word of the fire mask
-    /// into `fire` at its position and rearms to row 0; lone tokens are
-    /// skipped where [`NumberAutomatonView::quiet_lone_signs`] holds.
-    /// Returns the positions whose fire was not zero.
+    /// into `fire` at its position and rearms to row 0. Returns the
+    /// positions whose fire was not zero.
     #[inline]
     pub fn walk_word(
         &self,
@@ -368,19 +312,13 @@ impl NumberAutomaton {
         tokens: WordTokens,
         fire: &mut [u64; 8],
     ) -> u8 {
-        let skip = if self.t.quiet_lone_signs {
-            tokens.lone | tokens.lone << 1
-        } else {
-            0
-        };
-        let ends = tokens.ends & !skip;
-        let mut todo = (tokens.numbers | tokens.ends) & !skip;
+        let mut todo = tokens.numbers | tokens.ends;
         let mut r = *row;
         let mut fired = 0;
         while todo != 0 {
             let j = todo.trailing_zeros() as usize;
             todo &= todo - 1;
-            if ends >> j & 1 != 0 {
+            if tokens.ends >> j & 1 != 0 {
                 let f = self.t.fires[r as usize / COLUMNS * self.t.words];
                 fire[j] |= f;
                 fired |= u8::from(f != 0) << j;
@@ -417,13 +355,14 @@ mod tests {
 
     #[test]
     fn number_mask_matches_the_byte_predicate() {
+        let numbers = |chunk: &[u8; 8]| WordTokens::new(swar::load_word(chunk), false).numbers;
         for b in 0u16..=255 {
             let b = b as u8;
             for lane in 0..8 {
                 let mut chunk = [b'x'; 8];
                 chunk[lane] = b;
                 let want = u8::from(is_number_byte(b)) << lane;
-                assert_eq!(number_mask(swar::load_word(&chunk)), want, "byte {b:#x}");
+                assert_eq!(numbers(&chunk), want, "byte {b:#x}");
                 // Against a background of number bytes and high bytes too.
                 let mut chunk = [b'7', 0xff, b'e', 0x80, b'-', b',', b'.', b'E'];
                 chunk[lane] = b;
@@ -432,28 +371,7 @@ mod tests {
                     .enumerate()
                     .map(|(j, &x)| u8::from(is_number_byte(x)) << j)
                     .sum::<u8>();
-                assert_eq!(number_mask(swar::load_word(&chunk)), want, "byte {b:#x}");
-            }
-        }
-    }
-
-    #[test]
-    fn digit_mask_matches_the_byte_predicate() {
-        for b in 0u16..=255 {
-            let b = b as u8;
-            for lane in 0..8 {
-                let mut chunk = [b'x'; 8];
-                chunk[lane] = b;
-                let want = u8::from(b.is_ascii_digit()) << lane;
-                assert_eq!(digit_mask(swar::load_word(&chunk)), want, "byte {b:#x}");
-                let mut chunk = [b'7', 0xb9, b'e', 0x80, b'0', b'/', b':', b'9'];
-                chunk[lane] = b;
-                let want = chunk
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &x)| u8::from(x.is_ascii_digit()) << j)
-                    .sum::<u8>();
-                assert_eq!(digit_mask(swar::load_word(&chunk)), want, "byte {b:#x}");
+                assert_eq!(numbers(&chunk), want, "byte {b:#x}");
             }
         }
     }

@@ -29,9 +29,8 @@
 //! * [`numpool`] — the pooled number automaton of the number-range units
 //!   (codes `N02x`): the table is the product of its units' freshly
 //!   derived automata, transition by transition; a token end rearms; a
-//!   row fires exactly its accepting units' leaves; the lone-sign flag
-//!   holds exactly when no one-byte token of `+ - . e E` fires; the
-//!   units are the distinct bounds of the source expressions.
+//!   row fires exactly its accepting units' leaves; the units are the
+//!   distinct bounds of the source expressions.
 //! * [`netlist`] — circuit-level checks (codes `N00x`): combinational
 //!   cycles via topological sort, multi-driven output nets, unconnected
 //!   flip-flops, dangling inputs, dead gates, plus fanout and gate-count

@@ -13,12 +13,9 @@
 //! transition that the target row's tuple is each fresh automaton stepped
 //! once, of the token-end column that it returns to row 0, and of every
 //! fire mask that it is the OR of exactly the accepting units' latch bits.
-//! The word walk skips a lone token of `+ - . e E` only where the view's
-//! `quiet_lone_signs` flag says none of the five fires; the pass
-//! re-derives that flag from `next` and `fires` alone. The engine-level
-//! entry points add the census: the pooled units are the distinct bounds
-//! of the source expressions in first-demand order, each firing exactly
-//! the leaves that carry them.
+//! The engine-level entry points add the census: the pooled units are the
+//! distinct bounds of the source expressions in first-demand order, each
+//! firing exactly the leaves that carry them.
 //!
 //! ## Diagnostic catalogue
 //!
@@ -32,7 +29,6 @@
 //! | N025 | error    | a row's fire mask is not the OR of its accepting units' bits |
 //! | N026 | warning  | row unreachable from the token start |
 //! | N027 | error    | pooled units disagree with the source expressions |
-//! | N028 | error    | `quiet_lone_signs` is not "no one-byte token of `+ - . e E` fires" |
 
 use crate::{Diagnostic, Layer};
 use rfjson_core::expr::Expr;
@@ -47,8 +43,7 @@ fn error(code: &'static str, location: &str, message: String) -> Diagnostic {
 
 /// Verifies the tables of one number automaton against its own unit
 /// list: shapes (N021), `next` range (N022), token-end column (N023),
-/// product transitions (N024), fire masks (N025), reachability (N026),
-/// the lone-sign flag (N028).
+/// product transitions (N024), fire masks (N025), reachability (N026).
 pub fn verify_number_automaton(view: &NumberAutomatonView) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let words = view.words;
@@ -94,29 +89,6 @@ pub fn verify_number_automaton(view: &NumberAutomatonView) -> Vec<Diagnostic> {
             view.table_bytes()
         ),
     ));
-
-    let loud: Vec<char> = NUMBER_BYTES
-        .iter()
-        .enumerate()
-        .filter(|(_, b)| !b.is_ascii_digit())
-        .filter(|&(column, _)| {
-            let row = view.next[column] as usize / COLUMNS;
-            view.fires[row * words..(row + 1) * words]
-                .iter()
-                .any(|&f| f != 0)
-        })
-        .map(|(_, &b)| b as char)
-        .collect();
-    if view.quiet_lone_signs != loud.is_empty() {
-        out.push(error(
-            "N028",
-            "tables",
-            format!(
-                "quiet_lone_signs is {}, one-byte tokens that fire: {loud:?}",
-                view.quiet_lone_signs
-            ),
-        ));
-    }
 
     for row in 0..rows {
         let target = view.next[row * COLUMNS + END_COLUMN];
@@ -373,22 +345,6 @@ mod tests {
         let mut v = view(&sample());
         v.next[2 * COLUMNS + END_COLUMN] = COLUMNS as u16;
         assert_eq!(codes(&v), vec!["N023"]);
-    }
-
-    #[test]
-    fn lone_sign_flag_is_rederived() {
-        // A table where a lone `-` fires, with the flag still set: the
-        // word walk would drop that fire.
-        let mut v = view(&sample());
-        assert!(v.quiet_lone_signs);
-        let minus = NUMBER_BYTES.iter().position(|&b| b == b'-').unwrap();
-        let row = v.next[minus] as usize / COLUMNS;
-        v.fires[row] |= 0b10;
-        assert_eq!(codes(&v), vec!["N025", "N028"]);
-        // The flag cleared where nothing fires: a skip lost, not a fire.
-        let mut v = view(&sample());
-        v.quiet_lone_signs = false;
-        assert_eq!(codes(&v), vec!["N028"]);
     }
 
     #[test]

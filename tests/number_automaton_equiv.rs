@@ -5,8 +5,7 @@
 //! word kernel's walk ([`NumberAutomaton::walk_word`]), across the seams
 //! between the two, and whether the units share one automaton or the row
 //! cap split them over several. The word walk reports only the token
-//! ends that fire something, since it skips lone tokens that fire
-//! nothing.
+//! ends that fire something: a fire mask of zero leaves no trace.
 
 use proptest::prelude::*;
 use rfjson_core::numpool::{NumberAutomaton, WordTokens, COLUMNS, MAX_ROWS};
@@ -49,7 +48,7 @@ fn reference_ends(bounds: &[NumberBounds], stream: &[u8]) -> TokenEnds {
 }
 
 /// The token ends of `stream` that fire something: what the word walk
-/// reports, since it skips lone tokens that provably fire nothing.
+/// reports.
 fn firing_ends(bounds: &[NumberBounds], stream: &[u8]) -> TokenEnds {
     let mut ends = reference_ends(bounds, stream);
     ends.retain(|&(_, fired)| fired != 0);
@@ -166,40 +165,6 @@ fn token_ends_are_found_at_every_word_offset() {
             firing,
             "offset {offset}"
         );
-    }
-}
-
-/// One byte of `+ - . e E` — and digit-free pairs such as `e-`, which are
-/// no lone tokens and are walked — at every word offset, between other
-/// bytes, after a digit (at offset 0 a token carried in from the word
-/// before) and before one. Next to a digit the byte belongs to a token
-/// that fires, so a skip in the wrong place changes what fires.
-#[test]
-fn lone_signs_are_skipped_and_nothing_else() {
-    let bounds = [NumberBounds::int_range(1, 9), float_bounds(-550, 1100)];
-    let pool = pool(&bounds, MAX_ROWS);
-    assert!(pool[0].view().quiet_lone_signs);
-    let middles: [&[u8]; 9] = [b"+", b"-", b".", b"e", b"E", b"e-", b"-e", b"+.", b".E"];
-    for middle in middles {
-        for (left, right) in [(b'x', b'x'), (b'7', b'x'), (b'x', b'5'), (b'"', b'3')] {
-            for offset in 0..8 {
-                // `middle` starts at byte `offset` of the second word.
-                let mut stream = vec![b'x'; 8 + offset - 1];
-                stream.push(left);
-                stream.extend_from_slice(middle);
-                stream.push(right);
-                stream.extend_from_slice(b",xxxxxxxxxxxxxxx");
-                let want = firing_ends(&bounds, &stream);
-                for cuts in [&[0][..], &[8 + offset], &[8 + offset + 1]] {
-                    assert_eq!(
-                        pooled_ends(&pool, &stream, cuts),
-                        want,
-                        "{:?}, cut at {cuts:?}",
-                        String::from_utf8_lossy(&stream)
-                    );
-                }
-            }
-        }
     }
 }
 
