@@ -11,11 +11,11 @@
 //! across threads. They are interchangeable because they all speak this
 //! one interface: compile from an [`Expr`], one latched accept signal
 //! per byte, a record-boundary reset, and batch stream filtering whose
-//! NDJSON framing rules come from **one** place
-//! ([`rfjson_jsonstream::frame`], re-exported here). Every backend is
-//! also a [`Lane`] of one column, the view it shares with a batch of
-//! queries: the record driver and its byte-serial oracle below are
-//! written once over that trait.
+//! NDJSON framing rules come from **one** state machine
+//! ([`Framer`], whose limit and verdict types are re-exported here).
+//! Every backend is also a [`Lane`] of one column, the view it shares
+//! with a batch of queries: the record driver below and its byte-serial
+//! oracle are one body written over that trait.
 //!
 //! # Choosing a backend
 //!
@@ -44,12 +44,8 @@ use crate::expr::{Expr, ExprError};
 use std::error::Error;
 use std::fmt;
 
-use rfjson_jsonstream::frame::{is_blank_line, trim_cr, RecordEnd};
-pub use rfjson_jsonstream::frame::{
-    IngestLimits, LimitedAction, LimitedFramer, SkipReason, Verdict,
-};
-use rfjson_jsonstream::swar;
-use rfjson_jsonstream::telemetry::FramingTally;
+use rfjson_jsonstream::frame::Framer;
+pub use rfjson_jsonstream::frame::{IngestLimits, SkipReason, Verdict};
 
 /// Why a backend could not be compiled from an expression — the fallible
 /// half of the construction API ([`FilterBackend::try_compile`]).
@@ -466,166 +462,30 @@ impl<B: FilterBackend + ?Sized> Lane for B {
     }
 }
 
-/// The byte-serial reference form of the quarantine-aware stream driver —
-/// every byte goes through [`LimitedFramer`] and [`Lane::feed_byte`]
-/// individually. The provided batch methods default to the
-/// decision-equivalent [`run_verdict_driver_blocks`]; this form remains
-/// public as the framing oracle and for wrappers that need per-byte
-/// interception (e.g. fault-injection harnesses).
-///
-/// Every content byte of a non-quarantined record reaches the lane in
-/// stream order, followed by the `\n` separator the hardware would see;
-/// bytes of records already destined for quarantine are skipped (their
-/// verdict no longer depends on the filter, and the record-boundary
-/// reset restores the lane either way).
+/// The byte-serial oracle of the record driver: every content byte of a
+/// scored record reaches the lane through its own [`Lane::feed_byte`].
+/// The provided batch methods default to [`run_verdict_driver_blocks`],
+/// which differs only in handing the line over in one
+/// [`Lane::feed_block`]; this form remains public as the reference the
+/// differential suites hold the block paths to, and for wrappers that
+/// need per-byte interception (e.g. fault-injection harnesses).
 pub fn run_verdict_driver<L: Lane + ?Sized>(
     lane: &mut L,
     stream: &[u8],
     limits: IngestLimits,
     out: &mut L::Verdicts,
 ) {
-    lane.start_record();
-    let mut framer = LimitedFramer::new(limits);
-    let mut tally = FramingTally::new();
-    let (mut last, mut scored) = (false, 0);
-    // Whether the last content byte (fed or quarantined) was a CR the
-    // framer will trim — tracked for the `framing.cr_records` tally.
-    let mut prev_cr = false;
-    for &b in stream {
-        match framer.on_byte(b) {
-            LimitedAction::Feed { quarantined } => {
-                prev_cr = b == b'\r';
-                if !quarantined {
-                    last = lane.feed_byte(b);
-                }
-            }
-            LimitedAction::EndRecord(end) => {
-                tally.records += 1;
-                tally.cr_records += u64::from(prev_cr);
-                prev_cr = false;
-                match end.skip {
-                    Some(reason) => {
-                        tally.quarantine(&reason);
-                        out.push_skipped(reason);
-                    }
-                    None => {
-                        // Feed the separator the hardware would see.
-                        lane.end_record(true, last, out);
-                        scored += 1;
-                    }
-                }
-                lane.start_record();
-            }
-            LimitedAction::EndBlank => {
-                tally.blank_lines += 1;
-                prev_cr = false;
-                lane.start_record();
-            }
+    drive(lane, stream, limits, out, |lane, line| {
+        let mut last = false;
+        for &b in line {
+            last = lane.feed_byte(b);
         }
-    }
-    if let Some(end) = framer.finish() {
-        tally.records += 1;
-        tally.cr_records += u64::from(prev_cr);
-        match end.skip {
-            Some(reason) => {
-                tally.quarantine(&reason);
-                out.push_skipped(reason);
-            }
-            None => {
-                // Close the trailing record with the `\n` the hardware
-                // would see.
-                lane.end_record(false, last, out);
-                scored += 1;
-            }
-        }
-        lane.start_record();
-    }
-    tally.flush();
-    lane.end_stream(scored);
+        last
+    });
 }
 
-/// The framing rules of [`LimitedFramer`] at slice level — one call per
-/// `\n`-delimited line instead of one per byte — with the stream's
-/// framing tally. Shared by the record drivers and the engine's stream
-/// path, so blank lines, CR trimming, the trailing record and the
-/// quarantine precedence are decided in one place.
-pub(crate) struct LineFramer {
-    limits: IngestLimits,
-    records: usize,
-    tally: FramingTally,
-}
-
-impl LineFramer {
-    pub(crate) fn new(limits: IngestLimits) -> LineFramer {
-        LineFramer {
-            limits,
-            records: 0,
-            tally: FramingTally::new(),
-        }
-    }
-
-    /// Frames one line, its `\n` excluded; `terminated` is `false` for
-    /// the text after the stream's last separator. `None` for a blank
-    /// line — no record, no verdict — and otherwise the record's end,
-    /// with the reason it is quarantined if it is.
-    #[inline]
-    pub(crate) fn frame(&mut self, line: &[u8], terminated: bool) -> Option<RecordEnd> {
-        if is_blank_line(line) {
-            // Only separator-terminated blanks count: the empty tail a
-            // `\n`-terminated stream leaves behind is not a line the
-            // byte-serial framer ever sees.
-            self.tally.blank_lines += u64::from(terminated);
-            return None;
-        }
-        let content = trim_cr(line).len();
-        self.tally.records += 1;
-        self.tally.cr_records += u64::from(content < line.len());
-        let skip = self.limits.skip_reason(self.records, content);
-        self.records += 1;
-        if let Some(reason) = &skip {
-            self.tally.quarantine(reason);
-        }
-        Some(RecordEnd { skip })
-    }
-
-    /// Frames every line of `stream`, hopping from separator to
-    /// separator with the SWAR newline search, and calls
-    /// `record(line, terminated, end)` for each non-blank one in order.
-    /// Blank lines feed nothing: the lane is already at its reset state.
-    pub(crate) fn records(
-        &mut self,
-        stream: &[u8],
-        mut record: impl FnMut(&[u8], bool, RecordEnd),
-    ) {
-        let mut rest = stream;
-        loop {
-            let (line, terminated) = match swar::find_byte(rest, b'\n') {
-                Some(nl) => {
-                    let line = &rest[..nl];
-                    rest = &rest[nl + 1..];
-                    (line, true)
-                }
-                None => (rest, false),
-            };
-            if let Some(end) = self.frame(line, terminated) {
-                record(line, terminated, end);
-            }
-            if !terminated {
-                return;
-            }
-        }
-    }
-
-    /// Adds the tally to the global `framing.*` counters.
-    pub(crate) fn flush(&mut self) {
-        self.tally.flush();
-    }
-}
-
-/// Record-at-a-time driver behind the provided batch methods: hops from
-/// separator to separator with the SWAR newline search and hands each
-/// record's content to [`Lane::feed_block`] in one call, instead of
-/// framing byte-by-byte.
+/// Record-at-a-time driver behind the provided batch methods: hands each
+/// record's content to [`Lane::feed_block`] in one call.
 ///
 /// Every single-query backend but [`Engine`](crate::engine::Engine), and
 /// every batch, runs it for every stream; the engine runs it only where
@@ -634,44 +494,52 @@ impl LineFramer {
 /// byte-serial [`ScanPath`](crate::ScanPath), and when some unit can see
 /// the separator.
 ///
-/// Decision-equivalent to [`run_verdict_driver`] for every lane:
+/// It shares its body, and so its framing, with the byte-serial
+/// [`run_verdict_driver`]; the two agree on every verdict because
+/// [`FilterBackend::on_block`] equals the byte loop over the same line:
 ///
-/// * the bytes reaching the filter for a scored record are identical —
-///   the whole line (framing CR included, exactly what the byte-serial
-///   driver feeds) followed by the `\n` separator;
 /// * a **non-trailing** record's decision is the separator's latched
-///   accepts alone (the byte-serial driver too reads them after the
-///   `\n`), so skipping the per-content-byte returns changes nothing;
+///   accepts alone, read after the `\n`, so skipping the per-content-byte
+///   returns changes nothing;
 /// * the **trailing** record ORs the last content byte's latched accepts
 ///   (which [`Lane::feed_block`] returns, or a batch reads back) with the
-///   synthetic separator's, exactly like the byte-serial EOF close;
-/// * blank lines feed nothing and reset nothing — the lane is already at
-///   its reset state, which is where the byte-serial driver's explicit
-///   reset would put it;
-/// * quarantined records feed nothing; the byte-serial driver feeds some
-///   prefix of them, but its per-record reset erases that state before
-///   the next decision, so verdicts cannot differ.
+///   synthetic separator's.
 pub fn run_verdict_driver_blocks<L: Lane + ?Sized>(
     lane: &mut L,
     stream: &[u8],
     limits: IngestLimits,
     out: &mut L::Verdicts,
 ) {
+    drive(lane, stream, limits, out, L::feed_block);
+}
+
+/// The one record driver body: frames `stream` with [`Framer`] and, for
+/// each scored record, feeds the whole line — framing CR included — with
+/// `feed`, then the `\n` separator the hardware would see (for the
+/// trailing record, the synthetic one that closes it). Blank lines feed
+/// nothing and reset nothing: the lane is already at its reset state.
+/// Quarantined records feed nothing either; their verdict does not
+/// depend on the filter.
+fn drive<L: Lane + ?Sized>(
+    lane: &mut L,
+    stream: &[u8],
+    limits: IngestLimits,
+    out: &mut L::Verdicts,
+    mut feed: impl FnMut(&mut L, &[u8]) -> bool,
+) {
     lane.start_record();
     let mut scored = 0;
-    let mut lines = LineFramer::new(limits);
-    lines.records(stream, |line, terminated, end| {
-        match end.skip {
-            Some(reason) => out.push_skipped(reason),
-            None => {
-                let last = lane.feed_block(line);
-                lane.end_record(terminated, last, out);
-                scored += 1;
-            }
+    let mut framer = Framer::new(limits);
+    framer.records(stream, |line, terminated, end| match end.skip {
+        Some(reason) => out.push_skipped(reason),
+        None => {
+            let last = feed(lane, line);
+            lane.end_record(terminated, last, out);
+            lane.start_record();
+            scored += 1;
         }
-        lane.start_record();
     });
-    lines.flush();
+    framer.flush();
     lane.end_stream(scored);
 }
 

@@ -86,21 +86,22 @@
 //! between records: every
 //! newline is an event, at which the kernel reads the verdict from the
 //! root bits after the separator's own fires, hands it to the framing
-//! rules (blank lines, CR, ingest limits), and clears the latches, the
-//! flag levels, the depth and — if the separator sat inside an
-//! unterminated string — the string state. The unit lanes need no reset:
-//! the compiler checks that `\n` returns every one of them to its reset
-//! state, and a stream whose records need their bounds first (a live
-//! prefilter) or a program off the block path takes the record driver,
-//! [`run_verdict_driver_blocks`].
+//! rules ([`Framer::frame`]: blank lines, CR, ingest limits), and clears
+//! the latches, the flag levels, the depth and — if the separator sat
+//! inside an unterminated string — the string state. The unit lanes
+//! need no reset: the compiler checks that `\n` returns every one of
+//! them to its reset state, and a stream whose records need their
+//! bounds first (a live prefilter) or a program off the block path takes
+//! the record driver, [`run_verdict_driver_blocks`].
 
-use crate::backend::{run_verdict_driver_blocks, IngestLimits, LineFramer, Verdict};
+use crate::backend::{run_verdict_driver_blocks, IngestLimits, Verdict};
 use crate::blockhit::{self, fired_lanes, BlockAutomatonView, BlockUnits, RunWord};
 use crate::evaluator::StreamTracker;
 use crate::expr::{Expr, StringTechnique, StructScope};
 use crate::numpool::{self, NumberAutomaton, NumberAutomatonView, WordTokens};
 use crate::prefilter::Prefilter;
 use crate::primitive::{DfaStringMatcher, SubstringMatcher, WindowMatcher};
+use rfjson_jsonstream::frame::Framer;
 use rfjson_jsonstream::swar;
 use rfjson_redfa::range::is_number_byte;
 use rfjson_redfa::{NumberBounds, DENSE_ACCEPT_BIT};
@@ -1847,7 +1848,7 @@ impl Engine {
     /// stream.
     fn filter_stream_words(&mut self, stream: &[u8], limits: IngestLimits, out: &mut Vec<Verdict>) {
         self.reset();
-        let mut lines = LineFramer::new(limits);
+        let mut framer = Framer::new(limits);
         let (mut line_start, mut scored) = (0, 0);
         let mut end_record = |nl: usize, accept: bool| {
             if nl > stream.len() {
@@ -1855,7 +1856,7 @@ impl Engine {
             }
             let line = &stream[line_start..nl];
             line_start = nl + 1;
-            if let Some(end) = lines.frame(line, nl < stream.len()) {
+            if let Some(end) = framer.frame(line, nl < stream.len()) {
                 out.push(match end.skip {
                     Some(reason) => Verdict::Skipped(reason),
                     None => {
@@ -1872,7 +1873,7 @@ impl Engine {
         self.scan_words::<true>(&last, whole, &mut end_record);
         self.stats.records += scored;
         self.stats.bytes_block += stream.len() as u64;
-        lines.flush();
+        framer.flush();
         crate::backend::FilterBackend::flush_telemetry(self);
     }
 

@@ -44,9 +44,10 @@
 //! [`MultiBackend`] is the batch counterpart of
 //! [`FilterBackend`](crate::backend::FilterBackend), and both are
 //! [`Lane`]s: a batch is a lane whose match word is one bit per query
-//! instead of one. There is one driver pair for both — the record driver
+//! instead of one. There is one record driver for both — one body behind
 //! [`run_verdict_driver_blocks`] and its byte-serial oracle
-//! [`run_verdict_driver`](crate::backend::run_verdict_driver) — so a
+//! [`run_verdict_driver`](crate::backend::run_verdict_driver), framing
+//! through the one [`Framer`](rfjson_jsonstream::frame::Framer) — so a
 //! batch has the single query's framing and quarantine rules by
 //! construction, and one sharded runner in `rfjson-runtime` serves both.
 //! The differential suite (`tests/multi_diff.rs`) holds every fused

@@ -17,18 +17,21 @@
 //!   ([`is_blank_line`]);
 //! * a trailing record without a final `\n` still counts.
 //!
-//! Three views of the same rules exist: slice-level
-//! ([`split_records`]), byte-serial ([`LimitedFramer`], which also
-//! meters [`IngestLimits`] — what the byte-serial oracle driver in
-//! `rfjson-core` consumes), and line-step (`rfjson-core`'s
-//! `backend::LineFramer`, one call per line, behind the record drivers
-//! and the engine's stream path). Both metering views quarantine through
-//! the one rule, [`IngestLimits::skip_reason`]. [`shard_ranges`]
-//! partitions a buffer at record boundaries for the parallel runtime.
-//! Their equivalence is held by the cross-impl tests in the root crate
-//! (`tests/framing_equiv.rs`).
+//! One state machine applies them: [`Framer`] steps a line at a time,
+//! meters [`IngestLimits`] through the one rule,
+//! [`IngestLimits::skip_reason`], and keeps the stream's
+//! [`FramingTally`]. Every stream driver frames through it — the record
+//! driver and its byte-serial oracle in `rfjson-core`, and the engine's
+//! stream path, whose word kernel finds the separators itself and hands
+//! each line to [`Framer::frame`]. [`split_records`] is the same newline
+//! hop with blank lines dropped and the framing CR trimmed, and
+//! [`shard_ranges`] partitions a buffer at record boundaries for the
+//! parallel runtime. Their equivalence is held by the cross-impl tests in
+//! the root crate (`tests/framing_equiv.rs`) against a reference model
+//! built on std `split`.
 
 use crate::swar;
+use crate::telemetry::FramingTally;
 use core::fmt;
 use core::ops::Range;
 
@@ -49,6 +52,34 @@ pub fn is_blank_line(line: &[u8]) -> bool {
     line.iter().all(|&b| b == b'\r')
 }
 
+/// The `\n`-delimited lines of a stream, each with whether a separator
+/// ended it — the one newline hop behind [`Framer::records`] and
+/// [`split_records`], eight bytes per step (SWAR newline search). The
+/// text after the last separator comes last, unterminated, and is empty
+/// when the stream ends with `\n`.
+struct Lines<'a> {
+    rest: Option<&'a [u8]>,
+}
+
+impl<'a> Iterator for Lines<'a> {
+    type Item = (&'a [u8], bool);
+
+    #[inline]
+    fn next(&mut self) -> Option<(&'a [u8], bool)> {
+        let rest = self.rest?;
+        Some(match swar::find_byte(rest, b'\n') {
+            Some(nl) => {
+                self.rest = Some(&rest[nl + 1..]);
+                (&rest[..nl], true)
+            }
+            None => {
+                self.rest = None;
+                (rest, false)
+            }
+        })
+    }
+}
+
 /// Iterator over the records of a newline-delimited JSON byte stream.
 /// Blank lines are skipped; the trailing record does not need a newline.
 ///
@@ -63,8 +94,8 @@ pub fn is_blank_line(line: &[u8]) -> bool {
 /// assert_eq!(recs[1], br#"{"a":2}"#);
 /// ```
 pub fn split_records(stream: &[u8]) -> impl Iterator<Item = &[u8]> {
-    stream
-        .split(|&b| b == b'\n')
+    Lines { rest: Some(stream) }
+        .map(|(line, _)| line)
         .filter(|line| !is_blank_line(line))
         .map(trim_cr)
 }
@@ -226,7 +257,7 @@ impl fmt::Display for Verdict {
     }
 }
 
-/// End-of-record report from [`LimitedFramer`]: `skip` is `Some` when
+/// End-of-record report from [`Framer::frame`]: `skip` is `Some` when
 /// the record violated an [`IngestLimits`] rule and must be quarantined.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecordEnd {
@@ -235,139 +266,95 @@ pub struct RecordEnd {
     pub skip: Option<SkipReason>,
 }
 
-/// What one byte means for limit-aware framing (returned by
-/// [`LimitedFramer::on_byte`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LimitedAction {
-    /// The byte belongs to the current line. `quarantined` is `true`
-    /// once the record can no longer escape quarantine — a driver may
-    /// stop feeding its filter (the verdict is already decided, and the
-    /// record-boundary reset restores the filter either way).
-    Feed {
-        /// The byte need not reach the filter.
-        quarantined: bool,
-    },
-    /// Separator ending a non-blank record.
-    EndRecord(RecordEnd),
-    /// Separator after a blank line: reset, emit nothing.
-    EndBlank,
-}
-
-/// The byte-serial framing state machine — the canonical encoding of the
-/// framing rules, driven one byte at a time alongside a filter — with
-/// [`IngestLimits`] metering: a per-record content gauge and a record
-/// counter, so oversized or limit-violating records are
-/// **skipped-and-reported** instead of silently poisoning a lane.
+/// The framing state machine: one step per `\n`-delimited line, with
+/// [`IngestLimits`] metering — a record counter and the record's content
+/// length — so oversized or limit-violating records are
+/// **skipped-and-reported** instead of silently poisoning a lane, and
+/// the stream's [`FramingTally`] for the `framing.*` counters.
 ///
-/// The gauge measures record **content** length — the line with the
-/// single framing CR excluded, exactly what [`trim_cr`] would return —
-/// so CRLF and LF streams quarantine identically. Because content is a
-/// per-record property, a record produces the same [`RecordEnd`] whether
-/// the stream is framed whole or shard-by-shard over [`shard_ranges`]
-/// cuts (the record counter is shard-local; the parallel runtime applies
-/// [`IngestLimits::max_records`] globally instead).
+/// Content is the line with the single framing CR excluded, exactly what
+/// [`trim_cr`] returns, so CRLF and LF streams quarantine identically.
+/// Because content is a per-record property, a record produces the same
+/// [`RecordEnd`] whether the stream is framed whole or shard-by-shard
+/// over [`shard_ranges`] cuts (the record counter is shard-local; the
+/// parallel runtime applies [`IngestLimits::max_records`] globally
+/// instead).
 ///
 /// # Example
 ///
 /// ```
-/// use rfjson_jsonstream::frame::{IngestLimits, LimitedAction, LimitedFramer, SkipReason};
+/// use rfjson_jsonstream::frame::{Framer, IngestLimits, SkipReason};
 ///
-/// let mut f = LimitedFramer::new(IngestLimits::max_record_bytes(3));
-/// for &b in b"abcd" {
-///     f.on_byte(b);
-/// }
-/// // Trailing record without a newline is still metered at EOF:
-/// let end = f.finish().expect("unclosed trailing record");
-/// assert_eq!(end.skip, Some(SkipReason::TooLong { limit: 3, actual: 4 }));
+/// let mut framer = Framer::new(IngestLimits::max_record_bytes(3));
+/// let mut ends = Vec::new();
+/// framer.records(b"abc\r\n\r\nabcd", |line, terminated, end| {
+///     ends.push((line, terminated, end.skip));
+/// });
+/// framer.flush();
+/// // The CR-only line is blank, the framing CR is not content, and the
+/// // trailing record without a newline is metered like any other.
+/// let too_long = SkipReason::TooLong { limit: 3, actual: 4 };
+/// assert_eq!(ends, [(&b"abc\r"[..], true, None), (b"abcd", false, Some(too_long))]);
 /// ```
-#[derive(Debug, Clone, Copy)]
-pub struct LimitedFramer {
-    /// A non-CR byte arrived since the last separator: the line is a
-    /// record, not a blank.
-    saw_content: bool,
+#[derive(Debug, Clone)]
+pub struct Framer {
     limits: IngestLimits,
-    /// Stop-feeding threshold: one byte of slack over `max_record_bytes`
-    /// because the byte that crosses the limit may yet turn out to be a
-    /// framing CR (which does not count as content).
-    feed_cutoff: usize,
-    record_len: usize,
-    last_was_cr: bool,
-    records_seen: usize,
+    records: usize,
+    tally: FramingTally,
 }
 
-impl LimitedFramer {
-    /// Fresh limit-aware framer at a record boundary.
-    pub fn new(limits: IngestLimits) -> Self {
-        LimitedFramer {
-            saw_content: false,
+impl Framer {
+    /// A framer at the start of a stream.
+    pub fn new(limits: IngestLimits) -> Framer {
+        Framer {
             limits,
-            feed_cutoff: limits
-                .max_record_bytes
-                .map_or(usize::MAX, |m| m.saturating_add(1)),
-            record_len: 0,
-            last_was_cr: false,
-            records_seen: 0,
+            records: 0,
+            tally: FramingTally::new(),
         }
     }
 
-    /// The configured limits.
-    pub fn limits(&self) -> IngestLimits {
-        self.limits
-    }
-
-    /// Records completed so far (quarantined ones included).
-    pub fn records_seen(&self) -> usize {
-        self.records_seen
-    }
-
-    fn record_end(&mut self) -> RecordEnd {
-        let content = self.record_len - usize::from(self.last_was_cr);
-        let index = self.records_seen;
-        self.records_seen += 1;
-        self.record_len = 0;
-        self.last_was_cr = false;
-        RecordEnd {
-            skip: self.limits.skip_reason(index, content),
-        }
-    }
-
-    /// Consumes one byte and classifies it.
+    /// Frames one line, its `\n` excluded; `terminated` is `false` for
+    /// the text after the stream's last separator. `None` for a blank
+    /// line — no record, no verdict — and otherwise the record's end,
+    /// with the reason it is quarantined if it is.
     #[inline]
-    pub fn on_byte(&mut self, byte: u8) -> LimitedAction {
-        if byte == b'\n' {
-            return match self.finish() {
-                Some(end) => LimitedAction::EndRecord(end),
-                None => LimitedAction::EndBlank,
-            };
+    pub fn frame(&mut self, line: &[u8], terminated: bool) -> Option<RecordEnd> {
+        if is_blank_line(line) {
+            // Only separator-terminated blanks count: the empty tail a
+            // `\n`-terminated stream leaves behind is not a line.
+            self.tally.blank_lines += u64::from(terminated);
+            return None;
         }
-        self.saw_content |= byte != b'\r';
-        self.record_len += 1;
-        self.last_was_cr = byte == b'\r';
-        LimitedAction::Feed {
-            quarantined: self.record_len > self.feed_cutoff
-                || self
-                    .limits
-                    .max_records
-                    .is_some_and(|m| self.records_seen >= m),
+        let content = trim_cr(line).len();
+        self.tally.records += 1;
+        self.tally.cr_records += u64::from(content < line.len());
+        let skip = self.limits.skip_reason(self.records, content);
+        self.records += 1;
+        if let Some(reason) = &skip {
+            self.tally.quarantine(reason);
+        }
+        Some(RecordEnd { skip })
+    }
+
+    /// Frames every line of `stream` and calls `record(line, terminated,
+    /// end)` for each non-blank one in stream order; `line` still holds
+    /// its framing CR.
+    pub fn records<'s>(
+        &mut self,
+        stream: &'s [u8],
+        mut record: impl FnMut(&'s [u8], bool, RecordEnd),
+    ) {
+        let lines = Lines { rest: Some(stream) };
+        for (line, terminated) in lines {
+            if let Some(end) = self.frame(line, terminated) {
+                record(line, terminated, end);
+            }
         }
     }
 
-    /// End of stream: reports (and resets) the unclosed trailing record,
-    /// metered against the same limits as every other record.
-    pub fn finish(&mut self) -> Option<RecordEnd> {
-        if core::mem::take(&mut self.saw_content) {
-            Some(self.record_end())
-        } else {
-            self.reset();
-            None
-        }
-    }
-
-    /// Back to a record boundary (the record counter keeps counting).
-    pub fn reset(&mut self) {
-        self.saw_content = false;
-        self.record_len = 0;
-        self.last_was_cr = false;
+    /// Adds the tally to the global `framing.*` counters.
+    pub fn flush(&mut self) {
+        self.tally.flush();
     }
 }
 
@@ -380,7 +367,8 @@ impl LimitedFramer {
 /// Ranges are returned in stream order and are never empty; if the
 /// stream has fewer separators than `shards - 1`, fewer ranges come
 /// back (one, in the degenerate single-record case). An empty stream
-/// yields no ranges.
+/// yields no ranges. Any `shards` is accepted: more shards than bytes
+/// are as many as bytes.
 ///
 /// This is the seam the sharded parallel runtime
 /// (`rfjson-runtime`) splits work on: running any byte-serial filter
@@ -404,14 +392,16 @@ impl LimitedFramer {
 /// }
 /// ```
 pub fn shard_ranges(stream: &[u8], shards: usize) -> Vec<Range<usize>> {
-    let shards = shards.max(1);
-    if stream.is_empty() {
+    let len = stream.len();
+    if len == 0 {
         return Vec::new();
     }
-    let mut ranges = Vec::with_capacity(shards);
+    let shards = shards.clamp(1, len);
+    let mut ranges = Vec::new();
     let mut start = 0usize;
     for k in 1..shards {
-        let ideal = stream.len() * k / shards;
+        // `len * k / shards`, in a width where the product cannot wrap.
+        let ideal = (len as u128 * k as u128 / shards as u128) as usize;
         if ideal <= start {
             continue;
         }
@@ -421,7 +411,7 @@ pub fn shard_ranges(stream: &[u8], shards: usize) -> Vec<Range<usize>> {
         match swar::find_byte(&stream[ideal..], b'\n') {
             Some(p) => {
                 let cut = ideal + p + 1;
-                if cut > start && cut < stream.len() {
+                if cut < len {
                     ranges.push(start..cut);
                     start = cut;
                 }
@@ -429,7 +419,7 @@ pub fn shard_ranges(stream: &[u8], shards: usize) -> Vec<Range<usize>> {
             None => break, // no more separators: the rest is one shard
         }
     }
-    ranges.push(start..stream.len());
+    ranges.push(start..len);
     ranges
 }
 
@@ -469,25 +459,20 @@ mod tests {
 
     #[test]
     fn framer_actions_and_finish() {
-        let mut f = LimitedFramer::new(IngestLimits::UNLIMITED);
-        let feed = LimitedAction::Feed { quarantined: false };
-        let end = LimitedAction::EndRecord(RecordEnd { skip: None });
-        assert_eq!(f.on_byte(b'\r'), feed);
+        let mut f = Framer::new(IngestLimits::UNLIMITED);
+        let end = Some(RecordEnd { skip: None });
+        assert_eq!(f.frame(b"\r", true), None, "CR alone opens no record");
+        assert_eq!(f.frame(b"x", true), end);
         assert_eq!(
-            f.on_byte(b'\n'),
-            LimitedAction::EndBlank,
-            "CR alone opens no record"
+            f.frame(b"", false),
+            None,
+            "no trailing record after a separator"
         );
-        assert_eq!(f.on_byte(b'x'), feed);
-        assert_eq!(f.on_byte(b'\n'), end);
-        assert_eq!(f.finish(), None, "no trailing record after a separator");
-        f.on_byte(b'y');
-        assert_eq!(
-            f.finish(),
-            Some(RecordEnd { skip: None }),
-            "trailing record"
-        );
-        assert_eq!(f.finish(), None, "finish resets");
+        assert_eq!(f.frame(b"y", false), end, "trailing record");
+        assert_eq!(f.tally.records, 2);
+        assert_eq!(f.tally.blank_lines, 1, "the empty tail is not a line");
+        f.flush();
+        assert_eq!(f.tally.records, 0, "flush drains the tally");
     }
 
     /// Every split decomposition must cover the stream exactly, cut only
@@ -530,7 +515,9 @@ mod tests {
             b"one-very-long-record-with-no-separator-at-all-0123456789",
         ];
         for stream in &streams {
-            for shards in [1, 2, 3, 4, 8, 64] {
+            // Shard counts past the stream length, up to ones no
+            // allocation could hold, are as many shards as bytes.
+            for shards in [1, 2, 3, 4, 8, 64, 1 << 40, usize::MAX] {
                 assert_valid_sharding(stream, shards);
             }
         }
@@ -557,22 +544,16 @@ mod tests {
             .collect()
     }
 
-    /// Drives a `LimitedFramer` over the whole stream, collecting every
-    /// record end (including the unclosed trailing record).
+    /// Frames the whole stream, collecting every record end (including
+    /// the unterminated trailing record).
     fn run_limited(stream: &[u8], limits: IngestLimits) -> Vec<RecordEnd> {
-        let mut f = LimitedFramer::new(limits);
         let mut ends = Vec::new();
-        for &b in stream {
-            if let LimitedAction::EndRecord(end) = f.on_byte(b) {
-                ends.push(end);
-            }
-        }
-        ends.extend(f.finish());
+        Framer::new(limits).records(stream, |_, _, end| ends.push(end));
         ends
     }
 
     #[test]
-    fn limited_framer_matches_oracle_on_framing_zoo() {
+    fn framer_matches_oracle_on_framing_zoo() {
         let streams: Vec<&[u8]> = vec![
             b"",
             b"x",
@@ -664,17 +645,10 @@ mod tests {
 
     #[test]
     fn crlf_framing_cr_does_not_count_as_content() {
-        // "abcd\r\n": content is 4 bytes. With limit 4 the record passes,
-        // and every content byte (incl. the eventual framing CR) stays
-        // un-quarantined so a driver feeds its filter the same bytes the
-        // unlimited path would.
-        let mut f = LimitedFramer::new(IngestLimits::max_record_bytes(4));
-        for &b in b"abcd\r" {
-            assert_eq!(f.on_byte(b), LimitedAction::Feed { quarantined: false });
-        }
+        // "abcd\r\n": content is 4 bytes, so limit 4 keeps the record.
         assert_eq!(
-            f.on_byte(b'\n'),
-            LimitedAction::EndRecord(RecordEnd { skip: None })
+            run_limited(b"abcd\r\n", IngestLimits::max_record_bytes(4)),
+            [RecordEnd { skip: None }]
         );
         // Interior CRs *are* content: "ab\rcd" is 5 bytes.
         let ends = run_limited(b"ab\rcd\n", IngestLimits::max_record_bytes(4));
@@ -685,36 +659,6 @@ mod tests {
                 actual: 5
             })
         );
-    }
-
-    #[test]
-    fn quarantined_feed_flag_never_fires_on_kept_records() {
-        // If any byte of a record reported `quarantined: true`, the
-        // record's RecordEnd must carry a skip — the driver contract that
-        // makes skip-feeding safe.
-        let limits = IngestLimits {
-            max_record_bytes: Some(5),
-            max_records: Some(3),
-        };
-        let stream: &[u8] = b"aaaa\r\nbbbbbbbb\ncc\ndddddddddd\nee\nf";
-        let mut f = LimitedFramer::new(limits);
-        let mut saw_quarantined_byte = false;
-        let check = |skipped: Option<SkipReason>, saw: &mut bool| {
-            if skipped.is_none() {
-                assert!(!*saw, "kept record had a quarantined byte");
-            }
-            *saw = false;
-        };
-        for &b in stream {
-            match f.on_byte(b) {
-                LimitedAction::Feed { quarantined } => saw_quarantined_byte |= quarantined,
-                LimitedAction::EndRecord(end) => check(end.skip, &mut saw_quarantined_byte),
-                LimitedAction::EndBlank => saw_quarantined_byte = false,
-            }
-        }
-        if let Some(end) = f.finish() {
-            check(end.skip, &mut saw_quarantined_byte);
-        }
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod value;
 pub mod write;
 
 pub use classify::{classify, ByteClass, BYTE_CLASS};
-pub use frame::{shard_ranges, IngestLimits, LimitedFramer, SkipReason, Verdict};
+pub use frame::{shard_ranges, IngestLimits, SkipReason, Verdict};
 pub use mask::StringMask;
 pub use nesting::NestingTracker;
 pub use parser::{parse, ParseJsonError};

@@ -1,76 +1,172 @@
 //! Cross-impl framing equivalence: the NDJSON framing rules live once in
 //! `rfjson_jsonstream::frame`, and every consumer — the slice iterator,
-//! the byte-serial framer behind the oracle stream driver, the stream
-//! drivers behind [`FilterBackend`], and the shard splitter — must agree
-//! on **which** records a stream contains, for any input.
+//! both record drivers, the engine's stream path, the fused batch and the
+//! sharded runner at every shard count — must agree with one reference
+//! model, built here on std `split`, on **which** records a stream holds
+//! and which of them are quarantined, for any input and any limits.
 
 use proptest::prelude::*;
-use rfjson_core::{CompiledFilter, Engine, Expr, FilterBackend};
-use rfjson_jsonstream::frame::{
-    shard_ranges, split_records, trim_cr, IngestLimits, LimitedAction, LimitedFramer,
+use rfjson_core::backend::run_verdict_driver;
+use rfjson_core::multi::MultiBackend;
+use rfjson_core::{
+    CompiledFilter, Engine, Expr, FilterBackend, IngestLimits, MultiEngine, PrefilterStatus,
+    ScanPath, SkipReason, Verdict,
 };
+use rfjson_jsonstream::frame::split_records;
+use rfjson_runtime::ShardedRunner;
 
-/// Record contents via the byte-serial framer (what the oracle driver
-/// `run_verdict_driver` consumes), with no limits set.
-fn framer_records(stream: &[u8]) -> Vec<Vec<u8>> {
-    let mut framer = LimitedFramer::new(IngestLimits::UNLIMITED);
-    let (mut line, mut got) = (Vec::new(), Vec::new());
-    for &b in stream {
-        match framer.on_byte(b) {
-            LimitedAction::Feed { .. } => line.push(b),
-            LimitedAction::EndRecord(_) => got.push(trim_cr(&line).to_vec()),
-            LimitedAction::EndBlank => {}
-        }
-        if b == b'\n' {
-            line.clear();
-        }
-    }
-    if framer.finish().is_some() {
-        got.push(trim_cr(&line).to_vec());
-    }
-    got
+const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 8];
+
+/// The reference framing: `\n` separates lines; a line of nothing but
+/// CRs (an empty one too) is no record; one CR before the `\n` is not
+/// content; the text after the last `\n` is a record if it is not blank;
+/// record-count quarantine wins over length quarantine.
+fn model(stream: &[u8], limits: IngestLimits) -> Vec<(&[u8], Option<SkipReason>)> {
+    stream
+        .split(|&b| b == b'\n')
+        .filter(|line| line.iter().any(|&b| b != b'\r'))
+        .map(|line| line.strip_suffix(b"\r").unwrap_or(line))
+        .enumerate()
+        .map(|(index, content)| {
+            let skip = match (limits.max_records, limits.max_record_bytes) {
+                (Some(limit), _) if index >= limit => Some(SkipReason::RecordLimit { limit }),
+                (_, Some(limit)) if content.len() > limit => Some(SkipReason::TooLong {
+                    limit,
+                    actual: content.len(),
+                }),
+                _ => None,
+            };
+            (content, skip)
+        })
+        .collect()
 }
 
-/// Asserts that every framing view agrees on `stream`.
-fn assert_framing_agreement(stream: &[u8]) {
-    let split: Vec<Vec<u8>> = split_records(stream).map(<[u8]>::to_vec).collect();
+/// A query on the engine's stream path: no literal, so no prefilter.
+fn stream_query() -> Expr {
+    Expr::int_range(1, 5)
+}
 
-    // Byte-serial framer.
+/// A query whose literal prefilter is live on a fresh engine, so the
+/// engine frames through the record driver.
+fn prefilter_query() -> Expr {
+    Expr::and([
+        Expr::substring(b"a1", 1).expect("needle"),
+        Expr::int_range(1, 5),
+    ])
+}
+
+fn oracle(expr: &Expr, stream: &[u8], limits: IngestLimits) -> Vec<Verdict> {
+    let mut out = Vec::new();
+    run_verdict_driver(&mut CompiledFilter::compile(expr), stream, limits, &mut out);
+    out
+}
+
+fn runners() -> Vec<ShardedRunner<Engine>> {
+    SHARD_COUNTS
+        .iter()
+        .map(|&shards| ShardedRunner::with_shards(&stream_query(), shards))
+        .collect()
+}
+
+/// Asserts that every framing consumer agrees with the model on `stream`:
+/// the byte-serial oracle on the record count and the skip reason of each
+/// record, every other path on the oracle's verdicts.
+fn assert_framing_agreement(
+    stream: &[u8],
+    limits: IngestLimits,
+    runners: &mut [ShardedRunner<Engine>],
+) {
+    let shown = String::from_utf8_lossy(stream);
+    let want = model(stream, limits);
+    let unlimited: Vec<&[u8]> = model(stream, IngestLimits::UNLIMITED)
+        .into_iter()
+        .map(|(content, _)| content)
+        .collect();
     assert_eq!(
-        framer_records(stream),
-        split,
-        "LimitedFramer vs split_records on {:?}",
-        String::from_utf8_lossy(stream)
+        split_records(stream).collect::<Vec<_>>(),
+        unlimited,
+        "split_records on {shown:?}"
     );
 
-    // Backend stream drivers: one decision per record, both backends.
-    let expr = Expr::int_range(1, 5);
-    for decisions in [
-        CompiledFilter::compile(&expr).filter_stream(stream),
-        Engine::compile(&expr).filter_stream(stream),
-    ] {
+    let (stream_expr, prefilter_expr) = (stream_query(), prefilter_query());
+    let want_stream = oracle(&stream_expr, stream, limits);
+    let want_prefilter = oracle(&prefilter_expr, stream, limits);
+    for verdicts in [&want_stream, &want_prefilter] {
+        let skips: Vec<Option<SkipReason>> = verdicts
+            .iter()
+            .map(|v| match v {
+                Verdict::Skipped(reason) => Some(*reason),
+                _ => None,
+            })
+            .collect();
+        let model_skips: Vec<Option<SkipReason>> = want.iter().map(|(_, skip)| *skip).collect();
         assert_eq!(
-            decisions.len(),
-            split.len(),
-            "filter_stream decision count vs split_records on {:?}",
-            String::from_utf8_lossy(stream)
+            skips, model_skips,
+            "byte-serial oracle on {shown:?} under {limits:?}"
         );
     }
 
-    // Shard splitter: concatenated shard records == serial records.
-    for shards in [1, 2, 3, 8] {
-        let sharded: Vec<Vec<u8>> = shard_ranges(stream, shards)
-            .into_iter()
-            .flat_map(|r| split_records(&stream[r]).map(<[u8]>::to_vec))
-            .collect();
+    let mut engine = Engine::compile(&stream_expr);
+    assert_eq!(engine.prefilter_status(), PrefilterStatus::Absent);
+    assert_eq!(engine.scan_path(), ScanPath::Block);
+    assert_eq!(
+        engine.filter_stream_verdicts(stream, limits),
+        want_stream,
+        "engine stream path on {shown:?} under {limits:?}"
+    );
+
+    let mut engine = Engine::compile(&prefilter_expr);
+    assert_eq!(engine.prefilter_status(), PrefilterStatus::Probation);
+    assert_eq!(
+        engine.filter_stream_verdicts(stream, limits),
+        want_prefilter,
+        "engine record driver on {shown:?} under {limits:?}"
+    );
+
+    let fused = MultiEngine::compile_batch(&[stream_expr, prefilter_expr])
+        .filter_stream_verdicts(stream, limits);
+    for (query, want) in [&want_stream, &want_prefilter].into_iter().enumerate() {
         assert_eq!(
-            sharded,
-            split,
-            "shard_ranges({shards}) vs split_records on {:?}",
-            String::from_utf8_lossy(stream)
+            &fused.query_verdicts(query),
+            want,
+            "MultiEngine query {query} on {shown:?} under {limits:?}"
+        );
+    }
+
+    for (runner, shards) in runners.iter_mut().zip(SHARD_COUNTS) {
+        assert_eq!(
+            &runner
+                .filter_stream_verdicts(stream, limits)
+                .expect("no faults injected"),
+            &want_stream,
+            "ShardedRunner({shards}) on {shown:?} under {limits:?}"
         );
     }
 }
+
+const EDGE_LIMITS: [IngestLimits; 6] = [
+    IngestLimits::UNLIMITED,
+    IngestLimits {
+        max_record_bytes: Some(0),
+        max_records: None,
+    },
+    IngestLimits {
+        max_record_bytes: None,
+        max_records: Some(0),
+    },
+    IngestLimits {
+        max_record_bytes: Some(3),
+        max_records: None,
+    },
+    IngestLimits {
+        max_record_bytes: None,
+        max_records: Some(2),
+    },
+    IngestLimits {
+        max_record_bytes: Some(3),
+        max_records: Some(2),
+    },
+];
 
 #[test]
 fn framing_views_agree_on_edge_streams() {
@@ -88,28 +184,46 @@ fn framing_views_agree_on_edge_streams() {
         b"\n\na\n\n\nb\n\n",
         b"{\"a\":3}\r\n\r\n{\"a\":9}\n\n{\"a\":2}",
         b"{\"a\":1}\n{\"b\":2}\n{\"c\":3}",
+        b"{\"a1\":3}\r\n{\"a1\":9,\"pad\":\"xxxxxxxx\"}\r\n\r\r\n{\"a1\":4}\r",
         b"trailing-no-newline",
     ];
+    let mut runners = runners();
     for stream in &streams {
-        assert_framing_agreement(stream);
+        for limits in EDGE_LIMITS {
+            assert_framing_agreement(stream, limits, &mut runners);
+        }
     }
+}
+
+/// Random limits, zero included, each sometimes unset.
+fn limits() -> impl Strategy<Value = IngestLimits> {
+    (0usize..14, 0usize..10).prop_map(|(bytes, records)| IngestLimits {
+        max_record_bytes: (bytes < 12).then_some(bytes),
+        max_records: (records < 8).then_some(records),
+    })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Random mixtures of content bytes, CR, LF — the full framing
-    /// state space.
+    /// state space — shifted by 0–7 bytes so every separator lands at
+    /// every word offset, under random limits.
     #[test]
     fn framing_views_agree_on_random_streams(
         soup in proptest::collection::vec(
             prop_oneof![
-                Just(b'\n'), Just(b'\r'), Just(b'a'), Just(b'{'),
-                Just(b'}'), Just(b'"'), Just(b'1'), Just(b','),
+                Just(b'\n'), Just(b'\r'), Just(b'a'), Just(b'{'), Just(b'}'),
+                Just(b'"'), Just(b'1'), Just(b'3'), Just(b':'), Just(b','),
             ],
             0..200,
         ),
+        limits in limits(),
     ) {
-        assert_framing_agreement(&soup);
+        let mut runners = runners();
+        for shift in 0..8 {
+            let stream = [&b"{\"a1\":3,"[..shift], &soup].concat();
+            assert_framing_agreement(&stream, limits, &mut runners);
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Differential suite of the engine's **stream path**: the word kernel
 //! run over a whole buffer, `\n` an event that ends a record, against the
-//! byte-serial oracle — every byte through `LimitedFramer` and
-//! `CompiledFilter::on_byte` ([`run_verdict_driver`]).
+//! byte-serial oracle — every line framed by `Framer`, every byte of it
+//! through `CompiledFilter::on_byte` ([`run_verdict_driver`]).
 //!
 //! The inputs aim at the record boundary: the zoo's records shifted by
 //! 0–7 pad bytes so every separator lands at every word offset, records

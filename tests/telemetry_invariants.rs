@@ -11,10 +11,12 @@
 //! Telemetry counters are process-global, so every test serialises on
 //! one lock and measures deltas between registry snapshots.
 
+use rfjson_core::backend::{run_verdict_driver, run_verdict_driver_blocks};
 use rfjson_core::prefilter::Prefilter;
 use rfjson_core::query::query_to_exprs;
 use rfjson_core::{
-    Engine, Expr, FilterBackend, IngestLimits, MultiEngine, PrefilterStatus, ScanPath, StructScope,
+    CompiledFilter, Engine, Expr, FilterBackend, IngestLimits, MultiEngine, PrefilterStatus,
+    ScanPath, StructScope, Verdict,
 };
 use rfjson_riotbench::{smartcity_corpus, taxi, taxi_corpus, twitter, twitter_corpus, Query};
 use rfjson_runtime::fault::{
@@ -141,6 +143,109 @@ fn multi_records_are_conserved_across_shard_counts() {
         assert_eq!(d.counter("runtime.skipped.record_limit"), records - 70);
         // The fused engines scored every record on some lane.
         assert_eq!(d.counter("multi.records"), records);
+    }
+}
+
+/// The five `framing.*` counters of one call, in table order.
+fn framing(d: &Snapshot) -> [u64; 5] {
+    [
+        "framing.records",
+        "framing.blank_lines",
+        "framing.cr_records",
+        "framing.quarantined.too_long",
+        "framing.quarantined.record_limit",
+    ]
+    .map(|name| d.counter(name))
+}
+
+#[test]
+fn framing_counters_are_conserved_across_drivers() {
+    let _guard = serialize();
+    // CRLF and LF records, empty and CR-only blank lines, records over
+    // the length cap, more records than the budget, and a trailing CR
+    // record without a separator.
+    let debris: &[u8] = b"{\"a\":3}\r\n\r\n\n{\"a\":9,\"pad\":\"xxxxxxxxxxxxxxxx\"}\r\n\r\r\n\
+        {\"a\":4}\n{\"a\":2}\r\n{\"a\":1,\"pad\":\"yyyyyyyyyyyyyyyyy\"}\n\r\n";
+    let mut stream = debris.repeat(5);
+    stream.extend_from_slice(b"{\"a\":5}\r");
+    let limits = IngestLimits {
+        max_record_bytes: Some(24),
+        max_records: Some(20),
+    };
+    let stream_expr = Expr::int_range(1, 5);
+    let prefilter_expr = Expr::and([Expr::substring(b"\"a\"", 1).unwrap(), Expr::int_range(1, 5)]);
+    let skipped = |v: &[Verdict]| v.iter().filter(|v| v.decision().is_none()).count() as u64;
+
+    // Every serial driver: (name, skipped verdicts, framing deltas).
+    let mut serial = Vec::new();
+    let mut run = |name: &'static str, f: &mut dyn FnMut() -> u64| {
+        let (skips, d) = window(f);
+        serial.push((name, skips, framing(&d)));
+    };
+    run("byte-serial oracle", &mut || {
+        let mut out = Vec::new();
+        let mut lane = CompiledFilter::compile(&stream_expr);
+        run_verdict_driver(&mut lane, &stream, limits, &mut out);
+        skipped(&out)
+    });
+    run("record driver", &mut || {
+        let mut out = Vec::new();
+        let mut lane = CompiledFilter::compile(&stream_expr);
+        run_verdict_driver_blocks(&mut lane, &stream, limits, &mut out);
+        skipped(&out)
+    });
+    run("engine stream path", &mut || {
+        let mut engine = Engine::compile(&stream_expr);
+        assert_eq!(engine.prefilter_status(), PrefilterStatus::Absent);
+        skipped(&engine.filter_stream_verdicts(&stream, limits))
+    });
+    run("engine record driver", &mut || {
+        let mut engine = Engine::compile(&prefilter_expr);
+        assert_eq!(engine.prefilter_status(), PrefilterStatus::Probation);
+        skipped(&engine.filter_stream_verdicts(&stream, limits))
+    });
+    run("fused batch", &mut || {
+        let batch = [stream_expr.clone(), prefilter_expr.clone()];
+        let v = rfjson_core::MultiBackend::filter_stream_verdicts(
+            &mut MultiEngine::compile_batch(&batch),
+            &stream,
+            limits,
+        );
+        (0..v.num_records())
+            .filter(|&r| v.skip(r).is_some())
+            .count() as u64
+    });
+
+    let (_, skips, want) = serial[0];
+    let [records, blank_lines, cr_records, too_long, record_limit] = want;
+    if rfjson_telemetry::ENABLED {
+        // The debris exercises every counter.
+        assert!(want.iter().all(|&n| n > 0), "{want:?}");
+        assert_eq!(records, 26);
+    }
+    for &(name, driver_skips, got) in &serial {
+        assert_eq!(got, want, "{name}: framing.* deltas");
+        assert_eq!(driver_skips, skips, "{name}: skipped verdicts");
+    }
+    // The quarantine counters account for every skipped verdict.
+    let counted = if rfjson_telemetry::ENABLED { skips } else { 0 };
+    assert_eq!(too_long + record_limit, counted);
+
+    // The runner frames shard by shard and applies the record budget
+    // after reassembly, so only the per-line counters must agree.
+    for shards in SHARD_COUNTS {
+        let mut runner: ShardedRunner<Engine> = ShardedRunner::with_shards(&stream_expr, shards);
+        let (verdicts, d) = window(|| {
+            runner
+                .filter_stream_verdicts(&stream, limits)
+                .expect("no faults injected")
+        });
+        assert_eq!(skipped(&verdicts), skips, "skipped at {shards} shards");
+        assert_eq!(
+            framing(&d)[..3],
+            [records, blank_lines, cr_records],
+            "framing.{{records,blank_lines,cr_records}} at {shards} shards"
+        );
     }
 }
 
