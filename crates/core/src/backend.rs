@@ -15,7 +15,10 @@
 //! ([`Framer`], whose limit and verdict types are re-exported here).
 //! Every backend is also a [`Lane`] of one column, the view it shares
 //! with a batch of queries: the record driver below and its byte-serial
-//! oracle are one body written over that trait.
+//! oracle are one body written over that trait. The table-driven
+//! [`Engine`](crate::engine::Engine) and
+//! [`MultiEngine`](crate::multi::MultiEngine) run their own stream path
+//! on the block path instead.
 //!
 //! # Choosing a backend
 //!
@@ -261,8 +264,9 @@ pub trait FilterBackend {
     ///
     /// The default is the record driver, [`run_verdict_driver_blocks`].
     /// [`Engine`](crate::engine::Engine) overrides it with its stream
-    /// path — one kernel over the whole buffer, the separator as a kernel
-    /// event — wherever no record needs its bounds before it is scanned.
+    /// path — the word kernel over the buffer, the separator as a kernel
+    /// event, a live literal prefilter gating records in front of it —
+    /// on the block path.
     fn filter_stream_verdicts_into(
         &mut self,
         stream: &[u8],
@@ -487,12 +491,12 @@ pub fn run_verdict_driver<L: Lane + ?Sized>(
 /// Record-at-a-time driver behind the provided batch methods: hands each
 /// record's content to [`Lane::feed_block`] in one call.
 ///
-/// Every single-query backend but [`Engine`](crate::engine::Engine), and
-/// every batch, runs it for every stream; the engine runs it only where
-/// its stream path cannot: while its literal prefilter is live (the
-/// prefilter judges a whole record before it is scanned), on a
-/// byte-serial [`ScanPath`](crate::ScanPath), and when some unit can see
-/// the separator.
+/// The model and cosim backends and the [`MultiLanes`](crate::multi::MultiLanes)
+/// reference batch run it for every stream. [`Engine`](crate::engine::Engine)
+/// runs it only where its stream path cannot: on a byte-serial
+/// [`ScanPath`](crate::ScanPath), and when some unit can see the
+/// separator; a [`MultiEngine`](crate::multi::MultiEngine) only when one
+/// of its groups is in that state.
 ///
 /// It shares its body, and so its framing, with the byte-serial
 /// [`run_verdict_driver`]; the two agree on every verdict because
@@ -530,10 +534,10 @@ fn drive<L: Lane + ?Sized>(
     lane.start_record();
     let mut scored = 0;
     let mut framer = Framer::new(limits);
-    framer.records(stream, |line, terminated, end| match end.skip {
+    framer.records(stream, |span, terminated, end| match end.skip {
         Some(reason) => out.push_skipped(reason),
         None => {
-            let last = feed(lane, line);
+            let last = feed(lane, &stream[span]);
             lane.end_record(terminated, last, out);
             lane.start_record();
             scored += 1;

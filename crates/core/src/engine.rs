@@ -48,12 +48,16 @@
 //! record only when every member's own prefilter does.
 //! [`Engine::compile`] is the group of one;
 //! [`MultiEngine`](crate::multi::MultiEngine) partitions a batch into
-//! groups and scatters their root bits.
+//! groups, runs each group's stream path over records framed once per
+//! call, and scatters the root bits.
 //!
 //! # The word kernel
 //!
-//! Eligible programs ([`Engine::scan_path`]) run eight bytes at a time,
-//! in three passes per word that share nothing but the word and an array
+//! Eligible programs ([`Engine::scan_path`]) run eight bytes at a time —
+//! per record in [`Engine::on_block`], and over whole streams on the
+//! stream path, the one datapath of [`Engine`] and
+//! [`MultiEngine`](crate::multi::MultiEngine) streams — in three passes
+//! per word that share nothing but the word and an array
 //! of fire masks by byte position. The unit lanes step over the word in a
 //! straight line: the string DFAs byte by byte, and the packed run
 //! counters of the substring units once per word, from the word's eight
@@ -90,11 +94,17 @@
 //! the latches, the flag levels, the depth and — if the separator sat
 //! inside an unterminated string — the string state. The unit lanes
 //! need no reset: the compiler checks that `\n` returns every one of
-//! them to its reset state, and a stream whose records need their
-//! bounds first (a live prefilter) or a program off the block path takes
-//! the record driver, [`run_verdict_driver_blocks`].
+//! them to its reset state. So the kernel may also start at any
+//! record, mid-word, from reset state: the bytes of the word before the
+//! record end at the previous line's `\n`. That is how a live literal
+//! prefilter gates the stream path: it is asked about each record as
+//! the call is framed, a rejected record is never scanned, and the
+//! kernel runs once per **run** of records between two rejected ones.
+//! Only a program off the block path, or one
+//! with a unit that sees `\n`, takes the record driver,
+//! [`run_verdict_driver_blocks`].
 
-use crate::backend::{run_verdict_driver_blocks, IngestLimits, Verdict};
+use crate::backend::{run_verdict_driver_blocks, IngestLimits, SkipReason, Verdict};
 use crate::blockhit::{self, fired_lanes, BlockAutomatonView, BlockUnits, RunWord};
 use crate::evaluator::StreamTracker;
 use crate::expr::{Expr, StringTechnique, StructScope};
@@ -897,6 +907,48 @@ impl std::ops::AddAssign for UnitCounts {
     }
 }
 
+/// A record of a stream as the gated stream path ([`Engine::gate`]) sees
+/// it: its line, framing CR included; its separator's position —
+/// `stream.len()` for a trailing record, where the kernel's pad word puts
+/// one; and the index of its verdict among the call's records.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RecordLine {
+    pub(crate) start: usize,
+    pub(crate) end: usize,
+    pub(crate) slot: usize,
+}
+
+/// Frames `stream` for the gated stream path: `record(line, skip)` for
+/// every record in stream order, with the reason it is quarantined if it
+/// is. The `framing.*` tally is flushed here, once per call.
+pub(crate) fn frame_records(
+    stream: &[u8],
+    limits: IngestLimits,
+    mut record: impl FnMut(RecordLine, Option<SkipReason>),
+) {
+    let mut framer = Framer::new(limits);
+    let mut slot = 0;
+    framer.records(stream, |span, _, end| {
+        let line = RecordLine {
+            start: span.start,
+            end: span.end,
+            slot,
+        };
+        record(line, end.skip);
+        slot += 1;
+    });
+    framer.flush();
+}
+
+/// The pending **run** of one call on the gated stream path: the scored
+/// records since the last one the prefilter rejected, and the bytes
+/// rejected so far.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Run {
+    lines: Vec<RecordLine>,
+    skipped: usize,
+}
+
 /// The flattened, allocation-free batch execution engine.
 ///
 /// Compile once, then stream any number of records through it; per-byte
@@ -990,6 +1042,9 @@ pub struct Engine {
     /// Record-level literal prefilter (necessary-condition checks),
     /// with its live/checked/rejected bookkeeping.
     prefilter: Option<PrefilterState>,
+    /// The pending run of the current call on the gated stream path,
+    /// kept to reuse the allocation.
+    run: Run,
 
     // ---- mutable per-stream state ----
     /// Telemetry accumulated in plain locals on the hot path and flushed
@@ -1032,15 +1087,16 @@ pub(crate) struct EngineStats {
     /// Records entering `on_block` from a fresh reset, and records the
     /// stream path scored.
     pub(crate) records: u64,
-    /// Bytes scanned by the word kernel: the word-aligned portion of each
-    /// block, and every byte of a stream on the stream path.
+    /// Bytes of the word kernel: the word-aligned portion of each block,
+    /// and on the stream path every stream byte of a line the prefilter
+    /// did not reject.
     pub(crate) bytes_block: u64,
     /// Stream bytes through the serial `on_byte` path (fallback programs,
     /// sub-word tails, separators on the record path). The separator
     /// closing a trailing record is not a stream byte and not counted.
     pub(crate) bytes_byte_serial: u64,
     /// Bytes never scanned: the prefilter rejected the whole record
-    /// (its separator included).
+    /// (its separator included, when the stream has one).
     pub(crate) bytes_prefilter_skipped: u64,
     /// Records the live prefilter examined.
     pub(crate) prefilter_checked: u64,
@@ -1334,6 +1390,7 @@ impl Engine {
             sub1_hits,
             sub1_targets_packed,
             prefilter,
+            run: Run::default(),
             stats: EngineStats::default(),
             phase: Phase::Fresh,
             latch: vec![0; words],
@@ -1747,6 +1804,45 @@ impl Engine {
         sub1 && block && string
     }
 
+    /// Whether stream calls take the stream path: the block path, with
+    /// no unit that a separator leaves short of its reset state.
+    pub(crate) fn on_stream_path(&self) -> bool {
+        self.path == ScanPath::Block && self.separator_resets
+    }
+
+    /// The root bits of the members, on the block path (at most 64
+    /// nodes, so all in the first latch word): member `i`'s root is the
+    /// `i`-th lowest.
+    pub(crate) fn root_word(&self) -> u64 {
+        self.root_mask[0]
+    }
+
+    /// Asks the live prefilter about one whole record, its line with the
+    /// framing CR: whether every member's prefilter rejects it. Keeps the
+    /// prefilter's books and ends probation; `false` once it is off.
+    fn prefilter_rejects(&mut self, record: &[u8]) -> bool {
+        let Some(pf) = self.prefilter.as_mut().filter(|pf| pf.live) else {
+            return false;
+        };
+        pf.checked += 1;
+        self.stats.prefilter_checked += 1;
+        let rejected = pf.filters.iter().all(|filter| {
+            let (rejected, probed) = filter.rejects_counting(record);
+            self.stats.prefilter_probed_bytes += probed;
+            rejected
+        });
+        if rejected {
+            pf.rejected += 1;
+            self.stats.prefilter_rejected += 1;
+        }
+        if pf.checked == Self::PREFILTER_PROBATION && pf.rejected == 0 {
+            // The stream never benefits; stop paying the scan.
+            pf.live = false;
+            self.stats.prefilter_disabled += 1;
+        }
+        rejected
+    }
+
     /// Records checked and rejected by the literal prefilter since
     /// compile: `(checked, rejected)`.
     pub fn prefilter_stats(&self) -> (u64, u64) {
@@ -1798,24 +1894,8 @@ impl Engine {
         if self.phase == Phase::Fresh {
             self.phase = Phase::Scanning;
             self.stats.records += 1;
-            if let Some(pf) = self.prefilter.as_mut().filter(|pf| pf.live) {
-                pf.checked += 1;
-                self.stats.prefilter_checked += 1;
-                let rejected = pf.filters.iter().all(|filter| {
-                    let (rejected, probed) = filter.rejects_counting(block);
-                    self.stats.prefilter_probed_bytes += probed;
-                    rejected
-                });
-                if rejected {
-                    pf.rejected += 1;
-                    self.stats.prefilter_rejected += 1;
-                    self.phase = Phase::Rejected;
-                }
-                if pf.checked == Self::PREFILTER_PROBATION && pf.rejected == 0 {
-                    // The stream never benefits; stop paying the scan.
-                    pf.live = false;
-                    self.stats.prefilter_disabled += 1;
-                }
+            if self.prefilter_rejects(block) {
+                self.phase = Phase::Rejected;
             }
         }
         if self.phase == Phase::Rejected {
@@ -1840,41 +1920,150 @@ impl Engine {
 
     /// The stream path behind the engine's
     /// [`filter_stream_verdicts_into`](crate::backend::FilterBackend::filter_stream_verdicts_into):
-    /// the word kernel in the form where `\n` ends a record, over the
-    /// whole buffer, so every stream byte is scanned once and counted
-    /// once, as `block`. The sub-word tail rides one last word padded
-    /// with separators: the first pad closes a trailing record — the `\n`
-    /// the hardware would see — and the others are not lines of the
-    /// stream.
+    /// the word kernel in the form where `\n` ends a record. With the
+    /// prefilter off, one kernel call over the whole buffer frames every
+    /// line as its separator arrives ([`Framer::frame`]). While the
+    /// prefilter is live, it gates each record as the call is framed, in
+    /// front of the kernel ([`Engine::gate`]).
+    /// Either way every stream byte is counted once: as
+    /// `prefilter_skipped` if its line was rejected, else as `block`.
     fn filter_stream_words(&mut self, stream: &[u8], limits: IngestLimits, out: &mut Vec<Verdict>) {
-        self.reset();
-        let mut framer = Framer::new(limits);
-        let (mut line_start, mut scored) = (0, 0);
-        let mut end_record = |nl: usize, accept: bool| {
-            if nl > stream.len() {
-                return;
-            }
-            let line = &stream[line_start..nl];
-            line_start = nl + 1;
-            if let Some(end) = framer.frame(line, nl < stream.len()) {
-                out.push(match end.skip {
-                    Some(reason) => Verdict::Skipped(reason),
-                    None => {
-                        scored += 1;
-                        Verdict::from_decision(accept)
-                    }
-                });
-            }
-        };
-        let whole = stream.len() & !(swar::WORD_BYTES - 1);
-        self.scan_words::<true>(&stream[..whole], 0, &mut end_record);
-        let mut last = [b'\n'; swar::WORD_BYTES];
-        last[..stream.len() - whole].copy_from_slice(&stream[whole..]);
-        self.scan_words::<true>(&last, whole, &mut end_record);
-        self.stats.records += scored;
-        self.stats.bytes_block += stream.len() as u64;
-        framer.flush();
+        let root = self.root_word();
+        if self.prefilter.as_ref().is_some_and(|pf| pf.live) {
+            let mut run = std::mem::take(&mut self.run);
+            let base = out.len();
+            let verdict = |out: &mut Vec<Verdict>, slot, l| {
+                out[base + slot] = Verdict::from_decision(l & root != 0);
+            };
+            frame_records(stream, limits, |line, skip| match skip {
+                Some(reason) => out.push(Verdict::Skipped(reason)),
+                None => {
+                    out.push(Verdict::NoMatch);
+                    self.gate(stream, line, &mut run, &mut |slot, l| verdict(out, slot, l));
+                }
+            });
+            self.gate_end(stream, &mut run, &mut |slot, l| verdict(out, slot, l));
+            self.run = run;
+        } else {
+            let mut framer = Framer::new(limits);
+            let (mut line_start, mut scored) = (0, 0);
+            self.scan_span(stream, 0, stream.len() + 1, |nl, l| {
+                if nl > stream.len() {
+                    return;
+                }
+                let line = &stream[line_start..nl];
+                line_start = nl + 1;
+                if let Some(end) = framer.frame(line, nl < stream.len()) {
+                    out.push(match end.skip {
+                        Some(reason) => Verdict::Skipped(reason),
+                        None => {
+                            scored += 1;
+                            Verdict::from_decision(l & root != 0)
+                        }
+                    });
+                }
+            });
+            framer.flush();
+            self.stats.records += scored;
+            self.stats.bytes_block += stream.len() as u64;
+        }
         crate::backend::FilterBackend::flush_telemetry(self);
+    }
+
+    /// Offers the next scored record of a call to the gated stream path.
+    /// The live prefilter is asked about it: a rejected record is never
+    /// scanned and gets no verdict call, and it ends the pending `run`,
+    /// which the kernel scans now ([`Engine::scan_run`]); a passing one
+    /// joins the run. Once probation turns the prefilter off, the rest of
+    /// the call is one run. [`Engine::gate_end`] closes the call.
+    ///
+    /// A run may start mid-word: the bytes before it end at the previous
+    /// line's `\n`, which returns latches, flag levels, depth, string
+    /// state and — by [`Engine::separator_resets_units`] — every unit to
+    /// reset. Bytes past its last separator are scanned and ignored.
+    /// Every byte is counted once, by the line that owns it: a rejected
+    /// line and its separator as `prefilter_skipped`, all else as `block`.
+    pub(crate) fn gate(
+        &mut self,
+        stream: &[u8],
+        line: RecordLine,
+        run: &mut Run,
+        verdict: &mut impl FnMut(usize, u64),
+    ) {
+        self.stats.records += 1;
+        if !self.prefilter_rejects(&stream[line.start..line.end]) {
+            run.lines.push(line);
+            return;
+        }
+        self.scan_run(stream, &run.lines, verdict);
+        run.lines.clear();
+        run.skipped += (line.end + 1).min(stream.len()) - line.start;
+    }
+
+    /// Scans the last run of a call on the gated stream path, counts the
+    /// call's bytes and leaves `run` and the engine at reset state.
+    pub(crate) fn gate_end(
+        &mut self,
+        stream: &[u8],
+        run: &mut Run,
+        verdict: &mut impl FnMut(usize, u64),
+    ) {
+        self.scan_run(stream, &run.lines, verdict);
+        self.reset();
+        self.stats.bytes_prefilter_skipped += run.skipped as u64;
+        self.stats.bytes_block += (stream.len() - run.skipped) as u64;
+        run.lines.clear();
+        run.skipped = 0;
+    }
+
+    /// One run of the gated stream path: the kernel from the word that
+    /// holds the run's first byte to the word that holds its last
+    /// separator ([`Engine::scan_span`]), keeping only the verdicts of
+    /// the run's own separators: `verdict(slot, latch)` gets the latch
+    /// word after each.
+    fn scan_run(
+        &mut self,
+        stream: &[u8],
+        run: &[RecordLine],
+        verdict: &mut impl FnMut(usize, u64),
+    ) {
+        let (Some(first), Some(last)) = (run.first(), run.last()) else {
+            return;
+        };
+        let mut lines = run.iter().peekable();
+        self.scan_span(stream, first.start, last.end + 1, |nl, l| {
+            if let Some(line) = lines.next_if(|line| line.end == nl) {
+                verdict(line.slot, l);
+            }
+        });
+    }
+
+    /// The records form of the kernel, from reset state, over the words
+    /// that hold `stream[start..end]`, reporting each separator's
+    /// position and the latch word after it to `end_record`. `end` may
+    /// be `stream.len() + 1`: past the stream's last whole word, one word
+    /// padded with separators stands in, whose first pad closes a
+    /// trailing record — the `\n` the hardware would see — and whose
+    /// other pads are not lines of the stream.
+    fn scan_span(
+        &mut self,
+        stream: &[u8],
+        start: usize,
+        end: usize,
+        mut end_record: impl FnMut(usize, u64),
+    ) {
+        self.reset();
+        let whole = stream.len() & !(swar::WORD_BYTES - 1);
+        let first = start & !(swar::WORD_BYTES - 1);
+        let last = end.next_multiple_of(swar::WORD_BYTES).min(whole);
+        if first < last {
+            self.scan_words::<true>(&stream[first..last], first, &mut end_record);
+        }
+        if end > whole {
+            let mut pad = [b'\n'; swar::WORD_BYTES];
+            pad[..stream.len() - whole].copy_from_slice(&stream[whole..]);
+            self.scan_words::<true>(&pad, whole, &mut end_record);
+        }
     }
 
     /// The [word kernel](self#the-word-kernel) over the whole words of
@@ -1909,7 +2098,8 @@ impl Engine {
     ///
     /// With `RECORDS`, every `\n` is an event that ends a record: after
     /// the program ran on the separator's own fires, `end_record(base +
-    /// position, accept)` takes the root bits' verdict, and the latches,
+    /// position, latch)` takes the latch word, whose root bits are the
+    /// verdict, and the latches,
     /// flag levels, depth and — if the separator sat inside a string —
     /// the string state are cleared. The unit lanes are back at their
     /// reset state by themselves ([`Engine::separator_resets_units`]).
@@ -1921,11 +2111,10 @@ impl Engine {
         &mut self,
         words: &[u8],
         base: usize,
-        mut end_record: impl FnMut(usize, bool),
+        mut end_record: impl FnMut(usize, u64),
     ) {
         let (mut in_string, mut pending_escape, mut depth) = self.tracker.state();
         let mut l = self.latch[0];
-        let root = self.root_mask[0];
         let (ctx_children, comma_events) = (self.ctx_children, self.comma_events);
         // Run counters of both unit kinds, one saturating byte per lane.
         let sub1_hits: Option<&[u64; 256]> = self.sub1_hits.as_slice().try_into().ok();
@@ -2080,7 +2269,7 @@ impl Engine {
                     depth = depth.saturating_sub(1);
                 }
                 if RECORDS && newlines & bit != 0 {
-                    end_record(base + w * swar::WORD_BYTES + j, l & root != 0);
+                    end_record(base + w * swar::WORD_BYTES + j, l);
                     l = 0;
                     self.flag_level.fill(0);
                     depth = 0;
@@ -2159,19 +2348,18 @@ impl crate::backend::FilterBackend for Engine {
     }
 
     /// The stream path — the [word kernel](self#the-word-kernel) over the
-    /// whole buffer, the separator one more event — wherever no record
-    /// needs its bounds before it is scanned; the record driver
-    /// [`run_verdict_driver_blocks`] while the literal prefilter is live
-    /// (it judges each whole record first), for a program off the block
-    /// path, and where some unit could carry state across a separator.
+    /// buffer, the separator one more event, with a live literal
+    /// prefilter gating records in front of it — on the block path; the
+    /// record driver [`run_verdict_driver_blocks`] for a program off the
+    /// block path, and where some unit could carry state across a
+    /// separator.
     fn filter_stream_verdicts_into(
         &mut self,
         stream: &[u8],
         limits: IngestLimits,
         out: &mut Vec<Verdict>,
     ) {
-        let prefilter_live = self.prefilter.as_ref().is_some_and(|pf| pf.live);
-        if self.path == ScanPath::Block && self.separator_resets && !prefilter_live {
+        if self.on_stream_path() {
             self.filter_stream_words(stream, limits, out);
         } else {
             run_verdict_driver_blocks(self, stream, limits, out);

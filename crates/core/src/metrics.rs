@@ -13,9 +13,11 @@ use std::sync::OnceLock;
 
 /// `engine.*` counter handles (single-query [`Engine`](crate::Engine)).
 pub(crate) struct EngineMetrics {
-    /// `engine.records`: records entering `on_block` from a fresh reset.
+    /// `engine.records`: records entering `on_block` from a fresh reset,
+    /// and records the stream path scored.
     pub records: &'static Counter,
-    /// `engine.bytes.block`: bytes scanned by the SWAR word loop.
+    /// `engine.bytes.block`: bytes of the SWAR word loop — on the stream
+    /// path every byte of a line the prefilter did not reject.
     pub bytes_block: &'static Counter,
     /// `engine.bytes.byte_serial`: bytes through the serial `on_byte`
     /// path (fallback programs, sub-word tails, separators).

@@ -8,8 +8,8 @@
 //! datapath of its own: it **partitions the batch into groups**, compiles
 //! each group into one [`Engine`] (one flat program, members in disjoint
 //! node ranges, primitive units deduplicated — see the
-//! [engine docs](crate::engine#groups)), fans every call out over the
-//! groups and scatters their root bits into the batch's verdict words.
+//! [engine docs](crate::engine#groups)), runs every stream call group
+//! by group and scatters their root bits into the batch's verdict words.
 //!
 //! * **Grouping.** Two queries that share a *required needle* — the
 //!   needle of a string unit every match of the query must fire, the
@@ -28,10 +28,15 @@
 //!   rejects a record only when *every* member's own prefilter does —
 //!   i.e. only when, for each member, some unit that member needs provably
 //!   cannot fire anywhere in the record, so no member's root can latch
-//!   and skipping the scan changes no verdict. A record of an interleaved
-//!   stream is therefore scanned by the groups it can concern and
-//!   dismissed by the others from every N-th byte, with the engine's
-//!   usual probation: a group whose prefilter never rejects stops asking.
+//!   and skipping the scan changes no verdict. A stream call is framed
+//!   once; then each group asks its prefilter about every framed record
+//!   and runs its word kernel over the runs of records between two it
+//!   rejected ([the engine's stream path](crate::engine#the-word-kernel)).
+//!   A record of an interleaved stream is therefore scanned by the groups
+//!   it can concern and dismissed by the others from every N-th byte,
+//!   with the engine's usual probation: a group whose prefilter never
+//!   rejects stops asking, and scans the rest of the call as one run.
+//!   A batch with a group off the block path runs the record driver.
 //! * **Sharing.** Inside a group, identical primitive units (same key
 //!   automaton, same number-range DFA, same substring comparator bank)
 //!   are instantiated once and the byte classification, string masking
@@ -44,12 +49,14 @@
 //! [`MultiBackend`] is the batch counterpart of
 //! [`FilterBackend`](crate::backend::FilterBackend), and both are
 //! [`Lane`]s: a batch is a lane whose match word is one bit per query
-//! instead of one. There is one record driver for both — one body behind
-//! [`run_verdict_driver_blocks`] and its byte-serial oracle
-//! [`run_verdict_driver`](crate::backend::run_verdict_driver), framing
-//! through the one [`Framer`](rfjson_jsonstream::frame::Framer) — so a
-//! batch has the single query's framing and quarantine rules by
-//! construction, and one sharded runner in `rfjson-runtime` serves both.
+//! instead of one. Every stream driver frames through the one
+//! [`Framer`](rfjson_jsonstream::frame::Framer) — the engine's stream
+//! path that [`MultiEngine`] runs per group, and the record driver
+//! [`run_verdict_driver_blocks`] with its byte-serial oracle
+//! [`run_verdict_driver`](crate::backend::run_verdict_driver), one body
+//! for a single query and a batch alike — so a batch has the single
+//! query's framing and quarantine rules by construction, and one sharded
+//! runner in `rfjson-runtime` serves both.
 //! The differential suite (`tests/multi_diff.rs`) holds every fused
 //! decision byte-identical to N independent single-query engines.
 //!
@@ -71,7 +78,7 @@
 
 use crate::backend::{run_verdict_driver_blocks, CompileError, FilterBackend, Lane, VerdictSink};
 use crate::blockhit::{LANES, MAX_PACKED_TARGET, MAX_TABLE_WORDS};
-use crate::engine::{Engine, ProgramView, ScanPath};
+use crate::engine::{frame_records, Engine, ProgramView, RecordLine, Run, ScanPath};
 use crate::evaluator::CompiledFilter;
 use crate::expr::{Expr, StringTechnique};
 use crate::prefilter::required_needles;
@@ -278,6 +285,36 @@ impl Group {
     pub fn engine(&self) -> &Engine {
         &self.engine
     }
+
+    /// Runs the group's gated stream path ([`Engine::gate`]) over the
+    /// scored records of one call, framed once for every group, ORing
+    /// each member's accept bit into the record's row of `out` (row
+    /// `base + slot`).
+    fn scan(
+        &mut self,
+        stream: &[u8],
+        lines: &[RecordLine],
+        run: &mut Run,
+        out: &mut BatchVerdicts,
+        base: usize,
+    ) {
+        let (members, roots) = (&self.members, self.engine.root_word());
+        let mut verdict = |slot, l: u64| {
+            let row = out.row_mut(base + slot);
+            let mut hits = l & roots;
+            while hits != 0 {
+                // Member `i`'s root is the `i`-th lowest root bit.
+                let bit = hits & hits.wrapping_neg();
+                let q = members[(roots & (bit - 1)).count_ones() as usize];
+                row[q / 64] |= 1u64 << (q % 64);
+                hits ^= bit;
+            }
+        };
+        for &line in lines {
+            self.engine.gate(stream, line, run, &mut verdict);
+        }
+        self.engine.gate_end(stream, run, &mut verdict);
+    }
 }
 
 /// The fused multi-query execution engine: the batch partitioned into
@@ -288,6 +325,11 @@ pub struct MultiEngine {
     exprs: Vec<Expr>,
     groups: Vec<Group>,
     share: ShareStats,
+    /// The scored records of the current stream call, framed once for
+    /// every group, and the pending run each group uses in turn; kept
+    /// to reuse the allocations.
+    lines: Vec<RecordLine>,
+    run: Run,
 }
 
 impl MultiEngine {
@@ -328,6 +370,8 @@ impl MultiEngine {
             exprs: exprs.to_vec(),
             groups,
             share,
+            lines: Vec::new(),
+            run: Run::default(),
         })
     }
 
@@ -462,6 +506,43 @@ impl MultiBackend for MultiEngine {
         }
     }
 
+    /// Frames the call once, then runs it group by group over the framed
+    /// records, each group on its prefilter-gated stream path;
+    /// `framing.*` is counted once per call and
+    /// `multi.records` once per scored record. A batch with a group off
+    /// the stream path runs the record driver,
+    /// [`run_verdict_driver_blocks`], as a single [`Engine`] in that
+    /// state does.
+    fn filter_stream_verdicts_into(
+        &mut self,
+        stream: &[u8],
+        limits: IngestLimits,
+        out: &mut BatchVerdicts,
+    ) {
+        if !self.groups.iter().all(|g| g.engine.on_stream_path()) {
+            run_verdict_driver_blocks(self, stream, limits, out);
+            return;
+        }
+        let mut lines = std::mem::take(&mut self.lines);
+        lines.clear();
+        let base = out.num_records();
+        frame_records(stream, limits, |line, skip| match skip {
+            Some(reason) => out.push_skipped(reason),
+            None => {
+                out.push_scored_with(|_| {});
+                lines.push(line);
+            }
+        });
+        for group in &mut self.groups {
+            group.scan(stream, &lines, &mut self.run, out, base);
+        }
+        crate::metrics::multi_metrics()
+            .records
+            .add(lines.len() as u64);
+        MultiBackend::flush_telemetry(self);
+        self.lines = lines;
+    }
+
     /// Drains every group engine's per-stream tallies into the `multi.*`
     /// counters: bytes by scan path summed over the groups, and per
     /// (group, record) whether the group scanned the record or its
@@ -542,6 +623,11 @@ impl BatchVerdicts {
         self.bits.resize(start + self.words, 0);
         write(&mut self.bits[start..]);
         self.skips.push(None);
+    }
+
+    /// The accept words of `record`.
+    fn row_mut(&mut self, record: usize) -> &mut [u64] {
+        &mut self.bits[record * self.words..(record + 1) * self.words]
     }
 
     /// The quarantine reason of `record`, if it was skipped.
@@ -635,7 +721,8 @@ impl VerdictSink for BatchVerdicts {
 /// [`FilterBackend`]. One shared per-byte advance updates every query;
 /// [`MultiBackend::write_accepts`] reads the latched per-query accept
 /// bits. A batch is a [`Lane`] whose verdict rows are [`BatchVerdicts`],
-/// so its stream methods are the single-query record driver's.
+/// so its provided stream methods are the single-query record driver's;
+/// [`MultiEngine`] overrides them with its groups' stream path.
 pub trait MultiBackend: Lane<Source = [Expr], Verdicts = BatchVerdicts> {
     /// Compiles a batch of expressions into this execution form.
     ///

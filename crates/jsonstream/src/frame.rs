@@ -23,7 +23,9 @@
 //! [`FramingTally`]. Every stream driver frames through it — the record
 //! driver and its byte-serial oracle in `rfjson-core`, and the engine's
 //! stream path, whose word kernel finds the separators itself and hands
-//! each line to [`Framer::frame`]. [`split_records`] is the same newline
+//! each line to [`Framer::frame`], or, while a literal prefilter gates
+//! the records, frames the call with [`Framer::records`].
+//! [`split_records`] is the same newline
 //! hop with blank lines dropped and the framing CR trimmed, and
 //! [`shard_ranges`] partitions a buffer at record boundaries for the
 //! parallel runtime. Their equivalence is held by the cross-impl tests in
@@ -52,29 +54,38 @@ pub fn is_blank_line(line: &[u8]) -> bool {
     line.iter().all(|&b| b == b'\r')
 }
 
-/// The `\n`-delimited lines of a stream, each with whether a separator
-/// ended it — the one newline hop behind [`Framer::records`] and
-/// [`split_records`], eight bytes per step (SWAR newline search). The
-/// text after the last separator comes last, unterminated, and is empty
-/// when the stream ends with `\n`.
+/// The `\n`-delimited lines of a stream, each as its byte range with
+/// whether a separator ended it — the one newline hop behind
+/// [`Framer::records`] and [`split_records`], 32 bytes per step
+/// ([`swar::find_byte`]). The text after the last separator comes last,
+/// unterminated, and is empty when the stream ends with `\n`.
 struct Lines<'a> {
-    rest: Option<&'a [u8]>,
+    stream: &'a [u8],
+    /// Start of the next line; past the end once the last one is out.
+    at: usize,
 }
 
-impl<'a> Iterator for Lines<'a> {
-    type Item = (&'a [u8], bool);
+impl<'a> Lines<'a> {
+    fn new(stream: &'a [u8]) -> Lines<'a> {
+        Lines { stream, at: 0 }
+    }
+}
+
+impl Iterator for Lines<'_> {
+    type Item = (Range<usize>, bool);
 
     #[inline]
-    fn next(&mut self) -> Option<(&'a [u8], bool)> {
-        let rest = self.rest?;
+    fn next(&mut self) -> Option<(Range<usize>, bool)> {
+        let start = self.at;
+        let rest = self.stream.get(start..)?;
         Some(match swar::find_byte(rest, b'\n') {
             Some(nl) => {
-                self.rest = Some(&rest[nl + 1..]);
-                (&rest[..nl], true)
+                self.at = start + nl + 1;
+                (start..start + nl, true)
             }
             None => {
-                self.rest = None;
-                (rest, false)
+                self.at = usize::MAX;
+                (start..self.stream.len(), false)
             }
         })
     }
@@ -94,8 +105,8 @@ impl<'a> Iterator for Lines<'a> {
 /// assert_eq!(recs[1], br#"{"a":2}"#);
 /// ```
 pub fn split_records(stream: &[u8]) -> impl Iterator<Item = &[u8]> {
-    Lines { rest: Some(stream) }
-        .map(|(line, _)| line)
+    Lines::new(stream)
+        .map(|(span, _)| &stream[span])
         .filter(|line| !is_blank_line(line))
         .map(trim_cr)
 }
@@ -286,9 +297,10 @@ pub struct RecordEnd {
 /// use rfjson_jsonstream::frame::{Framer, IngestLimits, SkipReason};
 ///
 /// let mut framer = Framer::new(IngestLimits::max_record_bytes(3));
+/// let stream = b"abc\r\n\r\nabcd";
 /// let mut ends = Vec::new();
-/// framer.records(b"abc\r\n\r\nabcd", |line, terminated, end| {
-///     ends.push((line, terminated, end.skip));
+/// framer.records(stream, |span, terminated, end| {
+///     ends.push((&stream[span], terminated, end.skip));
 /// });
 /// framer.flush();
 /// // The CR-only line is blank, the framing CR is not content, and the
@@ -336,18 +348,17 @@ impl Framer {
         Some(RecordEnd { skip })
     }
 
-    /// Frames every line of `stream` and calls `record(line, terminated,
-    /// end)` for each non-blank one in stream order; `line` still holds
-    /// its framing CR.
-    pub fn records<'s>(
+    /// Frames every line of `stream` and calls `record(span, terminated,
+    /// end)` for each non-blank one in stream order; `span` is the line's
+    /// byte range in `stream`, its framing CR still included.
+    pub fn records(
         &mut self,
-        stream: &'s [u8],
-        mut record: impl FnMut(&'s [u8], bool, RecordEnd),
+        stream: &[u8],
+        mut record: impl FnMut(Range<usize>, bool, RecordEnd),
     ) {
-        let lines = Lines { rest: Some(stream) };
-        for (line, terminated) in lines {
-            if let Some(end) = self.frame(line, terminated) {
-                record(line, terminated, end);
+        for (span, terminated) in Lines::new(stream) {
+            if let Some(end) = self.frame(&stream[span.clone()], terminated) {
+                record(span, terminated, end);
             }
         }
     }
@@ -406,8 +417,8 @@ pub fn shard_ranges(stream: &[u8], shards: usize) -> Vec<Range<usize>> {
             continue;
         }
         // Cut right after the first separator at or beyond the ideal
-        // point (the separator byte stays in the left shard); the
-        // search hops 8 bytes per step (SWAR newline mask).
+        // point (the separator byte stays in the left shard), with the
+        // framing loops' 32-byte newline hop.
         match swar::find_byte(&stream[ideal..], b'\n') {
             Some(p) => {
                 let cut = ideal + p + 1;

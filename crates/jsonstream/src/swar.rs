@@ -7,7 +7,9 @@
 //! `unsafe`, so no `std::arch` intrinsics): per-word bitmasks for
 //! quotes, backslashes, openers/closers, commas and newlines, plus a
 //! carry-aware resolution of the [`StringMask`](crate::StringMask)
-//! automaton over a whole word at once.
+//! automaton over a whole word at once. The newline hop, [`find_byte`],
+//! tests 32 bytes per step with a compare loop the compiler vectorises,
+//! still in safe code.
 //!
 //! Bit `j` of every `u8` mask refers to byte `j` of the word in stream
 //! order (words are loaded little-endian so lane order equals byte
@@ -196,11 +198,34 @@ pub fn string_mask_word(quotes: u8, backslashes: u8, state: StringState) -> (u8,
     (masked, out)
 }
 
-/// Index of the first occurrence of `needle` in `hay`, scanning 8 bytes
-/// per step — the SWAR replacement for `iter().position(..)` in the
-/// framing hot loops.
+/// Bytes per block of the [`find_byte`] hop: four words.
+pub const BLOCK_BYTES: usize = 32;
+
+/// Index of the first occurrence of `needle` in `hay` — the newline hop
+/// of every framing loop, and the candidate scan of [`contains`].
+///
+/// Whole 32-byte blocks are tested with a branch-free OR-reduction of
+/// per-byte compares, which the compiler turns into vector compares at
+/// the target's baseline (SSE2 on x86-64) from safe code; the block that
+/// hits, and the sub-block tail, are searched a word at a time
+/// ([`eq_bytes`]).
 #[inline]
 pub fn find_byte(hay: &[u8], needle: u8) -> Option<usize> {
+    let mut blocks = hay.chunks_exact(BLOCK_BYTES);
+    let mut offset = 0usize;
+    for block in blocks.by_ref() {
+        let block: &[u8; BLOCK_BYTES] = block.try_into().expect("32-byte block");
+        if block.iter().fold(0, |a, &b| a | u8::from(b == needle)) != 0 {
+            return find_byte_words(block, needle).map(|p| offset + p);
+        }
+        offset += BLOCK_BYTES;
+    }
+    find_byte_words(blocks.remainder(), needle).map(|p| offset + p)
+}
+
+/// [`find_byte`] eight bytes per step, with a byte loop for the tail.
+#[inline]
+fn find_byte_words(hay: &[u8], needle: u8) -> Option<usize> {
     let mut chunks = hay.chunks_exact(WORD_BYTES);
     let mut offset = 0usize;
     for chunk in chunks.by_ref() {
@@ -220,7 +245,7 @@ pub fn find_byte(hay: &[u8], needle: u8) -> Option<usize> {
 }
 
 /// Whether `hay` contains `needle` as a contiguous substring —
-/// SWAR-accelerated first-byte candidate scan plus verification, used
+/// first-byte candidates from [`find_byte`] plus verification, used
 /// by the record-level literal prefilter. An empty needle is always
 /// contained.
 pub fn contains(hay: &[u8], needle: &[u8]) -> bool {

@@ -145,3 +145,72 @@ proptest! {
         prop_assert_eq!(swar::contains(&hay, &needle), expect);
     }
 }
+
+/// Needle bytes at the edges of the byte range and of the compare: NUL,
+/// the separator, the first byte with the high bit set, and all ones.
+const HOP_NEEDLES: [u8; 4] = [0x00, b'\n', 0x80, 0xff];
+
+/// A hay of `len` bytes none of which is `needle`, varied so that every
+/// other needle value occurs in it.
+fn hay_without(len: usize, needle: u8) -> Vec<u8> {
+    (0..len)
+        .map(|i| match (i * 37 % 256) as u8 {
+            b if b == needle => needle ^ 1,
+            b => b,
+        })
+        .collect()
+}
+
+#[test]
+fn find_byte_finds_the_needle_at_every_position_across_blocks() {
+    // Lengths past four 32-byte blocks, so the needle sits in the first,
+    // a middle and the last block, on both sides of each block edge
+    // (31 | 32 | 33, 63 | 64 | 65), and in the sub-block tail.
+    for needle in HOP_NEEDLES {
+        for len in 0..=160 {
+            let hay = hay_without(len, needle);
+            assert_eq!(swar::find_byte(&hay, needle), None, "absent, len {len}");
+            for at in 0..len {
+                let mut hay = hay.clone();
+                hay[at] = needle;
+                assert_eq!(
+                    swar::find_byte(&hay, needle),
+                    Some(at),
+                    "needle {needle:#x} at {at} of {len}"
+                );
+                // A second occurrence later does not move the answer.
+                if at + 1 < len {
+                    hay[len - 1] = needle;
+                    assert_eq!(swar::find_byte(&hay, needle), Some(at));
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn contains_matches_naive_search_at_every_position_across_blocks() {
+    let naive = |hay: &[u8], needle: &[u8]| {
+        needle.is_empty()
+            || (needle.len() <= hay.len() && hay.windows(needle.len()).any(|w| w == needle))
+    };
+    for first in HOP_NEEDLES {
+        let needle = [first, b'"', first];
+        for len in 0..=160 {
+            let hay = hay_without(len, first);
+            assert!(!swar::contains(&hay, &needle), "absent, len {len}");
+            for at in 0..len {
+                let mut hay = hay.clone();
+                // The full needle where it fits, else a cut-off prefix.
+                let end = (at + needle.len()).min(len);
+                hay[at..end].copy_from_slice(&needle[..end - at]);
+                assert_eq!(
+                    swar::contains(&hay, &needle),
+                    naive(&hay, &needle),
+                    "needle {needle:?} at {at} of {len}"
+                );
+                assert!(swar::contains(&hay, &[first]), "one byte at {at} of {len}");
+            }
+        }
+    }
+}

@@ -8,10 +8,16 @@
 //! that it reads no more than the record once per unit. The second half
 //! drives whole streams through [`Engine`] with a prefilter that stays
 //! live past probation and holds every verdict equal to the byte-serial
-//! model's, serially and sharded.
+//! model's, serially and sharded. The third holds the gated stream path —
+//! the prefilter in front of the word kernel, which scans the runs of
+//! records between two rejected ones — of [`Engine`] and [`MultiEngine`]
+//! to the byte-serial oracle [`run_verdict_driver`] at every word offset
+//! a run can start or end at.
 
 use proptest::prelude::*;
+use rfjson_core::backend::run_verdict_driver;
 use rfjson_core::engine::PrefilterStatus;
+use rfjson_core::multi::{BatchVerdicts, MultiBackend, MultiEngine, MultiLanes};
 use rfjson_core::prefilter::Prefilter;
 use rfjson_core::primitive::{FireFilter, SubstringMatcher};
 use rfjson_core::{CompiledFilter, Engine, Expr, FilterBackend, IngestLimits, StructScope};
@@ -213,5 +219,193 @@ proptest! {
                 .expect("no faults injected");
             prop_assert_eq!(&got, &want, "{} shards", shards);
         }
+    }
+}
+
+/// `{ s1("temp") & v(0.7 ≤ f ≤ 35.1) }`: its prefilter rejects every
+/// record without four bytes in a row from `t`, `e`, `m`, `p`.
+fn temp() -> Expr {
+    Expr::context([
+        Expr::substring(b"temp", 1).unwrap(),
+        Expr::float_range("0.7", "35.1").unwrap(),
+    ])
+}
+
+/// A query of its own group whose prefilter rejects every record below.
+fn wind() -> Expr {
+    Expr::context([
+        Expr::substring(b"wind_speed", 1).unwrap(),
+        Expr::float_range("0.0", "99.0").unwrap(),
+    ])
+}
+
+/// Records longer than this are quarantined.
+const MAX_RECORD: usize = 64;
+
+/// One line of a gated stream, without its separator; `pad` (0..8)
+/// shifts everything after it by that many bytes, so that runs start
+/// and end at every word offset.
+fn gated_line(kind: u8, pad: usize) -> Vec<u8> {
+    let p = "x".repeat(pad);
+    match kind % 11 {
+        // Passed by the prefilter: a match, a miss, a CRLF match, a match
+        // cut off inside a string.
+        0 => format!(r#"{{"n":"temp","p":"{p}","v":"21.5"}}"#),
+        1 => format!(r#"{{"p":"{p}","n":"temp","v":"99.5"}}"#),
+        2 => format!("{{\"n\":\"temp\",\"v\":\"3.0\",\"p\":\"{p}\"}}\r"),
+        3 => format!(r#"{{"v":"7.5","n":"temp","s":"a{p}"#),
+        // Rejected: whole, cut off inside a string, cut off right after
+        // a backslash inside a string.
+        4 => format!(r#"{{"n":"rain","p":"{p}","v":"21.5"}}"#),
+        5 => format!(r#"{{"n":"rain","v":"21.5","s":"{p}"#),
+        6 => format!(r#"{{"n":"rain","v":"1.5","s":"{p}\"#),
+        // Blank, CR-only.
+        7 => String::new(),
+        8 => "\r".repeat(1 + pad % 3),
+        // Quarantined, with a match in it: too long.
+        9 => format!(
+            r#"{{"n":"temp","v":"21.5","p":"{}"}}"#,
+            "y".repeat(MAX_RECORD + pad)
+        ),
+        // Passed, a match with a leading number token.
+        _ => format!(r#"[12.5,{{"n":"temp","v":"0.9","p":"{p}"}}]"#),
+    }
+    .into_bytes()
+}
+
+/// The stream of `lines`, each `\n`-terminated but for the last when
+/// `trailing`.
+fn gated_stream(lines: &[(u8, usize)], trailing: bool) -> Vec<u8> {
+    let mut stream = Vec::new();
+    for &(kind, pad) in lines {
+        stream.extend(gated_line(kind, pad));
+        stream.push(b'\n');
+    }
+    if trailing && !lines.is_empty() {
+        stream.pop();
+    }
+    stream
+}
+
+/// Every pair of line kinds at every pad of the first and the second:
+/// more than `PREFILTER_PROBATION` records with rejections among them,
+/// so the prefilter stays live to the end.
+fn all_pairs() -> Vec<(u8, usize)> {
+    let mut lines = Vec::new();
+    for a in 0..11 {
+        for b in 0..11 {
+            for pad in 0..8 {
+                lines.push((a, pad));
+                lines.push((b, (pad * 3 + 1) % 8));
+            }
+        }
+    }
+    lines
+}
+
+/// Holds `Engine` on `temp()` and `MultiEngine` on `[temp(), wind()]`
+/// equal to the byte-serial oracle over `stream`, serially and through
+/// the sharded runner at 1, 2, 3 and 8 shards.
+fn assert_gated_equiv(stream: &[u8], limits: IngestLimits) {
+    let show = || String::from_utf8_lossy(stream).into_owned();
+    let mut want = Vec::new();
+    run_verdict_driver(
+        &mut CompiledFilter::compile(&temp()),
+        stream,
+        limits,
+        &mut want,
+    );
+    let mut engine = Engine::compile(&temp());
+    assert!(engine.block_scan_ready());
+    assert_eq!(engine.prefilter_status(), PrefilterStatus::Probation);
+    let got = engine.filter_stream_verdicts(stream, limits);
+    assert_eq!(got, want, "engine on {}", show());
+
+    let batch = [temp(), wind()];
+    let mut model = MultiLanes::<CompiledFilter>::compile_batch(&batch);
+    let mut batch_want = BatchVerdicts::new(batch.len());
+    run_verdict_driver(&mut model, stream, limits, &mut batch_want);
+    let mut fused = MultiEngine::compile_batch(&batch);
+    assert_eq!(fused.groups().len(), 2);
+    let got = MultiBackend::filter_stream_verdicts(&mut fused, stream, limits);
+    assert_eq!(got, batch_want, "fused on {}", show());
+    assert_eq!(batch_want.query_verdicts(0), want);
+
+    for shards in [1, 2, 3, 8] {
+        let mut runner: ShardedRunner<Engine> = ShardedRunner::with_shards(&temp(), shards);
+        let got = runner.filter_stream_verdicts(stream, limits).unwrap();
+        assert_eq!(got, want, "engine at {shards} shards on {}", show());
+        let mut runner: ShardedRunner<MultiEngine> = ShardedRunner::with_shards(&batch[..], shards);
+        let got = runner.filter_stream_verdicts(stream, limits).unwrap();
+        assert_eq!(got, batch_want, "fused at {shards} shards on {}", show());
+    }
+}
+
+#[test]
+fn gated_runs_equal_the_oracle_at_every_word_offset() {
+    let lines = all_pairs();
+    for trailing in [false, true] {
+        let stream = gated_stream(&lines, trailing);
+        for limits in [
+            IngestLimits::max_record_bytes(MAX_RECORD),
+            IngestLimits::UNLIMITED,
+        ] {
+            assert_gated_equiv(&stream, limits);
+        }
+        // The prefilter is live from the first record to the last.
+        let mut engine = Engine::compile(&temp());
+        engine.filter_stream_verdicts(&stream, IngestLimits::UNLIMITED);
+        assert_eq!(engine.prefilter_status(), PrefilterStatus::Live);
+        let (checked, rejected) = engine.prefilter_stats();
+        assert_eq!(
+            checked as usize,
+            lines.iter().filter(|(k, _)| *k < 7 || *k > 8).count()
+        );
+        assert_eq!(
+            rejected as usize,
+            lines.iter().filter(|(k, _)| (4..7).contains(k)).count()
+        );
+    }
+}
+
+#[test]
+fn probation_running_out_mid_call_makes_the_rest_one_run() {
+    // More passing records than the probation window, then every kind:
+    // the prefilter turns itself off mid-call and the kernel scans the
+    // rest, rejectable records included.
+    let probation = Engine::PREFILTER_PROBATION as usize;
+    let mut lines: Vec<(u8, usize)> = (0..2 * probation)
+        .map(|i| ([0, 1, 2, 3, 7, 10][i % 6], i % 8))
+        .collect();
+    lines.extend(all_pairs().into_iter().take(400));
+    for trailing in [false, true] {
+        let stream = gated_stream(&lines, trailing);
+        assert_gated_equiv(&stream, IngestLimits::max_record_bytes(MAX_RECORD));
+        assert_gated_equiv(&stream, IngestLimits::max_records(probation + 100));
+        let mut engine = Engine::compile(&temp());
+        engine.filter_stream_verdicts(&stream, IngestLimits::UNLIMITED);
+        assert_eq!(engine.prefilter_status(), PrefilterStatus::Disabled);
+        assert_eq!(engine.prefilter_stats(), (probation as u64, 0));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random mixes of every line kind at random pads, with and without
+    /// a trailing record and a record budget.
+    #[test]
+    fn gated_streams_equal_the_oracle(
+        lines in proptest::collection::vec((0u8..11, 0usize..8), 1..48),
+        trailing in any::<bool>(),
+        budget in 0usize..64,
+    ) {
+        let stream = gated_stream(&lines, trailing);
+        // A budget past the 48 lines' records is none.
+        let limits = IngestLimits {
+            max_record_bytes: Some(MAX_RECORD),
+            max_records: Some(budget),
+        };
+        assert_gated_equiv(&stream, limits);
     }
 }

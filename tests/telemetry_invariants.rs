@@ -256,28 +256,32 @@ fn bytes_are_conserved_on_serial_engine_streams() {
     }
     let _guard = serialize();
     // RiotBench streams are pure `record\n` sequences (no CRs, no blank
-    // lines), so every stream byte lands in exactly one scan-path
-    // bucket: the SWAR word loop, the byte-serial path (sub-word tails
-    // and separators), or a prefilter-rejected record with its
-    // separator.
+    // lines). On the stream path every stream byte lands in exactly one
+    // scan-path bucket, whether the prefilter is live or not: the word
+    // kernel, the byte-serial path (at most one word), or a
+    // prefilter-rejected record with its separator. QS0's prefilter is
+    // live here (150 records, inside probation) and rejects nothing.
     let corpus = smartcity_corpus(150);
     let stream = corpus.stream();
     let expr = query_to_exprs(&Query::qs0(), 1).expect("query converts");
 
     let mut engine = Engine::compile(&expr);
     let (decisions, d) = window(|| engine.filter_stream(&stream));
+    assert_eq!(engine.prefilter_status(), PrefilterStatus::Probation);
     assert_eq!(decisions.len(), corpus.len());
     assert_eq!(
         engine_bytes(&d),
         stream.len() as u64,
         "single-query byte paths"
     );
+    assert!(d.counter("engine.bytes.byte_serial") <= 8);
+    assert_eq!(d.counter("engine.prefilter.checked"), corpus.len() as u64);
 
-    // A fused batch is a set of group engines, each of which either
-    // scans a record or has its prefilter reject it, separator included:
-    // the same three buckets, once per group. Here the two SmartCity
-    // queries share a group that scans everything and the Taxi query's
-    // group rejects everything.
+    // A fused batch is a set of group engines over the records framed
+    // once per call, each of which either scans a record or has its
+    // prefilter reject it, separator included: the same three buckets,
+    // once per group. Here the two SmartCity queries share a group that
+    // scans everything and the Taxi query's group rejects everything.
     let batch = vec![
         expr,
         query_to_exprs(&Query::qs1(), 1).expect("query converts"),
@@ -298,14 +302,17 @@ fn bytes_are_conserved_on_serial_engine_streams() {
         + d.counter("multi.bytes.byte_serial")
         + d.counter("multi.bytes.prefilter_skipped");
     assert_eq!(scanned, groups * stream.len() as u64, "fused byte paths");
+    assert!(d.counter("multi.bytes.byte_serial") <= 8 * groups);
     assert_eq!(
         d.counter("multi.bytes.prefilter_skipped"),
         stream.len() as u64,
         "one group rejects every record"
     );
-    // Every group disposes of every scored record one way or the other.
+    // Every group disposes of every scored record one way or the other,
+    // and the call is framed once, not once per group.
     let records = d.counter("multi.records");
     assert_eq!(records, corpus.len() as u64);
+    assert_eq!(d.counter("framing.records"), records);
     assert_eq!(d.counter("multi.group_rejects"), records);
     assert_eq!(
         d.counter("multi.group_scans") + d.counter("multi.group_rejects"),
@@ -335,45 +342,80 @@ fn the_stream_path_counts_every_byte_once_and_the_record_path_what_it_feeds() {
         Expr::float_range("0.7", "35.1").unwrap(),
     ]);
 
-    // The stream path: an `Or` root has no prefilter. Every byte is
-    // scanned by the word kernel and counted once, blank lines and the
-    // sub-word tail included.
+    // The stream path, with or without a live prefilter: every stream
+    // byte is counted once, by the line that owns it — a rejected line
+    // and its separator as `prefilter_skipped`, every other byte (blank
+    // lines and the sub-word tail included) as `block`. An `Or` root has
+    // no prefilter; a fresh engine's `temperature` prefilter is live and
+    // rejects the `light` record and all of `blanks`' records, so the
+    // word the second record's separator shares with the third is
+    // counted as the third's.
     let or_root = Expr::or([temperature.clone(), Expr::int_range(3, 4)]);
-    for stream in [trailing, blanks] {
-        let mut engine = Engine::compile(&or_root);
+    let cases = [
+        (&or_root, trailing, 0, 0),
+        (&or_root, blanks, 0, 0),
+        (&temperature, trailing, 1, 19),
+        (&temperature, blanks, 3, blanks.len() - blank_bytes),
+    ];
+    for (expr, stream, rejected, rejected_bytes) in cases {
+        let mut engine = Engine::compile(expr);
+        assert!(engine.block_scan_ready());
         let (decisions, d) = window(|| engine.filter_stream(stream));
         assert_eq!(decisions.len(), 3);
-        assert_eq!(d.counter("engine.bytes.block"), stream.len() as u64);
         assert_eq!(engine_bytes(&d), stream.len() as u64);
         assert!(d.counter("engine.bytes.byte_serial") <= 8);
+        assert_eq!(d.counter("engine.prefilter.rejected"), rejected);
+        assert_eq!(
+            d.counter("engine.bytes.prefilter_skipped"),
+            rejected_bytes as u64
+        );
         assert_eq!(d.counter("engine.records"), 3);
     }
 
-    // The record path — a fresh engine's prefilter is live — counts the
-    // bytes it feeds: every record with its separator, but not the
-    // synthetic one closing a trailing record, nor blank lines, which
-    // it never feeds.
-    let mut engine = Engine::compile(&temperature);
+    // The record path — a program off the block path (a run target past
+    // the packed counters) — counts the bytes it feeds: every record with
+    // its separator, but not the synthetic one closing a trailing
+    // record, nor blank lines, which it never feeds.
+    let serial = Expr::or([
+        Expr::substring(&[b'a'; 130], 1).unwrap(),
+        Expr::int_range(3, 4),
+    ]);
+    let mut engine = Engine::compile(&serial);
+    assert!(!engine.block_scan_ready());
     let (_, d) = window(|| engine.filter_stream(trailing));
     assert_eq!(engine_bytes(&d), trailing.len() as u64);
     let (_, d) = window(|| engine.filter_stream(blanks));
     assert_eq!(engine_bytes(&d), (blanks.len() - blank_bytes) as u64);
 
-    // A fused batch runs the record path in every group.
+    // A fused batch frames each call once and runs every group over the
+    // framed records on the stream path: each group counts every stream
+    // byte once, and disposes of every record by a scan or a reject.
     let batch = [temperature, Expr::int_range(3, 4)];
     let mut fused = MultiEngine::compile_batch(&batch);
     let groups = fused.groups().len() as u64;
-    let (_, d) = window(|| {
-        rfjson_core::MultiBackend::filter_stream_verdicts(
-            &mut fused,
-            trailing,
-            IngestLimits::UNLIMITED,
-        )
-    });
-    let scanned = d.counter("multi.bytes.block")
-        + d.counter("multi.bytes.byte_serial")
-        + d.counter("multi.bytes.prefilter_skipped");
-    assert_eq!(scanned, groups * trailing.len() as u64);
+    assert_eq!(groups, 2);
+    for stream in [trailing, blanks] {
+        let (_, d) = window(|| {
+            rfjson_core::MultiBackend::filter_stream_verdicts(
+                &mut fused,
+                stream,
+                IngestLimits::UNLIMITED,
+            )
+        });
+        let scanned = d.counter("multi.bytes.block")
+            + d.counter("multi.bytes.byte_serial")
+            + d.counter("multi.bytes.prefilter_skipped");
+        assert_eq!(scanned, groups * stream.len() as u64);
+        assert!(d.counter("multi.bytes.byte_serial") <= 8 * groups);
+        assert_eq!(d.counter("multi.records"), 3);
+        assert_eq!(
+            d.counter("multi.group_scans") + d.counter("multi.group_rejects"),
+            groups * 3
+        );
+        assert_eq!(d.counter("framing.records"), 3);
+        let blank_lines = if stream == blanks { 3 } else { 0 };
+        assert_eq!(d.counter("framing.blank_lines"), blank_lines);
+    }
 }
 
 #[test]

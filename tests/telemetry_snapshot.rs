@@ -32,20 +32,21 @@ fn qs0_snapshot_json_is_pinned() {
 
     assert_eq!(decisions.iter().filter(|m| **m).count(), 14);
 
-    // 25 records of the 215–220-byte smartcity distribution: 5400 bytes
-    // through the SWAR word loop, 51 through the byte-serial path
-    // (sub-word tails + the 25 newline separators), none prefilter-
-    // skipped (QS0's literals occur in every record, so the prefilter
-    // never rejects and self-disables after probation — no
-    // `engine.prefilter.rejected` / `.disabled` entries survive the
-    // delta's drop-if-unchanged rule). Finding all five attribute names
-    // took the prefilter 3780 byte reads over the 5426 content bytes.
+    // 25 records of the 215–220-byte smartcity distribution, 5451 bytes
+    // with their separators, all through the word kernel: QS0's
+    // prefilter is live (25 records are inside probation), so the
+    // stream path frames the call first and asks it about each record;
+    // its literals occur in every record, so it rejects none and the
+    // whole call is one run — no `engine.bytes.byte_serial`,
+    // `.prefilter_skipped` or `engine.prefilter.rejected` entries
+    // survive the delta's drop-if-unchanged rule. Finding all five
+    // attribute names took the prefilter 3780 byte reads over the 5426
+    // content bytes.
     let golden = concat!(
         "{\n",
         "  \"schema\": \"rfjson-telemetry/v1\",\n",
         "  \"counters\": {\n",
-        "    \"engine.bytes.block\": 5400,\n",
-        "    \"engine.bytes.byte_serial\": 51,\n",
+        "    \"engine.bytes.block\": 5451,\n",
         "    \"engine.prefilter.checked\": 25,\n",
         "    \"engine.prefilter.probed_bytes\": 3780,\n",
         "    \"engine.records\": 25,\n",
@@ -58,5 +59,5 @@ fn qs0_snapshot_json_is_pinned() {
     assert_eq!(delta.filtered(&["engine.", "framing."]).to_json(), golden);
 
     // Byte conservation, restated on the pinned numbers.
-    assert_eq!(5400 + 51, stream.len());
+    assert_eq!(5451, stream.len());
 }
