@@ -2,18 +2,20 @@
 //! counterparts — the newline hop, the per-word classifier + string-mask
 //! resolution, literal containment, the record-level literal prefilter,
 //! and the end-to-end engine block scan ([`Engine::on_block`]) versus the
-//! per-byte loop on the same stream.
+//! per-byte loop on the same stream — and the engine's stream path over
+//! Taxi records as its program widens (`engine_wide/N`: an `And` of `N`
+//! attribute pairs).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rfjson_core::engine::Engine;
 use rfjson_core::prefilter::Prefilter;
 use rfjson_core::query::query_to_exprs;
-use rfjson_core::{Expr, FilterBackend};
+use rfjson_core::{Expr, FilterBackend, IngestLimits, StructScope};
 use rfjson_jsonstream::swar::{
     self, classify_word, load_word, string_mask_word, StringState, WORD_BYTES,
 };
 use rfjson_jsonstream::{classify, ByteClass, StringMask};
-use rfjson_riotbench::{smartcity_corpus, Query};
+use rfjson_riotbench::{smartcity_corpus, taxi_corpus, Query};
 use std::hint::black_box;
 
 fn swar_scan(c: &mut Criterion) {
@@ -107,7 +109,6 @@ fn swar_scan(c: &mut Criterion) {
     for (b, name) in [(1, "engine_qs0"), (2, "engine_qs0_b2")] {
         let expr = query_to_exprs(&Query::qs0(), b).unwrap();
         let mut engine = Engine::compile(&expr);
-        assert!(engine.block_scan_ready());
         let mut out = Vec::new();
         group.bench_function(format!("{name}/byte"), |b| {
             b.iter(|| {
@@ -133,7 +134,60 @@ fn swar_scan(c: &mut Criterion) {
             });
         });
     }
+
+    // One kernel for every width: past eight attributes the key lanes
+    // take a second bank, past 21 the latch a second word, and the cost
+    // per byte grows with the lanes, not by a change of path.
+    let taxi = taxi_corpus(2000).stream();
+    group.throughput(Throughput::Bytes(taxi.len() as u64));
+    for n in [5, 8, 9, 16, 32] {
+        let mut engine = Engine::compile(&taxi_attributes(n));
+        // Every record holds every key: probation turns the prefilter off.
+        engine.filter_stream(&taxi);
+        let mut out = Vec::new();
+        group.bench_function(format!("engine_wide/{n}"), |b| {
+            b.iter(|| {
+                out.clear();
+                engine.filter_stream_verdicts_into(
+                    black_box(&taxi),
+                    IngestLimits::UNLIMITED,
+                    &mut out,
+                );
+                black_box(out.len())
+            });
+        });
+    }
     group.finish();
+}
+
+/// An `And` of `n` member contexts `{s1(key) & v(0 ≤ f ≤ 100000 + i)}`
+/// over the thirteen keys every Taxi record holds, round robin.
+fn taxi_attributes(n: usize) -> Expr {
+    const KEYS: [&str; 13] = [
+        "trip_time_in_secs",
+        "trip_distance",
+        "fare_amount",
+        "surcharge",
+        "mta_tax",
+        "tip_amount",
+        "tolls_amount",
+        "total_amount",
+        "medallion",
+        "hack_license",
+        "vendor_id",
+        "pickup_datetime",
+        "payment_type",
+    ];
+    Expr::and((0..n).map(|i| {
+        let high = format!("{}", 100_000 + i);
+        Expr::context_scoped(
+            StructScope::Member,
+            [
+                Expr::substring(KEYS[i % KEYS.len()].as_bytes(), 1).unwrap(),
+                Expr::float_range("0", &high).unwrap(),
+            ],
+        )
+    }))
 }
 
 criterion_group!(benches, swar_scan);

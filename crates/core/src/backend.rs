@@ -17,8 +17,8 @@
 //! with a batch of queries: the record driver below and its byte-serial
 //! oracle are one body written over that trait. The table-driven
 //! [`Engine`](crate::engine::Engine) and
-//! [`MultiEngine`](crate::multi::MultiEngine) run their own stream path
-//! on the block path instead.
+//! [`MultiEngine`](crate::multi::MultiEngine) run their own stream path,
+//! the word kernel, for every program instead.
 //!
 //! # Choosing a backend
 //!
@@ -265,8 +265,7 @@ pub trait FilterBackend {
     /// The default is the record driver, [`run_verdict_driver_blocks`].
     /// [`Engine`](crate::engine::Engine) overrides it with its stream
     /// path — the word kernel over the buffer, the separator as a kernel
-    /// event, a live literal prefilter gating records in front of it —
-    /// on the block path.
+    /// event, a live literal prefilter gating records in front of it.
     fn filter_stream_verdicts_into(
         &mut self,
         stream: &[u8],
@@ -492,11 +491,9 @@ pub fn run_verdict_driver<L: Lane + ?Sized>(
 /// record's content to [`Lane::feed_block`] in one call.
 ///
 /// The model and cosim backends and the [`MultiLanes`](crate::multi::MultiLanes)
-/// reference batch run it for every stream. [`Engine`](crate::engine::Engine)
-/// runs it only where its stream path cannot: on a byte-serial
-/// [`ScanPath`](crate::ScanPath), and when some unit can see the
-/// separator; a [`MultiEngine`](crate::multi::MultiEngine) only when one
-/// of its groups is in that state.
+/// reference batch run it for every stream; [`Engine`](crate::engine::Engine)
+/// and [`MultiEngine`](crate::multi::MultiEngine) never do — their stream
+/// path runs every program — but it drives them as well as any backend.
 ///
 /// It shares its body, and so its framing, with the byte-serial
 /// [`run_verdict_driver`]; the two agree on every verdict because

@@ -26,9 +26,9 @@
 //! ([`BlockAutomatonView::definite`]): the state after a byte is that
 //! byte's class or the start, whatever state came before, so
 //! every row's `next` equals row 0's and the row before byte *j* of a
-//! word is `next[class(b_{j−1})]`. [`BlockAutomaton::word_hits`] then
-//! reads a word's eight hit masks without walking the rows; pools with
-//! longer blocks keep the walk.
+//! word is `next[class(b_{j−1})]`. [`BlockAutomaton::word_transitions`]
+//! then finds a word's eight transitions without walking the rows; pools
+//! with longer blocks keep the walk.
 //!
 //! # Run counters, a word at a time
 //!
@@ -60,11 +60,23 @@
 //! `r_j ≤ pop`; where it is not, `c_j = r_j ≤ pop`.
 //!
 //! The byte-serial form ([`BlockAutomaton::step_serial`]) walks the same
-//! tables with one `u32` counter per unit, so both paths of an engine
-//! share one state and a block seam needs no window reconstruction.
-//! [`SubstringMatcher`] stays the reference the property tests compare
-//! against (`tests/block_automaton_equiv.rs`).
+//! tables and steps the same packed counters a byte at a time
+//! ([`byte_step`]), so both paths of an engine share one state and a
+//! block seam needs no conversion. [`SubstringMatcher`] stays the
+//! reference the property tests compare against
+//! (`tests/block_automaton_equiv.rs`).
+//!
+//! # Lane layout
+//!
+//! An engine gives its units as many banks as they need. The units of a
+//! program are pooled in order into automata, a new one started where
+//! the next unit would take the table past [`MAX_TABLE_WORDS`]. A unit
+//! that cannot be packed — a run target past [`MAX_PACKED_TARGET`], or a
+//! table of its own past the cap — is a **reference lane**: the word
+//! kernel steps its [`SubstringMatcher`] byte by byte in its unit pass,
+//! as it steps the string DFAs.
 
+use crate::engine::Latch;
 use crate::primitive::{FireFilter, SubstringMatcher};
 
 /// `0x01` in every lane.
@@ -74,14 +86,12 @@ const LANE_HI: u64 = 0x8080_8080_8080_8080;
 
 /// Lanes per `u64` bank.
 pub const LANES: usize = 8;
-/// Most banks [`pack_counters`] packs (64 units); an engine on the block
-/// path uses one.
-pub const MAX_BANKS: usize = 8;
 /// Largest run target the packed counters compare exactly: they saturate
-/// at 127, so `counter ≥ target` keeps its serial meaning up to 126.
+/// at 127, so `counter ≥ target` keeps its serial meaning up to 126. A
+/// unit past it is a reference lane.
 pub const MAX_PACKED_TARGET: u32 = 126;
 /// Cap on `states × classes × banks`, the hit-table size in words
-/// (512 KiB). Pools beyond it keep the reference matchers.
+/// (512 KiB): a pool that would outgrow it starts another automaton.
 pub const MAX_TABLE_WORDS: usize = 1 << 16;
 
 /// Bytes per word of [`RunWord`]: the word kernel's SWAR word.
@@ -180,8 +190,7 @@ pub fn fired_lanes(mut fires: u64) -> impl Iterator<Item = usize> {
 
 /// Packs run targets one byte per lane, eight per bank. Unused lanes
 /// hold 127, which their never-hit counters cannot reach; targets above
-/// [`MAX_PACKED_TARGET`] do not fit and must keep the program off the
-/// packed path.
+/// [`MAX_PACKED_TARGET`] do not fit and make a unit a reference lane.
 #[must_use]
 pub fn pack_targets(targets: &[u32]) -> Vec<u64> {
     let mut packed = vec![LANE_HI - LANE_LO; targets.len().div_ceil(LANES)];
@@ -193,27 +202,44 @@ pub fn pack_targets(targets: &[u32]) -> Vec<u64> {
     packed
 }
 
-/// Saturates scalar run counters into one byte per lane. Counters only
-/// grow within a run, so clamping at 127 preserves every comparison
-/// against a target ≤ [`MAX_PACKED_TARGET`].
-///
-/// # Panics
-///
-/// Panics on more than `MAX_BANKS × LANES` counters.
-#[must_use]
-pub fn pack_counters(counters: &[u32]) -> [u64; MAX_BANKS] {
-    let mut packed = [0u64; MAX_BANKS];
-    for (i, &c) in counters.iter().enumerate() {
-        packed[i / LANES] |= u64::from(c.min(127)) << (8 * (i % LANES));
-    }
-    packed
+/// One byte of a bank of packed run counters `c`, from the byte's hit
+/// mask: hit lanes count up, saturating at 127, miss lanes reset. Returns
+/// `0x80` in every lane at or past its byte of `targets` — the byte-serial
+/// form of [`RunWord`], on the same state.
+#[inline]
+pub fn byte_step(c: &mut u64, hits: u64, targets: u64) -> u64 {
+    let n = (*c + LANE_LO) & hits;
+    *c = n - ((n & LANE_HI) >> 7);
+    reached(*c, targets)
 }
 
-/// Inverse of [`pack_counters`], from the banks in use.
-pub fn unpack_counters(packed: &[u64], counters: &mut [u32]) {
-    for (i, c) in counters.iter_mut().enumerate() {
-        *c = ((packed[i / LANES] >> (8 * (i % LANES))) & 0xff) as u32;
+/// One word of a bank of packed run counters `c` with their packed
+/// `targets`, from the word's hit masks by byte position ([`RunWord`]).
+/// Only where the bound says some lane may fire is the word resolved:
+/// each firing lane's latch bits — `words` words at `lane × words` of
+/// `lane_fire` — go into `fire` at its position, and the position into
+/// `fired`.
+#[allow(clippy::inline_always)] // the word kernel's loop: measured, ~2 %
+#[inline(always)]
+pub(crate) fn step_lanes<L: Latch>(
+    hits: [u64; WORD],
+    c: &mut u64,
+    targets: u64,
+    lane_fire: &[u64],
+    words: usize,
+    fire: &mut [L; WORD],
+    fired: &mut u8,
+) {
+    let run = RunWord::new(hits);
+    if run.may_fire(*c, targets) {
+        for (j, f) in run.fires(*c, targets).into_iter().enumerate() {
+            for lane in fired_lanes(f) {
+                fire[j].or_words(&lane_fire[lane * words..]);
+                *fired |= 1 << j;
+            }
+        }
     }
+    *c = run.carry(*c);
 }
 
 /// One pooled unit of a [`BlockAutomatonView`]: the source of lane *i*.
@@ -275,7 +301,7 @@ impl BlockAutomatonView {
 ///
 /// let unit = SubstringMatcher::new(b"tolls_amount", 2)?;
 /// let automaton = BlockAutomaton::build([&unit]).expect("a few hundred table words");
-/// let (mut row, mut counters) = (0u16, [0u32]);
+/// let (mut row, mut counters) = (0u16, [0u64]);
 /// let mut fired = false;
 /// for &byte in br#"{"tolls_amount":5.00}"# {
 ///     automaton.step_serial(&mut row, &mut counters, byte, |_unit| fired = true);
@@ -446,118 +472,262 @@ impl BlockAutomaton {
         &self.t.hits[idx * self.t.banks..][..self.t.banks]
     }
 
-    /// The first bank's hit masks for the eight bytes of a word, advancing
-    /// `row` past them. On a [definite](BlockAutomatonView::definite)
-    /// automaton of one bank — an engine's — each byte's row is `next` of
-    /// the byte before it, so the lookups carry nothing from byte to byte;
-    /// otherwise they walk the rows.
+    /// The transitions the eight bytes of a word take, advancing `row`
+    /// past them. On a [definite](BlockAutomatonView::definite)
+    /// automaton each byte's row is `next` of the byte before it, so the
+    /// lookups carry nothing from byte to byte; otherwise they walk the
+    /// rows.
     #[allow(clippy::inline_always)] // in the word kernel's loop: measured, ~3 %
     #[inline(always)]
     #[must_use]
-    pub fn word_hits(&self, row: &mut u16, bytes: &[u8; WORD]) -> [u64; WORD] {
+    pub fn word_transitions(&self, row: &mut u16, bytes: &[u8; WORD]) -> [usize; WORD] {
         let t = &self.t;
-        let mut hits = [0; WORD];
-        if t.definite && t.banks == 1 {
-            let mut r = *row as usize;
-            for (h, &byte) in hits.iter_mut().zip(bytes) {
+        let mut steps = [0; WORD];
+        let mut r = *row as usize;
+        if t.definite {
+            for (step, &byte) in steps.iter_mut().zip(bytes) {
                 let class = t.classes[byte as usize] as usize;
-                *h = t.hits[r + class];
+                *step = r + class;
                 r = t.next[class] as usize;
             }
-            *row = r as u16;
         } else {
-            for (h, &byte) in hits.iter_mut().zip(bytes) {
-                *h = self.step(row, byte)[0];
+            for (step, &byte) in steps.iter_mut().zip(bytes) {
+                *step = r + t.classes[byte as usize] as usize;
+                r = t.next[*step] as usize;
             }
         }
-        hits
+        *row = r as u16;
+        steps
     }
 
-    /// The byte-serial form: advances `row` and the per-unit run
-    /// `counters` by one byte and calls `fire(unit)` for every unit at or
-    /// past its target — cycle for cycle what
-    /// [`SubstringMatcher::on_byte`](FireFilter::on_byte) returns.
+    /// Bank `bank`'s hit masks of the transitions of a word
+    /// ([`BlockAutomaton::word_transitions`]).
+    #[allow(clippy::inline_always)] // in the word kernel's loop
+    #[inline(always)]
+    #[must_use]
+    pub fn word_hits(&self, steps: &[usize; WORD], bank: usize) -> [u64; WORD] {
+        let t = &self.t;
+        std::array::from_fn(|j| t.hits[steps[j] * t.banks + bank])
+    }
+
+    /// The byte-serial form: advances `row` and the packed run
+    /// `counters`, a word per bank, by one byte ([`byte_step`]) and calls
+    /// `fire(lane)` for every lane at or past its target — cycle for cycle
+    /// what [`SubstringMatcher::on_byte`](FireFilter::on_byte) returns.
     #[inline]
     pub fn step_serial(
         &self,
         row: &mut u16,
-        counters: &mut [u32],
+        counters: &mut [u64],
         byte: u8,
         mut fire: impl FnMut(usize),
     ) {
         let hits = self.step(row, byte);
-        for (i, (c, &target)) in counters.iter_mut().zip(&self.t.targets).enumerate() {
-            let hit = hits[i / LANES] >> (8 * (i % LANES)) & 1 != 0;
-            *c = if hit { c.saturating_add(1) } else { 0 };
-            if *c >= target {
-                fire(i);
+        let banks = counters.iter_mut().zip(hits).zip(&self.t.targets_packed);
+        for (bank, ((c, &h), &targets)) in banks.enumerate() {
+            for lane in fired_lanes(byte_step(c, h, targets)) {
+                fire(bank * LANES + lane);
             }
         }
     }
 }
 
-/// The B ≥ 2 substring units of one program with their
-/// per-stream state: the pooled automaton and its row and run counters,
-/// or — when the table would be too large — the reference matchers
-/// stepped directly.
+/// One automaton of a split pool, with the fire masks of its lanes and
+/// their per-stream state.
 #[derive(Debug, Clone)]
-pub(crate) struct BlockUnits {
-    matchers: Vec<SubstringMatcher>,
-    /// Boxed: most programs have no B ≥ 2 unit, and the tables' inline
-    /// class map and headers would push `Engine` past 1 KiB — which
-    /// measurably slows the set-up of fresh sharded lanes.
-    automaton: Option<Box<BlockAutomaton>>,
+pub(crate) struct Pool {
+    pub(crate) automaton: BlockAutomaton,
+    /// Fire mask of each lane, `words` words each.
+    pub(crate) fire: Vec<u64>,
     pub(crate) row: u16,
-    pub(crate) counters: Vec<u32>,
+    /// Run counters, packed one byte per lane, a word per bank.
+    pub(crate) counters: Vec<u64>,
+}
+
+impl Pool {
+    /// The automaton's part of [`BlockUnits::step_word`], from `row` and
+    /// the packed `counters` and `targets`, a word per bank.
+    #[allow(clippy::inline_always)] // in the word kernel's loop
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)] // the kernel's state, inlined
+    fn step_word<L: Latch, C: Latch>(
+        &self,
+        row: &mut u16,
+        counters: &mut C,
+        targets: &C,
+        words: usize,
+        bytes: [u8; WORD],
+        fire: &mut [L; WORD],
+        fired: &mut u8,
+    ) {
+        let a = &self.automaton;
+        let steps = a.word_transitions(row, &bytes);
+        // As many banks as `targets` has words: one, for a `u64`.
+        for bank in 0..targets.words().len() {
+            let (c, targets) = (&mut counters.words_mut()[bank], targets.words()[bank]);
+            let lane_fire = &self.fire[bank * LANES * words..];
+            let hits = a.word_hits(&steps, bank);
+            step_lanes(hits, c, targets, lane_fire, words, fire, fired);
+        }
+    }
+}
+
+/// The B ≥ 2 substring units of one program — and the B = 1 units whose
+/// run target is past [`MAX_PACKED_TARGET`] — with their per-stream
+/// state. The packable units are pooled in order into automata, another
+/// one started whenever the next unit would take the current one past
+/// [`MAX_TABLE_WORDS`], the way [`NumberAutomaton::pool`](crate::numpool::NumberAutomaton::pool)
+/// splits at its row cap. A unit that cannot be packed — its run target
+/// is past [`MAX_PACKED_TARGET`], or its own table alone is past the cap —
+/// is a **reference lane**: its [`SubstringMatcher`] steps byte by byte.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct BlockUnits {
+    /// Every unit, in unit order; the reference lanes step theirs.
+    pub(crate) units: Vec<SubstringMatcher>,
+    /// Fire mask of each unit, `words` words each.
+    pub(crate) fire: Vec<u64>,
+    words: usize,
+    /// The automata of the split pool, in unit order.
+    pub(crate) pools: Vec<Pool>,
+    /// The units of the reference lanes, ascending.
+    pub(crate) refs: Vec<usize>,
 }
 
 impl BlockUnits {
-    pub(crate) fn new(matchers: Vec<SubstringMatcher>) -> BlockUnits {
-        let automaton = if matchers.is_empty() {
-            None
-        } else {
-            BlockAutomaton::build(&matchers).map(Box::new)
-        };
+    /// Lays out `matchers`, whose fire masks of `words` words each are
+    /// `fire`, as lanes of automata and reference lanes.
+    pub(crate) fn new(units: Vec<SubstringMatcher>, fire: Vec<u64>, words: usize) -> BlockUnits {
+        let mut pools: Vec<(BlockAutomaton, Vec<usize>)> = Vec::new();
+        let mut refs = Vec::new();
+        for (u, m) in units.iter().enumerate() {
+            if m.target() > MAX_PACKED_TARGET {
+                refs.push(u);
+                continue;
+            }
+            let grown = pools.last().and_then(|(_, lanes)| {
+                let lanes = lanes.iter().map(|&i| &units[i]);
+                BlockAutomaton::build(lanes.chain([m]))
+            });
+            match (grown, BlockAutomaton::build([m])) {
+                (Some(grown), _) => {
+                    let last = pools.last_mut().expect("the pool that grew");
+                    last.0 = grown;
+                    last.1.push(u);
+                }
+                (None, Some(alone)) => pools.push((alone, vec![u])),
+                (None, None) => refs.push(u),
+            }
+        }
+        let pools = pools
+            .into_iter()
+            .map(|(automaton, units)| Pool {
+                fire: units
+                    .iter()
+                    .flat_map(|&u| &fire[u * words..(u + 1) * words])
+                    .copied()
+                    .collect(),
+                counters: vec![0; automaton.t.banks],
+                row: 0,
+                automaton,
+            })
+            .collect();
         BlockUnits {
-            counters: vec![0; matchers.len()],
-            matchers,
-            automaton,
-            row: 0,
+            units,
+            fire,
+            words,
+            pools,
+            refs,
         }
     }
 
-    /// The units' descriptors (needle, block length, target), in lane
-    /// order.
-    pub(crate) fn units(&self) -> &[SubstringMatcher] {
-        &self.matchers
-    }
-
-    /// `None` without units, and for a pool past [`MAX_TABLE_WORDS`].
-    pub(crate) fn automaton(&self) -> Option<&BlockAutomaton> {
-        self.automaton.as_deref()
-    }
-
-    /// One byte-serial cycle; `fire(unit)` for every firing unit.
+    /// One byte-serial cycle; `fire(mask)` with the fire mask of every
+    /// firing unit.
     #[inline]
-    pub(crate) fn on_byte(&mut self, byte: u8, mut fire: impl FnMut(usize)) {
-        if let Some(a) = &self.automaton {
-            a.step_serial(&mut self.row, &mut self.counters, byte, fire);
-        } else {
-            for (i, m) in self.matchers.iter_mut().enumerate() {
+    pub(crate) fn on_byte(&mut self, byte: u8, mut fire: impl FnMut(&[u64])) {
+        let words = self.words;
+        for pool in &mut self.pools {
+            let lanes = &pool.fire;
+            pool.automaton
+                .step_serial(&mut pool.row, &mut pool.counters, byte, |lane| {
+                    fire(&lanes[lane * words..(lane + 1) * words]);
+                });
+        }
+        for &u in &self.refs {
+            if self.units[u].on_byte(byte) {
+                fire(&self.fire[u * words..(u + 1) * words]);
+            }
+        }
+    }
+
+    /// Whether there is at most one automaton, of at most one bank: what
+    /// the word kernel's one-word instantiation holds in a register.
+    pub(crate) fn one_bank(&self) -> bool {
+        self.pools.len() <= 1 && self.pools.iter().all(|p| p.counters.len() <= 1)
+    }
+
+    /// The first automaton's row, packed run counters and packed
+    /// targets, which the word kernel holds like its latch while it runs.
+    pub(crate) fn load_first<L: Latch>(&self) -> (u16, L, L) {
+        self.pools
+            .first()
+            .map_or((0, L::zeroed(0), L::zeroed(0)), |p| {
+                let targets = &p.automaton.t.targets_packed;
+                (p.row, L::load(&p.counters), L::load(targets))
+            })
+    }
+
+    /// Stores back what [`BlockUnits::load_first`] loaded.
+    pub(crate) fn store_first<L: Latch>(&mut self, (row, counters, _): &(u16, L, L)) {
+        if let Some(p) = self.pools.first_mut() {
+            p.row = *row;
+            counters.store(&mut p.counters);
+        }
+    }
+
+    /// The unit pass of the word kernel over one word: per automaton,
+    /// the word's transitions once and [`step_lanes`] once per bank —
+    /// the first automaton on `first`, its state as the kernel holds it;
+    /// per reference lane, its matcher byte by byte. Fires go into `fire`
+    /// by position, the positions into `fired`.
+    #[allow(clippy::inline_always)] // in the word kernel's loop
+    #[inline(always)]
+    pub(crate) fn step_word<L: Latch, C: Latch>(
+        &mut self,
+        first: &mut (u16, C, C),
+        bytes: [u8; WORD],
+        fire: &mut [L; WORD],
+        fired: &mut u8,
+    ) {
+        let words = self.words;
+        let mut pools = self.pools.iter_mut();
+        if let Some(pool) = pools.next() {
+            let (row, counters, targets) = first;
+            pool.step_word(row, counters, targets, words, bytes, fire, fired);
+        }
+        for pool in pools {
+            let (mut row, mut counters) = (pool.row, std::mem::take(&mut pool.counters));
+            let targets = &pool.automaton.t.targets_packed;
+            pool.step_word(&mut row, &mut counters, targets, words, bytes, fire, fired);
+            (pool.row, pool.counters) = (row, counters);
+        }
+        for &u in &self.refs {
+            let m = &mut self.units[u];
+            for (j, byte) in bytes.into_iter().enumerate() {
                 if m.on_byte(byte) {
-                    fire(i);
+                    fire[j].or_words(&self.fire[u * words..]);
+                    *fired |= 1 << j;
                 }
             }
         }
     }
 
     pub(crate) fn reset(&mut self) {
-        self.row = 0;
-        self.counters.fill(0);
-        if self.automaton.is_none() {
-            for m in &mut self.matchers {
-                m.reset();
-            }
+        for pool in &mut self.pools {
+            pool.row = 0;
+            pool.counters.fill(0);
+        }
+        for &u in &self.refs {
+            self.units[u].reset();
         }
     }
 }
@@ -574,7 +744,7 @@ mod tests {
     fn assert_equiv(units: &[SubstringMatcher], stream: &[u8]) {
         let a = BlockAutomaton::build(units).expect("fits");
         let mut reference = units.to_vec();
-        let (mut row, mut counters) = (0u16, vec![0u32; units.len()]);
+        let (mut row, mut counters) = (0u16, vec![0u64; a.view().banks]);
         for (pos, &byte) in stream.iter().enumerate() {
             let mut got = vec![false; units.len()];
             a.step_serial(&mut row, &mut counters, byte, |i| got[i] = true);
@@ -646,11 +816,34 @@ mod tests {
 
     #[test]
     fn counters_round_trip_through_lanes() {
-        let counters = [0, 1, 126, 127, 500, 7, 8, 9, 10];
-        let packed = pack_counters(&counters);
-        let mut back = [0u32; 9];
-        unpack_counters(&packed, &mut back);
-        assert_eq!(back, [0, 1, 126, 127, 127, 7, 8, 9, 10]);
+        // Scalar counters of nine lanes over two banks against the packed
+        // ones stepped a byte at a time: equal up to the 127 ceiling, and
+        // firing alike against targets up to 126.
+        let targets = [1, 2, 126, 3, 100, 7, 8, 9, 10];
+        let packed_targets = pack_targets(&targets);
+        let (mut scalar, mut packed) = ([0u32; 9], [0u64; 2]);
+        for step in 0..400u32 {
+            let hit = |i: usize| step % (i as u32 + 2) != 0 || step > 200;
+            let mut want = Vec::new();
+            for (i, c) in scalar.iter_mut().enumerate() {
+                *c = if hit(i) { *c + 1 } else { 0 };
+                if *c >= targets[i] {
+                    want.push(i);
+                }
+            }
+            let mut fired = Vec::new();
+            for (bank, c) in packed.iter_mut().enumerate() {
+                let lanes = (bank * LANES..9).take(LANES).filter(|&i| hit(i));
+                let hits = lanes.fold(0u64, |h, i| h | 0xff << (8 * (i % LANES)));
+                let fires = fired_lanes(byte_step(c, hits, packed_targets[bank]));
+                fired.extend(fires.map(|lane| bank * LANES + lane));
+            }
+            assert_eq!(fired, want, "step {step}");
+            for (i, &c) in scalar.iter().enumerate() {
+                let lane = packed[i / LANES] >> (8 * (i % LANES)) & 0xff;
+                assert_eq!(lane, u64::from(c.min(127)), "lane {i} at step {step}");
+            }
+        }
     }
 
     #[test]
@@ -658,13 +851,23 @@ mod tests {
         let needle: Vec<u8> = (0..600u32).map(|i| b'a' + (i * i % 23) as u8).collect();
         let big = unit(&needle, 300);
         assert!(BlockAutomaton::build([&big]).is_none());
-        let mut units = BlockUnits::new(vec![big.clone()]);
-        assert!(units.automaton().is_none());
-        let mut reference = big;
-        for &byte in needle.iter().chain(b"xx") {
-            let mut fired = false;
-            units.on_byte(byte, |_| fired = true);
-            assert_eq!(fired, reference.on_byte(byte));
+        // Beside it, a packable unit and one whose target is past the
+        // packed counters: the big one and the long one are reference
+        // lanes, the small one a lane of the one automaton.
+        let long = unit(&[b'a'; 130], 2);
+        let small = unit(b"abc", 2);
+        let pool = vec![big.clone(), small.clone(), long.clone()];
+        let mut units = BlockUnits::new(pool, vec![1, 2, 4], 1);
+        assert_eq!(units.refs, [0, 2]);
+        assert_eq!(units.pools.len(), 1);
+        assert_eq!(units.pools[0].automaton.view().units.len(), 1);
+        let mut reference = [big, small, long];
+        let stream = needle.iter().chain(b"xxabcx").chain(&[b'a'; 140]);
+        for &byte in stream.chain(b"\n") {
+            let mut fired = 0;
+            units.on_byte(byte, |mask| fired |= mask[0]);
+            let want = (0..3).filter(|&i| reference[i].on_byte(byte));
+            assert_eq!(fired, want.fold(0, |f, i| f | 1 << i));
         }
     }
 }

@@ -53,15 +53,20 @@
 //!
 //! # The word kernel
 //!
-//! Eligible programs ([`Engine::scan_path`]) run eight bytes at a time —
-//! per record in [`Engine::on_block`], and over whole streams on the
-//! stream path, the one datapath of [`Engine`] and
+//! Every program runs eight bytes at a time — per record in
+//! [`Engine::on_block`], and over whole streams on the stream path, the
+//! one datapath of [`Engine`] and
 //! [`MultiEngine`](crate::multi::MultiEngine) streams — in three passes
-//! per word that share nothing but the word and an array
-//! of fire masks by byte position. The unit lanes step over the word in a
-//! straight line: the string DFAs byte by byte, and the packed run
-//! counters of the substring units once per word, from the word's eight
-//! hit masks ([`blockhit`'s counter algebra](crate::blockhit#run-counters-a-word-at-a-time)),
+//! per word that share nothing but the word and an array of fire masks
+//! by byte position. A wider program costs more lanes, never another
+//! path: the kernel is one body over the latch width ([`Latch`]),
+//! instantiated for one `u64` word and for a vector of them, and the
+//! substring units take as many banks of eight packed lanes as they need
+//! ([`blockhit`'s lane layout](crate::blockhit#lane-layout)). The unit
+//! lanes step over the word in a straight line: the string DFAs and the
+//! reference lanes byte by byte, and the packed run counters of the
+//! substring units once per word and bank, from the word's eight hit
+//! masks ([`blockhit`'s counter algebra](crate::blockhit#run-counters-a-word-at-a-time)),
 //! so no byte waits for the counters of the byte before it; only a
 //! block-hit pool with blocks longer than two bytes still walks its rows
 //! byte by byte. The number automaton visits the number bytes and token
@@ -95,17 +100,17 @@
 //! inside an unterminated string — the string state. The unit lanes
 //! need no reset: the compiler checks that `\n` returns every one of
 //! them to its reset state. So the kernel may also start at any
-//! record, mid-word, from reset state: the bytes of the word before the
-//! record end at the previous line's `\n`. That is how a live literal
+//! record's first byte, from reset state. That is how a live literal
 //! prefilter gates the stream path: it is asked about each record as
 //! the call is framed, a rejected record is never scanned, and the
 //! kernel runs once per **run** of records between two rejected ones.
-//! Only a program off the block path, or one
-//! with a unit that sees `\n`, takes the record driver,
-//! [`run_verdict_driver_blocks`].
+//! A program with a unit that sees `\n` makes every record a run of its
+//! own. The record driver,
+//! [`run_verdict_driver_blocks`](crate::backend::run_verdict_driver_blocks),
+//! serves the other backends; an engine never takes it.
 
-use crate::backend::{run_verdict_driver_blocks, IngestLimits, SkipReason, Verdict};
-use crate::blockhit::{self, fired_lanes, BlockAutomatonView, BlockUnits, RunWord};
+use crate::backend::{IngestLimits, SkipReason, Verdict};
+use crate::blockhit::{self, fired_lanes, step_lanes, BlockAutomatonView, BlockUnits, LANES};
 use crate::evaluator::StreamTracker;
 use crate::expr::{Expr, StringTechnique, StructScope};
 use crate::numpool::{self, NumberAutomaton, NumberAutomatonView, WordTokens};
@@ -190,12 +195,13 @@ pub struct ProgramView {
     /// automaton ([`Engine::number_automaton_views`]), which fires these
     /// bits from its rows.
     pub number_dfas: Vec<u32>,
-    /// Latch-bit indices of single-byte substring units.
+    /// Latch-bit indices of single-byte substring units (lanes of the
+    /// byte hit tables, or reference lanes past the packed targets).
     pub sub1_nodes: Vec<u32>,
     /// Latch-bit indices of the B ≥ 2 substring units whose blocks are at
     /// most eight bytes long. A census category, not a mechanism: like
-    /// [`ProgramView::wide_nodes`] they are lanes of the one block-hit
-    /// automaton ([`Engine::block_automaton_view`]).
+    /// [`ProgramView::wide_nodes`] they are lanes of the block-hit
+    /// automata ([`Engine::block_automaton_views`]) or reference lanes.
     pub subp_nodes: Vec<u32>,
     /// Latch-bit indices of the B ≥ 2 substring units with longer blocks:
     /// the other census category of the same lanes.
@@ -534,119 +540,6 @@ struct Op {
     kind: OpKind,
 }
 
-/// Which path [`Engine::on_block`] takes for a compiled program, and if
-/// it is the slow one, why. A
-/// [`MultiEngine`](crate::multi::MultiEngine) reports `Block` when every
-/// one of its groups does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanPath {
-    /// The SWAR word loop with packed unit counters.
-    Block,
-    /// The byte-serial loop, for the reason given.
-    ByteSerial(FallbackReason),
-}
-
-/// Why a compiled program stays on the byte-serial path. The first rule
-/// that applies is reported.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FallbackReason {
-    /// The program has more nodes than one 64-bit latch word.
-    TooManyNodes {
-        /// Node count of the program.
-        nodes: usize,
-    },
-    /// More B = 1 substring units than packed lanes.
-    TooManySub1Units {
-        /// Distinct units in the program.
-        units: usize,
-        /// Lanes available: one bank of [`blockhit::LANES`].
-        max: usize,
-    },
-    /// More B ≥ 2 substring units than packed lanes.
-    TooManyBlockUnits {
-        /// Distinct units in the program.
-        units: usize,
-        /// Lanes available: one bank of [`blockhit::LANES`].
-        max: usize,
-    },
-    /// A substring unit's run target `N − B + 1` exceeds the 126 the
-    /// saturating lane counters compare exactly.
-    RunTargetTooLong {
-        /// The offending target.
-        target: u32,
-    },
-    /// The pooled block-hit table of the B ≥ 2 units would exceed
-    /// [`blockhit::MAX_TABLE_WORDS`]; the reference matchers run instead.
-    BlockTableTooLarge,
-}
-
-impl std::fmt::Display for ScanPath {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ScanPath::Block => f.write_str("block"),
-            ScanPath::ByteSerial(reason) => write!(f, "byte-serial ({reason})"),
-        }
-    }
-}
-
-impl std::fmt::Display for FallbackReason {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FallbackReason::TooManyNodes { nodes } => {
-                write!(f, "{nodes} program nodes, one latch word holds 64")
-            }
-            FallbackReason::TooManySub1Units { units, max } => {
-                write!(f, "{units} B=1 substring units, {max} packed lanes")
-            }
-            FallbackReason::TooManyBlockUnits { units, max } => {
-                write!(f, "{units} B>=2 substring units, {max} packed lanes")
-            }
-            FallbackReason::RunTargetTooLong { target } => write!(
-                f,
-                "run target {target} exceeds {}",
-                blockhit::MAX_PACKED_TARGET
-            ),
-            FallbackReason::BlockTableTooLarge => write!(
-                f,
-                "block-hit table exceeds {} words",
-                blockhit::MAX_TABLE_WORDS
-            ),
-        }
-    }
-}
-
-/// The eligibility rules of the block path: one latch word, and one bank
-/// of packed lanes per substring unit kind.
-fn scan_path(num_nodes: usize, sub1_targets: &[u32], subn: &BlockUnits) -> ScanPath {
-    let max_lanes = blockhit::LANES;
-    let units = subn.units();
-    let long = sub1_targets
-        .iter()
-        .copied()
-        .chain(units.iter().map(SubstringMatcher::target))
-        .find(|&t| t > blockhit::MAX_PACKED_TARGET);
-    let reason = if num_nodes > 64 {
-        FallbackReason::TooManyNodes { nodes: num_nodes }
-    } else if sub1_targets.len() > max_lanes {
-        FallbackReason::TooManySub1Units {
-            units: sub1_targets.len(),
-            max: max_lanes,
-        }
-    } else if units.len() > max_lanes {
-        FallbackReason::TooManyBlockUnits {
-            units: units.len(),
-            max: max_lanes,
-        }
-    } else if let Some(target) = long {
-        FallbackReason::RunTargetTooLong { target }
-    } else if !units.is_empty() && subn.automaton().is_none() {
-        FallbackReason::BlockTableTooLarge
-    } else {
-        return ScanPath::Block;
-    };
-    ScanPath::ByteSerial(reason)
-}
-
 /// The record-level literal prefilter plus its adaptive bookkeeping:
 /// `live` drops to `false` once a probation window of records rejects
 /// nothing, so unselective streams stop paying the scan.
@@ -704,63 +597,181 @@ struct ByteEvent {
     is_comma: bool,
 }
 
-/// One word of a bank of packed run counters `c` with their packed
-/// `targets`, from the word's hit masks by byte position ([`RunWord`]).
-/// Only where the bound says some lane may fire is the word resolved:
-/// each firing lane's latch bits from `unit_fire` go into `fire` at its
-/// position, and the position into `fired`.
-#[allow(clippy::inline_always)] // the word kernel's loop: measured, ~2 %
-#[inline(always)]
-fn step_lanes(
-    hits: [u64; swar::WORD_BYTES],
-    c: &mut u64,
-    targets: u64,
-    unit_fire: &[u64],
-    fire: &mut [u64; swar::WORD_BYTES],
-    fired: &mut u8,
-) {
-    let run = RunWord::new(hits);
-    if run.may_fire(*c, targets) {
-        for (j, f) in run.fires(*c, targets).into_iter().enumerate() {
-            for lane in fired_lanes(f) {
-                fire[j] |= unit_fire[lane];
-                *fired |= 1 << j;
-            }
+/// A word-wide state as the word kernel holds it — the latch bitset of
+/// the node program, and a kind of packed lane counters, a word per
+/// bank: one `u64` register where one word holds it, a vector of words
+/// past that. The node program, the unit lanes and the number walk are
+/// written once over this trait and instantiated for both. A mask
+/// operand is a slice of a mask pool that starts at the mask: its first
+/// [`Latch::words`]`().len()` words are the mask.
+pub trait Latch: Clone {
+    /// All bits clear, `words` words wide.
+    fn zeroed(words: usize) -> Self;
+    /// A copy of `words` (of at most one word, for `u64`).
+    fn load(words: &[u64]) -> Self;
+    /// Copies the words back into `words`, as wide as [`Latch::load`]'s.
+    fn store(&self, words: &mut [u64]);
+    /// The words, lowest bits first.
+    fn words(&self) -> &[u64];
+    /// The words, mutably.
+    fn words_mut(&mut self) -> &mut [u64];
+
+    /// ORs `mask` in.
+    #[inline]
+    fn or_words(&mut self, mask: &[u64]) {
+        for (l, m) in self.words_mut().iter_mut().zip(mask) {
+            *l |= m;
         }
     }
-    *c = run.carry(*c);
+
+    /// ORs `mask` in; returns whether it had a bit set.
+    #[inline]
+    fn or_any(&mut self, mask: &[u64]) -> bool {
+        let mut any = 0;
+        for (l, m) in self.words_mut().iter_mut().zip(mask) {
+            *l |= m;
+            any |= m;
+        }
+        any != 0
+    }
+
+    /// Clears the bits of `mask`.
+    #[inline]
+    fn clear_words(&mut self, mask: &[u64]) {
+        for (l, m) in self.words_mut().iter_mut().zip(mask) {
+            *l &= !m;
+        }
+    }
+
+    /// Clears every bit.
+    #[inline]
+    fn clear(&mut self) {
+        self.words_mut().fill(0);
+    }
+
+    /// Whether no bit is set.
+    #[inline]
+    fn is_zero(&self) -> bool {
+        self.words().iter().all(|&l| l == 0)
+    }
+
+    /// Whether some bit of `mask` is set.
+    #[inline]
+    fn meets(&self, mask: &[u64]) -> bool {
+        self.words().iter().zip(mask).any(|(l, m)| l & m != 0)
+    }
+
+    /// Whether every bit of `mask` is set.
+    #[inline]
+    fn covers(&self, mask: &[u64]) -> bool {
+        self.words().iter().zip(mask).all(|(l, m)| l & m == *m)
+    }
+
+    /// Sets bit `i`.
+    #[inline]
+    fn set(&mut self, i: u32) {
+        self.words_mut()[i as usize / 64] |= 1 << (i % 64);
+    }
 }
 
-/// One cycle of the node program for the one-word case (≤ 64 nodes),
-/// shared by the serial per-byte path and the block-scan fast path. `l`
-/// is the latch word with this cycle's primitive fires already ORed in;
-/// `p` is the pre-cycle latch snapshot (context pending-before checks).
-/// Returns the updated latch word.
+/// The one-word latch (at most 64 nodes), in a register.
+impl Latch for u64 {
+    #[inline]
+    fn zeroed(_: usize) -> u64 {
+        0
+    }
+    #[inline]
+    fn load(words: &[u64]) -> u64 {
+        debug_assert!(words.len() <= 1, "{} words in one", words.len());
+        words.first().copied().unwrap_or(0)
+    }
+    #[inline]
+    fn store(&self, words: &mut [u64]) {
+        if let Some(word) = words.first_mut() {
+            *word = *self;
+        }
+    }
+    #[inline]
+    fn words(&self) -> &[u64] {
+        std::slice::from_ref(self)
+    }
+    #[inline]
+    fn words_mut(&mut self) -> &mut [u64] {
+        std::slice::from_mut(self)
+    }
+    #[inline]
+    fn or_words(&mut self, mask: &[u64]) {
+        *self |= mask[0];
+    }
+    #[inline]
+    fn or_any(&mut self, mask: &[u64]) -> bool {
+        *self |= mask[0];
+        mask[0] != 0
+    }
+    #[inline]
+    fn meets(&self, mask: &[u64]) -> bool {
+        self & mask[0] != 0
+    }
+    #[inline]
+    fn covers(&self, mask: &[u64]) -> bool {
+        self & mask[0] == mask[0]
+    }
+    #[inline]
+    fn set(&mut self, i: u32) {
+        *self |= 1 << i;
+    }
+}
+
+/// The latch of any width.
+impl Latch for Vec<u64> {
+    fn zeroed(words: usize) -> Vec<u64> {
+        vec![0; words]
+    }
+    fn load(words: &[u64]) -> Vec<u64> {
+        words.to_vec()
+    }
+    fn store(&self, words: &mut [u64]) {
+        words.copy_from_slice(self);
+    }
+    #[inline]
+    fn words(&self) -> &[u64] {
+        self
+    }
+    #[inline]
+    fn words_mut(&mut self) -> &mut [u64] {
+        self
+    }
+}
+
+/// One cycle of the node program, shared by the byte-serial path and the
+/// word kernel, at either latch width. `l` is the latch with this
+/// cycle's primitive fires already ORed in; `p` is the pre-cycle latch
+/// (context pending-before checks). Returns the updated latch.
 #[inline]
-fn run_program_word(
+fn run_program<L: Latch>(
     ops: &[Op],
     masks: &[u64],
     flag_level: &mut [u32],
-    mut l: u64,
-    p: u64,
+    mut l: L,
+    p: &L,
     ev: ByteEvent,
-) -> u64 {
+) -> L {
     let ByteEvent {
         depth,
         is_close,
         is_comma,
     } = ev;
     for op in ops {
-        let m = masks[op.mask_off as usize];
-        match &op.kind {
+        let m = &masks[op.mask_off as usize..];
+        match op.kind {
             OpKind::And => {
-                if l & m == m {
-                    l |= 1u64 << op.node;
+                if l.covers(m) {
+                    l.set(op.node);
                 }
             }
             OpKind::Or => {
-                if l & m != 0 {
-                    l |= 1u64 << op.node;
+                if l.meets(m) {
+                    l.set(op.node);
                 }
             }
             OpKind::Ctx {
@@ -769,23 +780,25 @@ fn run_program_word(
                 ctx_lo,
                 member,
             } => {
-                let v = l & m;
-                let any = v != 0;
-                if !any && p & m == 0 {
+                let any = l.meets(m);
+                let pending_before = p.meets(m);
+                if !any && !pending_before {
                     continue; // nothing pending, nothing fired
                 }
-                if p & m == 0 {
-                    flag_level[*ctx_id as usize] = depth;
+                // First fire of a fresh instance records the level.
+                if !pending_before {
+                    flag_level[ctx_id as usize] = depth;
                 }
-                if v == m {
-                    l |= 1u64 << op.node;
+                if l.covers(m) {
+                    l.set(op.node);
                 }
+                // Instance end: clear pending descendant latches.
                 if any {
-                    let fl = flag_level[*ctx_id as usize];
-                    let end = (is_close && depth <= fl) || (*member && is_comma && depth == fl);
+                    let fl = flag_level[ctx_id as usize];
+                    let end = (is_close && depth <= fl) || (member && is_comma && depth == fl);
                     if end {
-                        l &= !masks[*clear_off as usize];
-                        for fl in &mut flag_level[*ctx_lo as usize..*ctx_id as usize] {
+                        l.clear_words(&masks[clear_off as usize..]);
+                        for fl in &mut flag_level[ctx_lo as usize..ctx_id as usize] {
                             *fl = 0;
                         }
                     }
@@ -794,79 +807,6 @@ fn run_program_word(
         }
     }
     l
-}
-
-/// One cycle of the node program for multi-word latch bitsets (> 64
-/// nodes). `latch`
-/// already holds this cycle's primitive fires; `prev` is the pre-cycle
-/// snapshot the context pending-before checks read.
-fn run_program_multi(
-    ops: &[Op],
-    masks: &[u64],
-    words: usize,
-    latch: &mut [u64],
-    prev: &[u64],
-    flag_level: &mut [u32],
-    ev: ByteEvent,
-) {
-    let set_bit = |v: &mut [u64], i: u32| {
-        v[i as usize / 64] |= 1u64 << (i % 64);
-    };
-    for op in ops {
-        let mask = &masks[op.mask_off as usize..op.mask_off as usize + words];
-        match &op.kind {
-            OpKind::And => {
-                let all = mask.iter().zip(latch.iter()).all(|(m, l)| l & m == *m);
-                if all {
-                    set_bit(latch, op.node);
-                }
-            }
-            OpKind::Or => {
-                let any = mask.iter().zip(latch.iter()).any(|(m, l)| l & m != 0);
-                if any {
-                    set_bit(latch, op.node);
-                }
-            }
-            OpKind::Ctx {
-                clear_off,
-                ctx_id,
-                ctx_lo,
-                member,
-            } => {
-                let mut any = false;
-                let mut all = true;
-                let mut pending_before = false;
-                for (w, m) in mask.iter().enumerate() {
-                    let v = latch[w] & m;
-                    any |= v != 0;
-                    all &= v == *m;
-                    pending_before |= prev[w] & m != 0;
-                }
-                // First fire of a fresh instance records the level.
-                if !pending_before && any {
-                    flag_level[*ctx_id as usize] = ev.depth;
-                }
-                if all {
-                    set_bit(latch, op.node);
-                }
-                // Instance end: clear pending descendant latches.
-                if any {
-                    let fl = flag_level[*ctx_id as usize];
-                    let end = (ev.is_close && ev.depth <= fl)
-                        || (*member && ev.is_comma && ev.depth == fl);
-                    if end {
-                        let clear = &masks[*clear_off as usize..*clear_off as usize + words];
-                        for (l, c) in latch.iter_mut().zip(clear) {
-                            *l &= !c;
-                        }
-                        for fl in &mut flag_level[*ctx_lo as usize..*ctx_id as usize] {
-                            *fl = 0;
-                        }
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// Per-kind primitive unit counts of a compiled program, or of what one
@@ -879,11 +819,11 @@ pub struct UnitCounts {
     /// ([`numpool`]), with no table of their own.
     pub number_dfas: usize,
     /// Single-byte substring units (B = 1), a lane each of the byte hit
-    /// table.
+    /// tables.
     pub sub1: usize,
     /// B ≥ 2 substring units whose blocks are at most eight bytes long. A
     /// census category, not a mechanism: like [`UnitCounts::wide`] they
-    /// are lanes of the one block-hit automaton ([`blockhit`]).
+    /// are lanes of the block-hit automata ([`blockhit`]).
     pub subp: usize,
     /// B ≥ 2 substring units with longer blocks: the other census
     /// category of the same lanes.
@@ -894,6 +834,38 @@ impl UnitCounts {
     /// Total units across all kinds.
     pub fn total(&self) -> usize {
         self.string_dfas + self.number_dfas + self.sub1 + self.subp + self.wide
+    }
+
+    /// The primitive leaves of `expr`, by kind: what it demands before
+    /// deduplication.
+    pub fn of(expr: &Expr) -> UnitCounts {
+        let mut counts = UnitCounts::default();
+        counts.add_leaves(expr);
+        counts
+    }
+
+    fn add_leaves(&mut self, expr: &Expr) {
+        match expr {
+            Expr::Str(spec) => match spec.technique {
+                StringTechnique::Dfa | StringTechnique::Window => self.string_dfas += 1,
+                StringTechnique::Substring(b) => self.add_substring(b),
+            },
+            Expr::Num(_) => self.number_dfas += 1,
+            Expr::And(cs) | Expr::Or(cs) | Expr::Ctx(cs, _) => {
+                for c in cs {
+                    self.add_leaves(c);
+                }
+            }
+        }
+    }
+
+    /// Counts one substring unit of block length `b` in its category.
+    fn add_substring(&mut self, b: usize) {
+        match b {
+            1 => self.sub1 += 1,
+            2..=8 => self.subp += 1,
+            _ => self.wide += 1,
+        }
     }
 }
 
@@ -985,10 +957,10 @@ pub struct Engine {
     /// structural facts and the whole scan (and the latch snapshot it
     /// feeds) is skipped.
     has_ctx: bool,
-    /// The OR of every context's child mask (first latch word): without a
-    /// bit of it latched, no context is pending and a close or comma
-    /// without a fire is no event of the word kernel.
-    ctx_children: u64,
+    /// The OR of every context's child mask, `words` u64s: without a bit
+    /// of it latched, no context is pending and a close or comma without
+    /// a fire is no event of the word kernel.
+    ctx_children: Vec<u64>,
     /// `0xFF` if some context is member-scoped — the only kind a comma
     /// can end — else 0: the word kernel's mask of commas that matter.
     comma_events: u8,
@@ -1010,35 +982,26 @@ pub struct Engine {
     /// product of the units would outgrow [`numpool::MAX_ROWS`].
     numbers: Vec<NumberAutomaton>,
 
-    // ---- single-byte substring units (B = 1): 256-bit membership set ----
-    /// Four `u64` words per unit — bit `b` set iff byte `b` is one of the
-    /// needle's letters (the OR-reduced comparator bank of the paper,
-    /// collapsed into a bitmap).
-    sub1_bitmap: Vec<u64>,
-    sub1_target: Vec<u32>,
+    // ---- single-byte substring units (B = 1) ----
+    /// Packed hit tables, one per bank of eight units: entry `b` of bank
+    /// `k` holds `0xFF` in lane `i` iff byte `b` is one of unit `8 k + i`'s
+    /// needle letters (the OR-reduced comparator bank of the paper, as a
+    /// table).
+    sub1_hits: Vec<[u64; 256]>,
+    /// Run targets packed one byte per lane, a word per bank (unused
+    /// lanes hold 127, unreachable by their never-hit counters).
+    sub1_targets: Vec<u64>,
     sub1_fire: Vec<u64>,
 
-    // ---- block substring units (B ≥ 2) ----
-    /// The pooled block-hit automaton with its per-stream row and run
-    /// counters, shared by the serial and the block path.
+    // ---- block substring units (B ≥ 2, and B = 1 past the packed targets) ----
+    /// The split pool of block-hit automata and the reference lanes, with
+    /// their per-stream rows and run counters, shared by both paths.
     subn: BlockUnits,
-    subn_fire: Vec<u64>,
 
-    // ---- block-scan fast path (immutable after compile) ----
-    /// Whether [`Engine::on_block`] may take the SWAR word loop, or why
-    /// not ([`scan_path`]).
-    path: ScanPath,
     /// Whether `\n` returns every unit to its reset state
-    /// ([`separator_resets_units`]), so the stream path may run the
-    /// kernel across record boundaries.
+    /// ([`separator_resets_units`](Engine::separator_resets_units)), so
+    /// the stream path may run the kernel across record boundaries.
     separator_resets: bool,
-    /// 256-entry packed hit table for the B = 1 substring units: entry
-    /// `b` holds `0xFF` in lane `i` iff byte `b` is in unit `i`'s
-    /// membership set. Empty unless on the block path with sub1 units.
-    sub1_hits: Vec<u64>,
-    /// Per-lane run targets of the sub1 units, packed one byte per lane
-    /// (unused lanes hold 127, unreachable by the saturating counters).
-    sub1_targets_packed: u64,
     /// Record-level literal prefilter (necessary-condition checks),
     /// with its live/checked/rejected bookkeeping.
     prefilter: Option<PrefilterState>,
@@ -1060,7 +1023,9 @@ pub struct Engine {
     /// All number units share one token trajectory (`is_number_byte` does
     /// not depend on the unit), so one flag covers them.
     num_in_token: bool,
-    sub1_counter: Vec<u32>,
+    /// Run counters of the B = 1 units, packed one byte per lane, a word
+    /// per bank.
+    sub1_counters: Vec<u64>,
     tracker: StreamTracker,
 }
 
@@ -1091,9 +1056,10 @@ pub(crate) struct EngineStats {
     /// and on the stream path every stream byte of a line the prefilter
     /// did not reject.
     pub(crate) bytes_block: u64,
-    /// Stream bytes through the serial `on_byte` path (fallback programs,
-    /// sub-word tails, separators on the record path). The separator
-    /// closing a trailing record is not a stream byte and not counted.
+    /// Bytes through the byte loop: `on_byte` calls and the sub-word tail
+    /// of each `on_block`, which is what the record driver feeds besides
+    /// whole words; the stream path feeds none. The separator closing a
+    /// trailing record is not a stream byte and not counted.
     pub(crate) bytes_byte_serial: u64,
     /// Bytes never scanned: the prefilter rejected the whole record
     /// (its separator included, when the stream has one).
@@ -1200,7 +1166,9 @@ impl<'e> Builder<'e> {
                         });
                         subscribe(&mut self.sdfa_fire, self.words, unit, node);
                     }
-                    StringTechnique::Substring(1) => {
+                    StringTechnique::Substring(1)
+                        if spec.needle.len() as u32 <= blockhit::MAX_PACKED_TARGET =>
+                    {
                         let m = SubstringMatcher::new(&spec.needle, 1)
                             .expect("expression was validated at compile time");
                         let mut bitmap = [0u64; 4];
@@ -1325,29 +1293,25 @@ impl Engine {
             Self::set_bit(&mut root_mask, root);
         }
 
-        // Block-scan eligibility and derived tables.
-        let subn = BlockUnits::new(b.subn);
-        let path = scan_path(num_nodes, &b.sub1_target, &subn);
-        let (mut ctx_children, mut comma_events) = (0u64, 0u8);
+        let mut ctx_children = vec![0u64; words];
+        let mut comma_events = 0u8;
         for op in &b.ops {
             if let OpKind::Ctx { member, .. } = op.kind {
-                ctx_children |= b.masks[op.mask_off as usize];
+                let children = &b.masks[op.mask_off as usize..][..words];
+                ctx_children.or_words(children);
                 comma_events |= if member { u8::MAX } else { 0 };
             }
         }
-        let mut sub1_hits = Vec::new();
-        let mut sub1_targets_packed = 0u64;
-        if path == ScanPath::Block && !b.sub1_target.is_empty() {
-            sub1_hits = vec![0u64; 256];
-            for (i, bitmap) in b.sub1_bitmap.chunks_exact(4).enumerate() {
-                for (byte, hit) in sub1_hits.iter_mut().enumerate() {
-                    if bitmap[byte >> 6] & (1u64 << (byte & 63)) != 0 {
-                        *hit |= 0xffu64 << (8 * i);
-                    }
+        let sub1_units = b.sub1_target.len();
+        let mut sub1_hits = vec![[0u64; 256]; sub1_units.div_ceil(LANES)];
+        for (i, bitmap) in b.sub1_bitmap.chunks_exact(4).enumerate() {
+            for (byte, hit) in sub1_hits[i / LANES].iter_mut().enumerate() {
+                if bitmap[byte >> 6] & (1u64 << (byte & 63)) != 0 {
+                    *hit |= 0xffu64 << (8 * (i % LANES));
                 }
             }
-            sub1_targets_packed = blockhit::pack_targets(&b.sub1_target)[0];
         }
+        let sub1_targets = blockhit::pack_targets(&b.sub1_target);
         let num_units = b.num_bounds.iter().copied();
         let num_units = num_units.zip(b.num_fire.chunks_exact(words));
         let numbers = NumberAutomaton::pool(num_units, words, numpool::MAX_ROWS);
@@ -1379,16 +1343,12 @@ impl Engine {
             num_row: vec![0; numbers.len()],
             num_in_token: false,
             numbers,
-            sub1_counter: vec![0; b.sub1_target.len()],
-            sub1_bitmap: b.sub1_bitmap,
-            sub1_target: b.sub1_target,
-            sub1_fire: b.sub1_fire,
-            subn,
-            subn_fire: b.subn_fire,
-            path,
-            separator_resets: false,
+            sub1_counters: vec![0; sub1_targets.len()],
             sub1_hits,
-            sub1_targets_packed,
+            sub1_targets,
+            sub1_fire: b.sub1_fire,
+            subn: BlockUnits::new(b.subn, b.subn_fire, words),
+            separator_resets: false,
             prefilter,
             run: Run::default(),
             stats: EngineStats::default(),
@@ -1515,10 +1475,13 @@ impl Engine {
             .flat_map(|unit| unit.fire.iter().copied())
             .collect();
         let subn_nodes = |keep: fn(usize) -> bool| -> Vec<u32> {
-            let kept = |&(_, unit): &(u32, usize)| keep(self.subn.units()[unit].block_length());
-            let leaves = leaves(&self.subn_fire).into_iter().filter(kept);
+            let kept = |&(_, unit): &(u32, usize)| keep(self.subn.units[unit].block_length());
+            let leaves = leaves(&self.subn.fire).into_iter().filter(kept);
             leaves.map(|(node, _)| node).collect()
         };
+        let mut sub1_nodes = nodes(&self.sub1_fire);
+        sub1_nodes.extend(subn_nodes(|b| b == 1));
+        sub1_nodes.sort_unstable();
         ProgramView {
             num_nodes: root + 1 - lo,
             words,
@@ -1536,18 +1499,34 @@ impl Engine {
                 .map(string_dfa)
                 .collect(),
             number_dfas: nodes(&num_fire),
-            sub1_nodes: nodes(&self.sub1_fire),
-            subp_nodes: subn_nodes(|b| b <= 8),
+            sub1_nodes,
+            subp_nodes: subn_nodes(|b| (2..=8).contains(&b)),
             wide_nodes: subn_nodes(|b| b > 8),
             masks,
         }
     }
 
-    /// The pooled block-hit automaton of the B ≥ 2 substring units, for
-    /// static verification: lane *i* is the *i*-th distinct such unit in
-    /// compile order. `None` without such units or past the table cap.
-    pub fn block_automaton_view(&self) -> Option<&BlockAutomatonView> {
-        self.subn.automaton().map(blockhit::BlockAutomaton::view)
+    /// The block-hit automata of the B ≥ 2 substring units, for static
+    /// verification: the packable units in compile order, split over as
+    /// many automata as the table cap demands (one, short of tables past
+    /// [`blockhit::MAX_TABLE_WORDS`]; none without such units). Lane *i*
+    /// of an automaton is its *i*-th unit.
+    pub fn block_automaton_views(&self) -> impl Iterator<Item = &BlockAutomatonView> {
+        self.subn.pools.iter().map(|pool| pool.automaton.view())
+    }
+
+    /// The substring units no automaton holds, in compile order: those
+    /// whose run target is past [`blockhit::MAX_PACKED_TARGET`] and those
+    /// whose table alone is past [`blockhit::MAX_TABLE_WORDS`]. The word
+    /// kernel steps their reference matchers byte by byte.
+    pub fn reference_lanes(&self) -> impl Iterator<Item = &SubstringMatcher> {
+        let units = &self.subn.units;
+        self.subn.refs.iter().map(move |&u| &units[u])
+    }
+
+    /// Banks of eight packed lanes the B = 1 substring units take.
+    pub fn sub1_banks(&self) -> usize {
+        self.sub1_targets.len()
     }
 
     /// The pooled number automata of the number-range units, for static
@@ -1566,15 +1545,16 @@ impl Engine {
     /// The primitive units the program instantiates, after
     /// deduplication.
     pub fn unit_counts(&self) -> UnitCounts {
-        let units = self.subn.units();
-        let subp = units.iter().filter(|u| u.block_length() <= 8).count();
-        UnitCounts {
+        let mut counts = UnitCounts {
             string_dfas: self.sdfa_off.len(),
             number_dfas: self.number_automaton_views().map(|v| v.units.len()).sum(),
-            sub1: self.sub1_target.len(),
-            subp,
-            wide: units.len() - subp,
+            sub1: self.sub1_fire.len() / self.words,
+            ..UnitCounts::default()
+        };
+        for unit in &self.subn.units {
+            counts.add_substring(unit.block_length());
         }
+        counts
     }
 
     /// Total size in bytes of the tables the scan reads — its working
@@ -1585,8 +1565,9 @@ impl Engine {
         std::mem::size_of_val(&self.tables[..])
             + std::mem::size_of_val(&self.sub1_hits[..])
             + self
-                .block_automaton_view()
-                .map_or(0, BlockAutomatonView::table_bytes)
+                .block_automaton_views()
+                .map(BlockAutomatonView::table_bytes)
+                .sum::<usize>()
             + self
                 .number_automaton_views()
                 .map(NumberAutomatonView::table_bytes)
@@ -1601,15 +1582,6 @@ impl Engine {
     #[inline]
     fn set_bit(v: &mut [u64], i: u32) {
         v[i as usize / 64] |= 1u64 << (i % 64);
-    }
-
-    /// ORs a unit's fire mask into the latch bitset.
-    #[inline]
-    fn fire(latch: &mut [u64], fires: &[u64], unit: usize) {
-        let words = latch.len();
-        for (l, f) in latch.iter_mut().zip(&fires[unit * words..]) {
-            *l |= f;
-        }
     }
 
     /// Whether member `i`'s root has latched — the per-member form of the
@@ -1671,7 +1643,7 @@ impl Engine {
                 [self.sdfa_off[i] as usize + (s & STATE_MASK) as usize * 256 + byte as usize];
             self.sdfa_state[i] = s;
             if s & DENSE_ACCEPT_BIT != 0 {
-                Self::fire(&mut self.latch, &self.sdfa_fire, i);
+                self.latch.or_words(&self.sdfa_fire[i * self.words..]);
             }
         }
         if is_number_byte(byte) {
@@ -1683,34 +1655,28 @@ impl Engine {
             // Token boundary: the rows are evaluated, then rearmed.
             // (Outside tokens they already sit at 0.)
             for (a, row) in self.numbers.iter().zip(&mut self.num_row) {
-                Self::fire(&mut self.latch, a.fire(*row), 0);
+                self.latch.or_words(a.fire(*row));
                 *row = 0;
             }
             self.num_in_token = false;
         }
-        for i in 0..self.sub1_counter.len() {
-            let hit = self.sub1_bitmap[i * 4 + (byte >> 6) as usize] & (1u64 << (byte & 63)) != 0;
-            let c = if hit {
-                self.sub1_counter[i].saturating_add(1)
-            } else {
-                0
-            };
-            self.sub1_counter[i] = c;
-            if c >= self.sub1_target[i] {
-                Self::fire(&mut self.latch, &self.sub1_fire, i);
+        let banks = self.sub1_counters.iter_mut().zip(&self.sub1_targets);
+        for (k, (c, &targets)) in banks.enumerate() {
+            let hits = self.sub1_hits[k][byte as usize];
+            for lane in fired_lanes(blockhit::byte_step(c, hits, targets)) {
+                self.latch
+                    .or_words(&self.sub1_fire[(k * LANES + lane) * self.words..]);
             }
         }
-        let (latch, fires) = (&mut self.latch, &self.subn_fire);
-        self.subn
-            .on_byte(byte, |unit| Self::fire(latch, fires, unit));
+        let latch = &mut self.latch;
+        self.subn.on_byte(byte, |fire| latch.or_words(fire));
     }
 
     /// Node program: post-order, so children are final before their
     /// parent evaluates; latch updates are bitwise mask ops. The
-    /// one-word case (≤ 64 nodes — every realistic filter) keeps the
-    /// whole latch bitset in a register across the program
-    /// ([`run_program_word`], shared with the block-scan fast path).
-    /// Returns the accept signal: some root has latched.
+    /// one-word case (≤ 64 nodes) keeps the whole latch bitset in a
+    /// register across the program. Returns the accept signal: some root
+    /// has latched.
     #[inline]
     fn run_program(&mut self, depth: u32, is_close: bool, is_comma: bool) -> bool {
         let ev = ByteEvent {
@@ -1718,27 +1684,13 @@ impl Engine {
             is_close,
             is_comma,
         };
+        let (ops, masks, flag_level) = (&self.ops, &self.masks, &mut self.flag_level);
         if self.words == 1 {
-            let l = run_program_word(
-                &self.ops,
-                &self.masks,
-                &mut self.flag_level,
-                self.latch[0],
-                self.prev[0],
-                ev,
-            );
-            self.latch[0] = l;
-            return l & self.root_mask[0] != 0;
+            self.latch[0] = run_program(ops, masks, flag_level, self.latch[0], &self.prev[0], ev);
+        } else {
+            let l = std::mem::take(&mut self.latch);
+            self.latch = run_program(ops, masks, flag_level, l, &self.prev, ev);
         }
-        run_program_multi(
-            &self.ops,
-            &self.masks,
-            self.words,
-            &mut self.latch,
-            &self.prev,
-            &mut self.flag_level,
-            ev,
-        );
         self.accepts()
     }
 
@@ -1760,40 +1712,25 @@ impl Engine {
         self.sdfa_state.copy_from_slice(&self.sdfa_start);
         self.num_row.fill(0);
         self.num_in_token = false;
-        self.sub1_counter.fill(0);
+        self.sub1_counters.fill(0);
         self.subn.reset();
         self.tracker.reset();
-    }
-
-    /// Which path [`Engine::on_block`] takes: the SWAR block-scan loop,
-    /// or the byte-serial fallback and the rule that forces it (more than
-    /// 64 nodes, more than 8 substring units of one kind, a run target
-    /// above 126, an oversized block-hit table).
-    pub fn scan_path(&self) -> ScanPath {
-        self.path
-    }
-
-    /// `scan_path() == ScanPath::Block`.
-    pub fn block_scan_ready(&self) -> bool {
-        self.path == ScanPath::Block
     }
 
     /// Whether `\n` returns every unit to its reset state, whatever state
     /// it finds it in — what lets the stream path run the kernel across
     /// record boundaries without resetting a lane: `\n` is in no B = 1
-    /// bitmap (the run counter drops to 0), is class 0 of the block-hit
-    /// automaton (row 0, no hit) and sends every string-DFA state to
-    /// start. Number rows return to 0 at every token end anyway. A unit
-    /// may still *fire* on the separator; the kernel runs the program on
-    /// that before it reads the verdict.
+    /// hit table (the run counter drops to 0), in no needle of a block
+    /// unit (class 0 of its automaton: row 0, no hit; a reference lane's
+    /// windows that hold it match no block, as its reset windows of NULs
+    /// do not) and sends every string-DFA state to start. Number rows
+    /// return to 0 at every token end anyway. A unit may still *fire* on
+    /// the separator; the kernel runs the program on that before it reads
+    /// the verdict. Where this fails, every record is a run of its own.
     fn separator_resets_units(&self) -> bool {
         const NL: usize = b'\n' as usize;
-        let sub1 = self
-            .sub1_bitmap
-            .chunks_exact(4)
-            .all(|m| m[0] >> NL & 1 == 0);
-        let block = self.subn.units().is_empty()
-            || (self.subn.automaton()).is_some_and(|a| a.view().classes[NL] == 0);
+        let sub1 = self.sub1_hits.iter().all(|table| table[NL] == 0);
+        let block = self.subn.units.iter().all(|u| !u.needle().contains(&b'\n'));
         let ends = self.sdfa_off.iter().skip(1).map(|&off| off as usize);
         let ends = ends.chain(std::iter::once(self.tables.len()));
         let mut units = self.sdfa_off.iter().zip(ends).zip(&self.sdfa_start);
@@ -1804,17 +1741,10 @@ impl Engine {
         sub1 && block && string
     }
 
-    /// Whether stream calls take the stream path: the block path, with
-    /// no unit that a separator leaves short of its reset state.
-    pub(crate) fn on_stream_path(&self) -> bool {
-        self.path == ScanPath::Block && self.separator_resets
-    }
-
-    /// The root bits of the members, on the block path (at most 64
-    /// nodes, so all in the first latch word): member `i`'s root is the
-    /// `i`-th lowest.
-    pub(crate) fn root_word(&self) -> u64 {
-        self.root_mask[0]
+    /// The root bits of the members, `words` u64s: member `i`'s root is
+    /// the `i`-th lowest.
+    pub(crate) fn root_mask(&self) -> &[u64] {
+        &self.root_mask
     }
 
     /// Asks the live prefilter about one whole record, its line with the
@@ -1886,10 +1816,9 @@ impl Engine {
     ///   cannot latch a root, so the engine stays at its reset state and
     ///   answers `false` to whatever else is fed — the separator — until
     ///   the next [`Engine::reset`], which then has nothing to undo.
-    /// * Eligible programs ([`Engine::scan_path`]) run the
-    ///   [word kernel](self#the-word-kernel) over the block's whole
-    ///   words, in the form where `\n` is a byte like any other; the
-    ///   sub-word tail goes through the byte loop.
+    /// * The [word kernel](self#the-word-kernel) runs over the block's
+    ///   whole words, in the form where `\n` is a byte like any other;
+    ///   the sub-word tail goes through the byte loop.
     pub fn on_block(&mut self, block: &[u8]) -> bool {
         if self.phase == Phase::Fresh {
             self.phase = Phase::Scanning;
@@ -1902,11 +1831,7 @@ impl Engine {
             self.stats.bytes_prefilter_skipped += block.len() as u64;
             return false;
         }
-        let whole = if self.path == ScanPath::Block {
-            block.len() & !(swar::WORD_BYTES - 1)
-        } else {
-            0
-        };
+        let whole = block.len() & !(swar::WORD_BYTES - 1);
         if whole != 0 {
             self.stats.bytes_block += whole as u64;
             self.scan_words::<false>(&block[..whole], 0, |_, _| {});
@@ -1921,20 +1846,23 @@ impl Engine {
     /// The stream path behind the engine's
     /// [`filter_stream_verdicts_into`](crate::backend::FilterBackend::filter_stream_verdicts_into):
     /// the word kernel in the form where `\n` ends a record. With the
-    /// prefilter off, one kernel call over the whole buffer frames every
-    /// line as its separator arrives ([`Framer::frame`]). While the
-    /// prefilter is live, it gates each record as the call is framed, in
-    /// front of the kernel ([`Engine::gate`]).
-    /// Either way every stream byte is counted once: as
+    /// prefilter off and a separator that resets every unit, one kernel
+    /// call over the whole buffer frames every line as its separator
+    /// arrives ([`Framer::frame`]). Otherwise the call is framed first and
+    /// the kernel runs once per run of records ([`Engine::gate`]): while
+    /// the prefilter is live, it gates each record in front of the
+    /// kernel; where some unit sees `\n`, every record is a run of its
+    /// own. Either way every stream byte is counted once: as
     /// `prefilter_skipped` if its line was rejected, else as `block`.
     fn filter_stream_words(&mut self, stream: &[u8], limits: IngestLimits, out: &mut Vec<Verdict>) {
-        let root = self.root_word();
-        if self.prefilter.as_ref().is_some_and(|pf| pf.live) {
+        let root = self.root_mask.clone();
+        let accepts =
+            move |l: &[u64]| Verdict::from_decision(root.iter().zip(l).any(|(r, l)| r & l != 0));
+        let live = self.prefilter.as_ref().is_some_and(|pf| pf.live);
+        if live || !self.separator_resets {
             let mut run = std::mem::take(&mut self.run);
             let base = out.len();
-            let verdict = |out: &mut Vec<Verdict>, slot, l| {
-                out[base + slot] = Verdict::from_decision(l & root != 0);
-            };
+            let verdict = |out: &mut Vec<Verdict>, slot, l: &[u64]| out[base + slot] = accepts(l);
             frame_records(stream, limits, |line, skip| match skip {
                 Some(reason) => out.push(Verdict::Skipped(reason)),
                 None => {
@@ -1958,7 +1886,7 @@ impl Engine {
                         Some(reason) => Verdict::Skipped(reason),
                         None => {
                             scored += 1;
-                            Verdict::from_decision(l & root != 0)
+                            accepts(l)
                         }
                     });
                 }
@@ -1975,29 +1903,35 @@ impl Engine {
     /// scanned and gets no verdict call, and it ends the pending `run`,
     /// which the kernel scans now ([`Engine::scan_run`]); a passing one
     /// joins the run. Once probation turns the prefilter off, the rest of
-    /// the call is one run. [`Engine::gate_end`] closes the call.
+    /// the call is one run — unless some unit sees `\n`
+    /// ([`Engine::separator_resets_units`]): then each record is scanned
+    /// as a run of its own. [`Engine::gate_end`] closes the call.
     ///
-    /// A run may start mid-word: the bytes before it end at the previous
-    /// line's `\n`, which returns latches, flag levels, depth, string
-    /// state and — by [`Engine::separator_resets_units`] — every unit to
-    /// reset. Bytes past its last separator are scanned and ignored.
-    /// Every byte is counted once, by the line that owns it: a rejected
-    /// line and its separator as `prefilter_skipped`, all else as `block`.
+    /// A run starts at its first byte, from reset state; inside it, each
+    /// line's `\n` returns latches, flag levels, depth, string state and
+    /// every unit to reset. Bytes past its last separator are scanned and
+    /// ignored. Every byte is counted once, by the line that owns it: a
+    /// rejected line and its separator as `prefilter_skipped`, all else
+    /// as `block`.
     pub(crate) fn gate(
         &mut self,
         stream: &[u8],
         line: RecordLine,
         run: &mut Run,
-        verdict: &mut impl FnMut(usize, u64),
+        verdict: &mut impl FnMut(usize, &[u64]),
     ) {
         self.stats.records += 1;
-        if !self.prefilter_rejects(&stream[line.start..line.end]) {
-            run.lines.push(line);
+        if self.prefilter_rejects(&stream[line.start..line.end]) {
+            self.scan_run(stream, &run.lines, verdict);
+            run.lines.clear();
+            run.skipped += (line.end + 1).min(stream.len()) - line.start;
             return;
         }
-        self.scan_run(stream, &run.lines, verdict);
-        run.lines.clear();
-        run.skipped += (line.end + 1).min(stream.len()) - line.start;
+        run.lines.push(line);
+        if !self.separator_resets {
+            self.scan_run(stream, &run.lines, verdict);
+            run.lines.clear();
+        }
     }
 
     /// Scans the last run of a call on the gated stream path, counts the
@@ -2006,7 +1940,7 @@ impl Engine {
         &mut self,
         stream: &[u8],
         run: &mut Run,
-        verdict: &mut impl FnMut(usize, u64),
+        verdict: &mut impl FnMut(usize, &[u64]),
     ) {
         self.scan_run(stream, &run.lines, verdict);
         self.reset();
@@ -2016,16 +1950,15 @@ impl Engine {
         run.skipped = 0;
     }
 
-    /// One run of the gated stream path: the kernel from the word that
-    /// holds the run's first byte to the word that holds its last
-    /// separator ([`Engine::scan_span`]), keeping only the verdicts of
-    /// the run's own separators: `verdict(slot, latch)` gets the latch
-    /// word after each.
+    /// One run of the gated stream path: the kernel from the run's first
+    /// byte to the word that holds its last separator
+    /// ([`Engine::scan_span`]), keeping only the verdicts of the run's own
+    /// separators: `verdict(slot, latch)` gets the latch after each.
     fn scan_run(
         &mut self,
         stream: &[u8],
         run: &[RecordLine],
-        verdict: &mut impl FnMut(usize, u64),
+        verdict: &mut impl FnMut(usize, &[u64]),
     ) {
         let (Some(first), Some(last)) = (run.first(), run.last()) else {
             return;
@@ -2039,51 +1972,69 @@ impl Engine {
     }
 
     /// The records form of the kernel, from reset state, over the words
-    /// that hold `stream[start..end]`, reporting each separator's
-    /// position and the latch word after it to `end_record`. `end` may
-    /// be `stream.len() + 1`: past the stream's last whole word, one word
-    /// padded with separators stands in, whose first pad closes a
-    /// trailing record — the `\n` the hardware would see — and whose
-    /// other pads are not lines of the stream.
+    /// of `stream[start..]` up to the one that holds byte `end − 1`,
+    /// reporting each separator's position and the latch after it to
+    /// `end_record`. `end` may be `stream.len() + 1`: past the last whole
+    /// word, one word padded with separators stands in, whose first pad
+    /// closes a trailing record — the `\n` the hardware would see — and
+    /// whose other pads are not lines of the stream.
     fn scan_span(
         &mut self,
         stream: &[u8],
         start: usize,
         end: usize,
-        mut end_record: impl FnMut(usize, u64),
+        mut end_record: impl FnMut(usize, &[u64]),
     ) {
         self.reset();
-        let whole = stream.len() & !(swar::WORD_BYTES - 1);
-        let first = start & !(swar::WORD_BYTES - 1);
-        let last = end.next_multiple_of(swar::WORD_BYTES).min(whole);
-        if first < last {
-            self.scan_words::<true>(&stream[first..last], first, &mut end_record);
+        let span = &stream[start..];
+        let whole = span.len() & !(swar::WORD_BYTES - 1);
+        let last = (end - start).next_multiple_of(swar::WORD_BYTES).min(whole);
+        if last > 0 {
+            self.scan_words::<true>(&span[..last], start, &mut end_record);
         }
-        if end > whole {
+        if end - start > whole {
             let mut pad = [b'\n'; swar::WORD_BYTES];
-            pad[..stream.len() - whole].copy_from_slice(&stream[whole..]);
-            self.scan_words::<true>(&pad, whole, &mut end_record);
+            pad[..span.len() - whole].copy_from_slice(&span[whole..]);
+            self.scan_words::<true>(&pad, start + whole, &mut end_record);
         }
     }
 
     /// The [word kernel](self#the-word-kernel) over the whole words of
-    /// `words`: per word, three passes that share the word and the
-    /// per-position fire masks.
+    /// `words`, instantiated for the program's width — the latch words
+    /// and the banks of packed lanes — each a `u64` register where one
+    /// word holds it, a vector of words past that.
+    fn scan_words<const RECORDS: bool>(
+        &mut self,
+        words: &[u8],
+        base: usize,
+        end_record: impl FnMut(usize, &[u64]),
+    ) {
+        let one_bank = self.sub1_counters.len() <= 1 && self.subn.one_bank();
+        match (self.words == 1, one_bank) {
+            (true, true) => self.kernel::<RECORDS, u64, u64>(words, base, end_record),
+            (true, false) => self.kernel::<RECORDS, u64, Vec<u64>>(words, base, end_record),
+            (false, _) => self.kernel::<RECORDS, Vec<u64>, Vec<u64>>(words, base, end_record),
+        }
+    }
+
+    /// The word kernel's one body: per word, three passes that share the
+    /// word and the per-position fire masks.
     ///
     /// * **Unit lanes.** Both substring unit kinds read the word's eight
-    ///   hit masks — `B = 1` from a byte table, `B ≥ 2` from the block-hit
-    ///   automaton, whose rows need no walk when every block is at most
-    ///   two bytes ([`BlockAutomaton::word_hits`](blockhit::BlockAutomaton::word_hits))
-    ///   — and advance their run counters once per word ([`RunWord`]):
-    ///   only `c_out = sat127(r₇ + (c_in & m₇))` is carried to the next
-    ///   word. Which lane fired on which byte is worked out, chain-free,
-    ///   only in the word where the bound `(c_in & h₀) + pop ≥ target`
-    ///   says one may. The string DFAs step over the eight bytes in a
-    ///   straight line.
-    /// * **Numbers.** One [`NumberAutomaton::walk_word`] of the pooled
-    ///   number automaton over the word's number bytes and token ends,
-    ///   found by mask; a word outside any token and without a number
-    ///   byte is skipped whole.
+    ///   hit masks per bank of eight lanes — `B = 1` from a byte table,
+    ///   `B ≥ 2` from the transitions of each block-hit automaton, which
+    ///   need no row walk when every block is at most two bytes
+    ///   ([`BlockAutomaton::word_transitions`](blockhit::BlockAutomaton::word_transitions))
+    ///   — and advance their run counters once per word and bank
+    ///   ([`RunWord`](blockhit::RunWord)): only `c_out = sat127(r₇ + (c_in
+    ///   & m₇))` is carried to the next word. Which lane fired on which
+    ///   byte is worked out, chain-free, only in the word where the bound
+    ///   `(c_in & h₀) + pop ≥ target` says one may. The string DFAs and
+    ///   the reference lanes step over the eight bytes in a straight line.
+    /// * **Numbers.** One [`NumberAutomaton::walk_word`] of each number
+    ///   automaton over the word's number bytes and token ends, found by
+    ///   mask; a word outside any token and without a number byte is
+    ///   skipped whole.
     /// * **Node program.** At the word's program points, in stream order:
     ///   unmasked opens, closes and member-ending commas, and separators.
     ///   Fires on other bytes accumulate; before a point (before an
@@ -2098,47 +2049,56 @@ impl Engine {
     ///
     /// With `RECORDS`, every `\n` is an event that ends a record: after
     /// the program ran on the separator's own fires, `end_record(base +
-    /// position, latch)` takes the latch word, whose root bits are the
-    /// verdict, and the latches,
-    /// flag levels, depth and — if the separator sat inside a string —
-    /// the string state are cleared. The unit lanes are back at their
-    /// reset state by themselves ([`Engine::separator_resets_units`]).
+    /// position, latch)` takes the latch, whose root bits are the
+    /// verdict, and the latches, flag levels, depth and — if the separator
+    /// sat inside a string — the string state are cleared. The unit lanes
+    /// are back at their reset state by themselves where
+    /// [`Engine::separator_resets_units`] holds; where it does not, a run
+    /// holds one record.
     ///
-    /// Scalar per-unit state is synced into packed registers on entry and
-    /// back out on exit, so interleaving kernel calls and `on_byte` stays
-    /// decision-identical to the pure byte loop.
-    fn scan_words<const RECORDS: bool>(
+    /// `L` holds the latch, `C` the banks of the B = 1 lanes and of the
+    /// first block-hit automaton (`u64` for one bank). The unit state
+    /// lives where the byte loop keeps it — packed run counters, rows, DFA
+    /// states; the latch and the lanes held in `L` and `C` are loaded on
+    /// entry and stored on exit — so interleaving kernel calls and
+    /// `on_byte` stays decision-identical to the pure byte loop.
+    fn kernel<const RECORDS: bool, L: Latch, C: Latch>(
         &mut self,
         words: &[u8],
         base: usize,
-        mut end_record: impl FnMut(usize, u64),
+        mut end_record: impl FnMut(usize, &[u64]),
     ) {
+        let width = self.words;
         let (mut in_string, mut pending_escape, mut depth) = self.tracker.state();
-        let mut l = self.latch[0];
-        let (ctx_children, comma_events) = (self.ctx_children, self.comma_events);
-        // Run counters of both unit kinds, one saturating byte per lane.
-        let sub1_hits: Option<&[u64; 256]> = self.sub1_hits.as_slice().try_into().ok();
-        let sub1_targets = self.sub1_targets_packed;
-        let mut c1 = blockhit::pack_counters(&self.sub1_counter)[0];
-        let mut cn = blockhit::pack_counters(&self.subn.counters)[0];
-        let mut row = self.subn.row;
-        let subn = self.subn.automaton();
-        let subn_targets = subn.map_or(0, |a| a.view().targets_packed[0]);
+        let mut l = L::load(&self.latch);
+        let ctx_children = L::load(&self.ctx_children);
+        // The latch before a run of the program: its pending-before view.
+        let mut p = L::zeroed(width);
+        // The packed run counters and targets of the B = 1 lanes and the
+        // first block-hit automaton's row, counters and targets.
+        let mut c1 = C::load(&self.sub1_counters);
+        let mut first = self.subn.load_first::<C>();
+        let (t1, has_sub1) = (C::load(&self.sub1_targets), !self.sub1_hits.is_empty());
+        let has_blocks = !self.subn.units.is_empty();
+        let comma_events = self.comma_events;
         let mut in_token = self.num_in_token;
         let has_ctx = self.has_ctx;
         // Fire masks of the current word by byte position, and the
         // positions that have one; all zero between words.
-        let mut fire = [0u64; swar::WORD_BYTES];
+        let mut fire: [L; swar::WORD_BYTES] = std::array::from_fn(|_| L::zeroed(width));
         // Fires since the last program point, not yet run through the
         // program, and the one run that applies them at `depth`.
-        let mut pending = 0u64;
-        let settle = |flag_level: &mut [u32], l: u64, pending: u64, depth: u32| {
+        let mut pending = L::zeroed(width);
+        let settle = |flag_level: &mut [u32], mut l: L, p: &mut L, pending: &mut L, depth| {
+            p.clone_from(&l);
+            l.or_words(pending.words());
+            pending.clear();
             let ev = ByteEvent {
                 depth,
                 is_close: false,
                 is_comma: false,
             };
-            run_program_word(&self.ops, &self.masks, flag_level, l | pending, l, ev)
+            run_program(&self.ops, &self.masks, flag_level, l, p, ev)
         };
 
         for (w, chunk) in words.chunks_exact(swar::WORD_BYTES).enumerate() {
@@ -2147,35 +2107,19 @@ impl Engine {
             let mut fired = 0u8;
 
             // ---- unit lanes ----
-            // Both unit kinds read the word's hit masks — B = 1 from a
-            // byte table, B ≥ 2 from the block-hit automaton — and step
-            // their counters once for the whole word.
-            if let Some(table) = sub1_hits {
-                let mut hits = [0; swar::WORD_BYTES];
-                for (h, &b) in hits.iter_mut().zip(bytes) {
-                    *h = table[b as usize];
+            // As many banks as `t1` has words: one, for a `u64`.
+            if has_sub1 {
+                for k in 0..t1.words().len() {
+                    let (c, targets) = (&mut c1.words_mut()[k], t1.words()[k]);
+                    let table = &self.sub1_hits[k];
+                    let hits = std::array::from_fn(|j| table[bytes[j] as usize]);
+                    let lane_fire = &self.sub1_fire[k * LANES * width..];
+                    step_lanes(hits, c, targets, lane_fire, width, &mut fire, &mut fired);
                 }
-                let unit_fire = &self.sub1_fire;
-                step_lanes(
-                    hits,
-                    &mut c1,
-                    sub1_targets,
-                    unit_fire,
-                    &mut fire,
-                    &mut fired,
-                );
             }
-            if let Some(a) = subn {
-                let hits = a.word_hits(&mut row, bytes);
-                let unit_fire = &self.subn_fire;
-                step_lanes(
-                    hits,
-                    &mut cn,
-                    subn_targets,
-                    unit_fire,
-                    &mut fire,
-                    &mut fired,
-                );
+            if has_blocks {
+                self.subn
+                    .step_word(&mut first, *bytes, &mut fire, &mut fired);
             }
             for i in 0..self.sdfa_state.len() {
                 let table = &self.tables[self.sdfa_off[i] as usize..];
@@ -2183,7 +2127,7 @@ impl Engine {
                 for (j, &byte) in bytes.iter().enumerate() {
                     s = table[(s & STATE_MASK) as usize * 256 + byte as usize];
                     if s & DENSE_ACCEPT_BIT != 0 {
-                        fire[j] |= self.sdfa_fire[i];
+                        fire[j].or_words(&self.sdfa_fire[i * width..]);
                         fired |= 1 << j;
                     }
                 }
@@ -2238,39 +2182,33 @@ impl Engine {
                 events &= events - 1;
                 let bit = 1u8 << j;
                 if points & bit == 0 {
-                    pending |= fire[j];
+                    pending.or_words(fire[j].words());
                     continue;
                 }
-                if pending != 0 {
-                    l = settle(&mut self.flag_level, l, pending, depth);
-                    pending = 0;
+                if !pending.is_zero() {
+                    l = settle(&mut self.flag_level, l, &mut p, &mut pending, depth);
                 }
                 let is_close = structural & wm.closes & bit != 0;
                 let is_comma = structural & wm.commas & bit != 0;
                 if structural & wm.opens & bit != 0 {
                     depth += 1;
                 }
-                if fire[j] != 0 || (is_close || is_comma) && l & ctx_children != 0 {
-                    let p = l;
-                    l = run_program_word(
-                        &self.ops,
-                        &self.masks,
-                        &mut self.flag_level,
-                        l | fire[j],
-                        p,
-                        ByteEvent {
-                            depth,
-                            is_close,
-                            is_comma,
-                        },
-                    );
+                if !fire[j].is_zero() || (is_close || is_comma) && l.meets(ctx_children.words()) {
+                    p.clone_from(&l);
+                    l.or_words(fire[j].words());
+                    let ev = ByteEvent {
+                        depth,
+                        is_close,
+                        is_comma,
+                    };
+                    l = run_program(&self.ops, &self.masks, &mut self.flag_level, l, &p, ev);
                 }
                 if is_close {
                     depth = depth.saturating_sub(1);
                 }
                 if RECORDS && newlines & bit != 0 {
-                    end_record(base + w * swar::WORD_BYTES + j, l);
-                    l = 0;
+                    end_record(base + w * swar::WORD_BYTES + j, l.words());
+                    l.clear();
                     self.flag_level.fill(0);
                     depth = 0;
                     if masked & bit != 0 {
@@ -2292,18 +2230,18 @@ impl Engine {
                 }
             }
             if fired != 0 {
-                fire = [0; swar::WORD_BYTES];
+                for f in &mut fire {
+                    f.clear();
+                }
             }
         }
-        if pending != 0 {
-            l = settle(&mut self.flag_level, l, pending, depth);
+        if !pending.is_zero() {
+            l = settle(&mut self.flag_level, l, &mut p, &mut pending, depth);
         }
 
-        // Sync packed state back out.
-        self.latch[0] = l;
-        blockhit::unpack_counters(&[c1], &mut self.sub1_counter);
-        blockhit::unpack_counters(&[cn], &mut self.subn.counters);
-        self.subn.row = row;
+        l.store(&mut self.latch);
+        c1.store(&mut self.sub1_counters);
+        self.subn.store_first(&first);
         self.num_in_token = in_token;
         self.tracker.restore(in_string, pending_escape, depth);
     }
@@ -2347,23 +2285,16 @@ impl crate::backend::FilterBackend for Engine {
         self.phase != Phase::Rejected && self.step_byte(b'\n')
     }
 
-    /// The stream path — the [word kernel](self#the-word-kernel) over the
+    /// The stream path: the [word kernel](self#the-word-kernel) over the
     /// buffer, the separator one more event, with a live literal
-    /// prefilter gating records in front of it — on the block path; the
-    /// record driver [`run_verdict_driver_blocks`] for a program off the
-    /// block path, and where some unit could carry state across a
-    /// separator.
+    /// prefilter gating records in front of it.
     fn filter_stream_verdicts_into(
         &mut self,
         stream: &[u8],
         limits: IngestLimits,
         out: &mut Vec<Verdict>,
     ) {
-        if self.on_stream_path() {
-            self.filter_stream_words(stream, limits, out);
-        } else {
-            run_verdict_driver_blocks(self, stream, limits, out);
-        }
+        self.filter_stream_words(stream, limits, out);
     }
 
     fn flush_telemetry(&mut self) {
@@ -2504,19 +2435,10 @@ mod tests {
 
     #[test]
     fn block_scan_eligibility() {
-        assert_eq!(Engine::compile(&ctx_temp()).scan_path(), ScanPath::Block);
-        // Any block length rides the pooled automaton.
-        let wide = Expr::substring(b"favourites_count", 9).unwrap();
-        assert!(Engine::compile(&wide).block_scan_ready());
-        // Multi-word latch bitsets fall back, and say so.
-        let leaves: Vec<Expr> = (0..70).map(|i| Expr::int_range(i, i + 1)).collect();
-        let wide_program = Engine::compile(&Expr::Or(leaves));
-        assert_eq!(
-            wide_program.scan_path(),
-            ScanPath::ByteSerial(FallbackReason::TooManyNodes { nodes: 71 })
-        );
-        assert!(!wide_program.block_scan_ready());
-        // So do more substring units of one kind than one bank of lanes,
+        // Every program runs the word kernel, whatever its shape: past
+        // one latch word, past a bank of lanes of either kind, with run
+        // targets past the packed counters and with a block pool past the
+        // table cap. The limits only change the lane layout.
         let sub = |needle: &[u8], b| Expr::substring(needle, b).unwrap();
         let nine = |b| {
             Expr::Or(
@@ -2525,32 +2447,37 @@ mod tests {
                     .collect(),
             )
         };
-        assert_eq!(
-            Engine::compile(&nine(1)).scan_path(),
-            ScanPath::ByteSerial(FallbackReason::TooManySub1Units { units: 9, max: 8 })
-        );
-        assert_eq!(
-            Engine::compile(&nine(2)).scan_path(),
-            ScanPath::ByteSerial(FallbackReason::TooManyBlockUnits { units: 9, max: 8 })
-        );
-        // run targets past the saturating lane counters,
         let long = [b'k'; 130];
-        assert_eq!(
-            Engine::compile(&sub(&long, 2)).scan_path(),
-            ScanPath::ByteSerial(FallbackReason::RunTargetTooLong { target: 129 })
-        );
-        // and block pools past the table cap.
         let needle: Vec<u8> = (0..400u32).map(|i| b'a' + (i * i % 23) as u8).collect();
-        assert_eq!(
-            Engine::compile(&sub(&needle, 300)).scan_path(),
-            ScanPath::ByteSerial(FallbackReason::BlockTableTooLarge)
-        );
+        let leaves: Vec<Expr> = (0..70).map(|i| Expr::int_range(i, i + 1)).collect();
+        let mut record = b"{\"key8\":7,\"k\":\"".to_vec();
+        record.extend([&long[..], &needle, b"\"}"].concat());
+        // Latch words, B = 1 banks, banks per automaton, reference lanes.
+        let cases = [
+            (Expr::Or(leaves), (2, 0, vec![], 0)),
+            (nine(1), (1, 2, vec![], 0)),
+            (nine(2), (1, 0, vec![2], 0)),
+            (sub(&long, 1), (1, 0, vec![], 1)),
+            (sub(&long, 2), (1, 0, vec![], 1)),
+            (sub(&needle, 300), (1, 0, vec![], 1)),
+        ];
+        for (expr, layout) in cases {
+            let mut engine = Engine::compile(&expr);
+            let banks = engine.block_automaton_views().map(|v| v.banks).collect();
+            let refs = engine.reference_lanes().count();
+            assert_eq!((engine.words, engine.sub1_banks(), banks, refs), layout);
+            let want = CompiledFilter::compile(&expr).accepts_record(&record);
+            let last = engine.on_block(&record);
+            assert_eq!(engine.on_byte(b'\n') || last, want, "`{expr}`");
+            let stats = engine.take_stats();
+            assert_eq!(stats.bytes_block, (record.len() & !7) as u64, "`{expr}`");
+        }
     }
 
     #[test]
     fn on_block_matches_byte_loop_paths() {
-        // Both eligible and fallback programs, records straddling word
-        // boundaries, strings with escapes and structural bytes.
+        // Records straddling word boundaries, strings with escapes and
+        // structural bytes.
         let exprs = [
             ctx_temp(),
             Expr::substring(b"favourites_count", 9).unwrap(),
@@ -2662,7 +2589,7 @@ mod tests {
         assert_eq!(sub1.table_bytes(), 256 * 8);
         // a block-hit automaton, a string DFA.
         let sub2 = Engine::compile(&Expr::substring(b"tolls_amount", 2).unwrap());
-        let view = sub2.block_automaton_view().expect("a B = 2 unit");
+        let view = sub2.block_automaton_views().next().expect("a B = 2 unit");
         assert_eq!(sub2.table_bytes(), view.table_bytes());
         assert!(view.table_bytes() > 256 + view.hits.len() * 8);
         let dfa = Engine::compile(&Expr::dfa_string(b"dust").unwrap());

@@ -103,7 +103,7 @@ pub use backend::{
     CompileError, FilterBackend, IngestLimits, Lane, SkipReason, Verdict, VerdictSink,
 };
 pub use cosim::CosimBackend;
-pub use engine::{Engine, FallbackReason, PrefilterStatus, ProgramView, ScanPath};
+pub use engine::{Engine, Latch, PrefilterStatus, ProgramView};
 pub use evaluator::CompiledFilter;
 pub use expr::{Expr, StructScope};
 pub use multi::{BatchVerdicts, MultiBackend, MultiEngine, MultiLanes, ShareStats, UnitCounts};

@@ -19,8 +19,9 @@ pub(crate) struct EngineMetrics {
     /// `engine.bytes.block`: bytes of the SWAR word loop — on the stream
     /// path every byte of a line the prefilter did not reject.
     pub bytes_block: &'static Counter,
-    /// `engine.bytes.byte_serial`: bytes through the serial `on_byte`
-    /// path (fallback programs, sub-word tails, separators).
+    /// `engine.bytes.byte_serial`: bytes through the byte loop —
+    /// `on_byte` calls and the sub-word tails of `on_block`; none on the
+    /// stream path.
     pub bytes_byte_serial: &'static Counter,
     /// `engine.bytes.prefilter_skipped`: bytes never scanned because the
     /// literal prefilter rejected the whole record.

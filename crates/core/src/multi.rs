@@ -14,16 +14,12 @@
 //! * **Grouping.** Two queries that share a *required needle* — the
 //!   needle of a string unit every match of the query must fire, the
 //!   [prefilter](crate::prefilter)'s notion — tend to match the same
-//!   records, so the connected components of that relation are kept
-//!   together; queries without any required needle are always scanned and
-//!   form a component of their own. Within a component, queries are
-//!   packed first-fit, in batch order, into groups that provably stay on
-//!   the block path: at most 64 nodes, 8 distinct `B = 1` needles, 8
-//!   distinct `B ≥ 2` (needle, B) pairs, run targets within the packed
-//!   counters and a bounded block-hit table. All of that is read off the
-//!   expressions, so each group is compiled exactly once. A query that
-//!   cannot take the block path alone fits no group and becomes a
-//!   byte-serial group of one; its neighbours are unaffected.
+//!   records, so each connected component of that relation is one group;
+//!   queries without any required needle are always scanned and form a
+//!   component of their own. A group takes as many latch words and lane
+//!   banks as its members need, and the word kernel runs every program,
+//!   so no capacity limit splits a component. All of that is read off
+//!   the expressions, so each group is compiled exactly once.
 //! * **Routing.** Each group engine carries the group's prefilter, which
 //!   rejects a record only when *every* member's own prefilter does —
 //!   i.e. only when, for each member, some unit that member needs provably
@@ -36,7 +32,6 @@
 //!   it can concern and dismissed by the others from every N-th byte,
 //!   with the engine's usual probation: a group whose prefilter never
 //!   rejects stops asking, and scans the rest of the call as one run.
-//!   A batch with a group off the block path runs the record driver.
 //! * **Sharing.** Inside a group, identical primitive units (same key
 //!   automaton, same number-range DFA, same substring comparator bank)
 //!   are instantiated once and the byte classification, string masking
@@ -77,10 +72,9 @@
 //! ```
 
 use crate::backend::{run_verdict_driver_blocks, CompileError, FilterBackend, Lane, VerdictSink};
-use crate::blockhit::{LANES, MAX_PACKED_TARGET, MAX_TABLE_WORDS};
-use crate::engine::{frame_records, Engine, ProgramView, RecordLine, Run, ScanPath};
+use crate::engine::{frame_records, Engine, ProgramView, RecordLine, Run};
 use crate::evaluator::CompiledFilter;
-use crate::expr::{Expr, StringTechnique};
+use crate::expr::Expr;
 use crate::prefilter::required_needles;
 use rfjson_jsonstream::frame::{IngestLimits, SkipReason, Verdict};
 use std::collections::HashMap;
@@ -109,96 +103,6 @@ impl ShareStats {
     }
 }
 
-/// What a set of queries asks of one engine, read off the expressions
-/// alone: enough to tell before anything is compiled whether the set
-/// stays on the block path.
-#[derive(Debug, Clone, Default)]
-struct Demand<'e> {
-    nodes: usize,
-    /// Distinct needles of the B = 1 units and distinct (needle, B) of the
-    /// B ≥ 2 units — no fewer than the units the engine builds, which
-    /// pools by executor.
-    sub1: Vec<&'e [u8]>,
-    subn: Vec<(&'e [u8], usize)>,
-    /// Some run target `N − B + 1` is past the packed counters.
-    long_target: bool,
-}
-
-fn push_new<T: PartialEq>(set: &mut Vec<T>, item: T) {
-    if !set.contains(&item) {
-        set.push(item);
-    }
-}
-
-impl<'e> Demand<'e> {
-    /// Adds what `expr` demands; `counts` tallies its primitive leaves.
-    fn add(&mut self, expr: &'e Expr, counts: &mut UnitCounts) {
-        self.nodes += 1;
-        match expr {
-            Expr::Str(spec) => match spec.technique {
-                StringTechnique::Dfa | StringTechnique::Window => counts.string_dfas += 1,
-                StringTechnique::Substring(b) => {
-                    let needle = &spec.needle[..];
-                    self.long_target |= needle.len() + 1 - b > MAX_PACKED_TARGET as usize;
-                    if b == 1 {
-                        counts.sub1 += 1;
-                        push_new(&mut self.sub1, needle);
-                    } else {
-                        if b <= 8 {
-                            counts.subp += 1;
-                        } else {
-                            counts.wide += 1;
-                        }
-                        push_new(&mut self.subn, (needle, b));
-                    }
-                }
-            },
-            Expr::Num(_) => counts.number_dfas += 1,
-            Expr::And(cs) | Expr::Or(cs) | Expr::Ctx(cs, _) => {
-                for c in cs {
-                    self.add(c, counts);
-                }
-            }
-        }
-    }
-
-    /// The demand of this set and `other` compiled together.
-    fn merged(&self, other: &Demand<'e>) -> Demand<'e> {
-        let mut all = self.clone();
-        all.nodes += other.nodes;
-        all.long_target |= other.long_target;
-        for &needle in &other.sub1 {
-            push_new(&mut all.sub1, needle);
-        }
-        for &unit in &other.subn {
-            push_new(&mut all.subn, unit);
-        }
-        all
-    }
-
-    /// Whether an engine compiled from this set is certain to take the
-    /// block path ([`ScanPath::Block`]). The block-hit table is bounded
-    /// from above: no more states than the blocks have bytes (plus the
-    /// start state), no more classes than distinct needle bytes (plus
-    /// class 0), one bank.
-    fn block_eligible(&self) -> bool {
-        let mut in_needle = [false; 256];
-        let mut states = 1;
-        for &(needle, b) in &self.subn {
-            states += (needle.len() + 1 - b) * b;
-            for &x in needle {
-                in_needle[x as usize] = true;
-            }
-        }
-        let classes = 1 + in_needle.iter().filter(|&&x| x).count();
-        self.nodes <= 64
-            && self.sub1.len() <= LANES
-            && self.subn.len() <= LANES
-            && !self.long_target
-            && states * classes <= MAX_TABLE_WORDS
-    }
-}
-
 /// Root of `q`'s component in a union-find forest, halving paths.
 fn find(parent: &mut [usize], mut q: usize) -> usize {
     while parent[q] != q {
@@ -208,16 +112,9 @@ fn find(parent: &mut [usize], mut q: usize) -> usize {
     q
 }
 
-/// A group being filled by [`plan_groups`].
-struct Plan<'e> {
-    component: usize,
-    members: Vec<usize>,
-    demand: Demand<'e>,
-}
-
-/// Partitions a batch into groups (member indices, ascending) — the rule
-/// of the [module docs](self).
-fn plan_groups(exprs: &[Expr], per_query: &mut Vec<UnitCounts>) -> Vec<Vec<usize>> {
+/// Partitions a batch into groups (member indices, ascending; groups
+/// ordered by their first member) — the rule of the [module docs](self).
+fn plan_groups(exprs: &[Expr]) -> Vec<Vec<usize>> {
     // Connected components of "shares a required needle", by union-find
     // over the first query seen with each needle. Queries that require
     // none meet on the empty needle, which no unit can have.
@@ -234,33 +131,18 @@ fn plan_groups(exprs: &[Expr], per_query: &mut Vec<UnitCounts>) -> Vec<Vec<usize
             parent[a.max(b)] = a.min(b);
         }
     }
-
-    let mut plans: Vec<Plan> = Vec::new();
-    for (q, expr) in exprs.iter().enumerate() {
-        let mut counts = UnitCounts::default();
-        let mut demand = Demand::default();
-        demand.add(expr, &mut counts);
-        per_query.push(counts);
-        let component = find(&mut parent, q);
-        // First fit. A query that is not block-eligible alone is not
-        // eligible merged with anything either, and ends up by itself.
-        let candidates = plans.iter_mut().filter(|plan| plan.component == component);
-        let fit = candidates
-            .map(|plan| (plan.demand.merged(&demand), plan))
-            .find(|(all, _)| all.block_eligible());
-        match fit {
-            Some((all, plan)) => {
-                plan.members.push(q);
-                plan.demand = all;
-            }
-            None => plans.push(Plan {
-                component,
-                members: vec![q],
-                demand,
-            }),
+    // A component's root is its first member, so groups come out ordered.
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    let mut group_of = vec![usize::MAX; exprs.len()];
+    for q in 0..exprs.len() {
+        let root = find(&mut parent, q);
+        if root == q {
+            group_of[q] = groups.len();
+            groups.push(Vec::new());
         }
+        groups[group_of[root]].push(q);
     }
-    plans.into_iter().map(|plan| plan.members).collect()
+    groups
 }
 
 /// One group of a [`MultiEngine`]: the queries compiled into one
@@ -278,10 +160,9 @@ impl Group {
         &self.members
     }
 
-    /// The group's engine: its [`Engine::scan_path`],
-    /// [`Engine::num_nodes`], [`Engine::unit_counts`],
-    /// [`Engine::prefilter_status`] and
-    /// [`Engine::block_automaton_view`] describe the group.
+    /// The group's engine: its [`Engine::num_nodes`],
+    /// [`Engine::unit_counts`], [`Engine::prefilter_status`] and
+    /// [`Engine::block_automaton_views`] describe the group.
     pub fn engine(&self) -> &Engine {
         &self.engine
     }
@@ -298,16 +179,20 @@ impl Group {
         out: &mut BatchVerdicts,
         base: usize,
     ) {
-        let (members, roots) = (&self.members, self.engine.root_word());
-        let mut verdict = |slot, l: u64| {
+        let (members, roots) = (&self.members, self.engine.root_mask().to_vec());
+        let mut verdict = |slot, l: &[u64]| {
             let row = out.row_mut(base + slot);
-            let mut hits = l & roots;
-            while hits != 0 {
-                // Member `i`'s root is the `i`-th lowest root bit.
-                let bit = hits & hits.wrapping_neg();
-                let q = members[(roots & (bit - 1)).count_ones() as usize];
-                row[q / 64] |= 1u64 << (q % 64);
-                hits ^= bit;
+            // Member `i`'s root is the `i`-th lowest root bit.
+            let mut below = 0;
+            for (&l, &r) in l.iter().zip(&roots) {
+                let mut hits = l & r;
+                while hits != 0 {
+                    let bit = hits & hits.wrapping_neg();
+                    let q = members[below + (r & (bit - 1)).count_ones() as usize];
+                    row[q / 64] |= 1u64 << (q % 64);
+                    hits ^= bit;
+                }
+                below += r.count_ones() as usize;
             }
         };
         for &line in lines {
@@ -353,16 +238,14 @@ impl MultiEngine {
     /// [`Expr::validate`].
     pub fn try_compile_batch(exprs: &[Expr]) -> Result<MultiEngine, CompileError> {
         check_batch(exprs, "multi-engine")?;
-        let mut share = ShareStats::default();
+        let mut share = ShareStats {
+            per_query: exprs.iter().map(UnitCounts::of).collect(),
+            ..ShareStats::default()
+        };
         let mut groups = Vec::new();
-        for members in plan_groups(exprs, &mut share.per_query) {
+        for members in plan_groups(exprs) {
             let member_exprs: Vec<&Expr> = members.iter().map(|&q| &exprs[q]).collect();
             let engine = Engine::compile_group(&member_exprs);
-            debug_assert!(
-                members.len() == 1 || engine.block_scan_ready(),
-                "a packed group left the block path: {}",
-                engine.scan_path()
-            );
             share.pool += engine.unit_counts();
             groups.push(Group { members, engine });
         }
@@ -394,22 +277,6 @@ impl MultiEngine {
     /// The unit-sharing census: per-query demand vs. units built.
     pub fn share_stats(&self) -> &ShareStats {
         &self.share
-    }
-
-    /// [`ScanPath::Block`] iff every group takes the block path;
-    /// otherwise the path of the first group that does not — only that
-    /// group's queries are scanned byte by byte ([`MultiEngine::groups`]
-    /// has the path of each).
-    pub fn scan_path(&self) -> ScanPath {
-        let mut paths = self.groups.iter().map(|g| g.engine.scan_path());
-        paths
-            .find(|path| *path != ScanPath::Block)
-            .unwrap_or(ScanPath::Block)
-    }
-
-    /// `scan_path() == ScanPath::Block`.
-    pub fn block_scan_ready(&self) -> bool {
-        self.scan_path() == ScanPath::Block
     }
 
     /// One program snapshot per query, in batch order, for static
@@ -509,20 +376,13 @@ impl MultiBackend for MultiEngine {
     /// Frames the call once, then runs it group by group over the framed
     /// records, each group on its prefilter-gated stream path;
     /// `framing.*` is counted once per call and
-    /// `multi.records` once per scored record. A batch with a group off
-    /// the stream path runs the record driver,
-    /// [`run_verdict_driver_blocks`], as a single [`Engine`] in that
-    /// state does.
+    /// `multi.records` once per scored record.
     fn filter_stream_verdicts_into(
         &mut self,
         stream: &[u8],
         limits: IngestLimits,
         out: &mut BatchVerdicts,
     ) {
-        if !self.groups.iter().all(|g| g.engine.on_stream_path()) {
-            run_verdict_driver_blocks(self, stream, limits, out);
-            return;
-        }
         let mut lines = std::mem::take(&mut self.lines);
         lines.clear();
         let base = out.num_records();
@@ -544,9 +404,9 @@ impl MultiBackend for MultiEngine {
     }
 
     /// Drains every group engine's per-stream tallies into the `multi.*`
-    /// counters: bytes by scan path summed over the groups, and per
-    /// (group, record) whether the group scanned the record or its
-    /// prefilter rejected it.
+    /// counters: bytes by how they were scanned, summed over the groups,
+    /// and per (group, record) whether the group scanned the record or
+    /// its prefilter rejected it.
     fn flush_telemetry(&mut self) {
         let (mut block, mut serial, mut skipped, mut records, mut rejects) = (0, 0, 0, 0, 0);
         for group in &mut self.groups {
@@ -1062,7 +922,6 @@ mod tests {
         assert_eq!(stats.total_units(), 8);
         assert_eq!(stats.pool.total(), 7);
         assert_eq!(stats.shared_units(), 1);
-        assert!(fused.block_scan_ready());
     }
 
     #[test]

@@ -39,6 +39,7 @@
 //! of [`WordTokens`]. A token end rearms to row 0 without reading the
 //! token-end column, so no lookup waits on the row of the token before.
 
+use crate::engine::Latch;
 use rfjson_jsonstream::swar;
 use rfjson_redfa::range::NUMBER_BYTES;
 use rfjson_redfa::{Dfa, NumberBounds};
@@ -301,16 +302,16 @@ impl NumberAutomaton {
 
     /// The [word walk](self#the-word-walk) over `bytes`, whose tokens are
     /// `tokens`, from `row` (0 unless a token is open): each number byte
-    /// steps the row; each token end ORs the first word of the fire mask
-    /// into `fire` at its position and rearms to row 0. Returns the
-    /// positions whose fire was not zero.
+    /// steps the row; each token end ORs the fire mask into `fire` at its
+    /// position and rearms to row 0. Returns the positions whose fire was
+    /// not zero.
     #[inline]
-    pub fn walk_word(
+    pub fn walk_word<L: Latch>(
         &self,
         row: &mut u16,
         bytes: &[u8; 8],
         tokens: WordTokens,
-        fire: &mut [u64; 8],
+        fire: &mut [L; 8],
     ) -> u8 {
         let mut todo = tokens.numbers | tokens.ends;
         let mut r = *row;
@@ -319,9 +320,8 @@ impl NumberAutomaton {
             let j = todo.trailing_zeros() as usize;
             todo &= todo - 1;
             if tokens.ends >> j & 1 != 0 {
-                let f = self.t.fires[r as usize / COLUMNS * self.t.words];
-                fire[j] |= f;
-                fired |= u8::from(f != 0) << j;
+                let f = &self.t.fires[r as usize / COLUMNS * self.t.words..];
+                fired |= u8::from(fire[j].or_any(f)) << j;
                 r = 0;
             } else {
                 r = self.step(r, bytes[j]);

@@ -60,11 +60,16 @@ impl Value {
     /// Numeric view with string coercion: SenML (Listing 1 of the paper)
     /// stores measurements as *strings* (`"v":"35.2"`), and queries compare
     /// them numerically. Returns the number for `Number` values and for
-    /// `String` values that parse as JSON numbers.
+    /// `String` values whose content, JSON whitespace (space, tab, LF, CR)
+    /// trimmed, is an RFC 8259 number — not for what a float parser reads
+    /// besides (`"+1.50"`, `"0100"`, `"inf"`, `"1."`, NBSP padding).
     pub fn as_numeric(&self) -> Option<f64> {
         match self {
             Value::Number(n) => Some(*n),
-            Value::String(s) => s.trim().parse::<f64>().ok(),
+            Value::String(s) => match crate::parser::parse(s.as_bytes()) {
+                Ok(Value::Number(n)) => Some(n),
+                _ => None,
+            },
             _ => None,
         }
     }
@@ -177,6 +182,20 @@ mod tests {
         assert_eq!(Value::Bool(true).as_numeric(), None);
         assert_eq!(Value::from("12").as_numeric(), Some(12.0));
         assert_eq!(Value::from(" 3.5 ").as_numeric(), Some(3.5));
+    }
+
+    #[test]
+    fn as_numeric_takes_exactly_rfc8259_numbers() {
+        for rejected in [
+            "+1.50", "0100", "inf", "NaN", "1.", ".5", "\u{a0}5", "", "[1]",
+        ] {
+            assert_eq!(Value::from(rejected).as_numeric(), None, "{rejected:?}");
+        }
+        let accepted = [(" 3.5 ", 3.5), ("-0", 0.0), ("1E5", 1e5), ("2.0e-3", 2e-3)];
+        for (text, n) in accepted {
+            assert_eq!(Value::from(text).as_numeric(), Some(n), "{text:?}");
+        }
+        assert_eq!(Value::from("\t\r\n7\n").as_numeric(), Some(7.0));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Lints the built-in RiotBench queries through the static verification
-//! passes, and reports which scan path each compiled query takes.
+//! passes, and reports how each compiled query lays out its lanes.
 //!
 //! ```text
 //! verify [--verbose] [--telemetry] [--b LIST] [QUERY...]
@@ -13,11 +13,13 @@
 //! * `--telemetry` — after the passes, print the `verify.*` telemetry
 //!   snapshot (lint counts) as JSON.
 //!
-//! Every verdict line ends with the path `on_block` takes for that
-//! compiled query — `[path: block]`, or `[path: byte-serial (reason)]`
-//! with the eligibility rule that forces the fallback — and with what
-//! pooling its number ranges came to: `[numbers: 6 units → 66 rows]`, the
-//! rows of one product automaton for all of them.
+//! Every verdict line ends with the lane layout the word kernel runs for
+//! that compiled query — `[lanes: s1 banks 1, automaton banks 1+2,
+//! reference 0]`: the banks of eight B = 1 lanes, the banks of each
+//! block-hit automaton (`-` for none) and the reference lanes stepped by
+//! their matchers — and with what pooling its number ranges came to:
+//! `[numbers: 6 units → 66 rows]`, the rows of one product automaton for
+//! all of them.
 //!
 //! After the per-query passes, every expressible (query, b) expression
 //! of the selection is fused into one batch and linted through the
@@ -25,8 +27,8 @@
 //! units, independent dedup-census recomputation), the `B0xx` pass over
 //! each group's block-hit automaton and the `N02x` pass over its number
 //! automata. The batch's verdict line is followed by one line per group
-//! the batch was partitioned into: its member queries, its own scan path,
-//! its node count, its units and its number pooling.
+//! the batch was partitioned into: its member queries, its node count,
+//! its units, its lane layout and its number pooling.
 //!
 //! Exits with status 1 if any error-severity diagnostic is reported, or
 //! 2 on usage errors.
@@ -56,6 +58,25 @@ fn number_pooling(engine: &Engine) -> String {
         .map(|v| v.fires.len() / v.words);
     let rows: Vec<String> = rows.map(|r| r.to_string()).collect();
     format!("{units} units → {} rows", rows.join("+"))
+}
+
+/// `s1 banks S, automaton banks A+B, reference R`: an engine's lane
+/// layout.
+fn lane_layout(engine: &Engine) -> String {
+    let banks: Vec<String> = engine
+        .block_automaton_views()
+        .map(|v| v.banks.to_string())
+        .collect();
+    let banks = if banks.is_empty() {
+        "-".to_string()
+    } else {
+        banks.join("+")
+    };
+    format!(
+        "s1 banks {}, automaton banks {banks}, reference {}",
+        engine.sub1_banks(),
+        engine.reference_lanes().count()
+    )
 }
 
 fn main() -> ExitCode {
@@ -116,7 +137,7 @@ fn main() -> ExitCode {
                 }
             };
             let engine = Engine::compile(&expr);
-            let (path, numbers) = (engine.scan_path(), number_pooling(&engine));
+            let (lanes, numbers) = (lane_layout(&engine), number_pooling(&engine));
             batch.push(expr);
             let report = verify_query(query, b).expect("the expression was just derived");
             rfjson_telemetry::counter("verify.queries.linted").incr();
@@ -127,7 +148,7 @@ fn main() -> ExitCode {
                 "ok"
             };
             println!(
-                "{:4} {} [path: {path}] [numbers: {numbers}]",
+                "{:4} {} [lanes: {lanes}] [numbers: {numbers}]",
                 verdict,
                 report.summary()
             );
@@ -151,16 +172,15 @@ fn main() -> ExitCode {
                 } else {
                     "ok"
                 };
-                let path = fused.scan_path();
-                println!("{:4} {} [path: {path}]", verdict, report.summary());
+                println!("{:4} {}", verdict, report.summary());
                 for (g, group) in fused.groups().iter().enumerate() {
                     let engine = group.engine();
                     println!(
-                        "       group {g}: queries {:?}, {} nodes, {} units [path: {}] [numbers: {}]",
+                        "       group {g}: queries {:?}, {} nodes, {} units [lanes: {}] [numbers: {}]",
                         group.members(),
                         engine.num_nodes(),
                         engine.unit_counts().total(),
-                        engine.scan_path(),
+                        lane_layout(engine),
                         number_pooling(engine)
                     );
                 }

@@ -14,8 +14,8 @@
 //! that an automaton flagged `definite` — the word kernel then reads the
 //! row before a byte without walking the rows — is one whose blocks are
 //! all at most two bytes long and whose rows all step like row 0.
-//! The engine-level entry points add the census against the source
-//! expressions.
+//! The engine-level entry points run the table pass once per automaton
+//! of a split pool and add the census against the source expressions.
 //!
 //! ## Diagnostic catalogue
 //!
@@ -29,11 +29,12 @@
 //! | B005 | error    | run target (scalar or packed) is not the unit's `N − B + 1` |
 //! | B006 | warning  | state unreachable from the record start |
 //! | B007 | error    | `definite` not set exactly when every block is at most 2 bytes, or a definite row's `next` differs from row 0's |
-//! | B010 | error    | pooled units disagree with the source expressions |
+//! | B010 | error    | lane layout disagrees with the source expressions: a unit not a lane of exactly one automaton or a reference lane, or a reference lane that could be packed |
 
 use crate::{Diagnostic, Layer};
-use rfjson_core::blockhit::{pack_targets, BlockAutomatonView, BlockUnitView, LANES};
-use rfjson_core::engine::{FallbackReason, ScanPath};
+use rfjson_core::blockhit::{
+    pack_targets, BlockAutomaton, BlockAutomatonView, BlockUnitView, LANES, MAX_PACKED_TARGET,
+};
 use rfjson_core::expr::{Expr, StringTechnique};
 use rfjson_core::primitive::SubstringMatcher;
 use rfjson_core::{Engine, MultiEngine};
@@ -227,12 +228,13 @@ pub fn verify_block_automaton(view: &BlockAutomatonView) -> Vec<Diagnostic> {
     out
 }
 
-/// The B ≥ 2 substring units of `expr`, in the compiler's visit order.
+/// The substring units of `expr` that are not B = 1 lanes — B ≥ 2, and
+/// B = 1 past the packed run targets — in the compiler's visit order.
 fn collect_units(expr: &Expr, out: &mut Vec<BlockUnitView>) {
     match expr {
         Expr::Str(spec) => {
             if let StringTechnique::Substring(b) = spec.technique {
-                if b >= 2 {
+                if b >= 2 || spec.needle.len() as u32 > MAX_PACKED_TARGET {
                     out.push(BlockUnitView {
                         needle: spec.needle.clone(),
                         block_len: b,
@@ -249,60 +251,77 @@ fn collect_units(expr: &Expr, out: &mut Vec<BlockUnitView>) {
     }
 }
 
-/// The bit-exact identity of a unit's executor: its distinct blocks in
-/// needle order and its run target — re-derived from the primitive, the
-/// rule the fused pool deduplicates by.
-fn executor(unit: &BlockUnitView) -> (Vec<Vec<u8>>, u32) {
+/// The bit-exact identity of a unit's executor: its block length, its
+/// distinct blocks in needle order and its run target — re-derived from
+/// the primitive, the rule the fused pool deduplicates by.
+fn executor(unit: &BlockUnitView) -> (usize, Vec<Vec<u8>>, u32) {
     let m = SubstringMatcher::new(&unit.needle, unit.block_len)
         .expect("expression was validated at compile time");
-    (m.blocks().to_vec(), m.target())
+    (unit.block_len, m.blocks().to_vec(), m.target())
 }
 
-/// Census (B010) plus table pass for one compiled artifact: `expected`
-/// are the units a fresh derivation from the source demands, in lane
-/// order; a missing table is legal only on the fallback that says so.
-fn verify_against(
-    view: Option<&BlockAutomatonView>,
-    path: ScanPath,
+/// Whether a unit cannot be a packed lane: its run target is past the
+/// packed counters, or its table alone is past the cap.
+fn unpackable(unit: &BlockUnitView) -> bool {
+    let m = SubstringMatcher::new(&unit.needle, unit.block_len)
+        .expect("expression was validated at compile time");
+    m.target() > MAX_PACKED_TARGET || BlockAutomaton::build([&m]).is_none()
+}
+
+/// Census (B010) plus the table pass of every automaton: `expected` are
+/// the units a fresh derivation from the source demands; each must be a
+/// lane of exactly one of `automata` or one of `references`, and a
+/// reference lane exactly a unit that cannot be packed.
+fn verify_lanes(
+    automata: &[&BlockAutomatonView],
+    references: &[BlockUnitView],
     expected: &[BlockUnitView],
 ) -> Vec<Diagnostic> {
-    let Some(view) = view else {
-        let excused = path == ScanPath::ByteSerial(FallbackReason::BlockTableTooLarge);
-        if expected.is_empty() || excused {
-            return Vec::new();
-        }
-        return vec![error(
-            "B010",
-            "tables",
-            format!("{} units but no automaton on path {path}", expected.len()),
-        )];
-    };
     let mut out = Vec::new();
-    let same = view.units.len() == expected.len()
-        && view
-            .units
-            .iter()
-            .zip(expected)
-            .all(|(a, b)| a.block_len == b.block_len && executor(a) == executor(b));
-    if !same {
+    let lanes = automata.iter().flat_map(|a| &a.units);
+    let mut laid_out: Vec<_> = lanes.chain(references).map(executor).collect();
+    let mut demanded: Vec<_> = expected.iter().map(executor).collect();
+    laid_out.sort();
+    demanded.sort();
+    if laid_out != demanded {
         out.push(error(
             "B010",
-            "units",
+            "lanes",
             format!(
-                "pool holds {} units, expressions demand {}",
-                view.units.len(),
+                "{} automaton lanes and {} reference lanes, expressions demand {} units",
+                laid_out.len() - references.len(),
+                references.len(),
                 expected.len()
             ),
         ));
     }
-    out.extend(verify_block_automaton(view));
+    for (k, unit) in references.iter().enumerate() {
+        if !unpackable(unit) {
+            out.push(error(
+                "B010",
+                &format!("reference lane {k}"),
+                format!(
+                    "{:?} at B = {} fits a packed lane",
+                    String::from_utf8_lossy(&unit.needle),
+                    unit.block_len
+                ),
+            ));
+        }
+    }
+    for (k, automaton) in automata.iter().enumerate() {
+        for mut d in verify_block_automaton(automaton) {
+            d.location = format!("automaton {k}: {}", d.location);
+            out.push(d);
+        }
+    }
     out
 }
 
-/// Verifies a compiled engine's block-hit automaton against
-/// [`Engine::exprs`]: the lanes must be the distinct executors its
-/// expressions demand, each exactly once, in first-demand order — an
-/// independent recomputation of the engine's dedup.
+/// Verifies a compiled engine's lane layout against [`Engine::exprs`]:
+/// the lanes of its automata and its reference lanes must be the
+/// distinct executors its expressions demand, each exactly once — an
+/// independent recomputation of the engine's dedup — and every
+/// automaton's tables must pass on their own.
 pub fn verify_engine_blocks(engine: &Engine) -> Vec<Diagnostic> {
     let mut demanded = Vec::new();
     for expr in engine.exprs() {
@@ -310,18 +329,26 @@ pub fn verify_engine_blocks(engine: &Engine) -> Vec<Diagnostic> {
     }
     let mut seen = Vec::new();
     demanded.retain(|u| {
-        let key = (u.block_len, executor(u));
+        let key = executor(u);
         let fresh = !seen.contains(&key);
         if fresh {
             seen.push(key);
         }
         fresh
     });
-    verify_against(engine.block_automaton_view(), engine.scan_path(), &demanded)
+    let automata: Vec<&BlockAutomatonView> = engine.block_automaton_views().collect();
+    let references: Vec<BlockUnitView> = engine
+        .reference_lanes()
+        .map(|m| BlockUnitView {
+            needle: m.needle().to_vec(),
+            block_len: m.block_length(),
+        })
+        .collect();
+    verify_lanes(&automata, &references, &demanded)
 }
 
-/// Verifies the block-hit automaton of every group of a fused batch
-/// against the group's own members.
+/// Verifies the lane layout of every group of a fused batch against the
+/// group's own members.
 pub fn verify_multi_blocks(fused: &MultiEngine) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for (g, group) in fused.groups().iter().enumerate() {
@@ -368,7 +395,7 @@ mod tests {
 
     #[test]
     fn cleared_hit_lane_is_flagged() {
-        let mut view = sample().block_automaton_view().unwrap().clone();
+        let mut view = sample().block_automaton_views().next().unwrap().clone();
         let i = view.hits.iter().position(|&h| h & 0xff != 0).unwrap();
         view.hits[i] &= !0xff;
         assert!(codes(&view).contains(&"B003"), "{:?}", codes(&view));
@@ -376,32 +403,32 @@ mod tests {
 
     #[test]
     fn spurious_hit_lane_is_flagged() {
-        let mut view = sample().block_automaton_view().unwrap().clone();
+        let mut view = sample().block_automaton_views().next().unwrap().clone();
         view.hits[0] |= 0xff00; // class 0 from the start state: nothing ends here
         assert_eq!(codes(&view), vec!["B004"]);
         // A lane no unit owns must stay clear too.
-        let mut view = sample().block_automaton_view().unwrap().clone();
+        let mut view = sample().block_automaton_views().next().unwrap().clone();
         view.hits[0] |= 0xff << 56;
         assert_eq!(codes(&view), vec!["B004"]);
     }
 
     #[test]
     fn merged_byte_class_is_flagged() {
-        let mut view = sample().block_automaton_view().unwrap().clone();
+        let mut view = sample().block_automaton_views().next().unwrap().clone();
         view.classes[b'z' as usize] = view.classes[b'a' as usize];
         assert!(codes(&view).contains(&"B004"), "{:?}", codes(&view));
     }
 
     #[test]
     fn bad_next_rows_are_flagged() {
-        let mut view = sample().block_automaton_view().unwrap().clone();
+        let mut view = sample().block_automaton_views().next().unwrap().clone();
         view.next[3] = view.next.len() as u16;
         assert_eq!(codes(&view), vec!["B002"]);
-        let mut view = sample().block_automaton_view().unwrap().clone();
+        let mut view = sample().block_automaton_views().next().unwrap().clone();
         view.next[3] = 1; // inside the table, but not a row
         assert_eq!(codes(&view), vec!["B002"]);
         // A redirected (valid) row loses a block's prefix.
-        let mut view = sample().block_automaton_view().unwrap().clone();
+        let mut view = sample().block_automaton_views().next().unwrap().clone();
         let t = view.classes[b't' as usize] as usize;
         view.next[t] = 0; // start --t--> start
         assert!(codes(&view).contains(&"B003"), "{:?}", codes(&view));
@@ -409,16 +436,16 @@ mod tests {
 
     #[test]
     fn wrong_targets_and_shapes_are_flagged() {
-        let mut view = sample().block_automaton_view().unwrap().clone();
+        let mut view = sample().block_automaton_views().next().unwrap().clone();
         view.targets_packed[0] ^= 1;
         assert_eq!(codes(&view), vec!["B005"]);
-        let mut view = sample().block_automaton_view().unwrap().clone();
+        let mut view = sample().block_automaton_views().next().unwrap().clone();
         view.targets[1] += 1;
         assert_eq!(codes(&view), vec!["B005"]);
-        let mut view = sample().block_automaton_view().unwrap().clone();
+        let mut view = sample().block_automaton_views().next().unwrap().clone();
         view.hits.pop();
         assert_eq!(codes(&view), vec!["B001"]);
-        let mut view = sample().block_automaton_view().unwrap().clone();
+        let mut view = sample().block_automaton_views().next().unwrap().clone();
         view.hits[0] |= 0x01; // neither a hit nor a miss for the lane arithmetic
         assert_eq!(codes(&view), vec!["B001"]);
     }
@@ -426,7 +453,7 @@ mod tests {
     #[test]
     fn definite_flag_and_rows_are_flagged() {
         // A pool with B = 3 and B = 9 blocks must walk its rows.
-        let mut view = sample().block_automaton_view().unwrap().clone();
+        let mut view = sample().block_automaton_views().next().unwrap().clone();
         assert!(!view.definite);
         view.definite = true;
         assert_eq!(codes(&view), vec!["B007"]);
@@ -436,7 +463,7 @@ mod tests {
             Expr::substring(b"aaaa", 2).unwrap(),
             Expr::int_range(1, 5),
         ]));
-        let clean = b2.block_automaton_view().unwrap();
+        let clean = b2.block_automaton_views().next().unwrap();
         assert!(clean.definite);
         assert!(codes(clean).is_empty(), "{:?}", codes(clean));
         let mut view = clean.clone();
@@ -453,15 +480,58 @@ mod tests {
     #[test]
     fn census_against_the_expression_is_checked() {
         let engine = sample();
-        let view = engine.block_automaton_view().unwrap();
+        let view = engine.block_automaton_views().next().unwrap();
         let mut expected = Vec::new();
         collect_units(engine.expr(), &mut expected);
         assert_eq!(expected.len(), 4);
-        expected.swap(0, 1);
-        let diags = verify_against(Some(view), engine.scan_path(), &expected);
+        assert!(verify_lanes(&[view], &[], &expected)
+            .iter()
+            .all(|d| d.severity < Severity::Warning));
+        // A unit the pool lacks, or holds twice.
+        let diags = verify_lanes(&[view], &[], &expected[1..]);
         assert!(diags.iter().any(|d| d.code == "B010"), "{diags:?}");
-        let diags = verify_against(None, engine.scan_path(), &expected);
+        let diags = verify_lanes(&[view, view], &[], &expected);
         assert!(diags.iter().any(|d| d.code == "B010"), "{diags:?}");
+        let diags = verify_lanes(&[], &[], &expected);
+        assert!(diags.iter().any(|d| d.code == "B010"), "{diags:?}");
+    }
+
+    #[test]
+    fn reference_lanes_are_exactly_the_unpackable_units() {
+        // A run target past the packed counters, at B = 1 and B = 2, and a
+        // table past the cap: three reference lanes beside a split pool.
+        let big: Vec<u8> = (0..600u32).map(|i| b'a' + (i * i % 23) as u8).collect();
+        let engine = Engine::compile(&Expr::and([
+            Expr::substring(&[b'k'; 130], 1).unwrap(),
+            Expr::substring(&[b'k'; 130], 2).unwrap(),
+            Expr::substring(&big, 300).unwrap(),
+            Expr::substring(b"tolls_amount", 2).unwrap(),
+        ]));
+        assert_eq!(engine.reference_lanes().count(), 3);
+        let diags = verify_engine_blocks(&engine);
+        assert!(
+            diags.iter().all(|d| d.severity < Severity::Warning),
+            "{diags:?}"
+        );
+        // Mutation: a packable unit laid out as a reference lane.
+        let view = engine.block_automaton_views().next().unwrap();
+        let lane = view.units[0].clone();
+        let mut expected = Vec::new();
+        collect_units(engine.expr(), &mut expected);
+        let references: Vec<BlockUnitView> = engine
+            .reference_lanes()
+            .map(|m| BlockUnitView {
+                needle: m.needle().to_vec(),
+                block_len: m.block_length(),
+            })
+            .chain([lane])
+            .collect();
+        let diags = verify_lanes(&[], &references, &expected);
+        let moved = diags.iter().filter(|d| d.code == "B010");
+        assert!(
+            moved.clone().any(|d| d.location == "reference lane 3"),
+            "{diags:?}"
+        );
     }
 
     #[test]
@@ -475,8 +545,8 @@ mod tests {
         // The two queries on "tolls_amount" share a group and its s2 unit;
         // the third stands alone.
         let lanes = |g: usize| {
-            let view = fused.groups()[g].engine().block_automaton_view();
-            view.unwrap().units.len()
+            let mut views = fused.groups()[g].engine().block_automaton_views();
+            views.next().unwrap().units.len()
         };
         assert_eq!(fused.groups().len(), 2);
         assert_eq!((lanes(0), lanes(1)), (2, 1));

@@ -2,13 +2,12 @@
 //! the reference primitive: for any set of `sB(needle)` units, the
 //! per-byte hit lanes and fire signals of [`BlockAutomaton`] must equal
 //! what one [`SubstringMatcher`] per unit computes — in the byte-serial
-//! form, in the packed form, across the seams between the two, and past
-//! the point where the packed counters saturate.
+//! form, in the word form, across the seams between the two (which share
+//! the packed counters), and past the point where the packed counters
+//! saturate.
 
 use proptest::prelude::*;
-use rfjson_core::blockhit::{
-    pack_counters, pack_targets, unpack_counters, BlockAutomaton, RunWord, LANES, MAX_BANKS, WORD,
-};
+use rfjson_core::blockhit::{pack_targets, BlockAutomaton, RunWord, LANES, WORD};
 use rfjson_core::primitive::{FireFilter, SubstringMatcher};
 use rfjson_core::{CompiledFilter, Engine, Expr, MultiEngine};
 
@@ -30,12 +29,12 @@ fn lanes_of(words: &[u64], units: usize) -> Vec<usize> {
 }
 
 /// Feeds `stream` through the automaton of `units` from the record
-/// start, byte-serial and packed side by side, and checks hit lanes and
-/// fires of every byte against the reference matchers. Where
-/// `packed(pos)` holds and a whole word remains, the word at `pos` goes
-/// through the per-word counter step ([`RunWord`]) of every bank; every
-/// other byte steps the scalar counters, so the counters cross to the
-/// other form at every seam between the two.
+/// start, byte-serial and word by word, and checks hit lanes and fires of
+/// every byte against the reference matchers. Where `packed(pos)` holds
+/// and a whole word remains, the word at `pos` goes through its
+/// transitions and the per-word counter step ([`RunWord`]) of every bank;
+/// every other byte steps the same counters a byte at a time, so the
+/// state crosses from one form to the other at every seam between them.
 fn assert_equiv(units: &[SubstringMatcher], stream: &[u8], packed: impl Fn(usize) -> bool) {
     let a = BlockAutomaton::build(units).expect("test pools are small");
     let v = a.view();
@@ -56,18 +55,13 @@ fn assert_equiv(units: &[SubstringMatcher], stream: &[u8], packed: impl Fn(usize
         .collect();
 
     let mut row = 0u16;
-    let mut scalar = vec![0u32; units.len()];
-    let mut lanes = [0u64; MAX_BANKS];
-    let mut was_packed = false;
+    let mut lanes = vec![0u64; v.banks];
     let mut pos = 0;
     while pos < stream.len() {
         if packed(pos) && pos + WORD <= stream.len() {
-            if !was_packed {
-                lanes = pack_counters(&scalar);
-            }
             let word: &[u8; WORD] = stream[pos..pos + WORD].try_into().unwrap();
             let mut word_row = row;
-            let first_bank = a.word_hits(&mut word_row, word);
+            let steps = a.word_transitions(&mut word_row, word);
             // Hit masks by bank and position.
             let mut hits = vec![[0u64; WORD]; v.banks];
             for (j, &byte) in word.iter().enumerate() {
@@ -75,7 +69,14 @@ fn assert_equiv(units: &[SubstringMatcher], stream: &[u8], packed: impl Fn(usize
                     hits[bank][j] = h;
                 }
             }
-            assert_eq!((hits[0], word_row), (first_bank, row), "word at {pos}");
+            assert_eq!(word_row, row, "word at {pos}");
+            for (bank, bank_hits) in hits.iter().enumerate() {
+                assert_eq!(
+                    a.word_hits(&steps, bank),
+                    *bank_hits,
+                    "bank {bank} at {pos}"
+                );
+            }
             let mut fires = vec![[0u64; WORD]; v.banks];
             for (bank, hits) in hits.iter().enumerate() {
                 let (run, targets) = (RunWord::new(*hits), v.targets_packed[bank]);
@@ -99,19 +100,14 @@ fn assert_equiv(units: &[SubstringMatcher], stream: &[u8], packed: impl Fn(usize
                     "fires at {at_pos}"
                 );
             }
-            was_packed = true;
             pos += WORD;
         } else {
-            if was_packed {
-                unpack_counters(&lanes, &mut scalar);
-            }
             let mut got_fires = Vec::new();
-            a.step_serial(&mut row, &mut scalar, stream[pos], |i| got_fires.push(i));
+            a.step_serial(&mut row, &mut lanes, stream[pos], |i| got_fires.push(i));
             assert_eq!(
                 got_fires, want_fires[pos],
                 "fires at byte {pos} of {stream:?}"
             );
-            was_packed = false;
             pos += 1;
         }
     }
@@ -129,8 +125,8 @@ fn saturated_run_fires_across_the_seam_and_resets_on_the_first_miss() {
     let mut stream = b"xa".to_vec();
     stream.extend_from_slice(&[b'a'; 310]);
     stream.extend_from_slice(b"xaaxaaaa");
-    // Packed up to mid-run, scalar for a stretch, packed again, on every
-    // word alignment.
+    // Word by word up to mid-run, byte by byte for a stretch, word by word
+    // again, on every word alignment.
     for align in 0..WORD {
         assert_equiv(&units, &stream, |pos| {
             pos >= align && !(157..=200).contains(&pos)
@@ -256,7 +252,11 @@ proptest! {
         };
         let run = RunWord::new(std::array::from_fn(|j| hit_word(hit_bits[j])));
         let packed_targets = pack_targets(&targets[..used])[0];
-        let packed_in = pack_counters(&c_in)[0];
+        // Counters one byte per lane, clamped at the 127 ceiling.
+        let pack = |c: &[u32]| {
+            (0..LANES).fold(0u64, |w, lane| w | u64::from(c[lane].min(127)) << (8 * lane))
+        };
+        let packed_in = pack(&c_in);
         let fires = run.fires(packed_in, packed_targets);
 
         let mut want_fires = [0u64; WORD];
@@ -271,7 +271,7 @@ proptest! {
                 }
             }
         }
-        prop_assert_eq!(run.carry(packed_in), pack_counters(&c)[0]);
+        prop_assert_eq!(run.carry(packed_in), pack(&c));
         prop_assert_eq!(fires, want_fires);
         if fires != [0; WORD] {
             prop_assert!(run.may_fire(packed_in, packed_targets));
@@ -281,7 +281,7 @@ proptest! {
     /// Random NUL-free needles over a tiny alphabet (repeated letters,
     /// overlapping and duplicate blocks, units sharing blocks, sometimes
     /// more than one bank of them), every block length up to 12, random
-    /// soup with NUL bytes in it, and a random packed/scalar schedule on
+    /// soup with NUL bytes in it, and a random word/byte schedule on
     /// a random word alignment.
     #[test]
     fn automaton_equals_reference_matchers(

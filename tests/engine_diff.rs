@@ -7,12 +7,21 @@
 mod zoo;
 
 use proptest::prelude::*;
-use rfjson_core::engine::{Engine, PrefilterStatus, ScanPath};
+use rfjson_core::engine::{Engine, PrefilterStatus};
 use rfjson_core::evaluator::CompiledFilter;
 use rfjson_core::expr::{Expr, StructScope};
 use rfjson_core::FilterBackend;
 use rfjson_riotbench::{smartcity, taxi, twitter};
-use zoo::{adversarial_records, expression_zoo, many_ranges};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use zoo::{adversarial_records, expression_zoo, wide_program_records, wide_programs};
+
+/// Telemetry counters are process-global: the tests that flush them run
+/// one at a time.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serialize() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Records up to this long are cut at every pair of positions.
 const EVERY_CUT_PAIR: usize = 64;
@@ -102,19 +111,97 @@ impl Pair {
         self.assert_bytewise(record);
         self.assert_blockwise(record);
     }
+
+    /// [`Pair::assert_blockwise`] at `cuts` pseudo-random pairs of cut
+    /// positions drawn from `seed`, each after a reset from the state
+    /// `dirty` left without its separator: a reset returns every lane to
+    /// its reset state.
+    fn assert_random_seams(&mut self, record: &[u8], dirty: &[u8], seed: u64, cuts: usize) {
+        let want = self.model.accepts_record(record);
+        let n = record.len();
+        let mut x = seed;
+        let mut draw = |below: usize| {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (x >> 33) as usize % below
+        };
+        for _ in 0..cuts {
+            // A first cut at 0 would hand a fresh engine a part of the
+            // record as the whole record.
+            let first = 1 + draw(n.max(1));
+            let second = first + draw(n + 1 - first.min(n));
+            let (first, second) = (first.min(n), second.min(n));
+            self.engine.reset();
+            for &b in dirty {
+                self.engine.on_byte(b);
+            }
+            self.engine.reset();
+            let mut last = false;
+            for &b in &record[..first] {
+                last = self.engine.on_byte(b);
+            }
+            for block in [&record[first..second], &record[second..]] {
+                if !block.is_empty() {
+                    last = self.engine.on_block(block);
+                }
+            }
+            let got = self.engine.on_byte(b'\n') || last;
+            assert_eq!(
+                got,
+                want,
+                "expr `{}` (cuts {first}, {second}) diverges on {:?}",
+                self.expr,
+                String::from_utf8_lossy(record)
+            );
+        }
+    }
 }
 
 #[test]
 fn every_zoo_expression_takes_the_block_path() {
-    // Wide and mixed-B units included: `assert_blockwise` below really
-    // runs the SWAR loop for all of them, not the byte-serial fallback —
-    // but for the one expression that is there to take it.
-    for expr in expression_zoo() {
-        let path = Engine::compile(&expr).scan_path();
-        if expr == many_ranges() {
-            assert_ne!(path, ScanPath::Block, "`{expr}`");
-        } else {
-            assert_eq!(path, ScanPath::Block, "`{expr}`");
+    if !rfjson_telemetry::ENABLED {
+        return;
+    }
+    let _guard = serialize();
+    // Every program runs the word kernel: the zoo, the many-range `Or`
+    // past one latch word, and the wide programs at the edges of the
+    // lane layout. After one serial byte, `on_block` scans every whole
+    // word of the rest of the record in the kernel and only the sub-word
+    // tail byte by byte.
+    let record = taxi::generate(95, 1).records()[0].clone();
+    let rest = record.len() - 1;
+    for expr in expression_zoo().into_iter().chain(wide_programs()) {
+        let mut engine = Engine::compile(&expr);
+        engine.on_byte(record[0]);
+        engine.on_block(&record[1..]);
+        let before = rfjson_telemetry::registry().snapshot();
+        engine.flush_telemetry();
+        let d = rfjson_telemetry::registry().snapshot().delta(&before);
+        assert_eq!(
+            d.counter("engine.bytes.block"),
+            (rest & !7) as u64,
+            "`{expr}`"
+        );
+        assert_eq!(
+            d.counter("engine.bytes.byte_serial"),
+            1 + (rest & 7) as u64,
+            "`{expr}`"
+        );
+    }
+}
+
+#[test]
+fn wide_programs_equal_the_model_at_random_seams() {
+    let mut records = wide_program_records();
+    records.extend(adversarial_records().iter().map(|r| r.to_vec()));
+    for (e, expr) in wide_programs().iter().enumerate() {
+        let mut pair = Pair::new(expr);
+        let mut dirty: &[u8] = b"";
+        for (r, record) in records.iter().enumerate() {
+            pair.assert_bytewise(record);
+            pair.assert_random_seams(record, dirty, (e * 1000 + r) as u64, 12);
+            dirty = record;
         }
     }
 }
@@ -149,6 +236,7 @@ fn engine_equals_model_on_adversarial_inputs() {
 
 #[test]
 fn engine_equals_model_on_stream_framing() {
+    let _guard = serialize();
     // filter_stream must agree on CRLF framing, blank lines, and a
     // trailing record without separator.
     let streams: Vec<&[u8]> = vec![

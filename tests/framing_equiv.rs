@@ -10,7 +10,7 @@ use rfjson_core::backend::run_verdict_driver;
 use rfjson_core::multi::MultiBackend;
 use rfjson_core::{
     CompiledFilter, Engine, Expr, FilterBackend, IngestLimits, MultiEngine, PrefilterStatus,
-    ScanPath, SkipReason, Verdict,
+    SkipReason, Verdict,
 };
 use rfjson_jsonstream::frame::split_records;
 use rfjson_runtime::ShardedRunner;
@@ -108,7 +108,6 @@ fn assert_framing_agreement(
 
     let mut engine = Engine::compile(&stream_expr);
     assert_eq!(engine.prefilter_status(), PrefilterStatus::Absent);
-    assert_eq!(engine.scan_path(), ScanPath::Block);
     assert_eq!(
         engine.filter_stream_verdicts(stream, limits),
         want_stream,

@@ -4,8 +4,10 @@
 //! arbitrary byte/block split seams, at every shard count, and under
 //! quarantine limits. Fusing is allowed to be faster, never different.
 
+mod zoo;
+
 use proptest::prelude::*;
-use rfjson_core::engine::{FallbackReason, PrefilterStatus, ScanPath};
+use rfjson_core::engine::PrefilterStatus;
 use rfjson_core::multi::{Group, MultiBackend, MultiEngine, MultiLanes};
 use rfjson_core::prefilter::Prefilter;
 use rfjson_core::query::query_to_exprs;
@@ -19,14 +21,10 @@ use rfjson_runtime::ShardedRunner;
 const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 8];
 
 /// Query batches covering every primitive technique, shared units across
-/// lanes, both structural scopes, and the paper's Table VIII queries.
-///
-/// All but the last batch stay on the block path in every group — the
-/// wide-block (B = 9) one and the mixed-B one, whose twelve distinct
-/// B ≥ 2 units do not fit one bank of lanes and split into groups,
-/// included; the last carries a run target past the packed counters, so
-/// that query's group of one exercises the byte-serial fallback beside
-/// two block-path neighbours
+/// lanes, both structural scopes, and the paper's Table VIII queries —
+/// the wide-block (B = 9) one, the mixed-B one, whose twelve distinct
+/// B ≥ 2 units take two banks of lanes, and one with a run target past
+/// the packed counters, a reference lane beside two packed neighbours
 /// ([`zoo_batches_take_the_expected_scan_path`]).
 fn batch_zoo() -> Vec<Vec<Expr>> {
     vec![
@@ -81,54 +79,59 @@ fn group_members(fused: &MultiEngine) -> Vec<&[usize]> {
     fused.groups().iter().map(Group::members).collect()
 }
 
-/// Member indices and scan path of every group.
-fn group_shape(fused: &MultiEngine) -> Vec<(Vec<usize>, ScanPath)> {
+/// Reference lanes per group.
+fn reference_lanes(fused: &MultiEngine) -> Vec<usize> {
     let groups = fused.groups().iter();
     groups
-        .map(|g| (g.members().to_vec(), g.engine().scan_path()))
+        .map(|g| g.engine().reference_lanes().count())
         .collect()
 }
 
+/// Banks of packed lanes per block-hit automaton, per group.
+fn block_banks(fused: &MultiEngine) -> Vec<Vec<usize>> {
+    let groups = fused.groups().iter();
+    let banks = |g: &Group| {
+        g.engine()
+            .block_automaton_views()
+            .map(|v| v.banks)
+            .collect()
+    };
+    groups.map(banks).collect()
+}
+
+/// Every batch takes the word kernel, group by group (its byte law is
+/// held in `telemetry_invariants.rs`); the groups follow shared needles
+/// alone, and the lanes the groups need are laid out in banks and
+/// reference lanes.
 #[test]
 fn zoo_batches_take_the_expected_scan_path() {
     let zoo = batch_zoo();
-    let (fallback, block) = zoo.split_last().unwrap();
-    for exprs in block {
-        assert_eq!(
-            MultiEngine::compile_batch(exprs).scan_path(),
-            ScanPath::Block
-        );
+    for exprs in &zoo {
+        let fused = MultiEngine::compile_batch(exprs);
+        assert!(fused.groups().iter().all(|g| !g.members().is_empty()));
     }
-    // QT at b = 2 and b = 3 demand ten B ≥ 2 units on one needle set: the
-    // second does not fit the first's bank and starts a group, which the
-    // bare `tolls_amount` unit (shared with QT b=2) then still fits into
-    // the first of. The two wide units have needles of their own.
+    // QT at b = 2 and b = 3 and the bare `tolls_amount` unit share their
+    // needles: one group, whose ten distinct B ≥ 2 units take two banks of
+    // one automaton. The two wide units have needles of their own.
     let mixed = MultiEngine::compile_batch(&zoo[3]);
-    assert_eq!(group_members(&mixed), [&[0, 2][..], &[1], &[3], &[4]]);
+    assert_eq!(group_members(&mixed), [&[0, 1, 2][..], &[3], &[4]]);
+    assert_eq!(block_banks(&mixed), [vec![2], vec![1], vec![1]]);
     let pool = mixed.share_stats().pool;
     assert_eq!(
         (pool.subp, pool.wide),
         (10, 2),
         "QT's five keys twice, two wide"
     );
-    // Only the query that cannot take the block path falls back; its
-    // neighbours keep it, and the batch reports the fallback's reason.
-    let too_long = ScanPath::ByteSerial(FallbackReason::RunTargetTooLong { target: 129 });
-    let fused = MultiEngine::compile_batch(fallback);
-    assert_eq!(
-        group_shape(&fused),
-        [
-            (vec![0], too_long),
-            (vec![1], ScanPath::Block),
-            (vec![2], ScanPath::Block)
-        ]
-    );
-    assert_eq!(fused.scan_path(), too_long);
+    // The run target past the packed counters is a reference lane of its
+    // query's group; its neighbours keep packed lanes.
+    let fused = MultiEngine::compile_batch(&zoo[4]);
+    assert_eq!(group_members(&fused), [&[0][..], &[1], &[2]]);
+    assert_eq!(reference_lanes(&fused), [1, 0, 0]);
+    assert_eq!(block_banks(&fused), [vec![], vec![1], vec![]]);
 }
 
-/// Seventy distinct needles would have overflowed the old 64-unit pool
-/// and sent the whole batch byte-serial; as groups of at most eight units
-/// each they all stay on the block path.
+/// Seventy distinct needles, five per query and no two queries sharing
+/// one: fourteen groups of five units each, on the word kernel.
 #[test]
 fn a_batch_of_seventy_needles_stays_on_the_block_path() {
     let batch: Vec<Expr> = (0..14)
@@ -142,7 +145,7 @@ fn a_batch_of_seventy_needles_stays_on_the_block_path() {
     let fused = MultiEngine::compile_batch(&batch);
     assert_eq!(fused.share_stats().pool.total(), 70);
     assert_eq!(fused.groups().len(), 14, "no two queries share a needle");
-    assert_eq!(fused.scan_path(), ScanPath::Block);
+    assert!(reference_lanes(&fused).iter().all(|&r| r == 0));
     let mut stream = Vec::new();
     for q in [3, 11, 0] {
         let keys: Vec<String> = ["a", "b", "c", "d", "e"]
@@ -456,11 +459,12 @@ fn qs_shaped(i: usize) -> Expr {
     query_to_exprs(&query, 1).unwrap()
 }
 
-/// Groups split where the block path's capacity ends, and nothing else
-/// changes: by node count (six 16-node queries over the same five
-/// needles), and by distinct B ≥ 2 units (QT at b = 1, 2, 3).
+/// A group is a component of shared needles, however much it needs: six
+/// 16-node queries over the same five needles are one group of 96 nodes,
+/// two latch words, and QT at b = 1, 2 and 3 one group whose ten B ≥ 2
+/// units take two banks. Verdicts do not change.
 #[test]
-fn groups_split_at_block_path_capacity_and_agree() {
+fn needle_sharing_groups_grow_past_one_latch_word_and_agree() {
     let six: Vec<Expr> = (0..6).map(qs_shaped).collect();
     let fused = MultiEngine::compile_batch(&six);
     let shape: Vec<(&[usize], usize, usize)> = fused
@@ -474,8 +478,7 @@ fn groups_split_at_block_path_capacity_and_agree() {
             )
         })
         .collect();
-    assert_eq!(shape, [(&[0, 1, 2, 3][..], 64, 5), (&[4, 5], 32, 5)]);
-    assert_eq!(fused.scan_path(), ScanPath::Block);
+    assert_eq!(shape, [(&[0, 1, 2, 3, 4, 5][..], 96, 5)]);
     let stream = smartcity::generate(61, 60).stream();
     assert_streamwise(&six, &stream, IngestLimits::UNLIMITED);
 
@@ -484,10 +487,25 @@ fn groups_split_at_block_path_capacity_and_agree() {
         .map(|&b| query_to_exprs(&Query::qt(), b).unwrap())
         .collect();
     let fused = MultiEngine::compile_batch(&qt);
-    let block = ScanPath::Block;
-    assert_eq!(group_shape(&fused), [(vec![0, 1], block), (vec![2], block)]);
+    assert_eq!(group_members(&fused), [&[0, 1, 2][..]]);
+    assert_eq!(block_banks(&fused), [vec![2]]);
     let stream = taxi::generate(62, 60).stream();
     assert_streamwise(&qt, &stream, IngestLimits::UNLIMITED);
+}
+
+/// The wide programs, as one batch and as batches of one, against the
+/// byte-serial model at every shard count.
+#[test]
+fn wide_programs_agree_as_a_batch_at_every_shard_count() {
+    let records = zoo::wide_program_records();
+    let stream = stream_of(&records);
+    let batch = zoo::wide_programs();
+    assert_streamwise(&batch, &stream, IngestLimits::UNLIMITED);
+    let limits = IngestLimits {
+        max_record_bytes: Some(400),
+        max_records: Some(12),
+    };
+    assert_streamwise(&batch, &stream, limits);
 }
 
 /// A member without a prefilter (an `Or` root, a pure number range) can

@@ -316,7 +316,6 @@ fn assert_gated_equiv(stream: &[u8], limits: IngestLimits) {
         &mut want,
     );
     let mut engine = Engine::compile(&temp());
-    assert!(engine.block_scan_ready());
     assert_eq!(engine.prefilter_status(), PrefilterStatus::Probation);
     let got = engine.filter_stream_verdicts(stream, limits);
     assert_eq!(got, want, "engine on {}", show());

@@ -17,12 +17,12 @@ mod zoo;
 use proptest::prelude::*;
 use rfjson_core::backend::run_verdict_driver;
 use rfjson_core::{
-    CompiledFilter, Engine, Expr, FilterBackend, IngestLimits, PrefilterStatus, ScanPath,
-    StructScope, Verdict,
+    CompiledFilter, Engine, Expr, FilterBackend, IngestLimits, PrefilterStatus, StructScope,
+    Verdict,
 };
 use rfjson_riotbench::{smartcity, taxi, twitter};
 use std::sync::{Mutex, MutexGuard, PoisonError};
-use zoo::{adversarial_records, expression_zoo, many_ranges};
+use zoo::{adversarial_records, expression_zoo, wide_program_records, wide_programs};
 
 /// Telemetry counters are process-global: every test measures its calls
 /// alone.
@@ -62,20 +62,43 @@ fn needles(expr: &Expr, out: &mut Vec<u8>) {
 /// records that hold every literal of it, so the prefilter disables
 /// itself and the stream path takes over.
 fn stream_engine(expr: &Expr) -> Engine {
+    let engine = warmed_engine(expr);
+    let status = engine.prefilter_status();
+    assert!(
+        matches!(status, PrefilterStatus::Absent | PrefilterStatus::Disabled),
+        "`{expr}`"
+    );
+    engine
+}
+
+/// `expr` compiled and, if it has a prefilter, fed a probation window of
+/// records that hold every literal of it (which disables the prefilter
+/// unless a literal holds a `\n`).
+fn warmed_engine(expr: &Expr) -> Engine {
     let mut engine = Engine::compile(expr);
-    assert_eq!(engine.scan_path(), ScanPath::Block, "`{expr}`");
     if engine.prefilter_status() != PrefilterStatus::Absent {
         let mut record = b"{\"w\":\"".to_vec();
         needles(expr, &mut record);
         record.extend_from_slice(b"\"}\n");
         engine.filter_stream(&record.repeat(Engine::PREFILTER_PROBATION as usize));
-        assert_eq!(
-            engine.prefilter_status(),
-            PrefilterStatus::Disabled,
-            "`{expr}`"
-        );
     }
     engine
+}
+
+/// The engine's verdicts over `stream` equal the oracle's, and came from
+/// the stream path — gated or not: every stream byte counted once, as
+/// `block` or `prefilter_skipped`, and no more than a word byte-serially.
+fn assert_gated_stream(engine: &mut Engine, expr: &Expr, stream: &[u8], limits: IngestLimits) {
+    let before = rfjson_telemetry::registry().snapshot();
+    let got = engine.filter_stream_verdicts(stream, limits);
+    let d = rfjson_telemetry::registry().snapshot().delta(&before);
+    assert_eq!(got, oracle(expr, stream, limits), "`{expr}` {limits:?}");
+    if rfjson_telemetry::ENABLED {
+        let block = d.counter("engine.bytes.block");
+        let skipped = d.counter("engine.bytes.prefilter_skipped");
+        assert_eq!(block + skipped, stream.len() as u64, "`{expr}`");
+        assert!(d.counter("engine.bytes.byte_serial") <= 8, "`{expr}`");
+    }
 }
 
 /// The engine's verdicts over `stream` equal the oracle's, and came from
@@ -156,7 +179,7 @@ fn stream_path_equals_the_oracle_at_every_word_offset() {
         records.extend(ds.records().iter().map(Vec::as_slice));
     }
     let mut kinds = (0, 0);
-    for expr in expression_zoo().iter().filter(|e| **e != many_ranges()) {
+    for expr in &expression_zoo() {
         let mut engine = stream_engine(expr);
         match engine.prefilter_status() {
             PrefilterStatus::Absent => kinds.0 += 1,
@@ -191,7 +214,7 @@ fn short_streams_and_framing_debris() {
         b"{\"k\":\"\n\"}\n{\"k\":5}\n",
         b"\\\n\"\n\\\"\n{\"n\":1}",
     ];
-    for expr in expression_zoo().iter().filter(|e| **e != many_ranges()) {
+    for expr in &expression_zoo() {
         let mut engine = stream_engine(expr);
         for stream in streams {
             for limits in LIMITS {
@@ -264,11 +287,12 @@ fn run_counters_saturate_and_restart_at_every_separator() {
 
 /// Where `\n` is part of a needle, a unit can carry state across the
 /// separator (or be left mid-run by it): the compile-time check fails and
-/// the engine takes the record driver, which resets every lane at every
-/// record. On the stream below a run spans each separator, so running the
-/// kernel across it would fire where the oracle does not.
+/// the stream path scans every record as a run of its own, from its first
+/// byte and from reset state. On the stream below a run spans each
+/// separator, so running the kernel across it would fire where the
+/// oracle does not.
 #[test]
-fn a_unit_that_sees_the_separator_takes_the_record_driver() {
+fn a_unit_that_sees_the_separator_scans_each_record_alone() {
     let _guard = serialize();
     let stream = b"{\"k\":\"xa\"}a\nb{\"k\":\"by\"}\r\nab\ncd\nx\ny\n{\"k\":\"a\nb\",\"v\":5}\nx";
     for unit in [
@@ -276,21 +300,49 @@ fn a_unit_that_sees_the_separator_takes_the_record_driver() {
         Expr::substring(b"ab\ncd", 2).unwrap(),
         Expr::dfa_string(b"x\ny").unwrap(),
     ] {
-        // An `Or` root has no prefilter to send it to the record driver.
-        let expr = Expr::or([unit, Expr::int_range(40, 49)]);
-        let mut engine = Engine::compile(&expr);
-        assert_eq!(engine.prefilter_status(), PrefilterStatus::Absent);
-        assert_eq!(engine.scan_path(), ScanPath::Block);
-        for limits in LIMITS {
-            let before = rfjson_telemetry::registry().snapshot();
-            let got = engine.filter_stream_verdicts(stream, limits);
-            let d = rfjson_telemetry::registry().snapshot().delta(&before);
-            assert_eq!(got, oracle(&expr, stream, limits), "`{expr}` {limits:?}");
-            if rfjson_telemetry::ENABLED && limits.is_unlimited() {
-                // The record driver feeds every separator byte-serially.
-                assert!(d.counter("engine.bytes.byte_serial") > 8, "`{expr}`");
+        // An `Or` root has no prefilter to gate the records, and a unit
+        // alone has a live one: both cut the stream into runs.
+        let or_root = Expr::or([unit.clone(), Expr::int_range(40, 49)]);
+        for expr in [or_root, unit] {
+            let mut engine = Engine::compile(&expr);
+            for limits in LIMITS {
+                assert_gated_stream(&mut engine, &expr, stream, limits);
             }
         }
+    }
+}
+
+/// The wide programs take the stream path, on every word offset: gated
+/// by a live prefilter (a fresh engine stays in probation over these
+/// calls) and, where the prefilter is absent or disables itself,
+/// ungated.
+#[test]
+fn wide_programs_take_the_stream_path_gated_and_ungated() {
+    let _guard = serialize();
+    let records = wide_program_records();
+    let mut records: Vec<&[u8]> = records.iter().map(Vec::as_slice).collect();
+    records.extend(boundary_records());
+    for expr in &wide_programs() {
+        let mut gated = Engine::compile(expr);
+        let mut ungated = warmed_engine(expr);
+        let status = ungated.prefilter_status();
+        let ungated_too = matches!(status, PrefilterStatus::Absent | PrefilterStatus::Disabled);
+        for pad in [0, 3, 7] {
+            for trailing in [false, true] {
+                let stream = stream(&records, pad, trailing);
+                for limits in LIMITS {
+                    assert_gated_stream(&mut gated, expr, &stream, limits);
+                    if ungated_too {
+                        assert_stream(&mut ungated, expr, &stream, limits);
+                    }
+                }
+            }
+        }
+        assert_ne!(
+            gated.prefilter_status(),
+            PrefilterStatus::Disabled,
+            "`{expr}`"
+        );
     }
 }
 

@@ -11,12 +11,14 @@
 //! Telemetry counters are process-global, so every test serialises on
 //! one lock and measures deltas between registry snapshots.
 
+mod zoo;
+
 use rfjson_core::backend::{run_verdict_driver, run_verdict_driver_blocks};
 use rfjson_core::prefilter::Prefilter;
 use rfjson_core::query::query_to_exprs;
 use rfjson_core::{
     CompiledFilter, Engine, Expr, FilterBackend, IngestLimits, MultiEngine, PrefilterStatus,
-    ScanPath, StructScope, Verdict,
+    StructScope, Verdict,
 };
 use rfjson_riotbench::{smartcity_corpus, taxi, taxi_corpus, twitter, twitter_corpus, Query};
 use rfjson_runtime::fault::{
@@ -359,7 +361,6 @@ fn the_stream_path_counts_every_byte_once_and_the_record_path_what_it_feeds() {
     ];
     for (expr, stream, rejected, rejected_bytes) in cases {
         let mut engine = Engine::compile(expr);
-        assert!(engine.block_scan_ready());
         let (decisions, d) = window(|| engine.filter_stream(stream));
         assert_eq!(decisions.len(), 3);
         assert_eq!(engine_bytes(&d), stream.len() as u64);
@@ -372,19 +373,21 @@ fn the_stream_path_counts_every_byte_once_and_the_record_path_what_it_feeds() {
         assert_eq!(d.counter("engine.records"), 3);
     }
 
-    // The record path — a program off the block path (a run target past
-    // the packed counters) — counts the bytes it feeds: every record with
-    // its separator, but not the synthetic one closing a trailing
-    // record, nor blank lines, which it never feeds.
-    let serial = Expr::or([
-        Expr::substring(&[b'a'; 130], 1).unwrap(),
-        Expr::int_range(3, 4),
-    ]);
-    let mut engine = Engine::compile(&serial);
-    assert!(!engine.block_scan_ready());
-    let (_, d) = window(|| engine.filter_stream(trailing));
+    // The record path — the record driver, which the engine itself no
+    // longer takes, run on it directly — counts the bytes it feeds: every
+    // record with its separator, but not the synthetic one closing a
+    // trailing record, nor blank lines, which it never feeds.
+    let mut engine = Engine::compile(&or_root);
+    let record_path = |engine: &mut Engine, stream: &[u8]| {
+        let mut out = Vec::new();
+        run_verdict_driver_blocks(engine, stream, IngestLimits::UNLIMITED, &mut out);
+        out.len()
+    };
+    let (records, d) = window(|| record_path(&mut engine, trailing));
+    assert_eq!(records, 3);
     assert_eq!(engine_bytes(&d), trailing.len() as u64);
-    let (_, d) = window(|| engine.filter_stream(blanks));
+    let (records, d) = window(|| record_path(&mut engine, blanks));
+    assert_eq!(records, 3);
     assert_eq!(engine_bytes(&d), (blanks.len() - blank_bytes) as u64);
 
     // A fused batch frames each call once and runs every group over the
@@ -453,7 +456,6 @@ fn a_stream_path_call_is_block_scanned_but_for_at_most_one_word() {
         for _ in 0..4 {
             engine.filter_stream(&stream);
         }
-        assert_eq!(engine.scan_path(), ScanPath::Block, "{name}");
         assert_eq!(
             engine.prefilter_status(),
             PrefilterStatus::Disabled,
@@ -465,10 +467,80 @@ fn a_stream_path_call_is_block_scanned_but_for_at_most_one_word() {
         assert_eq!(engine_bytes(&d), stream.len() as u64, "{name}");
         assert_eq!(d.counter("engine.records"), corpus.len() as u64, "{name}");
         assert_eq!(d.counter("engine.prefilter.checked"), 0, "{name}");
-        let automaton = engine.block_automaton_view();
-        assert_eq!(automaton.is_some(), pooled, "{name}");
-        assert!(automaton.is_none_or(|a| a.definite), "{name}");
+        let automata: Vec<_> = engine.block_automaton_views().collect();
+        assert_eq!(automata.len(), usize::from(pooled), "{name}");
+        assert!(
+            automata.iter().all(|a| a.definite && a.banks == 1),
+            "{name}"
+        );
     }
+}
+
+/// Every program runs the word kernel on every stream call: at most one
+/// word's bytes byte by byte for an engine, and per group for a batch —
+/// the wide programs of the zoo, alone and as one batch, and the five
+/// resident queries, which group by shared needle.
+#[test]
+fn every_program_runs_the_kernel_on_every_stream_call() {
+    if !rfjson_telemetry::ENABLED {
+        return;
+    }
+    let _guard = serialize();
+    let stream: Vec<u8> = zoo::wide_program_records().join(&b'\n');
+    let stream = [&stream[..], b"\n"].concat();
+    let exprs = zoo::wide_programs();
+    for expr in &exprs {
+        let mut engine = Engine::compile(expr);
+        for _ in 0..2 {
+            let (verdicts, d) = window(|| engine.filter_stream(&stream));
+            assert_eq!(verdicts.len(), zoo::wide_program_records().len());
+            assert_eq!(engine_bytes(&d), stream.len() as u64, "`{expr}`");
+            assert!(d.counter("engine.bytes.byte_serial") <= 8, "`{expr}`");
+        }
+    }
+    let resident: Vec<Expr> = [Query::qs0(), Query::qs1(), Query::qt()]
+        .iter()
+        .map(|q| query_to_exprs(q, 1).expect("query converts"))
+        .chain([
+            query_to_exprs(&Query::qt(), 2).expect("query converts"),
+            Expr::context_scoped(
+                StructScope::Member,
+                [
+                    Expr::substring(b"favourites_count", 2).unwrap(),
+                    Expr::int_range(100, 50_000),
+                ],
+            ),
+        ])
+        .collect();
+    let mixed = [
+        smartcity_corpus(40).stream(),
+        taxi_corpus(40).stream(),
+        twitter_corpus(40).stream(),
+    ]
+    .concat();
+    for (batch, stream) in [(&exprs, &stream), (&resident, &mixed)] {
+        let mut fused = MultiEngine::compile_batch(batch);
+        let groups = fused.groups().len() as u64;
+        let (_, d) = window(|| {
+            rfjson_core::MultiBackend::filter_stream_verdicts(
+                &mut fused,
+                stream,
+                IngestLimits::UNLIMITED,
+            )
+        });
+        let scanned = d.counter("multi.bytes.block")
+            + d.counter("multi.bytes.byte_serial")
+            + d.counter("multi.bytes.prefilter_skipped");
+        assert_eq!(scanned, groups * stream.len() as u64);
+        assert!(d.counter("multi.bytes.byte_serial") <= 8 * groups);
+    }
+    let fused = MultiEngine::compile_batch(&resident);
+    let groups: Vec<&[usize]> = fused
+        .groups()
+        .iter()
+        .map(rfjson_core::multi::Group::members)
+        .collect();
+    assert_eq!(groups, [&[0, 1][..], &[2, 3], &[4]]);
 }
 
 #[test]

@@ -1,10 +1,13 @@
 //! The expression zoo and adversarial records shared by the engine's
 //! differential suites (`engine_diff.rs`: the record path; `stream_diff.rs`:
-//! the stream path).
+//! the stream path; `multi_diff.rs`: batches; `telemetry_invariants.rs`:
+//! the kernel's byte law).
+
+#![allow(dead_code)] // each suite uses its own part of the zoo
 
 use rfjson_core::expr::{Expr, StructScope};
 use rfjson_core::query::query_to_exprs;
-use rfjson_riotbench::Query;
+use rfjson_riotbench::{taxi, Query};
 
 /// Expressions covering every primitive technique, every combinator,
 /// both structural scopes, and nesting of contexts.
@@ -129,4 +132,135 @@ pub fn adversarial_records() -> Vec<&'static [u8]> {
         br#"{"tolls_amount":7.5,"fare_amount":9}"#,
         br#"{"n":"temperature","v":21.0"#,
     ]
+}
+
+/// The keys every Taxi record holds: eight with a number, five with a
+/// string.
+const TAXI_KEYS: [&str; 13] = [
+    "trip_time_in_secs",
+    "trip_distance",
+    "fare_amount",
+    "surcharge",
+    "mta_tax",
+    "tip_amount",
+    "tolls_amount",
+    "total_amount",
+    "medallion",
+    "hack_license",
+    "vendor_id",
+    "pickup_datetime",
+    "payment_type",
+];
+
+/// An `And` of `n` member contexts `{sB(key) & v(0 ≤ f ≤ 100000 + i)}`
+/// over [`TAXI_KEYS`] round robin: `n` distinct number units,
+/// `min(n, 13)` distinct key units and `3n + 1` nodes — past eight
+/// attributes a second bank of key lanes, past 21 a second latch word.
+pub fn taxi_attributes(n: usize, b: usize) -> Expr {
+    Expr::and((0..n).map(|i| {
+        let key = TAXI_KEYS[i % TAXI_KEYS.len()].as_bytes();
+        let high = format!("{}", 100_000 + i);
+        Expr::context_scoped(
+            StructScope::Member,
+            [
+                Expr::substring(key, b).unwrap(),
+                Expr::float_range("0", &high).unwrap(),
+            ],
+        )
+    }))
+}
+
+/// `len` bytes of the text `ab,ab,…`: every window of it is a block of
+/// any needle cut from it.
+pub fn run_text(len: usize) -> Vec<u8> {
+    b"ab,".iter().copied().cycle().take(len).collect()
+}
+
+/// A 600-byte needle whose B = 300 table alone is past the table cap.
+pub fn big_needle() -> Vec<u8> {
+    (0..600u32).map(|i| b'a' + (i * i % 23) as u8).collect()
+}
+
+/// A pseudo-random needle over twenty letters.
+pub fn random_needle(seed: u32, len: usize) -> Vec<u8> {
+    let mut x = seed;
+    let mut next = move || {
+        x = x.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+        b'a' + (x >> 16) as u8 % 20
+    };
+    (0..len).map(|_| next()).collect()
+}
+
+/// Two B = 20 units whose tables fit the cap alone but not together: a
+/// pool that splits into two automata.
+pub fn split_pool() -> Expr {
+    Expr::or([
+        Expr::substring(&random_needle(1, 110), 20).unwrap(),
+        Expr::substring(&random_needle(2, 110), 20).unwrap(),
+    ])
+}
+
+/// Programs at the edges of the lane layout: past a bank of B = 1 or
+/// B ≥ 2 lanes and past one latch word (the Taxi attribute queries at
+/// b = 1 and b = 2), a run target past the packed counters, a unit whose
+/// table alone is past the cap (a reference lane), a pool that splits
+/// into two automata, and units that see `\n`.
+pub fn wide_programs() -> Vec<Expr> {
+    let mut exprs = Vec::new();
+    for n in [9, 16, 22, 32] {
+        for b in [1, 2] {
+            exprs.push(taxi_attributes(n, b));
+        }
+    }
+    let long = Expr::substring(&run_text(130), 1).unwrap(); // run target 130
+    exprs.push(long.clone());
+    exprs.push(Expr::context([long, Expr::int_range(7, 7)]));
+    exprs.push(Expr::substring(&big_needle(), 300).unwrap());
+    exprs.push(split_pool());
+    exprs.push(Expr::or([
+        Expr::substring(b"a\nb", 1).unwrap(),
+        Expr::substring(b"ab\ncd", 2).unwrap(),
+        Expr::dfa_string(b"x\ny").unwrap(),
+    ]));
+    exprs.push(Expr::and([
+        Expr::substring(b"a\nb", 1).unwrap(),
+        Expr::int_range(40, 49),
+    ]));
+    exprs.push(Expr::substring(b"ab\ncd", 2).unwrap());
+    exprs.push(Expr::dfa_string(b"x\ny").unwrap());
+    exprs
+}
+
+/// Records that make the wide programs fire and miss: Taxi records,
+/// runs of [`run_text`] around 130 bytes, the big needle and one byte
+/// short of it, the split pool's needles whole and cut over two records,
+/// and the pieces of the `\n` needles.
+pub fn wide_program_records() -> Vec<Vec<u8>> {
+    let mut records = taxi::generate(94, 6).records().to_vec();
+    for run in [125, 129, 130, 131, 300] {
+        let mut record = b"{\"k\":\"".to_vec();
+        record.extend_from_slice(&run_text(run));
+        record.extend_from_slice(b"\",\"v\":7}");
+        records.push(record);
+    }
+    let big = big_needle();
+    for needle in [
+        &big[..],
+        &big[1..],
+        &random_needle(1, 110),
+        &random_needle(2, 109),
+    ] {
+        let mut record = b"{\"k\":\"".to_vec();
+        record.extend_from_slice(needle);
+        record.extend_from_slice(b"\",\"v\":45}");
+        records.push(record);
+    }
+    // The second split-pool needle cut over two records: a unit must not
+    // run on across a record boundary.
+    let cut = random_needle(2, 110);
+    records.push([&b"{\"k\":\""[..], &cut[..19]].concat());
+    records.push([&cut[19..], &b"\"}"[..]].concat());
+    records.push(br#"{"k":"xa","v":44}"#.to_vec());
+    records.push(br#"b{"k":"cd","x":"y"}"#.to_vec());
+    records
 }
