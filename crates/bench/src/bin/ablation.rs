@@ -9,35 +9,45 @@
 //!    fewer significant digits shrinks the range automaton at the price of
 //!    extra false positives (never false negatives).
 //!
+//! Both run with the paper's number primitive (`v`), then once more with
+//! value-anchored number tokens (`va`, [`NumberTechnique::Anchored`]).
+//!
 //! `cargo run -p rfjson-bench --bin ablation --release`
 
 use rfjson_bench::standard_datasets;
 use rfjson_core::cost::option_cost;
 use rfjson_core::eval::measure;
-use rfjson_core::expr::{Expr, StructScope};
+use rfjson_core::expr::{Expr, NumberTechnique, StructScope};
 use rfjson_core::query::predicate_bounds;
 use rfjson_riotbench::{Dataset, Query};
 
 fn main() {
     let (smartcity, taxi, _) = standard_datasets();
+    ablations(&smartcity, &taxi, NumberTechnique::Token);
+    println!("\nThe same with value-anchored number tokens (va: a deviation from the paper)\n");
+    ablations(&smartcity, &taxi, NumberTechnique::Anchored);
+}
 
+fn ablations(smartcity: &Dataset, taxi: &Dataset, number: NumberTechnique) {
     println!("Ablation 1 — omitting substrings: {{ sB(infix) & v(range) }} vs full needle\n");
     ablate_infix(
         "QT / tolls_amount, B=2, member scope",
-        &taxi,
+        taxi,
         &Query::qt(),
         3,
         2,
         StructScope::Member,
+        number,
     );
     println!();
     ablate_infix(
         "QS0 / temperature, B=1, object scope",
-        &smartcity,
+        smartcity,
         &Query::qs0(),
         0,
         1,
         StructScope::Object,
+        number,
     );
 
     println!("\nAblation 2 — widening range-filter bounds to fewer significant digits\n");
@@ -55,16 +65,16 @@ fn main() {
         } else {
             bounds.widened_to_digits(digits)
         };
-        let expr = Expr::Num(bounds.clone());
+        let expr = Expr::Num(bounds, number);
         let luts = option_cost(&expr).luts;
-        let m = measure(&expr, &smartcity, &q);
+        let m = measure(&expr, smartcity, &q);
         assert_eq!(m.false_negatives, 0, "widening must stay FN-free");
         let label = if digits == 0 {
             "exact".to_string()
         } else {
             format!("{digits} sig. digit(s)")
         };
-        println!("{label:<18} {luts:>6} {:>8.3}   v({bounds})", m.fpr());
+        println!("{label:<18} {luts:>6} {:>8.3}   {expr}", m.fpr());
     }
 
     println!("\nBoth knobs trade accuracy for resources without ever dropping a match —");
@@ -79,6 +89,7 @@ fn ablate_infix(
     pred_idx: usize,
     block: usize,
     scope: StructScope,
+    number: NumberTechnique,
 ) {
     println!("  {title}");
     println!(
@@ -95,7 +106,7 @@ fn ablate_infix(
             scope,
             [
                 Expr::substring(infix, block).expect("valid"),
-                Expr::Num(bounds.clone()),
+                Expr::Num(bounds.clone(), number),
             ],
         );
         let luts = option_cost(&expr).luts;

@@ -1,10 +1,15 @@
 //! Table VIII: the evaluation queries with paper and measured
 //! selectivities, plus per-predicate pass rates (which expose the taxi
-//! attribute correlations of §IV-A).
+//! attribute correlations of §IV-A). Closes with the cost of each query's
+//! value filters per number unit, with the paper's token technique and
+//! with value-anchored tokens.
 //!
 //! `cargo run -p rfjson-bench --bin table8 --release`
 
 use rfjson_bench::standard_datasets;
+use rfjson_core::cost::option_cost;
+use rfjson_core::query::predicate_bounds;
+use rfjson_core::{Expr, NumberTechnique};
 use rfjson_riotbench::stats::{attribute_stats, predicate_pass_rates};
 use rfjson_riotbench::{Dataset, Query};
 
@@ -17,6 +22,27 @@ fn main() {
         (Query::qt(), &taxi),
     ] {
         show(&query, dataset);
+    }
+    number_units();
+}
+
+/// LUTs and FFs of every value filter `v(range)` alone (structure
+/// signals as inputs), token against anchored.
+fn number_units() {
+    println!("value filters per number unit, LUTs / FFs: v (paper) | va (anchored)");
+    for query in [Query::qs0(), Query::qs1(), Query::qt()] {
+        for predicate in &query.predicates {
+            let bounds = predicate_bounds(predicate).expect("Table VIII predicates are valid");
+            let cost = |technique| option_cost(&Expr::Num(bounds.clone(), technique));
+            let (token, anchored) = (
+                cost(NumberTechnique::Token),
+                cost(NumberTechnique::Anchored),
+            );
+            println!(
+                "  {:<4} {:<20} {:>4} / {:>2} | {:>4} / {:>2}   {bounds}",
+                query.name, predicate.attribute, token.luts, token.ffs, anchored.luts, anchored.ffs
+            );
+        }
     }
 }
 

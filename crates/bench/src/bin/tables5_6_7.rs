@@ -1,11 +1,15 @@
 //! Tables V–VII and Fig. 3: the full design-space exploration for QS0,
 //! QS1 and QT — Pareto fronts printed in paper notation, full point
 //! clouds written as `fig3_<query>.csv` (FPR, LUTs, num_attributes).
+//! The tables use the paper's number primitive; after each, the front of
+//! the same space with value-anchored number tokens (`va`, a deviation
+//! from the paper) is printed beside it.
 //!
 //! `cargo run -p rfjson-bench --bin tables5_6_7 --release [--csv-dir DIR]`
 
 use rfjson_bench::{standard_datasets, RECORDS};
 use rfjson_core::design::{explore, pareto, ExploreOptions};
+use rfjson_core::NumberTechnique;
 use rfjson_riotbench::{Dataset, Query};
 use std::io::Write;
 
@@ -46,7 +50,10 @@ fn run(title: &str, query: &Query, dataset: &Dataset, csv_dir: &str, csv_name: &
         RECORDS,
         query.selectivity(dataset)
     );
-    let opts = ExploreOptions::default();
+    let opts = ExploreOptions {
+        number: NumberTechnique::Token,
+        ..ExploreOptions::default()
+    };
     let points = explore(query, dataset, &opts);
     println!("  design points evaluated: {}", points.len());
 
@@ -65,6 +72,17 @@ fn run(title: &str, query: &Query, dataset: &Dataset, csv_dir: &str, csv_name: &
 
     let front = pareto(&points);
     println!("\n  {:>6}  {:>5}  raw-filter configuration", "FPR", "LUTs");
+    for p in &front {
+        println!("  {:>6.3}  {:>5}  {}", p.fpr, p.luts, p.notation(query));
+    }
+
+    let anchored = ExploreOptions {
+        number: NumberTechnique::Anchored,
+        ..opts
+    };
+    let front = pareto(&explore(query, dataset, &anchored));
+    println!("\n  the same space with value-anchored number tokens (va):");
+    println!("  {:>6}  {:>5}  raw-filter configuration", "FPR", "LUTs");
     for p in &front {
         println!("  {:>6.3}  {:>5}  {}", p.fpr, p.luts, p.notation(query));
     }

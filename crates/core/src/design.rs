@@ -16,7 +16,7 @@
 use crate::backend::FilterBackend;
 use crate::cost::{additive_cost, option_cost, structure_cost};
 use crate::eval::Measurement;
-use crate::expr::{Expr, StringTechnique};
+use crate::expr::{Expr, NumberTechnique, StringTechnique};
 use crate::query::{attr_expr, AttrOption};
 use crate::CompiledFilter;
 use rfjson_riotbench::{Dataset, Query};
@@ -28,6 +28,11 @@ use std::fmt;
 pub struct ExploreOptions {
     /// String techniques to consider (paper default: B ∈ {1, 2, N}).
     pub techniques: Vec<StringTechnique>,
+    /// The technique of every value filter: the paper's
+    /// [`Token`](NumberTechnique::Token), or
+    /// [`Anchored`](NumberTechnique::Anchored) (the default, as
+    /// [`query_to_exprs`](crate::query::query_to_exprs) builds).
+    pub number: NumberTechnique,
     /// Include string-only attribute options.
     pub include_string_only: bool,
     /// Include non-structural `s & v` pairs.
@@ -46,6 +51,7 @@ impl Default for ExploreOptions {
                 StringTechnique::Substring(2),
                 StringTechnique::Window,
             ],
+            number: NumberTechnique::Anchored,
             include_string_only: true,
             include_plain_pairs: true,
             max_records: 0,
@@ -61,6 +67,8 @@ pub struct DesignPoint {
     /// Per-attribute choice, aligned with `query.predicates`; `None` means
     /// the attribute was omitted (allowed for AND-clauses).
     pub options: Vec<Option<AttrOption>>,
+    /// The technique of its value filters.
+    pub number: NumberTechnique,
     /// Record-level false-positive rate against query ground truth.
     pub fpr: f64,
     /// LUT cost (additive model over option costs + shared structure).
@@ -84,7 +92,7 @@ impl DesignPoint {
                 opt.map(|o| attr_expr(query, pred, o).expect("options came from this query"))
             })
             .collect();
-        Expr::and(parts)
+        Expr::and(parts).with_number_technique(self.number)
     }
 
     /// Paper-notation description of the configuration.
@@ -205,7 +213,8 @@ pub fn explore(query: &Query, dataset: &Dataset, opts: &ExploreOptions) -> Vec<D
         .collect();
     let evals: Vec<OptionEval> = parallel_map(&tasks, opts.threads, |&(attr, option)| {
         let expr = attr_expr(query, &query.predicates[attr], option)
-            .expect("query predicates are well-formed");
+            .expect("query predicates are well-formed")
+            .with_number_technique(opts.number);
         let mut filter = CompiledFilter::compile(&expr);
         let bools: Vec<bool> = records.iter().map(|r| filter.accepts_record(r)).collect();
         OptionEval {
@@ -268,6 +277,7 @@ pub fn explore(query: &Query, dataset: &Dataset, opts: &ExploreOptions) -> Vec<D
             num_attributes: options.iter().filter(|o| o.is_some()).count(),
             luts: additive_cost(&costs, any_structural),
             options,
+            number: opts.number,
             fpr,
         }
     });
@@ -344,6 +354,7 @@ mod tests {
     fn small_opts() -> ExploreOptions {
         ExploreOptions {
             techniques: vec![StringTechnique::Substring(1)],
+            number: NumberTechnique::Token,
             include_string_only: false,
             include_plain_pairs: false,
             max_records: 200,
@@ -396,6 +407,29 @@ mod tests {
         assert!(best.fpr <= cheapest.fpr);
         assert!(best.luts > cheapest.luts);
         assert!(best.fpr < 0.05, "full filter FPR {}", best.fpr);
+    }
+
+    #[test]
+    fn anchoring_only_removes_false_positives() {
+        // Per configuration, in the same enumeration order: the anchored
+        // value filters accept a subset of what the paper's accept, for
+        // a few more LUTs.
+        let ds = smartcity::generate(25, 200);
+        let q = Query::qs1();
+        let token = explore(&q, &ds, &small_opts());
+        let anchored_opts = ExploreOptions {
+            number: NumberTechnique::Anchored,
+            ..small_opts()
+        };
+        let anchored = explore(&q, &ds, &anchored_opts);
+        assert_eq!(token.len(), anchored.len());
+        for (t, a) in token.iter().zip(&anchored) {
+            assert_eq!(t.options, a.options);
+            assert!(a.fpr <= t.fpr, "{t} vs {a}");
+            assert!(a.luts >= t.luts, "{t} vs {a}");
+        }
+        let text = anchored[0].notation(&q);
+        assert!(text.contains("va("), "{text}");
     }
 
     #[test]

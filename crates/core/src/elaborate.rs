@@ -8,8 +8,8 @@
 //! equal to the software evaluator; `rfjson-techmap` turns them into the
 //! LUT numbers of the evaluation tables.
 
-use crate::expr::{Expr, StringSpec, StringTechnique, StructScope};
-use crate::primitive::SubstringMatcher;
+use crate::expr::{Expr, NumberTechnique, StringSpec, StringTechnique, StructScope};
+use crate::primitive::{is_anchor_byte, SubstringMatcher};
 use rfjson_redfa::elaborate::elaborate_dfa;
 use rfjson_redfa::range::is_number_byte;
 use rfjson_redfa::{Dfa, NumberBounds, Regex};
@@ -218,8 +218,8 @@ fn build_node(n: &mut Netlist, expr: &Expr, sig: &StreamSignals) -> NodeOut {
             let fire = build_string_fire(n, spec, sig);
             latch_prim(n, fire)
         }
-        Expr::Num(bounds) => {
-            let fire = build_number_fire(n, bounds, sig);
+        Expr::Num(bounds, technique) => {
+            let fire = build_number_fire(n, bounds, *technique, sig);
             latch_prim(n, fire)
         }
         Expr::And(children) => {
@@ -428,15 +428,28 @@ fn window_bytes(n: &mut Netlist, byte: &[NodeId], len: usize) -> Vec<Vec<NodeId>
     window
 }
 
-fn build_number_fire(n: &mut Netlist, bounds: &NumberBounds, sig: &StreamSignals) -> NodeId {
+/// The number primitive of `technique` (see
+/// [`primitive::NumberMatcher`](crate::primitive::NumberMatcher)): the
+/// range automaton advanced on number bytes and reset at every other
+/// byte, an in-token register, and — anchored — a register holding "the
+/// byte before was an anchor byte" (set at reset), one holding "the open
+/// token is anchored", and an anchor-set test of the end byte.
+fn build_number_fire(
+    n: &mut Netlist,
+    bounds: &NumberBounds,
+    technique: NumberTechnique,
+    sig: &StreamSignals,
+) -> NodeId {
     let dfa = bounds.to_dfa();
-    let num_set = ByteSet::from_bytes(
-        &(0u16..256)
-            .map(|b| b as u8)
-            .filter(|&b| is_number_byte(b))
-            .collect::<Vec<u8>>(),
-    );
-    let is_num = byte_in_set(n, &sig.byte, &num_set);
+    let set_of = |pred: fn(u8) -> bool| {
+        ByteSet::from_bytes(
+            &(0u16..256)
+                .map(|b| b as u8)
+                .filter(|&b| pred(b))
+                .collect::<Vec<u8>>(),
+        )
+    };
+    let is_num = byte_in_set(n, &sig.byte, &set_of(is_number_byte));
     let boundary = n.not(is_num);
     let dfa_reset = n.or_gate(boundary, sig.record_reset);
     let ports = elaborate_dfa(n, &dfa, &sig.byte, is_num, dfa_reset);
@@ -446,7 +459,23 @@ fn build_number_fire(n: &mut Netlist, bounds: &NumberBounds, sig: &StreamSignals
     n.connect_dff(in_token, in_next);
     // fire at the boundary byte if the token was accepted
     let was = n.and_gate(in_token, boundary);
-    n.and_gate(was, ports.accept)
+    let fire = n.and_gate(was, ports.accept);
+    if technique == NumberTechnique::Token {
+        return fire;
+    }
+    // The separator is an anchor byte, so the reset value of "after an
+    // anchor" is what it leaves behind anyway.
+    let anchor = byte_in_set(n, &sig.byte, &set_of(is_anchor_byte));
+    let after_anchor = n.dff_placeholder(true);
+    n.connect_dff(after_anchor, anchor);
+    // anchored' = number byte & (in token ? anchored : after anchor)
+    let anchored = n.dff_placeholder(false);
+    // (Not a number byte, the separator clears it.)
+    let carried = n.mux(in_token, anchored, after_anchor);
+    let anchored_next = n.and_gate(is_num, carried);
+    n.connect_dff(anchored, anchored_next);
+    let judged = n.and_gate(anchored, anchor);
+    n.and_gate(fire, judged)
 }
 
 #[cfg(test)]

@@ -69,8 +69,11 @@
 //! masks ([`blockhit`'s counter algebra](crate::blockhit#run-counters-a-word-at-a-time)),
 //! so no byte waits for the counters of the byte before it; only a
 //! block-hit pool with blocks longer than two bytes still walks its rows
-//! byte by byte. The number automaton visits the number bytes and token
-//! ends a mask points out ([`NumberAutomaton::walk_word`]); and the node
+//! byte by byte. The number automata visit the number bytes and token
+//! ends a mask points out ([`NumberAutomaton::walk_word`]) — an anchored
+//! automaton only those of anchored tokens ([`numpool`'s word
+//! walk](crate::numpool#the-word-walk)) — with every class mask of the
+//! word read from one class table ([`swar::class_masks`]); and the node
 //! program — the only pass that branches on what the data says — runs
 //! only at **program points**, in stream order: the unmasked structural
 //! bytes (open, close and, if some context is member-scoped, comma), the
@@ -112,14 +115,37 @@
 use crate::backend::{IngestLimits, SkipReason, Verdict};
 use crate::blockhit::{self, fired_lanes, step_lanes, BlockAutomatonView, BlockUnits, LANES};
 use crate::evaluator::StreamTracker;
-use crate::expr::{Expr, StringTechnique, StructScope};
-use crate::numpool::{self, NumberAutomaton, NumberAutomatonView, WordTokens};
+use crate::expr::{Expr, NumberTechnique, StringTechnique, StructScope};
+use crate::numpool::{self, NumberAutomaton, NumberAutomatonView, TokenState, WordTokens};
 use crate::prefilter::Prefilter;
-use crate::primitive::{DfaStringMatcher, SubstringMatcher, WindowMatcher};
+use crate::primitive::{is_anchor_byte, DfaStringMatcher, SubstringMatcher, WindowMatcher};
+use rfjson_jsonstream::classify::{ByteClass, BYTE_CLASS};
 use rfjson_jsonstream::frame::Framer;
 use rfjson_jsonstream::swar;
 use rfjson_redfa::range::is_number_byte;
 use rfjson_redfa::{NumberBounds, DENSE_ACCEPT_BIT};
+
+/// The byte classes the word kernel reads, one bit each, in the order
+/// [`swar::class_masks`] returns their masks: number byte, anchor byte
+/// ([`is_anchor_byte`]), quote, backslash, open, close, comma, newline.
+pub(crate) const KERNEL_CLASSES: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut b = 0;
+    while b < 256 {
+        let byte = b as u8;
+        let class = BYTE_CLASS[b];
+        table[b] = is_number_byte(byte) as u8
+            | (is_anchor_byte(byte) as u8) << 1
+            | (matches!(class, ByteClass::Quote) as u8) << 2
+            | (matches!(class, ByteClass::Backslash) as u8) << 3
+            | (matches!(class, ByteClass::Open) as u8) << 4
+            | (matches!(class, ByteClass::Close) as u8) << 5
+            | (matches!(class, ByteClass::Comma) as u8) << 6
+            | ((byte == b'\n') as u8) << 7;
+        b += 1;
+    }
+    table
+};
 
 /// State-index part of a dense state word.
 const STATE_MASK: u16 = !DENSE_ACCEPT_BIT;
@@ -850,7 +876,7 @@ impl UnitCounts {
                 StringTechnique::Dfa | StringTechnique::Window => self.string_dfas += 1,
                 StringTechnique::Substring(b) => self.add_substring(b),
             },
-            Expr::Num(_) => self.number_dfas += 1,
+            Expr::Num(..) => self.number_dfas += 1,
             Expr::And(cs) | Expr::Or(cs) | Expr::Ctx(cs, _) => {
                 for c in cs {
                     self.add_leaves(c);
@@ -981,6 +1007,10 @@ pub struct Engine {
     /// The pooled number automata, walked by both paths: one, unless the
     /// product of the units would outgrow [`numpool::MAX_ROWS`].
     numbers: Vec<NumberAutomaton>,
+    /// How many of them are token automata: the pool puts them before
+    /// the anchored ones, so the word kernel walks `numbers[..this]` over
+    /// every token and the rest over the anchored ones.
+    token_automata: usize,
 
     // ---- single-byte substring units (B = 1) ----
     /// Packed hit tables, one per bank of eight units: entry `b` of bank
@@ -1018,11 +1048,13 @@ pub struct Engine {
     prev: Vec<u64>,
     flag_level: Vec<u32>,
     sdfa_state: Vec<u16>,
-    /// Current row of each number automaton (0 outside tokens).
+    /// Current row of each number automaton (0 outside the tokens it
+    /// walks).
     num_row: Vec<u16>,
     /// All number units share one token trajectory (`is_number_byte` does
-    /// not depend on the unit), so one flag covers them.
-    num_in_token: bool,
+    /// not depend on the unit, nor whether a token is anchored), so one
+    /// state covers them.
+    num_token: TokenState,
     /// Run counters of the B = 1 units, packed one byte per lane, a word
     /// per bank.
     sub1_counters: Vec<u64>,
@@ -1111,7 +1143,7 @@ struct Builder<'e> {
     sdfa_off: Vec<u32>,
     sdfa_start: Vec<u16>,
     sdfa_fire: Vec<u64>,
-    num_bounds: Vec<&'e NumberBounds>,
+    num_bounds: Vec<(&'e NumberBounds, NumberTechnique)>,
     num_fire: Vec<u64>,
     sub1_bitmap: Vec<u64>,
     sub1_target: Vec<u32>,
@@ -1202,11 +1234,12 @@ impl<'e> Builder<'e> {
                 }
                 node
             }
-            Expr::Num(bounds) => {
+            Expr::Num(bounds, technique) => {
                 let node = self.alloc_node();
-                let seen = self.num_bounds.iter().position(|b| *b == bounds);
+                let unit_of = (bounds, *technique);
+                let seen = self.num_bounds.iter().position(|&u| u == unit_of);
                 let unit = seen.unwrap_or_else(|| {
-                    self.num_bounds.push(bounds);
+                    self.num_bounds.push(unit_of);
                     self.num_bounds.len() - 1
                 });
                 subscribe(&mut self.num_fire, self.words, unit, node);
@@ -1256,7 +1289,7 @@ impl<'e> Builder<'e> {
 
 fn count_nodes(expr: &Expr) -> usize {
     match expr {
-        Expr::Str(_) | Expr::Num(_) => 1,
+        Expr::Str(_) | Expr::Num(..) => 1,
         Expr::And(cs) | Expr::Or(cs) | Expr::Ctx(cs, _) => {
             1 + cs.iter().map(count_nodes).sum::<usize>()
         }
@@ -1312,9 +1345,13 @@ impl Engine {
             }
         }
         let sub1_targets = blockhit::pack_targets(&b.sub1_target);
-        let num_units = b.num_bounds.iter().copied();
-        let num_units = num_units.zip(b.num_fire.chunks_exact(words));
+        let num_units = b.num_bounds.iter().zip(b.num_fire.chunks_exact(words));
+        let num_units = num_units.map(|(&(bounds, technique), fire)| (bounds, technique, fire));
         let numbers = NumberAutomaton::pool(num_units, words, numpool::MAX_ROWS);
+        let token_automata = numbers
+            .iter()
+            .take_while(|a| a.technique() == NumberTechnique::Token)
+            .count();
         // A member without a prefilter can match any record, so the
         // group then has none.
         let filters: Option<Vec<Prefilter>> = exprs.iter().map(|e| Prefilter::build(e)).collect();
@@ -1341,7 +1378,8 @@ impl Engine {
             sdfa_start: b.sdfa_start,
             sdfa_fire: b.sdfa_fire,
             num_row: vec![0; numbers.len()],
-            num_in_token: false,
+            num_token: TokenState::RESET,
+            token_automata,
             numbers,
             sub1_counters: vec![0; sub1_targets.len()],
             sub1_hits,
@@ -1646,19 +1684,35 @@ impl Engine {
                 self.latch.or_words(&self.sdfa_fire[i * self.words..]);
             }
         }
+        let t = &mut self.num_token;
         if is_number_byte(byte) {
-            for (a, row) in self.numbers.iter().zip(&mut self.num_row) {
-                *row = a.step(*row, byte);
+            if !t.in_token {
+                t.anchored = t.after_anchor;
             }
-            self.num_in_token = true;
-        } else if self.num_in_token {
-            // Token boundary: the rows are evaluated, then rearmed.
-            // (Outside tokens they already sit at 0.)
+            // An anchored automaton walks anchored tokens only, as the
+            // word kernel does: its row stays 0 through any other.
             for (a, row) in self.numbers.iter().zip(&mut self.num_row) {
-                self.latch.or_words(a.fire(*row));
-                *row = 0;
+                if t.anchored || a.technique() == NumberTechnique::Token {
+                    *row = a.step(*row, byte);
+                }
             }
-            self.num_in_token = false;
+            t.in_token = true;
+            t.after_anchor = false;
+        } else {
+            let anchor = is_anchor_byte(byte);
+            if t.in_token {
+                // Token boundary: the rows are judged, then rearmed.
+                // (Outside tokens they already sit at 0.)
+                let judged = t.anchored && anchor;
+                for (a, row) in self.numbers.iter().zip(&mut self.num_row) {
+                    if judged || a.technique() == NumberTechnique::Token {
+                        self.latch.or_words(a.fire(*row));
+                    }
+                    *row = 0;
+                }
+                t.in_token = false;
+            }
+            t.after_anchor = anchor;
         }
         let banks = self.sub1_counters.iter_mut().zip(&self.sub1_targets);
         for (k, (c, &targets)) in banks.enumerate() {
@@ -1711,7 +1765,7 @@ impl Engine {
         self.flag_level.fill(0);
         self.sdfa_state.copy_from_slice(&self.sdfa_start);
         self.num_row.fill(0);
-        self.num_in_token = false;
+        self.num_token = TokenState::RESET;
         self.sub1_counters.fill(0);
         self.subn.reset();
         self.tracker.reset();
@@ -2031,10 +2085,15 @@ impl Engine {
     ///   byte is worked out, chain-free, only in the word where the bound
     ///   `(c_in & h₀) + pop ≥ target` says one may. The string DFAs and
     ///   the reference lanes step over the eight bytes in a straight line.
-    /// * **Numbers.** One [`NumberAutomaton::walk_word`] of each number
-    ///   automaton over the word's number bytes and token ends, found by
-    ///   mask; a word outside any token and without a number byte is
-    ///   skipped whole.
+    /// * **Numbers.** The word's eight class masks — number and anchor
+    ///   bytes and the six structural classes — come from one read of
+    ///   [`KERNEL_CLASSES`] per byte ([`swar::class_masks`]). One
+    ///   [`NumberAutomaton::walk_word`] of each token automaton over the
+    ///   word's number bytes and token ends, and of each anchored one over
+    ///   those of the anchored tokens ([`WordTokens::anchored`]); a word
+    ///   with nothing to walk is skipped whole. The carried
+    ///   [`TokenState`] — a token open, it is anchored, the last byte was
+    ///   an anchor byte — is the byte loop's.
     /// * **Node program.** At the word's program points, in stream order:
     ///   unmasked opens, closes and member-ending commas, and separators.
     ///   Fires on other bytes accumulate; before a point (before an
@@ -2081,7 +2140,9 @@ impl Engine {
         let (t1, has_sub1) = (C::load(&self.sub1_targets), !self.sub1_hits.is_empty());
         let has_blocks = !self.subn.units.is_empty();
         let comma_events = self.comma_events;
-        let mut in_token = self.num_in_token;
+        let mut token = self.num_token;
+        let split = self.token_automata;
+        let (has_token, has_anchored) = (split > 0, split < self.numbers.len());
         let has_ctx = self.has_ctx;
         // Fire masks of the current word by byte position, and the
         // positions that have one; all zero between words.
@@ -2103,7 +2164,6 @@ impl Engine {
 
         for (w, chunk) in words.chunks_exact(swar::WORD_BYTES).enumerate() {
             let bytes: &[u8; swar::WORD_BYTES] = chunk.try_into().expect("8-byte chunk");
-            let word = swar::load_word(bytes);
             let mut fired = 0u8;
 
             // ---- unit lanes ----
@@ -2134,24 +2194,36 @@ impl Engine {
                 self.sdfa_state[i] = s;
             }
 
+            // ---- byte classes ----
+            let [numbers, anchors, quotes, backslashes, opens, closes, commas, newlines] =
+                swar::class_masks(bytes, &KERNEL_CLASSES);
+
             // ---- numbers ----
-            let tokens = WordTokens::new(word, in_token);
-            if !tokens.is_empty() && !self.numbers.is_empty() {
-                for (a, row) in self.numbers.iter().zip(&mut self.num_row) {
+            let tokens = WordTokens::new(numbers, token.in_token);
+            if has_token && !tokens.is_empty() {
+                let token_units = self.numbers[..split].iter().zip(&mut self.num_row);
+                for (a, row) in token_units {
                     fired |= a.walk_word(row, bytes, tokens, &mut fire);
                 }
-                in_token = tokens.open_at_end();
             }
+            if has_anchored {
+                let kept = tokens.anchored(anchors, token);
+                if !kept.is_empty() {
+                    let rows = self.num_row[split..].iter_mut();
+                    for (a, row) in self.numbers[split..].iter().zip(rows) {
+                        fired |= a.walk_word(row, bytes, kept, &mut fire);
+                    }
+                }
+                token.anchored = kept.open_at_end();
+                token.after_anchor = anchors >> 7 != 0;
+            }
+            token.in_token = tokens.open_at_end();
 
             // ---- node program, in event order ----
-            // Context-free programs never read the structural facts; skip
-            // the classifier exactly like the serial path skips the
-            // tracker.
-            let (wm, mut masked) = if has_ctx {
-                let wm = swar::classify_word(word);
+            let mut masked = if has_ctx {
                 let (masked, next) = swar::string_mask_word(
-                    wm.quotes,
-                    wm.backslashes,
+                    quotes,
+                    backslashes,
                     swar::StringState {
                         in_string,
                         pending_escape,
@@ -2159,21 +2231,14 @@ impl Engine {
                 );
                 in_string = next.in_string;
                 pending_escape = next.pending_escape;
-                (wm, masked)
+                masked
             } else {
-                let newlines = if RECORDS {
-                    swar::eq_mask(word, b'\n')
-                } else {
-                    0
-                };
-                let wm = swar::WordMasks {
-                    newlines,
-                    ..swar::WordMasks::default()
-                };
-                (wm, 0)
+                0
             };
-            let newlines = if RECORDS { wm.newlines } else { 0 };
-            let marks = wm.opens | wm.closes | (wm.commas & comma_events);
+            let newlines = if RECORDS { newlines } else { 0 };
+            // Context-free programs read no structural byte.
+            let structure = if has_ctx { u8::MAX } else { 0 };
+            let marks = (opens | closes | (commas & comma_events)) & structure;
             let mut structural = marks & !masked;
             let mut points = structural | newlines;
             let mut events = points | fired;
@@ -2188,9 +2253,9 @@ impl Engine {
                 if !pending.is_zero() {
                     l = settle(&mut self.flag_level, l, &mut p, &mut pending, depth);
                 }
-                let is_close = structural & wm.closes & bit != 0;
-                let is_comma = structural & wm.commas & bit != 0;
-                if structural & wm.opens & bit != 0 {
+                let is_close = structural & closes & bit != 0;
+                let is_comma = structural & commas & bit != 0;
+                if structural & opens & bit != 0 {
                     depth += 1;
                 }
                 if !fire[j].is_zero() || (is_close || is_comma) && l.meets(ctx_children.words()) {
@@ -2216,8 +2281,8 @@ impl Engine {
                         // string: mask the rest of the word afresh.
                         let later = !(bit | (bit - 1));
                         let (rest, next) = swar::string_mask_word(
-                            wm.quotes & later,
-                            wm.backslashes & later,
+                            quotes & later,
+                            backslashes & later,
                             swar::StringState::default(),
                         );
                         masked = (masked & !later) | rest;
@@ -2242,7 +2307,7 @@ impl Engine {
         l.store(&mut self.latch);
         c1.store(&mut self.sub1_counters);
         self.subn.store_first(&first);
-        self.num_in_token = in_token;
+        self.num_token = token;
         self.tracker.restore(in_string, pending_escape, depth);
     }
 
@@ -2342,6 +2407,26 @@ mod tests {
                 "expr `{expr}` diverges at byte {i} of {:?}",
                 String::from_utf8_lossy(record)
             );
+        }
+    }
+
+    #[test]
+    fn kernel_classes_are_the_byte_predicates() {
+        for b in 0u8..=255 {
+            let class = KERNEL_CLASSES[b as usize];
+            let want = [
+                is_number_byte(b),
+                is_anchor_byte(b),
+                BYTE_CLASS[b as usize] == ByteClass::Quote,
+                BYTE_CLASS[b as usize] == ByteClass::Backslash,
+                BYTE_CLASS[b as usize] == ByteClass::Open,
+                BYTE_CLASS[b as usize] == ByteClass::Close,
+                BYTE_CLASS[b as usize] == ByteClass::Comma,
+                b == b'\n',
+            ];
+            for (k, want) in want.into_iter().enumerate() {
+                assert_eq!(class >> k & 1 != 0, want, "byte {b:#04x} class {k}");
+            }
         }
     }
 

@@ -173,8 +173,8 @@ impl EvalNode {
                 prim: Box::new(Prim::of_spec(spec)),
                 fired: false,
             },
-            Expr::Num(bounds) => EvalNode::Prim {
-                prim: Box::new(Prim::Num(NumberMatcher::new(bounds.clone()))),
+            Expr::Num(bounds, technique) => EvalNode::Prim {
+                prim: Box::new(Prim::Num(NumberMatcher::new(bounds.clone(), *technique))),
                 fired: false,
             },
             Expr::And(cs) => EvalNode::And {

@@ -3,7 +3,9 @@
 //!
 //! The [`Display`](std::fmt::Display) form follows the paper's notation
 //! exactly: `s1("temperature")`, `v(0.7 ≤ f ≤ 35.1)`,
-//! `{ s1("humidity") & v(20.3 ≤ f ≤ 69.1) } & v(12 ≤ i ≤ 49)`.
+//! `{ s1("humidity") & v(20.3 ≤ f ≤ 69.1) } & v(12 ≤ i ≤ 49)`. A number
+//! primitive of the [anchored](NumberTechnique::Anchored) technique prints
+//! as `va(…)`.
 
 use crate::primitive::SubstringError;
 use rfjson_redfa::range::{BoundsError, NumberKind, ParseDecimalError};
@@ -20,6 +22,19 @@ pub enum StringTechnique {
     Window,
     /// Technique (iii): approximate B-byte substring blocks.
     Substring(usize),
+}
+
+/// Which technique implements a `v(...)` primitive (§III-B).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum NumberTechnique {
+    /// The paper's primitive: the range automaton judges every maximal
+    /// run of number bytes, wherever it sits.
+    Token,
+    /// Value-anchored tokens: a token is judged only where a parser could
+    /// read it as a whole number — the byte before it and the byte that
+    /// ends it are both anchor bytes
+    /// ([`is_anchor_byte`](crate::primitive::is_anchor_byte)).
+    Anchored,
 }
 
 /// A string-search primitive specification.
@@ -51,7 +66,7 @@ pub enum Expr {
     /// String-search primitive.
     Str(StringSpec),
     /// Number-range primitive.
-    Num(NumberBounds),
+    Num(NumberBounds, NumberTechnique),
     /// Conjunction: every child must fire somewhere in the record.
     And(Vec<Expr>),
     /// Disjunction: at least one child must fire. Children of an OR can
@@ -156,12 +171,13 @@ impl Expr {
         }))
     }
 
-    /// `v(lo ≤ i ≤ hi)` — integer range filter.
+    /// `va(lo ≤ i ≤ hi)` — integer range filter, value-anchored.
     pub fn int_range(lo: i64, hi: i64) -> Expr {
-        Expr::Num(NumberBounds::int_range(lo, hi))
+        Expr::Num(NumberBounds::int_range(lo, hi), NumberTechnique::Anchored)
     }
 
-    /// `v(lo ≤ f ≤ hi)` — float range filter from decimal literals.
+    /// `va(lo ≤ f ≤ hi)` — float range filter from decimal literals,
+    /// value-anchored.
     ///
     /// # Errors
     ///
@@ -169,7 +185,25 @@ impl Expr {
     pub fn float_range(lo: &str, hi: &str) -> Result<Expr, ExprError> {
         let lo: Decimal = lo.parse()?;
         let hi: Decimal = hi.parse()?;
-        Ok(Expr::Num(NumberBounds::new(lo, hi, NumberKind::Float)?))
+        Ok(Expr::Num(
+            NumberBounds::new(lo, hi, NumberKind::Float)?,
+            NumberTechnique::Anchored,
+        ))
+    }
+
+    /// The same expression with every number primitive implemented by
+    /// `technique` — the design flow's choice between the paper's
+    /// primitive and the anchored one.
+    #[must_use]
+    pub fn with_number_technique(self, technique: NumberTechnique) -> Expr {
+        let all = |cs: Vec<Expr>| cs.into_iter().map(|c| c.with_number_technique(technique));
+        match self {
+            Expr::Num(bounds, _) => Expr::Num(bounds, technique),
+            Expr::Str(spec) => Expr::Str(spec),
+            Expr::And(cs) => Expr::And(all(cs).collect()),
+            Expr::Or(cs) => Expr::Or(all(cs).collect()),
+            Expr::Ctx(cs, scope) => Expr::Ctx(all(cs).collect(), scope),
+        }
     }
 
     /// Conjunction of children.
@@ -217,7 +251,7 @@ impl Expr {
     /// Number of primitive leaves.
     pub fn num_primitives(&self) -> usize {
         match self {
-            Expr::Str(_) | Expr::Num(_) => 1,
+            Expr::Str(_) | Expr::Num(..) => 1,
             Expr::And(cs) | Expr::Or(cs) | Expr::Ctx(cs, _) => {
                 cs.iter().map(Expr::num_primitives).sum()
             }
@@ -227,7 +261,7 @@ impl Expr {
     /// Does the expression contain a structural context anywhere?
     pub fn has_context(&self) -> bool {
         match self {
-            Expr::Str(_) | Expr::Num(_) => false,
+            Expr::Str(_) | Expr::Num(..) => false,
             Expr::Ctx(..) => true,
             Expr::And(cs) | Expr::Or(cs) => cs.iter().any(Expr::has_context),
         }
@@ -250,7 +284,7 @@ impl Expr {
                 }
                 Ok(())
             }
-            Expr::Num(_) => Ok(()),
+            Expr::Num(..) => Ok(()),
             Expr::And(cs) | Expr::Or(cs) | Expr::Ctx(cs, _) => {
                 if cs.is_empty() {
                     return Err(ExprError::EmptyCombinator);
@@ -272,7 +306,8 @@ impl fmt::Display for Expr {
                     StringTechnique::Substring(b) => write!(f, "s{b}(\"{needle}\")"),
                 }
             }
-            Expr::Num(bounds) => write!(f, "v({bounds})"),
+            Expr::Num(bounds, NumberTechnique::Token) => write!(f, "v({bounds})"),
+            Expr::Num(bounds, NumberTechnique::Anchored) => write!(f, "va({bounds})"),
             Expr::And(cs) => {
                 for (i, c) in cs.iter().enumerate() {
                     if i > 0 {
@@ -324,6 +359,10 @@ mod tests {
         ]);
         assert_eq!(
             e.to_string(),
+            "{ s1(\"temperature\") & va(0.7 ≤ f ≤ 35.1) } & va(12 ≤ i ≤ 49)"
+        );
+        assert_eq!(
+            e.with_number_technique(NumberTechnique::Token).to_string(),
             "{ s1(\"temperature\") & v(0.7 ≤ f ≤ 35.1) } & v(12 ≤ i ≤ 49)"
         );
     }
@@ -350,7 +389,7 @@ mod tests {
                 Expr::substring(b"b", 1).unwrap(),
             ]),
         ]);
-        assert_eq!(e.to_string(), "v(1 ≤ i ≤ 2) & (s1(\"a\") | s1(\"b\"))");
+        assert_eq!(e.to_string(), "va(1 ≤ i ≤ 2) & (s1(\"a\") | s1(\"b\"))");
     }
 
     #[test]
@@ -364,7 +403,7 @@ mod tests {
             other => panic!("expected And, got {other:?}"),
         }
         let single = Expr::and([Expr::int_range(1, 2)]);
-        assert!(matches!(single, Expr::Num(_)));
+        assert!(matches!(single, Expr::Num(..)));
     }
 
     #[test]

@@ -105,7 +105,7 @@ pub use backend::{
 pub use cosim::CosimBackend;
 pub use engine::{Engine, Latch, PrefilterStatus, ProgramView};
 pub use evaluator::CompiledFilter;
-pub use expr::{Expr, StructScope};
+pub use expr::{Expr, NumberTechnique, StructScope};
 pub use multi::{BatchVerdicts, MultiBackend, MultiEngine, MultiLanes, ShareStats, UnitCounts};
 
 /// Convenience prelude for downstream users.
@@ -118,7 +118,7 @@ pub mod prelude {
     pub use crate::engine::Engine;
     pub use crate::eval::{measure, Measurement};
     pub use crate::evaluator::CompiledFilter;
-    pub use crate::expr::{Expr, StructScope};
+    pub use crate::expr::{Expr, NumberTechnique, StructScope};
     pub use crate::multi::{BatchVerdicts, MultiBackend, MultiEngine, MultiLanes};
     pub use crate::query::query_to_exprs;
 }

@@ -28,7 +28,9 @@
 //! A product can also grow: [`NumberAutomaton::pool`] adds the units in
 //! order and starts another automaton when the next unit would take the
 //! current one past its row cap, so a program holds a list of automata —
-//! of one element for every query in this repository.
+//! of one element for every query in this repository. The units of one
+//! automaton share one [`NumberTechnique`], which the automaton carries:
+//! the pool keeps the paper's token units and the anchored ones apart.
 //! [`NumberBounds::to_dfa`] stays the reference the property tests compare
 //! against (`tests/number_automaton_equiv.rs`).
 //!
@@ -38,9 +40,23 @@
 //! [`NumberAutomaton::walk_word`], over the number bytes and token ends
 //! of [`WordTokens`]. A token end rearms to row 0 without reading the
 //! token-end column, so no lookup waits on the row of the token before.
+//!
+//! An anchored automaton walks only the **anchored tokens**
+//! ([`WordTokens::anchored`]): from the word's anchor bytes and the two
+//! bits carried in [`TokenState`] (the byte before the word was an
+//! anchor byte; the open token is anchored),
+//! the runs of number bytes that start after any other byte are cleared
+//! with one add, `(numbers + unanchored starts) & numbers`: the carry of
+//! each start runs through its own run and stops at the byte after it.
+//! Every kept token's end still rearms the row, but only an end whose
+//! byte is an anchor byte fires. On Taxi records this leaves a third of
+//! the tokens and half of the number bytes to walk — the hex digits of
+//! IDs, the `e`s of key names and the pieces of dates drop out. The byte
+//! loop steps an anchored automaton over anchored tokens only, so rows
+//! agree at every seam: 0 outside an anchored token on both paths.
 
 use crate::engine::Latch;
-use rfjson_jsonstream::swar;
+use crate::expr::NumberTechnique;
 use rfjson_redfa::range::NUMBER_BYTES;
 use rfjson_redfa::{Dfa, NumberBounds};
 use std::collections::HashMap;
@@ -63,45 +79,76 @@ const COLUMN_OF: [u8; 256] = {
     columns
 };
 
-const LO: u64 = 0x0101_0101_0101_0101;
-const HI: u64 = 0x8080_8080_8080_8080;
+/// What the number walk carries from one byte to the next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TokenState {
+    /// The last byte was a number byte: a token is open.
+    pub in_token: bool,
+    /// The open token started after an anchor byte.
+    pub anchored: bool,
+    /// The last byte was an anchor byte.
+    pub after_anchor: bool,
+}
 
-/// `0x80` in every lane of `low7` (lanes ≤ `0x7f`) whose byte is at least
-/// `min` (1 ..= `0x80`).
-#[inline]
-fn at_least(low7: u64, min: u8) -> u64 {
-    low7 + u64::from(0x80 - min) * LO
+impl TokenState {
+    /// The state at a record start: no token, and the separator before
+    /// it is an anchor byte.
+    pub const RESET: TokenState = TokenState {
+        in_token: false,
+        anchored: false,
+        after_anchor: true,
+    };
 }
 
 /// The number bytes and token ends of one word, as
 /// [`NumberAutomaton::walk_word`] visits them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WordTokens {
-    /// The bytes that may appear inside a number token, bit `j` = byte
-    /// `j` as in [`swar::classify_word`] — the word-at-a-time form of
-    /// [`is_number_byte`](rfjson_redfa::range::is_number_byte).
+    /// The bytes that may appear inside a number token
+    /// ([`is_number_byte`](rfjson_redfa::range::is_number_byte)), bit `j`
+    /// = byte `j`. Anchored, only those of anchored tokens.
     numbers: u8,
     /// Token ends: the first other byte after a number byte, the word
-    /// before included.
+    /// before included. Each rearms the row.
     ends: u8,
+    /// The ends that fire: all of them, or anchored, those on an anchor
+    /// byte.
+    fires: u8,
 }
 
 impl WordTokens {
-    /// The tokens of `word`, entered with a token open or not.
+    /// The tokens of a word whose number bytes are `numbers`, entered
+    /// with a token open or not.
     #[inline]
     #[must_use]
-    pub fn new(word: u64, in_token: bool) -> WordTokens {
-        let low7 = word & !HI;
-        let digits = at_least(low7, b'0') & !at_least(low7, b'9' + 1);
-        // `+`, `-` and `.` are `0x2b..=0x2e` without the comma between them.
-        let signs = at_least(low7, b'+')
-            & !at_least(low7, b'.' + 1)
-            & at_least(low7 ^ (u64::from(b',') * LO), 1);
-        let exponent = !at_least((low7 | (0x20 * LO)) ^ (u64::from(b'e') * LO), 1);
-        let numbers = swar::high_bits_to_mask((digits | signs | exponent) & !word & HI);
+    pub fn new(numbers: u8, in_token: bool) -> WordTokens {
+        let ends = !numbers & (numbers << 1 | u8::from(in_token));
         WordTokens {
             numbers,
-            ends: !numbers & (numbers << 1 | u8::from(in_token)),
+            ends,
+            fires: ends,
+        }
+    }
+
+    /// The anchored tokens among these, of a word whose anchor bytes
+    /// ([`is_anchor_byte`](crate::primitive::is_anchor_byte)) are
+    /// `anchors`, entered in `state` — see the
+    /// [module docs](self#the-word-walk).
+    #[inline]
+    #[must_use]
+    pub fn anchored(self, anchors: u8, state: TokenState) -> WordTokens {
+        let numbers = self.numbers;
+        // A start after neither a number byte nor an anchor byte, and the
+        // open token's run if it is not anchored.
+        let before = (numbers | anchors) << 1 | u8::from(state.in_token | state.after_anchor);
+        let open_unanchored = u8::from(state.in_token && !state.anchored);
+        let unanchored = numbers & !before | open_unanchored;
+        let kept = numbers.wrapping_add(unanchored) & numbers;
+        let ends = !numbers & (kept << 1 | u8::from(state.in_token && state.anchored));
+        WordTokens {
+            numbers: kept,
+            ends,
+            fires: ends & anchors,
         }
     }
 
@@ -112,7 +159,8 @@ impl WordTokens {
         self.numbers | self.ends == 0
     }
 
-    /// Whether a token is still open after the word.
+    /// Whether a token (an anchored one, for [`WordTokens::anchored`]) is
+    /// still open after the word.
     #[inline]
     #[must_use]
     pub fn open_at_end(&self) -> bool {
@@ -125,6 +173,8 @@ impl WordTokens {
 pub struct NumberUnitView {
     /// The range the unit checks.
     pub bounds: NumberBounds,
+    /// The technique that implements it.
+    pub technique: NumberTechnique,
     /// The latch bits of every leaf the unit stands for,
     /// [`NumberAutomatonView::words`] words.
     pub fire: Vec<u64>,
@@ -135,6 +185,8 @@ pub struct NumberUnitView {
 /// [`BlockAutomatonView`](crate::blockhit::BlockAutomatonView).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NumberAutomatonView {
+    /// The technique of every pooled unit, and so of the walk.
+    pub technique: NumberTechnique,
     /// `u64` words per fire mask: the latch width of the program.
     pub words: usize,
     /// Next row per transition, premultiplied by [`COLUMNS`]
@@ -161,11 +213,12 @@ impl NumberAutomatonView {
 ///
 /// ```
 /// use rfjson_core::numpool::{NumberAutomaton, MAX_ROWS};
+/// use rfjson_core::NumberTechnique::Token;
 /// use rfjson_redfa::NumberBounds;
 ///
 /// // Two units, latch bits 0 and 1 of a one-word latch.
 /// let (low, high) = (NumberBounds::int_range(12, 49), NumberBounds::int_range(40, 99));
-/// let units = [(&low, &[0b01][..]), (&high, &[0b10][..])];
+/// let units = [(&low, Token, &[0b01][..]), (&high, Token, &[0b10][..])];
 /// let pool = NumberAutomaton::pool(units, 1, MAX_ROWS);
 /// let automaton = &pool[0];
 /// let mut row = 0;
@@ -181,10 +234,11 @@ pub struct NumberAutomaton {
 }
 
 impl NumberAutomaton {
-    /// Pools `units` — bounds and fire mask of `words` words each — in
-    /// order, starting another automaton whenever the next unit would
-    /// take the current one past `max_rows` (an engine passes
-    /// [`MAX_ROWS`]). No units, no automaton.
+    /// Pools `units` — bounds, technique and fire mask of `words` words
+    /// each — into automata of one technique each: the token units, then
+    /// the anchored ones, each in order, starting another automaton
+    /// whenever the next unit would take the current one past `max_rows`
+    /// (an engine passes [`MAX_ROWS`]). No units, no automaton.
     ///
     /// # Panics
     ///
@@ -192,31 +246,36 @@ impl NumberAutomaton {
     /// of a thousand digits).
     #[must_use]
     pub fn pool<'a>(
-        units: impl IntoIterator<Item = (&'a NumberBounds, &'a [u64])>,
+        units: impl IntoIterator<Item = (&'a NumberBounds, NumberTechnique, &'a [u64])>,
         words: usize,
         max_rows: usize,
     ) -> Vec<NumberAutomaton> {
+        let units: Vec<_> = units.into_iter().collect();
         let mut pool: Vec<NumberAutomaton> = Vec::new();
-        for (bounds, fire) in units {
-            let dfa = bounds.to_dfa();
-            let last = pool.last();
-            let grown = last.and_then(|a| a.with_unit(bounds, &dfa, fire, max_rows));
-            match grown {
-                Some(grown) => *pool.last_mut().expect("the automaton that grew") = grown,
-                None => pool.push(
-                    NumberAutomaton::empty(words)
-                        .with_unit(bounds, &dfa, fire, MAX_ROWS)
-                        .expect("a number unit's automaton fits the row space"),
-                ),
+        for technique in [NumberTechnique::Token, NumberTechnique::Anchored] {
+            let first = pool.len();
+            for &(bounds, _, fire) in units.iter().filter(|u| u.1 == technique) {
+                let dfa = bounds.to_dfa();
+                let last = pool[first..].last();
+                let grown = last.and_then(|a| a.with_unit(bounds, &dfa, fire, max_rows));
+                match grown {
+                    Some(grown) => *pool.last_mut().expect("the automaton that grew") = grown,
+                    None => pool.push(
+                        NumberAutomaton::empty(technique, words)
+                            .with_unit(bounds, &dfa, fire, MAX_ROWS)
+                            .expect("a number unit's automaton fits the row space"),
+                    ),
+                }
             }
         }
         pool
     }
 
     /// The automaton of no units: one row that fires nothing.
-    fn empty(words: usize) -> NumberAutomaton {
+    fn empty(technique: NumberTechnique, words: usize) -> NumberAutomaton {
         NumberAutomaton {
             t: NumberAutomatonView {
+                technique,
                 words,
                 next: vec![0; COLUMNS],
                 fires: vec![0; words],
@@ -266,10 +325,12 @@ impl NumberAutomaton {
         }
         let unit = NumberUnitView {
             bounds: bounds.clone(),
+            technique: self.t.technique,
             fire: fire.to_vec(),
         };
         Some(NumberAutomaton {
             t: NumberAutomatonView {
+                technique: self.t.technique,
                 words,
                 next,
                 fires,
@@ -282,6 +343,13 @@ impl NumberAutomaton {
     #[must_use]
     pub fn view(&self) -> &NumberAutomatonView {
         &self.t
+    }
+
+    /// The technique of the pooled units.
+    #[inline]
+    #[must_use]
+    pub fn technique(&self) -> NumberTechnique {
+        self.t.technique
     }
 
     /// The row after `byte`: the product step for a number byte, row 0
@@ -301,11 +369,13 @@ impl NumberAutomaton {
     }
 
     /// The [word walk](self#the-word-walk) over `bytes`, whose tokens are
-    /// `tokens`, from `row` (0 unless a token is open): each number byte
-    /// steps the row; each token end ORs the fire mask into `fire` at its
-    /// position and rearms to row 0. Returns the positions whose fire was
-    /// not zero.
-    #[inline]
+    /// `tokens` (of this automaton's technique), from `row` (0 unless a
+    /// token is open): each number byte steps the row; each token end
+    /// rearms to row 0, and a firing one first ORs the fire mask into
+    /// `fire` at its position. Returns the positions whose fire was not
+    /// zero.
+    #[allow(clippy::inline_always)] // two calls in the word kernel's loop: measured, ~2 %
+    #[inline(always)]
     pub fn walk_word<L: Latch>(
         &self,
         row: &mut u16,
@@ -320,7 +390,9 @@ impl NumberAutomaton {
             let j = todo.trailing_zeros() as usize;
             todo &= todo - 1;
             if tokens.ends >> j & 1 != 0 {
-                let f = &self.t.fires[r as usize / COLUMNS * self.t.words..];
+                // A non-firing end reads row 0, which fires nothing.
+                let judged = u16::from(tokens.fires >> j & 1 != 0).wrapping_neg();
+                let f = &self.t.fires[(r & judged) as usize / COLUMNS * self.t.words..];
                 fired |= u8::from(fire[j].or_any(f)) << j;
                 r = 0;
             } else {
@@ -335,13 +407,19 @@ impl NumberAutomaton {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::primitive::is_anchor_byte;
+    use rfjson_jsonstream::swar;
     use rfjson_redfa::range::is_number_byte;
 
     /// Unit `i` fires bit `i` of a one-word latch.
     fn pool(bounds: &[NumberBounds], max_rows: usize) -> Vec<NumberAutomaton> {
         let bits: Vec<u64> = (0..bounds.len()).map(|i| 1 << i).collect();
         let units = bounds.iter().zip(bits.chunks(1));
-        NumberAutomaton::pool(units, 1, max_rows)
+        NumberAutomaton::pool(
+            units.map(|(b, f)| (b, NumberTechnique::Token, f)),
+            1,
+            max_rows,
+        )
     }
 
     /// The fire mask at the end of `token`, through every automaton.
@@ -355,23 +433,29 @@ mod tests {
 
     #[test]
     fn number_mask_matches_the_byte_predicate() {
-        let numbers = |chunk: &[u8; 8]| WordTokens::new(swar::load_word(chunk), false).numbers;
+        // The number and anchor masks the word walk reads, from the
+        // kernel's class table.
+        let masks = |chunk: &[u8; 8]| {
+            let classes = swar::class_masks(chunk, &crate::engine::KERNEL_CLASSES);
+            (classes[0], classes[1])
+        };
+        let want = |chunk: &[u8; 8]| {
+            let bits = |class: fn(u8) -> bool| {
+                let bytes = chunk.iter().enumerate();
+                bytes.map(|(j, &x)| u8::from(class(x)) << j).sum::<u8>()
+            };
+            (bits(is_number_byte), bits(is_anchor_byte))
+        };
         for b in 0u16..=255 {
             let b = b as u8;
             for lane in 0..8 {
                 let mut chunk = [b'x'; 8];
                 chunk[lane] = b;
-                let want = u8::from(is_number_byte(b)) << lane;
-                assert_eq!(numbers(&chunk), want, "byte {b:#x}");
-                // Against a background of number bytes and high bytes too.
-                let mut chunk = [b'7', 0xff, b'e', 0x80, b'-', b',', b'.', b'E'];
+                assert_eq!(masks(&chunk), want(&chunk), "byte {b:#x}");
+                // Against a background of number, anchor and high bytes too.
+                let mut chunk = [b'7', 0xff, b'e', 0x80, b'-', b',', b' ', b'E'];
                 chunk[lane] = b;
-                let want = chunk
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &x)| u8::from(is_number_byte(x)) << j)
-                    .sum::<u8>();
-                assert_eq!(numbers(&chunk), want, "byte {b:#x}");
+                assert_eq!(masks(&chunk), want(&chunk), "byte {b:#x}");
             }
         }
     }
@@ -432,5 +516,76 @@ mod tests {
     #[test]
     fn no_units_no_automaton() {
         assert!(pool(&[], MAX_ROWS).is_empty());
+    }
+
+    #[test]
+    fn anchored_tokens_match_the_byte_serial_rule() {
+        // Every word of number and anchor bytes (disjoint, as the bytes
+        // are), from every carried state, against the byte-by-byte rule.
+        for numbers in 0..=255u8 {
+            for anchors in (0..=255u8).filter(|a| a & numbers == 0) {
+                for carried in 0..8u8 {
+                    let state = TokenState {
+                        in_token: carried & 1 != 0,
+                        anchored: carried & 2 != 0,
+                        after_anchor: carried & 4 != 0,
+                    };
+                    let got = WordTokens::new(numbers, state.in_token).anchored(anchors, state);
+                    let mut t = state;
+                    let mut want = WordTokens::new(0, false);
+                    for j in 0..8 {
+                        let bit = 1u8 << j;
+                        if numbers & bit != 0 {
+                            if !t.in_token {
+                                t.anchored = t.after_anchor;
+                            }
+                            want.numbers |= if t.anchored { bit } else { 0 };
+                            t.in_token = true;
+                            t.after_anchor = false;
+                        } else {
+                            if t.in_token && t.anchored {
+                                want.ends |= bit;
+                                want.fires |= if anchors & bit != 0 { bit } else { 0 };
+                            }
+                            t.in_token = false;
+                            t.after_anchor = anchors & bit != 0;
+                        }
+                    }
+                    assert_eq!(
+                        got, want,
+                        "numbers {numbers:08b} anchors {anchors:08b} {state:?}"
+                    );
+                    assert_eq!(got.open_at_end(), t.in_token && t.anchored);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pool_keeps_techniques_apart() {
+        let bounds = [
+            NumberBounds::int_range(1, 9),
+            NumberBounds::int_range(5, 50),
+            NumberBounds::int_range(1, 9),
+        ];
+        let techniques = [
+            NumberTechnique::Anchored,
+            NumberTechnique::Token,
+            NumberTechnique::Anchored,
+        ];
+        let bits = [[1u64], [2], [4]];
+        let units = bounds.iter().zip(techniques).zip(&bits);
+        let pool = NumberAutomaton::pool(units.map(|((b, t), f)| (b, t, &f[..])), 1, MAX_ROWS);
+        let shape: Vec<(NumberTechnique, usize)> = pool
+            .iter()
+            .map(|a| (a.technique(), a.view().units.len()))
+            .collect();
+        assert_eq!(
+            shape,
+            [(NumberTechnique::Token, 1), (NumberTechnique::Anchored, 2)]
+        );
+        for a in &pool {
+            assert!(a.view().units.iter().all(|u| u.technique == a.technique()));
+        }
     }
 }

@@ -320,7 +320,7 @@ pub(crate) fn required_needles(expr: &Expr) -> Vec<&[u8]> {
 fn collect_required<'e>(expr: &'e Expr, out: &mut Vec<&'e StringSpec>) {
     match expr {
         Expr::Str(spec) => out.push(spec),
-        Expr::Num(_) | Expr::Or(_) => {}
+        Expr::Num(..) | Expr::Or(_) => {}
         Expr::And(cs) | Expr::Ctx(cs, _) => {
             for c in cs {
                 collect_required(c, out);

@@ -9,7 +9,7 @@ mod string_dfa;
 mod string_substr;
 mod string_window;
 
-pub use number::NumberMatcher;
+pub use number::{is_anchor_byte, NumberMatcher};
 pub use string_dfa::DfaStringMatcher;
 pub use string_substr::{substrings, Substring, SubstringError, SubstringMatcher};
 pub use string_window::WindowMatcher;

@@ -7,7 +7,7 @@
 //! measurement objects use [`StructScope::Object`], flat records use the
 //! comma-scoped [`StructScope::Member`].
 
-use crate::expr::{Expr, ExprError, StringTechnique, StructScope};
+use crate::expr::{Expr, ExprError, NumberTechnique, StringTechnique, StructScope};
 use rfjson_redfa::range::NumberKind;
 use rfjson_redfa::{Decimal, NumberBounds};
 use rfjson_riotbench::{AttrKind, Query, RangePredicate, RecordShape};
@@ -60,7 +60,9 @@ pub fn scope_for(shape: RecordShape) -> StructScope {
     }
 }
 
-/// Builds the expression for one attribute under a given option.
+/// Builds the expression for one attribute under a given option, its
+/// value filter [anchored](NumberTechnique::Anchored)
+/// ([`Expr::with_number_technique`] picks the other technique).
 ///
 /// # Errors
 ///
@@ -78,7 +80,7 @@ pub fn attr_expr(
             StringTechnique::Substring(b) => Expr::substring(needle, b),
         }
     };
-    let value_expr = Expr::Num(predicate_bounds(predicate)?);
+    let value_expr = Expr::Num(predicate_bounds(predicate)?, NumberTechnique::Anchored);
     Ok(match option {
         AttrOption::Value => value_expr,
         AttrOption::Str(t) => string_expr(t)?,
@@ -134,13 +136,15 @@ mod tests {
         let q = Query::qt();
         let p = &q.predicates[3]; // tolls_amount
         let v = attr_expr(&q, p, AttrOption::Value).unwrap();
-        assert_eq!(v.to_string(), "v(2.5 ≤ f ≤ 18)");
+        assert_eq!(v.to_string(), "va(2.5 ≤ f ≤ 18)");
+        let token = v.with_number_technique(NumberTechnique::Token);
+        assert_eq!(token.to_string(), "v(2.5 ≤ f ≤ 18)");
         let s = attr_expr(&q, p, AttrOption::Str(StringTechnique::Substring(2))).unwrap();
         assert_eq!(s.to_string(), "s2(\"tolls_amount\")");
         let pair = attr_expr(&q, p, AttrOption::StructPair(StringTechnique::Substring(2))).unwrap();
         assert_eq!(
             pair.to_string(),
-            "{ s2(\"tolls_amount\") & v(2.5 ≤ f ≤ 18) }"
+            "{ s2(\"tolls_amount\") & va(2.5 ≤ f ≤ 18) }"
         );
         assert!(pair.has_context());
         let plain = attr_expr(&q, p, AttrOption::PlainPair(StringTechnique::Substring(2))).unwrap();

@@ -7,7 +7,8 @@
 //! `unsafe`, so no `std::arch` intrinsics): per-word bitmasks for
 //! quotes, backslashes, openers/closers, commas and newlines, plus a
 //! carry-aware resolution of the [`StringMask`](crate::StringMask)
-//! automaton over a whole word at once. The newline hop, [`find_byte`],
+//! automaton over a whole word at once; [`class_masks`] reads eight
+//! caller-defined classes from a table instead. The newline hop, [`find_byte`],
 //! tests 32 bytes per step with a compare loop the compiler vectorises,
 //! still in safe code.
 //!
@@ -101,16 +102,53 @@ impl WordMasks {
 
 /// Classifies all 8 bytes of a word at once; agrees bit-for-bit with
 /// [`classify`](crate::classify::classify) per byte.
+///
+/// Six lane compares and four to six packing multiplies per word: `{`
+/// and `[` (`0x7b`, `0x5b`) differ only in bit 5, as do `}` and `]`, so
+/// one compare of `w | 0x20` finds each pair, and the backslash and
+/// newline lanes — absent from most words — are packed only when one is
+/// there.
 #[inline]
 pub fn classify_word(w: u64) -> WordMasks {
+    let folded = w | (0x20 * LO);
+    let packed = |lanes: u64| {
+        if lanes == 0 {
+            0
+        } else {
+            high_bits_to_mask(lanes)
+        }
+    };
     WordMasks {
         quotes: eq_mask(w, b'"'),
-        backslashes: eq_mask(w, b'\\'),
-        opens: high_bits_to_mask(eq_bytes(w, b'{') | eq_bytes(w, b'[')),
-        closes: high_bits_to_mask(eq_bytes(w, b'}') | eq_bytes(w, b']')),
+        backslashes: packed(eq_bytes(w, b'\\')),
+        opens: eq_mask(folded, b'{'),
+        closes: eq_mask(folded, b'}'),
         commas: eq_mask(w, b','),
-        newlines: eq_mask(w, b'\n'),
+        newlines: packed(eq_bytes(w, b'\n')),
     }
+}
+
+/// Eight one-bit byte classes of a word at once, through a class table:
+/// bit `k` of `table[b]` says whether byte value `b` is in class `k`, and
+/// byte `k` of the result is class `k`'s mask over `bytes` (bit `j` =
+/// byte `j`).
+///
+/// One table read per byte and an 8 × 8 bit transpose (Hacker's Delight
+/// §7-3) answer eight classes for the price of one: where a caller needs
+/// more classes than [`classify_word`] finds, this is cheaper than a
+/// compare and a packing multiply per class.
+#[inline]
+pub fn class_masks(bytes: &[u8; WORD_BYTES], table: &[u8; 256]) -> [u8; 8] {
+    // Lane j holds byte j's classes: row j of the matrix, bit 8j + k.
+    let mut x = u64::from_le_bytes(bytes.map(|b| table[b as usize]));
+    // Swap bit 8j + k with bit 8k + j: 2 × 2, then 4 × 4 blocks.
+    let t = (x ^ (x >> 7)) & 0x00AA_00AA_00AA_00AA;
+    x ^= t ^ (t << 7);
+    let t = (x ^ (x >> 14)) & 0x0000_CCCC_0000_CCCC;
+    x ^= t ^ (t << 14);
+    let t = (x ^ (x >> 28)) & 0x0000_0000_F0F0_F0F0;
+    x ^= t ^ (t << 28);
+    x.to_le_bytes()
 }
 
 /// The two state bits of the [`StringMask`](crate::StringMask)
@@ -341,6 +379,36 @@ mod tests {
                         class != ByteClass::Other,
                         "byte {byte:#x}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn class_masks_transpose_the_table_bits() {
+        // A table whose classes are bits of the byte value itself, and
+        // one of scattered classes, over words of every single value in
+        // every lane and a few mixed words.
+        let identity: [u8; 256] = std::array::from_fn(|b| b as u8);
+        let scattered: [u8; 256] = std::array::from_fn(|b| (b as u8).wrapping_mul(167) ^ 0x5a);
+        let mut words: Vec<[u8; 8]> = vec![*b"{\"v\":-1e", [0xff; 8], [0; 8], *b"a\\b,\n]}["];
+        for b in 0u16..=255 {
+            for lane in 0..8 {
+                let mut word = [b'x'; 8];
+                word[lane] = b as u8;
+                words.push(word);
+            }
+        }
+        for table in [&identity, &scattered] {
+            for bytes in &words {
+                let masks = class_masks(bytes, table);
+                for (k, &mask) in masks.iter().enumerate() {
+                    let want = bytes
+                        .iter()
+                        .enumerate()
+                        .map(|(j, &b)| (table[b as usize] >> k & 1) << j)
+                        .fold(0, |m, bit| m | bit);
+                    assert_eq!(mask, want, "class {k} of {bytes:?}");
                 }
             }
         }

@@ -27,7 +27,7 @@ pub const NUMBER_BYTES: &[u8] = b"0123456789+-.eE";
 
 /// Returns `true` if `b` may appear inside a number token.
 #[inline]
-pub fn is_number_byte(b: u8) -> bool {
+pub const fn is_number_byte(b: u8) -> bool {
     matches!(b, b'0'..=b'9' | b'+' | b'-' | b'.' | b'e' | b'E')
 }
 

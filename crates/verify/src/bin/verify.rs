@@ -18,8 +18,9 @@
 //! reference 0]`: the banks of eight B = 1 lanes, the banks of each
 //! block-hit automaton (`-` for none) and the reference lanes stepped by
 //! their matchers — and with what pooling its number ranges came to:
-//! `[numbers: 6 units → 66 rows]`, the rows of one product automaton for
-//! all of them.
+//! `[numbers: 6 anchored units → 66 rows]`, the technique of the units
+//! and the rows of one product automaton for all of them (`3 token units
+//! → 20 rows, 2 anchored units → 14 rows` where both techniques meet).
 //!
 //! After the per-query passes, every expressible (query, b) expression
 //! of the selection is fused into one batch and linted through the
@@ -36,7 +37,7 @@
 #![forbid(unsafe_code)]
 
 use rfjson_core::query::query_to_exprs;
-use rfjson_core::{Engine, MultiEngine};
+use rfjson_core::{Engine, MultiEngine, NumberTechnique};
 use rfjson_riotbench::Query;
 use rfjson_verify::{multi::verify_batch, verify_query, Severity};
 use std::process::ExitCode;
@@ -46,18 +47,29 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// `N units → R rows` of an engine's number automata (`R+R'` where the
-/// row cap split them), or `none`.
+/// `N anchored units → R rows` of an engine's number automata, per
+/// technique (`R+R'` where the row cap split them), or `none`.
 fn number_pooling(engine: &Engine) -> String {
-    let units: usize = engine.number_automaton_views().map(|v| v.units.len()).sum();
-    if units == 0 {
+    let mut parts = Vec::new();
+    for technique in [NumberTechnique::Token, NumberTechnique::Anchored] {
+        let views = || {
+            engine
+                .number_automaton_views()
+                .filter(move |v| v.technique == technique)
+        };
+        let units: usize = views().map(|v| v.units.len()).sum();
+        if units > 0 {
+            let rows: Vec<String> = views()
+                .map(|v| (v.fires.len() / v.words).to_string())
+                .collect();
+            let name = format!("{technique:?}").to_lowercase();
+            parts.push(format!("{units} {name} units → {} rows", rows.join("+")));
+        }
+    }
+    if parts.is_empty() {
         return "none".to_string();
     }
-    let rows = engine
-        .number_automaton_views()
-        .map(|v| v.fires.len() / v.words);
-    let rows: Vec<String> = rows.map(|r| r.to_string()).collect();
-    format!("{units} units → {} rows", rows.join("+"))
+    parts.join(", ")
 }
 
 /// `s1 banks S, automaton banks A+B, reference R`: an engine's lane

@@ -242,7 +242,7 @@ fn collect_units(expr: &Expr, out: &mut Vec<BlockUnitView>) {
                 }
             }
         }
-        Expr::Num(_) => {}
+        Expr::Num(..) => {}
         Expr::And(cs) | Expr::Or(cs) | Expr::Ctx(cs, _) => {
             for c in cs {
                 collect_units(c, out);

@@ -279,7 +279,7 @@ fn dfa_pass(expr: &Expr, out: &mut Vec<Diagnostic>) {
             }
             StringTechnique::Substring(_) => {}
         },
-        Expr::Num(bounds) => {
+        Expr::Num(bounds, _) => {
             let d = bounds.to_dfa();
             let loc = expr.to_string();
             out.extend(dfa::verify_dfa(&d, &loc));

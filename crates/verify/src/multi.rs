@@ -39,7 +39,7 @@
 use crate::program::{check_unit, collect_expected, ExpectedUnits};
 use crate::{Diagnostic, Layer, Report};
 use rfjson_core::backend::CompileError;
-use rfjson_core::expr::{Expr, StringTechnique};
+use rfjson_core::expr::{Expr, NumberTechnique, StringTechnique};
 use rfjson_core::multi::{MultiEngine, UnitCounts};
 use rfjson_core::primitive::{DfaStringMatcher, SubstringMatcher};
 use std::collections::HashSet;
@@ -48,10 +48,23 @@ use std::collections::HashSet;
 /// recomputed from the source primitive, bypassing the compiled plan.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum FreshKey {
-    StrDfa { table: Vec<u16>, start: u16 },
-    NumDfa { table: Vec<u16>, start: u16 },
-    Sub1 { bitmap: [u64; 4], target: u32 },
-    SubN { blocks: Vec<Vec<u8>>, target: u32 },
+    StrDfa {
+        table: Vec<u16>,
+        start: u16,
+    },
+    NumDfa {
+        table: Vec<u16>,
+        start: u16,
+        technique: NumberTechnique,
+    },
+    Sub1 {
+        bitmap: [u64; 4],
+        target: u32,
+    },
+    SubN {
+        blocks: Vec<Vec<u8>>,
+        target: u32,
+    },
 }
 
 /// Collects the dedup keys of every primitive unit of `expr`, exactly
@@ -88,11 +101,12 @@ fn collect_keys(expr: &Expr, out: &mut Vec<FreshKey>) {
                 }
             }
         },
-        Expr::Num(bounds) => {
+        Expr::Num(bounds, technique) => {
             let d = bounds.to_dfa();
             out.push(FreshKey::NumDfa {
                 table: d.dense_table(),
                 start: d.dense_start(),
+                technique: *technique,
             });
         }
         Expr::And(cs) | Expr::Or(cs) | Expr::Ctx(cs, _) => {

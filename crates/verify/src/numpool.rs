@@ -13,9 +13,12 @@
 //! transition that the target row's tuple is each fresh automaton stepped
 //! once, of the token-end column that it returns to row 0, and of every
 //! fire mask that it is the OR of exactly the accepting units' latch bits.
-//! The engine-level entry points add the census: the pooled units are the
-//! distinct bounds of the source expressions in first-demand order, each
-//! firing exactly the leaves that carry them.
+//! An automaton is walked by one [`NumberTechnique`], so each must pool
+//! units of the technique it carries. The engine-level entry points add
+//! the census: the pooled units are the distinct (bounds, technique)
+//! pairs of the source expressions — the token units, then the anchored
+//! ones, each in first-demand order — each firing exactly the leaves that
+//! carry them.
 //!
 //! ## Diagnostic catalogue
 //!
@@ -29,9 +32,10 @@
 //! | N025 | error    | a row's fire mask is not the OR of its accepting units' bits |
 //! | N026 | warning  | row unreachable from the token start |
 //! | N027 | error    | pooled units disagree with the source expressions |
+//! | N028 | error    | a unit's technique is not the automaton's |
 
 use crate::{Diagnostic, Layer};
-use rfjson_core::expr::Expr;
+use rfjson_core::expr::{Expr, NumberTechnique};
 use rfjson_core::numpool::{NumberAutomatonView, NumberUnitView, COLUMNS, END_COLUMN};
 use rfjson_core::{Engine, MultiEngine};
 use rfjson_redfa::range::NUMBER_BYTES;
@@ -43,7 +47,8 @@ fn error(code: &'static str, location: &str, message: String) -> Diagnostic {
 
 /// Verifies the tables of one number automaton against its own unit
 /// list: shapes (N021), `next` range (N022), token-end column (N023),
-/// product transitions (N024), fire masks (N025), reachability (N026).
+/// product transitions (N024), fire masks (N025), reachability (N026),
+/// one technique (N028).
 pub fn verify_number_automaton(view: &NumberAutomatonView) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let words = view.words;
@@ -67,6 +72,18 @@ pub fn verify_number_automaton(view: &NumberAutomatonView) -> Vec<Diagnostic> {
         ));
         return out;
     }
+    for (i, unit) in view.units.iter().enumerate() {
+        if unit.technique != view.technique {
+            out.push(error(
+                "N028",
+                &format!("unit {i}"),
+                format!(
+                    "a {:?} unit `v({})` in a {:?} automaton",
+                    unit.technique, unit.bounds, view.technique
+                ),
+            ));
+        }
+    }
     for (i, &n) in view.next.iter().enumerate() {
         if !(n as usize).is_multiple_of(COLUMNS) || n as usize >= view.next.len() {
             out.push(error(
@@ -76,7 +93,7 @@ pub fn verify_number_automaton(view: &NumberAutomatonView) -> Vec<Diagnostic> {
             ));
         }
     }
-    if !out.is_empty() {
+    if out.iter().any(|d| d.code == "N022") {
         return out; // the walk below indexes through `next`
     }
     out.push(Diagnostic::info(
@@ -84,8 +101,9 @@ pub fn verify_number_automaton(view: &NumberAutomatonView) -> Vec<Diagnostic> {
         "N020",
         "tables",
         format!(
-            "{} units → {rows} rows, {} table bytes",
+            "{} {:?} units → {rows} rows, {} table bytes",
             view.units.len(),
+            view.technique,
             view.table_bytes()
         ),
     ));
@@ -177,10 +195,14 @@ pub fn verify_number_automaton(view: &NumberAutomatonView) -> Vec<Diagnostic> {
 
 /// Every number-range leaf of `expr` with its latch bit, numbering nodes
 /// in post-order from `*next_node` as the compiler does.
-fn collect_leaves<'e>(expr: &'e Expr, next_node: &mut u32, out: &mut Vec<(&'e NumberBounds, u32)>) {
+fn collect_leaves<'e>(
+    expr: &'e Expr,
+    next_node: &mut u32,
+    out: &mut Vec<(&'e NumberBounds, NumberTechnique, u32)>,
+) {
     match expr {
         Expr::Str(_) => {}
-        Expr::Num(bounds) => out.push((bounds, *next_node)),
+        Expr::Num(bounds, technique) => out.push((bounds, *technique, *next_node)),
         Expr::And(cs) | Expr::Or(cs) | Expr::Ctx(cs, _) => {
             for c in cs {
                 collect_leaves(c, next_node, out);
@@ -191,8 +213,9 @@ fn collect_leaves<'e>(expr: &'e Expr, next_node: &mut u32, out: &mut Vec<(&'e Nu
 }
 
 /// The units a fresh derivation from the member expressions demands: the
-/// distinct bounds in first-demand order, each firing the latch bits of
-/// all the leaves that carry it.
+/// distinct (bounds, technique) pairs, token units before anchored ones
+/// and each in first-demand order, each firing the latch bits of all the
+/// leaves that carry it.
 fn expected_units(exprs: &[Expr]) -> Vec<NumberUnitView> {
     let mut leaves = Vec::new();
     let mut nodes = 0u32;
@@ -201,17 +224,21 @@ fn expected_units(exprs: &[Expr]) -> Vec<NumberUnitView> {
     }
     let words = (nodes as usize).div_ceil(64);
     let mut units: Vec<NumberUnitView> = Vec::new();
-    for (bounds, node) in leaves {
-        let at = units.iter().position(|u| u.bounds == *bounds);
+    for (bounds, technique, node) in leaves {
+        let at = units
+            .iter()
+            .position(|u| u.bounds == *bounds && u.technique == technique);
         let at = at.unwrap_or_else(|| {
             units.push(NumberUnitView {
                 bounds: bounds.clone(),
+                technique,
                 fire: vec![0; words],
             });
             units.len() - 1
         });
         units[at].fire[node as usize / 64] |= 1u64 << (node % 64);
     }
+    units.sort_by_key(|u| u.technique == NumberTechnique::Anchored);
     units
 }
 
@@ -400,6 +427,50 @@ mod tests {
         let unreachable: Vec<_> = diags.iter().filter(|d| d.code == "N026").collect();
         assert_eq!(unreachable.len(), 1, "{diags:?}");
         assert_eq!(unreachable[0].location, format!("row {rows}"));
+    }
+
+    #[test]
+    fn an_automaton_pools_one_technique() {
+        let mut v = view(&sample());
+        assert_eq!(v.technique, NumberTechnique::Anchored);
+        assert!(v.units.iter().all(|u| u.technique == v.technique));
+        // A token unit smuggled into the anchored walk.
+        v.units[1].technique = NumberTechnique::Token;
+        assert_eq!(codes(&v), vec!["N028"]);
+        // The automaton relabelled instead: every unit disagrees.
+        let mut v = view(&sample());
+        v.technique = NumberTechnique::Token;
+        let diags = verify_number_automaton(&v);
+        let n028 = diags.iter().filter(|d| d.code == "N028").count();
+        assert_eq!(n028, v.units.len(), "{diags:?}");
+    }
+
+    #[test]
+    fn both_techniques_pool_apart_and_verify_clean() {
+        let engine = Engine::compile(&Expr::and([
+            Expr::int_range(12, 49),
+            Expr::int_range(12, 49).with_number_technique(NumberTechnique::Token),
+            Expr::float_range("0.7", "35.1").unwrap(),
+        ]));
+        let techniques: Vec<(NumberTechnique, usize)> = engine
+            .number_automaton_views()
+            .map(|v| (v.technique, v.units.len()))
+            .collect();
+        assert_eq!(
+            techniques,
+            [(NumberTechnique::Token, 1), (NumberTechnique::Anchored, 2)]
+        );
+        let diags = verify_engine_numbers(&engine);
+        assert!(
+            diags.iter().all(|d| d.severity < Severity::Warning),
+            "{diags:?}"
+        );
+        // The census holds the technique too: a relabelled unit is N027.
+        let views: Vec<&NumberAutomatonView> = engine.number_automaton_views().collect();
+        let mut expected = expected_units(engine.exprs());
+        expected[0].technique = NumberTechnique::Anchored;
+        let diags = verify_against(&views, &expected);
+        assert!(diags.iter().any(|d| d.code == "N027"), "{diags:?}");
     }
 
     #[test]

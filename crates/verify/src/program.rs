@@ -94,7 +94,7 @@ pub(crate) fn collect_expected(expr: &Expr, exp: &mut ExpectedUnits) {
                 }
             }
         },
-        Expr::Num(_) => exp.number_dfas += 1,
+        Expr::Num(..) => exp.number_dfas += 1,
         Expr::And(cs) | Expr::Or(cs) | Expr::Ctx(cs, _) => {
             for c in cs {
                 collect_expected(c, exp);

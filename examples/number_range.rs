@@ -1,11 +1,14 @@
 //! The Fig. 2 walk-through: deriving a number filter for `i ≥ 35`,
 //! then building the single range automaton for `12 ≤ i ≤ 49` and
-//! elaborating it to RTL.
+//! elaborating it to RTL — with the paper's token technique and with
+//! value-anchored tokens, which judge only what a parser could read as a
+//! number.
 //!
 //! Run with: `cargo run -p rfjson-core --example number_range`
 
 use rfjson_core::cost::exact_cost;
-use rfjson_core::expr::Expr;
+use rfjson_core::expr::{Expr, NumberTechnique};
+use rfjson_core::primitive::{FireFilter, NumberMatcher};
 use rfjson_redfa::range::{ge_int_regex, NumberBounds};
 use rfjson_redfa::{Decimal, Dfa};
 
@@ -67,7 +70,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    let cost = exact_cost(&Expr::int_range(12, 49));
-    println!("\nelaborated to RTL and LUT-mapped: {cost}");
+    println!("\nelaborated to RTL and LUT-mapped:");
+    for technique in [NumberTechnique::Token, NumberTechnique::Anchored] {
+        let expr = Expr::int_range(12, 49).with_number_technique(technique);
+        println!("  {:<16} {}", expr.to_string(), exact_cost(&expr));
+    }
+
+    println!("\n== Where a token counts: v(140 <= i <= 3155) on a taxi ID ==\n");
+    let trip_time = NumberBounds::int_range(140, 3155);
+    let record = br#"{"medallion":"96F7E95C","trip_time_in_secs":120}"#;
+    println!("  record: {}", String::from_utf8_lossy(record));
+    for technique in [NumberTechnique::Token, NumberTechnique::Anchored] {
+        let mut v = NumberMatcher::new(trip_time.clone(), technique);
+        let verdict = if v.fired_in_record(record) {
+            "fires (\"7E95\" under the exponent clause)"
+        } else {
+            "does not fire: \"7E95\" sits between 'F' and 'C'"
+        };
+        println!("  {technique:?}: {verdict}");
+    }
     Ok(())
 }

@@ -3,11 +3,13 @@
 //! same record decisions as the software evaluator — and the LUT-mapped
 //! form of every netlist must be functionally equivalent to the netlist.
 
+mod zoo;
+
 use proptest::prelude::*;
 use rfjson_core::cosim::CosimBackend;
 use rfjson_core::elaborate::elaborate_filter;
 use rfjson_core::evaluator::CompiledFilter;
-use rfjson_core::expr::{Expr, StructScope};
+use rfjson_core::expr::{Expr, NumberTechnique, StructScope};
 use rfjson_core::FilterBackend;
 use rfjson_riotbench::{smartcity, taxi, twitter};
 use rfjson_techmap::aig::Aig;
@@ -81,7 +83,45 @@ fn expression_zoo() -> Vec<Expr> {
             ]),
             Expr::int_range(0, 5153),
         ]),
+        // The paper's number technique (the ranges above are anchored).
+        Expr::int_range(12, 49).with_number_technique(NumberTechnique::Token),
+        Expr::context([
+            Expr::substring(b"temperature", 1).unwrap(),
+            Expr::float_range("0.7", "35.1")
+                .unwrap()
+                .with_number_technique(NumberTechnique::Token),
+        ]),
     ]
+}
+
+#[test]
+fn cosim_anchoring_zoo() {
+    // The records where anchoring decides, each record on its own and
+    // all of them through one live netlist that only the `\n` resets:
+    // the anchoring registers must restart at every separator.
+    let records = zoo::anchoring_records();
+    let records: Vec<&[u8]> = records.iter().map(Vec::as_slice).collect();
+    for expr in zoo::anchoring_exprs()
+        .into_iter()
+        .chain(expression_zoo())
+        .chain([Expr::int_range(140, 3155)])
+    {
+        assert_cosim_on(&expr, &records);
+        let mut hw = CosimBackend::compile(&expr);
+        let mut sw = CompiledFilter::compile(&expr);
+        hw.reset();
+        for record in &records {
+            for &b in *record {
+                hw.on_byte(b);
+            }
+            let decision = hw.on_byte(b'\n');
+            assert_eq!(
+                decision,
+                sw.accepts_record(record),
+                "expr `{expr}` on {record:?}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -13,7 +13,9 @@ use rfjson_core::expr::{Expr, StructScope};
 use rfjson_core::FilterBackend;
 use rfjson_riotbench::{smartcity, taxi, twitter};
 use std::sync::{Mutex, MutexGuard, PoisonError};
-use zoo::{adversarial_records, expression_zoo, wide_program_records, wide_programs};
+use zoo::{
+    adversarial_records, anchoring_records, expression_zoo, wide_program_records, wide_programs,
+};
 
 /// Telemetry counters are process-global: the tests that flush them run
 /// one at a time.
@@ -226,6 +228,19 @@ fn engine_equals_model_on_generated_corpora() {
 #[test]
 fn engine_equals_model_on_adversarial_inputs() {
     let records = adversarial_records();
+    for expr in expression_zoo() {
+        let mut pair = Pair::new(&expr);
+        for record in &records {
+            pair.assert_both(record);
+        }
+    }
+}
+
+#[test]
+fn anchoring_zoo_equals_the_model_at_every_seam() {
+    // Every cut pair of each record where anchoring decides: the two
+    // anchoring bits cross every kernel/byte-loop seam and word offset.
+    let records = anchoring_records();
     for expr in expression_zoo() {
         let mut pair = Pair::new(&expr);
         for record in &records {

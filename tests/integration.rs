@@ -6,7 +6,7 @@ use rfjson_core::arch::RawFilterSystem;
 use rfjson_core::cost::{exact_cost, option_cost};
 use rfjson_core::design::{explore, pareto, ExploreOptions};
 use rfjson_core::eval::{measure, positional_fpr};
-use rfjson_core::expr::{Expr, StringTechnique};
+use rfjson_core::expr::{Expr, NumberTechnique, StringTechnique};
 use rfjson_core::primitive::SubstringMatcher;
 use rfjson_core::query::query_to_exprs;
 use rfjson_core::{CompiledFilter, FilterBackend};
@@ -72,6 +72,7 @@ fn design_space_contains_paper_configurations() {
     let q = Query::qs1();
     let opts = ExploreOptions {
         techniques: vec![StringTechnique::Substring(1)],
+        number: NumberTechnique::Token,
         include_string_only: true,
         include_plain_pairs: true,
         max_records: 300,

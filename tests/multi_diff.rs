@@ -508,6 +508,29 @@ fn wide_programs_agree_as_a_batch_at_every_shard_count() {
     assert_streamwise(&batch, &stream, limits);
 }
 
+/// Both number techniques and their mixes, as one batch, over the
+/// records where anchoring decides, at every shard count: one group pools
+/// a token and an anchored automaton over the same bounds.
+#[test]
+fn anchoring_zoo_agrees_as_a_batch_at_every_shard_count() {
+    let mut records = zoo::anchoring_records();
+    records.extend(taxi::generate(96, 4).records().iter().cloned());
+    let mut batch = zoo::anchoring_exprs();
+    batch.extend([
+        Expr::int_range(12, 49),
+        query_to_exprs(&Query::qt(), 2).unwrap(),
+    ]);
+    for pad in 0..8 {
+        let mut padded = vec![b' '; pad];
+        padded.extend(stream_of(&records));
+        assert_streamwise(&batch, &padded, IngestLimits::UNLIMITED);
+    }
+    for record in &records {
+        assert_bytewise(&batch, record);
+        assert_blockwise(&batch, record);
+    }
+}
+
 /// A member without a prefilter (an `Or` root, a pure number range) can
 /// match any record: such members are grouped together and always
 /// scanned, and the routed groups beside them still are routed.

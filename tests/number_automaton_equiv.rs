@@ -6,9 +6,18 @@
 //! between the two, and whether the units share one automaton or the row
 //! cap split them over several. The word walk reports only the token
 //! ends that fire something: a fire mask of zero leaves no trace.
+//!
+//! Both techniques: the paper's, which judges every token, and the
+//! anchored one, whose reference judges a token only where the byte
+//! before it (or the stream start) and the byte that ends it are anchor
+//! bytes — read off the stream by position, not carried as state.
+
+mod zoo;
 
 use proptest::prelude::*;
-use rfjson_core::numpool::{NumberAutomaton, WordTokens, COLUMNS, MAX_ROWS};
+use rfjson_core::numpool::{NumberAutomaton, TokenState, WordTokens, COLUMNS, MAX_ROWS};
+use rfjson_core::primitive::is_anchor_byte;
+use rfjson_core::NumberTechnique::{self, Anchored, Token};
 use rfjson_redfa::range::{is_number_byte, NumberKind};
 use rfjson_redfa::{Dfa, NumberBounds};
 
@@ -18,30 +27,38 @@ type TokenEnds = Vec<(usize, u64)>;
 
 /// The pool of `bounds` under a row cap: unit `i` fires bit `i` of a
 /// one-word latch, duplicates included.
-fn pool(bounds: &[NumberBounds], max_rows: usize) -> Vec<NumberAutomaton> {
+fn pool(
+    bounds: &[NumberBounds],
+    technique: NumberTechnique,
+    max_rows: usize,
+) -> Vec<NumberAutomaton> {
     let bits: Vec<u64> = (0..bounds.len()).map(|i| 1 << i).collect();
-    NumberAutomaton::pool(bounds.iter().zip(bits.chunks(1)), 1, max_rows)
+    let units = bounds.iter().zip(bits.chunks(1));
+    NumberAutomaton::pool(units.map(|(b, f)| (b, technique, f)), 1, max_rows)
 }
 
 /// The reference: every unit's own automaton, stepped over the token
-/// bytes and asked at the first byte after them.
-fn reference_ends(bounds: &[NumberBounds], stream: &[u8]) -> TokenEnds {
+/// bytes and asked at the first byte after them — anchored, only where
+/// the token sits between anchor bytes.
+fn reference_ends(bounds: &[NumberBounds], technique: NumberTechnique, stream: &[u8]) -> TokenEnds {
     let dfas: Vec<Dfa> = bounds.iter().map(NumberBounds::to_dfa).collect();
     let mut states: Vec<u16> = dfas.iter().map(Dfa::start).collect();
-    let mut in_token = false;
+    let mut start = None;
     let mut ends = Vec::new();
     for (pos, &byte) in stream.iter().enumerate() {
         if is_number_byte(byte) {
             for (d, s) in dfas.iter().zip(&mut states) {
                 *s = d.step(*s, byte);
             }
-            in_token = true;
-        } else if in_token {
+            start.get_or_insert(pos);
+        } else if let Some(from) = start.take() {
             let accepting = dfas.iter().zip(&states).enumerate();
             let mask = accepting.map(|(i, (d, &s))| u64::from(d.is_accept(s)) << i);
-            ends.push((pos, mask.sum()));
+            let anchored = (from == 0 || is_anchor_byte(stream[from - 1])) && is_anchor_byte(byte);
+            if technique == Token || anchored {
+                ends.push((pos, mask.sum()));
+            }
             states = dfas.iter().map(Dfa::start).collect();
-            in_token = false;
         }
     }
     ends
@@ -49,19 +66,19 @@ fn reference_ends(bounds: &[NumberBounds], stream: &[u8]) -> TokenEnds {
 
 /// The token ends of `stream` that fire something: what the word walk
 /// reports.
-fn firing_ends(bounds: &[NumberBounds], stream: &[u8]) -> TokenEnds {
-    let mut ends = reference_ends(bounds, stream);
+fn firing_ends(bounds: &[NumberBounds], technique: NumberTechnique, stream: &[u8]) -> TokenEnds {
+    let mut ends = reference_ends(bounds, technique, stream);
     ends.retain(|&(_, fired)| fired != 0);
     ends
 }
 
 /// The pool over `stream`, cut at `cuts` into pieces walked byte by byte
 /// and with [`NumberAutomaton::walk_word`] in turn — the walk the word
-/// kernel runs; rows and the in-token flag are all that crosses a seam.
+/// kernel runs; rows and the [`TokenState`] are all that crosses a seam.
 /// Reports the token ends that fire something.
 fn pooled_ends(pool: &[NumberAutomaton], stream: &[u8], cuts: &[usize]) -> TokenEnds {
     let mut rows = vec![0u16; pool.len()];
-    let mut in_token = false;
+    let mut state = TokenState::RESET;
     let mut ends = Vec::new();
     let mut bounds = vec![0];
     bounds.extend(cuts.iter().map(|&c| c.min(stream.len())));
@@ -73,11 +90,18 @@ fn pooled_ends(pool: &[NumberAutomaton], stream: &[u8], cuts: &[usize]) -> Token
         for w in 0..words {
             let base = from + w * 8;
             let bytes: &[u8; 8] = stream[base..base + 8].try_into().unwrap();
-            let tokens = WordTokens::new(u64::from_le_bytes(*bytes), in_token);
+            let mask = |class: fn(u8) -> bool| {
+                let bits = bytes.iter().enumerate();
+                bits.fold(0u8, |m, (j, &b)| m | u8::from(class(b)) << j)
+            };
+            let tokens = WordTokens::new(mask(is_number_byte), state.in_token);
+            let anchors = mask(is_anchor_byte);
+            let kept = tokens.anchored(anchors, state);
             let mut fire = [0u64; 8];
             let mut fired = 0u8;
             for (a, row) in pool.iter().zip(&mut rows) {
-                fired |= a.walk_word(row, bytes, tokens, &mut fire);
+                let t = if a.technique() == Token { tokens } else { kept };
+                fired |= a.walk_word(row, bytes, t, &mut fire);
             }
             for (j, &f) in fire.iter().enumerate() {
                 assert_eq!(fired >> j & 1 != 0, f != 0, "fired bit {j} at {base}");
@@ -85,20 +109,34 @@ fn pooled_ends(pool: &[NumberAutomaton], stream: &[u8], cuts: &[usize]) -> Token
                     ends.push((base + j, f));
                 }
             }
-            in_token = tokens.open_at_end();
+            state = TokenState {
+                in_token: tokens.open_at_end(),
+                anchored: kept.open_at_end(),
+                after_anchor: anchors >> 7 != 0,
+            };
         }
         for (pos, &byte) in stream.iter().enumerate().take(to).skip(from + words * 8) {
-            if !is_number_byte(byte) && in_token {
-                let masks = pool.iter().zip(&rows).map(|(a, &row)| a.fire(row)[0]);
-                let fired = masks.fold(0, |all, f| all | f);
+            let (number, anchor) = (is_number_byte(byte), is_anchor_byte(byte));
+            if number && !state.in_token {
+                state.anchored = state.after_anchor;
+            }
+            if !number && state.in_token {
+                let judged =
+                    |a: &NumberAutomaton| a.technique() == Token || state.anchored && anchor;
+                let masks = pool.iter().zip(&rows).filter(|(a, _)| judged(a));
+                let fired = masks.fold(0, |all, (a, &row)| all | a.fire(row)[0]);
                 if fired != 0 {
                     ends.push((pos, fired));
                 }
             }
-            in_token = is_number_byte(byte);
+            // An anchored automaton walks anchored tokens only.
             for (a, row) in pool.iter().zip(&mut rows) {
-                *row = a.step(*row, byte);
+                if !number || a.technique() == Token || state.anchored {
+                    *row = a.step(*row, byte);
+                }
             }
+            state.in_token = number;
+            state.after_anchor = anchor;
         }
     }
     ends
@@ -122,7 +160,8 @@ fn seventy_unit_ranges_pool_into_fewer_rows_than_states() {
     for i in 0..bounds.len() {
         fires[2 * i + i / 64] = 1 << (i % 64);
     }
-    let pool = NumberAutomaton::pool(bounds.iter().zip(fires.chunks(2)), 2, MAX_ROWS);
+    let units = bounds.iter().zip(fires.chunks(2));
+    let pool = NumberAutomaton::pool(units.map(|(b, f)| (b, Token, f)), 2, MAX_ROWS);
     assert_eq!(pool.len(), 1);
     let rows = pool[0].view().next.len() / COLUMNS;
     let states: usize = bounds.iter().map(|b| b.to_dfa().num_states()).sum();
@@ -140,11 +179,11 @@ fn token_ends_are_found_at_every_word_offset() {
         NumberBounds::int_range(12, 49),
         float_bounds(70, 3440), // 0.70 ..= 35.10
     ];
-    let pool = pool(&bounds, MAX_ROWS);
+    let pool = pool(&bounds, Token, MAX_ROWS);
     // A token over a word seam, one ending on a word's last byte, one at
     // its first, sign- and exponent-only tokens, an unterminated tail.
     let stream = b"xxxxxx21.4,xxx35,12345678,e,-,+.,1e5 E 3";
-    let want = reference_ends(&bounds, stream);
+    let want = reference_ends(&bounds, Token, stream);
     assert_eq!(
         want,
         [
@@ -158,13 +197,89 @@ fn token_ends_are_found_at_every_word_offset() {
             (38, 0),
         ]
     );
-    let firing = firing_ends(&bounds, stream);
+    let firing = firing_ends(&bounds, Token, stream);
     for offset in 0..8 {
         assert_eq!(
             pooled_ends(&pool, stream, &[offset]),
             firing,
             "offset {offset}"
         );
+    }
+}
+
+#[test]
+fn anchored_tokens_are_found_at_every_word_offset() {
+    let bounds = [NumberBounds::int_range(12, 49), float_bounds(70, 3440)];
+    let anchored = pool(&bounds, Anchored, MAX_ROWS);
+    // Unanchored starts (after `x`, `F`, `k`) and ends (on `x`, `C`, `e`
+    // of a key) beside anchored tokens after `:`, `[`, `"`, space, tab,
+    // a record-start token, and a token run over the seams.
+    let stream = b"21,x21 [35]\"96F7E95C\" k12:{\"v\":\" 35 \"},\t13x,12345678,e14 22\t1e5";
+    let want = firing_ends(&bounds, Anchored, stream);
+    assert_eq!(
+        want.iter().map(|&(pos, _)| pos).collect::<Vec<_>>(),
+        [2, 10, 35, 59],
+        "{want:?}"
+    );
+    // Both techniques side by side, bits 0–1 token and 2–3 anchored: each
+    // keeps its own ends.
+    let units = [
+        (&bounds[0], Token, &[0b0001][..]),
+        (&bounds[1], Token, &[0b0010]),
+    ];
+    let anchored_units = [
+        (&bounds[0], Anchored, &[0b0100][..]),
+        (&bounds[1], Anchored, &[0b1000]),
+    ];
+    let mixed = NumberAutomaton::pool(units.into_iter().chain(anchored_units), 1, MAX_ROWS);
+    assert_eq!(mixed.len(), 2);
+    let mut merged = firing_ends(&bounds, Token, stream);
+    for &(pos, f) in &want {
+        let end = merged
+            .iter_mut()
+            .find(|(p, _)| *p == pos)
+            .expect("a token end too");
+        end.1 |= f << 2;
+    }
+    for offset in 0..stream.len() {
+        assert_eq!(
+            pooled_ends(&anchored, stream, &[offset]),
+            want,
+            "offset {offset}"
+        );
+        for shift in 0..8 {
+            let cuts = [shift, shift + 8 + offset % 8, offset];
+            assert_eq!(pooled_ends(&anchored, stream, &cuts), want, "cuts {cuts:?}");
+        }
+        assert_eq!(
+            pooled_ends(&mixed, stream, &[offset]),
+            merged,
+            "offset {offset}"
+        );
+    }
+}
+
+#[test]
+fn the_anchoring_zoo_walks_alike_at_every_seam() {
+    // The zoo's records where anchoring decides, one stream, under both
+    // techniques and both together, cut at every position.
+    let bounds = [
+        NumberBounds::int_range(12, 49),
+        NumberBounds::int_range(140, 3155),
+        float_bounds(-1250, 5560), // -12.50 ..= 43.10
+    ];
+    let stream = zoo::anchoring_records().join(&b'\n');
+    for technique in [Token, Anchored] {
+        let want = firing_ends(&bounds, technique, &stream);
+        assert!(!want.is_empty());
+        let pool = pool(&bounds, technique, MAX_ROWS);
+        for cut in 0..stream.len() {
+            assert_eq!(
+                pooled_ends(&pool, &stream, &[cut, cut + 13]),
+                want,
+                "{technique:?} cut {cut}"
+            );
+        }
     }
 }
 
@@ -187,7 +302,8 @@ proptest! {
             2 => Just(b'.'), 1 => Just(b'-'), 1 => Just(b'+'),
             1 => Just(b'e'), 1 => Just(b'E'),
             3 => Just(b','), 1 => Just(b' '), 1 => Just(b'"'), 1 => Just(b'}'),
-            1 => Just(b'x'), 1 => Just(0xffu8),
+            1 => Just(b':'), 1 => Just(b'['), 1 => Just(b'\t'),
+            1 => Just(b'x'), 1 => Just(b'F'), 1 => Just(0xffu8),
         ], 0..200),
         cuts in proptest::collection::vec(0usize..200, 0..6),
     ) {
@@ -200,19 +316,21 @@ proptest! {
             })
             .collect();
         bounds.push(bounds[duplicate % bounds.len()].clone());
-        let want = firing_ends(&bounds, &soup);
+        for technique in [Token, Anchored] {
+            let want = firing_ends(&bounds, technique, &soup);
 
-        let one = pool(&bounds, MAX_ROWS);
-        prop_assert_eq!(&pooled_ends(&one, &soup, &cuts), &want);
-        prop_assert_eq!(&pooled_ends(&one, &soup, &[]), &want);
+            let one = pool(&bounds, technique, MAX_ROWS);
+            prop_assert_eq!(&pooled_ends(&one, &soup, &cuts), &want);
+            prop_assert_eq!(&pooled_ends(&one, &soup, &[]), &want);
 
-        let split = pool(&bounds, 5);
-        prop_assert_eq!(split.len(), bounds.len(), "a unit alone has more rows than the cap");
-        prop_assert_eq!(&pooled_ends(&split, &soup, &cuts), &want);
+            let split = pool(&bounds, technique, 5);
+            prop_assert_eq!(split.len(), bounds.len(), "a unit alone has more rows than the cap");
+            prop_assert_eq!(&pooled_ends(&split, &soup, &cuts), &want);
 
-        let halves = pool(&bounds, 40);
-        let pooled: usize = halves.iter().map(|a| a.view().units.len()).sum();
-        prop_assert_eq!(pooled, bounds.len());
-        prop_assert_eq!(&pooled_ends(&halves, &soup, &cuts), &want);
+            let halves = pool(&bounds, technique, 40);
+            let pooled: usize = halves.iter().map(|a| a.view().units.len()).sum();
+            prop_assert_eq!(pooled, bounds.len());
+            prop_assert_eq!(&pooled_ends(&halves, &soup, &cuts), &want);
+        }
     }
 }

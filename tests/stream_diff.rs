@@ -22,7 +22,9 @@ use rfjson_core::{
 };
 use rfjson_riotbench::{smartcity, taxi, twitter};
 use std::sync::{Mutex, MutexGuard, PoisonError};
-use zoo::{adversarial_records, expression_zoo, wide_program_records, wide_programs};
+use zoo::{
+    adversarial_records, anchoring_records, expression_zoo, wide_program_records, wide_programs,
+};
 
 /// Telemetry counters are process-global: every test measures its calls
 /// alone.
@@ -53,7 +55,7 @@ fn needles(expr: &Expr, out: &mut Vec<u8>) {
             out.extend_from_slice(&spec.needle);
             out.push(b' ');
         }
-        Expr::Num(_) => {}
+        Expr::Num(..) => {}
         Expr::And(cs) | Expr::Or(cs) | Expr::Ctx(cs, _) => cs.iter().for_each(|c| needles(c, out)),
     }
 }
@@ -173,8 +175,10 @@ fn stream_path_equals_the_oracle_at_every_word_offset() {
         taxi::generate(92, 8),
         twitter::generate(93, 5),
     ];
+    let anchoring = anchoring_records();
     let mut records: Vec<&[u8]> = adversarial_records();
     records.extend(boundary_records());
+    records.extend(anchoring.iter().map(Vec::as_slice));
     for ds in &generated {
         records.extend(ds.records().iter().map(Vec::as_slice));
     }

@@ -1,11 +1,11 @@
 //! The expression zoo and adversarial records shared by the engine's
 //! differential suites (`engine_diff.rs`: the record path; `stream_diff.rs`:
 //! the stream path; `multi_diff.rs`: batches; `telemetry_invariants.rs`:
-//! the kernel's byte law).
+//! the kernel's byte law; `cosim.rs`: the netlists).
 
 #![allow(dead_code)] // each suite uses its own part of the zoo
 
-use rfjson_core::expr::{Expr, StructScope};
+use rfjson_core::expr::{Expr, NumberTechnique, StructScope};
 use rfjson_core::query::query_to_exprs;
 use rfjson_riotbench::{taxi, Query};
 
@@ -76,6 +76,73 @@ pub fn expression_zoo() -> Vec<Expr> {
         // Multi-word latch bitsets: byte-serial, same number automaton.
         many_ranges(),
     ]
+    .into_iter()
+    .chain(anchoring_exprs())
+    .collect()
+}
+
+/// The paper's token technique beside the anchored one that
+/// `Expr::int_range` and `query_to_exprs` build: alone, in contexts, as
+/// a whole query, and both techniques over the same bounds in one
+/// program (two automata, one per technique).
+pub fn anchoring_exprs() -> Vec<Expr> {
+    let token = |e: Expr| e.with_number_technique(NumberTechnique::Token);
+    vec![
+        token(Expr::int_range(12, 49)),
+        token(Expr::float_range("-12.5", "43.1").unwrap()),
+        token(query_to_exprs(&Query::qt(), 2).unwrap()),
+        Expr::and([
+            Expr::context([
+                Expr::substring(b"v", 1).unwrap(),
+                token(Expr::int_range(12, 49)),
+            ]),
+            Expr::or([Expr::int_range(12, 49), Expr::int_range(140, 3155)]),
+        ]),
+        // A context-free anchored program: anchors without the string mask.
+        Expr::or([
+            Expr::int_range(140, 3155),
+            Expr::float_range("0.7", "35.1").unwrap(),
+        ]),
+    ]
+}
+
+/// Records where anchoring decides, for ranges like `12 ≤ i ≤ 49` and
+/// `140 ≤ i ≤ 3155`: numbers at the record's start and end and a record
+/// that is one bare number; after `[`, after whitespace and inside padded
+/// quotes; a hex ID; key names with `e`; unanchored ends; and a token
+/// whose unanchored start sits at every word offset — `x121` (its `21`
+/// in range if the clear stopped at the start byte) before an anchored
+/// `,21` that the walk must still find.
+pub fn anchoring_records() -> Vec<Vec<u8>> {
+    let mut records: Vec<Vec<u8>> = [
+        &b"21"[..],
+        b"21 ",
+        b" 21",
+        b"[21,-3.5e1, 40]",
+        br#"{"v":[ 21 ,13]}"#,
+        br#"{"v": 21}"#,
+        b"{\"v\":\"\t21 \"}",
+        b"{\"v\":\" 700\r\"}",
+        br#"{"medallion":"96F7E95C"}"#,
+        br#"{"medallion":"96F7E95C","trip_time_in_secs":99}"#,
+        br#"{"e12e":"x","temp13e":5e,"e":"e"}"#,
+        br#"{"v":21kg}"#,
+        br#"{"v":"21kg"}"#,
+        b"21x",
+        br#"{"pickup_datetime":"2013-01-01 15:11:48","tolls_amount":"x5.0"}"#,
+    ]
+    .iter()
+    .map(|r| r.to_vec())
+    .collect();
+    for offset in 0..8 {
+        let mut record = vec![b'a'; offset];
+        record.extend_from_slice(b"x121,21]");
+        records.push(record);
+        let mut record = vec![b'a'; offset];
+        record.extend_from_slice(b"x12121212121212,1200}");
+        records.push(record);
+    }
+    records
 }
 
 /// 70 unit ranges under one `Or`: 71 nodes.
