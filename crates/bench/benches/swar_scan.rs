@@ -1,10 +1,11 @@
 //! Criterion: the SWAR word-at-a-time kernels against their byte-serial
 //! counterparts — the newline hop, the per-word classifier + string-mask
 //! resolution, literal containment, the record-level literal prefilter,
-//! and the end-to-end engine block scan ([`Engine::on_block`]) versus the
-//! per-byte loop on the same stream — and the engine's stream path over
-//! Taxi records as its program widens (`engine_wide/N`: an `And` of `N`
-//! attribute pairs).
+//! and the engine end to end — its stream path, the word kernel over the
+//! whole buffer (the `…/block` rows), versus the byte-serial record
+//! driver (`…/byte`) on the same stream — and the engine's stream path
+//! over Taxi records as its program widens (`engine_wide/N`: an `And` of
+//! `N` attribute pairs).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rfjson_core::engine::Engine;
@@ -103,9 +104,10 @@ fn swar_scan(c: &mut Criterion) {
     }
 
     // End-to-end: the same compiled program through the byte-serial
-    // reference driver vs the record-at-a-time block driver — with b=1
-    // (byte hit table) and b=2 (pooled block-hit automaton) substring
-    // units, which the block path steps at the same cost.
+    // record driver vs the stream path, `filter_stream_verdicts_into`
+    // (the word kernel over the whole buffer) — with b=1 (byte hit
+    // table) and b=2 (pooled block-hit automaton) substring units, which
+    // the kernel steps at the same cost.
     for (b, name) in [(1, "engine_qs0"), (2, "engine_qs0_b2")] {
         let expr = query_to_exprs(&Query::qs0(), b).unwrap();
         let mut engine = Engine::compile(&expr);

@@ -14,8 +14,8 @@
 //! NDJSON framing rules come from **one** state machine
 //! ([`Framer`], whose limit and verdict types are re-exported here).
 //! Every backend is also a [`Lane`] of one column, the view it shares
-//! with a batch of queries: the record driver below and its byte-serial
-//! oracle are one body written over that trait. The table-driven
+//! with a batch of queries: the record driver below, the byte-serial
+//! oracle, is written once over that trait. The table-driven
 //! [`Engine`](crate::engine::Engine) and
 //! [`MultiEngine`](crate::multi::MultiEngine) run their own stream path,
 //! the word kernel, for every program instead.
@@ -159,28 +159,12 @@ pub trait FilterBackend {
     /// signal.
     fn on_byte(&mut self, byte: u8) -> bool;
 
-    /// Advances a whole slice of record content at once; returns the
-    /// latched record-accept signal after the last byte (`false` for an
-    /// empty block — what a loop that never ran would leave behind).
-    ///
-    /// The default implementation is the plain byte loop, so every
-    /// backend gets the block API for free; backends with a faster bulk
-    /// path (the SWAR word kernel of the engine) override it. Decisions
-    /// must be identical to the byte loop — the differential suites
-    /// drive every backend through [`run_verdict_driver_blocks`], which
-    /// routes whole records through this method. (The engine's own
-    /// stream path does not call it: it runs the same kernel over the
-    /// whole buffer, the record separator included, see
-    /// [`filter_stream_verdicts_into`](FilterBackend::filter_stream_verdicts_into).)
-    ///
-    /// **Precondition.** If the first call after
-    /// [`reset`](FilterBackend::reset) is `on_block`, that block must
-    /// carry the record from its first to its last content byte: an
-    /// implementation may judge it as a whole record (the engine's
-    /// literal prefilter does) and answer `false` for a prefix whose
-    /// match would complete in a later block. Once an
-    /// [`on_byte`](FilterBackend::on_byte) of the record came first,
-    /// blocks may cut it anywhere.
+    /// Advances a slice of record content, cut anywhere, one byte at a
+    /// time; returns the latched record-accept signal after the last byte
+    /// (`false` for an empty block — what a loop that never ran would
+    /// leave behind). A fast bulk path belongs on the stream path
+    /// ([`filter_stream_verdicts_into`](FilterBackend::filter_stream_verdicts_into)),
+    /// not here.
     fn on_block(&mut self, block: &[u8]) -> bool {
         let mut accept = false;
         for &b in block {
@@ -262,7 +246,7 @@ pub trait FilterBackend {
     /// byte-identical to [`filter_stream_into`](FilterBackend::filter_stream_into)
     /// decisions; under limits, the non-skipped verdicts still are.
     ///
-    /// The default is the record driver, [`run_verdict_driver_blocks`].
+    /// The default is the record driver, [`run_verdict_driver`].
     /// [`Engine`](crate::engine::Engine) overrides it with its stream
     /// path — the word kernel over the buffer, the separator as a kernel
     /// event, a live literal prefilter gating records in front of it.
@@ -272,7 +256,7 @@ pub trait FilterBackend {
         limits: IngestLimits,
         out: &mut Vec<Verdict>,
     ) {
-        run_verdict_driver_blocks(self, stream, limits, out);
+        run_verdict_driver(self, stream, limits, out);
     }
 
     /// Quarantine-aware stream filtering, returning one [`Verdict`] per
@@ -294,11 +278,11 @@ pub trait FilterBackend {
 /// [`MultiLanes`](crate::multi::MultiLanes) write one
 /// [`BatchVerdicts`](crate::multi::BatchVerdicts) row per record.
 ///
-/// The record drivers ([`run_verdict_driver_blocks`] and the byte-serial
-/// [`run_verdict_driver`]) and the sharded runner of `rfjson-runtime` are
-/// written once over this trait. No method shares a name with one of
-/// [`FilterBackend`] or [`MultiBackend`](crate::multi::MultiBackend), so
-/// all three traits can be in scope together.
+/// The byte-serial record driver [`run_verdict_driver`] and the sharded
+/// runner of `rfjson-runtime` are written once over this trait. No
+/// method shares a name with one of [`FilterBackend`] or
+/// [`MultiBackend`](crate::multi::MultiBackend), so all three traits can
+/// be in scope together.
 pub trait Lane {
     /// What the lane is compiled from: an [`Expr`], or a batch `[Expr]`.
     type Source: ?Sized + ToOwned<Owned: Clone + fmt::Debug>;
@@ -340,11 +324,6 @@ pub trait Lane {
     /// single query (a batch returns `false` and reads its accepts back in
     /// [`end_record`](Lane::end_record)).
     fn feed_byte(&mut self, byte: u8) -> bool;
-
-    /// Feeds a record's content in one call, under the precondition of
-    /// [`FilterBackend::on_block`]; returns as
-    /// [`feed_byte`](Lane::feed_byte) does for the last byte.
-    fn feed_block(&mut self, block: &[u8]) -> bool;
 
     /// Ends a scored record and appends its verdict to `out`: the accepts
     /// latched after the `\n` separator if `terminated`, else those after
@@ -447,11 +426,6 @@ impl<B: FilterBackend + ?Sized> Lane for B {
     }
 
     #[inline]
-    fn feed_block(&mut self, block: &[u8]) -> bool {
-        self.on_block(block)
-    }
-
-    #[inline]
     fn end_record(&mut self, terminated: bool, last: bool, out: &mut Vec<Verdict>) {
         out.push(Verdict::from_decision(if terminated {
             self.on_byte(b'\n')
@@ -465,68 +439,32 @@ impl<B: FilterBackend + ?Sized> Lane for B {
     }
 }
 
-/// The byte-serial oracle of the record driver: every content byte of a
-/// scored record reaches the lane through its own [`Lane::feed_byte`].
-/// The provided batch methods default to [`run_verdict_driver_blocks`],
-/// which differs only in handing the line over in one
-/// [`Lane::feed_block`]; this form remains public as the reference the
-/// differential suites hold the block paths to, and for wrappers that
-/// need per-byte interception (e.g. fault-injection harnesses).
+/// The record driver behind the provided batch methods, and the
+/// byte-serial oracle the stream paths are held to: frames `stream` with
+/// [`Framer`] and, for each scored record, feeds every byte of the line —
+/// framing CR included — through its own [`Lane::feed_byte`], then the
+/// `\n` separator the hardware would see (for the trailing record, the
+/// synthetic one that closes it). Blank lines feed nothing and reset
+/// nothing: the lane is already at its reset state. Quarantined records
+/// feed nothing either; their verdict does not depend on the filter.
+///
+/// The model and cosim backends and the
+/// [`MultiLanes`](crate::multi::MultiLanes) reference batch run it for
+/// every stream; [`Engine`](crate::engine::Engine) and
+/// [`MultiEngine`](crate::multi::MultiEngine) never do — their stream
+/// path runs every program — but it drives them as well as any backend,
+/// and it is public for wrappers that need per-byte interception (e.g.
+/// fault-injection harnesses).
+///
+/// A non-trailing record's decision is the separator's latched accepts
+/// alone, read after the `\n`; the trailing record ORs the last content
+/// byte's latched accepts (which [`Lane::feed_byte`] returns, or a batch
+/// reads back) with the synthetic separator's.
 pub fn run_verdict_driver<L: Lane + ?Sized>(
     lane: &mut L,
     stream: &[u8],
     limits: IngestLimits,
     out: &mut L::Verdicts,
-) {
-    drive(lane, stream, limits, out, |lane, line| {
-        let mut last = false;
-        for &b in line {
-            last = lane.feed_byte(b);
-        }
-        last
-    });
-}
-
-/// Record-at-a-time driver behind the provided batch methods: hands each
-/// record's content to [`Lane::feed_block`] in one call.
-///
-/// The model and cosim backends and the [`MultiLanes`](crate::multi::MultiLanes)
-/// reference batch run it for every stream; [`Engine`](crate::engine::Engine)
-/// and [`MultiEngine`](crate::multi::MultiEngine) never do — their stream
-/// path runs every program — but it drives them as well as any backend.
-///
-/// It shares its body, and so its framing, with the byte-serial
-/// [`run_verdict_driver`]; the two agree on every verdict because
-/// [`FilterBackend::on_block`] equals the byte loop over the same line:
-///
-/// * a **non-trailing** record's decision is the separator's latched
-///   accepts alone, read after the `\n`, so skipping the per-content-byte
-///   returns changes nothing;
-/// * the **trailing** record ORs the last content byte's latched accepts
-///   (which [`Lane::feed_block`] returns, or a batch reads back) with the
-///   synthetic separator's.
-pub fn run_verdict_driver_blocks<L: Lane + ?Sized>(
-    lane: &mut L,
-    stream: &[u8],
-    limits: IngestLimits,
-    out: &mut L::Verdicts,
-) {
-    drive(lane, stream, limits, out, L::feed_block);
-}
-
-/// The one record driver body: frames `stream` with [`Framer`] and, for
-/// each scored record, feeds the whole line — framing CR included — with
-/// `feed`, then the `\n` separator the hardware would see (for the
-/// trailing record, the synthetic one that closes it). Blank lines feed
-/// nothing and reset nothing: the lane is already at its reset state.
-/// Quarantined records feed nothing either; their verdict does not
-/// depend on the filter.
-fn drive<L: Lane + ?Sized>(
-    lane: &mut L,
-    stream: &[u8],
-    limits: IngestLimits,
-    out: &mut L::Verdicts,
-    mut feed: impl FnMut(&mut L, &[u8]) -> bool,
 ) {
     lane.start_record();
     let mut scored = 0;
@@ -534,7 +472,10 @@ fn drive<L: Lane + ?Sized>(
     framer.records(stream, |span, terminated, end| match end.skip {
         Some(reason) => out.push_skipped(reason),
         None => {
-            let last = feed(lane, &stream[span]);
+            let mut last = false;
+            for &b in &stream[span] {
+                last = lane.feed_byte(b);
+            }
             lane.end_record(terminated, last, out);
             lane.start_record();
             scored += 1;

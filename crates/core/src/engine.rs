@@ -53,10 +53,9 @@
 //!
 //! # The word kernel
 //!
-//! Every program runs eight bytes at a time — per record in
-//! [`Engine::on_block`], and over whole streams on the stream path, the
-//! one datapath of [`Engine`] and
-//! [`MultiEngine`](crate::multi::MultiEngine) streams — in three passes
+//! Every program runs eight bytes at a time over whole streams on the
+//! stream path, the one datapath of [`Engine`] and
+//! [`MultiEngine`](crate::multi::MultiEngine) streams, in three passes
 //! per word that share nothing but the word and an array of fire masks
 //! by byte position. A wider program costs more lanes, never another
 //! path: the kernel is one body over the latch width ([`Latch`]),
@@ -87,15 +86,12 @@
 //! fires leaves the latches and flag levels the byte loop leaves after
 //! one run per fire; on a byte with no fire and no pending context the
 //! byte loop's program is the identity. So both paths agree on every
-//! latch at every point; the byte-serial path stays as the oracle and
-//! carries tails and seams.
+//! latch at every point.
 //!
-//! The kernel comes in two forms, one loop generic over whether `\n`
-//! ends a record. [`Engine::on_block`] runs the form where it does not,
-//! over one record at a time. The engine's
+//! The engine's
 //! [`filter_stream_verdicts_into`](crate::backend::FilterBackend::filter_stream_verdicts_into)
-//! runs the other over the whole buffer, as the paper's lane never stops
-//! between records: every
+//! runs the kernel over the whole buffer, as the paper's lane never
+//! stops between records: every
 //! newline is an event, at which the kernel reads the verdict from the
 //! root bits after the separator's own fires, hands it to the framing
 //! rules ([`Framer::frame`]: blank lines, CR, ingest limits), and clears
@@ -108,9 +104,13 @@
 //! the call is framed, a rejected record is never scanned, and the
 //! kernel runs once per **run** of records between two rejected ones.
 //! A program with a unit that sees `\n` makes every record a run of its
-//! own. The record driver,
-//! [`run_verdict_driver_blocks`](crate::backend::run_verdict_driver_blocks),
-//! serves the other backends; an engine never takes it.
+//! own.
+//!
+//! The record-at-a-time API — [`Engine::on_byte`], [`Engine::reset`],
+//! the provided `on_block` and `accepts_record`, and the record driver
+//! [`run_verdict_driver`](crate::backend::run_verdict_driver) over them
+//! — is the byte-serial oracle the kernel is held to: it never runs the
+//! kernel and never asks the prefilter.
 
 use crate::backend::{IngestLimits, SkipReason, Verdict};
 use crate::blockhit::{self, fired_lanes, step_lanes, BlockAutomatonView, BlockUnits, LANES};
@@ -1043,7 +1043,6 @@ pub struct Engine {
     /// Telemetry accumulated in plain locals on the hot path and flushed
     /// to the global registry once per stream (`flush_telemetry`).
     stats: EngineStats,
-    phase: Phase,
     latch: Vec<u64>,
     prev: Vec<u64>,
     flag_level: Vec<u32>,
@@ -1061,19 +1060,6 @@ pub struct Engine {
     tracker: StreamTracker,
 }
 
-/// Where an engine stands in the current record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// No bytes fed since the last reset: the next `on_block` call sees a
-    /// whole record from the start, which is what the prefilter requires.
-    Fresh,
-    /// Bytes have been fed.
-    Scanning,
-    /// The prefilter turned the record away: no state has moved since the
-    /// last reset and none will until the next one.
-    Rejected,
-}
-
 /// Per-stream telemetry the engine accumulates in plain `u64` fields —
 /// no atomics, no registry lookups on the byte path. Drained once per
 /// stream: into the global `engine.*` counters by `flush_telemetry`, or
@@ -1081,17 +1067,15 @@ enum Phase {
 /// group this engine is.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct EngineStats {
-    /// Records entering `on_block` from a fresh reset, and records the
-    /// stream path scored.
+    /// Records the stream path scored.
     pub(crate) records: u64,
-    /// Bytes of the word kernel: the word-aligned portion of each block,
-    /// and on the stream path every stream byte of a line the prefilter
-    /// did not reject.
+    /// Bytes of the word kernel: every stream byte of a line the
+    /// prefilter did not reject.
     pub(crate) bytes_block: u64,
-    /// Bytes through the byte loop: `on_byte` calls and the sub-word tail
-    /// of each `on_block`, which is what the record driver feeds besides
-    /// whole words; the stream path feeds none. The separator closing a
-    /// trailing record is not a stream byte and not counted.
+    /// Bytes through the byte loop, one per `on_byte` call: what the
+    /// record-at-a-time API feeds; the stream path feeds none. The
+    /// separator closing a trailing record is not a stream byte and not
+    /// counted.
     pub(crate) bytes_byte_serial: u64,
     /// Bytes never scanned: the prefilter rejected the whole record
     /// (its separator included, when the stream has one).
@@ -1309,8 +1293,8 @@ impl Engine {
     }
 
     /// Compiles a group of validated expressions into one flat program —
-    /// see the [module docs](self#groups). [`Engine::on_byte`] and
-    /// [`Engine::on_block`] then answer "has any member accepted", and
+    /// see the [module docs](self#groups). [`Engine::on_byte`] then
+    /// answers "has any member accepted", and
     /// [`Engine::member_accepts`] tells them apart.
     pub(crate) fn compile_group(exprs: &[&Expr]) -> Engine {
         let num_nodes: usize = exprs.iter().map(|e| count_nodes(e)).sum();
@@ -1390,7 +1374,6 @@ impl Engine {
             prefilter,
             run: Run::default(),
             stats: EngineStats::default(),
-            phase: Phase::Fresh,
             latch: vec![0; words],
             prev: vec![0; words],
             flag_level: vec![0; b.next_ctx as usize],
@@ -1632,26 +1615,15 @@ impl Engine {
     /// Advances one cycle; returns the current (latched) record-accept
     /// signal. Bit-identical to
     /// [`CompiledFilter::on_byte`](crate::evaluator::CompiledFilter::on_byte).
-    ///
-    /// After the prefilter rejected the record ([`Engine::on_block`]) the
-    /// answer is `false` and no state moves until the next
-    /// [`Engine::reset`]: the root of a rejected record cannot latch, on
-    /// its separator or anywhere else.
     #[inline]
     pub fn on_byte(&mut self, byte: u8) -> bool {
-        if self.phase == Phase::Rejected {
-            self.stats.bytes_prefilter_skipped += 1;
-            return false;
-        }
         self.stats.bytes_byte_serial += 1;
         self.step_byte(byte)
     }
 
-    /// One byte-serial cycle of a record that is being scanned; the
-    /// caller counts the byte.
+    /// One byte-serial cycle; the caller counts the byte.
     #[inline]
     fn step_byte(&mut self, byte: u8) -> bool {
-        self.phase = Phase::Scanning;
         let mut depth = 0u32;
         let mut is_close = false;
         let mut is_comma = false;
@@ -1756,11 +1728,7 @@ impl Engine {
     }
 
     /// Record-boundary reset: latches, primitive state, structural state.
-    /// After a record the prefilter rejected there is nothing to undo.
     pub fn reset(&mut self) {
-        if std::mem::replace(&mut self.phase, Phase::Fresh) == Phase::Rejected {
-            return;
-        }
         self.latch.fill(0);
         self.flag_level.fill(0);
         self.sdfa_state.copy_from_slice(&self.sdfa_start);
@@ -1851,55 +1819,9 @@ impl Engine {
     /// stay enabled.
     pub const PREFILTER_PROBATION: u64 = 512;
 
-    /// Advances a whole slice of record content at once; returns the
-    /// latched record-accept signal after the last byte — exactly what a
-    /// byte loop over [`Engine::on_byte`] would return (and `false` for an
-    /// empty block, matching a loop that never ran).
-    ///
-    /// **Precondition.** The first `on_block` after [`Engine::reset`] (or
-    /// compile), when no `on_byte` came before it, must carry the record
-    /// from its first to its last content byte: the literal prefilter
-    /// judges that block as the whole record and may answer `false` for a
-    /// prefix whose needle would arrive in a later block. Once any byte
-    /// of the record has been fed, blocks may cut it anywhere.
-    ///
-    /// Two accelerations apply on top of the byte loop:
-    ///
-    /// * On that first whole-record block, the literal prefilter may
-    ///   prove `NoMatch` without scanning. A rejected record provably
-    ///   cannot latch a root, so the engine stays at its reset state and
-    ///   answers `false` to whatever else is fed — the separator — until
-    ///   the next [`Engine::reset`], which then has nothing to undo.
-    /// * The [word kernel](self#the-word-kernel) runs over the block's
-    ///   whole words, in the form where `\n` is a byte like any other;
-    ///   the sub-word tail goes through the byte loop.
-    pub fn on_block(&mut self, block: &[u8]) -> bool {
-        if self.phase == Phase::Fresh {
-            self.phase = Phase::Scanning;
-            self.stats.records += 1;
-            if self.prefilter_rejects(block) {
-                self.phase = Phase::Rejected;
-            }
-        }
-        if self.phase == Phase::Rejected {
-            self.stats.bytes_prefilter_skipped += block.len() as u64;
-            return false;
-        }
-        let whole = block.len() & !(swar::WORD_BYTES - 1);
-        if whole != 0 {
-            self.stats.bytes_block += whole as u64;
-            self.scan_words::<false>(&block[..whole], 0, |_, _| {});
-        }
-        self.stats.bytes_byte_serial += (block.len() - whole) as u64;
-        for &byte in &block[whole..] {
-            self.step_byte(byte);
-        }
-        self.accepts()
-    }
-
     /// The stream path behind the engine's
     /// [`filter_stream_verdicts_into`](crate::backend::FilterBackend::filter_stream_verdicts_into):
-    /// the word kernel in the form where `\n` ends a record. With the
+    /// the word kernel, `\n` an event that ends a record. With the
     /// prefilter off and a separator that resets every unit, one kernel
     /// call over the whole buffer frames every line as its separator
     /// arrives ([`Framer::frame`]). Otherwise the call is framed first and
@@ -2025,13 +1947,13 @@ impl Engine {
         });
     }
 
-    /// The records form of the kernel, from reset state, over the words
-    /// of `stream[start..]` up to the one that holds byte `end − 1`,
-    /// reporting each separator's position and the latch after it to
-    /// `end_record`. `end` may be `stream.len() + 1`: past the last whole
-    /// word, one word padded with separators stands in, whose first pad
-    /// closes a trailing record — the `\n` the hardware would see — and
-    /// whose other pads are not lines of the stream.
+    /// The kernel, from reset state, over the words of `stream[start..]`
+    /// up to the one that holds byte `end − 1`, reporting each
+    /// separator's position and the latch after it to `end_record`.
+    /// `end` may be `stream.len() + 1`: past the last whole word, one
+    /// word padded with separators stands in, whose first pad closes a
+    /// trailing record — the `\n` the hardware would see — and whose
+    /// other pads are not lines of the stream.
     fn scan_span(
         &mut self,
         stream: &[u8],
@@ -2044,12 +1966,12 @@ impl Engine {
         let whole = span.len() & !(swar::WORD_BYTES - 1);
         let last = (end - start).next_multiple_of(swar::WORD_BYTES).min(whole);
         if last > 0 {
-            self.scan_words::<true>(&span[..last], start, &mut end_record);
+            self.scan_words(&span[..last], start, &mut end_record);
         }
         if end - start > whole {
             let mut pad = [b'\n'; swar::WORD_BYTES];
             pad[..span.len() - whole].copy_from_slice(&span[whole..]);
-            self.scan_words::<true>(&pad, start + whole, &mut end_record);
+            self.scan_words(&pad, start + whole, &mut end_record);
         }
     }
 
@@ -2057,17 +1979,12 @@ impl Engine {
     /// `words`, instantiated for the program's width — the latch words
     /// and the banks of packed lanes — each a `u64` register where one
     /// word holds it, a vector of words past that.
-    fn scan_words<const RECORDS: bool>(
-        &mut self,
-        words: &[u8],
-        base: usize,
-        end_record: impl FnMut(usize, &[u64]),
-    ) {
+    fn scan_words(&mut self, words: &[u8], base: usize, end_record: impl FnMut(usize, &[u64])) {
         let one_bank = self.sub1_counters.len() <= 1 && self.subn.one_bank();
         match (self.words == 1, one_bank) {
-            (true, true) => self.kernel::<RECORDS, u64, u64>(words, base, end_record),
-            (true, false) => self.kernel::<RECORDS, u64, Vec<u64>>(words, base, end_record),
-            (false, _) => self.kernel::<RECORDS, Vec<u64>, Vec<u64>>(words, base, end_record),
+            (true, true) => self.kernel::<u64, u64>(words, base, end_record),
+            (true, false) => self.kernel::<u64, Vec<u64>>(words, base, end_record),
+            (false, _) => self.kernel::<Vec<u64>, Vec<u64>>(words, base, end_record),
         }
     }
 
@@ -2106,22 +2023,21 @@ impl Engine {
     ///   closure and latches, flag levels, depth and every decision equal
     ///   the byte loop's.
     ///
-    /// With `RECORDS`, every `\n` is an event that ends a record: after
-    /// the program ran on the separator's own fires, `end_record(base +
-    /// position, latch)` takes the latch, whose root bits are the
-    /// verdict, and the latches, flag levels, depth and — if the separator
-    /// sat inside a string — the string state are cleared. The unit lanes
-    /// are back at their reset state by themselves where
-    /// [`Engine::separator_resets_units`] holds; where it does not, a run
-    /// holds one record.
+    /// Every `\n` is an event that ends a record: after the program ran
+    /// on the separator's own fires, `end_record(base + position, latch)`
+    /// takes the latch, whose root bits are the verdict, and the latches,
+    /// flag levels, depth and — if the separator sat inside a string —
+    /// the string state are cleared. The unit lanes are back at their
+    /// reset state by themselves where [`Engine::separator_resets_units`]
+    /// holds; where it does not, a run holds one record.
     ///
     /// `L` holds the latch, `C` the banks of the B = 1 lanes and of the
     /// first block-hit automaton (`u64` for one bank). The unit state
     /// lives where the byte loop keeps it — packed run counters, rows, DFA
     /// states; the latch and the lanes held in `L` and `C` are loaded on
-    /// entry and stored on exit — so interleaving kernel calls and
-    /// `on_byte` stays decision-identical to the pure byte loop.
-    fn kernel<const RECORDS: bool, L: Latch, C: Latch>(
+    /// entry and stored on exit — so the padded last word of a span
+    /// carries on where the span's whole words left off.
+    fn kernel<L: Latch, C: Latch>(
         &mut self,
         words: &[u8],
         base: usize,
@@ -2235,7 +2151,6 @@ impl Engine {
             } else {
                 0
             };
-            let newlines = if RECORDS { newlines } else { 0 };
             // Context-free programs read no structural byte.
             let structure = if has_ctx { u8::MAX } else { 0 };
             let marks = (opens | closes | (commas & comma_events)) & structure;
@@ -2271,7 +2186,7 @@ impl Engine {
                 if is_close {
                     depth = depth.saturating_sub(1);
                 }
-                if RECORDS && newlines & bit != 0 {
+                if newlines & bit != 0 {
                     end_record(base + w * swar::WORD_BYTES + j, l.words());
                     l.clear();
                     self.flag_level.fill(0);
@@ -2335,11 +2250,6 @@ impl crate::backend::FilterBackend for Engine {
         Engine::on_byte(self, byte)
     }
 
-    #[inline]
-    fn on_block(&mut self, block: &[u8]) -> bool {
-        Engine::on_block(self, block)
-    }
-
     fn reset(&mut self) {
         Engine::reset(self);
     }
@@ -2347,7 +2257,7 @@ impl crate::backend::FilterBackend for Engine {
     /// `on_byte(b'\n')` of a separator that is not a stream byte, so not
     /// counted.
     fn close_trailing_record(&mut self) -> bool {
-        self.phase != Phase::Rejected && self.step_byte(b'\n')
+        self.step_byte(b'\n')
     }
 
     /// The stream path: the [word kernel](self#the-word-kernel) over the
@@ -2518,8 +2428,39 @@ mod tests {
             .any(|f| matches!(f, ProgramFault::BadRoot { .. })));
     }
 
+    /// The stream path against the byte-serial model, record by record:
+    /// each record right after the one before it (the first after none),
+    /// behind 0–7 pad spaces so that it starts at every word offset, and
+    /// every odd pad without its separator, so the padded last word closes
+    /// it. Gated by the live prefilter (a fresh engine per record) and
+    /// with the prefilter off.
+    fn assert_stream_seams(expr: &Expr, records: &[&[u8]]) {
+        let fresh = Engine::compile(expr);
+        let mut ungated = fresh.clone();
+        if let Some(pf) = &mut ungated.prefilter {
+            pf.live = false;
+        }
+        let mut model = CompiledFilter::compile(expr);
+        let mut dirty: &[u8] = b"";
+        for &record in records {
+            let mut gated = fresh.clone();
+            for pad in 0..swar::WORD_BYTES {
+                let end: &[u8] = if pad.is_multiple_of(2) { b"\n" } else { b"" };
+                let stream = [&b"       "[..pad], dirty, b"\n", record, end].concat();
+                let limits = IngestLimits::UNLIMITED;
+                let mut want = Vec::new();
+                crate::backend::run_verdict_driver(&mut model, &stream, limits, &mut want);
+                for engine in [&mut gated, &mut ungated] {
+                    let got = engine.filter_stream_verdicts(&stream, limits);
+                    assert_eq!(got, want, "`{expr}` pad {pad} on {record:?}");
+                }
+            }
+            dirty = record;
+        }
+    }
+
     #[test]
-    fn block_scan_eligibility() {
+    fn stream_path_matches_the_byte_loop_on_every_lane_layout() {
         // Every program runs the word kernel, whatever its shape: past
         // one latch word, past a bank of lanes of either kind, with run
         // targets past the packed counters and with a block pool past the
@@ -2535,69 +2476,46 @@ mod tests {
         let long = [b'k'; 130];
         let needle: Vec<u8> = (0..400u32).map(|i| b'a' + (i * i % 23) as u8).collect();
         let leaves: Vec<Expr> = (0..70).map(|i| Expr::int_range(i, i + 1)).collect();
-        let mut record = b"{\"key8\":7,\"k\":\"".to_vec();
-        record.extend([&long[..], &needle, b"\"}"].concat());
+        let mut wide = b"{\"key8\":7,\"k\":\"".to_vec();
+        wide.extend([&long[..], &needle, b"\"}"].concat());
+        // Records straddling word boundaries, strings with escapes and
+        // structural bytes.
+        let records: [&[u8]; 7] = [
+            LISTING1,
+            br#"{"e":[{"v":"21.4","u":"far","n":"temperature"}],"bt":1}"#,
+            br#"{"fare_amount":11.50,"tolls_amount":5.33,"total_amount":17.33}"#,
+            br#"{"k":"a\"}b","tolls_amount":3.00}"#,
+            &wide,
+            b"{}",
+            b"",
+        ];
         // Latch words, B = 1 banks, banks per automaton, reference lanes.
-        let cases = [
+        let layouts = [
             (Expr::Or(leaves), (2, 0, vec![], 0)),
             (nine(1), (1, 2, vec![], 0)),
             (nine(2), (1, 0, vec![2], 0)),
             (sub(&long, 1), (1, 0, vec![], 1)),
             (sub(&long, 2), (1, 0, vec![], 1)),
             (sub(&needle, 300), (1, 0, vec![], 1)),
+            (ctx_temp(), (1, 1, vec![], 0)),
+            (sub(b"favourites_count", 9), (1, 0, vec![1], 0)),
+            (
+                Expr::context_scoped(
+                    StructScope::Member,
+                    [
+                        sub(b"tolls_amount", 2),
+                        Expr::float_range("2.50", "18.00").unwrap(),
+                    ],
+                ),
+                (1, 0, vec![1], 0),
+            ),
         ];
-        for (expr, layout) in cases {
-            let mut engine = Engine::compile(&expr);
+        for (expr, layout) in layouts {
+            let engine = Engine::compile(&expr);
             let banks = engine.block_automaton_views().map(|v| v.banks).collect();
             let refs = engine.reference_lanes().count();
             assert_eq!((engine.words, engine.sub1_banks(), banks, refs), layout);
-            let want = CompiledFilter::compile(&expr).accepts_record(&record);
-            let last = engine.on_block(&record);
-            assert_eq!(engine.on_byte(b'\n') || last, want, "`{expr}`");
-            let stats = engine.take_stats();
-            assert_eq!(stats.bytes_block, (record.len() & !7) as u64, "`{expr}`");
-        }
-    }
-
-    #[test]
-    fn on_block_matches_byte_loop_paths() {
-        // Records straddling word boundaries, strings with escapes and
-        // structural bytes.
-        let exprs = [
-            ctx_temp(),
-            Expr::substring(b"favourites_count", 9).unwrap(),
-            Expr::context_scoped(
-                StructScope::Member,
-                [
-                    Expr::substring(b"tolls_amount", 2).unwrap(),
-                    Expr::float_range("2.50", "18.00").unwrap(),
-                ],
-            ),
-        ];
-        let records: Vec<&[u8]> = vec![
-            LISTING1,
-            br#"{"e":[{"v":"21.4","u":"far","n":"temperature"}],"bt":1}"#,
-            br#"{"fare_amount":11.50,"tolls_amount":5.33,"total_amount":17.33}"#,
-            br#"{"k":"a\"}b","tolls_amount":3.00}"#,
-            b"{}",
-            b"",
-        ];
-        for expr in &exprs {
-            for record in &records {
-                let mut serial = Engine::compile(expr);
-                serial.reset();
-                let mut want = false;
-                for &b in *record {
-                    want = serial.on_byte(b);
-                }
-                let want = serial.on_byte(b'\n') || want;
-
-                let mut block = Engine::compile(expr);
-                block.reset();
-                let last = block.on_block(record);
-                let got = block.on_byte(b'\n') || last;
-                assert_eq!(got, want, "expr `{expr}` on {record:?}");
-            }
+            assert_stream_seams(&expr, &records);
         }
     }
 
@@ -2631,7 +2549,7 @@ mod tests {
         assert_eq!(checked, 0, "accepts_record is byte-serial, no prefilter");
         assert_eq!(rejected, 0);
 
-        // The stream path feeds whole records through on_block.
+        // The stream path asks the prefilter about every record.
         let stream =
             b"{\"nothing\":1}\n{\"e\":[{\"v\":\"21.4\",\"n\":\"temperature\"}],\"bt\":1}\n";
         assert_eq!(e.filter_stream(stream), vec![false, true]);

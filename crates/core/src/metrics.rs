@@ -13,15 +13,14 @@ use std::sync::OnceLock;
 
 /// `engine.*` counter handles (single-query [`Engine`](crate::Engine)).
 pub(crate) struct EngineMetrics {
-    /// `engine.records`: records entering `on_block` from a fresh reset,
-    /// and records the stream path scored.
+    /// `engine.records`: records the stream path scored.
     pub records: &'static Counter,
-    /// `engine.bytes.block`: bytes of the SWAR word loop — on the stream
-    /// path every byte of a line the prefilter did not reject.
+    /// `engine.bytes.block`: bytes of the word kernel — every stream byte
+    /// of a line the prefilter did not reject.
     pub bytes_block: &'static Counter,
-    /// `engine.bytes.byte_serial`: bytes through the byte loop —
-    /// `on_byte` calls and the sub-word tails of `on_block`; none on the
-    /// stream path.
+    /// `engine.bytes.byte_serial`: bytes through the byte loop, one per
+    /// `on_byte` call of the record-at-a-time API; none on the stream
+    /// path.
     pub bytes_byte_serial: &'static Counter,
     /// `engine.bytes.prefilter_skipped`: bytes never scanned because the
     /// literal prefilter rejected the whole record.

@@ -46,12 +46,11 @@
 //! [`Lane`]s: a batch is a lane whose match word is one bit per query
 //! instead of one. Every stream driver frames through the one
 //! [`Framer`](rfjson_jsonstream::frame::Framer) — the engine's stream
-//! path that [`MultiEngine`] runs per group, and the record driver
-//! [`run_verdict_driver_blocks`] with its byte-serial oracle
-//! [`run_verdict_driver`](crate::backend::run_verdict_driver), one body
-//! for a single query and a batch alike — so a batch has the single
-//! query's framing and quarantine rules by construction, and one sharded
-//! runner in `rfjson-runtime` serves both.
+//! path that [`MultiEngine`] runs per group, and the byte-serial record
+//! driver [`run_verdict_driver`], one body for a single query and a
+//! batch alike — so a batch has the single query's framing and
+//! quarantine rules by construction, and one sharded runner in
+//! `rfjson-runtime` serves both.
 //! The differential suite (`tests/multi_diff.rs`) holds every fused
 //! decision byte-identical to N independent single-query engines.
 //!
@@ -71,7 +70,7 @@
 //! # Ok::<(), rfjson_core::expr::ExprError>(())
 //! ```
 
-use crate::backend::{run_verdict_driver_blocks, CompileError, FilterBackend, Lane, VerdictSink};
+use crate::backend::{run_verdict_driver, CompileError, FilterBackend, Lane, VerdictSink};
 use crate::engine::{frame_records, Engine, ProgramView, RecordLine, Run};
 use crate::evaluator::CompiledFilter;
 use crate::expr::Expr;
@@ -304,18 +303,6 @@ impl MultiEngine {
         }
     }
 
-    /// Advances a whole slice of record content through every group —
-    /// exactly what a byte loop over [`MultiEngine::on_byte`] would do.
-    /// The precondition of [`Engine::on_block`] carries over: the first
-    /// block after a reset, with no `on_byte` before it, is the whole
-    /// record, and each group either scans it or has its prefilter turn
-    /// it away.
-    pub fn on_block(&mut self, block: &[u8]) {
-        for group in &mut self.groups {
-            group.engine.on_block(block);
-        }
-    }
-
     /// ORs every currently-accepting query's bit into `out` (one bit per
     /// query, `u64` word per 64 queries). Callers zero `out` first.
     pub fn write_accepts(&self, out: &mut [u64]) {
@@ -352,11 +339,6 @@ impl MultiBackend for MultiEngine {
     #[inline]
     fn on_byte(&mut self, byte: u8) {
         MultiEngine::on_byte(self, byte);
-    }
-
-    #[inline]
-    fn on_block(&mut self, block: &[u8]) {
-        MultiEngine::on_block(self, block);
     }
 
     fn write_accepts(&self, out: &mut [u64]) {
@@ -623,8 +605,8 @@ pub trait MultiBackend: Lane<Source = [Expr], Verdicts = BatchVerdicts> {
     /// Advances every query one cycle.
     fn on_byte(&mut self, byte: u8);
 
-    /// Advances a whole slice of record content at once; must be
-    /// decision-identical to the byte loop.
+    /// Advances a slice of record content, cut anywhere, one byte at a
+    /// time.
     fn on_block(&mut self, block: &[u8]) {
         for &b in block {
             self.on_byte(b);
@@ -664,8 +646,8 @@ pub trait MultiBackend: Lane<Source = [Expr], Verdicts = BatchVerdicts> {
     }
 
     /// Quarantine-aware batch stream filtering: one verdict-bitset row
-    /// per record (see [`run_verdict_driver_blocks`] for the framing
-    /// contract, shared with the single-query stream methods).
+    /// per record (see [`run_verdict_driver`] for the framing contract,
+    /// shared with the single-query stream methods).
     fn filter_stream_verdicts(&mut self, stream: &[u8], limits: IngestLimits) -> BatchVerdicts {
         let mut out = BatchVerdicts::new(self.num_queries());
         self.filter_stream_verdicts_into(stream, limits, &mut out);
@@ -681,7 +663,7 @@ pub trait MultiBackend: Lane<Source = [Expr], Verdicts = BatchVerdicts> {
         limits: IngestLimits,
         out: &mut BatchVerdicts,
     ) {
-        run_verdict_driver_blocks(self, stream, limits, out);
+        run_verdict_driver(self, stream, limits, out);
     }
 }
 
@@ -731,12 +713,6 @@ macro_rules! batch_lane {
             #[inline]
             fn feed_byte(&mut self, byte: u8) -> bool {
                 self.on_byte(byte);
-                false
-            }
-
-            #[inline]
-            fn feed_block(&mut self, block: &[u8]) -> bool {
-                self.on_block(block);
                 false
             }
 
@@ -803,15 +779,6 @@ impl<B: FilterBackend> MultiBackend for MultiLanes<B> {
         }
     }
 
-    fn on_block(&mut self, block: &[u8]) {
-        if block.is_empty() {
-            return; // a loop that never ran leaves the accepts alone
-        }
-        for (lane, accept) in self.lanes.iter_mut().zip(&mut self.accept) {
-            *accept = lane.on_block(block);
-        }
-    }
-
     fn write_accepts(&self, out: &mut [u64]) {
         for (q, &accept) in self.accept.iter().enumerate() {
             if accept {
@@ -845,7 +812,6 @@ impl<B: FilterBackend> MultiBackend for MultiLanes<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::run_verdict_driver;
     use crate::engine::Engine;
     use crate::expr::StructScope;
 

@@ -275,9 +275,9 @@ impl Prefilter {
     /// whole record for every containment scan of an exact unit. At most
     /// `required_units() × record.len()`.
     ///
-    /// Kept out of line: [`Engine::on_block`](crate::Engine::on_block)
-    /// calls it once per record, and inlined there it measurably slows
-    /// the block scan it sits in front of.
+    /// Kept out of line: the engine's gated stream path calls it once
+    /// per record, and inlined there it measurably slows the word kernel
+    /// it sits in front of.
     #[inline(never)]
     #[must_use]
     pub fn rejects_counting(&self, record: &[u8]) -> (bool, u64) {

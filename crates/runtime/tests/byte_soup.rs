@@ -3,10 +3,10 @@
 //! escape any public driver, and sharded decisions/verdicts must match
 //! the serial path of the same backend at shard counts {1, 2, 3, 8}.
 //!
-//! Two expressions: one whose fresh engines have a live prefilter and
-//! run the record driver, and one with an `Or` root — no prefilter — whose
-//! lanes run the engine's stream path, the word kernel over each shard
-//! with the record separator as a kernel event.
+//! Two expressions: one whose fresh engines have a live prefilter that
+//! gates records in front of the word kernel, and one with an `Or` root —
+//! no prefilter — whose lanes run the kernel over each whole shard, the
+//! record separator a kernel event.
 
 use proptest::prelude::*;
 use rfjson_core::{CompiledFilter, Engine, Expr, FilterBackend};

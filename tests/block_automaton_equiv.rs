@@ -4,12 +4,14 @@
 //! what one [`SubstringMatcher`] per unit computes — in the byte-serial
 //! form, in the word form, across the seams between the two (which share
 //! the packed counters), and past the point where the packed counters
-//! saturate.
+//! saturate — and, as the engines run them, on their stream paths.
+
+mod zoo;
 
 use proptest::prelude::*;
 use rfjson_core::blockhit::{pack_targets, BlockAutomaton, RunWord, LANES, WORD};
 use rfjson_core::primitive::{FireFilter, SubstringMatcher};
-use rfjson_core::{CompiledFilter, Engine, Expr, MultiEngine};
+use rfjson_core::Expr;
 
 /// Whether the last `B` bytes of `seen` — over the zero-initialised
 /// window of a fresh record — are a block of `unit`.
@@ -141,61 +143,10 @@ fn saturated_run_fires_across_the_seam_and_resets_on_the_first_miss() {
     assert_eq!(fires[fires.len() - 2..], [311, stream.len() - 1]);
 }
 
-/// Engine and fused engine over `record`, cut into `on_byte` /
-/// `on_block` / `on_byte` / `on_block` pieces at every position: the
-/// latched accept after each piece equals the byte-serial model's at that
-/// byte. (The first piece is serial and not empty: a fresh engine's
-/// `on_block` takes its argument for a whole record and may prefilter it.)
-fn assert_seams(exprs: &[Expr], record: &[u8]) {
-    let mut want = vec![Vec::new(); exprs.len()];
-    for (q, expr) in exprs.iter().enumerate() {
-        let mut model = CompiledFilter::compile(expr);
-        model.reset();
-        want[q] = record.iter().map(|&b| model.on_byte(b)).collect();
-    }
-    let mut engines: Vec<Engine> = exprs.iter().map(Engine::compile).collect();
-    let mut fused = MultiEngine::compile_batch(exprs);
-    for cut in 1..=record.len() {
-        let mid = cut + (record.len() - cut) / 2;
-        let serial_end = (mid + 3).min(record.len());
-        let pieces = [
-            (0, cut, false),
-            (cut, mid, true),
-            (mid, serial_end, false),
-            (serial_end, record.len(), true),
-        ];
-        fused.reset();
-        for engine in &mut engines {
-            engine.reset();
-        }
-        for (from, to, blockwise) in pieces {
-            if from == to {
-                continue;
-            }
-            let piece = &record[from..to];
-            let mut accepts = [0u64];
-            if blockwise {
-                fused.on_block(piece);
-            } else {
-                for &b in piece {
-                    fused.on_byte(b);
-                }
-            }
-            fused.write_accepts(&mut accepts);
-            for (q, engine) in engines.iter_mut().enumerate() {
-                let got = if blockwise {
-                    engine.on_block(piece)
-                } else {
-                    piece.iter().fold(false, |_, &b| engine.on_byte(b))
-                };
-                let at = format!("`{}` after {from}..{to} (cut {cut})", exprs[q]);
-                assert_eq!(got, want[q][to - 1], "engine {at}");
-                assert_eq!(accepts[0] >> q & 1 == 1, want[q][to - 1], "fused {at}");
-            }
-        }
-    }
-}
-
+/// Engine and fused engine over the records on their stream paths, each
+/// record at every word offset right after another, gated and ungated,
+/// against the byte-serial model: the counters cross every word seam
+/// inside a needle run and restart at every separator.
 #[test]
 fn engines_agree_with_the_model_at_every_block_seam() {
     let q = |needle: &[u8], b| Expr::substring(needle, b).unwrap();
@@ -218,9 +169,10 @@ fn engines_agree_with_the_model_at_every_block_seam() {
         b"tototal_amountolls_amount\0tolls_amounfavourites_favourites_count",
         &saturating,
     ];
-    for record in records {
-        assert_seams(&exprs, record);
+    for expr in &exprs {
+        zoo::assert_engine_seams(expr, &records);
     }
+    zoo::assert_batch_seams(&exprs, &records);
 }
 
 proptest! {

@@ -1,6 +1,7 @@
 //! Cross-impl framing equivalence: the NDJSON framing rules live once in
 //! `rfjson_jsonstream::frame`, and every consumer — the slice iterator,
-//! both record drivers, the engine's stream path, the fused batch and the
+//! the record driver, the engine's stream path gated and ungated, the
+//! fused batch and the
 //! sharded runner at every shard count — must agree with one reference
 //! model, built here on std `split`, on **which** records a stream holds
 //! and which of them are quarantined, for any input and any limits.
@@ -47,7 +48,7 @@ fn stream_query() -> Expr {
 }
 
 /// A query whose literal prefilter is live on a fresh engine, so the
-/// engine frames through the record driver.
+/// engine gates records in front of the kernel.
 fn prefilter_query() -> Expr {
     Expr::and([
         Expr::substring(b"a1", 1).expect("needle"),
@@ -119,7 +120,7 @@ fn assert_framing_agreement(
     assert_eq!(
         engine.filter_stream_verdicts(stream, limits),
         want_prefilter,
-        "engine record driver on {shown:?} under {limits:?}"
+        "engine gated stream path on {shown:?} under {limits:?}"
     );
 
     let fused = MultiEngine::compile_batch(&[stream_expr, prefilter_expr])

@@ -1,7 +1,8 @@
 //! Differential tests for the fused multi-query engine: for any query
 //! batch, [`MultiEngine`] must be **byte-identical** to running N
-//! independent [`Engine`]s — on the per-byte latched accept signal, at
-//! arbitrary byte/block split seams, at every shard count, and under
+//! independent [`Engine`]s — on the per-byte latched accept signal, on
+//! every record's verdict at every word offset right after another
+//! ([`zoo::assert_batch_seams`]), at every shard count, and under
 //! quarantine limits. Fusing is allowed to be faster, never different.
 
 mod zoo;
@@ -191,55 +192,6 @@ fn assert_bytewise(exprs: &[Expr], record: &[u8]) {
     }
 }
 
-/// Feeds the record through both sides split at several points into a
-/// byte-serial prefix plus **one** block remainder (the packed-state
-/// sync-in/sync-out seams of the fused SWAR loop), asserting the record
-/// decision of every lane matches the lane's own engine under the same
-/// split.
-fn assert_blockwise(exprs: &[Expr], record: &[u8]) {
-    let mut fused = MultiEngine::compile_batch(exprs);
-    let mut engines: Vec<Engine> = exprs.iter().map(Engine::compile).collect();
-    let words = exprs.len().div_ceil(64);
-    let mut splits = vec![0, record.len()];
-    for s in [1, 7, 8, 9, 15, 16, record.len() / 2] {
-        if s <= record.len() {
-            splits.push(s);
-        }
-    }
-    for split in splits {
-        fused.reset();
-        for &b in &record[..split] {
-            fused.on_byte(b);
-        }
-        if split < record.len() {
-            fused.on_block(&record[split..]);
-        }
-        let mut out = vec![0u64; words];
-        fused.write_accepts(&mut out);
-        fused.on_byte(b'\n');
-        let mut post = vec![0u64; words];
-        fused.write_accepts(&mut post);
-        for (q, engine) in engines.iter_mut().enumerate() {
-            engine.reset();
-            let mut last = false;
-            for &b in &record[..split] {
-                last = engine.on_byte(b);
-            }
-            if split < record.len() {
-                last = engine.on_block(&record[split..]);
-            }
-            let want = engine.on_byte(b'\n') || last;
-            assert_eq!(
-                bit(&out, q) || bit(&post, q),
-                want,
-                "lane {q} (`{}`) diverges at split {split} of record {:?}",
-                exprs[q],
-                String::from_utf8_lossy(record)
-            );
-        }
-    }
-}
-
 /// Stream-level agreement: the fused serial driver, the [`MultiLanes`]
 /// references (engines, and the byte-serial model that shares no kernel
 /// with the fused pool), every independent engine's verdict vector, and
@@ -296,14 +248,15 @@ fn fused_bytewise_equals_independent_engines() {
     }
 }
 
+/// The fused stream path against the byte-serial model of every query,
+/// each record at every word offset right after another, with the
+/// groups' prefilters live and turned off.
 #[test]
 fn fused_blockwise_equals_independent_engines_at_split_seams() {
     let datasets = [smartcity::generate(44, 6), taxi::generate(45, 6)];
     for exprs in batch_zoo() {
         for ds in &datasets {
-            for record in ds.records() {
-                assert_blockwise(&exprs, record);
-            }
+            zoo::assert_batch_seams(&exprs, ds.records());
         }
     }
 }
@@ -527,8 +480,8 @@ fn anchoring_zoo_agrees_as_a_batch_at_every_shard_count() {
     }
     for record in &records {
         assert_bytewise(&batch, record);
-        assert_blockwise(&batch, record);
     }
+    zoo::assert_batch_seams(&batch, &records);
 }
 
 /// A member without a prefilter (an `Or` root, a pure number range) can
@@ -619,15 +572,18 @@ fn a_member_whose_own_prefilter_rejects_is_answered_exactly() {
     assert_streamwise(&batch, &stream_of(&records[..60]), IngestLimits::UNLIMITED);
 }
 
-/// Once a byte of the record went in serially nothing is routed: the
-/// groups' prefilters do not look, every group scans, and the answer is
-/// the byte loop's.
+/// The record-at-a-time API is the byte-serial oracle, `on_block` a byte
+/// loop: nothing is routed, the groups' prefilters do not look, and the
+/// answer is the model's. The stream path routes the same records, each
+/// at every word offset right after another, to the same verdicts.
 #[test]
 fn on_byte_then_on_block_is_unrouted_and_equals_the_byte_loop() {
     let queries = resident_queries();
     let mut fused = MultiEngine::compile_batch(&queries);
     let mut model = MultiLanes::<CompiledFilter>::compile_batch(&queries);
-    for record in interleaved_records(66, 8) {
+    let records = interleaved_records(66, 8);
+    zoo::assert_batch_seams(&queries, &records);
+    for record in records {
         fused.reset();
         fused.on_byte(record[0]);
         fused.on_block(&record[1..]);

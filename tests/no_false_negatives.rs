@@ -7,12 +7,15 @@
 //! with random JSON whitespace (space, tab, CR) around every structural
 //! byte and inside every numeric string (`"v":" 25 "`), and generated
 //! documents with numbers in arrays, in objects, in strings and as the
-//! whole record — through the model, the engine's stream path, `on_block`
-//! at random seams and a `MultiEngine` batch. Respelling the numbers
-//! themselves (`600.0` against an integer range) and escaped keys or
-//! values are known false negatives of the range grammar and of the
-//! substring units, with their own fix to come, so every number here
+//! whole record — through the model, the engine's stream path over all
+//! of them and over each record at a random word offset right after
+//! another, gated and ungated, and a `MultiEngine` batch. Respelling the
+//! numbers themselves (`600.0` against an integer range) and escaped
+//! keys or values are known false negatives of the range grammar and of
+//! the substring units, with their own fix to come, so every number here
 //! keeps the spelling of its kind and no string holds an escape.
+
+mod zoo;
 
 use proptest::prelude::*;
 use rfjson_core::evaluator::CompiledFilter;
@@ -94,8 +97,10 @@ fn respace(record: &[u8], rng: &mut Rng) -> Vec<u8> {
 }
 
 /// Every record the truth selects must be accepted, for every member of
-/// `exprs`: by the model, by the engine's stream path over all of them,
-/// by `on_block` cut at random seams, and by the batch of all members.
+/// `exprs`: by the model, by the engine's stream path over all of them
+/// and over the record alone, at a random word offset right after the
+/// record before it ([`zoo::seam_stream`]) — gated by a live prefilter
+/// and with it turned off — and by the batch of all members.
 fn assert_no_false_negatives(
     exprs: &[Expr],
     records: &[Vec<u8>],
@@ -111,7 +116,8 @@ fn assert_no_false_negatives(
         MultiEngine::compile_batch(exprs).filter_stream_verdicts(&stream, IngestLimits::UNLIMITED);
     for (q, expr) in exprs.iter().enumerate() {
         let mut model = CompiledFilter::compile(expr);
-        let mut engine = Engine::compile(expr);
+        let fresh = Engine::compile(expr);
+        let mut ungated = zoo::warmed(fresh.clone(), std::slice::from_ref(expr));
         let streamed =
             Engine::compile(expr).filter_stream_verdicts(&stream, IngestLimits::UNLIMITED);
         let batched = batch.query_verdicts(q);
@@ -134,24 +140,18 @@ fn assert_no_false_negatives(
                 Verdict::Match,
                 "batch drops {shown:?} for `{expr}`"
             );
-            let first = 1 + rng.below(record.len().max(1));
-            let second = first + rng.below(record.len() + 1 - first.min(record.len()));
-            let (first, second) = (first.min(record.len()), second.min(record.len()));
-            engine.reset();
-            let mut last = false;
-            for &b in &record[..first] {
-                last = engine.on_byte(b);
+            let pad = rng.below(8);
+            let dirty = &records[r.saturating_sub(1)];
+            let seam = zoo::seam_stream(dirty, record, pad);
+            let mut gated = fresh.clone();
+            for (path, engine) in [("gated", &mut gated), ("ungated", &mut ungated)] {
+                let verdicts = engine.filter_stream_verdicts(&seam, IngestLimits::UNLIMITED);
+                assert_eq!(
+                    verdicts.last(),
+                    Some(&Verdict::Match),
+                    "{path} stream path at pad {pad} drops {shown:?} for `{expr}`"
+                );
             }
-            for block in [&record[first..second], &record[second..]] {
-                if !block.is_empty() {
-                    last = engine.on_block(block);
-                }
-            }
-            let accepted = engine.on_byte(b'\n') || last;
-            assert!(
-                accepted,
-                "on_block (cuts {first}, {second}) drops {shown:?} for `{expr}`"
-            );
         }
     }
 }

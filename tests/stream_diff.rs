@@ -23,7 +23,8 @@ use rfjson_core::{
 use rfjson_riotbench::{smartcity, taxi, twitter};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use zoo::{
-    adversarial_records, anchoring_records, expression_zoo, wide_program_records, wide_programs,
+    adversarial_records, anchoring_records, expression_zoo, warmed, wide_program_records,
+    wide_programs,
 };
 
 /// Telemetry counters are process-global: every test measures its calls
@@ -48,18 +49,6 @@ fn oracle(expr: &Expr, stream: &[u8], limits: IngestLimits) -> Vec<Verdict> {
     out
 }
 
-/// Every literal of `expr`, space-separated.
-fn needles(expr: &Expr, out: &mut Vec<u8>) {
-    match expr {
-        Expr::Str(spec) => {
-            out.extend_from_slice(&spec.needle);
-            out.push(b' ');
-        }
-        Expr::Num(..) => {}
-        Expr::And(cs) | Expr::Or(cs) | Expr::Ctx(cs, _) => cs.iter().for_each(|c| needles(c, out)),
-    }
-}
-
 /// `expr` compiled, and if it has a prefilter, warmed past probation on
 /// records that hold every literal of it, so the prefilter disables
 /// itself and the stream path takes over.
@@ -73,18 +62,10 @@ fn stream_engine(expr: &Expr) -> Engine {
     engine
 }
 
-/// `expr` compiled and, if it has a prefilter, fed a probation window of
-/// records that hold every literal of it (which disables the prefilter
-/// unless a literal holds a `\n`).
+/// `expr` compiled and fed a probation window of records that hold every
+/// literal of it ([`zoo::warmed`]).
 fn warmed_engine(expr: &Expr) -> Engine {
-    let mut engine = Engine::compile(expr);
-    if engine.prefilter_status() != PrefilterStatus::Absent {
-        let mut record = b"{\"w\":\"".to_vec();
-        needles(expr, &mut record);
-        record.extend_from_slice(b"\"}\n");
-        engine.filter_stream(&record.repeat(Engine::PREFILTER_PROBATION as usize));
-    }
-    engine
+    warmed(Engine::compile(expr), std::slice::from_ref(expr))
 }
 
 /// The engine's verdicts over `stream` equal the oracle's, and came from

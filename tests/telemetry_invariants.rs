@@ -13,7 +13,7 @@
 
 mod zoo;
 
-use rfjson_core::backend::{run_verdict_driver, run_verdict_driver_blocks};
+use rfjson_core::backend::run_verdict_driver;
 use rfjson_core::prefilter::Prefilter;
 use rfjson_core::query::query_to_exprs;
 use rfjson_core::{
@@ -190,10 +190,10 @@ fn framing_counters_are_conserved_across_drivers() {
         run_verdict_driver(&mut lane, &stream, limits, &mut out);
         skipped(&out)
     });
-    run("record driver", &mut || {
+    run("engine byte loop", &mut || {
         let mut out = Vec::new();
-        let mut lane = CompiledFilter::compile(&stream_expr);
-        run_verdict_driver_blocks(&mut lane, &stream, limits, &mut out);
+        let mut lane = Engine::compile(&stream_expr);
+        run_verdict_driver(&mut lane, &stream, limits, &mut out);
         skipped(&out)
     });
     run("engine stream path", &mut || {
@@ -201,7 +201,7 @@ fn framing_counters_are_conserved_across_drivers() {
         assert_eq!(engine.prefilter_status(), PrefilterStatus::Absent);
         skipped(&engine.filter_stream_verdicts(&stream, limits))
     });
-    run("engine record driver", &mut || {
+    run("engine gated stream path", &mut || {
         let mut engine = Engine::compile(&prefilter_expr);
         assert_eq!(engine.prefilter_status(), PrefilterStatus::Probation);
         skipped(&engine.filter_stream_verdicts(&stream, limits))
@@ -373,14 +373,14 @@ fn the_stream_path_counts_every_byte_once_and_the_record_path_what_it_feeds() {
         assert_eq!(d.counter("engine.records"), 3);
     }
 
-    // The record path — the record driver, which the engine itself no
-    // longer takes, run on it directly — counts the bytes it feeds: every
-    // record with its separator, but not the synthetic one closing a
-    // trailing record, nor blank lines, which it never feeds.
+    // The record path — the byte-serial record driver, which the engine
+    // itself never takes, run on it directly — counts the bytes it feeds:
+    // every record with its separator, but not the synthetic one closing
+    // a trailing record, nor blank lines, which it never feeds.
     let mut engine = Engine::compile(&or_root);
     let record_path = |engine: &mut Engine, stream: &[u8]| {
         let mut out = Vec::new();
-        run_verdict_driver_blocks(engine, stream, IngestLimits::UNLIMITED, &mut out);
+        run_verdict_driver(engine, stream, IngestLimits::UNLIMITED, &mut out);
         out.len()
     };
     let (records, d) = window(|| record_path(&mut engine, trailing));

@@ -1,13 +1,21 @@
 //! The expression zoo and adversarial records shared by the engine's
-//! differential suites (`engine_diff.rs`: the record path; `stream_diff.rs`:
-//! the stream path; `multi_diff.rs`: batches; `telemetry_invariants.rs`:
-//! the kernel's byte law; `cosim.rs`: the netlists).
+//! differential suites (`engine_diff.rs`: the byte loop and the stream
+//! path record by record; `stream_diff.rs`: the stream path;
+//! `multi_diff.rs`: batches; `telemetry_invariants.rs`: the kernel's byte
+//! law; `cosim.rs`: the netlists), and the seam check they share with
+//! `block_automaton_equiv.rs` and `no_false_negatives.rs`: the stream
+//! path, record by record, at every word offset right after another
+//! record, against the byte-serial oracle ([`assert_engine_seams`],
+//! [`assert_batch_seams`]).
 
 #![allow(dead_code)] // each suite uses its own part of the zoo
 
+use rfjson_core::backend::{run_verdict_driver, Lane};
 use rfjson_core::expr::{Expr, NumberTechnique, StructScope};
 use rfjson_core::query::query_to_exprs;
+use rfjson_core::{Engine, IngestLimits, MultiEngine};
 use rfjson_riotbench::{taxi, Query};
+use std::fmt::Debug;
 
 /// Expressions covering every primitive technique, every combinator,
 /// both structural scopes, and nesting of contexts.
@@ -237,6 +245,37 @@ pub fn taxi_attributes(n: usize, b: usize) -> Expr {
     }))
 }
 
+/// An `Or` of the member contexts `{sB(key) & v(10 i ≤ n ≤ 10 i + 9)}`
+/// over all of [`TAXI_KEYS`]: thirteen key units — at `b = 1` the last
+/// five in a second bank of lanes — each beside a range that no other
+/// key's holds, so a lane that fires another lane's nodes changes the
+/// verdict of a record with its key alone ([`one_key_records`]).
+pub fn taxi_alternatives(b: usize) -> Expr {
+    Expr::or(TAXI_KEYS.iter().enumerate().map(|(i, key)| {
+        let low = 10 * i as i64;
+        Expr::context_scoped(
+            StructScope::Member,
+            [
+                Expr::substring(key.as_bytes(), b).unwrap(),
+                Expr::int_range(low, low + 9),
+            ],
+        )
+    }))
+}
+
+/// One record per key of [`TAXI_KEYS`] that holds that key alone, with a
+/// value in its range of [`taxi_alternatives`], and one with a value in
+/// the next key's range: every key lane fires alone, in either bank.
+pub fn one_key_records() -> Vec<Vec<u8>> {
+    let mut records = Vec::new();
+    for (i, key) in TAXI_KEYS.iter().enumerate() {
+        for value in [10 * i + 5, 10 * i + 15] {
+            records.push(format!("{{\"{key}\":{value}}}").into_bytes());
+        }
+    }
+    records
+}
+
 /// `len` bytes of the text `ab,ab,…`: every window of it is a block of
 /// any needle cut from it.
 pub fn run_text(len: usize) -> Vec<u8> {
@@ -269,9 +308,10 @@ pub fn split_pool() -> Expr {
 
 /// Programs at the edges of the lane layout: past a bank of B = 1 or
 /// B ≥ 2 lanes and past one latch word (the Taxi attribute queries at
-/// b = 1 and b = 2), a run target past the packed counters, a unit whose
-/// table alone is past the cap (a reference lane), a pool that splits
-/// into two automata, and units that see `\n`.
+/// b = 1 and b = 2, and the thirteen alternatives whose key lanes fire
+/// alone), a run target past the packed counters, a unit whose table
+/// alone is past the cap (a reference lane), a pool that splits into two
+/// automata, and units that see `\n`.
 pub fn wide_programs() -> Vec<Expr> {
     let mut exprs = Vec::new();
     for n in [9, 16, 22, 32] {
@@ -279,6 +319,7 @@ pub fn wide_programs() -> Vec<Expr> {
             exprs.push(taxi_attributes(n, b));
         }
     }
+    exprs.extend([taxi_alternatives(1), taxi_alternatives(2)]);
     let long = Expr::substring(&run_text(130), 1).unwrap(); // run target 130
     exprs.push(long.clone());
     exprs.push(Expr::context([long, Expr::int_range(7, 7)]));
@@ -299,11 +340,13 @@ pub fn wide_programs() -> Vec<Expr> {
 }
 
 /// Records that make the wide programs fire and miss: Taxi records,
-/// runs of [`run_text`] around 130 bytes, the big needle and one byte
+/// records with one Taxi key each ([`one_key_records`]), runs of
+/// [`run_text`] around 130 bytes, the big needle and one byte
 /// short of it, the split pool's needles whole and cut over two records,
 /// and the pieces of the `\n` needles.
 pub fn wide_program_records() -> Vec<Vec<u8>> {
     let mut records = taxi::generate(94, 6).records().to_vec();
+    records.extend(one_key_records());
     for run in [125, 129, 130, 131, 300] {
         let mut record = b"{\"k\":\"".to_vec();
         record.extend_from_slice(&run_text(run));
@@ -330,4 +373,112 @@ pub fn wide_program_records() -> Vec<Vec<u8>> {
     records.push(br#"{"k":"xa","v":44}"#.to_vec());
     records.push(br#"b{"k":"cd","x":"y"}"#.to_vec());
     records
+}
+
+/// Every literal of `exprs`, space-separated.
+pub fn literals(exprs: &[Expr]) -> Vec<u8> {
+    fn visit(expr: &Expr, out: &mut Vec<u8>) {
+        match expr {
+            Expr::Str(spec) => {
+                out.extend_from_slice(&spec.needle);
+                out.push(b' ');
+            }
+            Expr::Num(..) => {}
+            Expr::And(cs) | Expr::Or(cs) | Expr::Ctx(cs, _) => {
+                for c in cs {
+                    visit(c, out);
+                }
+            }
+        }
+    }
+    let mut out = Vec::new();
+    for e in exprs {
+        visit(e, &mut out);
+    }
+    out
+}
+
+/// `lane` after a probation window of records that hold every literal of
+/// `exprs`: its prefilters have turned themselves off, unless a literal
+/// holds a `\n`.
+pub fn warmed<L: Lane>(mut lane: L, exprs: &[Expr]) -> L {
+    let mut record = b"{\"w\":\"".to_vec();
+    record.extend(literals(exprs));
+    record.extend_from_slice(b"\"}\n");
+    let window = record.repeat(Engine::PREFILTER_PROBATION as usize);
+    let mut out = lane.new_verdicts();
+    lane.scan_stream(&window, IngestLimits::UNLIMITED, &mut out);
+    lane
+}
+
+/// `record` right after `dirty` and its separator, behind `pad` spaces:
+/// over the pads 0–7 the record starts at every word offset, where the
+/// kernel meets it straight after a separator ended a record in full
+/// swing. An odd pad leaves the record without its own separator, for
+/// the padded last word to close.
+pub fn seam_stream(dirty: &[u8], record: &[u8], pad: usize) -> Vec<u8> {
+    let mut stream = vec![b' '; pad];
+    stream.extend_from_slice(dirty);
+    stream.push(b'\n');
+    stream.extend_from_slice(record);
+    if pad.is_multiple_of(2) {
+        stream.push(b'\n');
+    }
+    stream
+}
+
+/// The stream path of `lane` against the byte-serial oracle compiled from
+/// `source`, record by record: each of `records` after the one before it
+/// (the first after none) at the pads 0–7 of [`seam_stream`], through a
+/// fresh copy of `lane` per record, whose live prefilters gate the
+/// records in front of the kernel, and through a copy [`warmed`] past
+/// probation, whose kernel runs across the separator.
+fn assert_stream_seams<L>(
+    lane: &L,
+    source: &L::Source,
+    exprs: &[Expr],
+    records: &[impl AsRef<[u8]>],
+) where
+    L: Lane + Clone,
+    L::Verdicts: PartialEq + Debug,
+{
+    let shown = |bytes: &[u8]| String::from_utf8_lossy(bytes).into_owned();
+    let what: Vec<String> = exprs.iter().map(|e| format!("`{e}`")).collect();
+    let mut ungated = warmed(lane.clone(), exprs);
+    let mut oracle = L::Reference::compile_lane(source).expect("the source compiles");
+    let mut dirty: &[u8] = b"";
+    for record in records {
+        let record = record.as_ref();
+        let mut gated = lane.clone();
+        for pad in 0..8 {
+            let stream = seam_stream(dirty, record, pad);
+            let mut want = oracle.new_verdicts();
+            run_verdict_driver(&mut oracle, &stream, IngestLimits::UNLIMITED, &mut want);
+            for (path, lane) in [("gated", &mut gated), ("ungated", &mut ungated)] {
+                let mut got = lane.new_verdicts();
+                lane.scan_stream(&stream, IngestLimits::UNLIMITED, &mut got);
+                assert_eq!(
+                    got,
+                    want,
+                    "{} on the {path} stream path at pad {pad}: {:?} after {:?}",
+                    what.join(", "),
+                    shown(record),
+                    shown(dirty)
+                );
+            }
+        }
+        dirty = record;
+    }
+}
+
+/// [`assert_stream_seams`] of `expr`'s [`Engine`].
+pub fn assert_engine_seams(expr: &Expr, records: &[impl AsRef<[u8]>]) {
+    let exprs = std::slice::from_ref(expr);
+    assert_stream_seams(&Engine::compile(expr), expr, exprs, records);
+}
+
+/// [`assert_stream_seams`] of the [`MultiEngine`] of `exprs`, against the
+/// byte-serial model of each query.
+pub fn assert_batch_seams(exprs: &[Expr], records: &[impl AsRef<[u8]>]) {
+    assert_stream_seams(&MultiEngine::compile_batch(exprs), exprs, exprs, records);
 }
