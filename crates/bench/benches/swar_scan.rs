@@ -1,6 +1,7 @@
 //! Criterion: the SWAR word-at-a-time kernels against their byte-serial
 //! counterparts — the newline hop, the per-word classifier + string-mask
-//! resolution, literal containment, the record-level literal prefilter,
+//! resolution (`classify_word`, a view of the kernel's classifier: one
+//! `class_masks` read of `STRUCTURE_CLASSES` per word), literal containment, the record-level literal prefilter,
 //! and the engine end to end — its stream path, the word kernel over the
 //! whole buffer (the `…/block` rows), versus the byte-serial record
 //! driver (`…/byte`) on the same stream — and the engine's stream path

@@ -25,7 +25,7 @@ use rfjson_rtl::netlist::{Netlist, NodeId};
 pub const DEPTH_BITS: usize = 5;
 
 /// The shared per-byte stream signals every filter node consumes
-/// (the hardware form of [`crate::evaluator::ByteInfo`]).
+/// (the hardware form of [`rfjson_jsonstream::ByteInfo`]).
 #[derive(Debug, Clone)]
 pub struct StreamSignals {
     /// Input byte word (8 bits).

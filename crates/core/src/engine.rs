@@ -114,34 +114,27 @@
 
 use crate::backend::{IngestLimits, SkipReason, Verdict};
 use crate::blockhit::{self, fired_lanes, step_lanes, BlockAutomatonView, BlockUnits, LANES};
-use crate::evaluator::StreamTracker;
 use crate::expr::{Expr, NumberTechnique, StringTechnique, StructScope};
 use crate::numpool::{self, NumberAutomaton, NumberAutomatonView, TokenState, WordTokens};
 use crate::prefilter::Prefilter;
 use crate::primitive::{is_anchor_byte, DfaStringMatcher, SubstringMatcher, WindowMatcher};
-use rfjson_jsonstream::classify::{ByteClass, BYTE_CLASS};
 use rfjson_jsonstream::frame::Framer;
-use rfjson_jsonstream::swar;
+use rfjson_jsonstream::{swar, StreamTracker};
 use rfjson_redfa::range::is_number_byte;
 use rfjson_redfa::{NumberBounds, DENSE_ACCEPT_BIT};
 
 /// The byte classes the word kernel reads, one bit each, in the order
 /// [`swar::class_masks`] returns their masks: number byte, anchor byte
-/// ([`is_anchor_byte`]), quote, backslash, open, close, comma, newline.
+/// ([`is_anchor_byte`]), then the six of [`swar::STRUCTURE_CLASSES`] —
+/// quote, backslash, open, close, comma, newline.
 pub(crate) const KERNEL_CLASSES: [u8; 256] = {
     let mut table = [0u8; 256];
     let mut b = 0;
     while b < 256 {
         let byte = b as u8;
-        let class = BYTE_CLASS[b];
         table[b] = is_number_byte(byte) as u8
             | (is_anchor_byte(byte) as u8) << 1
-            | (matches!(class, ByteClass::Quote) as u8) << 2
-            | (matches!(class, ByteClass::Backslash) as u8) << 3
-            | (matches!(class, ByteClass::Open) as u8) << 4
-            | (matches!(class, ByteClass::Close) as u8) << 5
-            | (matches!(class, ByteClass::Comma) as u8) << 6
-            | ((byte == b'\n') as u8) << 7;
+            | swar::STRUCTURE_CLASSES[b] << 2;
         b += 1;
     }
     table
@@ -2294,6 +2287,7 @@ mod tests {
     use super::*;
     use crate::backend::FilterBackend;
     use crate::evaluator::CompiledFilter;
+    use rfjson_jsonstream::classify::{ByteClass, BYTE_CLASS};
 
     const LISTING1: &[u8] = br#"{"e":[{"v":"35.2","u":"far","n":"temperature"},{"v":"12","u":"per","n":"humidity"},{"v":"713","u":"per","n":"light"},{"v":"305.01","u":"per","n":"dust"},{"v":"20","u":"per","n":"airquality_raw"}],"bt":1422748800000}"#;
 

@@ -16,91 +16,7 @@ use crate::expr::{Expr, StringSpec, StringTechnique, StructScope};
 use crate::primitive::{
     DfaStringMatcher, FireFilter, NumberMatcher, SubstringMatcher, WindowMatcher,
 };
-use rfjson_jsonstream::{ByteClass, StringMask, BYTE_CLASS};
-
-/// Per-byte structural facts shared by all nodes of a filter (computed
-/// once per cycle by the shared mask/nesting logic, as in hardware).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ByteInfo {
-    /// The input byte.
-    pub byte: u8,
-    /// Nesting depth this byte belongs to (open-bracket bytes already
-    /// count inside; close-bracket bytes still count inside).
-    pub depth: u32,
-    /// Unmasked `}` or `]`.
-    pub is_close: bool,
-    /// Unmasked `,`.
-    pub is_comma: bool,
-}
-
-/// Shared streaming tracker producing [`ByteInfo`] (string-mask aware).
-#[derive(Debug, Clone, Default)]
-pub struct StreamTracker {
-    mask: StringMask,
-    depth: u32,
-}
-
-impl StreamTracker {
-    /// Fresh tracker at depth 0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Consumes one byte.
-    #[inline]
-    pub fn on_byte(&mut self, byte: u8) -> ByteInfo {
-        let masked = self.mask.on_byte(byte);
-        let mut depth = self.depth;
-        let mut is_close = false;
-        let mut is_comma = false;
-        if !masked {
-            match BYTE_CLASS[byte as usize] {
-                ByteClass::Open => {
-                    // Open-bracket bytes already count inside the new level.
-                    self.depth += 1;
-                    depth = self.depth;
-                }
-                ByteClass::Close => {
-                    // Close-bracket bytes still count inside the old level.
-                    is_close = true;
-                    self.depth = depth.saturating_sub(1);
-                }
-                ByteClass::Comma => is_comma = true,
-                _ => {}
-            }
-        }
-        ByteInfo {
-            byte,
-            depth,
-            is_close,
-            is_comma,
-        }
-    }
-
-    /// Record-boundary reset.
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
-
-    /// Snapshot of the structural state `(in_string, pending_escape,
-    /// depth)` — the hand-off point for the engine's SWAR block path,
-    /// which resolves whole words of the string mask at once and
-    /// re-syncs the byte-serial tracker at word boundaries.
-    pub(crate) fn state(&self) -> (bool, bool, u32) {
-        (
-            self.mask.in_string(),
-            self.mask.pending_escape(),
-            self.depth,
-        )
-    }
-
-    /// Restores a snapshot taken (or advanced word-at-a-time) by the
-    /// block path.
-    pub(crate) fn restore(&mut self, in_string: bool, pending_escape: bool, depth: u32) {
-        self.mask.restore(in_string, pending_escape);
-        self.depth = depth;
-    }
-}
+use rfjson_jsonstream::{ByteInfo, StreamTracker};
 
 #[derive(Debug, Clone)]
 enum Prim {
@@ -536,25 +452,5 @@ mod tests {
         // "alpha" in record 1, "beta" in record 2 — neither record has both.
         let stream = b"{\"k\":\"alpha\"}\n{\"k\":\"beta\"}\n";
         assert_eq!(f.filter_stream(stream), vec![false, false]);
-    }
-
-    #[test]
-    fn tracker_depth_and_commas() {
-        let mut t = StreamTracker::new();
-        let infos: Vec<ByteInfo> = br#"{"a":[1,2],"b":3}"#.iter().map(|&b| t.on_byte(b)).collect();
-        // The comma between 1 and 2 is at depth 2; the one after ']' is at
-        // depth 1.
-        let commas: Vec<u32> = infos
-            .iter()
-            .filter(|i| i.is_comma)
-            .map(|i| i.depth)
-            .collect();
-        assert_eq!(commas, vec![2, 1]);
-        let closes: Vec<u32> = infos
-            .iter()
-            .filter(|i| i.is_close)
-            .map(|i| i.depth)
-            .collect();
-        assert_eq!(closes, vec![2, 1]);
     }
 }

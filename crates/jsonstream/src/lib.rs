@@ -6,8 +6,9 @@
 //!
 //! * [`mask::StringMask`] — which bytes lie inside string literals
 //!   (quote/escape/escaped-escape tracking, one byte per cycle);
-//! * [`nesting::NestingTracker`] — the JSON nesting level, counting only
-//!   *unmasked* brackets.
+//! * [`nesting::StreamTracker`] — the nesting level and member ends,
+//!   counting only *unmasked* brackets and commas: the one byte-serial
+//!   structure oracle, which [`swar`] reproduces a word at a time.
 //!
 //! The crate also contains the very thing raw filtering protects the CPU
 //! from running too often: a complete recursive-descent JSON parser
@@ -32,6 +33,6 @@ pub mod write;
 pub use classify::{classify, ByteClass, BYTE_CLASS};
 pub use frame::{shard_ranges, IngestLimits, SkipReason, Verdict};
 pub use mask::StringMask;
-pub use nesting::NestingTracker;
+pub use nesting::{ByteInfo, StreamTracker};
 pub use parser::{parse, ParseJsonError};
 pub use value::Value;

@@ -1,115 +1,108 @@
-//! Streaming nesting-level tracking.
+//! Streaming structure tracking: the one byte-serial structure oracle.
 //!
 //! §III-C of the paper: *"This sensitivity for nesting levels is achieved by
 //! incrementing a counter with every `[`,`{` and decrementing it with every
 //! `}`,`]`"* — counting only brackets **outside** string literals, which is
-//! what [`crate::mask::StringMask`] provides.
+//! what [`crate::mask::StringMask`] provides. Commas outside strings end a
+//! member: *"we just need to check that the key RF and the value RF both
+//! appear before the same unescaped comma"*.
 
+use crate::classify::{ByteClass, BYTE_CLASS};
 use crate::mask::StringMask;
 
-/// Byte-serial nesting-depth tracker (string-mask aware).
+/// Per-byte structural facts shared by all nodes of a filter (computed
+/// once per cycle by the shared mask/nesting logic, as in hardware).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ByteInfo {
+    /// The input byte.
+    pub byte: u8,
+    /// Nesting depth this byte belongs to (open-bracket bytes already
+    /// count inside; close-bracket bytes still count inside).
+    pub depth: u32,
+    /// Unmasked `}` or `]`.
+    pub is_close: bool,
+    /// Unmasked `,`.
+    pub is_comma: bool,
+}
+
+/// Shared streaming tracker producing [`ByteInfo`] (string-mask aware).
 ///
 /// Depth convention: an opening bracket byte already belongs to the new
 /// (deeper) level and a closing bracket byte still belongs to the level it
 /// closes, so every byte from `{` to the matching `}` inclusive reports the
-/// same depth.
+/// same depth. Unmatched closing brackets saturate at depth 0.
 ///
 /// # Example
 ///
 /// ```
-/// use rfjson_jsonstream::NestingTracker;
+/// use rfjson_jsonstream::StreamTracker;
 ///
-/// let mut t = NestingTracker::new();
-/// let depths: Vec<u32> = br#"{"a":[1]}"#.iter().map(|&b| t.on_byte(b)).collect();
+/// let mut t = StreamTracker::new();
+/// let depths: Vec<u32> = br#"{"a":[1]}"#.iter().map(|&b| t.on_byte(b).depth).collect();
 /// assert_eq!(depths, vec![1, 1, 1, 1, 1, 2, 2, 2, 1]);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct NestingTracker {
+#[derive(Debug, Clone, Default)]
+pub struct StreamTracker {
     mask: StringMask,
     depth: u32,
 }
 
-impl NestingTracker {
-    /// A tracker at depth 0, outside any string.
+impl StreamTracker {
+    /// Fresh tracker at depth 0.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Consumes one byte and returns the nesting depth that byte belongs
-    /// to. Unmatched closing brackets saturate at depth 0 (malformed input
-    /// cannot underflow the counter).
-    pub fn on_byte(&mut self, b: u8) -> u32 {
-        let masked = self.mask.on_byte(b);
-        if masked {
-            return self.depth;
-        }
-        match b {
-            b'{' | b'[' => {
-                self.depth += 1;
-                self.depth
+    /// Consumes one byte.
+    #[inline]
+    pub fn on_byte(&mut self, byte: u8) -> ByteInfo {
+        let masked = self.mask.on_byte(byte);
+        let mut depth = self.depth;
+        let mut is_close = false;
+        let mut is_comma = false;
+        if !masked {
+            match BYTE_CLASS[byte as usize] {
+                ByteClass::Open => {
+                    // Open-bracket bytes already count inside the new level.
+                    self.depth += 1;
+                    depth = self.depth;
+                }
+                ByteClass::Close => {
+                    // Close-bracket bytes still count inside the old level.
+                    is_close = true;
+                    self.depth = depth.saturating_sub(1);
+                }
+                ByteClass::Comma => is_comma = true,
+                _ => {}
             }
-            b'}' | b']' => {
-                let d = self.depth;
-                self.depth = self.depth.saturating_sub(1);
-                d
-            }
-            _ => self.depth,
+        }
+        ByteInfo {
+            byte,
+            depth,
+            is_close,
+            is_comma,
         }
     }
 
-    /// Current depth (after all consumed bytes).
-    pub fn depth(&self) -> u32 {
-        self.depth
-    }
-
-    /// Is the current byte position inside a string literal?
-    pub fn in_string(&self) -> bool {
-        self.mask.in_string()
-    }
-
-    /// Record boundary: back to depth 0, outside strings.
+    /// Record-boundary reset.
     pub fn reset(&mut self) {
         *self = Self::default();
     }
 
-    /// Convenience: per-byte depths of a whole record.
-    pub fn depths_of(input: &[u8]) -> Vec<u32> {
-        let mut t = NestingTracker::new();
-        input.iter().map(|&b| t.on_byte(b)).collect()
-    }
-}
-
-/// Byte-serial detector for *unmasked* commas at a given depth — the
-/// same-member (key/value co-occurrence) scope of §III-C: *"we just need to
-/// check that the key RF and the value RF both appear before the same
-/// unescaped comma"*.
-#[derive(Debug, Clone, Default)]
-pub struct MemberBoundary {
-    tracker: NestingTracker,
-}
-
-impl MemberBoundary {
-    /// New detector at depth 0.
-    pub fn new() -> Self {
-        Self::default()
+    /// The state `(in_string, pending_escape, depth)`: what a word kernel
+    /// takes over and hands back through [`restore`](Self::restore).
+    pub fn state(&self) -> (bool, bool, u32) {
+        (
+            self.mask.in_string(),
+            self.mask.pending_escape(),
+            self.depth,
+        )
     }
 
-    /// Consumes one byte; returns `true` when the byte is a structural
-    /// comma (or a structural closing bracket, which also terminates the
-    /// last member of an object/array).
-    pub fn on_byte(&mut self, b: u8) -> bool {
-        let in_string_before = self.tracker.in_string();
-        self.tracker.on_byte(b);
-        if in_string_before || self.tracker.in_string() && b == b'"' {
-            // byte inside (or opening) a string: never structural
-            return false;
-        }
-        matches!(b, b',' | b'}' | b']')
-    }
-
-    /// Record boundary reset.
-    pub fn reset(&mut self) {
-        self.tracker.reset();
+    /// Restores a [`state`](Self::state), as a word kernel advanced it.
+    pub fn restore(&mut self, in_string: bool, pending_escape: bool, depth: u32) {
+        self.mask.restore(in_string, pending_escape);
+        self.depth = depth;
     }
 }
 
@@ -117,71 +110,82 @@ impl MemberBoundary {
 mod tests {
     use super::*;
 
+    /// Per-byte infos of `input`, and the tracker's state after it.
+    fn track(input: &[u8]) -> (Vec<ByteInfo>, (bool, bool, u32)) {
+        let mut t = StreamTracker::new();
+        let infos = input.iter().map(|&b| t.on_byte(b)).collect();
+        (infos, t.state())
+    }
+
+    /// Depths of the bytes whose info satisfies `pick`, by position.
+    fn depths(input: &[u8], pick: fn(&ByteInfo) -> bool) -> Vec<(usize, u32)> {
+        let (infos, _) = track(input);
+        let picked = infos.iter().enumerate().filter(|(_, i)| pick(i));
+        picked.map(|(p, i)| (p, i.depth)).collect()
+    }
+
     #[test]
     fn flat_object_depths() {
-        let d = NestingTracker::depths_of(br#"{"a":1}"#);
-        assert_eq!(d, vec![1; 7]);
+        let all = depths(br#"{"a":1}"#, |_| true);
+        assert!(all.iter().all(|&(_, d)| d == 1), "{all:?}");
     }
 
     #[test]
     fn nested_example_from_listing1() {
         // Sketch of the SenML shape: {"e":[{...},{...}],"bt":1}
         let input = br#"{"e":[{"v":1},{"v":2}],"bt":3}"#;
-        let d = NestingTracker::depths_of(input);
-        assert_eq!(d[0], 1, "outer {{");
-        assert_eq!(d[5], 2, "[ of the array");
-        assert_eq!(d[6], 3, "{{ of the first measurement");
+        let (infos, end) = track(input);
+        let d: Vec<u32> = infos.iter().map(|i| i.depth).collect();
+        assert_eq!((d[0], d[5], d[6]), (1, 2, 3), "outer {{, [, inner {{");
         assert_eq!(*d.last().unwrap(), 1, "outer }}");
-        let mut t = NestingTracker::new();
-        for &b in input {
-            t.on_byte(b);
-        }
-        assert_eq!(t.depth(), 0, "balanced record returns to 0");
+        assert_eq!(end, (false, false, 0), "balanced record returns to 0");
     }
 
     #[test]
     fn brackets_in_strings_do_not_count() {
-        let input = br#"{"k":"}}]]"}"#;
-        let mut t = NestingTracker::new();
-        for &b in input {
-            t.on_byte(b);
-        }
-        assert_eq!(t.depth(), 0);
-        let d = NestingTracker::depths_of(input);
-        assert!(d.iter().all(|&x| x <= 1));
+        // Brackets and commas inside the string are neither structure
+        // nor member ends; only the outer braces are.
+        let input = br#"{"k":"}}]],,[{"}"#;
+        assert_eq!(track(input).1, (false, false, 0));
+        assert!(depths(input, |_| true).iter().all(|&(_, d)| d == 1));
+        assert_eq!(depths(input, |i| i.is_comma), vec![]);
+        assert_eq!(depths(input, |i| i.is_close), vec![(input.len() - 1, 1)]);
     }
 
     #[test]
     fn underflow_saturates() {
-        let mut t = NestingTracker::new();
-        t.on_byte(b'}');
-        t.on_byte(b']');
-        assert_eq!(t.depth(), 0);
+        assert_eq!(depths(b"}]", |_| true), vec![(0, 0), (1, 0)]);
+        assert_eq!(track(b"}]").1, (false, false, 0));
     }
 
     #[test]
     fn member_boundaries() {
+        // The structural comma at index 6 ends a member, and the closing
+        // brace ends the last one; the comma inside "x,y" ends nothing.
         let input = br#"{"a":1,"b":"x,y"}"#;
-        let mut m = MemberBoundary::new();
-        let hits: Vec<usize> = input
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &b)| m.on_byte(b).then_some(i))
-            .collect();
-        // The structural comma at index 6 and the closing brace; the comma
-        // inside the string "x,y" is ignored.
-        assert_eq!(hits, vec![6, 16]);
+        assert_eq!(depths(input, |i| i.is_comma), vec![(6, 1)]);
+        assert_eq!(depths(input, |i| i.is_close), vec![(16, 1)]);
     }
 
     #[test]
     fn reset_restores_zero() {
-        let mut t = NestingTracker::new();
-        t.on_byte(b'{');
-        t.on_byte(b'"');
-        assert_eq!(t.depth(), 1);
-        assert!(t.in_string());
+        let mut t = StreamTracker::new();
+        for &b in br#"{"\"# {
+            t.on_byte(b);
+        }
+        assert_eq!(t.state(), (true, true, 1));
         t.reset();
-        assert_eq!(t.depth(), 0);
-        assert!(!t.in_string());
+        assert_eq!(t.state(), (false, false, 0));
+        t.restore(true, false, 3);
+        assert_eq!(t.on_byte(b'}').depth, 3, "masked close inside a string");
+    }
+
+    #[test]
+    fn tracker_depth_and_commas() {
+        // The comma between 1 and 2 is at depth 2; the one after ']' is at
+        // depth 1. Each close reports the level it closes.
+        let input = br#"{"a":[1,2],"b":3}"#;
+        assert_eq!(depths(input, |i| i.is_comma), vec![(7, 2), (10, 1)]);
+        assert_eq!(depths(input, |i| i.is_close), vec![(9, 2), (16, 1)]);
     }
 }

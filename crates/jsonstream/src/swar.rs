@@ -2,13 +2,14 @@
 //!
 //! The paper's FPGA derives every structural fact in one LUT stage per
 //! byte; the software analogue of that spatial parallelism is word-level
-//! parallelism. This module classifies 8 bytes per step from a `u64`
-//! word using only safe integer arithmetic (the workspace forbids
-//! `unsafe`, so no `std::arch` intrinsics): per-word bitmasks for
-//! quotes, backslashes, openers/closers, commas and newlines, plus a
+//! parallelism. This module classifies 8 bytes per step using only safe
+//! integer arithmetic (the workspace forbids `unsafe`, so no `std::arch`
+//! intrinsics): [`class_masks`] reads eight one-bit classes per byte from
+//! a 256-entry table and transposes them into one mask per class —
+//! [`STRUCTURE_CLASSES`] holds the structural ones (quotes, backslashes,
+//! openers, closers, commas, newlines) — and [`string_mask_word`] is a
 //! carry-aware resolution of the [`StringMask`](crate::StringMask)
-//! automaton over a whole word at once; [`class_masks`] reads eight
-//! caller-defined classes from a table instead. The newline hop, [`find_byte`],
+//! automaton over a whole word at once. The newline hop, [`find_byte`],
 //! tests 32 bytes per step with a compare loop the compiler vectorises,
 //! still in safe code.
 //!
@@ -18,8 +19,11 @@
 //!
 //! The equivalence contract — these masks agree bit-for-bit with the
 //! byte-serial [`classify`](crate::classify::classify) LUT and
-//! [`StringMask`](crate::StringMask) — is held by unit tests here and
-//! the property tests in `tests/swar_equiv.rs`.
+//! [`StringMask`](crate::StringMask), and the depths, closes and commas
+//! they give equal [`StreamTracker`](crate::StreamTracker)'s — is held by
+//! unit tests here and the property tests in `tests/swar_equiv.rs`.
+
+use crate::classify::BYTE_CLASS;
 
 /// Bytes per SWAR word.
 pub const WORD_BYTES: usize = 8;
@@ -54,24 +58,6 @@ pub fn eq_bytes(w: u64, b: u8) -> u64 {
     zero_bytes(w ^ (u64::from(b) * LO))
 }
 
-/// Collapses a per-lane high-bit mask (`0x80`/`0x00` lanes, as returned
-/// by [`eq_bytes`]) into one bit per lane: bit `j` of the result is set
-/// iff lane `j`'s high bit is.
-///
-/// The multiply gathers each lane's indicator bit into the top byte;
-/// the 64 partial-product positions are pairwise distinct, so no carry
-/// can corrupt bits 56..64.
-#[inline]
-pub fn high_bits_to_mask(m: u64) -> u8 {
-    (((m >> 7).wrapping_mul(0x0102_0408_1020_4080)) >> 56) as u8
-}
-
-/// One bit per lane of `w` whose byte equals `b` (bit `j` = byte `j`).
-#[inline]
-pub fn eq_mask(w: u64, b: u8) -> u8 {
-    high_bits_to_mask(eq_bytes(w, b))
-}
-
 /// Per-word structural bitmasks — the SWAR image of the byte-class LUT
 /// ([`BYTE_CLASS`](crate::classify::BYTE_CLASS)) plus the newline mask
 /// used for framing. Bit `j` of each mask refers to byte `j`.
@@ -100,31 +86,37 @@ impl WordMasks {
     }
 }
 
-/// Classifies all 8 bytes of a word at once; agrees bit-for-bit with
+/// The structural byte classes, one bit each in [`WordMasks`] field
+/// order: quote, backslash, open, close and comma — the classes of
+/// [`BYTE_CLASS`] — and newline. Bits 6 and 7 are clear, so a caller can
+/// shift the table up to make room for classes of its own.
+pub const STRUCTURE_CLASSES: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut b = 0;
+    while b < 256 {
+        // `ByteClass` numbers Other 0 and the structural classes 1..=5 in
+        // field order, so class `c` is bit `c - 1` and Other no bit.
+        table[b] = (1u8 << BYTE_CLASS[b] as u8) >> 1;
+        b += 1;
+    }
+    table[b'\n' as usize] = 1 << 5;
+    table
+};
+
+/// Classifies all 8 bytes of a word at once: [`class_masks`] over
+/// [`STRUCTURE_CLASSES`], one field per class. Agrees bit-for-bit with
 /// [`classify`](crate::classify::classify) per byte.
-///
-/// Six lane compares and four to six packing multiplies per word: `{`
-/// and `[` (`0x7b`, `0x5b`) differ only in bit 5, as do `}` and `]`, so
-/// one compare of `w | 0x20` finds each pair, and the backslash and
-/// newline lanes — absent from most words — are packed only when one is
-/// there.
 #[inline]
 pub fn classify_word(w: u64) -> WordMasks {
-    let folded = w | (0x20 * LO);
-    let packed = |lanes: u64| {
-        if lanes == 0 {
-            0
-        } else {
-            high_bits_to_mask(lanes)
-        }
-    };
+    let [quotes, backslashes, opens, closes, commas, newlines, ..] =
+        class_masks(&w.to_le_bytes(), &STRUCTURE_CLASSES);
     WordMasks {
-        quotes: eq_mask(w, b'"'),
-        backslashes: packed(eq_bytes(w, b'\\')),
-        opens: eq_mask(folded, b'{'),
-        closes: eq_mask(folded, b'}'),
-        commas: eq_mask(w, b','),
-        newlines: packed(eq_bytes(w, b'\n')),
+        quotes,
+        backslashes,
+        opens,
+        closes,
+        commas,
+        newlines,
     }
 }
 
@@ -134,9 +126,8 @@ pub fn classify_word(w: u64) -> WordMasks {
 /// byte `j`).
 ///
 /// One table read per byte and an 8 × 8 bit transpose (Hacker's Delight
-/// §7-3) answer eight classes for the price of one: where a caller needs
-/// more classes than [`classify_word`] finds, this is cheaper than a
-/// compare and a packing multiply per class.
+/// §7-3) answer eight classes for the price of one, where compares would
+/// cost a compare and a packing multiply per class.
 #[inline]
 pub fn class_masks(bytes: &[u8; WORD_BYTES], table: &[u8; 256]) -> [u8; 8] {
     // Lane j holds byte j's classes: row j of the matrix, bit 8j + k.
@@ -336,50 +327,23 @@ mod tests {
     }
 
     #[test]
-    fn movemask_covers_every_single_lane() {
-        for lane in 0..8 {
-            let m = 0x80u64 << (8 * lane);
-            assert_eq!(high_bits_to_mask(m), 1 << lane, "lane {lane}");
-        }
-        assert_eq!(high_bits_to_mask(HI), 0xff);
-        assert_eq!(high_bits_to_mask(0), 0);
-        // Arbitrary combinations: compare against the per-lane loop.
-        for pattern in 0u16..256 {
-            let mut m = 0u64;
-            for lane in 0..8 {
-                if pattern & (1 << lane) != 0 {
-                    m |= 0x80u64 << (8 * lane);
-                }
-            }
-            assert_eq!(high_bits_to_mask(m), pattern as u8, "pattern {pattern:#x}");
-        }
-    }
-
-    #[test]
     fn classify_word_matches_lut_on_all_bytes() {
         // Every byte value, each in every lane position against a
         // neutral background.
-        for b in 0u16..=255 {
-            let b = b as u8;
+        use ByteClass::{Backslash, Close, Comma, Open, Quote};
+        for b in 0u8..=255 {
+            let class = classify(b);
             for lane in 0..8 {
                 let mut chunk = [b'x'; 8];
                 chunk[lane] = b;
-                let masks = classify_word(load_word(&chunk));
-                for (j, &byte) in chunk.iter().enumerate() {
-                    let bit = 1u8 << j;
-                    let class = classify(byte);
-                    assert_eq!(masks.quotes & bit != 0, class == ByteClass::Quote);
-                    assert_eq!(masks.backslashes & bit != 0, class == ByteClass::Backslash);
-                    assert_eq!(masks.opens & bit != 0, class == ByteClass::Open);
-                    assert_eq!(masks.closes & bit != 0, class == ByteClass::Close);
-                    assert_eq!(masks.commas & bit != 0, class == ByteClass::Comma);
-                    assert_eq!(masks.newlines & bit != 0, byte == b'\n');
-                    assert_eq!(
-                        masks.specials() & bit != 0,
-                        class != ByteClass::Other,
-                        "byte {byte:#x}"
-                    );
+                let m = classify_word(load_word(&chunk));
+                let want = |hit: bool| u8::from(hit) << lane;
+                let got = [m.quotes, m.backslashes, m.opens, m.closes, m.commas];
+                for (mask, c) in got.into_iter().zip([Quote, Backslash, Open, Close, Comma]) {
+                    assert_eq!(mask, want(class == c), "byte {b:#x} as {c:?}");
                 }
+                assert_eq!(m.newlines, want(b == b'\n'), "byte {b:#x}");
+                assert_eq!(m.specials(), want(class != ByteClass::Other));
             }
         }
     }

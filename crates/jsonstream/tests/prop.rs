@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use rfjson_jsonstream::frame::{shard_ranges, split_records};
 use rfjson_jsonstream::write::to_string;
-use rfjson_jsonstream::{parse, NestingTracker, Value};
+use rfjson_jsonstream::{parse, StreamTracker, Value};
 
 /// Strategy for arbitrary JSON value trees (finite numbers only — JSON
 /// cannot carry NaN/Inf).
@@ -49,12 +49,11 @@ proptest! {
     #[test]
     fn nesting_returns_to_zero_on_valid_json(v in value_strategy()) {
         let text = to_string(&v);
-        let mut t = NestingTracker::new();
+        let mut t = StreamTracker::new();
         for b in text.bytes() {
             t.on_byte(b);
         }
-        prop_assert_eq!(t.depth(), 0);
-        prop_assert!(!t.in_string());
+        prop_assert_eq!(t.state(), (false, false, 0));
     }
 
     #[test]
@@ -72,8 +71,8 @@ proptest! {
         }
         let text = to_string(&v);
         let structural = depth_of(&v);
-        let mut t = NestingTracker::new();
-        let max_seen = text.bytes().map(|b| t.on_byte(b)).max().unwrap_or(0);
+        let mut t = StreamTracker::new();
+        let max_seen = text.bytes().map(|b| t.on_byte(b).depth).max().unwrap_or(0);
         prop_assert_eq!(max_seen, structural);
     }
 

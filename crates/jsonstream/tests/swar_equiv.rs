@@ -1,69 +1,107 @@
 //! Differential properties: the SWAR word classifier against the scalar
-//! byte-class LUT and `StringMask`, on arbitrary byte soup — including
-//! `\"`/`\\` escape chains that span word boundaries, CRLF, NUL and
-//! non-ASCII bytes.
+//! byte-class LUT, `StringMask` and the structure oracle `StreamTracker`,
+//! on arbitrary byte soup — including `\"`/`\\` escape chains that span
+//! word boundaries, CRLF, NUL and non-ASCII bytes.
 
 use proptest::prelude::*;
 use rfjson_jsonstream::swar::{
-    self, classify_word, load_word, string_mask_word, StringState, WORD_BYTES,
+    self, class_masks, string_mask_word, StringState, STRUCTURE_CLASSES, WORD_BYTES,
 };
-use rfjson_jsonstream::{classify, ByteClass, StringMask};
+use rfjson_jsonstream::{classify, ByteClass, ByteInfo, StreamTracker, StringMask};
 
-/// Scalar oracle: per-byte class bits and string-mask bits for a whole
-/// stream, chunked exactly like the SWAR path would see it.
-fn scalar_masks(stream: &[u8]) -> (Vec<ByteClass>, Vec<bool>) {
-    let classes = stream.iter().map(|&b| classify(b)).collect();
-    (classes, StringMask::mask_of(stream))
+/// What one byte is, as the word kernel needs to know it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Facts {
+    class: ByteClass,
+    newline: bool,
+    in_string: bool,
+    structure: ByteInfo,
 }
 
-/// Runs the SWAR classifier word-by-word (scalar tail), carrying the
-/// string state across words, and flattens the per-byte facts.
-fn swar_masks(stream: &[u8]) -> (Vec<ByteClass>, Vec<bool>) {
-    let mut classes = Vec::with_capacity(stream.len());
-    let mut masked = Vec::with_capacity(stream.len());
+/// The structural classes of [`STRUCTURE_CLASSES`], in bit order, before
+/// the newline bit.
+const CLASSES: [ByteClass; 5] = [
+    ByteClass::Quote,
+    ByteClass::Backslash,
+    ByteClass::Open,
+    ByteClass::Close,
+    ByteClass::Comma,
+];
+
+/// Scalar oracle: the byte-class LUT, `StringMask` and `StreamTracker`,
+/// a byte at a time.
+fn scalar_facts(stream: &[u8]) -> Vec<Facts> {
+    let masked = StringMask::mask_of(stream);
+    let mut tracker = StreamTracker::new();
+    stream
+        .iter()
+        .zip(masked)
+        .map(|(&b, in_string)| Facts {
+            class: classify(b),
+            newline: b == b'\n',
+            in_string,
+            structure: tracker.on_byte(b),
+        })
+        .collect()
+}
+
+/// The word form, as the engine kernel runs it: the stream padded to
+/// whole words with separators, one [`class_masks`] read of
+/// [`STRUCTURE_CLASSES`] and one [`string_mask_word`] per word, carrying
+/// the string state across words; then the kernel's depth rule over the
+/// unmasked opens and closes — an open counts inside the level it opens,
+/// a close inside the level it closes. The kernel's reset at `\n` is left
+/// out: the tracker knows no records, its caller resets it.
+fn word_facts(stream: &[u8]) -> Vec<Facts> {
+    let mut padded = stream.to_vec();
+    padded.resize(stream.len().next_multiple_of(WORD_BYTES), b'\n');
+    let mut facts = Vec::with_capacity(padded.len());
     let mut state = StringState::default();
-    let mut chunks = stream.chunks_exact(WORD_BYTES);
-    for chunk in chunks.by_ref() {
-        let w = load_word(chunk.try_into().unwrap());
-        let m = classify_word(w);
-        let (mask_bits, next) = string_mask_word(m.quotes, m.backslashes, state);
+    let mut depth = 0u32;
+    for chunk in padded.chunks_exact(WORD_BYTES) {
+        let bytes: &[u8; WORD_BYTES] = chunk.try_into().unwrap();
+        let masks = class_masks(bytes, &STRUCTURE_CLASSES);
+        let [quotes, backslashes, opens, closes, commas, newlines, spare @ ..] = masks;
+        assert_eq!(spare, [0, 0], "{bytes:?}");
+        let (masked, next) = string_mask_word(quotes, backslashes, state);
         state = next;
-        for (j, &b) in chunk.iter().enumerate() {
+        for (j, &byte) in bytes.iter().enumerate() {
             let bit = 1u8 << j;
-            let class = if m.quotes & bit != 0 {
-                ByteClass::Quote
-            } else if m.backslashes & bit != 0 {
-                ByteClass::Backslash
-            } else if m.opens & bit != 0 {
-                ByteClass::Open
-            } else if m.closes & bit != 0 {
-                ByteClass::Close
-            } else if m.commas & bit != 0 {
-                ByteClass::Comma
-            } else {
-                ByteClass::Other
-            };
-            assert_eq!(m.newlines & bit != 0, b == b'\n', "newline mask");
-            classes.push(class);
-            masked.push(mask_bits & bit != 0);
+            let mut hits = CLASSES.iter().zip(masks).filter(|(_, m)| m & bit != 0);
+            let class = hits.next().map_or(ByteClass::Other, |(&c, _)| c);
+            assert!(hits.next().is_none(), "two classes for {byte:#04x}");
+            let structural = !masked & bit != 0;
+            if structural && opens & bit != 0 {
+                depth += 1;
+            }
+            let is_close = structural && closes & bit != 0;
+            facts.push(Facts {
+                class,
+                newline: newlines & bit != 0,
+                in_string: masked & bit != 0,
+                structure: ByteInfo {
+                    byte,
+                    depth,
+                    is_close,
+                    is_comma: structural && commas & bit != 0,
+                },
+            });
+            if is_close {
+                depth = depth.saturating_sub(1);
+            }
         }
     }
-    // Word-boundary fallback: the tail runs byte-serial from the synced
-    // carry state, exactly like the engine's block path.
-    let mut tail_mask = StringMask::new();
-    tail_mask.restore(state.in_string, state.pending_escape);
-    for &b in chunks.remainder() {
-        classes.push(classify(b));
-        masked.push(tail_mask.on_byte(b));
-    }
-    (classes, masked)
+    facts.truncate(stream.len());
+    facts
 }
 
 fn assert_equiv(stream: &[u8]) {
-    let (want_classes, want_masked) = scalar_masks(stream);
-    let (got_classes, got_masked) = swar_masks(stream);
-    assert_eq!(got_classes, want_classes, "{stream:?}");
-    assert_eq!(got_masked, want_masked, "{stream:?}");
+    let want = scalar_facts(stream);
+    let got = word_facts(stream);
+    assert_eq!(got.len(), want.len());
+    for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(got, want, "byte {i} of {stream:?}");
+    }
 }
 
 #[test]

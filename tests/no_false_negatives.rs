@@ -25,7 +25,7 @@ use rfjson_core::primitive::{
 };
 use rfjson_core::query::query_to_exprs;
 use rfjson_core::{Engine, FilterBackend, IngestLimits, MultiBackend, MultiEngine, Verdict};
-use rfjson_jsonstream::{parse, NestingTracker, StringMask, Value};
+use rfjson_jsonstream::{parse, StreamTracker, StringMask, Value};
 use rfjson_redfa::range::{NumberBounds, NumberKind};
 use rfjson_redfa::Decimal;
 use rfjson_riotbench::{smartcity, taxi, Query};
@@ -389,15 +389,18 @@ proptest! {
         payload in "[a-z\\{\\}\\[\\],0-9]{0,20}",
     ) {
         // Build {"k":"<payload>","d":[1]} — payload is inside a string, so
-        // whatever brackets it contains, the tracker must end at depth 0
-        // and the array's depth must be 2.
+        // whatever brackets and commas it contains, the tracker must end at
+        // depth 0, the array's depth must be 2 and the one member end is
+        // the comma after the payload's string.
         let record = format!("{{\"k\":\"{payload}\",\"d\":[1]}}");
-        let mut t = NestingTracker::new();
-        let depths: Vec<u32> = record.bytes().map(|b| t.on_byte(b)).collect();
-        prop_assert_eq!(t.depth(), 0);
+        let mut t = StreamTracker::new();
+        let infos: Vec<_> = record.bytes().map(|b| t.on_byte(b)).collect();
+        prop_assert_eq!(t.state().2, 0);
         // The '1' inside the array sits at depth 2.
         let one_pos = record.rfind('1').unwrap();
-        prop_assert_eq!(depths[one_pos], 2);
+        prop_assert_eq!(infos[one_pos].depth, 2);
+        let commas: Vec<usize> = (0..infos.len()).filter(|&i| infos[i].is_comma).collect();
+        prop_assert_eq!(commas, vec![payload.len() + 7]);
     }
 
     /// Escape chains of any length are tracked correctly: a string

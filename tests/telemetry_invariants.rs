@@ -260,8 +260,9 @@ fn bytes_are_conserved_on_serial_engine_streams() {
     // RiotBench streams are pure `record\n` sequences (no CRs, no blank
     // lines). On the stream path every stream byte lands in exactly one
     // scan-path bucket, whether the prefilter is live or not: the word
-    // kernel, the byte-serial path (at most one word), or a
-    // prefilter-rejected record with its separator. QS0's prefilter is
+    // kernel or a prefilter-rejected record with its separator. The
+    // byte-serial bucket stays empty: the stream path pads the last word
+    // with separators instead of stepping a tail. QS0's prefilter is
     // live here (150 records, inside probation) and rejects nothing.
     let corpus = smartcity_corpus(150);
     let stream = corpus.stream();
@@ -276,7 +277,7 @@ fn bytes_are_conserved_on_serial_engine_streams() {
         stream.len() as u64,
         "single-query byte paths"
     );
-    assert!(d.counter("engine.bytes.byte_serial") <= 8);
+    assert_eq!(d.counter("engine.bytes.byte_serial"), 0);
     assert_eq!(d.counter("engine.prefilter.checked"), corpus.len() as u64);
 
     // A fused batch is a set of group engines over the records framed
@@ -304,7 +305,7 @@ fn bytes_are_conserved_on_serial_engine_streams() {
         + d.counter("multi.bytes.byte_serial")
         + d.counter("multi.bytes.prefilter_skipped");
     assert_eq!(scanned, groups * stream.len() as u64, "fused byte paths");
-    assert!(d.counter("multi.bytes.byte_serial") <= 8 * groups);
+    assert_eq!(d.counter("multi.bytes.byte_serial"), 0);
     assert_eq!(
         d.counter("multi.bytes.prefilter_skipped"),
         stream.len() as u64,
@@ -364,7 +365,7 @@ fn the_stream_path_counts_every_byte_once_and_the_record_path_what_it_feeds() {
         let (decisions, d) = window(|| engine.filter_stream(stream));
         assert_eq!(decisions.len(), 3);
         assert_eq!(engine_bytes(&d), stream.len() as u64);
-        assert!(d.counter("engine.bytes.byte_serial") <= 8);
+        assert_eq!(d.counter("engine.bytes.byte_serial"), 0);
         assert_eq!(d.counter("engine.prefilter.rejected"), rejected);
         assert_eq!(
             d.counter("engine.bytes.prefilter_skipped"),
@@ -409,7 +410,7 @@ fn the_stream_path_counts_every_byte_once_and_the_record_path_what_it_feeds() {
             + d.counter("multi.bytes.byte_serial")
             + d.counter("multi.bytes.prefilter_skipped");
         assert_eq!(scanned, groups * stream.len() as u64);
-        assert!(d.counter("multi.bytes.byte_serial") <= 8 * groups);
+        assert_eq!(d.counter("multi.bytes.byte_serial"), 0);
         assert_eq!(d.counter("multi.records"), 3);
         assert_eq!(
             d.counter("multi.group_scans") + d.counter("multi.group_rejects"),
@@ -422,7 +423,7 @@ fn the_stream_path_counts_every_byte_once_and_the_record_path_what_it_feeds() {
 }
 
 #[test]
-fn a_stream_path_call_is_block_scanned_but_for_at_most_one_word() {
+fn a_stream_path_call_is_block_scanned_whole() {
     if !rfjson_telemetry::ENABLED {
         return;
     }
@@ -463,7 +464,7 @@ fn a_stream_path_call_is_block_scanned_but_for_at_most_one_word() {
         );
         let (decisions, d) = window(|| engine.filter_stream(&stream));
         assert_eq!(decisions.len(), corpus.len(), "{name}");
-        assert!(d.counter("engine.bytes.byte_serial") <= 8, "{name}");
+        assert_eq!(d.counter("engine.bytes.byte_serial"), 0, "{name}");
         assert_eq!(engine_bytes(&d), stream.len() as u64, "{name}");
         assert_eq!(d.counter("engine.records"), corpus.len() as u64, "{name}");
         assert_eq!(d.counter("engine.prefilter.checked"), 0, "{name}");
@@ -495,7 +496,7 @@ fn every_program_runs_the_kernel_on_every_stream_call() {
             let (verdicts, d) = window(|| engine.filter_stream(&stream));
             assert_eq!(verdicts.len(), zoo::wide_program_records().len());
             assert_eq!(engine_bytes(&d), stream.len() as u64, "`{expr}`");
-            assert!(d.counter("engine.bytes.byte_serial") <= 8, "`{expr}`");
+            assert_eq!(d.counter("engine.bytes.byte_serial"), 0, "`{expr}`");
         }
     }
     let resident: Vec<Expr> = [Query::qs0(), Query::qs1(), Query::qt()]
@@ -532,7 +533,7 @@ fn every_program_runs_the_kernel_on_every_stream_call() {
             + d.counter("multi.bytes.byte_serial")
             + d.counter("multi.bytes.prefilter_skipped");
         assert_eq!(scanned, groups * stream.len() as u64);
-        assert!(d.counter("multi.bytes.byte_serial") <= 8 * groups);
+        assert_eq!(d.counter("multi.bytes.byte_serial"), 0);
     }
     let fused = MultiEngine::compile_batch(&resident);
     let groups: Vec<&[usize]> = fused
@@ -595,12 +596,14 @@ fn block_path_covers_wide_and_mixed_block_units() {
         return;
     }
     let _guard = serialize();
-    // A wide (B = 9) unit rides the block path: all but the sub-word
-    // tails and separators of a stream land in `engine.bytes.block`.
+    // A wide (B = 9) unit rides the block path: no byte of a stream is
+    // stepped byte-serially, and all but the records the prefilter skips
+    // land in `engine.bytes.block`, separators included.
     let tweets = twitter::generate(7, 60).stream();
     let mut wide = Engine::compile(&Expr::substring(b"favourites_count", 9).unwrap());
     let (_, d) = window(|| wide.filter_stream(&tweets));
     assert_eq!(engine_bytes(&d), tweets.len() as u64);
+    assert_eq!(d.counter("engine.bytes.byte_serial"), 0);
     assert!(d.counter("engine.bytes.block") * 10 > tweets.len() as u64 * 9);
 
     // A batch of B ≥ 2 units of three block lengths, one group each (no
@@ -631,7 +634,8 @@ fn block_path_covers_wide_and_mixed_block_units() {
         d.counter("multi.bytes.prefilter_skipped"),
     );
     assert_eq!(block + serial + skipped, groups * rides.len() as u64);
-    assert!(block * 10 > (block + serial) * 9, "{block} of {serial}");
+    assert_eq!(serial, 0);
+    assert!(block > 0);
     assert_eq!(
         d.counter("multi.group_scans") + d.counter("multi.group_rejects"),
         groups * d.counter("multi.records")
