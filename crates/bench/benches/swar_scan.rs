@@ -1,12 +1,12 @@
 //! Criterion: the SWAR word-at-a-time kernels against their byte-serial
-//! counterparts — the newline hop, the per-word classifier + string-mask
-//! resolution (`classify_word`, a view of the kernel's classifier: one
-//! `class_masks` read of `STRUCTURE_CLASSES` per word), literal containment, the record-level literal prefilter,
-//! and the engine end to end — its stream path, the word kernel over the
-//! whole buffer (the `…/block` rows), versus the byte-serial record
-//! driver (`…/byte`) on the same stream — and the engine's stream path
-//! over Taxi records as its program widens (`engine_wide/N`: an `And` of
-//! `N` attribute pairs).
+//! counterparts — the newline hop and the per-word classifier +
+//! string-mask resolution (`classify_word`, a view of the kernel's
+//! classifier: one `class_masks` read of `STRUCTURE_CLASSES` per word) —
+//! then literal containment, the record-level literal prefilter, the
+//! engine end to end on its stream path, the word kernel over the whole
+//! buffer (the `…/block` rows), and the engine's stream path over Taxi
+//! records as its program widens (`engine_wide/N`: an `And` of `N`
+//! attribute pairs).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rfjson_core::engine::Engine;
@@ -104,33 +104,20 @@ fn swar_scan(c: &mut Criterion) {
         });
     }
 
-    // End-to-end: the same compiled program through the byte-serial
-    // record driver vs the stream path, `filter_stream_verdicts_into`
-    // (the word kernel over the whole buffer) — with b=1 (byte hit
-    // table) and b=2 (pooled block-hit automaton) substring units, which
-    // the kernel steps at the same cost.
+    // End-to-end: the stream path, `filter_stream_verdicts_into` (the
+    // word kernel over the whole buffer) — with b=1 (byte hit table) and
+    // b=2 (pooled block-hit automaton) substring units, which the kernel
+    // steps at the same cost.
     for (b, name) in [(1, "engine_qs0"), (2, "engine_qs0_b2")] {
         let expr = query_to_exprs(&Query::qs0(), b).unwrap();
         let mut engine = Engine::compile(&expr);
         let mut out = Vec::new();
-        group.bench_function(format!("{name}/byte"), |b| {
-            b.iter(|| {
-                out.clear();
-                rfjson_core::backend::run_verdict_driver(
-                    &mut engine,
-                    black_box(&stream),
-                    rfjson_core::IngestLimits::UNLIMITED,
-                    &mut out,
-                );
-                black_box(out.len())
-            });
-        });
         group.bench_function(format!("{name}/block"), |b| {
             b.iter(|| {
                 out.clear();
                 engine.filter_stream_verdicts_into(
                     black_box(&stream),
-                    rfjson_core::IngestLimits::UNLIMITED,
+                    IngestLimits::UNLIMITED,
                     &mut out,
                 );
                 black_box(out.len())

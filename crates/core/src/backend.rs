@@ -4,7 +4,7 @@
 //! The paper's system is a many-lane filter: identical hardware filter
 //! instances consume the raw byte stream and DMA back one match bit per
 //! record. This crate has three software incarnations of that lane —
-//! the cosim-faithful [`CompiledFilter`](crate::evaluator::CompiledFilter)
+//! the cosim-faithful [`CompiledFilter`]
 //! model, the table-driven [`Engine`](crate::engine::Engine), and the
 //! gate-level [`CosimBackend`](crate::cosim::CosimBackend) — and the
 //! sharded parallel runtime (`rfjson-runtime`) replicates any of them
@@ -18,7 +18,8 @@
 //! oracle, is written once over that trait. The table-driven
 //! [`Engine`](crate::engine::Engine) and
 //! [`MultiEngine`](crate::multi::MultiEngine) run their own stream path,
-//! the word kernel, for every program instead.
+//! the word kernel, for every program instead; their record-at-a-time
+//! methods run the model, so the kernel is their one datapath.
 //!
 //! # Choosing a backend
 //!
@@ -175,16 +176,6 @@ pub trait FilterBackend {
 
     /// Record-boundary reset.
     fn reset(&mut self);
-
-    /// Closes a trailing record the stream did not terminate: feeds the
-    /// `\n` separator the hardware would see and returns the accept
-    /// signal, exactly as `on_byte(b'\n')` — except that this byte is not
-    /// in the stream, so a backend that accounts stream bytes by scan
-    /// path does not count it. The stream drivers call it once at
-    /// end-of-stream; the default is `on_byte(b'\n')`.
-    fn close_trailing_record(&mut self) -> bool {
-        self.on_byte(b'\n')
-    }
 
     /// Flushes any internally accumulated telemetry into the global
     /// [`rfjson_telemetry`] registry.
@@ -427,11 +418,8 @@ impl<B: FilterBackend + ?Sized> Lane for B {
 
     #[inline]
     fn end_record(&mut self, terminated: bool, last: bool, out: &mut Vec<Verdict>) {
-        out.push(Verdict::from_decision(if terminated {
-            self.on_byte(b'\n')
-        } else {
-            self.close_trailing_record() || last
-        }));
+        let accept = self.on_byte(b'\n');
+        out.push(Verdict::from_decision(accept || (!terminated && last)));
     }
 
     fn end_stream(&mut self, _scored: u64) {
@@ -453,7 +441,8 @@ impl<B: FilterBackend + ?Sized> Lane for B {
 /// every stream; [`Engine`](crate::engine::Engine) and
 /// [`MultiEngine`](crate::multi::MultiEngine) never do — their stream
 /// path runs every program — but it drives them as well as any backend,
-/// and it is public for wrappers that need per-byte interception (e.g.
+/// through their record-at-a-time API, which runs the model. It is
+/// public for wrappers that need per-byte interception (e.g.
 /// fault-injection harnesses).
 ///
 /// A non-trailing record's decision is the separator's latched accepts

@@ -59,12 +59,10 @@
 //! may fire. It is conservative: where `m_j` is set, `h₀` is too and
 //! `r_j ≤ pop`; where it is not, `c_j = r_j ≤ pop`.
 //!
-//! The byte-serial form ([`BlockAutomaton::step_serial`]) walks the same
-//! tables and steps the same packed counters a byte at a time
-//! ([`byte_step`]), so both paths of an engine share one state and a
-//! block seam needs no conversion. [`SubstringMatcher`] stays the
-//! reference the property tests compare against
-//! (`tests/block_automaton_equiv.rs`).
+//! [`SubstringMatcher`] stays the reference the property tests hold the
+//! word form to (`tests/block_automaton_equiv.rs`).
+//! [`BlockAutomaton::step`] walks the same rows a byte at a time, as the
+//! prefilter's probes do.
 //!
 //! # Lane layout
 //!
@@ -202,17 +200,6 @@ pub fn pack_targets(targets: &[u32]) -> Vec<u64> {
     packed
 }
 
-/// One byte of a bank of packed run counters `c`, from the byte's hit
-/// mask: hit lanes count up, saturating at 127, miss lanes reset. Returns
-/// `0x80` in every lane at or past its byte of `targets` — the byte-serial
-/// form of [`RunWord`], on the same state.
-#[inline]
-pub fn byte_step(c: &mut u64, hits: u64, targets: u64) -> u64 {
-    let n = (*c + LANE_LO) & hits;
-    *c = n - ((n & LANE_HI) >> 7);
-    reached(*c, targets)
-}
-
 /// One word of a bank of packed run counters `c` with their packed
 /// `targets`, from the word's hit masks by byte position ([`RunWord`]).
 /// Only where the bound says some lane may fire is the word resolved:
@@ -301,10 +288,14 @@ impl BlockAutomatonView {
 ///
 /// let unit = SubstringMatcher::new(b"tolls_amount", 2)?;
 /// let automaton = BlockAutomaton::build([&unit]).expect("a few hundred table words");
-/// let (mut row, mut counters) = (0u16, [0u64]);
+/// // Lane 0 hits while the last two bytes are a block of the needle; the
+/// // unit fires once its run of hits reaches its target, N − B + 1.
+/// let (mut row, mut run) = (0u16, 0);
 /// let mut fired = false;
 /// for &byte in br#"{"tolls_amount":5.00}"# {
-///     automaton.step_serial(&mut row, &mut counters, byte, |_unit| fired = true);
+///     let hit = automaton.step(&mut row, byte)[0] & 0xff != 0;
+///     run = if hit { run + 1 } else { 0 };
+///     fired |= run >= automaton.view().targets[0];
 /// }
 /// assert!(fired);
 /// # Ok::<(), rfjson_core::primitive::SubstringError>(())
@@ -509,27 +500,6 @@ impl BlockAutomaton {
         let t = &self.t;
         std::array::from_fn(|j| t.hits[steps[j] * t.banks + bank])
     }
-
-    /// The byte-serial form: advances `row` and the packed run
-    /// `counters`, a word per bank, by one byte ([`byte_step`]) and calls
-    /// `fire(lane)` for every lane at or past its target — cycle for cycle
-    /// what [`SubstringMatcher::on_byte`](FireFilter::on_byte) returns.
-    #[inline]
-    pub fn step_serial(
-        &self,
-        row: &mut u16,
-        counters: &mut [u64],
-        byte: u8,
-        mut fire: impl FnMut(usize),
-    ) {
-        let hits = self.step(row, byte);
-        let banks = counters.iter_mut().zip(hits).zip(&self.t.targets_packed);
-        for (bank, ((c, &h), &targets)) in banks.enumerate() {
-            for lane in fired_lanes(byte_step(c, h, targets)) {
-                fire(bank * LANES + lane);
-            }
-        }
-    }
 }
 
 /// One automaton of a split pool, with the fire masks of its lanes and
@@ -640,25 +610,6 @@ impl BlockUnits {
         }
     }
 
-    /// One byte-serial cycle; `fire(mask)` with the fire mask of every
-    /// firing unit.
-    #[inline]
-    pub(crate) fn on_byte(&mut self, byte: u8, mut fire: impl FnMut(&[u64])) {
-        let words = self.words;
-        for pool in &mut self.pools {
-            let lanes = &pool.fire;
-            pool.automaton
-                .step_serial(&mut pool.row, &mut pool.counters, byte, |lane| {
-                    fire(&lanes[lane * words..(lane + 1) * words]);
-                });
-        }
-        for &u in &self.refs {
-            if self.units[u].on_byte(byte) {
-                fire(&self.fire[u * words..(u + 1) * words]);
-            }
-        }
-    }
-
     /// Whether there is at most one automaton, of at most one bank: what
     /// the word kernel's one-word instantiation holds in a register.
     pub(crate) fn one_bank(&self) -> bool {
@@ -740,16 +691,30 @@ mod tests {
         SubstringMatcher::new(needle, b).unwrap()
     }
 
-    /// Fires of every unit through the serial form, against the matchers.
+    /// Fires of every unit through the word form — each word's
+    /// transitions, then a [`RunWord`] per bank — against the matchers,
+    /// the stream padded to whole words with a byte of no block.
     fn assert_equiv(units: &[SubstringMatcher], stream: &[u8]) {
         let a = BlockAutomaton::build(units).expect("fits");
+        let v = a.view();
         let mut reference = units.to_vec();
-        let (mut row, mut counters) = (0u16, vec![0u64; a.view().banks]);
-        for (pos, &byte) in stream.iter().enumerate() {
-            let mut got = vec![false; units.len()];
-            a.step_serial(&mut row, &mut counters, byte, |i| got[i] = true);
-            let want: Vec<bool> = reference.iter_mut().map(|m| m.on_byte(byte)).collect();
-            assert_eq!(got, want, "byte {pos} of {stream:?}");
+        let (mut row, mut counters) = (0u16, vec![0u64; v.banks]);
+        let mut padded = stream.to_vec();
+        padded.resize(stream.len().next_multiple_of(WORD), b'\n');
+        for (w, word) in padded.chunks_exact(WORD).enumerate() {
+            let steps = a.word_transitions(&mut row, word.try_into().unwrap());
+            let mut fires = vec![[0u64; WORD]; v.banks];
+            for (bank, c) in counters.iter_mut().enumerate() {
+                let run = RunWord::new(a.word_hits(&steps, bank));
+                fires[bank] = run.fires(*c, v.targets_packed[bank]);
+                *c = run.carry(*c);
+            }
+            for (j, &byte) in word.iter().enumerate() {
+                let lane = |i: usize| fires[i / LANES][j] >> (8 * (i % LANES)) & 0x80 != 0;
+                let got: Vec<bool> = (0..units.len()).map(lane).collect();
+                let want: Vec<bool> = reference.iter_mut().map(|m| m.on_byte(byte)).collect();
+                assert_eq!(got, want, "byte {} of {stream:?}", w * WORD + j);
+            }
         }
     }
 
@@ -817,31 +782,40 @@ mod tests {
     #[test]
     fn counters_round_trip_through_lanes() {
         // Scalar counters of nine lanes over two banks against the packed
-        // ones stepped a byte at a time: equal up to the 127 ceiling, and
-        // firing alike against targets up to 126.
+        // ones stepped a word at a time: firing alike on every byte
+        // against targets up to 126, and equal up to the 127 ceiling after
+        // every word.
         let targets = [1, 2, 126, 3, 100, 7, 8, 9, 10];
         let packed_targets = pack_targets(&targets);
+        let hit = |i: usize, step: usize| !step.is_multiple_of(i + 2) || step > 200;
         let (mut scalar, mut packed) = ([0u32; 9], [0u64; 2]);
-        for step in 0..400u32 {
-            let hit = |i: usize| step % (i as u32 + 2) != 0 || step > 200;
-            let mut want = Vec::new();
-            for (i, c) in scalar.iter_mut().enumerate() {
-                *c = if hit(i) { *c + 1 } else { 0 };
-                if *c >= targets[i] {
-                    want.push(i);
+        for word in 0..50 {
+            let mut want = vec![Vec::new(); WORD];
+            for (j, want) in want.iter_mut().enumerate() {
+                for (i, c) in scalar.iter_mut().enumerate() {
+                    *c = if hit(i, word * WORD + j) { *c + 1 } else { 0 };
+                    if *c >= targets[i] {
+                        want.push(i);
+                    }
                 }
             }
-            let mut fired = Vec::new();
+            let mut fired = vec![Vec::new(); WORD];
             for (bank, c) in packed.iter_mut().enumerate() {
-                let lanes = (bank * LANES..9).take(LANES).filter(|&i| hit(i));
-                let hits = lanes.fold(0u64, |h, i| h | 0xff << (8 * (i % LANES)));
-                let fires = fired_lanes(byte_step(c, hits, packed_targets[bank]));
-                fired.extend(fires.map(|lane| bank * LANES + lane));
+                let run = RunWord::new(std::array::from_fn(|j| {
+                    let lanes = (bank * LANES..9).take(LANES);
+                    let lanes = lanes.filter(|&i| hit(i, word * WORD + j));
+                    lanes.fold(0u64, |h, i| h | 0xff << (8 * (i % LANES)))
+                }));
+                let fires = run.fires(*c, packed_targets[bank]);
+                for (fired, f) in fired.iter_mut().zip(fires) {
+                    fired.extend(fired_lanes(f).map(|lane| bank * LANES + lane));
+                }
+                *c = run.carry(*c);
             }
-            assert_eq!(fired, want, "step {step}");
+            assert_eq!(fired, want, "word {word}");
             for (i, &c) in scalar.iter().enumerate() {
                 let lane = packed[i / LANES] >> (8 * (i % LANES)) & 0xff;
-                assert_eq!(lane, u64::from(c.min(127)), "lane {i} at step {step}");
+                assert_eq!(lane, u64::from(c.min(127)), "lane {i} after word {word}");
             }
         }
     }
@@ -862,12 +836,17 @@ mod tests {
         assert_eq!(units.pools.len(), 1);
         assert_eq!(units.pools[0].automaton.view().units.len(), 1);
         let mut reference = [big, small, long];
-        let stream = needle.iter().chain(b"xxabcx").chain(&[b'a'; 140]);
-        for &byte in stream.chain(b"\n") {
-            let mut fired = 0;
-            units.on_byte(byte, |mask| fired |= mask[0]);
-            let want = (0..3).filter(|&i| reference[i].on_byte(byte));
-            assert_eq!(fired, want.fold(0, |f, i| f | 1 << i));
+        let mut stream: Vec<u8> = [&needle[..], b"xxabcx", &[b'a'; 140]].concat();
+        stream.resize(stream.len().next_multiple_of(WORD) + WORD, b'\n');
+        let mut first = units.load_first::<u64>();
+        for word in stream.chunks_exact(WORD) {
+            let (mut fire, mut fired) = ([0u64; WORD], 0u8);
+            units.step_word(&mut first, word.try_into().unwrap(), &mut fire, &mut fired);
+            for (j, &byte) in word.iter().enumerate() {
+                let want = (0..3).filter(|&i| reference[i].on_byte(byte));
+                assert_eq!(fire[j], want.fold(0, |f, i| f | 1 << i));
+                assert_eq!(fired >> j & 1 != 0, fire[j] != 0);
+            }
         }
     }
 }

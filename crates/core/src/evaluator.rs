@@ -294,6 +294,12 @@ impl CompiledFilter {
         self.root.reset();
         self.tracker.reset();
     }
+
+    /// The latched record-accept signal: what the last
+    /// [`CompiledFilter::on_byte`] returned, `false` after a reset.
+    pub(crate) fn accepts(&self) -> bool {
+        self.root.is_latched()
+    }
 }
 
 impl crate::backend::FilterBackend for CompiledFilter {

@@ -38,8 +38,7 @@
 //! * [`multi`] — the fused multi-query engine: a batch partitioned into
 //!   groups of queries that share needles, each group one [`engine`]
 //!   program over deduplicated matcher units, each record routed by its
-//!   group's prefilter; behind the [`MultiBackend`](multi::MultiBackend)
-//!   surface.
+//!   group's prefilter; behind the [`MultiBackend`] surface.
 //! * [`cosim`] — the elaborated netlist running in the cycle-accurate
 //!   RTL simulator, behind the same backend interface.
 //! * [`elaborate`] — elaboration of any composed filter into an

@@ -18,10 +18,6 @@ pub(crate) struct EngineMetrics {
     /// `engine.bytes.block`: bytes of the word kernel — every stream byte
     /// of a line the prefilter did not reject.
     pub bytes_block: &'static Counter,
-    /// `engine.bytes.byte_serial`: bytes through the byte loop, one per
-    /// `on_byte` call of the record-at-a-time API; none on the stream
-    /// path.
-    pub bytes_byte_serial: &'static Counter,
     /// `engine.bytes.prefilter_skipped`: bytes never scanned because the
     /// literal prefilter rejected the whole record.
     pub bytes_prefilter_skipped: &'static Counter,
@@ -43,7 +39,6 @@ pub(crate) fn engine_metrics() -> &'static EngineMetrics {
     METRICS.get_or_init(|| EngineMetrics {
         records: rfjson_telemetry::counter("engine.records"),
         bytes_block: rfjson_telemetry::counter("engine.bytes.block"),
-        bytes_byte_serial: rfjson_telemetry::counter("engine.bytes.byte_serial"),
         bytes_prefilter_skipped: rfjson_telemetry::counter("engine.bytes.prefilter_skipped"),
         prefilter_checked: rfjson_telemetry::counter("engine.prefilter.checked"),
         prefilter_rejected: rfjson_telemetry::counter("engine.prefilter.rejected"),
@@ -58,10 +53,8 @@ pub(crate) fn engine_metrics() -> &'static EngineMetrics {
 pub(crate) struct MultiMetrics {
     /// `multi.records`: records scored by a fused batch scan.
     pub records: &'static Counter,
-    /// `multi.bytes.block`: bytes scanned by a group's SWAR word loop.
+    /// `multi.bytes.block`: bytes of a group's word kernel.
     pub bytes_block: &'static Counter,
-    /// `multi.bytes.byte_serial`: bytes through a group's serial path.
-    pub bytes_byte_serial: &'static Counter,
     /// `multi.bytes.prefilter_skipped`: bytes of records (separator
     /// included) a group's prefilter rejected.
     pub bytes_prefilter_skipped: &'static Counter,
@@ -79,7 +72,6 @@ pub(crate) fn multi_metrics() -> &'static MultiMetrics {
     METRICS.get_or_init(|| MultiMetrics {
         records: rfjson_telemetry::counter("multi.records"),
         bytes_block: rfjson_telemetry::counter("multi.bytes.block"),
-        bytes_byte_serial: rfjson_telemetry::counter("multi.bytes.byte_serial"),
         bytes_prefilter_skipped: rfjson_telemetry::counter("multi.bytes.prefilter_skipped"),
         group_scans: rfjson_telemetry::counter("multi.group_scans"),
         group_rejects: rfjson_telemetry::counter("multi.group_rejects"),

@@ -42,7 +42,7 @@
 //!   one-match-bit-per-record DMA write-back.
 //!
 //! [`MultiBackend`] is the batch counterpart of
-//! [`FilterBackend`](crate::backend::FilterBackend), and both are
+//! [`FilterBackend`], and both are
 //! [`Lane`]s: a batch is a lane whose match word is one bit per query
 //! instead of one. Every stream driver frames through the one
 //! [`Framer`](rfjson_jsonstream::frame::Framer) — the engine's stream
@@ -50,7 +50,9 @@
 //! driver [`run_verdict_driver`], one body for a single query and a
 //! batch alike — so a batch has the single query's framing and
 //! quarantine rules by construction, and one sharded runner in
-//! `rfjson-runtime` serves both.
+//! `rfjson-runtime` serves both. The record-at-a-time methods of
+//! [`MultiEngine`] forward to its group engines', which run the
+//! byte-serial model ([`Engine::on_byte`]).
 //! The differential suite (`tests/multi_diff.rs`) holds every fused
 //! decision byte-identical to N independent single-query engines.
 //!
@@ -296,7 +298,8 @@ impl MultiEngine {
         views
     }
 
-    /// Advances every group one cycle.
+    /// Advances every group's record-at-a-time model one cycle
+    /// ([`Engine::on_byte`]).
     pub fn on_byte(&mut self, byte: u8) {
         for group in &mut self.groups {
             group.engine.on_byte(byte);
@@ -315,7 +318,7 @@ impl MultiEngine {
         }
     }
 
-    /// Record-boundary reset of every group.
+    /// Record-boundary reset of every group's record-at-a-time model.
     pub fn reset(&mut self) {
         for group in &mut self.groups {
             group.engine.reset();
@@ -347,12 +350,6 @@ impl MultiBackend for MultiEngine {
 
     fn reset(&mut self) {
         MultiEngine::reset(self);
-    }
-
-    fn close_trailing_record(&mut self) {
-        for group in &mut self.groups {
-            group.engine.close_trailing_record();
-        }
     }
 
     /// Frames the call once, then runs it group by group over the framed
@@ -390,21 +387,19 @@ impl MultiBackend for MultiEngine {
     /// and per (group, record) whether the group scanned the record or
     /// its prefilter rejected it.
     fn flush_telemetry(&mut self) {
-        let (mut block, mut serial, mut skipped, mut records, mut rejects) = (0, 0, 0, 0, 0);
+        let (mut block, mut skipped, mut records, mut rejects) = (0, 0, 0, 0);
         for group in &mut self.groups {
             let s = group.engine.take_stats();
             block += s.bytes_block;
-            serial += s.bytes_byte_serial;
             skipped += s.bytes_prefilter_skipped;
             records += s.records;
             rejects += s.prefilter_rejected;
         }
-        if block + serial + skipped == 0 {
+        if block + skipped == 0 {
             return;
         }
         let m = crate::metrics::multi_metrics();
         m.bytes_block.add(block);
-        m.bytes_byte_serial.add(serial);
         m.bytes_prefilter_skipped.add(skipped);
         m.group_scans.add(records - rejects);
         m.group_rejects.add(rejects);
@@ -620,14 +615,6 @@ pub trait MultiBackend: Lane<Source = [Expr], Verdicts = BatchVerdicts> {
     /// Record-boundary reset of every query.
     fn reset(&mut self);
 
-    /// Closes a trailing record the stream did not terminate — the batch
-    /// form of [`FilterBackend::close_trailing_record`]: `on_byte(b'\n')`
-    /// for a separator that is not a stream byte. The default is
-    /// `on_byte(b'\n')`.
-    fn close_trailing_record(&mut self) {
-        self.on_byte(b'\n');
-    }
-
     /// Flushes any internally accumulated telemetry into the global
     /// [`rfjson_telemetry`] registry — the batch-side twin of
     /// [`FilterBackend::flush_telemetry`]. Called by the stream drivers
@@ -718,12 +705,10 @@ macro_rules! batch_lane {
 
             fn end_record(&mut self, terminated: bool, _last: bool, out: &mut BatchVerdicts) {
                 out.push_scored_with(|row| {
-                    if terminated {
-                        self.on_byte(b'\n');
-                    } else {
+                    if !terminated {
                         self.write_accepts(row);
-                        self.close_trailing_record();
                     }
+                    self.on_byte(b'\n');
                     self.write_accepts(row);
                 });
             }
@@ -792,12 +777,6 @@ impl<B: FilterBackend> MultiBackend for MultiLanes<B> {
             lane.reset();
         }
         self.accept.fill(false);
-    }
-
-    fn close_trailing_record(&mut self) {
-        for (lane, accept) in self.lanes.iter_mut().zip(&mut self.accept) {
-            *accept = lane.close_trailing_record();
-        }
     }
 
     fn flush_telemetry(&mut self) {

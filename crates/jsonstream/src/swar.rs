@@ -59,7 +59,7 @@ pub fn eq_bytes(w: u64, b: u8) -> u64 {
 }
 
 /// Per-word structural bitmasks — the SWAR image of the byte-class LUT
-/// ([`BYTE_CLASS`](crate::classify::BYTE_CLASS)) plus the newline mask
+/// ([`BYTE_CLASS`]) plus the newline mask
 /// used for framing. Bit `j` of each mask refers to byte `j`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WordMasks {

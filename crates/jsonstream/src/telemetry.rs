@@ -5,7 +5,7 @@
 //! plain [`FramingTally`] — local `u64` adds, no atomics — and flush
 //! once per stream. That keeps the per-record hot path free of shared
 //! writes while still surfacing the anomalies the runtime cares about:
-//! quarantined records (by [`SkipReason`][crate::SkipReason]), blank
+//! quarantined records (by [`SkipReason`]), blank
 //! separator lines, and CR-terminated records.
 //!
 //! Metric names (all counters):

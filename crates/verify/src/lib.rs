@@ -2,8 +2,9 @@
 //!
 //! Every artifact the compiler produces — the byte-class DFAs of the
 //! string/number primitives, the flat post-order node program of the
-//! batch [`Engine`], and the elaborated [`Netlist`] — encodes invariants
-//! that the hot execution loops rely on *without checking*. This crate
+//! batch [`Engine`], and the elaborated
+//! [`Netlist`](rfjson_rtl::Netlist) — encodes invariants that the hot
+//! execution loops rely on *without checking*. This crate
 //! re-proves those invariants offline and reports violations through a
 //! shared diagnostics model, so a miscompiled filter is caught by a lint
 //! run instead of a wrong accept/reject decision on customer data.

@@ -1,9 +1,9 @@
 //! The pooled block-hit automaton and its packed lane counters against
 //! the reference primitive: for any set of `sB(needle)` units, the
 //! per-byte hit lanes and fire signals of [`BlockAutomaton`] must equal
-//! what one [`SubstringMatcher`] per unit computes — in the byte-serial
-//! form, in the word form, across the seams between the two (which share
-//! the packed counters), and past the point where the packed counters
+//! what one [`SubstringMatcher`] per unit computes — in the word form,
+//! across its seams with stretches stepped a byte at a time (which hand
+//! the run counts over), and past the point where the packed counters
 //! saturate — and, as the engines run them, on their stream paths.
 
 mod zoo;
@@ -31,12 +31,14 @@ fn lanes_of(words: &[u64], units: usize) -> Vec<usize> {
 }
 
 /// Feeds `stream` through the automaton of `units` from the record
-/// start, byte-serial and word by word, and checks hit lanes and fires of
-/// every byte against the reference matchers. Where `packed(pos)` holds
-/// and a whole word remains, the word at `pos` goes through its
-/// transitions and the per-word counter step ([`RunWord`]) of every bank;
-/// every other byte steps the same counters a byte at a time, so the
-/// state crosses from one form to the other at every seam between them.
+/// start, byte by byte and word by word, and checks hit lanes and fires
+/// of every byte against the reference matchers. Where `packed(pos)`
+/// holds and a whole word remains, the word at `pos` goes through its
+/// transitions and the per-word counter step ([`RunWord`]) of every bank,
+/// on the run counts packed one byte per lane; every other byte steps the
+/// row with [`BlockAutomaton::step`] and a scalar run count per unit, so
+/// the counts cross from one form to the other at every seam between
+/// them.
 fn assert_equiv(units: &[SubstringMatcher], stream: &[u8], packed: impl Fn(usize) -> bool) {
     let a = BlockAutomaton::build(units).expect("test pools are small");
     let v = a.view();
@@ -57,7 +59,9 @@ fn assert_equiv(units: &[SubstringMatcher], stream: &[u8], packed: impl Fn(usize
         .collect();
 
     let mut row = 0u16;
-    let mut lanes = vec![0u64; v.banks];
+    // The run count of each unit: saturated at the packed counters' 127
+    // ceiling, which changes no comparison against a target ≤ 126.
+    let mut runs = vec![0u32; units.len()];
     let mut pos = 0;
     while pos < stream.len() {
         if packed(pos) && pos + WORD <= stream.len() {
@@ -79,6 +83,7 @@ fn assert_equiv(units: &[SubstringMatcher], stream: &[u8], packed: impl Fn(usize
                     "bank {bank} at {pos}"
                 );
             }
+            let mut lanes = pack_counts(&runs, v.banks);
             let mut fires = vec![[0u64; WORD]; v.banks];
             for (bank, hits) in hits.iter().enumerate() {
                 let (run, targets) = (RunWord::new(*hits), v.targets_packed[bank]);
@@ -87,6 +92,9 @@ fn assert_equiv(units: &[SubstringMatcher], stream: &[u8], packed: impl Fn(usize
                     assert!(run.may_fire(lanes[bank], targets), "bound at {pos}");
                 }
                 lanes[bank] = run.carry(lanes[bank]);
+            }
+            for (i, count) in runs.iter_mut().enumerate() {
+                *count = (lanes[i / LANES] >> (8 * (i % LANES)) & 0xff) as u32;
             }
             for j in 0..WORD {
                 let at = |words: &[[u64; WORD]]| words.iter().map(|w| w[j]).collect::<Vec<_>>();
@@ -104,8 +112,20 @@ fn assert_equiv(units: &[SubstringMatcher], stream: &[u8], packed: impl Fn(usize
             }
             pos += WORD;
         } else {
+            let hits = a.step(&mut row, stream[pos]).to_vec();
+            assert_eq!(
+                lanes_of(&hits, units.len()),
+                want_hits[pos],
+                "hits at byte {pos} of {stream:?}"
+            );
             let mut got_fires = Vec::new();
-            a.step_serial(&mut row, &mut lanes, stream[pos], |i| got_fires.push(i));
+            for (i, count) in runs.iter_mut().enumerate() {
+                let hit = hits[i / LANES] >> (8 * (i % LANES)) & 0x80 != 0;
+                *count = if hit { (*count + 1).min(127) } else { 0 };
+                if *count >= v.targets[i] {
+                    got_fires.push(i);
+                }
+            }
             assert_eq!(
                 got_fires, want_fires[pos],
                 "fires at byte {pos} of {stream:?}"
@@ -113,6 +133,15 @@ fn assert_equiv(units: &[SubstringMatcher], stream: &[u8], packed: impl Fn(usize
             pos += 1;
         }
     }
+}
+
+/// Run counts packed one byte per lane, a word per bank.
+fn pack_counts(runs: &[u32], banks: usize) -> Vec<u64> {
+    let mut lanes = vec![0u64; banks];
+    for (i, &count) in runs.iter().enumerate() {
+        lanes[i / LANES] |= u64::from(count) << (8 * (i % LANES));
+    }
+    lanes
 }
 
 fn unit(needle: &[u8], b: usize) -> SubstringMatcher {
@@ -128,7 +157,8 @@ fn saturated_run_fires_across_the_seam_and_resets_on_the_first_miss() {
     stream.extend_from_slice(&[b'a'; 310]);
     stream.extend_from_slice(b"xaaxaaaa");
     // Word by word up to mid-run, byte by byte for a stretch, word by word
-    // again, on every word alignment.
+    // again, on every word alignment: the saturated count crosses both
+    // seams.
     for align in 0..WORD {
         assert_equiv(&units, &stream, |pos| {
             pos >= align && !(157..=200).contains(&pos)

@@ -1,9 +1,11 @@
 //! Differential tests for the fused multi-query engine: for any query
 //! batch, [`MultiEngine`] must be **byte-identical** to running N
-//! independent [`Engine`]s — on the per-byte latched accept signal, on
-//! every record's verdict at every word offset right after another
-//! ([`zoo::assert_batch_seams`]), at every shard count, and under
-//! quarantine limits. Fusing is allowed to be faster, never different.
+//! independent [`Engine`]s — on the record-at-a-time API's per-byte
+//! latched accept signal (each group member's model routed to its
+//! query), on every record's verdict at every word offset right after
+//! another ([`zoo::assert_batch_seams`]), at every shard count, and
+//! under quarantine limits. Fusing is allowed to be faster, never
+//! different.
 
 mod zoo;
 
@@ -168,8 +170,10 @@ fn bit(out: &[u64], q: usize) -> bool {
     out[q / 64] >> (q % 64) & 1 == 1
 }
 
-/// Steps the fused engine and N independent engines over `record + '\n'`
-/// and asserts every lane's latched accept matches on **every byte**.
+/// Steps the record-at-a-time API of the fused engine and of N
+/// independent engines over `record + '\n'` and asserts every lane's
+/// latched accept matches on **every byte**: each group routes its
+/// members' models to their queries.
 fn assert_bytewise(exprs: &[Expr], record: &[u8]) {
     let mut fused = MultiEngine::compile_batch(exprs);
     let mut engines: Vec<Engine> = exprs.iter().map(Engine::compile).collect();

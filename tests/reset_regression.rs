@@ -8,6 +8,12 @@
 //! latches high), a truncated record that ends inside a string (odd
 //! quote parity), unbalanced nesting, and a dangling number token. Any
 //! incomplete reset shows up as a divergent second decision.
+//!
+//! The record-at-a-time API of an [`Engine`] runs its byte-serial model,
+//! so the engine legs of the first test reset the model; the word
+//! kernel's own reset is held by the stream-path tests below.
+
+mod zoo;
 
 use rfjson_core::cosim::CosimBackend;
 use rfjson_core::{CompiledFilter, Engine, Expr, FilterBackend, StructScope};
@@ -168,5 +174,55 @@ fn sharded_runner_lane_reuse_matches_serial() {
                 "expr `{expr}` with {shards} shard(s)"
             );
         }
+    }
+}
+
+/// The word kernel's own reset. Where a unit sees `\n`, the stream path
+/// scans every record as a run of its own, and a run stops at the end of
+/// the word that holds its separator — padded with `\n` at the end of
+/// the stream — having stepped the next record's first bytes in that
+/// word. Each run must start from the kernel's reset state, or a unit
+/// carries that state into the record: here a number unit's row and
+/// token state beside a `\n`-needle unit, a reference lane (run target
+/// 128, past the packed counters) whose needle ends in `\n`, and a string
+/// DFA and a block-hit pool that a run of `\n` pads leaves one byte short
+/// of firing. Each record follows the one before it at every word offset,
+/// gated by a live prefilter and ungated ([`zoo::assert_engine_seams`]).
+#[test]
+fn every_run_starts_from_the_kernels_reset_state() {
+    let numbers = Expr::and([
+        Expr::substring(b"v", 1).unwrap(),
+        Expr::or([Expr::substring(b"a\nb", 1).unwrap(), Expr::int_range(5, 9)]),
+    ]);
+    // `7,"v…`: a fresh run reads the 7 at the record's start as anchored;
+    // one that goes on from a stepped `v` does not.
+    let records: [&[u8]; 7] = [
+        br#"{"v":77}"#,
+        br#"{"v":777777777777}"#,
+        br#"{"v":7}"#,
+        br#"{"v":6,"w":77}"#,
+        b"77777777777777",
+        br#"7,"v""#,
+        br#"7,"vvvvvvvvvvvv""#,
+    ];
+    zoo::assert_engine_seams(&numbers, &records);
+
+    let mut needle = vec![b'k'; 127];
+    needle.push(b'\n');
+    let reference = Expr::and([
+        Expr::substring(b"k", 1).unwrap(),
+        Expr::substring(&needle, 1).unwrap(),
+    ]);
+    assert_eq!(Engine::compile(&reference).reference_lanes().count(), 1);
+    let runs = [126, 126, 120, 127, 126].map(|n| vec![b'k'; n]);
+    zoo::assert_engine_seams(&reference, &runs);
+
+    let short: [&[u8]; 4] = [b"y", b"y", b"yy", br#"{"y":1}"#];
+    for pads_then_y in [
+        Expr::dfa_string(b"\n\n\ny").unwrap(),
+        Expr::substring(b"\n\n\ny", 2).unwrap(),
+    ] {
+        let expr = Expr::and([Expr::substring(b"y", 1).unwrap(), pads_then_y]);
+        zoo::assert_engine_seams(&expr, &short);
     }
 }

@@ -70,7 +70,7 @@ fn warmed_engine(expr: &Expr) -> Engine {
 
 /// The engine's verdicts over `stream` equal the oracle's, and came from
 /// the stream path — gated or not: every stream byte counted once, as
-/// `block` or `prefilter_skipped`, and none byte-serially.
+/// `block` or `prefilter_skipped`.
 fn assert_gated_stream(engine: &mut Engine, expr: &Expr, stream: &[u8], limits: IngestLimits) {
     let before = rfjson_telemetry::registry().snapshot();
     let got = engine.filter_stream_verdicts(stream, limits);
@@ -80,7 +80,6 @@ fn assert_gated_stream(engine: &mut Engine, expr: &Expr, stream: &[u8], limits: 
         let block = d.counter("engine.bytes.block");
         let skipped = d.counter("engine.bytes.prefilter_skipped");
         assert_eq!(block + skipped, stream.len() as u64, "`{expr}`");
-        assert_eq!(d.counter("engine.bytes.byte_serial"), 0, "`{expr}`");
     }
 }
 
@@ -98,7 +97,6 @@ fn assert_stream(engine: &mut Engine, expr: &Expr, stream: &[u8], limits: Ingest
     );
     if rfjson_telemetry::ENABLED {
         assert_eq!(d.counter("engine.bytes.block"), stream.len() as u64);
-        assert_eq!(d.counter("engine.bytes.byte_serial"), 0);
     }
 }
 

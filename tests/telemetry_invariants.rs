@@ -53,9 +53,12 @@ fn runtime_reported(d: &Snapshot) -> u64 {
 
 /// `engine.bytes.*` summed over one call.
 fn engine_bytes(d: &Snapshot) -> u64 {
-    d.counter("engine.bytes.block")
-        + d.counter("engine.bytes.byte_serial")
-        + d.counter("engine.bytes.prefilter_skipped")
+    d.counter("engine.bytes.block") + d.counter("engine.bytes.prefilter_skipped")
+}
+
+/// `multi.bytes.*` summed over one call.
+fn multi_bytes(d: &Snapshot) -> u64 {
+    d.counter("multi.bytes.block") + d.counter("multi.bytes.prefilter_skipped")
 }
 
 #[test]
@@ -190,7 +193,7 @@ fn framing_counters_are_conserved_across_drivers() {
         run_verdict_driver(&mut lane, &stream, limits, &mut out);
         skipped(&out)
     });
-    run("engine byte loop", &mut || {
+    run("engine record API", &mut || {
         let mut out = Vec::new();
         let mut lane = Engine::compile(&stream_expr);
         run_verdict_driver(&mut lane, &stream, limits, &mut out);
@@ -261,9 +264,9 @@ fn bytes_are_conserved_on_serial_engine_streams() {
     // lines). On the stream path every stream byte lands in exactly one
     // scan-path bucket, whether the prefilter is live or not: the word
     // kernel or a prefilter-rejected record with its separator. The
-    // byte-serial bucket stays empty: the stream path pads the last word
-    // with separators instead of stepping a tail. QS0's prefilter is
-    // live here (150 records, inside probation) and rejects nothing.
+    // stream path pads the last word with separators instead of stepping
+    // a tail. QS0's prefilter is live here (150 records, inside
+    // probation) and rejects nothing.
     let corpus = smartcity_corpus(150);
     let stream = corpus.stream();
     let expr = query_to_exprs(&Query::qs0(), 1).expect("query converts");
@@ -277,12 +280,11 @@ fn bytes_are_conserved_on_serial_engine_streams() {
         stream.len() as u64,
         "single-query byte paths"
     );
-    assert_eq!(d.counter("engine.bytes.byte_serial"), 0);
     assert_eq!(d.counter("engine.prefilter.checked"), corpus.len() as u64);
 
     // A fused batch is a set of group engines over the records framed
     // once per call, each of which either scans a record or has its
-    // prefilter reject it, separator included: the same three buckets,
+    // prefilter reject it, separator included: the same two buckets,
     // once per group. Here the two SmartCity queries share a group that
     // scans everything and the Taxi query's group rejects everything.
     let batch = vec![
@@ -301,11 +303,11 @@ fn bytes_are_conserved_on_serial_engine_streams() {
         )
     });
     assert_eq!(verdicts.num_records(), corpus.len());
-    let scanned = d.counter("multi.bytes.block")
-        + d.counter("multi.bytes.byte_serial")
-        + d.counter("multi.bytes.prefilter_skipped");
-    assert_eq!(scanned, groups * stream.len() as u64, "fused byte paths");
-    assert_eq!(d.counter("multi.bytes.byte_serial"), 0);
+    assert_eq!(
+        multi_bytes(&d),
+        groups * stream.len() as u64,
+        "fused byte paths"
+    );
     assert_eq!(
         d.counter("multi.bytes.prefilter_skipped"),
         stream.len() as u64,
@@ -365,7 +367,6 @@ fn the_stream_path_counts_every_byte_once_and_the_record_path_what_it_feeds() {
         let (decisions, d) = window(|| engine.filter_stream(stream));
         assert_eq!(decisions.len(), 3);
         assert_eq!(engine_bytes(&d), stream.len() as u64);
-        assert_eq!(d.counter("engine.bytes.byte_serial"), 0);
         assert_eq!(d.counter("engine.prefilter.rejected"), rejected);
         assert_eq!(
             d.counter("engine.bytes.prefilter_skipped"),
@@ -375,21 +376,20 @@ fn the_stream_path_counts_every_byte_once_and_the_record_path_what_it_feeds() {
     }
 
     // The record path — the byte-serial record driver, which the engine
-    // itself never takes, run on it directly — counts the bytes it feeds:
-    // every record with its separator, but not the synthetic one closing
-    // a trailing record, nor blank lines, which it never feeds.
+    // itself never takes, run on it directly — feeds the engine's model,
+    // which counts nothing: the driver adds no `engine.*` counter.
     let mut engine = Engine::compile(&or_root);
-    let record_path = |engine: &mut Engine, stream: &[u8]| {
-        let mut out = Vec::new();
-        run_verdict_driver(engine, stream, IngestLimits::UNLIMITED, &mut out);
-        out.len()
-    };
-    let (records, d) = window(|| record_path(&mut engine, trailing));
-    assert_eq!(records, 3);
-    assert_eq!(engine_bytes(&d), trailing.len() as u64);
-    let (records, d) = window(|| record_path(&mut engine, blanks));
-    assert_eq!(records, 3);
-    assert_eq!(engine_bytes(&d), (blanks.len() - blank_bytes) as u64);
+    for stream in [trailing, blanks] {
+        let (records, d) = window(|| {
+            let mut out = Vec::new();
+            run_verdict_driver(&mut engine, stream, IngestLimits::UNLIMITED, &mut out);
+            out.len()
+        });
+        assert_eq!(records, 3);
+        let engine_counters = d.filtered(&["engine."]).counters;
+        assert!(engine_counters.is_empty(), "{engine_counters:?}");
+        assert_eq!(d.counter("framing.records"), 3);
+    }
 
     // A fused batch frames each call once and runs every group over the
     // framed records on the stream path: each group counts every stream
@@ -406,11 +406,7 @@ fn the_stream_path_counts_every_byte_once_and_the_record_path_what_it_feeds() {
                 IngestLimits::UNLIMITED,
             )
         });
-        let scanned = d.counter("multi.bytes.block")
-            + d.counter("multi.bytes.byte_serial")
-            + d.counter("multi.bytes.prefilter_skipped");
-        assert_eq!(scanned, groups * stream.len() as u64);
-        assert_eq!(d.counter("multi.bytes.byte_serial"), 0);
+        assert_eq!(multi_bytes(&d), groups * stream.len() as u64);
         assert_eq!(d.counter("multi.records"), 3);
         assert_eq!(
             d.counter("multi.group_scans") + d.counter("multi.group_rejects"),
@@ -464,7 +460,6 @@ fn a_stream_path_call_is_block_scanned_whole() {
         );
         let (decisions, d) = window(|| engine.filter_stream(&stream));
         assert_eq!(decisions.len(), corpus.len(), "{name}");
-        assert_eq!(d.counter("engine.bytes.byte_serial"), 0, "{name}");
         assert_eq!(engine_bytes(&d), stream.len() as u64, "{name}");
         assert_eq!(d.counter("engine.records"), corpus.len() as u64, "{name}");
         assert_eq!(d.counter("engine.prefilter.checked"), 0, "{name}");
@@ -477,8 +472,8 @@ fn a_stream_path_call_is_block_scanned_whole() {
     }
 }
 
-/// Every program runs the word kernel on every stream call: at most one
-/// word's bytes byte by byte for an engine, and per group for a batch —
+/// Every program runs the word kernel on every stream call, which counts
+/// every stream byte once for an engine and once per group for a batch —
 /// the wide programs of the zoo, alone and as one batch, and the five
 /// resident queries, which group by shared needle.
 #[test]
@@ -496,7 +491,6 @@ fn every_program_runs_the_kernel_on_every_stream_call() {
             let (verdicts, d) = window(|| engine.filter_stream(&stream));
             assert_eq!(verdicts.len(), zoo::wide_program_records().len());
             assert_eq!(engine_bytes(&d), stream.len() as u64, "`{expr}`");
-            assert_eq!(d.counter("engine.bytes.byte_serial"), 0, "`{expr}`");
         }
     }
     let resident: Vec<Expr> = [Query::qs0(), Query::qs1(), Query::qt()]
@@ -529,11 +523,7 @@ fn every_program_runs_the_kernel_on_every_stream_call() {
                 IngestLimits::UNLIMITED,
             )
         });
-        let scanned = d.counter("multi.bytes.block")
-            + d.counter("multi.bytes.byte_serial")
-            + d.counter("multi.bytes.prefilter_skipped");
-        assert_eq!(scanned, groups * stream.len() as u64);
-        assert_eq!(d.counter("multi.bytes.byte_serial"), 0);
+        assert_eq!(multi_bytes(&d), groups * stream.len() as u64);
     }
     let fused = MultiEngine::compile_batch(&resident);
     let groups: Vec<&[usize]> = fused
@@ -585,7 +575,6 @@ fn prefilter_probes_are_bounded_and_sublinear_on_a_miss_stream() {
     // with it, so the whole stream is.
     let skipped = d.counter("engine.bytes.prefilter_skipped");
     assert_eq!(skipped, stream.len() as u64);
-    assert_eq!(d.counter("engine.bytes.byte_serial"), 0);
     let probed = d.counter("engine.prefilter.probed_bytes");
     assert!(probed > 0 && probed < skipped / 2, "{probed} of {skipped}");
 }
@@ -596,14 +585,12 @@ fn block_path_covers_wide_and_mixed_block_units() {
         return;
     }
     let _guard = serialize();
-    // A wide (B = 9) unit rides the block path: no byte of a stream is
-    // stepped byte-serially, and all but the records the prefilter skips
-    // land in `engine.bytes.block`, separators included.
+    // A wide (B = 9) unit rides the block path: all but the records the
+    // prefilter skips land in `engine.bytes.block`, separators included.
     let tweets = twitter::generate(7, 60).stream();
     let mut wide = Engine::compile(&Expr::substring(b"favourites_count", 9).unwrap());
     let (_, d) = window(|| wide.filter_stream(&tweets));
     assert_eq!(engine_bytes(&d), tweets.len() as u64);
-    assert_eq!(d.counter("engine.bytes.byte_serial"), 0);
     assert!(d.counter("engine.bytes.block") * 10 > tweets.len() as u64 * 9);
 
     // A batch of B ≥ 2 units of three block lengths, one group each (no
@@ -628,14 +615,8 @@ fn block_path_covers_wide_and_mixed_block_units() {
             IngestLimits::UNLIMITED,
         )
     });
-    let (block, serial, skipped) = (
-        d.counter("multi.bytes.block"),
-        d.counter("multi.bytes.byte_serial"),
-        d.counter("multi.bytes.prefilter_skipped"),
-    );
-    assert_eq!(block + serial + skipped, groups * rides.len() as u64);
-    assert_eq!(serial, 0);
-    assert!(block > 0);
+    assert_eq!(multi_bytes(&d), groups * rides.len() as u64);
+    assert!(d.counter("multi.bytes.block") > 0);
     assert_eq!(
         d.counter("multi.group_scans") + d.counter("multi.group_rejects"),
         groups * d.counter("multi.records")

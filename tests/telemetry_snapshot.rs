@@ -37,9 +37,9 @@ fn qs0_snapshot_json_is_pinned() {
     // prefilter is live (25 records are inside probation), so the
     // stream path frames the call first and asks it about each record;
     // its literals occur in every record, so it rejects none and the
-    // whole call is one run — no `engine.bytes.byte_serial`,
-    // `.prefilter_skipped` or `engine.prefilter.rejected` entries
-    // survive the delta's drop-if-unchanged rule. Finding all five
+    // whole call is one run — no `engine.bytes.prefilter_skipped` or
+    // `engine.prefilter.rejected` entries survive the delta's
+    // drop-if-unchanged rule. Finding all five
     // attribute names took the prefilter 3780 byte reads over the 5426
     // content bytes.
     let golden = concat!(

@@ -1,9 +1,10 @@
 //! The expression zoo and adversarial records shared by the engine's
-//! differential suites (`engine_diff.rs`: the byte loop and the stream
-//! path record by record; `stream_diff.rs`: the stream path;
+//! differential suites (`engine_diff.rs`: the stream path record by
+//! record; `stream_diff.rs`: the stream path;
 //! `multi_diff.rs`: batches; `telemetry_invariants.rs`: the kernel's byte
 //! law; `cosim.rs`: the netlists), and the seam check they share with
-//! `block_automaton_equiv.rs` and `no_false_negatives.rs`: the stream
+//! `block_automaton_equiv.rs`, `no_false_negatives.rs` and
+//! `reset_regression.rs`: the stream
 //! path, record by record, at every word offset right after another
 //! record, against the byte-serial oracle ([`assert_engine_seams`],
 //! [`assert_batch_seams`]).
